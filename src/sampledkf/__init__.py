@@ -8,8 +8,9 @@ no sampling needed for covariances.
 
 Layers, bottom up: ``spectral_model`` (model containers and the heat / wave
 builders), ``kernels`` (exact transition and covariance blocks plus a
-quadrature oracle), ``filter_core`` (sequential filter, batch conditioning
-oracle, one-insertion increments), ``refinement`` (dyadic grids, discrepancy
+quadrature oracle), ``filter_core`` (information-form filter for undriven
+systems, sequential filter for driven ones, batch conditioning oracle,
+one-insertion increments), ``refinement`` (dyadic grids, discrepancy
 curves, telescoping, level sums), ``theory`` (closed-form rate bounds and
 rate fitting), ``montecarlo`` (path sampling validation), ``cli`` (the
 ``sampledkf`` experiment runner).
@@ -18,7 +19,8 @@ rate fitting), ``montecarlo`` (path sampling validation), ``cli`` (the
 from .errors import (ConfigError, GramSingularError, NumericalError,
                      ReferenceUnconvergedError)
 from .filter_core import (AugmentedGaussianState, FilterRun, batch_condition,
-                          increment_variance, sequential_filter)
+                          increment_variance, information_filter,
+                          sequential_filter)
 from .kernels import (AugmentedTransition, augmented_covariance,
                       output_covariance_kernel, phi_h,
                       quadrature_oracle_transition, state_output_cross,
@@ -54,8 +56,8 @@ __all__ = [
     "augmented_covariance", "output_covariance_kernel", "state_output_cross",
     "quadrature_oracle_transition",
     # filtering
-    "AugmentedGaussianState", "FilterRun", "sequential_filter",
-    "batch_condition", "increment_variance",
+    "AugmentedGaussianState", "FilterRun", "information_filter",
+    "sequential_filter", "batch_condition", "increment_variance",
     # refinement
     "DyadicGrid", "dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
     "TelescopeReport", "telescope_check", "level_sum",

@@ -13,10 +13,11 @@ forms cancel catastrophically.  Branch layout, elementwise:
 
 * both arguments inside the unit disc: truncated double power series (exact to
   ~1e-18 relative, no cancellation);
-* one argument tiny (|x| <= 1e-3) while the other is large: expansion in the
-  tiny argument with g_j coefficients;
-* otherwise: the direct closed form, which is then safe because every divisor
-  has modulus > 1e-3.
+* one argument at most half the other in modulus: a rearranged closed form
+  without the division by the small argument (the difference quotient
+  (phi1(a+b) - phi1(a))/b loses a factor |a|/|b| to cancellation);
+* otherwise: the direct closed form, which is then safe because the two
+  arguments are within a factor two of each other and one exceeds 1.
 
 All functions accept scalars or arrays and broadcast; results are complex.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 _SERIES_RADIUS = 1.0
-_TINY_CUTOFF = 1e-3
+_RATIO = 0.5
 _SERIES_TERMS = 30
 _DOUBLE_TERMS = 22
 
@@ -54,6 +55,24 @@ def phi1(x):
         out[big] = np.expm1(xb.real) * np.exp(1j * xb.imag) / xb \
             + (np.exp(1j * xb.imag) - 1.0) / xb
     return out[0] if scalar else out
+
+
+def _phi2(x):
+    """(e^x - 1 - x)/x^2 = int_0^1 (e^(x s) - 1)/x ds = G2(0, x), elementwise."""
+    out = np.empty_like(x)
+    small = np.abs(x) <= _SERIES_RADIUS
+    if np.any(small):
+        xs = x[small]
+        term = np.full_like(xs, 0.5)
+        acc = term.copy()
+        for m in range(3, _SERIES_TERMS):
+            term = term * xs / m
+            acc = acc + term
+        out[small] = acc
+    big = ~small
+    if np.any(big):
+        out[big] = (phi1(x[big]) - 1.0) / x[big]
+    return out
 
 
 def exp_power_moments(a, jmax: int = 4):
@@ -130,15 +149,16 @@ def coupled_g2(a, b):
     out = np.empty(a.shape, dtype=complex)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
-    tiny_b = ~inside & (np.abs(b) <= _TINY_CUTOFF)
-    direct = ~inside & ~tiny_b
+    small_b = ~inside & (np.abs(b) <= _RATIO * np.abs(a))
+    direct = ~inside & ~small_b
 
     if np.any(inside):
         out[inside] = _g2_series(a[inside], b[inside])
-    if np.any(tiny_b):
-        asub, bsub = a[tiny_b], b[tiny_b]
-        g = exp_power_moments(asub, 4)
-        out[tiny_b] = g[1] + bsub * (g[2] / 2.0 + bsub * (g[3] / 6.0 + bsub * g[4] / 24.0))
+    if np.any(small_b):
+        # (e^a (a phi1(b) - 1) + 1) / (a (a + b)): no 1/b, and |a + b| >= |a|/2
+        asub, bsub = a[small_b], b[small_b]
+        ea = np.exp(asub)
+        out[small_b] = (ea * (asub * phi1(bsub) - 1.0) + 1.0) / (asub * (asub + bsub))
     if np.any(direct):
         asub, bsub = a[direct], b[direct]
         out[direct] = (phi1(asub + bsub) - phi1(asub)) / bsub
@@ -157,20 +177,17 @@ def coupled_g3(a, b):
     out = np.empty(a.shape, dtype=complex)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
-    tiny_b = ~inside & (np.abs(b) <= _TINY_CUTOFF)
-    tiny_a = ~inside & ~tiny_b & (np.abs(a) <= _TINY_CUTOFF)
-    direct = ~(inside | tiny_b | tiny_a)
+    small_b = ~inside & (np.abs(b) <= _RATIO * np.abs(a))
+    small_a = ~inside & ~small_b & (np.abs(a) <= _RATIO * np.abs(b))
+    direct = ~(inside | small_b | small_a)
 
     if np.any(inside):
         out[inside] = _g3_series(a[inside], b[inside])
-    for mask, big, small in ((tiny_b, a, b), (tiny_a, b, a)):
-        if not np.any(mask):
-            continue
-        xbig, xsml = big[mask], small[mask]
-        g = exp_power_moments(xbig, 4)
-        # w_j = int_0^1 (e^(a s)-1)/a s^j ds = (g_j(a) - 1/(j+1))/a, safe: |a| > 1
-        w = [(g[j] - 1.0 / (j + 1)) / xbig for j in range(1, 5)]
-        out[mask] = w[0] + xsml * (w[1] / 2.0 + xsml * (w[2] / 6.0 + xsml * w[3] / 24.0))
+    for mask, big, small in ((small_b, a, b), (small_a, b, a)):
+        if np.any(mask):
+            # G3(a, b) = (G2(a, b) - G2(0, b)) / a, both terms accurate here
+            xbig, xsml = big[mask], small[mask]
+            out[mask] = (coupled_g2(xbig, xsml) - _phi2(xsml)) / xbig
     if np.any(direct):
         asub, bsub = a[direct], b[direct]
         out[direct] = (phi1(asub + bsub) - phi1(asub) - phi1(bsub) + 1.0) / (asub * bsub)

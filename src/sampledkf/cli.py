@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError
 from .montecarlo import empirical_error
-from .refinement import discrepancy_curve, level_sum, telescope_check, DiscrepancyCurve
+from .refinement import (DiscrepancyCurve, discrepancy_curve, dyadic_grid,
+                         level_sum, telescope_check)
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              model_from_mapping, unit_weights)
 from .theory import (TheoremBound, check_bound, fit_rate, theorem1_bound,
@@ -296,14 +297,13 @@ def emit_plot_data(curve: DiscrepancyCurve,
     return "\n\n".join(blocks) + "\n"
 
 
-def _curve_from_config(config: ExperimentConfig, model: ModalSystem,
-                       threads: int) -> DiscrepancyCurve:
+def _curve_from_config(config: ExperimentConfig,
+                       model: ModalSystem) -> DiscrepancyCurve:
     return discrepancy_curve(
         model, list(config.require("n_values")),
         reference_level=config.get("k_ref", 6),
         check_reference=config.get("check_reference", True),
-        per_n_reference=config.get("per_n_reference", False),
-        max_workers=threads)
+        per_n_reference=config.get("per_n_reference", False))
 
 
 def _make_bounds(config: ExperimentConfig, model: ModalSystem,
@@ -327,15 +327,14 @@ def _make_bounds(config: ExperimentConfig, model: ModalSystem,
     return bounds
 
 
-def run_experiment(config: ExperimentConfig,
-                   threads: int = 1) -> tuple[str, str | None]:
+def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
     """Execute the configured experiment; return (csv_text, plot_text)."""
     model = _build_model(config)
     kind = config.values["model.kind"]
     plot_text = None
 
     if config.experiment == "converge":
-        curve = _curve_from_config(config, model, threads)
+        curve = _curve_from_config(config, model)
         rows = [[kind, int(n), curve.reference_level, tc, tr, d]
                 for n, tc, tr, d in zip(curve.n_values, curve.coarse_traces,
                                         curve.reference_traces, curve.values)]
@@ -346,7 +345,7 @@ def run_experiment(config: ExperimentConfig,
         return text, plot_text
 
     if config.experiment == "bounds":
-        curve = _curve_from_config(config, model, threads)
+        curve = _curve_from_config(config, model)
         bounds = _make_bounds(config, model, int(curve.n_values.min()))
         rows = []
         for bound in bounds:
@@ -387,7 +386,7 @@ def run_experiment(config: ExperimentConfig,
 
     if config.experiment == "simulate":
         n = config.require("simulate_n")
-        times = (np.arange(1, n + 1) * model.horizon) / n
+        times = dyadic_grid(n, 0, model.horizon).times
         batch = empirical_error(model, times, config.require("trials"),
                                 config.get("seed", 0))
         rows = [[kind, n, batch.trials, batch.seed, batch.empirical_mean,
@@ -396,7 +395,7 @@ def run_experiment(config: ExperimentConfig,
                              "std_error", "trace_err", "z_score"], rows), None
 
     if config.experiment == "fit":
-        curve = _curve_from_config(config, model, threads)
+        curve = _curve_from_config(config, model)
         fit = fit_rate(curve.n_values, curve.values)
         rows = [[kind, int(curve.n_values.min()), int(curve.n_values.max()),
                  fit.slope, fit.intercept, fit.r_squared, fit.n_used]]
@@ -435,8 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "validate-config":
             p.add_argument("--out", help="override output path")
             p.add_argument("--seed", type=int, help="override root seed")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for per-n evaluations")
     return parser
 
 
@@ -460,7 +457,7 @@ def main(argv=None) -> int:
                 f"experiment: config requests {config.experiment!r} but the "
                 f"subcommand is {args.command!r}")
         started = time.perf_counter()
-        text, plot_text = run_experiment(config, threads=max(1, args.threads))
+        text, plot_text = run_experiment(config)
         _write(config.get("out"), text)
         if plot_text is not None:
             _write(config.require("plot_out"), plot_text)

@@ -1,19 +1,36 @@
-"""Discrete-time estimation of the sampled system, two independent routes.
+"""Discrete-time estimation of the sampled system, three routes.
 
-``sequential_filter`` is the production path: a Kalman recursion on the
-augmented pair (z, Y_partial) where Y_partial accumulates int C z dt since the
-previous sample, each observation is the increment y(t_i) - y(t_{i-1}) =
-Y_partial + dw with dw ~ N(0, R (t_i - t_{i-1})), and Y_partial is reset to
-zero after every update.  Means are touched only when a realised output path
-is supplied; covariances never depend on the data.
+``information_filter`` is the hot path for undriven systems.  Without input
+noise z(T) = e^(AT) x, and each increment observation
+
+    y(t_i) - y(t_(i-1)) = H_i x + dw,    H_i = C diag(e^(lambda t_(i-1)) I1(lambda, d_i)),
+
+with d_i = t_i - t_(i-1), I1(lambda, d) = d phi1(lambda d) and
+dw ~ N(0, R d_i), is linear in the initial state x.  The increments are
+independent given x, so the posterior of x needs only the N x N information
+matrix J = sum_i H_i* (R d_i)^(-1) H_i, evaluated in the whitened form
+
+    P = P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2),
+
+whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
+for zero prior variances and rapidly decaying ones).  ``increment_variance``
+builds on the same posterior of x.
+
+``sequential_filter`` is the hot path for driven systems, and the only route
+for means, snapshots and Monte Carlo: a Kalman recursion on the augmented pair
+(z, Y_partial) where Y_partial accumulates int C z dt since the previous
+sample, each observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw,
+and Y_partial is reset to zero after every update.  Means are touched only
+when a realised output path is supplied; covariances never depend on the
+data.  ``posterior_trace`` is the one place that picks between the two.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)) using the closed-form kernels
 
     Cov(y(t_i), y(t_j)) = Cov(Y(t_i), Y(t_j)) + R min(t_i, t_j).
 
-The two must agree to floating-point accuracy; keeping both alive is the
-package's standing self-check (increment versus cumulative bookkeeping).
+All three must agree to floating-point accuracy; the tests hold them to it
+(increment versus cumulative bookkeeping, state versus initial-state form).
 
 ``increment_variance`` evaluates the one-insertion refinement gain
 
@@ -28,11 +45,12 @@ y(t) - (y(t-h) + y(t+h))/2 carries exactly (h/2) R of measurement noise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
+from ._scalars import phi1
 from .errors import GramSingularError
 from .kernels import (augmented_covariance, _integrated_output_map, phi_h,
                       transition_block)
@@ -40,8 +58,13 @@ from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["AugmentedGaussianState", "FilterRun", "sequential_filter",
-           "batch_condition", "increment_variance"]
+__all__ = ["AugmentedGaussianState", "FilterRun", "information_filter",
+           "sequential_filter", "posterior_trace", "batch_condition",
+           "increment_variance"]
+
+#: Samples per gemm when accumulating the information matrix; bounds the
+#: work array at (256 r) x N whatever the grid size.
+_INFO_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -173,6 +196,63 @@ def sequential_filter(system: ModalSystem, times, observations=None,
                      snapshots=run.snapshots)
 
 
+def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
+    """Error covariance of the initial state x given the increments on ``times``.
+
+    Undriven systems only; ``times`` must already be validated.
+    """
+    n = system.num_modes
+    lam = system.eigenvalues
+    # rows of L^-1 C with L L^T = R whiten the measurement noise
+    cwhite = solve_triangular(np.linalg.cholesky(system.r_cov),
+                              system.output_coeffs.T, lower=True)
+    starts = np.concatenate([[0.0], times[:-1]])
+    widths = times - starts
+    info = np.zeros((n, n), dtype=complex)
+    for lo in range(0, times.size, _INFO_BLOCK):
+        block = slice(lo, lo + _INFO_BLOCK)
+        # I1(lambda, d) / sqrt(d) once per distinct width (one on uniform grids)
+        d, which = np.unique(widths[block], return_inverse=True)
+        step = phi1(lam * d[:, None]) * np.sqrt(d)[:, None]
+        scale = np.exp(lam * starts[block, None]) * step[which]
+        rows = (scale[:, None, :] * cwhite[None, :, :]).reshape(-1, n)
+        info += rows.conj().T @ rows
+    root = np.sqrt(system.prior_var)
+    whitened = np.eye(n) + root[:, None] * info * root[None, :]
+    chol = np.linalg.cholesky(whitened)
+    half = solve_triangular(chol, np.diag(root), lower=True)
+    post = half.conj().T @ half
+    return (post + post.conj().T) / 2.0
+
+
+def information_filter(system: ModalSystem, times) -> FilterRun:
+    """Posterior of z(T) for an undriven system, via the initial state.
+
+    Gives the covariance ``sequential_filter`` gives, at the cost of one
+    N x N information matrix however many samples ``times`` holds.
+    """
+    if system.has_input_noise:
+        raise ValueError("information_filter needs an undriven system; "
+                         "use sequential_filter")
+    times = _validate_times(system, times)
+    decay = np.exp(system.eigenvalues * system.horizon)
+    post = _initial_posterior(system, times)
+    final_cov = decay[:, None] * post * decay.conj()[None, :]
+    final_cov = (final_cov + final_cov.conj().T) / 2.0
+    return FilterRun(grid=times, final_cov=final_cov,
+                     trace_err=_real_trace(final_cov))
+
+
+def posterior_trace(system: ModalSystem, times) -> float:
+    """Posterior error trace E||z(T) - zhat||^2 given the samples on ``times``.
+
+    Undriven systems take the information form, driven ones the recursion.
+    """
+    if system.has_input_noise:
+        return sequential_filter(system, times).trace_err
+    return information_filter(system, times).trace_err
+
+
 def _output_gram(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     """Covariance of the stacked sampled outputs (y(t_1), ..., y(t_m))."""
     n, r = system.num_modes, system.num_outputs
@@ -222,18 +302,6 @@ def batch_condition(system: ModalSystem, times) -> FilterRun:
     return FilterRun(grid=times, final_cov=post, trace_err=_real_trace(post))
 
 
-def _condition_initial(system: ModalSystem, times: np.ndarray) -> np.ndarray:
-    """Error covariance of the initial state x given the sampled outputs."""
-    p = system.prior_var.astype(complex)
-    if times.size == 0:
-        return np.diag(p)
-    gram, _ = _output_gram(system, times)
-    cross = np.hstack([p[:, None] * _integrated_output_map(system, float(t)).conj().T
-                       for t in times])
-    post = np.diag(p) - cross @ _solve_gram(gram, cross.conj().T)
-    return (post + post.conj().T) / 2.0
-
-
 def increment_variance(system: ModalSystem, base_times, new_time: float,
                        h: float) -> float:
     """Expected squared move of the z(T) estimate when one sample is inserted.
@@ -263,7 +331,7 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _condition_initial(system, base)
+    post = _initial_posterior(system, base)
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     gmat = chm @ post @ chm.conj().T + (h / 2.0) * system.r_cov
     decay = np.exp(system.eigenvalues * system.horizon)

@@ -25,14 +25,13 @@ per level, which keeps membership across levels exact in floating point.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import increment_variance, sequential_filter
+from .filter_core import increment_variance, posterior_trace
 from .kernels import phi_h
 from .spectral_model import ModalSystem
 
@@ -112,14 +111,12 @@ class DiscrepancyCurve:
 
 
 def _coarse_trace(system: ModalSystem, n: int) -> float:
-    grid = dyadic_grid(n, 0, system.horizon)
-    return sequential_filter(system, grid.times).trace_err
+    return posterior_trace(system, dyadic_grid(n, 0, system.horizon).times)
 
 
 def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                       check_reference: bool = True,
-                      per_n_reference: bool = False,
-                      max_workers: int = 1) -> DiscrepancyCurve:
+                      per_n_reference: bool = False) -> DiscrepancyCurve:
     """Deterministic discrepancy curve n -> D(n).
 
     Every requested grid must nest inside the reference; with the default
@@ -129,7 +126,6 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
     ``check_reference`` re-runs the reference one level finer and rejects the
     result if any D(n) moves by more than 5 percent.  ``per_n_reference``
     refines each coarse grid separately instead of sharing one reference.
-    ``max_workers`` > 1 evaluates the per-n filter runs in a thread pool.
     """
     n_values = np.asarray(sorted(int(n) for n in np.atleast_1d(n_values)))
     if n_values.size == 0 or n_values[0] < 1:
@@ -153,20 +149,10 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
             grids = [dyadic_grid(int(n), level, system.horizon) for n in n_values]
         else:
             grids = [dyadic_grid(n_max, level, system.horizon)]
-        if max_workers > 1 and len(grids) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                traces = list(pool.map(
-                    lambda g: sequential_filter(system, g.times).trace_err, grids))
-        else:
-            traces = [sequential_filter(system, g.times).trace_err for g in grids]
+        traces = [posterior_trace(system, g.times) for g in grids]
         return np.array(traces) if per_n_reference else traces[0]
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            coarse = np.array(list(pool.map(
-                lambda n: _coarse_trace(system, int(n)), n_values)))
-    else:
-        coarse = np.array([_coarse_trace(system, int(n)) for n in n_values])
+    coarse = np.array([_coarse_trace(system, int(n)) for n in n_values])
 
     reference = ref_trace(reference_level)
     values = coarse - reference
@@ -226,8 +212,8 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     if levels < 1:
         raise ValueError("telescope_check needs at least one level")
     horizon = system.horizon
-    coarse = sequential_filter(system, dyadic_grid(base_n, 0, horizon).times).trace_err
-    fine = sequential_filter(system, dyadic_grid(base_n, levels, horizon).times).trace_err
+    coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon).times)
+    fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon).times)
     per_level: list[np.ndarray] = []
     base = list(dyadic_grid(base_n, 0, horizon).times)
     for level in range(1, levels + 1):

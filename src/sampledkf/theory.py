@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scalars import phi1
-from .filter_core import sequential_filter
-from .refinement import DiscrepancyCurve
+from .filter_core import posterior_trace
+from .refinement import DiscrepancyCurve, dyadic_grid
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              index_weights, spectral_parameters, unit_weights)
 
@@ -85,8 +85,7 @@ class TheoremBound:
 def _anchor_trace(system: ModalSystem, n: int) -> float:
     if n < 1:
         raise ValueError("n must be a positive sample count")
-    times = (np.arange(1, n + 1) * system.horizon) / n
-    return sequential_filter(system, times).trace_err
+    return posterior_trace(system, dyadic_grid(n, 0, system.horizon).times)
 
 
 def _min_eig_r(system: ModalSystem) -> float:

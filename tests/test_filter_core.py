@@ -1,7 +1,8 @@
-"""Sequential Kalman recursion against one-shot Gaussian conditioning.
+"""Sequential Kalman recursion, information form and one-shot conditioning.
 
-The covariance route is the load-bearing dual check of the package: the
-recursion (increment observations, reset bookkeeping) and the batch regression
+The covariance routes are the load-bearing cross-check of the package: the
+recursion (increment observations, reset bookkeeping), the information form
+(initial-state information matrix, undriven systems) and the batch regression
 (full output gram matrix) must produce the same posterior to floating-point
 accuracy on every model family.  The mean route is checked against a
 regression oracle rebuilt here from the covariance kernels.
@@ -12,10 +13,12 @@ import logging
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sampledkf as sk
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import _solve_gram
+from sampledkf.filter_core import _solve_gram, posterior_trace
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 
@@ -56,6 +59,92 @@ class TestSequentialVersusBatch:
         for run in (sk.sequential_filter(sysm, []), sk.batch_condition(sysm, [])):
             npt.assert_allclose(run.final_cov, want, rtol=1e-12)
             assert run.final_mean is None
+
+
+def _irregular_times(points, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.2, 1.8, points))
+    times /= times[-1]
+    times[-1] = 1.0
+    return times
+
+
+def _with_zero_prior_mode(sysm, mode):
+    pvar = sysm.prior_var.copy()
+    pvar[mode] = 0.0
+    return sk.ModalSystem(
+        eigenvalues=sysm.eigenvalues, output_coeffs=sysm.output_coeffs,
+        input_coeffs=sysm.input_coeffs, prior_mean=sysm.prior_mean,
+        prior_var=pvar, q_cov=sysm.q_cov, r_cov=sysm.r_cov,
+        horizon=sysm.horizon, pairing=sysm.pairing, label="zero-prior")
+
+
+class TestInformationForm:
+    @pytest.mark.parametrize("n", [4, 64, 1024])
+    @pytest.mark.parametrize("modes", [10, 60])
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_matches_recursion_on_uniform_grids(self, family, modes, n):
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(modes, horizon=1.0)
+        times = sk.dyadic_grid(n, 0, 1.0).times
+        info = sk.information_filter(sysm, times)
+        routes = [sk.sequential_filter(sysm, times)]
+        if n <= 64:  # the batch oracle's gram loop is O(n^2)
+            routes.append(sk.batch_condition(sysm, times))
+        for run in routes:
+            assert rel_frobenius(info.final_cov, run.final_cov) <= 1e-12
+            npt.assert_allclose(info.trace_err, run.trace_err, rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat(10), lambda: sk.build_wave_model(60, horizon=1.0),
+    ], ids=["heat", "wave"])
+    def test_matches_both_routes_on_irregular_grid(self, make):
+        sysm = make()
+        times = _irregular_times(40, seed=3)
+        info = sk.information_filter(sysm, times)
+        for run in (sk.sequential_filter(sysm, times),
+                    sk.batch_condition(sysm, times)):
+            assert rel_frobenius(info.final_cov, run.final_cov) <= 1e-12
+            npt.assert_allclose(info.trace_err, run.trace_err, rtol=1e-12)
+
+    def test_empty_times_propagates_prior(self):
+        sysm = sk.build_wave_model(4, horizon=1.0)
+        want = sk.augmented_covariance(sysm, 1.0)[:4, :4]
+        npt.assert_allclose(sk.information_filter(sysm, []).final_cov, want,
+                            rtol=1e-12)
+
+    def test_zero_prior_variance(self):
+        sysm = _with_zero_prior_mode(heat(5), mode=2)
+        times = _irregular_times(12, seed=8)
+        info = sk.information_filter(sysm, times)
+        assert np.all(info.final_cov[2, :] == 0) and np.all(info.final_cov[:, 2] == 0)
+        for run in (sk.sequential_filter(sysm, times),
+                    sk.batch_condition(sysm, times)):
+            assert rel_frobenius(info.final_cov, run.final_cov) <= 1e-12
+
+    def test_rejects_driven_systems(self):
+        with pytest.raises(ValueError, match="needs an undriven system"):
+            sk.information_filter(heat(3, q_scalar=0.5), FIVE_TIMES)
+
+    def test_posterior_trace_picks_the_route(self):
+        driven = heat(3, q_scalar=0.5)
+        assert posterior_trace(driven, FIVE_TIMES) == \
+            sk.sequential_filter(driven, FIVE_TIMES).trace_err
+        wave = sk.build_wave_model(4, horizon=1.0)
+        assert posterior_trace(wave, FIVE_TIMES) == \
+            sk.information_filter(wave, FIVE_TIMES).trace_err
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.lists(st.integers(1, 999), min_size=1, max_size=12, unique=True),
+           extra=st.integers(1, 999), family=st.sampled_from(["heat", "wave", "driven"]))
+    def test_adding_a_sample_never_raises_the_trace(self, grid, extra, family):
+        sysm = {"heat": lambda: heat(6), "wave": lambda: sk.build_wave_model(6),
+                "driven": lambda: heat(4, q_scalar=0.5)}[family]()
+        base = np.array(sorted(grid)) / 1000.0
+        refined = np.array(sorted(set(grid) | {extra})) / 1000.0
+        before = posterior_trace(sysm, base)
+        after = posterior_trace(sysm, refined)
+        assert after <= before * (1 + 1e-12)
 
 
 class TestMeanRoute:

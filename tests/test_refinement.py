@@ -80,13 +80,6 @@ class TestDiscrepancyCurve:
         ref = sk.sequential_filter(sysm, sk.dyadic_grid(4, 5, 1.0).times).trace_err
         npt.assert_allclose(curve.values[0], coarse - ref, rtol=1e-12)
 
-    def test_threaded_evaluation_matches_serial(self):
-        sysm = sk.build_heat_model(5, horizon=1.0)
-        serial = sk.discrepancy_curve(sysm, [2, 4], reference_level=4)
-        pooled = sk.discrepancy_curve(sysm, [2, 4], reference_level=4,
-                                      max_workers=2)
-        npt.assert_array_equal(serial.values, pooled.values)
-
     def test_non_divisor_needs_per_n_reference(self):
         sysm = sk.build_heat_model(4, horizon=1.0)
         with pytest.raises(ValueError, match="per_n_reference"):

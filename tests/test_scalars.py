@@ -2,10 +2,13 @@
 
 Reference values were computed once with mpmath (50 significant digits)
 directly from the defining integrals and frozen below; the points are chosen
-to land in each evaluation branch (double series, tiny-argument expansion,
-direct closed form) and on the radius boundaries between them.
+to land in each evaluation branch (double series, rearranged form for one
+argument small against the other, direct closed form) and on the radius
+boundaries between them.  ``TestAgainstMpmath`` evaluates mpmath at test time
+on both sides of every seam.
 """
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -124,3 +127,57 @@ class TestCoupledIntegrals:
         expected = [G2_TABLE[(0.3, -0.4)], G2_TABLE[(5.0, 1e-5)],
                     G2_TABLE[(3.0 + 1.0j, -2.0)], G2_TABLE[(-8.0, 0.01)]]
         npt.assert_allclose(coupled_g2(a, b), expected, rtol=5e-13)
+
+
+def _mp_phi1(x):
+    return mpmath.mpf(1) if x == 0 else mpmath.expm1(x) / x
+
+
+def _mp_g2(a, b):
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        return complex((_mp_phi1(a + b) - _mp_phi1(a)) / b)
+
+
+def _mp_g3(a, b):
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        return complex((_mp_phi1(a + b) - _mp_phi1(a) - _mp_phi1(b) + 1) / (a * b))
+
+
+_HEAT_WAVE = -271.0 - 128.0j
+# (a, b) pairs straddling every seam: |b| = 1e-3 (the old tiny-argument
+# cutoff), the series radius |a| = 1 and |b| = 1, and the phi1 split at 0.5
+# both in phi1(b) and in phi1(a + b); the first three are where the
+# difference quotient (phi1(a+b) - phi1(a))/b lost up to 1e-10
+SEAM_POINTS = [
+    (_HEAT_WAVE, -1.1e-3 + 2e-4j),
+    (_HEAT_WAVE, 1.1e-3),
+    (-30.0, 1.2e-3),
+    (_HEAT_WAVE, 0.999e-3j),
+    (_HEAT_WAVE, 1.001e-3j),
+    (-30.0, 0.999e-3),
+    (22.0 - 20.0j, -1.001e-3),
+    (40.0j, -0.999e-3 + 1e-5j),
+    (0.999 * np.exp(0.7j), 0.3),
+    (1.001 * np.exp(0.7j), 0.3),
+    (0.8j, 0.999),
+    (0.8j, 1.001),
+    (-30.0, 0.4999j),
+    (-30.0, 0.5001j),
+    (1.5, -1.0001),
+    (1.5, -0.9999),
+    (5.0j, -5.0j),
+]
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("ab", SEAM_POINTS, ids=str)
+    def test_g2_within_1e14(self, ab):
+        npt.assert_allclose(coupled_g2(*ab), _mp_g2(*ab), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("ab", SEAM_POINTS, ids=str)
+    def test_g3_within_1e14_both_orders(self, ab):
+        want = _mp_g3(*ab)
+        npt.assert_allclose(coupled_g3(*ab), want, rtol=1e-14, atol=0)
+        npt.assert_allclose(coupled_g3(ab[1], ab[0]), want, rtol=1e-14, atol=0)
