@@ -1,10 +1,10 @@
 """Cancellation-safe exponential moment integrals.
 
-The closed-form transition and covariance kernels all reduce to three families
-of dimensionless integrals (callers pass ``a = alpha*h``, ``b = beta*h`` and
+The closed-form transition and covariance kernels all reduce to three
+dimensionless integrals (callers pass ``a = alpha*h``, ``b = beta*h`` and
 scale by powers of the step ``h``):
 
-    g_j(a)    = int_0^1 s^j e^(a s) ds                      j = 0..4
+    phi1(a)   = int_0^1 e^(a s) ds = (e^a - 1)/a
     G2(a, b)  = int_0^1 e^(a s) * (e^(b s) - 1)/b ds
     G3(a, b)  = int_0^1 (e^(a s) - 1)/a * (e^(b s) - 1)/b ds
 
@@ -12,17 +12,22 @@ Each has removable singularities (a -> 0, b -> 0) where the textbook closed
 forms cancel catastrophically.  Branch layout, elementwise:
 
 * both arguments inside the unit disc: truncated double power series (exact to
-  ~1e-18 relative, no cancellation);
+  ~1e-18 relative, no cancellation), one coefficient table per kernel built
+  at import and applied to power matrices of a and b;
 * one argument at most half the other in modulus: a rearranged closed form
   without the division by the small argument (the difference quotient
   (phi1(a+b) - phi1(a))/b loses a factor |a|/|b| to cancellation);
 * otherwise: the direct closed form, which is then safe because the two
-  arguments are within a factor two of each other and one exceeds 1.
+  arguments are within a factor two of each other and one exceeds 1; its
+  e^(a+b) is formed as e^a e^b, since the exponential of the rounded sum
+  loses eps |a+b| on the imaginary axis.
 
 All functions accept scalars or arrays and broadcast; results are complex.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
@@ -31,7 +36,7 @@ _RATIO = 0.5
 _SERIES_TERMS = 30
 _DOUBLE_TERMS = 22
 
-__all__ = ["phi1", "exp_power_moments", "coupled_g2", "coupled_g3"]
+__all__ = ["phi1", "coupled_g2", "coupled_g3"]
 
 
 def phi1(x):
@@ -75,68 +80,45 @@ def _phi2(x):
     return out
 
 
-def exp_power_moments(a, jmax: int = 4):
-    """Moments g_j(a) = int_0^1 s^j e^(a s) ds, stacked along axis 0.
+def _series_table(s_a: int, s_b: int, s: int, terms_b: int) -> np.ndarray:
+    """c[i, j] = 1 / ((i + s_a)! (j + s_b)! (i + j + s)), exact to rounding."""
+    return np.array([[1.0 / (factorial(i + s_a) * factorial(j + s_b) * (i + j + s))
+                      for j in range(terms_b)] for i in range(_DOUBLE_TERMS)])
 
-    Series inside |a| <= 1, upward recurrence g_j = (e^a - j g_{j-1})/a
-    outside (stable there because |a| > 1).
+
+# G2 = sum_{i, j >= 0} a^i b^j / (i! (j+1)! (i+j+2))
+_G2_TABLE = _series_table(0, 1, 2, _DOUBLE_TERMS - 1)
+# G3 = sum_{i, j >= 0} a^i b^j / ((i+1)! (j+1)! (i+j+3))
+_G3_TABLE = _series_table(1, 1, 3, _DOUBLE_TERMS)
+
+
+def _powers(x, count: int) -> np.ndarray:
+    """(x.size, count) matrix of x^0, x^1, ..., x^(count-1)."""
+    out = np.empty((x.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _double_series(table: np.ndarray, a, b):
+    return ((_powers(a, table.shape[0]) @ table)
+            * _powers(b, table.shape[1])).sum(axis=1)
+
+
+def _phi1_of_sum(a, b):
+    """phi1(a + b) with e^(a+b) formed as e^a e^b where |a + b| >= 0.5.
+
+    e^(a+b) of the rounded sum is off by eps |a+b| relative; the product of
+    the two exponentials is not.  Below 0.5 the series of phi1 needs the sum
+    itself (wave conjugate pairs give a + b = 0 exactly).
     """
-    a = np.asarray(a, dtype=complex)
-    shape = a.shape
-    a = a.ravel()
-    out = np.empty((jmax + 1, a.size), dtype=complex)
-    small = np.abs(a) <= _SERIES_RADIUS
-    if np.any(small):
-        asml = a[small]
-        for j in range(jmax + 1):
-            term = np.full(asml.shape, 1.0 / (j + 1), dtype=complex)
-            acc = term.copy()
-            for i in range(1, _SERIES_TERMS + 1):
-                term = term * asml * (j + i) / (i * (j + i + 1.0))
-                acc += term
-            out[j, small] = acc
-    big = ~small
-    if np.any(big):
-        ab = a[big]
-        ea = np.exp(ab)
-        g = (ea - 1.0) / ab
-        out[0, big] = g
-        for j in range(1, jmax + 1):
-            g = (ea - j * g) / ab
-            out[j, big] = g
-    return out.reshape((jmax + 1,) + shape)
-
-
-def _g2_series(a, b):
-    # G2 = sum_{i>=0, j>=1} a^i b^(j-1) / (i! j! (i+j+1))
-    acc = np.zeros_like(a)
-    ci = np.ones_like(a)  # a^i / i!
-    for i in range(_DOUBLE_TERMS):
-        if i > 0:
-            ci = ci * a / i
-        dj = np.ones_like(b)  # b^(j-1) / j!
-        inner = dj / (i + 2.0)
-        for j in range(2, _DOUBLE_TERMS):
-            dj = dj * b / j
-            inner = inner + dj / (i + j + 1.0)
-        acc = acc + ci * inner
-    return acc
-
-
-def _g3_series(a, b):
-    # G3 = sum_{i, j >= 0} a^i b^j / ((i+1)! (j+1)! (i+j+3))
-    acc = np.zeros_like(a)
-    ci = np.ones_like(a)  # a^i / (i+1)!
-    for i in range(_DOUBLE_TERMS):
-        if i > 0:
-            ci = ci * a / (i + 1)
-        dj = np.ones_like(b)  # b^j / (j+1)!
-        inner = dj / (i + 3.0)
-        for j in range(1, _DOUBLE_TERMS):
-            dj = dj * b / (j + 1)
-            inner = inner + dj / (i + j + 3.0)
-        acc = acc + ci * inner
-    return acc
+    total = a + b
+    out = np.empty_like(total)
+    near = np.abs(total) < 0.5
+    out[near] = phi1(total[near])
+    far = ~near
+    out[far] = (np.exp(a[far]) * np.exp(b[far]) - 1.0) / total[far]
+    return out
 
 
 def coupled_g2(a, b):
@@ -153,7 +135,7 @@ def coupled_g2(a, b):
     direct = ~inside & ~small_b
 
     if np.any(inside):
-        out[inside] = _g2_series(a[inside], b[inside])
+        out[inside] = _double_series(_G2_TABLE, a[inside], b[inside])
     if np.any(small_b):
         # (e^a (a phi1(b) - 1) + 1) / (a (a + b)): no 1/b, and |a + b| >= |a|/2
         asub, bsub = a[small_b], b[small_b]
@@ -161,7 +143,7 @@ def coupled_g2(a, b):
         out[small_b] = (ea * (asub * phi1(bsub) - 1.0) + 1.0) / (asub * (asub + bsub))
     if np.any(direct):
         asub, bsub = a[direct], b[direct]
-        out[direct] = (phi1(asub + bsub) - phi1(asub)) / bsub
+        out[direct] = (_phi1_of_sum(asub, bsub) - phi1(asub)) / bsub
     if shape == ():
         return out[0]
     return out.reshape(shape)
@@ -182,7 +164,7 @@ def coupled_g3(a, b):
     direct = ~(inside | small_b | small_a)
 
     if np.any(inside):
-        out[inside] = _g3_series(a[inside], b[inside])
+        out[inside] = _double_series(_G3_TABLE, a[inside], b[inside])
     for mask, big, small in ((small_b, a, b), (small_a, b, a)):
         if np.any(mask):
             # G3(a, b) = (G2(a, b) - G2(0, b)) / a, both terms accurate here
@@ -190,7 +172,8 @@ def coupled_g3(a, b):
             out[mask] = (coupled_g2(xbig, xsml) - _phi2(xsml)) / xbig
     if np.any(direct):
         asub, bsub = a[direct], b[direct]
-        out[direct] = (phi1(asub + bsub) - phi1(asub) - phi1(bsub) + 1.0) / (asub * bsub)
+        out[direct] = (_phi1_of_sum(asub, bsub) - phi1(asub) - phi1(bsub)
+                       + 1.0) / (asub * bsub)
     if shape == ():
         return out[0]
     return out.reshape(shape)

@@ -20,9 +20,13 @@ builds on the same posterior of x.
 for means, snapshots and Monte Carlo: a Kalman recursion on the augmented pair
 (z, Y_partial) where Y_partial accumulates int C z dt since the previous
 sample, each observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw,
-and Y_partial is reset to zero after every update.  Means are touched only
-when a realised output path is supplied; covariances never depend on the
-data.  ``posterior_trace`` is the one place that picks between the two.
+and Y_partial is reset to zero after every update.  The augmented transition
+is F = [[diag(e), 0], [G, I]] with e = e^(lambda h) and G = C^T diag(I1(lambda, h)),
+so the recursion carries only the N x N covariance of z: an elementwise
+prediction plus a rank-r update per sample, O(N^2 r) instead of dense
+(N+r) x (N+r) products.  Means are touched only when a realised output path
+is supplied; covariances never depend on the data.  ``posterior_trace`` is
+the one place that picks between the two.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)) using the closed-form kernels
@@ -108,17 +112,24 @@ def _real_trace(cov: np.ndarray) -> float:
     return tr.real
 
 
+def _blocks(tr, n: int):
+    """(e, G) of a transition F = [[diag(e), 0], [G, I]]; G has r rows."""
+    fmat = tr.state_map
+    return fmat.diagonal()[:n], fmat[n:, :n]
+
+
 def _filter_plan(system: ModalSystem, times: np.ndarray,
                  store_snapshots: bool = False):
     """Run the covariance recursion; return (run, steps, tail_transition).
 
-    ``steps`` is a list of (transition, gain) per sample; the gain maps the
-    innovation on the increment observation into the augmented state.
+    Y_partial is zero after every update, so only the N x N covariance P of z
+    is carried: the prediction touches F through e and G alone, and the update
+    is the rank-r downdate P - K Pzy* with K = Pzy S^-1.  ``steps`` is a list
+    of (transition, gain) per sample; the (N, r) gain maps the innovation on
+    the increment observation into z.
     """
-    n, r = system.num_modes, system.num_outputs
-    d = n + r
-    cov = np.zeros((d, d), dtype=complex)
-    cov[:n, :n] = np.diag(system.prior_var)
+    n = system.num_modes
+    cov = np.diag(system.prior_var.astype(complex))
     cache: dict[float, object] = {}
     steps = []
     snapshots: list[AugmentedGaussianState] | None = [] if store_snapshots else None
@@ -129,31 +140,28 @@ def _filter_plan(system: ModalSystem, times: np.ndarray,
         if tr is None:
             tr = transition_block(system, delta)
             cache[delta] = tr
-        fmat = tr.state_map
-        cov = fmat @ cov @ fmat.conj().T + tr.noise_cov
-        s = cov[n:, n:] + system.r_cov * delta
-        gain = np.linalg.solve(s, cov[n:, :]).conj().T
-        ikh = np.eye(d, dtype=complex)
-        ikh[:, n:] -= gain
-        cov = ikh @ cov @ ikh.conj().T + gain @ (system.r_cov * delta) @ gain.conj().T
+        e, g = _blocks(tr, n)
+        sig = tr.noise_cov
+        pg = cov @ g.conj().T
+        pzy = e[:, None] * pg + sig[:n, n:]
+        s = g @ pg + sig[n:, n:] + system.r_cov * delta
+        gain = np.linalg.solve(s, pzy.conj().T).conj().T
+        cov = cov * np.outer(e, e.conj()) + sig[:n, :n] - gain @ pzy.conj().T
         cov = (cov + cov.conj().T) / 2.0
-        cov[n:, :] = 0.0
-        cov[:, n:] = 0.0
         steps.append((tr, gain))
         if snapshots is not None:
             snapshots.append(AugmentedGaussianState(time=float(t), mean=None,
-                                                    cov=cov[:n, :n].copy()))
+                                                    cov=cov.copy()))
         prev = t
     tail = system.horizon - prev
     tail_tr = None
     if tail > 1e-12 * system.horizon:
         tail_tr = cache.get(tail) or transition_block(system, tail)
-        fmat = tail_tr.state_map
-        cov = fmat @ cov @ fmat.conj().T + tail_tr.noise_cov
+        e, _ = _blocks(tail_tr, n)
+        cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
         cov = (cov + cov.conj().T) / 2.0
-    final_cov = cov[:n, :n]
-    run = FilterRun(grid=times, final_cov=final_cov,
-                    trace_err=_real_trace(final_cov), snapshots=snapshots)
+    run = FilterRun(grid=times, final_cov=cov,
+                    trace_err=_real_trace(cov), snapshots=snapshots)
     return run, steps, tail_tr
 
 
@@ -180,19 +188,18 @@ def sequential_filter(system: ModalSystem, times, observations=None,
     if obs.shape != (times.size, r):
         raise ValueError("observations must have shape (len(times), num_outputs)")
     n = system.num_modes
-    mean = np.concatenate([system.prior_mean.astype(complex),
-                           np.zeros(r, dtype=complex)])
+    mean = system.prior_mean.astype(complex)
     prev_y = np.zeros(r)
     for (tr, gain), y in zip(steps, obs):
-        mean = tr.state_map @ mean
-        innovation = (y - prev_y) - mean[n:]
-        mean = mean + gain @ innovation
-        mean[n:] = 0.0
+        e, g = _blocks(tr, n)
+        innovation = (y - prev_y) - g @ mean
+        mean *= e
+        mean += gain @ innovation
         prev_y = y
     if tail_tr is not None:
-        mean = tail_tr.state_map @ mean
+        mean *= _blocks(tail_tr, n)[0]
     return FilterRun(grid=run.grid, final_cov=run.final_cov,
-                     trace_err=run.trace_err, final_mean=mean[:n],
+                     trace_err=run.trace_err, final_mean=mean,
                      snapshots=run.snapshots)
 
 

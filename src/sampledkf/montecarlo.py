@@ -21,7 +21,12 @@ counter-based stream, in a fixed documented order:
       sample precedes the horizon ]
 
 which makes runs bitwise reproducible and trials independent regardless of
-how many are batched together.
+how many are batched together.  Trial j of seed s reads the Philox stream of
+``SeedSequence([s, j])``; the keys of a whole batch are derived in one
+vectorised pass of that hash, and one reused generator is reset to each key,
+so the streams and their order are those of one generator per trial.
+Between samples every path moves elementwise (z *= e) with the output
+integral a rank-r map of z, as in the filter recursion.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .filter_core import _filter_plan, _validate_times
+from .filter_core import _blocks, _filter_plan, _validate_times
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -123,6 +128,63 @@ def _trial_rng(seed: int, trial: int | None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _trial_keys(seed: int, trials: int) -> np.ndarray:
+    """(trials, 2) Philox keys of ``SeedSequence([seed, j])``, j < trials.
+
+    numpy's SeedSequence entropy pool and its ``generate_state(2, uint64)``
+    output, vectorised over the trial word: every hash constant is the same
+    for all trials, so each step is one uint32 array operation.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & 0xFFFFFFFF]  # little-endian 32-bit words, [0] for 0
+    while seed >> 32 * len(words):
+        words.append((seed >> 32 * len(words)) & 0xFFFFFFFF)
+    u32 = np.uint32
+    entropy = [np.full(trials, w, dtype=u32) for w in words]
+    entropy.append(np.arange(trials, dtype=u32))
+    const = u32(_INIT_A)
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * u32(_MULT_A)
+        value = value * const
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        out = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return out ^ (out >> u32(16))
+
+    with np.errstate(over="ignore"):
+        zero = np.zeros(trials, dtype=u32)
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const = u32(_INIT_B)
+        state = []
+        for i in range(4):  # two uint64 words from four uint32 ones
+            value = pool[i % _POOL_SIZE] ^ const
+            const = const * u32(_MULT_B)
+            value = value * const
+            state.append(value ^ (value >> u32(16)))
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
 class _Simulator:
     """Shared precomputation for exact joint draws of states and outputs."""
 
@@ -136,15 +198,18 @@ class _Simulator:
         aug_pairing = np.concatenate([pairing, n + np.arange(r)])
         self.initial_factor = _real_factor(
             np.diag(system.prior_var.astype(complex)), pairing)
-        self.noise_factors: dict[int, np.ndarray] = {}
+        # per transition, the real (N+r) x 2(N+r) matrix whose product with
+        # real normals is the complex process noise, viewed as complex
+        self.noise_maps: dict[int, np.ndarray] = {}
         if system.has_input_noise:
             transitions = [tr for tr, _ in self.steps]
             if self.tail_tr is not None:
                 transitions.append(self.tail_tr)
             for tr in transitions:
-                if id(tr) not in self.noise_factors:
-                    self.noise_factors[id(tr)] = _real_factor(tr.noise_cov,
-                                                              aug_pairing)
+                if id(tr) not in self.noise_maps:
+                    factor = _real_factor(tr.noise_cov, aug_pairing).T
+                    self.noise_maps[id(tr)] = np.stack(
+                        [factor.real, factor.imag], axis=-1).reshape(n + r, -1)
         self.meas_chol = np.linalg.cholesky(system.r_cov)
         self.deltas = np.diff(np.concatenate([[0.0], times]))
         self.layout = _layout(system, times.size, self.tail_tr is not None)
@@ -153,54 +218,69 @@ class _Simulator:
         if single:
             return _trial_rng(seed, None).standard_normal(
                 (1, self.layout.total))
+        keys = _trial_keys(seed, trials)
+        bitgen = np.random.Philox(0)
+        gen = np.random.Generator(bitgen)
+        zero = np.zeros(4, dtype=np.uint64)
         out = np.empty((trials, self.layout.total))
-        for j in range(trials):
-            out[j] = _trial_rng(seed, j).standard_normal(self.layout.total)
+        for key, row in zip(keys, out):
+            # the state of a fresh Philox(SeedSequence([seed, j]))
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": zero, "key": key},
+                            "buffer": zero, "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(self.layout.total, out=row)
         return out
 
     def run_paths(self, normals: np.ndarray, with_filter: bool):
         """Propagate all trials; return (final states, outputs, final means).
 
         States and means are (trials, num_modes); outputs are the cumulative
-        sampled values (trials, num_steps, num_outputs).
+        sampled values (trials, num_steps, num_outputs).  Between samples z
+        moves by z *= e and the output integral is Y = z G^T (see
+        ``filter_core._blocks``), both in place.
         """
         sysm = self.system
-        n, r = self.n, self.r
+        n = self.n
         lay = self.layout
         trials = normals.shape[0]
-        state = np.zeros((trials, n + r), dtype=complex)
-        state[:, :n] = sysm.prior_mean[None, :] \
-            + normals[:, lay.initial] @ self.initial_factor.T
+        driven = sysm.has_input_noise
+        state = normals[:, lay.initial] @ self.initial_factor.T
+        state += sysm.prior_mean
         mean = None
         if with_filter:
-            mean = np.zeros((trials, n + r), dtype=complex)
-            mean[:, :n] = sysm.prior_mean[None, :]
-        outputs = np.empty((trials, self.times.size, r))
+            mean = np.tile(sysm.prior_mean.astype(complex), (trials, 1))
+        outputs = np.empty((trials, self.times.size, self.r))
+        noise_buf = np.empty((trials, 2 * (n + self.r))) if driven else None
+        noise = noise_buf.view(complex) if driven else None
         for i, (tr, gain) in enumerate(self.steps):
-            state = state @ tr.state_map.T
-            if sysm.has_input_noise:
-                factor = self.noise_factors[id(tr)]
-                state += normals[:, lay.process[i]] @ factor.T
-            dw = np.sqrt(self.deltas[i]) * (normals[:, lay.measure[i]]
-                                            @ self.meas_chol.T)
-            y_inc = state[:, n:].real + dw
-            outputs[:, i, :] = y_inc
+            e, g = _blocks(tr, n)
+            out_int = state @ g.T
+            state *= e
+            if driven:
+                np.matmul(normals[:, lay.process[i]], self.noise_maps[id(tr)],
+                          out=noise_buf)
+                state += noise[:, :n]
+                out_int += noise[:, n:]
+            y_inc = outputs[:, i, :]
+            np.matmul(normals[:, lay.measure[i]], self.meas_chol.T, out=y_inc)
+            y_inc *= np.sqrt(self.deltas[i])
+            y_inc += out_int.real
             if with_filter:
-                mean = mean @ tr.state_map.T
-                innovation = y_inc - mean[:, n:]
+                innovation = y_inc - mean @ g.T
+                mean *= e
                 mean += innovation @ gain.T
-                mean[:, n:] = 0.0
-            state[:, n:] = 0.0
         if self.tail_tr is not None:
-            state = state @ self.tail_tr.state_map.T
-            if sysm.has_input_noise:
-                factor = self.noise_factors[id(self.tail_tr)]
-                state += normals[:, lay.tail] @ factor.T
+            e, _ = _blocks(self.tail_tr, n)
+            state *= e
+            if driven:
+                np.matmul(normals[:, lay.tail], self.noise_maps[id(self.tail_tr)],
+                          out=noise_buf)
+                state += noise[:, :n]
             if with_filter:
-                mean = mean @ self.tail_tr.state_map.T
+                mean *= e
         outputs = np.cumsum(outputs, axis=1)
-        final_mean = mean[:, :n] if with_filter else None
-        return state[:, :n], outputs, final_mean
+        return state, outputs, mean
 
 
 def sample_path(system: ModalSystem, times, seed: int,

@@ -32,6 +32,14 @@ def heat(n=3, **kw):
     return sk.build_heat_model(n, **kw)
 
 
+def _irregular_times(points, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.2, 1.8, points))
+    times /= times[-1]
+    times[-1] = 1.0
+    return times
+
+
 class TestSequentialVersusBatch:
     @pytest.mark.parametrize("make", [
         lambda: heat(3),
@@ -52,6 +60,16 @@ class TestSequentialVersusBatch:
         bat = sk.batch_condition(sysm, times)
         assert rel_frobenius(seq.final_cov, bat.final_cov) <= 1e-10
 
+    @pytest.mark.parametrize("times", [
+        _irregular_times(32, seed=1), sk.dyadic_grid(64, 0, 1.0).times,
+    ], ids=["irregular-32", "uniform-64"])
+    def test_driven_rank_r_recursion(self, times):
+        sysm = heat(20, q_scalar=0.5)
+        seq = sk.sequential_filter(sysm, times)
+        bat = sk.batch_condition(sysm, times)
+        assert rel_frobenius(seq.final_cov, bat.final_cov) <= 1e-10
+        npt.assert_allclose(seq.trace_err, bat.trace_err, rtol=1e-10)
+
     def test_empty_times_propagates_prior(self):
         sysm = heat(3, q_scalar=0.5)
         n = sysm.num_modes
@@ -59,14 +77,6 @@ class TestSequentialVersusBatch:
         for run in (sk.sequential_filter(sysm, []), sk.batch_condition(sysm, [])):
             npt.assert_allclose(run.final_cov, want, rtol=1e-12)
             assert run.final_mean is None
-
-
-def _irregular_times(points, seed):
-    rng = np.random.default_rng(seed)
-    times = np.cumsum(rng.uniform(0.2, 1.8, points))
-    times /= times[-1]
-    times[-1] = 1.0
-    return times
 
 
 def _with_zero_prior_mode(sysm, mode):
@@ -147,23 +157,79 @@ class TestInformationForm:
         assert after <= before * (1 + 1e-12)
 
 
+_GRIDS = st.lists(st.integers(1, 999), min_size=1, max_size=16, unique=True)
+
+
+def _routes(sysm, times):
+    runs = [sk.sequential_filter(sysm, times), sk.batch_condition(sysm, times)]
+    if not sysm.has_input_noise:
+        runs.append(sk.information_filter(sysm, times))
+    return runs
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestRouteProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=_GRIDS, family=st.sampled_from(["heat", "wave", "driven"]))
+    def test_routes_agree_on_irregular_grids(self, grid, family):
+        sysm = {"heat": lambda: heat(6), "wave": lambda: sk.build_wave_model(6),
+                "driven": lambda: heat(4, q_scalar=0.5)}[family]()
+        times = np.array(sorted(grid)) / 1000.0
+        first, *others = _routes(sysm, times)
+        for run in others:
+            assert rel_frobenius(run.final_cov, first.final_cov) <= 1e-10
+            npt.assert_allclose(run.trace_err, first.trace_err, rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=_GRIDS, pairs=st.integers(1, 6))
+    def test_paired_models_keep_real_traces(self, grid, pairs):
+        sysm = sk.build_wave_model(2 * pairs)
+        times = np.array(sorted(grid)) / 1000.0
+        records = _Records()
+        logger = logging.getLogger("sampledkf.filter_core")
+        logger.addHandler(records)
+        try:
+            runs = _routes(sysm, times)
+        finally:
+            logger.removeHandler(records)
+        assert not records.records
+        mate = np.ix_(sysm.pairing, sysm.pairing)
+        for run in runs:
+            trace = complex(np.trace(run.final_cov))
+            assert abs(trace.imag) <= 1e-12 * max(1.0, abs(trace))
+            # the posterior is the law of a real field: swapping every mode
+            # with its conjugate mate conjugates the covariance
+            npt.assert_allclose(run.final_cov[mate], run.final_cov.conj(),
+                                rtol=0, atol=1e-12 * np.abs(run.final_cov).max())
+
+
 class TestMeanRoute:
     def test_filtered_mean_matches_regression_oracle(self):
-        sysm = heat(3)
         times = FIVE_TIMES
-        _, ys = sk.sample_path(sysm, times, seed=11)
-        run = sk.sequential_filter(sysm, times, observations=ys)
-
         m = times.size
-        gram = np.empty((m, m), dtype=complex)
-        cross = np.empty((sysm.num_modes, m), dtype=complex)
-        for i, ti in enumerate(times):
-            cross[:, i] = sk.state_output_cross(sysm, sysm.horizon, ti)[:, 0]
-            for j, tj in enumerate(times):
-                gram[i, j] = (sk.output_covariance_kernel(sysm, ti, tj)[0, 0]
-                              + sysm.r_cov[0, 0] * min(ti, tj))
-        want = cross @ np.linalg.solve(gram, ys[:, 0].astype(complex))
-        npt.assert_allclose(run.final_mean, want, rtol=1e-9, atol=1e-12)
+        for sysm in (heat(3), heat(3, q_scalar=0.5),
+                     sk.build_wave_model(4, horizon=1.0)):
+            _, ys = sk.sample_path(sysm, times, seed=11)
+            run = sk.sequential_filter(sysm, times, observations=ys)
+
+            gram = np.empty((m, m), dtype=complex)
+            cross = np.empty((sysm.num_modes, m), dtype=complex)
+            for i, ti in enumerate(times):
+                cross[:, i] = sk.state_output_cross(sysm, sysm.horizon, ti)[:, 0]
+                for j, tj in enumerate(times):
+                    gram[i, j] = (sk.output_covariance_kernel(sysm, ti, tj)[0, 0]
+                                  + sysm.r_cov[0, 0] * min(ti, tj))
+            want = cross @ np.linalg.solve(gram, ys[:, 0].astype(complex))
+            npt.assert_allclose(run.final_mean, want, rtol=1e-9, atol=1e-12,
+                                err_msg=sysm.label)
 
     def test_mean_requires_matching_shape(self):
         sysm = heat(3)

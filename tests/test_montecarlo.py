@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import sampledkf as sk
+from sampledkf.montecarlo import (_pairing_or_identity, _real_factor,
+                                  _Simulator, _trial_keys, _trial_rng)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
@@ -73,6 +75,72 @@ class TestDeterminism:
         a = sk.empirical_error(sysm, EIGHT_TIMES, trials=16, seed=1)
         b = sk.empirical_error(sysm, EIGHT_TIMES, trials=16, seed=2)
         assert not np.array_equal(a.errors, b.errors)
+
+
+class TestBulkTrialKeys:
+    """Keys derived in bulk reproduce the per-trial SeedSequence streams."""
+
+    # 2^100 and 2^200 carry more than three 32-bit words, so with the trial
+    # word the entropy outgrows the pool of four and takes the mixing tail
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**100 + 7,
+                                      2**200 + 12345])
+    def test_keys_match_seed_sequence(self, seed):
+        want = [np.random.SeedSequence([seed, j]).generate_state(2, np.uint64)
+                for j in range(64)]
+        got = _trial_keys(seed, 64)
+        assert got.dtype == np.uint64 and got.shape == (64, 2)
+        npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**70 + 1])
+    def test_draws_match_per_trial_generators(self, seed):
+        sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
+                         EIGHT_TIMES)
+        total = sim.layout.total
+        normals = sim.draw(seed, 12, single=False)
+        for j in range(12):
+            npt.assert_array_equal(normals[j],
+                                   _trial_rng(seed, j).standard_normal(total))
+
+    def test_negative_seed_raises(self):
+        sim = _Simulator(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES)
+        with pytest.raises(ValueError):
+            sim.draw(-1, 4, single=False)
+        with pytest.raises(ValueError):
+            sk.empirical_error(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES,
+                               trials=4, seed=-5)
+
+
+class TestPathsAgainstAugmentedMap:
+    def test_paths_match_dense_augmented_propagation(self):
+        # reference: the (N+r) augmented state through the full transition,
+        # with Y_partial reset after each sample, on the same normals
+        sysm = sk.build_heat_model(4, horizon=1.0, q_scalar=0.5)
+        times = EIGHT_TIMES[:-1]  # leaves a tail step
+        sim = _Simulator(sysm, times)
+        normals = sim.draw(3, 16, single=False)
+        state, outputs, mean = sim.run_paths(normals, with_filter=True)
+
+        n, lay = sysm.num_modes, sim.layout
+        pairing = np.concatenate([_pairing_or_identity(sysm),
+                                  n + np.arange(sysm.num_outputs)])
+        aug = np.zeros((16, n + sysm.num_outputs), dtype=complex)
+        aug[:, :n] = sysm.prior_mean + normals[:, lay.initial] @ sim.initial_factor.T
+        increments = []
+        for i, (tr, _) in enumerate(sim.steps):
+            factor = _real_factor(tr.noise_cov, pairing)
+            aug = aug @ tr.state_map.T + normals[:, lay.process[i]] @ factor.T
+            dw = np.sqrt(sim.deltas[i]) * (normals[:, lay.measure[i]]
+                                           @ sim.meas_chol.T)
+            increments.append(aug[:, n:].real + dw)
+            aug[:, n:] = 0.0
+        factor = _real_factor(sim.tail_tr.noise_cov, pairing)
+        aug = aug @ sim.tail_tr.state_map.T + normals[:, lay.tail] @ factor.T
+        npt.assert_allclose(outputs, np.cumsum(np.stack(increments, axis=1), axis=1),
+                            rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(state, aug[:, :n], rtol=1e-12, atol=1e-14)
+        for j in range(4):
+            run = sk.sequential_filter(sysm, times, observations=outputs[j])
+            npt.assert_allclose(mean[j], run.final_mean, rtol=1e-12, atol=1e-14)
 
 
 class TestAgainstDeterministicTrace:
