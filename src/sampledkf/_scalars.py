@@ -22,7 +22,9 @@ forms cancel catastrophically.  Branch layout, elementwise:
   e^(a+b) is formed as e^a e^b, since the exponential of the rounded sum
   loses eps |a+b| on the imaginary axis.
 
-All functions accept scalars or arrays and broadcast; results are complex.
+The single series of phi1 (|x| < 0.5) and of phi2(x) = G2(0, x) (|x| <= 1)
+are coefficient tables too.  All functions accept scalars or arrays and
+broadcast; results are complex.
 """
 
 from __future__ import annotations
@@ -47,13 +49,7 @@ def phi1(x):
     out = np.empty_like(x)
     small = np.abs(x) < 0.5
     if np.any(small):
-        xs = x[small]
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for m in range(1, _SERIES_TERMS):
-            term = term * xs / (m + 1)
-            acc = acc + term
-        out[small] = acc
+        out[small] = _powers(x[small], _SERIES_TERMS) @ _PHI1_TABLE
     big = ~small
     if np.any(big):
         xb = x[big]
@@ -67,13 +63,7 @@ def _phi2(x):
     out = np.empty_like(x)
     small = np.abs(x) <= _SERIES_RADIUS
     if np.any(small):
-        xs = x[small]
-        term = np.full_like(xs, 0.5)
-        acc = term.copy()
-        for m in range(3, _SERIES_TERMS):
-            term = term * xs / m
-            acc = acc + term
-        out[small] = acc
+        out[small] = _powers(x[small], _SERIES_TERMS) @ _PHI2_TABLE
     big = ~small
     if np.any(big):
         out[big] = (phi1(x[big]) - 1.0) / x[big]
@@ -90,6 +80,9 @@ def _series_table(s_a: int, s_b: int, s: int, terms_b: int) -> np.ndarray:
 _G2_TABLE = _series_table(0, 1, 2, _DOUBLE_TERMS - 1)
 # G3 = sum_{i, j >= 0} a^i b^j / ((i+1)! (j+1)! (i+j+3))
 _G3_TABLE = _series_table(1, 1, 3, _DOUBLE_TERMS)
+# phi1 = sum_{m >= 0} x^m / (m+1)!,  phi2 = sum_{m >= 0} x^m / (m+2)!
+_PHI1_TABLE = np.array([1.0 / factorial(m + 1) for m in range(_SERIES_TERMS)])
+_PHI2_TABLE = np.array([1.0 / factorial(m + 2) for m in range(_SERIES_TERMS)])
 
 
 def _powers(x, count: int) -> np.ndarray:

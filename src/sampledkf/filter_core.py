@@ -52,7 +52,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from ._scalars import phi1
 from .errors import GramSingularError
@@ -211,8 +210,8 @@ def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     n = system.num_modes
     lam = system.eigenvalues
     # rows of L^-1 C with L L^T = R whiten the measurement noise
-    cwhite = solve_triangular(np.linalg.cholesky(system.r_cov),
-                              system.output_coeffs.T, lower=True)
+    cwhite = np.linalg.solve(np.linalg.cholesky(system.r_cov),
+                             system.output_coeffs.T)
     starts = np.concatenate([[0.0], times[:-1]])
     widths = times - starts
     info = np.zeros((n, n), dtype=complex)
@@ -227,7 +226,7 @@ def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     root = np.sqrt(system.prior_var)
     whitened = np.eye(n) + root[:, None] * info * root[None, :]
     chol = np.linalg.cholesky(whitened)
-    half = solve_triangular(chol, np.diag(root), lower=True)
+    half = np.linalg.solve(chol, np.diag(root))
     post = half.conj().T @ half
     return (post + post.conj().T) / 2.0
 
@@ -279,16 +278,22 @@ def _output_gram(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2.0, augs
 
 
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs through gram = L L*: two solves, with L then with L*."""
+    chol = np.linalg.cholesky(gram)
+    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
+
+
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Cholesky solve with a single logged jitter retry before giving up."""
     try:
-        return cho_solve(cho_factor(gram, lower=True), rhs)
-    except LinAlgError:
+        return _cholesky_solve(gram, rhs)
+    except np.linalg.LinAlgError:
         eps = 1e-12 * np.trace(gram).real / gram.shape[0]
         logger.warning("gram factorization failed; retrying with jitter %.3e", eps)
         try:
-            return cho_solve(cho_factor(gram + eps * np.eye(gram.shape[0]), lower=True), rhs)
-        except LinAlgError as exc:
+            return _cholesky_solve(gram + eps * np.eye(gram.shape[0]), rhs)
+        except np.linalg.LinAlgError as exc:
             cond = np.linalg.cond(gram)
             raise GramSingularError(
                 f"observation gram matrix singular (cond ~ {cond:.3e})") from exc

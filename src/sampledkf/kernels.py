@@ -24,7 +24,9 @@ paired models keep real traces.
 
 ``quadrature_oracle_transition`` rebuilds the same matrices from the defining
 iterated integrals by adaptive quadrature (cmath + scipy.integrate.quad, no
-shared code path) and exists purely to cross-check the closed forms.
+shared code path) and exists purely to cross-check the closed forms.  It is
+the package's only use of scipy, which it imports on its first call: importing
+``sampledkf`` and every runtime route need numpy alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from ._scalars import coupled_g2, coupled_g3, phi1
 from .errors import NumericalError
@@ -167,6 +168,9 @@ def state_output_cross(system: ModalSystem, t_state: float, t_obs: float) -> np.
 # independent adaptive-quadrature oracle
 
 def _cquad(f, lo: float, hi: float, tol: float, entry: str = "integral"):
+    # imported on the oracle's first call: no runtime route loads scipy
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:

@@ -28,7 +28,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ReferenceUnconvergedError
 from .filter_core import increment_variance, posterior_trace
@@ -259,6 +258,5 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
                                      @ system.output_coeffs.T)
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
-    value = float(scipy.linalg.eigh((gram + gram.conj().T) / 2.0,
-                                    eigvals_only=True)[-1])
+    value = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[-1])
     return value, h

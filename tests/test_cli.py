@@ -1,5 +1,11 @@
 """Config parsing, experiment commands, output format, exit codes."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -273,3 +279,46 @@ class TestPlotData:
             x, y = (float(p) for p in line.split())
             npt.assert_allclose(x, k, rtol=1e-15)
             npt.assert_allclose(y, -k, rtol=1e-15)
+
+
+# Imports the package and runs every runtime route once at small sizes, then
+# lists the scipy modules that got loaded on the way.
+RUNTIME_ROUTES = textwrap.dedent("""\
+    import sys
+    import numpy as np
+    import sampledkf as sk
+    import sampledkf.cli
+
+    out_dir, *configs = sys.argv[1:]
+    for model in (sk.build_heat_model(4, horizon=1.0),
+                  sk.build_wave_model(4, horizon=1.0)):
+        sk.discrepancy_curve(model, [2, 4], reference_level=6,
+                             check_reference=True)
+        sk.telescope_check(model, 2, 2)
+        sk.level_sum(model, 2, 1, np.ones(model.num_modes))
+    driven = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
+    times = np.array([0.25, 0.5, 1.0])
+    sk.batch_condition(driven, times)
+    sk.empirical_error(driven, times, trials=16, seed=1)
+    for i, cfg in enumerate(configs):
+        code = sampledkf.cli.main(["bounds", "--config", cfg,
+                                   "--out", f"{out_dir}/{i}.csv"])
+        assert code == 0, (cfg, code)
+    print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_runtime_routes_load_no_scipy(tmp_path):
+    # a fresh process, so that modules pytest already imported do not count
+    src = Path(sk.__file__).resolve().parents[1]
+    configs = sorted((src.parent / "demos" / "configs").glob("*.cfg"))
+    assert len(configs) == 3
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", RUNTIME_ROUTES, str(tmp_path),
+         *map(str, configs)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sampledkf._scalars import coupled_g2, coupled_g3, phi1
+from sampledkf._scalars import _phi2, coupled_g2, coupled_g3, phi1
 
 # int_0^1 e^(x s) ds
 PHI1_TABLE = {
@@ -59,6 +59,13 @@ class TestPhi1:
         right = phi1(0.5 * np.exp(1j * 0.3) * (1 + 1e-13))
         npt.assert_allclose(left, right, rtol=1e-12)
 
+    def test_seeded_sweep_within_1e15(self):
+        # the tabled series inside |x| < 0.5, the closed form outside
+        x = _annulus_sweep(0.4, 0.6, seed=31)
+        assert np.any(np.abs(x) < 0.5) and np.any(np.abs(x) >= 0.5)
+        npt.assert_allclose(phi1(x), [_mp_exact(_mp_phi1, v) for v in x],
+                            rtol=1e-15, atol=0)
+
     def test_broadcasting(self):
         x = np.array([[0.0, -1.0], [2.0j, -30.0]])
         out = phi1(x)
@@ -95,6 +102,22 @@ class TestCoupledIntegrals:
 
 def _mp_phi1(x):
     return mpmath.mpf(1) if x == 0 else mpmath.expm1(x) / x
+
+
+def _mp_phi2(x):
+    return mpmath.mpf(1) / 2 if x == 0 else (mpmath.expm1(x) - x) / x ** 2
+
+
+def _mp_exact(f, x):
+    with mpmath.workdps(50):
+        return complex(f(mpmath.mpc(x)))
+
+
+def _annulus_sweep(r_lo, r_hi, count=400, seed=0):
+    """Seeded points with modulus uniform in [r_lo, r_hi] and any argument."""
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(r_lo, r_hi, count)
+    return radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
 
 
 def _mp_g2(a, b):
@@ -145,6 +168,13 @@ class TestAgainstMpmath:
         want = _mp_g3(*ab)
         npt.assert_allclose(coupled_g3(*ab), want, rtol=1e-14, atol=0)
         npt.assert_allclose(coupled_g3(ab[1], ab[0]), want, rtol=1e-14, atol=0)
+
+    def test_phi2_seeded_sweep_within_1e15(self):
+        # phi2 = G2(0, x): the tabled series for |x| <= 1, (phi1 - 1)/x outside
+        x = _annulus_sweep(0.9, 1.1, seed=32)
+        assert np.any(np.abs(x) <= 1.0) and np.any(np.abs(x) > 1.0)
+        npt.assert_allclose(_phi2(x), [_mp_exact(_mp_phi2, v) for v in x],
+                            rtol=1e-15, atol=0)
 
 
 def _imaginary_axis_sweep(count=300, seed=20):
