@@ -18,9 +18,8 @@ rate fitting), ``montecarlo`` (path sampling validation), ``cli`` (the
 
 from .errors import (ConfigError, GramSingularError, NumericalError,
                      ReferenceUnconvergedError)
-from .filter_core import (AugmentedGaussianState, FilterRun, batch_condition,
-                          increment_variance, information_filter,
-                          sequential_filter)
+from .filter_core import (FilterRun, batch_condition, increment_variance,
+                          information_filter, sequential_filter)
 from .kernels import (AugmentedTransition, augmented_covariance,
                       output_covariance_kernel, phi_h,
                       quadrature_oracle_transition, state_output_cross,
@@ -56,8 +55,8 @@ __all__ = [
     "augmented_covariance", "output_covariance_kernel", "state_output_cross",
     "quadrature_oracle_transition",
     # filtering
-    "AugmentedGaussianState", "FilterRun", "information_filter",
-    "sequential_filter", "batch_condition", "increment_variance",
+    "FilterRun", "information_filter", "sequential_filter",
+    "batch_condition", "increment_variance",
     # refinement
     "DyadicGrid", "dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
     "TelescopeReport", "telescope_check", "level_sum",

@@ -129,8 +129,8 @@ class ExperimentConfig:
     experiment: str
     values: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def get(self, key):
+        return self.values.get(key)
 
     def require(self, key):
         if key not in self.values:
@@ -179,6 +179,8 @@ def build_config(raw: dict[str, str],
     if values["model.kind"] == "wave":
         values.setdefault("model.domain_length", 1.0)
     values.setdefault("seed", 0)
+    if values["seed"] < 0:
+        raise ConfigError("seed: must be non-negative")
 
     if experiment in ("converge", "bounds", "fit"):
         values.setdefault("k_ref", 6)
@@ -301,9 +303,9 @@ def _curve_from_config(config: ExperimentConfig,
                        model: ModalSystem) -> DiscrepancyCurve:
     return discrepancy_curve(
         model, list(config.require("n_values")),
-        reference_level=config.get("k_ref", 6),
-        check_reference=config.get("check_reference", True),
-        per_n_reference=config.get("per_n_reference", False))
+        reference_level=config.values["k_ref"],
+        check_reference=config.values["check_reference"],
+        per_n_reference=config.values["per_n_reference"])
 
 
 def _make_bounds(config: ExperimentConfig, model: ModalSystem,
@@ -317,7 +319,7 @@ def _make_bounds(config: ExperimentConfig, model: ModalSystem,
             bounds.append(theorem2_bound(model, n_anchor))
         elif variant == 3:
             bounds.append(theorem3_bound(model, n_anchor,
-                                         config.get("theorem3_case", "domain")))
+                                         config.values["theorem3_case"]))
         elif variant == 4:
             bounds.append(theorem4_bound(model, n_anchor,
                                          config.require("nu"),
@@ -369,7 +371,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
                              "increment_sum", "residual"], rows), None
 
     if config.experiment == "levelsum":
-        weights_kind = config.get("levelsum_weights", "domain")
+        weights_kind = config.values["levelsum_weights"]
         if weights_kind == "unit":
             weights = unit_weights(model)
         elif weights_kind == "domain":
@@ -388,7 +390,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
         n = config.require("simulate_n")
         times = dyadic_grid(n, 0, model.horizon).times
         batch = empirical_error(model, times, config.require("trials"),
-                                config.get("seed", 0))
+                                config.values["seed"])
         rows = [[kind, n, batch.trials, batch.seed, batch.empirical_mean,
                  batch.std_error, batch.trace_err, batch.z_score]]
         return _csv(config, ["model", "n", "trials", "seed", "empirical_mean",

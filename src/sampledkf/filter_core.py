@@ -17,16 +17,19 @@ for zero prior variances and rapidly decaying ones).  ``increment_variance``
 builds on the same posterior of x.
 
 ``sequential_filter`` is the hot path for driven systems, and the only route
-for means, snapshots and Monte Carlo: a Kalman recursion on the augmented pair
-(z, Y_partial) where Y_partial accumulates int C z dt since the previous
-sample, each observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw,
-and Y_partial is reset to zero after every update.  The augmented transition
+for filtered means: a Kalman recursion on the augmented pair (z, Y_partial)
+where Y_partial accumulates int C z dt since the previous sample, each
+observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw, and
+Y_partial is reset to zero after every update.  The augmented transition
 is F = [[diag(e), 0], [G, I]] with e = e^(lambda h) and G = C^T diag(I1(lambda, h)),
 so the recursion carries only the N x N covariance of z: an elementwise
 prediction plus a rank-r update per sample, O(N^2 r) instead of dense
-(N+r) x (N+r) products.  Means are touched only when a realised output path
-is supplied; covariances never depend on the data.  ``posterior_trace`` is
-the one place that picks between the two.
+(N+r) x (N+r) products.  Covariances never depend on the data, so
+``_filter_plan`` runs them once and keeps the per-sample gains;
+``_filtered_means`` then pushes a batch of output paths through those gains,
+the one mean update for both ``sequential_filter(observations=...)`` and the
+Monte Carlo of ``montecarlo``.  ``posterior_trace`` is the one place that
+picks between the information form and the recursion.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)) using the closed-form kernels
@@ -61,22 +64,12 @@ from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["AugmentedGaussianState", "FilterRun", "information_filter",
-           "sequential_filter", "posterior_trace", "batch_condition",
-           "increment_variance"]
+__all__ = ["FilterRun", "information_filter", "sequential_filter",
+           "posterior_trace", "batch_condition", "increment_variance"]
 
 #: Samples per gemm when accumulating the information matrix; bounds the
 #: work array at (256 r) x N whatever the grid size.
 _INFO_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class AugmentedGaussianState:
-    """Gaussian belief over the augmented vector (z, Y_partial) at a time."""
-
-    time: float
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,6 @@ class FilterRun:
     final_cov: np.ndarray
     trace_err: float
     final_mean: np.ndarray | None = None
-    snapshots: list[AugmentedGaussianState] | None = None
 
 
 def _validate_times(system: ModalSystem, times) -> np.ndarray:
@@ -117,8 +109,7 @@ def _blocks(tr, n: int):
     return fmat.diagonal()[:n], fmat[n:, :n]
 
 
-def _filter_plan(system: ModalSystem, times: np.ndarray,
-                 store_snapshots: bool = False):
+def _filter_plan(system: ModalSystem, times: np.ndarray):
     """Run the covariance recursion; return (run, steps, tail_transition).
 
     Y_partial is zero after every update, so only the N x N covariance P of z
@@ -131,7 +122,6 @@ def _filter_plan(system: ModalSystem, times: np.ndarray,
     cov = np.diag(system.prior_var.astype(complex))
     cache: dict[float, object] = {}
     steps = []
-    snapshots: list[AugmentedGaussianState] | None = [] if store_snapshots else None
     prev = 0.0
     for t in times:
         delta = float(t - prev)
@@ -148,9 +138,6 @@ def _filter_plan(system: ModalSystem, times: np.ndarray,
         cov = cov * np.outer(e, e.conj()) + sig[:n, :n] - gain @ pzy.conj().T
         cov = (cov + cov.conj().T) / 2.0
         steps.append((tr, gain))
-        if snapshots is not None:
-            snapshots.append(AugmentedGaussianState(time=float(t), mean=None,
-                                                    cov=cov.copy()))
         prev = t
     tail = system.horizon - prev
     tail_tr = None
@@ -159,13 +146,30 @@ def _filter_plan(system: ModalSystem, times: np.ndarray,
         e, _ = _blocks(tail_tr, n)
         cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
         cov = (cov + cov.conj().T) / 2.0
-    run = FilterRun(grid=times, final_cov=cov,
-                    trace_err=_real_trace(cov), snapshots=snapshots)
+    run = FilterRun(grid=times, final_cov=cov, trace_err=_real_trace(cov))
     return run, steps, tail_tr
 
 
-def sequential_filter(system: ModalSystem, times, observations=None,
-                      store_snapshots: bool = False) -> FilterRun:
+def _filtered_means(system: ModalSystem, steps, tail_tr,
+                    increments: np.ndarray) -> np.ndarray:
+    """Filtered means of z(T), one per path, from the steps of ``_filter_plan``.
+
+    ``increments`` is (paths, m, r): the increments y(t_i) - y(t_(i-1)) of
+    each path's sampled output.  Returns the (paths, num_modes) means.
+    """
+    n = system.num_modes
+    mean = np.tile(system.prior_mean.astype(complex), (increments.shape[0], 1))
+    for i, (tr, gain) in enumerate(steps):
+        e, g = _blocks(tr, n)
+        innovation = increments[:, i, :] - mean @ g.T
+        mean *= e
+        mean += innovation @ gain.T
+    if tail_tr is not None:
+        mean *= _blocks(tail_tr, n)[0]
+    return mean
+
+
+def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRun:
     """Kalman recursion over the sample times, exact between samples.
 
     Parameters
@@ -176,7 +180,7 @@ def sequential_filter(system: ModalSystem, times, observations=None,
         increments are formed internally.  Enables the returned final_mean.
     """
     times = _validate_times(system, times)
-    run, steps, tail_tr = _filter_plan(system, times, store_snapshots)
+    run, steps, tail_tr = _filter_plan(system, times)
     if observations is None:
         return run
 
@@ -186,20 +190,10 @@ def sequential_filter(system: ModalSystem, times, observations=None,
         obs = obs[:, None]
     if obs.shape != (times.size, r):
         raise ValueError("observations must have shape (len(times), num_outputs)")
-    n = system.num_modes
-    mean = system.prior_mean.astype(complex)
-    prev_y = np.zeros(r)
-    for (tr, gain), y in zip(steps, obs):
-        e, g = _blocks(tr, n)
-        innovation = (y - prev_y) - g @ mean
-        mean *= e
-        mean += gain @ innovation
-        prev_y = y
-    if tail_tr is not None:
-        mean *= _blocks(tail_tr, n)[0]
+    increments = np.diff(obs, axis=0, prepend=np.zeros((1, r)))
+    mean = _filtered_means(system, steps, tail_tr, increments[None])[0]
     return FilterRun(grid=run.grid, final_cov=run.final_cov,
-                     trace_err=run.trace_err, final_mean=mean,
-                     snapshots=run.snapshots)
+                     trace_err=run.trace_err, final_mean=mean)
 
 
 def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:

@@ -26,7 +26,10 @@ how many are batched together.  Trial j of seed s reads the Philox stream of
 vectorised pass of that hash, and one reused generator is reset to each key,
 so the streams and their order are those of one generator per trial.
 Between samples every path moves elementwise (z *= e) with the output
-integral a rank-r map of z, as in the filter recursion.
+integral a rank-r map of z, as in the filter recursion.  The simulator
+returns output increments; ``empirical_error`` filters all trials at once
+with ``filter_core._filtered_means``, the mean update ``sequential_filter``
+applies to a single path, and ``sample_path`` sums the increments.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .filter_core import _blocks, _filter_plan, _validate_times
+from .filter_core import (_blocks, _filter_plan, _filtered_means,
+                          _validate_times)
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -214,10 +218,7 @@ class _Simulator:
         self.deltas = np.diff(np.concatenate([[0.0], times]))
         self.layout = _layout(system, times.size, self.tail_tr is not None)
 
-    def draw(self, seed: int, trials: int, single: bool) -> np.ndarray:
-        if single:
-            return _trial_rng(seed, None).standard_normal(
-                (1, self.layout.total))
+    def draw(self, seed: int, trials: int) -> np.ndarray:
         keys = _trial_keys(seed, trials)
         bitgen = np.random.Philox(0)
         gen = np.random.Generator(bitgen)
@@ -232,12 +233,12 @@ class _Simulator:
             gen.standard_normal(self.layout.total, out=row)
         return out
 
-    def run_paths(self, normals: np.ndarray, with_filter: bool):
-        """Propagate all trials; return (final states, outputs, final means).
+    def run_paths(self, normals: np.ndarray):
+        """Propagate all trials; return (final states, output increments).
 
-        States and means are (trials, num_modes); outputs are the cumulative
-        sampled values (trials, num_steps, num_outputs).  Between samples z
-        moves by z *= e and the output integral is Y = z G^T (see
+        States are (trials, num_modes); increments are the sampled outputs'
+        y(t_i) - y(t_(i-1)), (trials, num_steps, num_outputs).  Between
+        samples z moves by z *= e and the output integral is Y = z G^T (see
         ``filter_core._blocks``), both in place.
         """
         sysm = self.system
@@ -247,13 +248,10 @@ class _Simulator:
         driven = sysm.has_input_noise
         state = normals[:, lay.initial] @ self.initial_factor.T
         state += sysm.prior_mean
-        mean = None
-        if with_filter:
-            mean = np.tile(sysm.prior_mean.astype(complex), (trials, 1))
-        outputs = np.empty((trials, self.times.size, self.r))
+        increments = np.empty((trials, self.times.size, self.r))
         noise_buf = np.empty((trials, 2 * (n + self.r))) if driven else None
         noise = noise_buf.view(complex) if driven else None
-        for i, (tr, gain) in enumerate(self.steps):
+        for i, (tr, _) in enumerate(self.steps):
             e, g = _blocks(tr, n)
             out_int = state @ g.T
             state *= e
@@ -262,14 +260,10 @@ class _Simulator:
                           out=noise_buf)
                 state += noise[:, :n]
                 out_int += noise[:, n:]
-            y_inc = outputs[:, i, :]
+            y_inc = increments[:, i, :]
             np.matmul(normals[:, lay.measure[i]], self.meas_chol.T, out=y_inc)
             y_inc *= np.sqrt(self.deltas[i])
             y_inc += out_int.real
-            if with_filter:
-                innovation = y_inc - mean @ g.T
-                mean *= e
-                mean += innovation @ gain.T
         if self.tail_tr is not None:
             e, _ = _blocks(self.tail_tr, n)
             state *= e
@@ -277,10 +271,7 @@ class _Simulator:
                 np.matmul(normals[:, lay.tail], self.noise_maps[id(self.tail_tr)],
                           out=noise_buf)
                 state += noise[:, :n]
-            if with_filter:
-                mean *= e
-        outputs = np.cumsum(outputs, axis=1)
-        return state, outputs, mean
+        return state, increments
 
 
 def sample_path(system: ModalSystem, times, seed: int,
@@ -294,13 +285,9 @@ def sample_path(system: ModalSystem, times, seed: int,
     """
     times = _validate_times(system, times)
     sim = _Simulator(system, times)
-    if trial is None:
-        normals = sim.draw(seed, 1, single=True)
-    else:
-        normals = _trial_rng(seed, trial).standard_normal(
-            (1, sim.layout.total))
-    state, outputs, _ = sim.run_paths(normals, with_filter=False)
-    return state[0], outputs[0]
+    normals = _trial_rng(seed, trial).standard_normal((1, sim.layout.total))
+    state, increments = sim.run_paths(normals)
+    return state[0], np.cumsum(increments[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -333,8 +320,8 @@ def empirical_error(system: ModalSystem, times, trials: int,
     if times.size == 0:
         raise ValueError("need at least one sample time")
     sim = _Simulator(system, times)
-    normals = sim.draw(seed, trials, single=False)
-    state, _, mean = sim.run_paths(normals, with_filter=True)
+    state, increments = sim.run_paths(sim.draw(seed, trials))
+    mean = _filtered_means(system, sim.steps, sim.tail_tr, increments)
     errors = (np.abs(mean - state) ** 2).sum(axis=1)
     empirical = float(errors.mean())
     sdev = float(errors.std(ddof=1) / np.sqrt(trials))

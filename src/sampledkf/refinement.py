@@ -53,16 +53,9 @@ class DyadicGrid:
     level: int
     horizon: float
     times: np.ndarray
-    insertion_order: np.ndarray
 
     def __post_init__(self):
         self.times.setflags(write=False)
-        self.insertion_order.setflags(write=False)
-
-    @property
-    def spacing(self) -> float:
-        """Mesh width of the fully refined grid."""
-        return self.horizon / (self.base_n * 2 ** self.level)
 
 
 def _level_points(base_n: int, level: int, horizon: float) -> np.ndarray:
@@ -77,16 +70,10 @@ def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> DyadicGrid:
         raise ValueError("dyadic_grid needs base_n >= 1 and level >= 0")
     if not horizon > 0:
         raise ValueError("dyadic_grid needs a positive horizon")
-    base = (np.arange(1, base_n + 1) * horizon) / base_n
-    base[-1] = horizon  # (m * horizon) / m need not round back to horizon
-    order = [base]
-    order.extend(_level_points(base_n, k, horizon) for k in range(1, level + 1))
-    insertion = np.concatenate(order)
     m = base_n * 2 ** level
     times = (np.arange(1, m + 1) * horizon) / m
-    times[-1] = horizon
-    return DyadicGrid(base_n=base_n, level=level, horizon=horizon,
-                      times=times, insertion_order=insertion)
+    times[-1] = horizon  # (m * horizon) / m need not round back to horizon
+    return DyadicGrid(base_n=base_n, level=level, horizon=horizon, times=times)
 
 
 @dataclass(frozen=True)
@@ -126,9 +113,11 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
     result if any D(n) moves by more than 5 percent.  ``per_n_reference``
     refines each coarse grid separately instead of sharing one reference.
     """
-    n_values = np.asarray(sorted(int(n) for n in np.atleast_1d(n_values)))
-    if n_values.size == 0 or n_values[0] < 1:
+    requested = np.atleast_1d(n_values)
+    if requested.size == 0 or not all(float(n).is_integer() and n >= 1
+                                      for n in requested):
         raise ValueError("n_values must be positive integers")
+    n_values = np.asarray(sorted(int(n) for n in requested))
     if np.unique(n_values).size != n_values.size:
         raise ValueError("n_values must be distinct")
     if reference_level < 1:

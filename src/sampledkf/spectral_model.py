@@ -171,10 +171,6 @@ class ModalSystem:
         return self.output_coeffs.shape[1]
 
     @property
-    def num_inputs(self) -> int:
-        return self.input_coeffs.shape[1]
-
-    @property
     def has_input_noise(self) -> bool:
         return bool(np.any(self.input_coeffs != 0) and np.any(self.q_cov != 0))
 

@@ -253,6 +253,19 @@ class TestFailureModes:
         assert code == 1
         assert "io error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg_seed, argv_seed", [("-3", []),
+                                                      ("3", ["--seed", "-3"])],
+                             ids=["config-key", "override"])
+    def test_negative_seed_names_the_key(self, tmp_path, capsys, monkeypatch,
+                                         cfg_seed, argv_seed):
+        # rejected with the configuration, before any model or filter is built
+        monkeypatch.setattr("sampledkf.cli._build_model", None)
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("seed = 3",
+                                                       f"seed = {cfg_seed}"))
+        assert main(["simulate", "--config", cfg, *argv_seed]) == 2
+        assert ("config error: seed: must be non-negative"
+                in capsys.readouterr().err)
+
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = converge\nbogus = 1\n")
         assert main(["converge", "--config", cfg]) == 2

@@ -21,6 +21,8 @@ from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import _solve_gram, posterior_trace
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
+# ends before the horizon, so the filter finishes with a tail prediction
+TAIL_TIMES = np.array([0.15, 0.4, 0.55, 0.8])
 
 
 def rel_frobenius(a, b):
@@ -69,6 +71,17 @@ class TestSequentialVersusBatch:
         bat = sk.batch_condition(sysm, times)
         assert rel_frobenius(seq.final_cov, bat.final_cov) <= 1e-10
         npt.assert_allclose(seq.trace_err, bat.trace_err, rtol=1e-10)
+
+    @pytest.mark.parametrize("times", [FIVE_TIMES, _irregular_times(24, seed=4)],
+                             ids=["five", "irregular-24"])
+    @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
+    def test_two_outputs_agree_on_every_route(self, two_output_heat, q_scalar,
+                                              times):
+        sysm = two_output_heat(4, q_scalar=q_scalar)
+        first, *others = _routes(sysm, times)
+        for run in others:
+            assert rel_frobenius(run.final_cov, first.final_cov) <= 1e-12
+            npt.assert_allclose(run.trace_err, first.trace_err, rtol=1e-12)
 
     def test_empty_times_propagates_prior(self):
         sysm = heat(3, q_scalar=0.5)
@@ -211,25 +224,33 @@ class TestRouteProperties:
                                 rtol=0, atol=1e-12 * np.abs(run.final_cov).max())
 
 
-class TestMeanRoute:
-    def test_filtered_mean_matches_regression_oracle(self):
-        times = FIVE_TIMES
-        m = times.size
-        for sysm in (heat(3), heat(3, q_scalar=0.5),
-                     sk.build_wave_model(4, horizon=1.0)):
-            _, ys = sk.sample_path(sysm, times, seed=11)
-            run = sk.sequential_filter(sysm, times, observations=ys)
+def _regression_mean(sysm, times, ys):
+    """E[z(T) | y(t_1), ..., y(t_m)], zero prior mean, on r x r kernel blocks."""
+    m, r = times.size, sysm.num_outputs
+    gram = np.empty((m * r, m * r), dtype=complex)
+    cross = np.empty((sysm.num_modes, m * r), dtype=complex)
+    for i, ti in enumerate(times):
+        rows = slice(i * r, (i + 1) * r)
+        cross[:, rows] = sk.state_output_cross(sysm, sysm.horizon, ti)
+        for j, tj in enumerate(times):
+            gram[rows, j * r:(j + 1) * r] = (
+                sk.output_covariance_kernel(sysm, ti, tj)
+                + sysm.r_cov * min(ti, tj))
+    return cross @ np.linalg.solve(gram, ys.reshape(-1).astype(complex))
 
-            gram = np.empty((m, m), dtype=complex)
-            cross = np.empty((sysm.num_modes, m), dtype=complex)
-            for i, ti in enumerate(times):
-                cross[:, i] = sk.state_output_cross(sysm, sysm.horizon, ti)[:, 0]
-                for j, tj in enumerate(times):
-                    gram[i, j] = (sk.output_covariance_kernel(sysm, ti, tj)[0, 0]
-                                  + sysm.r_cov[0, 0] * min(ti, tj))
-            want = cross @ np.linalg.solve(gram, ys[:, 0].astype(complex))
-            npt.assert_allclose(run.final_mean, want, rtol=1e-9, atol=1e-12,
-                                err_msg=sysm.label)
+
+class TestMeanRoute:
+    def test_filtered_mean_matches_regression_oracle(self, two_output_heat):
+        for sysm in (heat(3), heat(3, q_scalar=0.5),
+                     sk.build_wave_model(4, horizon=1.0), two_output_heat(4),
+                     two_output_heat(4, q_scalar=0.5)):
+            for times in (FIVE_TIMES, TAIL_TIMES):
+                _, ys = sk.sample_path(sysm, times, seed=11)
+                run = sk.sequential_filter(sysm, times, observations=ys)
+                npt.assert_allclose(run.final_mean,
+                                    _regression_mean(sysm, times, ys),
+                                    rtol=1e-9, atol=1e-12,
+                                    err_msg=f"{sysm.label} on {times}")
 
     def test_mean_requires_matching_shape(self):
         sysm = heat(3)
@@ -263,13 +284,6 @@ class TestPosteriorProperties:
         n = noisy.num_modes
         prior = sk.augmented_covariance(noisy, noisy.horizon)[:n, :n]
         npt.assert_allclose(run.trace_err, np.trace(prior).real, rtol=1e-6)
-
-    def test_snapshots_record_each_update(self):
-        sysm = heat(3)
-        run = sk.sequential_filter(sysm, FIVE_TIMES, store_snapshots=True)
-        assert [s.time for s in run.snapshots] == list(FIVE_TIMES)
-        for snap in run.snapshots:
-            assert snap.cov.shape == (3, 3)
 
     def test_time_validation(self):
         sysm = heat(3)

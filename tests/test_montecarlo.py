@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import sampledkf as sk
+from sampledkf.filter_core import _filtered_means
 from sampledkf.montecarlo import (_pairing_or_identity, _real_factor,
                                   _Simulator, _trial_keys, _trial_rng)
 
@@ -96,15 +97,31 @@ class TestBulkTrialKeys:
         sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
                          EIGHT_TIMES)
         total = sim.layout.total
-        normals = sim.draw(seed, 12, single=False)
+        normals = sim.draw(seed, 12)
         for j in range(12):
             npt.assert_array_equal(normals[j],
                                    _trial_rng(seed, j).standard_normal(total))
 
+    def test_sample_path_reads_its_trial_stream(self):
+        sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
+        sim = _Simulator(sysm, EIGHT_TIMES)
+        state, increments = sim.run_paths(sim.draw(4, 6))
+        for j in (0, 5):  # same normals; a batched gemm may round differently
+            s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4, trial=j)
+            npt.assert_allclose(s, state[j], rtol=1e-13, atol=1e-16)
+            npt.assert_allclose(y, np.cumsum(increments[j], axis=0),
+                                rtol=1e-13, atol=1e-16)
+        # without a trial the path reads the stream of SeedSequence([seed])
+        state, increments = sim.run_paths(
+            _trial_rng(4, None).standard_normal((1, sim.layout.total)))
+        s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4)
+        npt.assert_array_equal(s, state[0])
+        npt.assert_array_equal(y, np.cumsum(increments[0], axis=0))
+
     def test_negative_seed_raises(self):
         sim = _Simulator(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES)
         with pytest.raises(ValueError):
-            sim.draw(-1, 4, single=False)
+            sim.draw(-1, 4)
         with pytest.raises(ValueError):
             sk.empirical_error(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES,
                                trials=4, seed=-5)
@@ -117,29 +134,34 @@ class TestPathsAgainstAugmentedMap:
         sysm = sk.build_heat_model(4, horizon=1.0, q_scalar=0.5)
         times = EIGHT_TIMES[:-1]  # leaves a tail step
         sim = _Simulator(sysm, times)
-        normals = sim.draw(3, 16, single=False)
-        state, outputs, mean = sim.run_paths(normals, with_filter=True)
+        normals = sim.draw(3, 16)
+        state, increments = sim.run_paths(normals)
 
         n, lay = sysm.num_modes, sim.layout
         pairing = np.concatenate([_pairing_or_identity(sysm),
                                   n + np.arange(sysm.num_outputs)])
         aug = np.zeros((16, n + sysm.num_outputs), dtype=complex)
         aug[:, :n] = sysm.prior_mean + normals[:, lay.initial] @ sim.initial_factor.T
-        increments = []
+        dense = []
         for i, (tr, _) in enumerate(sim.steps):
             factor = _real_factor(tr.noise_cov, pairing)
             aug = aug @ tr.state_map.T + normals[:, lay.process[i]] @ factor.T
             dw = np.sqrt(sim.deltas[i]) * (normals[:, lay.measure[i]]
                                            @ sim.meas_chol.T)
-            increments.append(aug[:, n:].real + dw)
+            dense.append(aug[:, n:].real + dw)
             aug[:, n:] = 0.0
         factor = _real_factor(sim.tail_tr.noise_cov, pairing)
         aug = aug @ sim.tail_tr.state_map.T + normals[:, lay.tail] @ factor.T
-        npt.assert_allclose(outputs, np.cumsum(np.stack(increments, axis=1), axis=1),
+        npt.assert_allclose(increments, np.stack(dense, axis=1),
                             rtol=1e-12, atol=1e-14)
         npt.assert_allclose(state, aug[:, :n], rtol=1e-12, atol=1e-14)
+        # the batched means of the Monte Carlo are those of sequential_filter
+        # on each path's cumulative outputs (the mean update itself is checked
+        # against a regression oracle in test_filter_core)
+        mean = _filtered_means(sysm, sim.steps, sim.tail_tr, increments)
         for j in range(4):
-            run = sk.sequential_filter(sysm, times, observations=outputs[j])
+            run = sk.sequential_filter(sysm, times,
+                                       observations=np.cumsum(increments[j], axis=0))
             npt.assert_allclose(mean[j], run.final_mean, rtol=1e-12, atol=1e-14)
 
 
@@ -159,6 +181,15 @@ class TestAgainstDeterministicTrace:
         assert batch.std_error > 0
         assert batch.label == sysm.label
         assert batch.trials == 1500
+
+    @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
+    def test_two_outputs_zscore(self, two_output_heat, q_scalar):
+        sysm = two_output_heat(4, q_scalar=q_scalar)
+        batch = sk.empirical_error(sysm, EIGHT_TIMES[:-1], trials=1500, seed=7)
+        assert abs(batch.z_score) < 4.0
+        npt.assert_allclose(batch.trace_err,
+                            sk.batch_condition(sysm, EIGHT_TIMES[:-1]).trace_err,
+                            rtol=1e-12)
 
     def test_errors_are_real_squared_norms(self):
         sysm = sk.build_wave_model(4, horizon=1.0)

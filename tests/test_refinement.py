@@ -27,8 +27,6 @@ class TestDyadicGrid:
     def test_two_point_base_one_level(self):
         grid = sk.dyadic_grid(2, 1, 1.0)
         npt.assert_array_equal(grid.times, [0.25, 0.5, 0.75, 1.0])
-        npt.assert_array_equal(grid.insertion_order, [0.5, 1.0, 0.25, 0.75])
-        assert grid.spacing == 0.25
 
     def test_levels_nest_exactly(self):
         # membership must hold bitwise, not merely to rounding, including for
@@ -44,7 +42,6 @@ class TestDyadicGrid:
         m = base_n * 2 ** level
         assert grid.times.shape == (m,)
         assert np.all(np.diff(grid.times) > 0)
-        assert sorted(grid.insertion_order) == list(grid.times)
 
     def test_times_are_frozen(self):
         grid = sk.dyadic_grid(2, 1, 1.0)
@@ -109,6 +106,22 @@ class TestDiscrepancyCurve:
         with pytest.raises(ValueError, match="at least 1"):
             sk.discrepancy_curve(sysm, [2], reference_level=0)
 
+    @pytest.mark.parametrize("n_values", [[2.5, 4], [2, 2.5], [np.nan, 4],
+                                          [np.inf], np.array([2.0, 4.5])])
+    def test_fractional_n_values_are_rejected(self, n_values):
+        # truncating 2.5 to 2 would compute D(2) unasked, or report [2, 2.5]
+        # as a duplicate
+        with pytest.raises(ValueError, match="n_values must be positive integers"):
+            sk.discrepancy_curve(sk.build_heat_model(3, horizon=1.0), n_values)
+
+    def test_integral_floats_are_accepted(self):
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        curve = sk.discrepancy_curve(sysm, np.array([2.0, 4.0]),
+                                     reference_level=3)
+        npt.assert_array_equal(curve.values,
+                               sk.discrepancy_curve(sysm, [2, 4],
+                                                    reference_level=3).values)
+
 
 class TestTelescope:
     def test_heat_increments_telescope(self):
@@ -120,6 +133,12 @@ class TestTelescope:
         assert [len(a) for a in report.increments] == [2, 4]
         npt.assert_allclose(report.level_sums,
                             [a.sum() for a in report.increments], rtol=1e-14)
+
+    def test_two_output_increments_telescope(self, two_output_heat):
+        # r = 2: each insertion gain solves a 2 x 2 interpolation block
+        report = sk.telescope_check(two_output_heat(5), 2, 2)
+        assert report.residual <= 1e-10
+        assert np.all(np.concatenate(report.increments) > 0)
 
     def test_single_mode_is_essentially_exact(self):
         report = sk.telescope_check(single_mode(), 2, 1)
