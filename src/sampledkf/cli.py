@@ -129,15 +129,6 @@ class ExperimentConfig:
     experiment: str
     values: dict = field(default_factory=dict)
 
-    def get(self, key):
-        return self.values.get(key)
-
-    def require(self, key):
-        if key not in self.values:
-            raise ConfigError(f"{key}: required for experiment "
-                              f"'{self.experiment}'")
-        return self.values[key]
-
     def resolved_lines(self) -> list[str]:
         # Output paths are I/O disposition, not part of the experiment
         # definition; keeping them out of the header makes reruns of the
@@ -302,7 +293,7 @@ def emit_plot_data(curve: DiscrepancyCurve,
 def _curve_from_config(config: ExperimentConfig,
                        model: ModalSystem) -> DiscrepancyCurve:
     return discrepancy_curve(
-        model, list(config.require("n_values")),
+        model, list(config.values["n_values"]),
         reference_level=config.values["k_ref"],
         check_reference=config.values["check_reference"],
         per_n_reference=config.values["per_n_reference"])
@@ -311,10 +302,10 @@ def _curve_from_config(config: ExperimentConfig,
 def _make_bounds(config: ExperimentConfig, model: ModalSystem,
                  n_anchor: int) -> list[TheoremBound]:
     bounds = []
-    for variant in config.require("theorems"):
+    for variant in config.values["theorems"]:
         if variant == 1:
             bounds.append(theorem1_bound(model, n_anchor,
-                                         config.require("gamma")))
+                                         config.values["gamma"]))
         elif variant == 2:
             bounds.append(theorem2_bound(model, n_anchor))
         elif variant == 3:
@@ -322,8 +313,8 @@ def _make_bounds(config: ExperimentConfig, model: ModalSystem,
                                          config.values["theorem3_case"]))
         elif variant == 4:
             bounds.append(theorem4_bound(model, n_anchor,
-                                         config.require("nu"),
-                                         config.require("eta")))
+                                         config.values["nu"],
+                                         config.values["eta"]))
         else:
             bounds.append(theorem5_bound(model, n_anchor))
     return bounds
@@ -342,7 +333,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
                                         curve.reference_traces, curve.values)]
         text = _csv(config, ["model", "n", "K_ref", "trace_n", "trace_ref",
                              "discrepancy"], rows)
-        if config.get("plot_out"):
+        if config.values.get("plot_out"):
             plot_text = emit_plot_data(curve)
         return text, plot_text
 
@@ -358,13 +349,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
                 rows.append([bound.variant, int(n), value, measured,
                              bool(measured <= value * (1 + 1e-12))])
         text = _csv(config, ["theorem", "n", "bound", "measured", "pass"], rows)
-        if config.get("plot_out"):
+        if config.values.get("plot_out"):
             plot_text = emit_plot_data(curve, bounds)
         return text, plot_text
 
     if config.experiment == "telescope":
-        report = telescope_check(model, config.require("telescope_n"),
-                                 config.require("telescope_levels"))
+        report = telescope_check(model, config.values["telescope_n"],
+                                 config.values["telescope_levels"])
         rows = [[kind, report.base_n, report.levels, report.trace_drop,
                  report.increment_sum, report.residual]]
         return _csv(config, ["model", "n", "levels", "trace_drop",
@@ -378,18 +369,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
             weights = domain_weights(model)
         else:
             weights = fractional_weights(model,
-                                         config.require("levelsum_weight_power"))
+                                         config.values["levelsum_weight_power"])
         rows = []
-        for level in range(1, config.require("levelsum_levels") + 1):
-            value, h = level_sum(model, config.require("levelsum_n"),
+        for level in range(1, config.values["levelsum_levels"] + 1):
+            value, h = level_sum(model, config.values["levelsum_n"],
                                  level, weights)
             rows.append([kind, config.values["levelsum_n"], level, h, value])
         return _csv(config, ["model", "n", "level", "h", "value"], rows), None
 
     if config.experiment == "simulate":
-        n = config.require("simulate_n")
+        n = config.values["simulate_n"]
         times = dyadic_grid(n, 0, model.horizon).times
-        batch = empirical_error(model, times, config.require("trials"),
+        batch = empirical_error(model, times, config.values["trials"],
                                 config.values["seed"])
         rows = [[kind, n, batch.trials, batch.seed, batch.empirical_mean,
                  batch.std_error, batch.trace_err, batch.z_score]]
@@ -460,9 +451,9 @@ def main(argv=None) -> int:
                 f"subcommand is {args.command!r}")
         started = time.perf_counter()
         text, plot_text = run_experiment(config)
-        _write(config.get("out"), text)
+        _write(config.values.get("out"), text)
         if plot_text is not None:
-            _write(config.require("plot_out"), plot_text)
+            _write(config.values["plot_out"], plot_text)
         sys.stderr.write(f"elapsed {time.perf_counter() - started:.3f}s\n")
         return 0
     except ConfigError as exc:

@@ -21,7 +21,8 @@ for filtered means: a Kalman recursion on the augmented pair (z, Y_partial)
 where Y_partial accumulates int C z dt since the previous sample, each
 observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw, and
 Y_partial is reset to zero after every update.  The augmented transition
-is F = [[diag(e), 0], [G, I]] with e = e^(lambda h) and G = C^T diag(I1(lambda, h)),
+F = [[diag(e), 0], [G, I]] comes from ``kernels.transition_block`` as its two
+blocks, the decay e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)),
 so the recursion carries only the N x N covariance of z: an elementwise
 prediction plus a rank-r update per sample, O(N^2 r) instead of dense
 (N+r) x (N+r) products.  Covariances never depend on the data, so
@@ -103,20 +104,14 @@ def _real_trace(cov: np.ndarray) -> float:
     return tr.real
 
 
-def _blocks(tr, n: int):
-    """(e, G) of a transition F = [[diag(e), 0], [G, I]]; G has r rows."""
-    fmat = tr.state_map
-    return fmat.diagonal()[:n], fmat[n:, :n]
-
-
 def _filter_plan(system: ModalSystem, times: np.ndarray):
     """Run the covariance recursion; return (run, steps, tail_transition).
 
     Y_partial is zero after every update, so only the N x N covariance P of z
-    is carried: the prediction touches F through e and G alone, and the update
-    is the rank-r downdate P - K Pzy* with K = Pzy S^-1.  ``steps`` is a list
-    of (transition, gain) per sample; the (N, r) gain maps the innovation on
-    the increment observation into z.
+    is carried: the prediction needs only the transition's decay e and output
+    map G, and the update is the rank-r downdate P - K Pzy* with K = Pzy S^-1.
+    ``steps`` is a list of (transition, gain) per sample; the (N, r) gain maps
+    the innovation on the increment observation into z.
     """
     n = system.num_modes
     cov = np.diag(system.prior_var.astype(complex))
@@ -129,7 +124,7 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
         if tr is None:
             tr = transition_block(system, delta)
             cache[delta] = tr
-        e, g = _blocks(tr, n)
+        e, g = tr.decay, tr.output_map
         sig = tr.noise_cov
         pg = cov @ g.conj().T
         pzy = e[:, None] * pg + sig[:n, n:]
@@ -143,7 +138,7 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
     tail_tr = None
     if tail > 1e-12 * system.horizon:
         tail_tr = cache.get(tail) or transition_block(system, tail)
-        e, _ = _blocks(tail_tr, n)
+        e = tail_tr.decay
         cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
         cov = (cov + cov.conj().T) / 2.0
     run = FilterRun(grid=times, final_cov=cov, trace_err=_real_trace(cov))
@@ -157,15 +152,13 @@ def _filtered_means(system: ModalSystem, steps, tail_tr,
     ``increments`` is (paths, m, r): the increments y(t_i) - y(t_(i-1)) of
     each path's sampled output.  Returns the (paths, num_modes) means.
     """
-    n = system.num_modes
     mean = np.tile(system.prior_mean.astype(complex), (increments.shape[0], 1))
     for i, (tr, gain) in enumerate(steps):
-        e, g = _blocks(tr, n)
-        innovation = increments[:, i, :] - mean @ g.T
-        mean *= e
+        innovation = increments[:, i, :] - mean @ tr.output_map.T
+        mean *= tr.decay
         mean += innovation @ gain.T
     if tail_tr is not None:
-        mean *= _blocks(tail_tr, n)[0]
+        mean *= tail_tr.decay
     return mean
 
 

@@ -11,7 +11,12 @@ the pair (z, Y) is jointly Gaussian with block transition
     F_h = [ diag(e^(lambda_k h))            0   ]
           [ c_k (e^(lambda_k h)-1)/lambda_k  I_r ]
 
-and one-step noise covariance Sigma_h assembled from (with M = B Q B*)
+whose two non-trivial blocks are all an ``AugmentedTransition`` stores: the
+decay e = e^(lambda h), shape (N,), and the output map G = C^T diag(I1(lambda, h)),
+shape (r, N).  The filter recursion and the path simulator step on (e, G)
+directly; the dense F_h is assembled on demand (``state_map``) only for
+``augmented_covariance`` and the oracle comparisons.  The step also carries
+its noise covariance Sigma_h, assembled from (with M = B Q B*)
 
     Sigma_zz[k,l] = M_kl (e^((lambda_k+conj(lambda_l))h) - 1)/(lambda_k+conj(lambda_l))
     Sigma_zY[k,j] = sum_l M_kl conj(c_lj) int_0^h e^(lambda_k s) I1(conj(lambda_l), s) ds
@@ -54,11 +59,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AugmentedTransition:
-    """One exact discretisation step of the augmented pair (z, Y)."""
+    """One exact discretisation step of the augmented pair (z, Y).
+
+    The transition F_h = [[diag(decay), 0], [output_map, I_r]] is stored as
+    its two non-trivial blocks: ``decay`` (N,) holds e^(lambda_k h) and
+    ``output_map`` (r, N) holds c_k I1(lambda_k, h).  ``noise_cov`` is the
+    (N+r, N+r) complex Hermitian PSD covariance Sigma_h of the step's noise.
+    """
 
     step: float
-    state_map: np.ndarray  # (N+r, N+r) complex
-    noise_cov: np.ndarray  # (N+r, N+r) complex Hermitian PSD
+    decay: np.ndarray
+    output_map: np.ndarray
+    noise_cov: np.ndarray
+
+    @property
+    def state_map(self) -> np.ndarray:
+        """The dense (N+r, N+r) F_h, assembled for the oracles."""
+        r, n = self.output_map.shape
+        fmat = np.zeros((n + r, n + r), dtype=complex)
+        np.fill_diagonal(fmat[:n, :n], self.decay)
+        fmat[n:, :n] = self.output_map
+        fmat[n:, n:] = np.eye(r)
+        return fmat
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -90,11 +112,8 @@ def transition_block(system: ModalSystem, h: float) -> AugmentedTransition:
     n, r = system.num_modes, system.num_outputs
     cmat = system.output_coeffs
 
-    fmat = np.zeros((n + r, n + r), dtype=complex)
-    np.fill_diagonal(fmat[:n, :n], np.exp(lam * h))
-    i1 = h * phi1(lam * h)
-    fmat[n:, :n] = cmat.T * i1[None, :]
-    fmat[n:, n:] = np.eye(r)
+    decay = np.exp(lam * h)
+    gmat = cmat.T * (h * phi1(lam * h))[None, :]
 
     sig = np.zeros((n + r, n + r), dtype=complex)
     if system.has_input_noise:
@@ -109,7 +128,8 @@ def transition_block(system: ModalSystem, h: float) -> AugmentedTransition:
         sig[n:, :n] = szy.conj().T
         sig[n:, n:] = syy
         sig = _hermitize(sig)
-    return AugmentedTransition(step=float(h), state_map=fmat, noise_cov=sig)
+    return AugmentedTransition(step=float(h), decay=decay, output_map=gmat,
+                               noise_cov=sig)
 
 
 def augmented_covariance(system: ModalSystem, t: float) -> np.ndarray:
@@ -120,7 +140,8 @@ def augmented_covariance(system: ModalSystem, t: float) -> np.ndarray:
     if t == 0:
         return base
     tr = transition_block(system, t)
-    return _hermitize(tr.state_map @ base @ tr.state_map.conj().T + tr.noise_cov)
+    fmat = tr.state_map
+    return _hermitize(fmat @ base @ fmat.conj().T + tr.noise_cov)
 
 
 def _integrated_output_map(system: ModalSystem, dt: float) -> np.ndarray:
@@ -199,15 +220,13 @@ def quadrature_oracle_transition(system: ModalSystem, h: float,
     n, r = system.num_modes, system.num_outputs
     cmat = system.output_coeffs
 
-    fmat = np.zeros((n + r, n + r), dtype=complex)
-    for k in range(n):
-        fmat[k, k] = cmath.exp(lam[k] * h)
+    decay = np.array([cmath.exp(lk * h) for lk in lam], dtype=complex)
+    gmat = np.zeros((r, n), dtype=complex)
     for j in range(r):
         for k in range(n):
-            fmat[n + j, k] = cmat[k, j] * _cquad(lambda s, lk=lam[k]: cmath.exp(lk * s),
-                                                 0.0, h, tol / 10.0,
-                                                 entry=f"state_map[{n + j},{k}]")
-    fmat[n:, n:] = np.eye(r)
+            gmat[j, k] = cmat[k, j] * _cquad(lambda s, lk=lam[k]: cmath.exp(lk * s),
+                                             0.0, h, tol / 10.0,
+                                             entry=f"state_map[{n + j},{k}]")
 
     sig = np.zeros((n + r, n + r), dtype=complex)
     if system.has_input_noise:
@@ -250,4 +269,5 @@ def quadrature_oracle_transition(system: ModalSystem, h: float,
                             lambda rr: tail(lk, rr) * tail(llc, rr), 0.0, h,
                             tol, entry=f"noise_cov YY[{n + i},{n + j}]")
                 sig[n + i, n + j] = acc
-    return AugmentedTransition(step=float(h), state_map=fmat, noise_cov=sig)
+    return AugmentedTransition(step=float(h), decay=decay, output_map=gmat,
+                               noise_cov=sig)

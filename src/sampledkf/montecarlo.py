@@ -21,10 +21,12 @@ counter-based stream, in a fixed documented order:
       sample precedes the horizon ]
 
 which makes runs bitwise reproducible and trials independent regardless of
-how many are batched together.  Trial j of seed s reads the Philox stream of
-``SeedSequence([s, j])``; the keys of a whole batch are derived in one
-vectorised pass of that hash, and one reused generator is reset to each key,
-so the streams and their order are those of one generator per trial.
+how many are batched together.  Every sample step takes a block of the same
+width, so the simulator reads the steps as one (trials, steps, width) view.
+Trial j of seed s reads the Philox stream of ``SeedSequence([s, j])``; the
+keys of a whole batch are derived in one vectorised pass of that hash, and
+one reused generator is reset to each key, so the streams and their order
+are those of one generator per trial.
 Between samples every path moves elementwise (z *= e) with the output
 integral a rank-r map of z, as in the filter recursion.  The simulator
 returns output increments; ``empirical_error`` filters all trials at once
@@ -40,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .filter_core import (_blocks, _filter_plan, _filtered_means,
-                          _validate_times)
+from .filter_core import _filter_plan, _filtered_means, _validate_times
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -93,38 +94,6 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     if w[0] < 0:
         logger.debug("clipping %.3e of negative eigenvalue mass", float(-w[w < 0].sum()))
     return amat @ (v * np.sqrt(np.clip(w, 0.0, None)))
-
-
-@dataclass(frozen=True)
-class _DrawLayout:
-    """Slice offsets into each trial's flat block of standard normals."""
-
-    total: int
-    initial: slice
-    process: list[slice]
-    measure: list[slice]
-    tail: slice | None
-
-
-def _layout(system: ModalSystem, num_steps: int, has_tail: bool) -> _DrawLayout:
-    n, r = system.num_modes, system.num_outputs
-    d = n + r
-    pos = n
-    process, measure = [], []
-    for _ in range(num_steps):
-        if system.has_input_noise:
-            process.append(slice(pos, pos + d))
-            pos += d
-        else:
-            process.append(slice(0, 0))
-        measure.append(slice(pos, pos + r))
-        pos += r
-    tail = None
-    if has_tail and system.has_input_noise:
-        tail = slice(pos, pos + d)
-        pos += d
-    return _DrawLayout(total=pos, initial=slice(0, n),
-                       process=process, measure=measure, tail=tail)
 
 
 def _trial_rng(seed: int, trial: int | None) -> np.random.Generator:
@@ -215,22 +184,26 @@ class _Simulator:
                     self.noise_maps[id(tr)] = np.stack(
                         [factor.real, factor.imag], axis=-1).reshape(n + r, -1)
         self.meas_chol = np.linalg.cholesky(system.r_cov)
-        self.deltas = np.diff(np.concatenate([[0.0], times]))
-        self.layout = _layout(system, times.size, self.tail_tr is not None)
+        # widths in the documented draw order: one sample step's normals,
+        # then a trial's whole block
+        process = n + r if system.has_input_noise else 0
+        self.stride = process + r
+        tail = process if self.tail_tr is not None else 0
+        self.total = n + times.size * self.stride + tail
 
     def draw(self, seed: int, trials: int) -> np.ndarray:
         keys = _trial_keys(seed, trials)
         bitgen = np.random.Philox(0)
         gen = np.random.Generator(bitgen)
         zero = np.zeros(4, dtype=np.uint64)
-        out = np.empty((trials, self.layout.total))
+        out = np.empty((trials, self.total))
         for key, row in zip(keys, out):
             # the state of a fresh Philox(SeedSequence([seed, j]))
             bitgen.state = {"bit_generator": "Philox",
                             "state": {"counter": zero, "key": key},
                             "buffer": zero, "buffer_pos": 4,
                             "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(self.layout.total, out=row)
+            gen.standard_normal(self.total, out=row)
         return out
 
     def run_paths(self, normals: np.ndarray):
@@ -238,38 +211,38 @@ class _Simulator:
 
         States are (trials, num_modes); increments are the sampled outputs'
         y(t_i) - y(t_(i-1)), (trials, num_steps, num_outputs).  Between
-        samples z moves by z *= e and the output integral is Y = z G^T (see
-        ``filter_core._blocks``), both in place.
+        samples z moves by z *= e and the output integral is Y = z G^T, with
+        e and G the decay and output map of the step's transition, both in
+        place.
         """
         sysm = self.system
-        n = self.n
-        lay = self.layout
-        trials = normals.shape[0]
+        n, r = self.n, self.r
+        trials, m = normals.shape[0], self.times.size
         driven = sysm.has_input_noise
-        state = normals[:, lay.initial] @ self.initial_factor.T
+        state = normals[:, :n] @ self.initial_factor.T
         state += sysm.prior_mean
-        increments = np.empty((trials, self.times.size, self.r))
-        noise_buf = np.empty((trials, 2 * (n + self.r))) if driven else None
+        # each sample step's [ process | measurement ] normals, as a view
+        per_step = normals[:, n:n + m * self.stride].reshape(trials, m, self.stride)
+        process, measure = per_step[:, :, :-r], per_step[:, :, -r:]
+        increments = np.empty((trials, m, r))
+        noise_buf = np.empty((trials, 2 * (n + r))) if driven else None
         noise = noise_buf.view(complex) if driven else None
         for i, (tr, _) in enumerate(self.steps):
-            e, g = _blocks(tr, n)
-            out_int = state @ g.T
-            state *= e
+            out_int = state @ tr.output_map.T
+            state *= tr.decay
             if driven:
-                np.matmul(normals[:, lay.process[i]], self.noise_maps[id(tr)],
-                          out=noise_buf)
+                np.matmul(process[:, i], self.noise_maps[id(tr)], out=noise_buf)
                 state += noise[:, :n]
                 out_int += noise[:, n:]
             y_inc = increments[:, i, :]
-            np.matmul(normals[:, lay.measure[i]], self.meas_chol.T, out=y_inc)
-            y_inc *= np.sqrt(self.deltas[i])
+            np.matmul(measure[:, i], self.meas_chol.T, out=y_inc)
+            y_inc *= np.sqrt(tr.step)
             y_inc += out_int.real
         if self.tail_tr is not None:
-            e, _ = _blocks(self.tail_tr, n)
-            state *= e
+            state *= self.tail_tr.decay
             if driven:
-                np.matmul(normals[:, lay.tail], self.noise_maps[id(self.tail_tr)],
-                          out=noise_buf)
+                np.matmul(normals[:, n + m * self.stride:],
+                          self.noise_maps[id(self.tail_tr)], out=noise_buf)
                 state += noise[:, :n]
         return state, increments
 
@@ -285,7 +258,7 @@ def sample_path(system: ModalSystem, times, seed: int,
     """
     times = _validate_times(system, times)
     sim = _Simulator(system, times)
-    normals = _trial_rng(seed, trial).standard_normal((1, sim.layout.total))
+    normals = _trial_rng(seed, trial).standard_normal((1, sim.total))
     state, increments = sim.run_paths(normals)
     return state[0], np.cumsum(increments[0], axis=0)
 

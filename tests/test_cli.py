@@ -104,6 +104,66 @@ class TestBuildConfig:
             build_config({"experiment": "converge", "model.kind": "heat",
                           "model.num_modes": "4", "n_values": "0, 4"})
 
+    # every rejection of build_config, by the key its message names
+    @pytest.mark.parametrize("experiment, extra, message", [
+        pytest.param(None, {}, "experiment: required key is missing",
+                     id="missing-experiment"),
+        pytest.param("converge", {"model.kind": None},
+                     "model.kind: required key is missing",
+                     id="missing-model.kind"),
+        pytest.param("converge", {"n_values": "2", "k_ref": "0"},
+                     "k_ref: must be at least 1", id="k_ref"),
+        pytest.param("bounds", {"n_values": "2", "theorems": "2, 6"},
+                     r"theorems: invalid variant\(s\) \[6\]", id="theorems"),
+        pytest.param("bounds", {"n_values": "2", "theorems": "1"},
+                     "gamma: required when theorems includes 1", id="gamma"),
+        pytest.param("bounds", {"n_values": "2", "theorems": "4", "eta": "1"},
+                     "nu: required when theorems includes 4", id="nu"),
+        pytest.param("bounds", {"n_values": "2", "theorems": "4", "nu": "0.8"},
+                     "eta: required when theorems includes 4", id="eta"),
+        pytest.param("telescope", {"telescope_levels": "2"},
+                     "telescope_n: required for experiment 'telescope'",
+                     id="telescope_n-missing"),
+        pytest.param("telescope", {"telescope_n": "4"},
+                     "telescope_levels: required for experiment 'telescope'",
+                     id="telescope_levels-missing"),
+        pytest.param("telescope", {"telescope_n": "0", "telescope_levels": "2"},
+                     "telescope_n: must be at least 1", id="telescope_n-small"),
+        pytest.param("telescope", {"telescope_n": "4", "telescope_levels": "0"},
+                     "telescope_levels: must be at least 1",
+                     id="telescope_levels-small"),
+        pytest.param("levelsum", {"levelsum_levels": "2"},
+                     "levelsum_n: required for experiment 'levelsum'",
+                     id="levelsum_n-missing"),
+        pytest.param("levelsum", {"levelsum_n": "4"},
+                     "levelsum_levels: required for experiment 'levelsum'",
+                     id="levelsum_levels-missing"),
+        pytest.param("levelsum", {"levelsum_n": "0", "levelsum_levels": "2"},
+                     "levelsum_n: must be at least 1", id="levelsum_n-small"),
+        pytest.param("levelsum", {"levelsum_n": "4", "levelsum_levels": "0"},
+                     "levelsum_levels: must be at least 1",
+                     id="levelsum_levels-small"),
+        pytest.param("levelsum", {"levelsum_n": "4", "levelsum_levels": "2",
+                                  "levelsum_weights": "fractional"},
+                     "levelsum_weight_power: required for fractional weights",
+                     id="levelsum_weight_power"),
+        pytest.param("simulate", {"trials": "50"},
+                     "simulate_n: required for experiment 'simulate'",
+                     id="simulate_n-missing"),
+        pytest.param("simulate", {"simulate_n": "4"},
+                     "trials: required for experiment 'simulate'",
+                     id="trials-missing"),
+        pytest.param("simulate", {"simulate_n": "0", "trials": "50"},
+                     "simulate_n: must be at least 1", id="simulate_n-small"),
+        pytest.param("simulate", {"simulate_n": "4", "trials": "1"},
+                     "trials: must be at least 2", id="trials-small"),
+    ])
+    def test_rejection_names_the_key(self, experiment, extra, message):
+        raw = {"experiment": experiment, "model.kind": "heat",
+               "model.num_modes": "4", **extra}
+        with pytest.raises(ConfigError, match=message):
+            build_config({k: v for k, v in raw.items() if v is not None})
+
 
 class TestConvergeCommand:
     def test_csv_layout(self, tmp_path, capsys):
@@ -270,6 +330,21 @@ class TestFailureModes:
         cfg = write_cfg(tmp_path, "experiment = converge\nbogus = 1\n")
         assert main(["converge", "--config", cfg]) == 2
         assert "config error: line 2" in capsys.readouterr().err
+
+    def test_rejected_config_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (
+            "experiment = telescope\nmodel.kind = heat\nmodel.num_modes = 4\n"
+            "telescope_n = 4\n"))
+        assert main(["telescope", "--config", cfg]) == 2
+        assert ("config error: telescope_levels: required for experiment "
+                "'telescope'") in capsys.readouterr().err
+
+    def test_validation_error_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CONVERGE_CFG.replace("n_values = 2, 4",
+                                                       "n_values = 3, 4"))
+        assert main(["converge", "--config", cfg]) == 2
+        assert ("validation error: n=3 does not divide"
+                in capsys.readouterr().err)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

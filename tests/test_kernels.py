@@ -204,6 +204,35 @@ class TestTransitionStructure:
         ])
         npt.assert_allclose(tr.noise_cov, expected, rtol=1e-13)
 
+    def test_dense_map_is_assembled_from_its_blocks(self):
+        for sysm in (driven_heat(), driven_oscillator()):
+            tr = sk.transition_block(sysm, 0.3)
+            n, r = sysm.num_modes, sysm.num_outputs
+            assert tr.decay.shape == (n,) and tr.output_map.shape == (r, n)
+            expected = np.block([
+                [np.diag(tr.decay), np.zeros((n, r))],
+                [tr.output_map, np.eye(r)],
+            ])
+            npt.assert_array_equal(tr.state_map, expected)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sk.build_heat_model(5, horizon=1.0, q_scalar=0.5),
+        lambda: sk.build_wave_model(6),
+    ], ids=["driven_heat", "wave"])
+    def test_runtime_routes_never_assemble_the_dense_map(self, make, monkeypatch):
+        def dense(self):
+            raise AssertionError("state_map assembled on a runtime route")
+
+        monkeypatch.setattr(sk.AugmentedTransition, "state_map", property(dense))
+        sysm = make()
+        times = np.arange(1, 8) / 8.0  # leaves a tail step
+        _, outputs = sk.sample_path(sysm, times, seed=2)
+        sk.sample_path(sysm, times, seed=2, trial=1)
+        run = sk.sequential_filter(sysm, times, observations=outputs)
+        assert run.final_mean.shape == (sysm.num_modes,)
+        batch = sk.empirical_error(sysm, times, trials=50, seed=2)
+        assert np.isfinite(batch.z_score)
+
 
 class TestUnconditionalCovariance:
     def test_matches_single_step_propagation(self):

@@ -12,6 +12,26 @@ from sampledkf.montecarlo import (_pairing_or_identity, _real_factor,
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
 
+def draw_offsets(sysm, num_steps, has_tail):
+    """Slices of one trial's normals in the order the module docstring gives.
+
+    Returns (total, initial, process, measure, tail): the initial state, then
+    per sample step the process noise (driven only) and the measurement
+    noise, then the tail process noise (driven only, when the last sample
+    precedes the horizon).
+    """
+    n, r = sysm.num_modes, sysm.num_outputs
+    d = n + r if sysm.has_input_noise else 0
+    pos = n
+    process, measure = [], []
+    for _ in range(num_steps):
+        process.append(slice(pos, pos + d))
+        measure.append(slice(pos + d, pos + d + r))
+        pos += d + r
+    tail = slice(pos, pos + d if has_tail else pos)
+    return tail.stop, slice(0, n), process, measure, tail
+
+
 def blind_mode(lam=-1.0, p=0.8, driven=False):
     """Single mode whose output coefficient is zero: data carry nothing."""
     q = np.array([[0.5]]) if driven else np.zeros((1, 1))
@@ -94,10 +114,11 @@ class TestBulkTrialKeys:
 
     @pytest.mark.parametrize("seed", [0, 11, 2**70 + 1])
     def test_draws_match_per_trial_generators(self, seed):
-        sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
-                         EIGHT_TIMES)
-        total = sim.layout.total
+        sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
+        sim = _Simulator(sysm, EIGHT_TIMES)
+        total = draw_offsets(sysm, EIGHT_TIMES.size, has_tail=False)[0]
         normals = sim.draw(seed, 12)
+        assert normals.shape == (12, total)
         for j in range(12):
             npt.assert_array_equal(normals[j],
                                    _trial_rng(seed, j).standard_normal(total))
@@ -112,8 +133,9 @@ class TestBulkTrialKeys:
             npt.assert_allclose(y, np.cumsum(increments[j], axis=0),
                                 rtol=1e-13, atol=1e-16)
         # without a trial the path reads the stream of SeedSequence([seed])
+        total = draw_offsets(sysm, EIGHT_TIMES.size, has_tail=False)[0]
         state, increments = sim.run_paths(
-            _trial_rng(4, None).standard_normal((1, sim.layout.total)))
+            _trial_rng(4, None).standard_normal((1, total)))
         s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4)
         npt.assert_array_equal(s, state[0])
         npt.assert_array_equal(y, np.cumsum(increments[0], axis=0))
@@ -137,21 +159,24 @@ class TestPathsAgainstAugmentedMap:
         normals = sim.draw(3, 16)
         state, increments = sim.run_paths(normals)
 
-        n, lay = sysm.num_modes, sim.layout
+        n = sysm.num_modes
+        total, initial, process, measure, tail = draw_offsets(
+            sysm, times.size, has_tail=True)
+        assert normals.shape == (16, total)
         pairing = np.concatenate([_pairing_or_identity(sysm),
                                   n + np.arange(sysm.num_outputs)])
         aug = np.zeros((16, n + sysm.num_outputs), dtype=complex)
-        aug[:, :n] = sysm.prior_mean + normals[:, lay.initial] @ sim.initial_factor.T
+        aug[:, :n] = sysm.prior_mean + normals[:, initial] @ sim.initial_factor.T
         dense = []
         for i, (tr, _) in enumerate(sim.steps):
             factor = _real_factor(tr.noise_cov, pairing)
-            aug = aug @ tr.state_map.T + normals[:, lay.process[i]] @ factor.T
-            dw = np.sqrt(sim.deltas[i]) * (normals[:, lay.measure[i]]
-                                           @ sim.meas_chol.T)
+            aug = aug @ tr.state_map.T + normals[:, process[i]] @ factor.T
+            width = times[i] - (times[i - 1] if i else 0.0)
+            dw = np.sqrt(width) * (normals[:, measure[i]] @ sim.meas_chol.T)
             dense.append(aug[:, n:].real + dw)
             aug[:, n:] = 0.0
         factor = _real_factor(sim.tail_tr.noise_cov, pairing)
-        aug = aug @ sim.tail_tr.state_map.T + normals[:, lay.tail] @ factor.T
+        aug = aug @ sim.tail_tr.state_map.T + normals[:, tail] @ factor.T
         npt.assert_allclose(increments, np.stack(dense, axis=1),
                             rtol=1e-12, atol=1e-14)
         npt.assert_allclose(state, aug[:, :n], rtol=1e-12, atol=1e-14)
