@@ -1,4 +1,4 @@
-"""Discrete-time estimation of the sampled system, three routes.
+"""Discrete-time estimation of the sampled system, four routes.
 
 ``information_filter`` is the hot path for undriven systems.  Without input
 noise z(T) = e^(AT) x, and each increment observation
@@ -16,28 +16,55 @@ whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
 for zero prior variances and rapidly decaying ones).  ``increment_variance``
 builds on the same posterior of x.
 
-``sequential_filter`` is the hot path for driven systems, and the only route
-for filtered means: a Kalman recursion on the augmented pair (z, Y_partial)
-where Y_partial accumulates int C z dt since the previous sample, each
-observation is the increment y(t_i) - y(t_{i-1}) = Y_partial + dw, and
-Y_partial is reset to zero after every update.  The augmented transition
-F = [[diag(e), 0], [G, I]] comes from ``kernels.transition_block`` as its two
-blocks, the decay e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)),
-so the recursion carries only the N x N covariance of z: an elementwise
-prediction plus a rank-r update per sample, O(N^2 r) instead of dense
-(N+r) x (N+r) products.  Covariances never depend on the data, so
-``_filter_plan`` runs them once and keeps the per-sample gains;
-``_filtered_means`` then pushes a batch of output paths through those gains,
-the one mean update for both ``sequential_filter(observations=...)`` and the
-Monte Carlo of ``montecarlo``.  ``posterior_trace`` is the one place that
-picks between the information form and the recursion.
+``sequential_filter`` is the route for driven systems on every grid but the
+uniform one, and the only route for filtered means: a Kalman recursion on
+the augmented pair (z, Y_partial) where Y_partial accumulates int C z dt
+since the previous sample, each observation is the increment
+y(t_i) - y(t_{i-1}) = Y_partial + dw, and Y_partial is reset to zero after
+every update.  The augmented transition F = [[diag(e), 0], [G, I]] comes
+from ``kernels.transition_block`` as its two blocks, the decay
+e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)), so the
+recursion carries only the N x N covariance of z: an elementwise prediction
+plus a rank-r update per sample, O(N^2 r) instead of dense (N+r) x (N+r)
+products.  Covariances never depend on the data, so ``_filter_plan`` runs
+them once and keeps the per-sample gains; ``_filtered_means`` then pushes a
+batch of output paths through those gains, the one mean update for both
+``sequential_filter(observations=...)`` and the Monte Carlo of
+``montecarlo``.
+
+``_uniform_posterior`` is the hot path for driven systems on the uniform grid
+(j T) / m, j = 1..m, of ``_uniform_grid`` (which ``refinement.dyadic_grid``
+builds on), where every step repeats one transition: structure-preserving
+doubling.  A stretch of the filter is a triple (Phi, Gam, H): if z has prior
+covariance P0 at its start, its posterior at its end is
+H + Phi P0 (I + Gam P0)^-1 Phi*.  One step of width h, with S = Syy + R h and
+K0 = Szy S^-1 from the noise blocks of Sigma_h, is
+
+    Phi = diag(e) - K0 G,    Gam = G* S^-1 G,    H = Szz - K0 Syz,
+
+and stretch 1 followed by stretch 2 joins into
+
+    Phi = Phi2 (I + H1 Gam2)^-1 Phi1
+    Gam = Gam1 + Phi1* (I + Gam2 H1)^-1 Gam2 Phi1
+    H   = H2 + Phi2 (I + H1 Gam2)^-1 H1 Phi2*.
+
+I + H1 Gam2 has every eigenvalue >= 1, so no join meets a singular matrix.
+Squaring the one-step triple and joining the powers picked out by the binary
+digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
+of m recursion steps.  Without input noise H = 0 and Gam is the information
+matrix J, so the information form is the special case; the tests hold the
+two to each other.
+
+``posterior_trace`` is the one place that picks a route: the information
+form for undriven systems; for driven ones doubling when the times equal
+``_uniform_grid(T, m)`` exactly, the recursion on every other grid.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)) using the closed-form kernels
 
     Cov(y(t_i), y(t_j)) = Cov(Y(t_i), Y(t_j)) + R min(t_i, t_j).
 
-All three must agree to floating-point accuracy; the tests hold them to it
+All four must agree to floating-point accuracy; the tests hold them to it
 (increment versus cumulative bookkeeping, state versus initial-state form).
 
 ``increment_variance`` evaluates the one-insertion refinement gain
@@ -59,8 +86,8 @@ import numpy as np
 
 from ._scalars import phi1
 from .errors import GramSingularError
-from .kernels import (augmented_covariance, _integrated_output_map, phi_h,
-                      transition_block)
+from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
+                      phi_h, transition_block)
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -236,14 +263,79 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
                      trace_err=_real_trace(final_cov))
 
 
+def _uniform_grid(horizon: float, m: int) -> np.ndarray:
+    """The m-point uniform grid (j T) / m, j = 1..m, ending exactly at T."""
+    times = (np.arange(1, m + 1) * horizon) / m
+    times[-1] = horizon  # (m * horizon) / m need not round back to horizon
+    return times
+
+
+def _step_triple(system: ModalSystem, h: float):
+    """The stretch triple (Phi, Gam, H) of one sample step of width h."""
+    n = system.num_modes
+    tr = transition_block(system, h)
+    g, sig = tr.output_map, tr.noise_cov
+    s = sig[n:, n:] + system.r_cov * h
+    k0 = np.linalg.solve(s, sig[n:, :n]).conj().T  # Szy S^-1, S Hermitian
+    phi = np.diag(tr.decay) - k0 @ g
+    gam = g.conj().T @ np.linalg.solve(s, g)
+    return phi, _hermitize(gam), _hermitize(sig[:n, :n] - k0 @ sig[n:, :n])
+
+
+def _join(first, second):
+    """The triple of stretch ``first`` followed by stretch ``second``."""
+    phi1, gam1, h1 = first
+    phi2, gam2, h2 = second
+    n = phi1.shape[0]
+    # I + H1 Gam2 has every eigenvalue >= 1; one solve serves Phi and H, and
+    # (I + Gam2 H1)^-1 Gam2 = Gam2 (I + H1 Gam2)^-1 reuses it for Gam
+    x = np.linalg.solve(np.eye(n) + h1 @ gam2,
+                        np.hstack([phi1, h1 @ phi2.conj().T]))
+    return (phi2 @ x[:, :n],
+            _hermitize(gam1 + phi1.conj().T @ gam2 @ x[:, :n]),
+            _hermitize(h2 + phi2 @ x[:, n:]))
+
+
+def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
+    """Covariance of z(T) given the samples on ``_uniform_grid(T, m)``, by doubling.
+
+    The one-step triple is squared repeatedly and the powers picked out by
+    the binary digits of m are joined: about 2 log2(m) N x N joins in place
+    of m recursion steps.  The prior P0 = diag(p) enters the m-step triple in
+    the whitened form H + Phi P0^(1/2) (I + P0^(1/2) Gam P0^(1/2))^-1 P0^(1/2) Phi*,
+    the same Cholesky factor ``_initial_posterior`` takes.
+    """
+    step = _step_triple(system, system.horizon / m)
+    total = None
+    while True:
+        if m & 1:
+            total = step if total is None else _join(total, step)
+        m >>= 1
+        if not m:
+            break
+        step = _join(step, step)
+    phi, gam, h = total
+    root = np.sqrt(system.prior_var)
+    whitened = np.eye(system.num_modes) + root[:, None] * gam * root[None, :]
+    half = np.linalg.solve(np.linalg.cholesky(whitened),
+                           (phi * root[None, :]).conj().T)
+    return _hermitize(h + half.conj().T @ half)
+
+
 def posterior_trace(system: ModalSystem, times) -> float:
     """Posterior error trace E||z(T) - zhat||^2 given the samples on ``times``.
 
-    Undriven systems take the information form, driven ones the recursion.
+    Undriven systems take the information form.  Driven ones take doubling
+    (``_uniform_posterior``) when ``times`` is exactly the uniform grid
+    ``_uniform_grid(T, m)``, and the recursion on every other grid.
     """
-    if system.has_input_noise:
-        return sequential_filter(system, times).trace_err
-    return information_filter(system, times).trace_err
+    times = _validate_times(system, times)
+    if not system.has_input_noise:
+        return information_filter(system, times).trace_err
+    if times.size and np.array_equal(times,
+                                     _uniform_grid(system.horizon, times.size)):
+        return _real_trace(_uniform_posterior(system, times.size))
+    return sequential_filter(system, times).trace_err
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import increment_variance, posterior_trace
+from .filter_core import _uniform_grid, increment_variance, posterior_trace
 from .kernels import phi_h
 from .spectral_model import ModalSystem
 
@@ -70,9 +70,7 @@ def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> DyadicGrid:
         raise ValueError("dyadic_grid needs base_n >= 1 and level >= 0")
     if not horizon > 0:
         raise ValueError("dyadic_grid needs a positive horizon")
-    m = base_n * 2 ** level
-    times = (np.arange(1, m + 1) * horizon) / m
-    times[-1] = horizon  # (m * horizon) / m need not round back to horizon
+    times = _uniform_grid(horizon, base_n * 2 ** level)
     return DyadicGrid(base_n=base_n, level=level, horizon=horizon, times=times)
 
 

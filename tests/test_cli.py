@@ -368,6 +368,32 @@ class TestPlotData:
             npt.assert_allclose(x, k, rtol=1e-15)
             npt.assert_allclose(y, -k, rtol=1e-15)
 
+# The bound column of demos/configs/heat_input_theorem5.cfg as the recursion
+# computed it: the anchor traces moved to the doubling route and must round
+# to the same digits.
+THEOREM5_BOUNDS = ["8.1952217186584004", "4.7980823379012394",
+                   "2.8336155014404394", "1.6797250696681072"]
+
+
+def test_driven_bounds_demo_matches_the_recursion(tmp_path, capsys):
+    cfg = Path(sk.__file__).resolve().parents[2] / "demos" / "configs" \
+        / "heat_input_theorem5.cfg"
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["bounds", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    cols, rows = data_lines(out1)
+    assert cols == ["theorem", "n", "bound", "measured", "pass"]
+    assert [r[1] for r in rows] == ["4", "8", "16", "32"]
+    assert [r[2] for r in rows] == THEOREM5_BOUNDS
+
+    model = sk.build_heat_model(20, horizon=1.0, q_scalar=0.5)
+    reference = sk.sequential_filter(model, sk.dyadic_grid(32, 6).times)
+    for row in rows:
+        coarse = sk.sequential_filter(model, sk.dyadic_grid(int(row[1]), 0).times)
+        npt.assert_allclose(float(row[3]),
+                            coarse.trace_err - reference.trace_err, rtol=1e-9)
+
 
 # Imports the package and runs every runtime route once at small sizes, then
 # lists the scipy modules that got loaded on the way.

@@ -1,13 +1,15 @@
-"""Sequential Kalman recursion, information form and one-shot conditioning.
+"""Sequential Kalman recursion, information form, doubling, one-shot conditioning.
 
 The covariance routes are the load-bearing cross-check of the package: the
 recursion (increment observations, reset bookkeeping), the information form
-(initial-state information matrix, undriven systems) and the batch regression
-(full output gram matrix) must produce the same posterior to floating-point
-accuracy on every model family.  The mean route is checked against a
+(initial-state information matrix, undriven systems), doubling (stretch
+triples, uniform grids) and the batch regression (full output gram matrix)
+must produce the same posterior to floating-point accuracy on every model
+family.  The mean route is checked against a
 regression oracle rebuilt here from the covariance kernels.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -17,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampledkf as sk
+from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import _solve_gram, posterior_trace
+from sampledkf.filter_core import (_solve_gram, _uniform_grid,
+                                   _uniform_posterior, posterior_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -168,6 +172,98 @@ class TestInformationForm:
         before = posterior_trace(sysm, base)
         after = posterior_trace(sysm, refined)
         assert after <= before * (1 + 1e-12)
+
+
+def _driven_wave(num_modes=10):
+    """The wave model with a scalar input on every mode, b = +/- i m^-2 per pair."""
+    base = sk.build_wave_model(num_modes, horizon=1.0)
+    amp = np.repeat(np.arange(1, num_modes // 2 + 1, dtype=float) ** -2.0, 2)
+    b = (amp * np.tile([1j, -1j], num_modes // 2))[:, None]
+    return dataclasses.replace(base, input_coeffs=b, q_cov=np.array([[0.5]]),
+                               label="driven-wave")
+
+
+_DOUBLING_N = [1, 2, 3, 5, 7, 100, 257]
+
+
+def _assert_doubling_matches(sysm, n):
+    times = sk.dyadic_grid(n, 0, sysm.horizon).times
+    doubled = posterior_trace(sysm, times)
+    npt.assert_allclose(doubled, sk.sequential_filter(sysm, times).trace_err,
+                        rtol=1e-12)
+    if n <= 8:
+        npt.assert_allclose(doubled, sk.batch_condition(sysm, times).trace_err,
+                            rtol=1e-12)
+
+
+class TestDoubling:
+    """Driven traces on uniform grids: doubling against the recursion."""
+
+    @pytest.mark.parametrize("n", _DOUBLING_N + [2 ** 13])
+    @pytest.mark.parametrize("modes", [20, 60])
+    def test_matches_recursion_on_driven_heat(self, modes, n):
+        _assert_doubling_matches(heat(modes, q_scalar=0.5), n)
+
+    @pytest.mark.parametrize("n", _DOUBLING_N)
+    @pytest.mark.parametrize("model", [
+        "heat-T0.7", "heat-T3", "two-output-heat", "wave"])
+    def test_matches_recursion_on_other_models(self, model, n, two_output_heat):
+        sysm = {"heat-T0.7": lambda: heat(20, q_scalar=0.5, horizon=0.7),
+                "heat-T3": lambda: heat(20, q_scalar=0.5, horizon=3.0),
+                "two-output-heat": lambda: two_output_heat(6, 0.5),
+                "wave": _driven_wave}[model]()
+        _assert_doubling_matches(sysm, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000, 2 ** 12])
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_undriven_doubling_is_the_information_form(self, family, n):
+        # without input noise H = 0 and Gam is the information matrix J
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(10, horizon=1.0)
+        info = sk.information_filter(sysm, _uniform_grid(1.0, n))
+        assert rel_frobenius(_uniform_posterior(sysm, n), info.final_cov) <= 1e-12
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not run")
+
+
+class TestDoublingRoute:
+    @pytest.mark.parametrize("horizon", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("base_n, level", [
+        (1, 0), (3, 0), (5, 2), (7, 4), (4, 6), (32, 7), (1, 13)])
+    def test_uniform_grids_are_doubled(self, monkeypatch, base_n, level,
+                                       horizon):
+        sysm = heat(4, q_scalar=0.5, horizon=horizon)
+        times = sk.dyadic_grid(base_n, level, horizon).times
+        monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
+        assert posterior_trace(sysm, times) > 0
+
+    def _nudged(self):
+        times = _uniform_grid(1.0, 16)
+        times[7] = np.nextafter(times[7], 2.0)
+        return times
+
+    @pytest.mark.parametrize("which", [
+        "irregular", "stops-before-T", "one-ulp-off", "empty"])
+    def test_other_grids_take_the_recursion(self, monkeypatch, which):
+        sysm = heat(4, q_scalar=0.5)
+        times = {"irregular": lambda: _irregular_times(16, seed=2),
+                 "stops-before-T": lambda: _uniform_grid(1.0, 16)[:-1],
+                 "one-ulp-off": self._nudged,
+                 "empty": lambda: np.array([])}[which]()
+        want = sk.sequential_filter(sysm, times).trace_err
+        monkeypatch.setattr(filter_core, "_uniform_posterior", _refuse)
+        assert posterior_trace(sysm, times) == want
+
+    @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
+    def test_bad_times_raise_as_before(self, q_scalar):
+        sysm = heat(3, q_scalar=q_scalar)
+        for times in ([0.0, 0.5], [0.5, 1.5]):
+            with pytest.raises(ValueError, match=r"lie in \(0, horizon\]"):
+                posterior_trace(sysm, times)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            posterior_trace(sysm, [0.5, 0.5, 1.0])
 
 
 _GRIDS = st.lists(st.integers(1, 999), min_size=1, max_size=16, unique=True)
