@@ -25,9 +25,8 @@ from .kernels import (AugmentedTransition, augmented_covariance,
                       quadrature_oracle_transition, state_output_cross,
                       transition_block)
 from .montecarlo import SimulationBatch, empirical_error, sample_path
-from .refinement import (DiscrepancyCurve, DyadicGrid, TelescopeReport,
-                         discrepancy_curve, dyadic_grid, level_sum,
-                         telescope_check)
+from .refinement import (DiscrepancyCurve, TelescopeReport, discrepancy_curve,
+                         dyadic_grid, level_sum, telescope_check)
 from .spectral_model import (ModalSystem, SpectralParams, build_heat_model,
                              build_wave_model, domain_weights,
                              fractional_weights, index_weights,
@@ -58,7 +57,7 @@ __all__ = [
     "FilterRun", "information_filter", "sequential_filter",
     "batch_condition", "increment_variance",
     # refinement
-    "DyadicGrid", "dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
+    "dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
     "TelescopeReport", "telescope_check", "level_sum",
     # theory
     "TheoremBound", "BoundCheck", "RateFit", "admissibility_constant",

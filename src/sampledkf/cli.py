@@ -50,7 +50,6 @@ _SCHEMA = {
     "model.domain_length": ("float", "spatial length (wave only)"),
     "n_values": ("intlist", "sample counts, comma separated"),
     "k_ref": ("int", "reference refinement level"),
-    "per_n_reference": ("bool", "refine each n separately"),
     "check_reference": ("bool", "verify reference stability"),
     "theorems": ("intlist", "bound variants to evaluate (subset of 1..5)"),
     "gamma": ("float", "modal output growth exponent (variant 1)"),
@@ -175,7 +174,6 @@ def build_config(raw: dict[str, str],
 
     if experiment in ("converge", "bounds", "fit"):
         values.setdefault("k_ref", 6)
-        values.setdefault("per_n_reference", False)
         values.setdefault("check_reference", True)
         n_values = values.get("n_values")
         if not n_values:
@@ -295,8 +293,7 @@ def _curve_from_config(config: ExperimentConfig,
     return discrepancy_curve(
         model, list(config.values["n_values"]),
         reference_level=config.values["k_ref"],
-        check_reference=config.values["check_reference"],
-        per_n_reference=config.values["per_n_reference"])
+        check_reference=config.values["check_reference"])
 
 
 def _make_bounds(config: ExperimentConfig, model: ModalSystem,
@@ -328,9 +325,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
 
     if config.experiment == "converge":
         curve = _curve_from_config(config, model)
-        rows = [[kind, int(n), curve.reference_level, tc, tr, d]
-                for n, tc, tr, d in zip(curve.n_values, curve.coarse_traces,
-                                        curve.reference_traces, curve.values)]
+        rows = [[kind, int(n), curve.reference_level, tc,
+                 curve.reference_trace, d]
+                for n, tc, d in zip(curve.n_values, curve.coarse_traces,
+                                    curve.values)]
         text = _csv(config, ["model", "n", "K_ref", "trace_n", "trace_ref",
                              "discrepancy"], rows)
         if config.values.get("plot_out"):
@@ -379,7 +377,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
 
     if config.experiment == "simulate":
         n = config.values["simulate_n"]
-        times = dyadic_grid(n, 0, model.horizon).times
+        times = dyadic_grid(n, 0, model.horizon)
         batch = empirical_error(model, times, config.values["trials"],
                                 config.values["seed"])
         rows = [[kind, n, batch.trials, batch.seed, batch.empirical_mean,

@@ -7,8 +7,9 @@ The object of study is the squared estimator discrepancy
 between the filter run on the uniform grid {j T / n} and the continuous-data
 limit.  For nested observation sets the two estimators form a martingale pair,
 so the discrepancy is computable without sampling as a difference of error
-traces: D(n) = trace_err(coarse) - trace_err(reference), with the reference a
-dyadically refined superset of the coarse grid.
+traces: D(n) = trace_err(coarse) - trace_err(reference).  Every n of a curve
+shares one reference, the dyadic refinement of the largest n, which each
+coarse grid nests inside.
 
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each available in closed
@@ -16,8 +17,9 @@ form through ``increment_variance``.  ``telescope_check`` verifies the
 identity numerically; ``level_sum`` isolates the per-level interpolation
 operator whose weighted norm drives every rate bound.
 
-Grid convention: level 0 of ``dyadic_grid(n, k)`` is the uniform n-point grid
-including the horizon; level j adds the midpoints of level j-1.  All times are
+Grid convention: ``dyadic_grid(n, k)`` is the uniform (n 2**k)-point grid
+including the horizon, so level k adds the midpoints of level k-1, and the
+points new at level k are ``dyadic_grid(n, k)[::2]``.  All times are
 constructed as (integer * horizon) / denominator with denominators that double
 per level, which keeps membership across levels exact in floating point.
 """
@@ -36,7 +38,7 @@ from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["DyadicGrid", "dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
+__all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
            "TelescopeReport", "telescope_check", "level_sum"]
 
 #: Tolerated relative undershoot before a negative discrepancy is an error.
@@ -45,98 +47,76 @@ _NEGATIVE_SLACK = 1e-10
 _REFERENCE_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """A uniform base grid together with ``level`` rounds of midpoints."""
-
-    base_n: int
-    level: int
-    horizon: float
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
+def _is_whole(value) -> bool:
+    """True for finite whole numbers of any numeric type (2, 2.0, np.int64(2))."""
+    return float(value).is_integer()
 
 
-def _level_points(base_n: int, level: int, horizon: float) -> np.ndarray:
-    """The points new at ``level``: odd multiples of the level's mesh width."""
-    m = base_n * 2 ** level
-    odd = np.arange(1, m, 2)
-    return (odd * horizon) / m
-
-
-def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> DyadicGrid:
-    if base_n < 1 or level < 0:
-        raise ValueError("dyadic_grid needs base_n >= 1 and level >= 0")
+def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
+    """Read-only times of the uniform ``base_n * 2**level``-point grid on (0, T]."""
+    if not (_is_whole(base_n) and _is_whole(level)) or base_n < 1 or level < 0:
+        raise ValueError(f"dyadic_grid needs base_n >= 1 and level >= 0 as whole "
+                         f"numbers, got base_n={base_n!r}, level={level!r}")
     if not horizon > 0:
         raise ValueError("dyadic_grid needs a positive horizon")
-    times = _uniform_grid(horizon, base_n * 2 ** level)
-    return DyadicGrid(base_n=base_n, level=level, horizon=horizon, times=times)
+    times = _uniform_grid(horizon, int(base_n) * 2 ** int(level))
+    times.setflags(write=False)
+    return times
 
 
 @dataclass(frozen=True)
 class DiscrepancyCurve:
-    """Discrepancies D(n) against a common refined reference grid."""
+    """Discrepancies D(n) against one shared refined reference grid."""
 
     label: str
     horizon: float
     n_values: np.ndarray
     values: np.ndarray
     coarse_traces: np.ndarray
-    reference_traces: np.ndarray
     reference_trace: float
     reference_points: int
     reference_level: int
 
     def __post_init__(self):
-        for arr in (self.n_values, self.values, self.coarse_traces,
-                    self.reference_traces):
+        for arr in (self.n_values, self.values, self.coarse_traces):
             arr.setflags(write=False)
 
 
 def _coarse_trace(system: ModalSystem, n: int) -> float:
-    return posterior_trace(system, dyadic_grid(n, 0, system.horizon).times)
+    return posterior_trace(system, dyadic_grid(n, 0, system.horizon))
 
 
 def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
-                      check_reference: bool = True,
-                      per_n_reference: bool = False) -> DiscrepancyCurve:
+                      check_reference: bool = True) -> DiscrepancyCurve:
     """Deterministic discrepancy curve n -> D(n).
 
-    Every requested grid must nest inside the reference; with the default
-    shared reference (built over max(n_values)) this means each n has to
-    divide max(n_values) * 2**reference_level.
+    The reference is ``dyadic_grid(max(n_values), reference_level)``, shared
+    by every n, so each n has to divide max(n_values) * 2**reference_level
+    for its grid to nest inside the reference.
 
     ``check_reference`` re-runs the reference one level finer and rejects the
-    result if any D(n) moves by more than 5 percent.  ``per_n_reference``
-    refines each coarse grid separately instead of sharing one reference.
+    result if any D(n) moves by more than 5 percent.
     """
     requested = np.atleast_1d(n_values)
-    if requested.size == 0 or not all(float(n).is_integer() and n >= 1
-                                      for n in requested):
+    if requested.size == 0 or not all(_is_whole(n) and n >= 1 for n in requested):
         raise ValueError("n_values must be positive integers")
     n_values = np.asarray(sorted(int(n) for n in requested))
     if np.unique(n_values).size != n_values.size:
         raise ValueError("n_values must be distinct")
-    if reference_level < 1:
-        raise ValueError("reference_level must be at least 1")
+    if not _is_whole(reference_level) or reference_level < 1:
+        raise ValueError(f"reference_level must be a whole number at least 1, "
+                         f"got {reference_level!r}")
+    reference_level = int(reference_level)
     n_max = int(n_values[-1])
-    if not per_n_reference:
-        resolution = n_max * 2 ** reference_level
-        for n in n_values:
-            if resolution % int(n):
-                raise ValueError(
-                    f"n={int(n)} does not divide the reference resolution "
-                    f"{n_max} * 2**{reference_level}; choose divisors or "
-                    f"pass per_n_reference=True")
+    resolution = n_max * 2 ** reference_level
+    for n in n_values:
+        if resolution % int(n):
+            raise ValueError(
+                f"n={int(n)} does not divide the reference resolution "
+                f"{n_max} * 2**{reference_level}; choose divisors")
 
-    def ref_trace(level: int) -> float | np.ndarray:
-        if per_n_reference:
-            grids = [dyadic_grid(int(n), level, system.horizon) for n in n_values]
-        else:
-            grids = [dyadic_grid(n_max, level, system.horizon)]
-        traces = [posterior_trace(system, g.times) for g in grids]
-        return np.array(traces) if per_n_reference else traces[0]
+    def ref_trace(level: int) -> float:
+        return posterior_trace(system, dyadic_grid(n_max, level, system.horizon))
 
     coarse = np.array([_coarse_trace(system, int(n)) for n in n_values])
 
@@ -146,7 +126,7 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
     if check_reference:
         finer = ref_trace(reference_level + 1)
         finer_values = coarse - finer
-        floor = 1e-14 * float(np.max(np.atleast_1d(reference)))
+        floor = 1e-14 * reference
         for n, d_ref, d_fine in zip(n_values, values, finer_values):
             if abs(d_ref - d_fine) > _REFERENCE_TOLERANCE * max(abs(d_fine), floor):
                 raise ReferenceUnconvergedError(
@@ -154,22 +134,16 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                     f"the reference is refined past level {reference_level}; "
                     f"increase reference_level")
 
-    ref_scale = float(np.max(np.atleast_1d(reference)))
-    if np.any(values < -_NEGATIVE_SLACK * ref_scale):
+    if np.any(values < -_NEGATIVE_SLACK * reference):
         worst = float(np.min(values))
         raise NumericalError(
             f"discrepancy came out negative ({worst:.3e}); grids are not "
             f"nested or the filter lost positivity")
 
-    ref_array = np.atleast_1d(np.asarray(reference, dtype=float))
-    if ref_array.size == 1:
-        ref_array = np.full(n_values.size, float(ref_array[0]))
     return DiscrepancyCurve(
         label=system.label, horizon=system.horizon, n_values=n_values,
         values=values.astype(float), coarse_traces=coarse,
-        reference_traces=ref_array,
-        reference_trace=float(ref_array[-1]),
-        reference_points=n_max * 2 ** reference_level,
+        reference_trace=float(reference), reference_points=resolution,
         reference_level=reference_level)
 
 
@@ -198,13 +172,13 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     if levels < 1:
         raise ValueError("telescope_check needs at least one level")
     horizon = system.horizon
-    coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon).times)
-    fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon).times)
+    coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon))
+    fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon))
     per_level: list[np.ndarray] = []
-    base = list(dyadic_grid(base_n, 0, horizon).times)
+    base = list(dyadic_grid(base_n, 0, horizon))
     for level in range(1, levels + 1):
         h = horizon / (base_n * 2 ** level)
-        points = _level_points(base_n, level, horizon)
+        points = dyadic_grid(base_n, level, horizon)[::2]
         gains = []
         for t in points:
             gains.append(increment_variance(system, base, float(t), h))
@@ -238,8 +212,8 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     weights = np.asarray(weights, dtype=float).ravel()
     if weights.shape != (system.num_modes,) or np.any(weights <= 0):
         raise ValueError("weights must be positive, one per mode")
+    points = dyadic_grid(base_n, level, system.horizon)[::2]
     h = system.horizon / (base_n * 2 ** level)
-    points = _level_points(base_n, level, system.horizon)
     phis = phi_h(system.eigenvalues[None, :], points[:, None], h)
     gram = (phis.conj().T @ phis) * (system.output_coeffs.conj()
                                      @ system.output_coeffs.T)

@@ -85,7 +85,7 @@ class TheoremBound:
 def _anchor_trace(system: ModalSystem, n: int) -> float:
     if n < 1:
         raise ValueError("n must be a positive sample count")
-    return posterior_trace(system, dyadic_grid(n, 0, system.horizon).times)
+    return posterior_trace(system, dyadic_grid(n, 0, system.horizon))
 
 
 def _min_eig_r(system: ModalSystem) -> float:

@@ -75,16 +75,19 @@ class TestBuildConfig:
     def test_coercions(self):
         cfg = build_config(parse_config_text(
             "experiment = converge\nmodel.kind = heat\nmodel.num_modes = 4\n"
-            "n_values = 2,4 8\nper_n_reference = yes\ncheck_reference = 0\n"))
+            "n_values = 2,4 8\ncheck_reference = 0\n"))
         assert cfg.values["n_values"] == (2, 4, 8)
-        assert cfg.values["per_n_reference"] is True
         assert cfg.values["check_reference"] is False
+        cfg = build_config(parse_config_text(
+            "experiment = converge\nmodel.kind = heat\nmodel.num_modes = 4\n"
+            "n_values = 2\ncheck_reference = yes\n"))
+        assert cfg.values["check_reference"] is True
 
     def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="per_n_reference: expected true/false"):
+        with pytest.raises(ConfigError, match="check_reference: expected true/false"):
             build_config({"experiment": "converge", "model.kind": "heat",
                           "model.num_modes": "4", "n_values": "2",
-                          "per_n_reference": "maybe"})
+                          "check_reference": "maybe"})
 
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="expected one of heat, wave"):
@@ -331,6 +334,14 @@ class TestFailureModes:
         assert main(["converge", "--config", cfg]) == 2
         assert "config error: line 2" in capsys.readouterr().err
 
+    def test_retired_per_n_reference_key_exits_two(self, tmp_path, capsys):
+        # every curve shares one reference; result headers written while the
+        # key existed carry "# per_n_reference = false" and need that line
+        # dropped before they can be re-run
+        cfg = write_cfg(tmp_path, CONVERGE_CFG + "per_n_reference = false\n")
+        assert main(["converge", "--config", cfg]) == 2
+        assert "unknown key 'per_n_reference'" in capsys.readouterr().err
+
     def test_rejected_config_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
             "experiment = telescope\nmodel.kind = heat\nmodel.num_modes = 4\n"
@@ -359,7 +370,7 @@ class TestPlotData:
         curve = sk.DiscrepancyCurve(
             label="synthetic", horizon=1.0, n_values=n,
             values=1.0 / n.astype(float), coarse_traces=np.ones(3),
-            reference_traces=np.ones(3), reference_trace=1.0,
+            reference_trace=1.0,
             reference_points=64000, reference_level=6)
         block = emit_plot_data(curve).strip().splitlines()
         assert block[0] == "# series: discrepancy"
@@ -388,9 +399,9 @@ def test_driven_bounds_demo_matches_the_recursion(tmp_path, capsys):
     assert [r[2] for r in rows] == THEOREM5_BOUNDS
 
     model = sk.build_heat_model(20, horizon=1.0, q_scalar=0.5)
-    reference = sk.sequential_filter(model, sk.dyadic_grid(32, 6).times)
+    reference = sk.sequential_filter(model, sk.dyadic_grid(32, 6))
     for row in rows:
-        coarse = sk.sequential_filter(model, sk.dyadic_grid(int(row[1]), 0).times)
+        coarse = sk.sequential_filter(model, sk.dyadic_grid(int(row[1]), 0))
         npt.assert_allclose(float(row[3]),
                             coarse.trace_err - reference.trace_err, rtol=1e-9)
 

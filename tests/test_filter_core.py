@@ -67,7 +67,7 @@ class TestSequentialVersusBatch:
         assert rel_frobenius(seq.final_cov, bat.final_cov) <= 1e-10
 
     @pytest.mark.parametrize("times", [
-        _irregular_times(32, seed=1), sk.dyadic_grid(64, 0, 1.0).times,
+        _irregular_times(32, seed=1), sk.dyadic_grid(64, 0, 1.0),
     ], ids=["irregular-32", "uniform-64"])
     def test_driven_rank_r_recursion(self, times):
         sysm = heat(20, q_scalar=0.5)
@@ -113,7 +113,7 @@ class TestInformationForm:
     def test_matches_recursion_on_uniform_grids(self, family, modes, n):
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(modes, horizon=1.0)
-        times = sk.dyadic_grid(n, 0, 1.0).times
+        times = sk.dyadic_grid(n, 0, 1.0)
         info = sk.information_filter(sysm, times)
         routes = [sk.sequential_filter(sysm, times)]
         if n <= 64:  # the batch oracle's gram loop is O(n^2)
@@ -187,7 +187,7 @@ _DOUBLING_N = [1, 2, 3, 5, 7, 100, 257]
 
 
 def _assert_doubling_matches(sysm, n):
-    times = sk.dyadic_grid(n, 0, sysm.horizon).times
+    times = sk.dyadic_grid(n, 0, sysm.horizon)
     doubled = posterior_trace(sysm, times)
     npt.assert_allclose(doubled, sk.sequential_filter(sysm, times).trace_err,
                         rtol=1e-12)
@@ -235,7 +235,7 @@ class TestDoublingRoute:
     def test_uniform_grids_are_doubled(self, monkeypatch, base_n, level,
                                        horizon):
         sysm = heat(4, q_scalar=0.5, horizon=horizon)
-        times = sk.dyadic_grid(base_n, level, horizon).times
+        times = sk.dyadic_grid(base_n, level, horizon)
         monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
         assert posterior_trace(sysm, times) > 0
 
@@ -370,7 +370,7 @@ class TestPosteriorProperties:
 
     def test_more_samples_never_hurt(self):
         sysm = heat(6)
-        traces = [sk.sequential_filter(sysm, sk.dyadic_grid(2, lvl, 1.0).times).trace_err
+        traces = [sk.sequential_filter(sysm, sk.dyadic_grid(2, lvl, 1.0)).trace_err
                   for lvl in range(4)]
         assert all(a >= b - 1e-13 for a, b in zip(traces, traces[1:]))
 

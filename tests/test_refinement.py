@@ -25,28 +25,37 @@ def single_mode(lam=-2.0, c=1.0, p=0.8):
 
 class TestDyadicGrid:
     def test_two_point_base_one_level(self):
-        grid = sk.dyadic_grid(2, 1, 1.0)
-        npt.assert_array_equal(grid.times, [0.25, 0.5, 0.75, 1.0])
+        npt.assert_array_equal(sk.dyadic_grid(2, 1, 1.0), [0.25, 0.5, 0.75, 1.0])
 
     def test_levels_nest_exactly(self):
         # membership must hold bitwise, not merely to rounding, including for
         # horizons with no finite binary expansion
-        coarse = sk.dyadic_grid(3, 1, 0.7).times
-        fine = sk.dyadic_grid(3, 2, 0.7).times
+        coarse = sk.dyadic_grid(3, 1, 0.7)
+        fine = sk.dyadic_grid(3, 2, 0.7)
         assert set(coarse) <= set(fine)
         assert fine[-1] == 0.7
 
     @pytest.mark.parametrize("base_n, level", [(1, 0), (2, 3), (5, 2)])
     def test_shape_and_order(self, base_n, level):
-        grid = sk.dyadic_grid(base_n, level, 2.0)
+        times = sk.dyadic_grid(base_n, level, 2.0)
         m = base_n * 2 ** level
-        assert grid.times.shape == (m,)
-        assert np.all(np.diff(grid.times) > 0)
+        assert times.shape == (m,)
+        assert np.all(np.diff(times) > 0)
 
     def test_times_are_frozen(self):
-        grid = sk.dyadic_grid(2, 1, 1.0)
+        times = sk.dyadic_grid(2, 1, 1.0)
         with pytest.raises(ValueError):
-            grid.times[0] = 0.1
+            times[0] = 0.1
+
+    @pytest.mark.parametrize("horizon", [1.0, 0.7, 3.0, 2.0 / 3.0])
+    def test_new_points_are_odd_multiples_of_the_mesh(self, horizon):
+        # every other point of level L is new at L: (2 j + 1) T / m bitwise
+        for base_n in range(1, 8):
+            for level in range(1, 8):
+                m = base_n * 2 ** level
+                npt.assert_array_equal(
+                    sk.dyadic_grid(base_n, level, horizon)[::2],
+                    (np.arange(1, m, 2) * horizon) / m)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
@@ -55,6 +64,19 @@ class TestDyadicGrid:
             sk.dyadic_grid(2, -1)
         with pytest.raises(ValueError, match="positive horizon"):
             sk.dyadic_grid(2, 1, 0.0)
+
+    @pytest.mark.parametrize("base_n, level", [(2.5, 0), (2, 1.5), (np.nan, 1),
+                                               (2, np.inf), (np.inf, 0)])
+    def test_non_integral_sizes_are_rejected(self, base_n, level):
+        # a fractional size would give an uneven last gap
+        with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
+            sk.dyadic_grid(base_n, level)
+
+    def test_integral_sizes_of_any_type(self):
+        expected = sk.dyadic_grid(3, 2, 0.7)
+        for base_n, level in ((np.int64(3), np.int32(2)), (3.0, 2.0),
+                              (np.float64(3.0), 2)):
+            npt.assert_array_equal(sk.dyadic_grid(base_n, level, 0.7), expected)
 
 
 class TestDiscrepancyCurve:
@@ -66,25 +88,43 @@ class TestDiscrepancyCurve:
         assert np.all(curve.values > 0)
         assert np.all(np.diff(curve.values) < 0)
         assert np.all(np.diff(curve.coarse_traces) < 0)
-        # shared reference: one filter run reused for every n
-        assert np.unique(curve.reference_traces).size == 1
+        # shared reference: one filter run on the refined largest grid
         assert curve.reference_points == 8 * 2 ** 6
+        npt.assert_array_equal(curve.values,
+                               curve.coarse_traces - curve.reference_trace)
+        assert curve.reference_trace == sk.information_filter(
+            sysm, sk.dyadic_grid(8, 6)).trace_err
 
     def test_discrepancy_equals_trace_difference(self):
         sysm = sk.build_heat_model(4, horizon=1.0)
         curve = sk.discrepancy_curve(sysm, [4], reference_level=5)
-        coarse = sk.sequential_filter(sysm, sk.dyadic_grid(4, 0, 1.0).times).trace_err
-        ref = sk.sequential_filter(sysm, sk.dyadic_grid(4, 5, 1.0).times).trace_err
+        coarse = sk.sequential_filter(sysm, sk.dyadic_grid(4, 0, 1.0)).trace_err
+        ref = sk.sequential_filter(sysm, sk.dyadic_grid(4, 5, 1.0)).trace_err
         npt.assert_allclose(curve.values[0], coarse - ref, rtol=1e-12)
 
-    def test_non_divisor_needs_per_n_reference(self):
+    def test_non_divisor_is_rejected(self):
         sysm = sk.build_heat_model(4, horizon=1.0)
-        with pytest.raises(ValueError, match="per_n_reference"):
+        with pytest.raises(ValueError, match=r"n=3 does not divide the reference "
+                           r"resolution 4 \* 2\*\*3; choose divisors$"):
             sk.discrepancy_curve(sysm, [3, 4], reference_level=3)
-        curve = sk.discrepancy_curve(sysm, [3, 4], reference_level=3,
-                                     per_n_reference=True)
+        # a common multiple as largest n nests every grid in the reference
+        curve = sk.discrepancy_curve(sysm, [3, 4, 12], reference_level=3)
         assert np.all(curve.values > 0)
-        assert curve.reference_traces.shape == (2,)
+
+    @pytest.mark.parametrize("level", [2.5, np.nan, np.inf])
+    def test_non_integral_reference_level_is_rejected(self, level):
+        with pytest.raises(ValueError, match="reference_level must be a whole"):
+            sk.discrepancy_curve(sk.build_heat_model(3, horizon=1.0), [2, 4],
+                                 reference_level=level)
+
+    def test_integral_reference_level_of_any_type(self):
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        expected = sk.discrepancy_curve(sysm, [2, 4], reference_level=3)
+        for level in (3.0, np.int64(3)):
+            curve = sk.discrepancy_curve(sysm, [2, 4], reference_level=level)
+            npt.assert_array_equal(curve.values, expected.values)
+            assert curve.reference_level == 3
+            assert type(curve.reference_level) is int
 
     def test_shaky_reference_is_rejected(self):
         sysm = sk.build_wave_model(8, horizon=1.0)
@@ -199,3 +239,10 @@ class TestLevelSum:
             sk.level_sum(heat, 4, 1, np.ones(2))
         with pytest.raises(ValueError, match="positive, one per mode"):
             sk.level_sum(heat, 4, 1, np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1), (4, 1.5)])
+    def test_bad_grid_sizes_raise_the_grid_error(self, base_n, level):
+        # not a ZeroDivisionError, nor phi_h's complaint about a negative mesh
+        heat = sk.build_heat_model(3, horizon=1.0)
+        with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
+            sk.level_sum(heat, base_n, level, sk.unit_weights(heat))

@@ -188,6 +188,15 @@ class TestBoundIngredients:
 
 
 class TestBoundValidation:
+    def test_fractional_anchor_is_rejected(self):
+        # anchoring on a 2.5-point "grid" while recording n_anchor = 2 would
+        # misreport the bound
+        with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
+            sk.theorem3_bound(heat(), 2.5)
+        b = sk.theorem3_bound(heat(), np.int64(4))
+        assert b.n_anchor == 4
+        assert b.coarse_trace == sk.theorem3_bound(heat(), 4.0).coarse_trace
+
     def test_theorem1_parameter_window(self):
         with pytest.raises(ValueError, match="gamma in \\[0, 1\\)"):
             sk.theorem1_bound(wave(), 8, gamma=0.6)
