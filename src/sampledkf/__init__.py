@@ -20,10 +20,8 @@ from .errors import (ConfigError, GramSingularError, NumericalError,
                      ReferenceUnconvergedError)
 from .filter_core import (FilterRun, batch_condition, increment_variance,
                           information_filter, sequential_filter)
-from .kernels import (AugmentedTransition, augmented_covariance,
-                      output_covariance_kernel, phi_h,
-                      quadrature_oracle_transition, state_output_cross,
-                      transition_block)
+from .kernels import (AugmentedTransition, augmented_covariance, phi_h,
+                      quadrature_oracle_transition, transition_block)
 from .montecarlo import SimulationBatch, empirical_error, sample_path
 from .refinement import (DiscrepancyCurve, TelescopeReport, discrepancy_curve,
                          dyadic_grid, level_sum, telescope_check)
@@ -51,8 +49,7 @@ __all__ = [
     "domain_weights", "fractional_weights", "index_weights",
     # kernels
     "AugmentedTransition", "phi_h", "transition_block",
-    "augmented_covariance", "output_covariance_kernel", "state_output_cross",
-    "quadrature_oracle_transition",
+    "augmented_covariance", "quadrature_oracle_transition",
     # filtering
     "FilterRun", "information_filter", "sequential_filter",
     "batch_condition", "increment_variance",

@@ -141,12 +141,13 @@ class ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    """The one spelling of a value in header lines and CSV cells."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return format(value, ".17g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     return str(value)
 
 
@@ -238,14 +239,6 @@ def _build_model(config: ExperimentConfig) -> ModalSystem:
     return model_from_mapping(mapping)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def _header(config: ExperimentConfig) -> list[str]:
     lines = [f"# sampledkf {__version__}", "# config:"]
     lines.extend(f"# {line}" for line in config.resolved_lines())
@@ -257,7 +250,7 @@ def _csv(config: ExperimentConfig, columns: list[str],
          rows: list[list]) -> str:
     lines = _header(config)
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_format_value(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -60,9 +60,12 @@ form for undriven systems; for driven ones doubling when the times equal
 ``_uniform_grid(T, m)`` exactly, the recursion on every other grid.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
-the whole vector (y(t_1), ..., y(t_m)) using the closed-form kernels
+the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
+covariances it needs from ``kernels.augmented_covariance``: the gram
 
-    Cov(y(t_i), y(t_j)) = Cov(Y(t_i), Y(t_j)) + R min(t_i, t_j).
+    Cov(y(t_i), y(t_j)) = Cov(Y(t_i), Y(t_j)) + R min(t_i, t_j)
+
+and the cross-covariance of the stacked outputs with z(T).
 
 All four must agree to floating-point accuracy; the tests hold them to it
 (increment versus cumulative bookkeeping, state versus initial-state form).
@@ -158,7 +161,7 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
         s = g @ pg + sig[n:, n:] + system.r_cov * delta
         gain = np.linalg.solve(s, pzy.conj().T).conj().T
         cov = cov * np.outer(e, e.conj()) + sig[:n, :n] - gain @ pzy.conj().T
-        cov = (cov + cov.conj().T) / 2.0
+        cov = _hermitize(cov)
         steps.append((tr, gain))
         prev = t
     tail = system.horizon - prev
@@ -167,7 +170,7 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
         tail_tr = cache.get(tail) or transition_block(system, tail)
         e = tail_tr.decay
         cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
-        cov = (cov + cov.conj().T) / 2.0
+        cov = _hermitize(cov)
     run = FilterRun(grid=times, final_cov=cov, trace_err=_real_trace(cov))
     return run, steps, tail_tr
 
@@ -241,8 +244,7 @@ def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     whitened = np.eye(n) + root[:, None] * info * root[None, :]
     chol = np.linalg.cholesky(whitened)
     half = np.linalg.solve(chol, np.diag(root))
-    post = half.conj().T @ half
-    return (post + post.conj().T) / 2.0
+    return _hermitize(half.conj().T @ half)
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -257,8 +259,7 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
     times = _validate_times(system, times)
     decay = np.exp(system.eigenvalues * system.horizon)
     post = _initial_posterior(system, times)
-    final_cov = decay[:, None] * post * decay.conj()[None, :]
-    final_cov = (final_cov + final_cov.conj().T) / 2.0
+    final_cov = _hermitize(decay[:, None] * post * decay.conj()[None, :])
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=_real_trace(final_cov))
 
@@ -338,8 +339,15 @@ def posterior_trace(system: ModalSystem, times) -> float:
     return sequential_filter(system, times).trace_err
 
 
-def _output_gram(system: ModalSystem, times: np.ndarray) -> np.ndarray:
-    """Covariance of the stacked sampled outputs (y(t_1), ..., y(t_m))."""
+def _output_gram(system: ModalSystem, times: np.ndarray):
+    """Covariances of the stacked sampled outputs (y(t_1), ..., y(t_m)).
+
+    Returns (gram, cross): the (m r, m r) covariance of the stacked outputs,
+    R min(t_i, t_j) included, and their (N, m r) covariance with z(T).  For
+    t_i <= t_j the later output integral is D(t_j - t_i) z(t_i) plus noise
+    independent of the past (D the ``_integrated_output_map``), so every
+    block comes from the augmented covariance at t_i.
+    """
     n, r = system.num_modes, system.num_outputs
     m = times.size
     augs = [augmented_covariance(system, float(t)) for t in times]
@@ -354,7 +362,9 @@ def _output_gram(system: ModalSystem, times: np.ndarray) -> np.ndarray:
             gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
             if j != i:
                 gram[j * r:(j + 1) * r, i * r:(i + 1) * r] = block.conj().T
-    return (gram + gram.conj().T) / 2.0, augs
+    decay = np.exp(np.outer(system.eigenvalues, system.horizon - times))  # (n, m)
+    cross = np.hstack([decay[:, i:i + 1] * augs[i][:n, n:] for i in range(m)])
+    return _hermitize(gram), cross
 
 
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -381,15 +391,12 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def batch_condition(system: ModalSystem, times) -> FilterRun:
     """Condition z(T) on all sampled outputs in one Gaussian regression."""
     times = _validate_times(system, times)
-    n, r = system.num_modes, system.num_outputs
+    n = system.num_modes
     prior = augmented_covariance(system, system.horizon)[:n, :n]
     if times.size == 0:
         return FilterRun(grid=times, final_cov=prior, trace_err=_real_trace(prior))
-    gram, augs = _output_gram(system, times)
-    decay = np.exp(np.outer(system.eigenvalues, system.horizon - times))  # (n, m)
-    cross = np.hstack([decay[:, i:i + 1] * augs[i][:n, n:] for i in range(times.size)])
-    post = prior - cross @ _solve_gram(gram, cross.conj().T)
-    post = (post + post.conj().T) / 2.0
+    gram, cross = _output_gram(system, times)
+    post = _hermitize(prior - cross @ _solve_gram(gram, cross.conj().T))
     return FilterRun(grid=times, final_cov=post, trace_err=_real_trace(post))
 
 

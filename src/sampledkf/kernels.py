@@ -15,7 +15,10 @@ whose two non-trivial blocks are all an ``AugmentedTransition`` stores: the
 decay e = e^(lambda h), shape (N,), and the output map G = C^T diag(I1(lambda, h)),
 shape (r, N).  The filter recursion and the path simulator step on (e, G)
 directly; the dense F_h is assembled on demand (``state_map``) only for
-``augmented_covariance`` and the oracle comparisons.  The step also carries
+``augmented_covariance`` and the oracle comparisons.  The covariances of the
+sampled outputs that the batch oracle needs are blocks of
+``augmented_covariance`` pushed forward by ``_integrated_output_map``; they
+are assembled in one place, ``filter_core._output_gram``.  The step also carries
 its noise covariance Sigma_h, assembled from (with M = B Q B*)
 
     Sigma_zz[k,l] = M_kl (e^((lambda_k+conj(lambda_l))h) - 1)/(lambda_k+conj(lambda_l))
@@ -51,8 +54,6 @@ __all__ = [
     "phi_h",
     "transition_block",
     "augmented_covariance",
-    "output_covariance_kernel",
-    "state_output_cross",
     "quadrature_oracle_transition",
 ]
 
@@ -148,41 +149,6 @@ def _integrated_output_map(system: ModalSystem, dt: float) -> np.ndarray:
     """(r, N) map z(t) -> E[Y(t+dt) - Y(t) | z(t)], rows c_k I1(lambda_k, dt)."""
     i1 = dt * phi1(system.eigenvalues * dt)
     return system.output_coeffs.T * i1[None, :]
-
-
-def output_covariance_kernel(system: ModalSystem, t: float, t2: float) -> np.ndarray:
-    """Cov(Y(t), Y(t2)) of the integrated noiseless output, (r, r).
-
-    Splits as Cov(Y(s), Y(s)) + Cov(Y(s), z(s)) D(|t2-t|)* with s = min(t, t2),
-    since the later output integral is D(dt) z(s) plus noise independent of the
-    past; both prior and input-noise parts ride along automatically.
-    """
-    for v in (t, t2):
-        if not 0 <= v <= system.horizon * (1 + 1e-12):
-            raise ValueError("output kernel times must lie in [0, horizon]")
-    if t > t2:
-        return output_covariance_kernel(system, t2, t).conj().T
-    n = system.num_modes
-    if t == 0:
-        return np.zeros((system.num_outputs, system.num_outputs), dtype=complex)
-    aug = augmented_covariance(system, t)
-    cyy = aug[n:, n:]
-    if t2 == t:
-        return _hermitize(cyy)
-    dmap = _integrated_output_map(system, t2 - t)
-    return cyy + aug[n:, :n] @ dmap.conj().T
-
-
-def state_output_cross(system: ModalSystem, t_state: float, t_obs: float) -> np.ndarray:
-    """Cov(z(t_state), Y(t_obs)) for t_obs <= t_state, (N, r) per channel."""
-    if not 0 <= t_obs <= t_state <= system.horizon * (1 + 1e-12):
-        raise ValueError("need 0 <= t_obs <= t_state <= horizon")
-    n = system.num_modes
-    if t_obs == 0:
-        return np.zeros((n, system.num_outputs), dtype=complex)
-    aug = augmented_covariance(system, t_obs)
-    decay = np.exp(system.eigenvalues * (t_state - t_obs))
-    return decay[:, None] * aug[:n, n:]
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
 from .filter_core import _uniform_grid, increment_variance, posterior_trace
-from .kernels import phi_h
+from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -169,8 +169,10 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     left to right) accumulating ``increment_variance``.  The residual is the
     absolute mismatch relative to the coarse trace.  Undriven systems only.
     """
-    if levels < 1:
-        raise ValueError("telescope_check needs at least one level")
+    if not _is_whole(levels) or levels < 1:
+        raise ValueError(f"telescope_check needs at least one level: levels "
+                         f"must be a whole number >= 1, got levels={levels!r}")
+    levels = int(levels)
     horizon = system.horizon
     coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon))
     fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon))
@@ -219,5 +221,5 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
                                      @ system.output_coeffs.T)
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
-    value = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[-1])
+    value = float(np.linalg.eigvalsh(_hermitize(gram))[-1])
     return value, h

@@ -34,7 +34,8 @@ import numpy as np
 
 from ._scalars import phi1
 from .filter_core import posterior_trace
-from .refinement import DiscrepancyCurve, dyadic_grid
+from .kernels import _hermitize
+from .refinement import DiscrepancyCurve, _is_whole, dyadic_grid
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              index_weights, spectral_parameters, unit_weights)
 
@@ -83,8 +84,9 @@ class TheoremBound:
 
 
 def _anchor_trace(system: ModalSystem, n: int) -> float:
-    if n < 1:
-        raise ValueError("n must be a positive sample count")
+    if not _is_whole(n) or n < 1:
+        raise ValueError(f"n must be a positive sample count (a whole number "
+                         f">= 1), got n={n!r}")
     return posterior_trace(system, dyadic_grid(n, 0, system.horizon))
 
 
@@ -127,7 +129,7 @@ def observability_gram(system: ModalSystem, horizon: float | None = None) -> np.
     lam = system.eigenvalues
     a = lam.conj()[:, None] + lam[None, :]
     gram = (system.output_coeffs.conj() @ system.output_coeffs.T) * (t * phi1(a * t))
-    return (gram + gram.conj().T) / 2.0
+    return _hermitize(gram)
 
 
 def admissibility_constant(system: ModalSystem, horizon: float | None = None) -> float:
@@ -153,6 +155,7 @@ def theorem1_bound(system: ModalSystem, n: int, gamma: float) -> TheoremBound:
     Requires delta > 1/2 from the spectral fit, gamma in [0, 1) with
     2 gamma + 1/delta < 2, and a spectrum tail obeying |lam_k| >= Gamma_check k^delta.
     """
+    trace_n = _anchor_trace(system, n)
     params = spectral_parameters(system, gamma, n=n)
     delta = params.delta_fit
     if not np.isfinite(delta) or delta <= 0.5:
@@ -165,7 +168,6 @@ def theorem1_bound(system: ModalSystem, n: int, gamma: float) -> TheoremBound:
                        "using the observed minimum", params.gamma_check,
                        params.gamma_tail)
     b = 2.0 - 2.0 * gamma - 1.0 / delta
-    trace_n = _anchor_trace(system, n)
     energy = system.weighted_prior_energy(domain_weights(system))
     min_r = _min_eig_r(system)
     shape = max(9.0 ** delta * params.gamma_hat ** (2 * gamma) / 4.0,
@@ -189,12 +191,12 @@ def theorem2_bound(system: ModalSystem, n: int) -> TheoremBound:
     H_T(N), which grows like N^(1/2) (the boundary-derivative output is not
     admissible), so the bound holds for the truncated model only.
     """
+    trace_n = _anchor_trace(system, n)
     params = spectral_parameters(system, 0.0, n=n)
     delta = params.delta_fit
     if not np.isfinite(delta) or delta <= 0.5:
         raise ValueError("spectral growth exponent must exceed 1/2")
     b = 1.0 - 1.0 / (2.0 * delta)
-    trace_n = _anchor_trace(system, n)
     k_weights = index_weights(system, delta)
     energy = system.weighted_prior_energy(k_weights)
     c_norm = _output_norm(system, k_weights)

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import sampledkf as sk
-from sampledkf.cli import (build_config, emit_plot_data, main,
+from sampledkf.cli import (_format_value, build_config, emit_plot_data, main,
                            parse_config_text)
 from sampledkf.errors import ConfigError
 
@@ -82,6 +82,13 @@ class TestBuildConfig:
             "experiment = converge\nmodel.kind = heat\nmodel.num_modes = 4\n"
             "n_values = 2\ncheck_reference = yes\n"))
         assert cfg.values["check_reference"] is True
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (np.bool_(False), "false"), ((2, 4, 8), "2,4,8"),
+        (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.5), "0.5"), (3, "3"), (np.int64(3), "3"), ("heat", "heat")])
+    def test_one_spelling_for_headers_and_cells(self, value, text):
+        assert _format_value(value) == text
 
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="check_reference: expected true/false"):

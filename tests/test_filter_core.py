@@ -5,8 +5,8 @@ recursion (increment observations, reset bookkeeping), the information form
 (initial-state information matrix, undriven systems), doubling (stretch
 triples, uniform grids) and the batch regression (full output gram matrix)
 must produce the same posterior to floating-point accuracy on every model
-family.  The mean route is checked against a
-regression oracle rebuilt here from the covariance kernels.
+family.  The mean route is checked against a regression on the batch
+oracle's own stacked-output gram and cross-covariance (``_output_gram``).
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import sampledkf as sk
 from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import (_solve_gram, _uniform_grid,
+from sampledkf.filter_core import (_output_gram, _solve_gram, _uniform_grid,
                                    _uniform_posterior, posterior_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
@@ -321,17 +321,8 @@ class TestRouteProperties:
 
 
 def _regression_mean(sysm, times, ys):
-    """E[z(T) | y(t_1), ..., y(t_m)], zero prior mean, on r x r kernel blocks."""
-    m, r = times.size, sysm.num_outputs
-    gram = np.empty((m * r, m * r), dtype=complex)
-    cross = np.empty((sysm.num_modes, m * r), dtype=complex)
-    for i, ti in enumerate(times):
-        rows = slice(i * r, (i + 1) * r)
-        cross[:, rows] = sk.state_output_cross(sysm, sysm.horizon, ti)
-        for j, tj in enumerate(times):
-            gram[rows, j * r:(j + 1) * r] = (
-                sk.output_covariance_kernel(sysm, ti, tj)
-                + sysm.r_cov * min(ti, tj))
+    """E[z(T) | y(t_1), ..., y(t_m)], zero prior mean, on the batch oracle's gram."""
+    gram, cross = _output_gram(sysm, times)
     return cross @ np.linalg.solve(gram, ys.reshape(-1).astype(complex))
 
 

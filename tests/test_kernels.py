@@ -8,9 +8,13 @@ The closed forms in ``sampledkf.kernels`` are cross-checked three ways:
   covariance integrals written as single integrals over the shared noise past;
 * hand closed forms for the zero-eigenvalue mode, where every integral is a
   polynomial.
+
+The output covariances are checked on the blocks of
+``filter_core._output_gram``, the one place that assembles them.
 """
 
 import cmath
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +23,7 @@ from scipy.integrate import quad
 
 import sampledkf as sk
 from sampledkf import NumericalError
+from sampledkf.filter_core import _output_gram
 
 # frozen mpmath references for the interpolation-residual kernel:
 # Y(t) - (Y(t-h) + Y(t+h))/2 with Y(s) = int_0^s e^(lam r) dr
@@ -262,49 +267,68 @@ class TestUnconditionalCovariance:
                             c ** 2 * (p * t ** 2 + qb * t ** 3 / 3), rtol=1e-13)
 
 
-class TestOutputKernels:
-    @pytest.mark.parametrize("make", [driven_heat, driven_oscillator],
-                             ids=["heat", "oscillator"])
-    def test_output_covariance_against_quadrature(self, make):
-        sysm = make()
-        got = sk.output_covariance_kernel(sysm, 0.3, 0.7)
-        want = oracle_output_covariance(sysm, 0.3, 0.7)
-        npt.assert_allclose(got, want, rtol=1e-8, atol=1e-13)
+@pytest.fixture(params=["heat", "oscillator", "two_output_heat"])
+def driven_model(request, two_output_heat):
+    """Driven models for the quadrature checks, r = 2 included."""
+    if request.param == "two_output_heat":
+        return two_output_heat(3, 0.5)
+    return {"heat": driven_heat, "oscillator": driven_oscillator}[request.param]()
 
-    @pytest.mark.parametrize("make", [driven_heat, driven_oscillator],
-                             ids=["heat", "oscillator"])
-    def test_state_output_cross_against_quadrature(self, make):
-        sysm = make()
-        got = sk.state_output_cross(sysm, 1.0, 0.7)
-        want = oracle_state_output_cross(sysm, 1.0, 0.7)
-        npt.assert_allclose(got, want, rtol=1e-8, atol=1e-13)
+
+def output_blocks(system, times):
+    """Blocks of ``_output_gram`` on ``times``, less the noise R min(t, t').
+
+    Returns (cov, cross): cov[i][j] is Cov(Y(t_i), Y(t_j)) and cross[i] is
+    Cov(z(T), Y(t_i)), (r, r) and (N, r) each.
+    """
+    times = np.asarray(times, dtype=float)
+    gram, cross = _output_gram(system, times)
+    r = system.num_outputs
+    cov = [[gram[i * r:(i + 1) * r, j * r:(j + 1) * r]
+            - system.r_cov * min(ti, tj)
+            for j, tj in enumerate(times)] for i, ti in enumerate(times)]
+    return cov, [cross[:, i * r:(i + 1) * r] for i in range(times.size)]
+
+
+class TestOutputKernels:
+    def test_output_covariance_against_quadrature(self, driven_model):
+        # both orders: the (0.7, 0.3) block is the conjugate transpose of
+        # the (0.3, 0.7) one in the gram, and the oracle integrates it anew
+        times = (0.3, 0.7)
+        cov, _ = output_blocks(driven_model, times)
+        for i, j in ((0, 1), (1, 0)):
+            want = oracle_output_covariance(driven_model, times[i], times[j])
+            npt.assert_allclose(cov[i][j], want, rtol=1e-8, atol=1e-13)
+
+    def test_state_output_cross_against_quadrature(self, driven_model):
+        _, cross = output_blocks(driven_model, [0.3, 0.7])
+        want = oracle_state_output_cross(driven_model, driven_model.horizon, 0.7)
+        npt.assert_allclose(cross[1], want, rtol=1e-8, atol=1e-13)
 
     def test_exchange_symmetry(self):
-        sysm = driven_heat()
-        a = sk.output_covariance_kernel(sysm, 0.3, 0.7)
-        b = sk.output_covariance_kernel(sysm, 0.7, 0.3)
-        npt.assert_allclose(a, b.conj().T, rtol=1e-12)
+        cov, _ = output_blocks(driven_heat(), (0.3, 0.7))
+        npt.assert_allclose(cov[0][1], cov[1][0].conj().T, rtol=1e-12)
 
     def test_equal_times_match_augmented_block(self):
-        sysm = driven_oscillator()
+        # with the horizon at the sample time, z(T) is z(t) itself
+        sysm = dataclasses.replace(driven_oscillator(), horizon=0.6)
         n = sysm.num_modes
         aug = sk.augmented_covariance(sysm, 0.6)
-        npt.assert_allclose(sk.output_covariance_kernel(sysm, 0.6, 0.6),
-                            aug[n:, n:], rtol=1e-11, atol=1e-15)
-        npt.assert_allclose(sk.state_output_cross(sysm, 0.6, 0.6),
-                            aug[:n, n:], rtol=1e-11, atol=1e-15)
+        cov, cross = output_blocks(sysm, [0.6])
+        npt.assert_allclose(cov[0][0], aug[n:, n:], rtol=1e-11, atol=1e-15)
+        npt.assert_allclose(cross[0], aug[:n, n:], rtol=1e-11, atol=1e-15)
 
     def test_zero_mode_closed_forms(self):
         c, b, q, p = 2.0, 1.5, 0.7, 0.3
         sysm = single_zero_mode(c, b, q, p)
         t, t2 = 0.8, 1.3
         qb = q * b * b
+        cov, cross = output_blocks(sysm, [t, t2])
         want_yy = c ** 2 * (p * t * t2 + qb * (t ** 2 * t2 / 2 - t ** 3 / 6))
-        npt.assert_allclose(sk.output_covariance_kernel(sysm, t, t2)[0, 0],
-                            want_yy, rtol=1e-13)
+        npt.assert_allclose(cov[0][1][0, 0], want_yy, rtol=1e-13)
+        # the zero mode neither decays nor forgets: Cov(z(T), Y(t)) = Cov(z(t), Y(t))
         want_cross = c * (p * t + qb * t ** 2 / 2)
-        npt.assert_allclose(sk.state_output_cross(sysm, 2.0, t)[0, 0],
-                            want_cross, rtol=1e-13)
+        npt.assert_allclose(cross[0][0, 0], want_cross, rtol=1e-13)
 
 
 class TestOracleFailureReporting:

@@ -188,6 +188,19 @@ class TestTelescope:
         with pytest.raises(ValueError, match="at least one level"):
             sk.telescope_check(single_mode(), 2, 0)
 
+    @pytest.mark.parametrize("levels", [2.0, np.int64(2)])
+    def test_whole_number_levels_are_accepted(self, levels):
+        want = sk.telescope_check(single_mode(), 2, 2)
+        got = sk.telescope_check(single_mode(), 2, levels)
+        assert got.levels == 2 and type(got.levels) is int
+        assert got.residual == want.residual
+        npt.assert_array_equal(got.level_sums, want.level_sums)
+
+    @pytest.mark.parametrize("levels", [1.5, np.nan, np.inf, 0, -1])
+    def test_bad_levels_are_named(self, levels):
+        with pytest.raises(ValueError, match=f"got levels={levels!r}"):
+            sk.telescope_check(single_mode(), 2, levels)
+
 
 class TestLevelSum:
     def test_reported_mesh_width(self):

@@ -191,11 +191,24 @@ class TestBoundValidation:
     def test_fractional_anchor_is_rejected(self):
         # anchoring on a 2.5-point "grid" while recording n_anchor = 2 would
         # misreport the bound
-        with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
+        with pytest.raises(ValueError, match="got n=2.5"):
             sk.theorem3_bound(heat(), 2.5)
         b = sk.theorem3_bound(heat(), np.int64(4))
         assert b.n_anchor == 4
         assert b.coarse_trace == sk.theorem3_bound(heat(), 4.0).coarse_trace
+
+    @pytest.mark.parametrize("n", [np.nan, 0, 2.5, -1])
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4, 5])
+    def test_bad_anchor_names_n(self, variant, n):
+        bound = {
+            1: lambda: sk.theorem1_bound(heat(), n, gamma=0.0),
+            2: lambda: sk.theorem2_bound(heat(), n),
+            3: lambda: sk.theorem3_bound(heat(), n),
+            4: lambda: sk.theorem4_bound(heat(), n, nu=0.8, eta=1.0),
+            5: lambda: sk.theorem5_bound(heat(q_scalar=0.5), n),
+        }[variant]
+        with pytest.raises(ValueError, match=f"got n={n!r}"):
+            bound()
 
     def test_theorem1_parameter_window(self):
         with pytest.raises(ValueError, match="gamma in \\[0, 1\\)"):
