@@ -27,10 +27,12 @@ e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)), so the
 recursion carries only the N x N covariance of z: an elementwise prediction
 plus a rank-r update per sample, O(N^2 r) instead of dense (N+r) x (N+r)
 products.  Covariances never depend on the data, so ``_filter_plan`` runs
-them once and keeps the per-sample gains; ``_filtered_means`` then pushes a
-batch of output paths through those gains, the one mean update for both
-``sequential_filter(observations=...)`` and the Monte Carlo of
-``montecarlo``.
+them once and keeps the per-sample gains.  The filtered mean is linear in
+the data, mean_T = B_0 m0 + sum_i L_i inc_i, so ``_filtered_means`` folds
+those gains into the maps L_i and B_0 in one backward pass, O(N^2 r) a
+step, and applies them to a whole batch of output paths in one gemm: the
+one mean update for both ``sequential_filter(observations=...)`` and the
+Monte Carlo of ``montecarlo``.
 
 ``_uniform_posterior`` is the hot path for driven systems on the uniform grid
 (j T) / m, j = 1..m, of ``_uniform_grid`` (which ``refinement.dyadic_grid``
@@ -180,16 +182,23 @@ def _filtered_means(system: ModalSystem, steps, tail_tr,
     """Filtered means of z(T), one per path, from the steps of ``_filter_plan``.
 
     ``increments`` is (paths, m, r): the increments y(t_i) - y(t_(i-1)) of
-    each path's sampled output.  Returns the (paths, num_modes) means.
+    each path's sampled output.  Returns the (paths, num_modes) means.  The
+    mean is linear in the data, mean_T = B_0 m0 + sum_i L_i inc_i; one
+    backward pass over the steps builds the maps, L_i = B K_i and then
+    B <- B diag(e_i) - L_i G_i from B = diag(tail decay), and one gemm
+    applies them to every path.
     """
-    mean = np.tile(system.prior_mean.astype(complex), (increments.shape[0], 1))
-    for i, (tr, gain) in enumerate(steps):
-        innovation = increments[:, i, :] - mean @ tr.output_map.T
-        mean *= tr.decay
-        mean += innovation @ gain.T
-    if tail_tr is not None:
-        mean *= tail_tr.decay
-    return mean
+    n = system.num_modes
+    paths, m, r = increments.shape
+    back = np.diag(tail_tr.decay if tail_tr is not None
+                   else np.ones(n, dtype=complex))
+    maps = np.empty((m * r, n), dtype=complex)  # row block i is L_i^T
+    for i in reversed(range(m)):
+        tr, gain = steps[i]
+        lmap = back @ gain
+        maps[i * r:(i + 1) * r] = lmap.T
+        back = back * tr.decay - lmap @ tr.output_map
+    return increments.reshape(paths, m * r) @ maps + back @ system.prior_mean
 
 
 def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRun:

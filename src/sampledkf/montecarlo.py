@@ -11,22 +11,23 @@ the draws and A maps them back to modal coordinates.  The map eta -> real
 field is then norm-preserving, so squared errors computed in modal
 coordinates are the physical ones.
 
-Every trial consumes one flat block of standard normals from its own
-counter-based stream, in a fixed documented order:
+All trials read one counter-based stream, the Philox stream of
+``SeedSequence([seed])``, trial j as its j-th flat block of standard
+normals, in a fixed documented order:
 
-    [ initial state (num_modes) ]
-    for each sample step: [ process noise (num_modes + num_outputs), driven only ]
+    [ initial state (the initial factor's width, at most num_modes) ]
+    for each sample step: [ process noise (width w), driven only ]
                           [ measurement noise (num_outputs) ]
-    [ tail process noise (num_modes + num_outputs), driven only, if the last
-      sample precedes the horizon ]
+    [ tail process noise (width w), driven only, if the last sample
+      precedes the horizon ]
 
-which makes runs bitwise reproducible and trials independent regardless of
-how many are batched together.  Every sample step takes a block of the same
-width, so the simulator reads the steps as one (trials, steps, width) view.
-Trial j of seed s reads the Philox stream of ``SeedSequence([s, j])``; the
-keys of a whole batch are derived in one vectorised pass of that hash, and
-one reused generator is reset to each key, so the streams and their order
-are those of one generator per trial.
+which makes runs bitwise reproducible and leaves trial j the same whatever
+the batch size.  A factor has one column per pivot of its pivoted Cholesky
+(``_real_factor``), so its width is the numerical rank of its covariance.
+w is the widest process-noise factor's width (tail included); narrower
+factors are zero-padded to it, so every sample step takes a block of the
+same width and the simulator reads the steps as one (trials, steps, width)
+view.
 Between samples every path moves elementwise (z *= e) with the output
 integral a rank-r map of z, as in the filter recursion.  The simulator
 returns output increments; ``empirical_error`` filters all trials at once
@@ -79,7 +80,15 @@ def _recomposition(pairing: np.ndarray) -> np.ndarray:
 
 
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """Complex factor L with L L^H = cov and L xi pairing-compatible, xi real."""
+    """Complex factor L with L L^H = cov and L xi pairing-compatible, xi real.
+
+    The real recomposed matrix S is factored by a diagonally pivoted
+    Cholesky: each column takes the largest remaining diagonal entry as its
+    pivot (ties to the lower index), and the factor stops once that entry is
+    at most 1e-16 of the largest diagonal entry of S.  The pivot order is
+    fixed by the diagonal, so the factor has no freedom of basis in the
+    near-null space, and it has one column per pivot taken.
+    """
     amat = _recomposition(pairing)
     half = np.linalg.solve(amat, cov)
     s = np.linalg.solve(amat, half.conj().T).conj().T
@@ -87,75 +96,38 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     if np.abs(s.imag).max() > 1e-8 * scale:
         raise ValueError("covariance does not respect the conjugate pairing")
     s = (s.real + s.real.T) / 2.0
-    w, v = np.linalg.eigh(s)
-    floor = -1e-12 * max(float(w[-1]), np.finfo(float).tiny)
-    if w[0] < floor:
-        raise NumericalError(f"sampling covariance has eigenvalue {w[0]:.3e}")
-    if w[0] < 0:
-        logger.debug("clipping %.3e of negative eigenvalue mass", float(-w[w < 0].sum()))
-    return amat @ (v * np.sqrt(np.clip(w, 0.0, None)))
+    d = s.shape[0]
+    rest = np.diag(s).copy()  # diagonal of the part of S not yet factored
+    top = max(float(rest.max()), np.finfo(float).tiny)
+    free = np.ones(d, dtype=bool)
+    factor = np.zeros((d, d))
+    rank = 0
+    while rank < d:
+        j = int(np.argmax(np.where(free, rest, -np.inf)))
+        if rest[j] <= 1e-16 * top:
+            break
+        pivot = np.sqrt(rest[j])
+        col = (s[:, j] - factor[:, :rank] @ factor[j, :rank]) / pivot
+        col[~free] = 0.0
+        col[j] = pivot
+        free[j] = False
+        rest -= col ** 2
+        factor[:, rank] = col
+        rank += 1
+    left = rest[free]
+    if left.min(initial=0.0) < -1e-12 * top:
+        raise NumericalError(f"sampling covariance has remaining pivot "
+                             f"{left.min():.3e}")
+    if left.any():
+        logger.debug("clipping %.3e of pivot mass below the factor's floor",
+                     float(np.abs(left).sum()))
+    return amat @ factor[:, :rank]
 
 
-def _trial_rng(seed: int, trial: int | None) -> np.random.Generator:
-    words = [int(seed)] if trial is None else [int(seed), int(trial)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
-
-
-# numpy's SeedSequence hash constants (pool of four 32-bit words)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _trial_keys(seed: int, trials: int) -> np.ndarray:
-    """(trials, 2) Philox keys of ``SeedSequence([seed, j])``, j < trials.
-
-    numpy's SeedSequence entropy pool and its ``generate_state(2, uint64)``
-    output, vectorised over the trial word: every hash constant is the same
-    for all trials, so each step is one uint32 array operation.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & 0xFFFFFFFF]  # little-endian 32-bit words, [0] for 0
-    while seed >> 32 * len(words):
-        words.append((seed >> 32 * len(words)) & 0xFFFFFFFF)
-    u32 = np.uint32
-    entropy = [np.full(trials, w, dtype=u32) for w in words]
-    entropy.append(np.arange(trials, dtype=u32))
-    const = u32(_INIT_A)
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * u32(_MULT_A)
-        value = value * const
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        out = u32(_MIX_L) * x - u32(_MIX_R) * y
-        return out ^ (out >> u32(16))
-
-    with np.errstate(over="ignore"):
-        zero = np.zeros(trials, dtype=u32)
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-                for i in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        const = u32(_INIT_B)
-        state = []
-        for i in range(4):  # two uint64 words from four uint32 ones
-            value = pool[i % _POOL_SIZE] ^ const
-            const = const * u32(_MULT_B)
-            value = value * const
-            state.append(value ^ (value >> u32(16)))
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+def _trial_rng(seed: int) -> np.random.Generator:
+    """The one stream of ``seed``; trial j reads its j-th block of normals."""
+    entropy = np.random.SeedSequence([int(seed)])
+    return np.random.Generator(np.random.Philox(entropy))
 
 
 class _Simulator:
@@ -171,40 +143,33 @@ class _Simulator:
         aug_pairing = np.concatenate([pairing, n + np.arange(r)])
         self.initial_factor = _real_factor(
             np.diag(system.prior_var.astype(complex)), pairing)
-        # per transition, the real (N+r) x 2(N+r) matrix whose product with
-        # real normals is the complex process noise, viewed as complex
-        self.noise_maps: dict[int, np.ndarray] = {}
+        factors = {}
         if system.has_input_noise:
             transitions = [tr for tr, _ in self.steps]
             if self.tail_tr is not None:
                 transitions.append(self.tail_tr)
             for tr in transitions:
-                if id(tr) not in self.noise_maps:
-                    factor = _real_factor(tr.noise_cov, aug_pairing).T
-                    self.noise_maps[id(tr)] = np.stack(
-                        [factor.real, factor.imag], axis=-1).reshape(n + r, -1)
+                if id(tr) not in factors:
+                    factors[id(tr)] = _real_factor(tr.noise_cov, aug_pairing).T
+        width = max((f.shape[0] for f in factors.values()), default=0)
+        # per transition, the real (width, 2(N+r)) matrix whose product with
+        # real normals is the complex process noise, viewed as complex; each
+        # factor is zero-padded to the widest one's width
+        self.noise_maps = {}
+        for key, factor in factors.items():
+            padded = np.zeros((width, n + r), dtype=complex)
+            padded[:len(factor)] = factor
+            self.noise_maps[key] = padded.view(float)
         self.meas_chol = np.linalg.cholesky(system.r_cov)
-        # widths in the documented draw order: one sample step's normals,
-        # then a trial's whole block
-        process = n + r if system.has_input_noise else 0
-        self.stride = process + r
-        tail = process if self.tail_tr is not None else 0
-        self.total = n + times.size * self.stride + tail
+        # widths in the documented draw order: the initial state, one sample
+        # step's normals, then a trial's whole block
+        self.head = self.initial_factor.shape[1]
+        self.stride = width + r
+        tail = width if self.tail_tr is not None else 0
+        self.total = self.head + times.size * self.stride + tail
 
     def draw(self, seed: int, trials: int) -> np.ndarray:
-        keys = _trial_keys(seed, trials)
-        bitgen = np.random.Philox(0)
-        gen = np.random.Generator(bitgen)
-        zero = np.zeros(4, dtype=np.uint64)
-        out = np.empty((trials, self.total))
-        for key, row in zip(keys, out):
-            # the state of a fresh Philox(SeedSequence([seed, j]))
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": zero, "key": key},
-                            "buffer": zero, "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(self.total, out=row)
-        return out
+        return _trial_rng(seed).standard_normal((trials, self.total))
 
     def run_paths(self, normals: np.ndarray):
         """Propagate all trials; return (final states, output increments).
@@ -219,10 +184,12 @@ class _Simulator:
         n, r = self.n, self.r
         trials, m = normals.shape[0], self.times.size
         driven = sysm.has_input_noise
-        state = normals[:, :n] @ self.initial_factor.T
+        head = self.head
+        state = normals[:, :head] @ self.initial_factor.T
         state += sysm.prior_mean
         # each sample step's [ process | measurement ] normals, as a view
-        per_step = normals[:, n:n + m * self.stride].reshape(trials, m, self.stride)
+        per_step = normals[:, head:head + m * self.stride].reshape(
+            trials, m, self.stride)
         process, measure = per_step[:, :, :-r], per_step[:, :, -r:]
         increments = np.empty((trials, m, r))
         noise_buf = np.empty((trials, 2 * (n + r))) if driven else None
@@ -241,25 +208,26 @@ class _Simulator:
         if self.tail_tr is not None:
             state *= self.tail_tr.decay
             if driven:
-                np.matmul(normals[:, n + m * self.stride:],
+                np.matmul(normals[:, head + m * self.stride:],
                           self.noise_maps[id(self.tail_tr)], out=noise_buf)
                 state += noise[:, :n]
         return state, increments
 
 
-def sample_path(system: ModalSystem, times, seed: int,
-                trial: int | None = None):
+def sample_path(system: ModalSystem, times, seed: int, trial: int = 0):
     """Draw one exact joint sample of (z(horizon), sampled outputs).
 
     Returns (state, outputs) with state (num_modes,) complex in modal
     coordinates and outputs (len(times), num_outputs) the cumulative sampled
-    output values.  With ``trial`` given, the draw comes from that trial's
-    stream of the batch keyed by ``seed``, matching ``empirical_error``.
+    output values.  The draw is trial ``trial`` of the batch that
+    ``empirical_error`` draws from ``seed``: the stream is read up to that
+    trial's block.
     """
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial!r}")
     times = _validate_times(system, times)
     sim = _Simulator(system, times)
-    normals = _trial_rng(seed, trial).standard_normal((1, sim.total))
-    state, increments = sim.run_paths(normals)
+    state, increments = sim.run_paths(sim.draw(seed, trial + 1)[-1:])
     return state[0], np.cumsum(increments[0], axis=0)
 
 

@@ -292,7 +292,9 @@ def theorem5_bound(system: ModalSystem, n: int,
                          "(nonzero input covariance)")
     if err_x is None:
         err_x = theorem2_bound(system, n)
-    trace_n = _anchor_trace(system, n)
+        trace_n = err_x.coarse_trace  # the same anchor filter, run once
+    else:
+        trace_n = _anchor_trace(system, n)
     graph = domain_weights(system)
     c_norm = _output_norm(system, graph)
     b_norm = _input_norm(system, graph)

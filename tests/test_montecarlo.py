@@ -5,31 +5,47 @@ import numpy.testing as npt
 import pytest
 
 import sampledkf as sk
+from sampledkf import montecarlo
+from sampledkf.errors import NumericalError
 from sampledkf.filter_core import _filtered_means
 from sampledkf.montecarlo import (_pairing_or_identity, _real_factor,
-                                  _Simulator, _trial_keys, _trial_rng)
+                                  _Simulator)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
 
-def draw_offsets(sysm, num_steps, has_tail):
+def aug_pairing(sysm):
+    """Pairing of the augmented (z, Y) coordinates: outputs are real."""
+    return np.concatenate([_pairing_or_identity(sysm),
+                           sysm.num_modes + np.arange(sysm.num_outputs)])
+
+
+def draw_offsets(sim):
     """Slices of one trial's normals in the order the module docstring gives.
 
-    Returns (total, initial, process, measure, tail): the initial state, then
-    per sample step the process noise (driven only) and the measurement
-    noise, then the tail process noise (driven only, when the last sample
-    precedes the horizon).
+    Returns (total, initial, process, measure, tail): the initial state (the
+    initial factor's width), then per sample step the process noise (driven
+    only) and the measurement noise, then the tail process noise (driven
+    only, when the last sample precedes the horizon).  Every process block
+    takes the width of the widest process-noise factor.
     """
-    n, r = sysm.num_modes, sysm.num_outputs
-    d = n + r if sysm.has_input_noise else 0
-    pos = n
+    sysm = sim.system
+    transitions = [tr for tr, _ in sim.steps]
+    if sim.tail_tr is not None:
+        transitions.append(sim.tail_tr)
+    d = max(_real_factor(tr.noise_cov, aug_pairing(sysm)).shape[1]
+            for tr in transitions) if sysm.has_input_noise else 0
+    r = sysm.num_outputs
+    pos = _real_factor(np.diag(sysm.prior_var.astype(complex)),
+                       _pairing_or_identity(sysm)).shape[1]
+    initial = slice(0, pos)
     process, measure = [], []
-    for _ in range(num_steps):
+    for _ in sim.steps:
         process.append(slice(pos, pos + d))
         measure.append(slice(pos + d, pos + d + r))
         pos += d + r
-    tail = slice(pos, pos + d if has_tail else pos)
-    return tail.stop, slice(0, n), process, measure, tail
+    tail = slice(pos, pos + d if sim.tail_tr is not None else pos)
+    return tail.stop, initial, process, measure, tail
 
 
 def blind_mode(lam=-1.0, p=0.8, driven=False):
@@ -84,8 +100,8 @@ class TestDeterminism:
         npt.assert_array_equal(y1, y2)
 
     def test_trials_use_independent_streams(self):
-        # per-trial draws are keyed (seed, trial), so enlarging the batch
-        # must not disturb earlier trials
+        # trial j is the j-th block of the seed's stream, so enlarging the
+        # batch must not disturb earlier trials
         sysm = sk.build_heat_model(4, horizon=1.0)
         small = sk.empirical_error(sysm, EIGHT_TIMES, trials=8, seed=11)
         large = sk.empirical_error(sysm, EIGHT_TIMES, trials=32, seed=11)
@@ -98,55 +114,133 @@ class TestDeterminism:
         assert not np.array_equal(a.errors, b.errors)
 
 
-class TestBulkTrialKeys:
-    """Keys derived in bulk reproduce the per-trial SeedSequence streams."""
+def workload_model_and_grid():
+    """Driven heat N=20, q=0.5, on a seeded 32-point irregular grid."""
+    rng = np.random.default_rng(1)
+    times = np.cumsum(rng.uniform(0.5, 1.5, 32))
+    times /= times[-1]
+    times[-1] = 1.0
+    return sk.build_heat_model(20, horizon=1.0, q_scalar=0.5), times
 
-    # 2^100 and 2^200 carry more than three 32-bit words, so with the trial
-    # word the entropy outgrows the pool of four and takes the mixing tail
-    @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**100 + 7,
-                                      2**200 + 12345])
-    def test_keys_match_seed_sequence(self, seed):
-        want = [np.random.SeedSequence([seed, j]).generate_state(2, np.uint64)
-                for j in range(64)]
-        got = _trial_keys(seed, 64)
-        assert got.dtype == np.uint64 and got.shape == (64, 2)
-        npt.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("seed", [0, 11, 2**70 + 1])
-    def test_draws_match_per_trial_generators(self, seed):
+class TestRealFactor:
+    """The pivoted Cholesky factor of the sampling covariances."""
+
+    def test_reproduces_every_step_covariance(self, caplog):
+        sysm, times = workload_model_and_grid()
+        pairing = aug_pairing(sysm)
+        caplog.set_level("DEBUG", logger="sampledkf.montecarlo")
+        for tr, _ in _Simulator(sysm, times).steps:
+            cov = tr.noise_cov
+            caplog.clear()
+            factor = _real_factor(cov, pairing)
+            assert factor.shape[1] < cov.shape[0]  # rank-revealing
+            scale = np.abs(cov).max()
+            assert np.abs(factor @ factor.conj().T - cov).max() <= 1e-15 * scale
+            # the mass left below the floor is logged, and tiny
+            trace = np.trace(cov).real
+            dropped = trace - np.sum(np.abs(factor) ** 2)
+            assert abs(dropped) <= 1e-15 * trace
+            [record] = caplog.records
+            assert record.getMessage().startswith("clipping")
+            assert record.args[0] <= 1e-15 * trace
+
+    def test_pivots_by_diagonal_with_ties_to_the_lower_index(self):
+        npt.assert_array_equal(_real_factor(np.eye(3, dtype=complex),
+                                            np.arange(3)), np.eye(3))
+        cov = np.diag([1.0, 4.0, 4.0]).astype(complex)
+        npt.assert_array_equal(_real_factor(cov, np.arange(3)),
+                               [[0, 0, 1], [2, 0, 0], [0, 2, 0]])
+
+    @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0]),
+                                     np.array([[1.0, 2.0], [2.0, 1.0]])],
+                             ids=["negative-diagonal", "indefinite"])
+    def test_indefinite_matrix_raises(self, cov):
+        with pytest.raises(NumericalError, match="remaining pivot"):
+            _real_factor(cov.astype(complex), np.arange(2))
+
+    def test_ulp_perturbation_moves_factor_and_paths_little(self, monkeypatch):
+        # an eigenbasis of the near-null space is free to rotate under such
+        # a perturbation; the pivoted factor is not
+        sysm, times = workload_model_and_grid()
+        pairing = aug_pairing(sysm)
+        rng = np.random.default_rng(0)
+
+        def perturb(cov):
+            signs = rng.choice([-1.0, 1.0], size=cov.shape)
+            signs = np.triu(signs) + np.triu(signs, 1).T
+            return cov * (1.0 + 4e-16 * signs)
+
+        sim = _Simulator(sysm, times)
+        for tr, _ in sim.steps:
+            factor = _real_factor(tr.noise_cov, pairing)
+            moved = _real_factor(perturb(tr.noise_cov), pairing)
+            assert moved.shape == factor.shape
+            assert np.abs(moved - factor).max() <= 1e-11 * np.abs(factor).max()
+        state, increments = sim.run_paths(sim.draw(1, 64))
+        exact = montecarlo._real_factor
+        monkeypatch.setattr(montecarlo, "_real_factor",
+                            lambda cov, p: exact(perturb(cov), p))
+        sim = _Simulator(sysm, times)
+        state2, increments2 = sim.run_paths(sim.draw(1, 64))
+        assert np.abs(state2 - state).max() <= 1e-11 * np.abs(state).max()
+        assert (np.abs(increments2 - increments).max()
+                <= 1e-11 * np.abs(increments).max())
+
+
+class TestTrialStream:
+    """Every trial of a seed reads the seed's one stream, in trial order."""
+
+    # seeds of one, two, four and seven 32-bit words
+    @pytest.mark.parametrize(
+        "seed", [0, 3, 2**32 + 5, 2**100 + 7, 2**200 + 12345],
+        ids=["0", "3", "2^32+5", "2^100+7", "2^200+12345"])
+    def test_batch_reads_the_seed_stream(self, seed):
         sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
         sim = _Simulator(sysm, EIGHT_TIMES)
-        total = draw_offsets(sysm, EIGHT_TIMES.size, has_tail=False)[0]
-        normals = sim.draw(seed, 12)
-        assert normals.shape == (12, total)
-        for j in range(12):
-            npt.assert_array_equal(normals[j],
-                                   _trial_rng(seed, j).standard_normal(total))
+        total = draw_offsets(sim)[0]
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([seed])))
+        npt.assert_array_equal(sim.draw(seed, 12),
+                               gen.standard_normal((12, total)))
 
-    def test_sample_path_reads_its_trial_stream(self):
+    @pytest.mark.parametrize("seed", [0, 11, 2**70 + 1],
+                             ids=["0", "11", "2^70+1"])
+    def test_enlarging_the_batch_keeps_earlier_trials(self, seed):
+        sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
+                         EIGHT_TIMES[:-1])
+        npt.assert_array_equal(sim.draw(seed, 5), sim.draw(seed, 12)[:5])
+
+    def test_sample_path_reads_its_trial_row(self):
         sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
         sim = _Simulator(sysm, EIGHT_TIMES)
         state, increments = sim.run_paths(sim.draw(4, 6))
-        for j in (0, 5):  # same normals; a batched gemm may round differently
+        for j in (0, 2, 5):  # same normals; a batched gemm may round differently
             s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4, trial=j)
             npt.assert_allclose(s, state[j], rtol=1e-13, atol=1e-16)
             npt.assert_allclose(y, np.cumsum(increments[j], axis=0),
                                 rtol=1e-13, atol=1e-16)
-        # without a trial the path reads the stream of SeedSequence([seed])
-        total = draw_offsets(sysm, EIGHT_TIMES.size, has_tail=False)[0]
-        state, increments = sim.run_paths(
-            _trial_rng(4, None).standard_normal((1, total)))
+
+    def test_sample_path_defaults_to_trial_zero(self):
+        sysm = sk.build_wave_model(4, horizon=1.0)
         s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4)
+        s0, y0 = sk.sample_path(sysm, EIGHT_TIMES, seed=4, trial=0)
+        npt.assert_array_equal(s, s0)
+        npt.assert_array_equal(y, y0)
+        sim = _Simulator(sysm, EIGHT_TIMES)
+        state, increments = sim.run_paths(sim.draw(4, 1))
         npt.assert_array_equal(s, state[0])
         npt.assert_array_equal(y, np.cumsum(increments[0], axis=0))
 
     def test_negative_seed_raises(self):
-        sim = _Simulator(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES)
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        sim = _Simulator(sysm, EIGHT_TIMES)
         with pytest.raises(ValueError):
             sim.draw(-1, 4)
         with pytest.raises(ValueError):
-            sk.empirical_error(sk.build_heat_model(3, horizon=1.0), EIGHT_TIMES,
-                               trials=4, seed=-5)
+            sk.empirical_error(sysm, EIGHT_TIMES, trials=4, seed=-5)
+        with pytest.raises(ValueError, match="trial must be >= 0"):
+            sk.sample_path(sysm, EIGHT_TIMES, seed=4, trial=-1)
 
 
 class TestPathsAgainstAugmentedMap:
@@ -154,29 +248,36 @@ class TestPathsAgainstAugmentedMap:
         # reference: the (N+r) augmented state through the full transition,
         # with Y_partial reset after each sample, on the same normals
         sysm = sk.build_heat_model(4, horizon=1.0, q_scalar=0.5)
-        times = EIGHT_TIMES[:-1]  # leaves a tail step
+        # the short steps have narrower noise factors than the others, and
+        # the last sample leaves a tail step
+        times = np.array([0.001, 0.3, 0.302, 0.8])
         sim = _Simulator(sysm, times)
         normals = sim.draw(3, 16)
         state, increments = sim.run_paths(normals)
 
         n = sysm.num_modes
-        total, initial, process, measure, tail = draw_offsets(
-            sysm, times.size, has_tail=True)
+        total, initial, process, measure, tail = draw_offsets(sim)
         assert normals.shape == (16, total)
-        pairing = np.concatenate([_pairing_or_identity(sysm),
-                                  n + np.arange(sysm.num_outputs)])
+        pairing = aug_pairing(sysm)
+
+        def noise(factor, block):
+            # a narrower factor reads the leading columns of its padded block
+            return normals[:, block][:, :factor.shape[1]] @ factor.T
+
         aug = np.zeros((16, n + sysm.num_outputs), dtype=complex)
         aug[:, :n] = sysm.prior_mean + normals[:, initial] @ sim.initial_factor.T
-        dense = []
+        dense, widths = [], []
         for i, (tr, _) in enumerate(sim.steps):
             factor = _real_factor(tr.noise_cov, pairing)
-            aug = aug @ tr.state_map.T + normals[:, process[i]] @ factor.T
+            widths.append(factor.shape[1])
+            aug = aug @ tr.state_map.T + noise(factor, process[i])
             width = times[i] - (times[i - 1] if i else 0.0)
             dw = np.sqrt(width) * (normals[:, measure[i]] @ sim.meas_chol.T)
             dense.append(aug[:, n:].real + dw)
             aug[:, n:] = 0.0
         factor = _real_factor(sim.tail_tr.noise_cov, pairing)
-        aug = aug @ sim.tail_tr.state_map.T + normals[:, tail] @ factor.T
+        aug = aug @ sim.tail_tr.state_map.T + noise(factor, tail)
+        assert min(widths) < max(widths) == tail.stop - tail.start
         npt.assert_allclose(increments, np.stack(dense, axis=1),
                             rtol=1e-12, atol=1e-14)
         npt.assert_allclose(state, aug[:, :n], rtol=1e-12, atol=1e-14)

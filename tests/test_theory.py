@@ -186,6 +186,23 @@ class TestBoundIngredients:
         b = sk.theorem5_bound(sysm, 8, err_x=custom)
         assert b.err_x is custom
 
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["default-err_x", "explicit-err_x"])
+    def test_theorem5_runs_the_anchor_filter_once(self, monkeypatch, explicit):
+        sysm = heat(q_scalar=0.4)
+        err_x = sk.theorem3_bound(sysm, 8) if explicit else None
+        calls = []
+        traced = sk.theory.posterior_trace
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return traced(*args, **kwargs)
+
+        monkeypatch.setattr(sk.theory, "posterior_trace", counting)
+        b = sk.theorem5_bound(sysm, 8, err_x=err_x)
+        assert len(calls) == 1
+        assert b.coarse_trace == b.err_x.coarse_trace
+
 
 class TestBoundValidation:
     def test_fractional_anchor_is_rejected(self):
