@@ -13,8 +13,11 @@ matrix J = sum_i H_i* (R d_i)^(-1) H_i, evaluated in the whitened form
     P = P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2),
 
 whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
-for zero prior variances and rapidly decaying ones).  ``increment_variance``
-builds on the same posterior of x.
+for zero prior variances and rapidly decaying ones).  When the times equal
+``_uniform_grid(T, m)`` exactly, the sum over samples is geometric and J has
+a closed form (``_uniform_information``): N^2 kernel values whatever m is.
+Every other grid accumulates J block by block (``_accumulated_information``).
+``increment_variance`` builds on the same posterior of x.
 
 ``sequential_filter`` is the route for driven systems on every grid but the
 uniform one, and the only route for filtered means: a Kalman recursion on
@@ -59,7 +62,9 @@ two to each other.
 
 ``posterior_trace`` is the one place that picks a route: the information
 form for undriven systems; for driven ones doubling when the times equal
-``_uniform_grid(T, m)`` exactly, the recursion on every other grid.
+``_uniform_grid(T, m)`` exactly, the recursion on every other grid.  Inside
+the information form, ``_initial_posterior`` picks the closed-form J by the
+same exact test (``_is_uniform``).
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
@@ -100,8 +105,8 @@ logger = logging.getLogger(__name__)
 __all__ = ["FilterRun", "information_filter", "sequential_filter",
            "posterior_trace", "batch_condition", "increment_variance"]
 
-#: Samples per gemm when accumulating the information matrix; bounds the
-#: work array at (256 r) x N whatever the grid size.
+#: Samples per gemm when accumulating the information matrix on a
+#: non-uniform grid; bounds the work array at (256 r) x N whatever its size.
 _INFO_BLOCK = 256
 
 
@@ -228,27 +233,86 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
                      trace_err=run.trace_err, final_mean=mean)
 
 
-def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
-    """Error covariance of the initial state x given the increments on ``times``.
+def _whitened_outputs(system: ModalSystem) -> np.ndarray:
+    """Rows of L^-1 C with L L^T = R: output coefficients with whitened noise."""
+    return np.linalg.solve(np.linalg.cholesky(system.r_cov),
+                           system.output_coeffs.T)
 
-    Undriven systems only; ``times`` must already be validated.
-    """
+
+def _accumulated_information(system: ModalSystem,
+                             times: np.ndarray) -> np.ndarray:
+    """Information matrix J of the initial state on any grid, summed over samples."""
     n = system.num_modes
     lam = system.eigenvalues
-    # rows of L^-1 C with L L^T = R whiten the measurement noise
-    cwhite = np.linalg.solve(np.linalg.cholesky(system.r_cov),
-                             system.output_coeffs.T)
+    cwhite = _whitened_outputs(system)
     starts = np.concatenate([[0.0], times[:-1]])
     widths = times - starts
     info = np.zeros((n, n), dtype=complex)
     for lo in range(0, times.size, _INFO_BLOCK):
         block = slice(lo, lo + _INFO_BLOCK)
-        # I1(lambda, d) / sqrt(d) once per distinct width (one on uniform grids)
+        # I1(lambda, d) / sqrt(d) once per distinct width
         d, which = np.unique(widths[block], return_inverse=True)
         step = phi1(lam * d[:, None]) * np.sqrt(d)[:, None]
         scale = np.exp(lam * starts[block, None]) * step[which]
         rows = (scale[:, None, :] * cwhite[None, :, :]).reshape(-1, n)
         info += rows.conj().T @ rows
+    return info
+
+
+def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
+    """Closed-form information matrix J of the initial state on the uniform grid.
+
+    On ``_uniform_grid(T, m)`` every width is d = T/m and sample j starts at
+    j d, so with x = (conj(lambda_k) + lambda_l) d the sum over samples is
+    geometric:
+
+        J[k, l] = W[k, l] d conj(phi1(lambda_k d)) phi1(lambda_l d) S[k, l],
+        S = sum_(j<m) e^(j x) = (e^(m x) - 1) / (e^x - 1),   S = m at x = 0,
+
+    with W = C* R^-1 C.  S depends on x only through e^x, so Im x is first
+    reduced into (-pi, pi], where e^x = 1 only at x = 0 (wave pairs alias to
+    x = 2 pi i j); the reduction is odd in x, so J keeps the conjugate-mate
+    structure.  Where the reduced |x| >= 1/2, e^x and e^(m x) are outer
+    products of N exponentials and e^x - 1 is bounded away from 0.  Nearer
+    0 both differences take ``np.expm1``, which keeps full relative accuracy
+    there.  N^2 kernel values and no sum over samples, whatever m is.
+    """
+    lam = system.eigenvalues
+    d = system.horizon / m
+    cwhite = _whitened_outputs(system)
+    ld = lam * d
+    x = ld.conj()[:, None] + ld[None, :]
+    x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
+    geo = np.full(x.shape, m, dtype=complex)
+    far = np.abs(x) >= 0.5
+    step, whole = np.exp(ld), np.exp(lam * system.horizon)
+    geo[far] = ((np.outer(whole.conj(), whole)[far] - 1.0)
+                / (np.outer(step.conj(), step)[far] - 1.0))
+    near = ~far & (x != 0)
+    geo[near] = np.expm1(m * x[near]) / np.expm1(x[near])
+    shape = phi1(ld)
+    return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
+
+
+def _is_uniform(horizon: float, times: np.ndarray) -> bool:
+    """True when ``times`` is exactly ``_uniform_grid(horizon, times.size)``."""
+    m = times.size
+    # its first point (1 T) / m settles most other grids without building one
+    return bool(m and times[0] == horizon / m
+                and np.array_equal(times, _uniform_grid(horizon, m)))
+
+
+def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
+    """Error covariance of the initial state x given the increments on ``times``.
+
+    Undriven systems only; ``times`` must already be validated.  J takes the
+    closed form on the uniform grid and the accumulation on every other grid.
+    """
+    n = system.num_modes
+    if _is_uniform(system.horizon, times):
+        info = _uniform_information(system, times.size)
+    else:
+        info = _accumulated_information(system, times)
     root = np.sqrt(system.prior_var)
     whitened = np.eye(n) + root[:, None] * info * root[None, :]
     chol = np.linalg.cholesky(whitened)
@@ -260,7 +324,10 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
     """Posterior of z(T) for an undriven system, via the initial state.
 
     Gives the covariance ``sequential_filter`` gives, at the cost of one
-    N x N information matrix however many samples ``times`` holds.
+    N x N information matrix and one Cholesky factor.  On the uniform grid
+    ``_uniform_grid(T, m)`` the matrix takes its closed form, N^2 kernel
+    values for any m; on every other grid it is accumulated in blocks of
+    ``_INFO_BLOCK`` samples, one gemm each.
     """
     if system.has_input_noise:
         raise ValueError("information_filter needs an undriven system; "
@@ -342,8 +409,7 @@ def posterior_trace(system: ModalSystem, times) -> float:
     times = _validate_times(system, times)
     if not system.has_input_noise:
         return information_filter(system, times).trace_err
-    if times.size and np.array_equal(times,
-                                     _uniform_grid(system.horizon, times.size)):
+    if _is_uniform(system.horizon, times):
         return _real_trace(_uniform_posterior(system, times.size))
     return sequential_filter(system, times).trace_err
 
@@ -440,8 +506,9 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
 
     post = _initial_posterior(system, base)
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
-    gmat = chm @ post @ chm.conj().T + (h / 2.0) * system.r_cov
+    cpost = chm @ post
+    gmat = cpost @ chm.conj().T + (h / 2.0) * system.r_cov
     decay = np.exp(system.eigenvalues * system.horizon)
-    amat = chm @ post @ np.diag(decay.conj())
+    amat = cpost * decay.conj()
     moved = np.sum(amat.conj() * np.linalg.solve(gmat, amat))
     return float(moved.real)

@@ -179,16 +179,6 @@ class ModalSystem:
         w = np.asarray(weights, dtype=float)
         return float(np.sum(w * (self.prior_var + np.abs(self.prior_mean) ** 2)))
 
-    @property
-    def prior_energy(self) -> float:
-        """E||x||^2 in the state norm."""
-        return self.weighted_prior_energy(np.ones(self.num_modes))
-
-    @property
-    def prior_domain_energy(self) -> float:
-        """E||x||^2 in the generator graph norm, sum (1+|lambda|^2)(p+|m|^2)."""
-        return self.weighted_prior_energy(domain_weights(self))
-
 
 def unit_weights(system: ModalSystem) -> np.ndarray:
     return np.ones(system.num_modes)

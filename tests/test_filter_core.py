@@ -2,11 +2,12 @@
 
 The covariance routes are the load-bearing cross-check of the package: the
 recursion (increment observations, reset bookkeeping), the information form
-(initial-state information matrix, undriven systems), doubling (stretch
-triples, uniform grids) and the batch regression (full output gram matrix)
-must produce the same posterior to floating-point accuracy on every model
-family.  The mean route is checked against a regression on the batch
-oracle's own stacked-output gram and cross-covariance (``_output_gram``).
+(initial-state information matrix, undriven systems; closed form on uniform
+grids, accumulated on the others), doubling (stretch triples, uniform grids)
+and the batch regression (full output gram matrix) must produce the same
+posterior to floating-point accuracy on every model family.  The mean route
+is checked against a regression on the batch oracle's own stacked-output
+gram and cross-covariance (``_output_gram``).
 """
 
 import dataclasses
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 import sampledkf as sk
 from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import (_output_gram, _solve_gram, _uniform_grid,
-                                   _uniform_posterior, posterior_trace)
+from sampledkf.filter_core import (_accumulated_information, _output_gram,
+                                   _solve_gram, _uniform_grid,
+                                   _uniform_information, _uniform_posterior,
+                                   posterior_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -228,6 +231,12 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not run")
 
 
+def _one_ulp_off():
+    times = _uniform_grid(1.0, 16)
+    times[7] = np.nextafter(times[7], 2.0)
+    return times
+
+
 class TestDoublingRoute:
     @pytest.mark.parametrize("horizon", [0.7, 1.0, 3.0])
     @pytest.mark.parametrize("base_n, level", [
@@ -239,18 +248,13 @@ class TestDoublingRoute:
         monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
         assert posterior_trace(sysm, times) > 0
 
-    def _nudged(self):
-        times = _uniform_grid(1.0, 16)
-        times[7] = np.nextafter(times[7], 2.0)
-        return times
-
     @pytest.mark.parametrize("which", [
         "irregular", "stops-before-T", "one-ulp-off", "empty"])
     def test_other_grids_take_the_recursion(self, monkeypatch, which):
         sysm = heat(4, q_scalar=0.5)
         times = {"irregular": lambda: _irregular_times(16, seed=2),
                  "stops-before-T": lambda: _uniform_grid(1.0, 16)[:-1],
-                 "one-ulp-off": self._nudged,
+                 "one-ulp-off": _one_ulp_off,
                  "empty": lambda: np.array([])}[which]()
         want = sk.sequential_filter(sysm, times).trace_err
         monkeypatch.setattr(filter_core, "_uniform_posterior", _refuse)
@@ -264,6 +268,65 @@ class TestDoublingRoute:
                 posterior_trace(sysm, times)
         with pytest.raises(ValueError, match="strictly increasing"):
             posterior_trace(sysm, [0.5, 0.5, 1.0])
+
+
+class TestInformationRoute:
+    @pytest.mark.parametrize("horizon", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("base_n, level", [
+        (1, 0), (3, 0), (5, 2), (7, 4), (4, 6), (32, 7), (1, 13)])
+    def test_uniform_grids_take_the_closed_form(self, monkeypatch, base_n,
+                                                level, horizon):
+        sysm = heat(4, horizon=horizon)
+        times = sk.dyadic_grid(base_n, level, horizon)
+        monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
+        assert posterior_trace(sysm, times) > 0
+
+    @pytest.mark.parametrize("which", [
+        "irregular", "stops-before-T", "one-ulp-off", "empty"])
+    def test_other_grids_take_the_accumulation(self, monkeypatch, which):
+        sysm = heat(4)
+        times = {"irregular": lambda: _irregular_times(16, seed=2),
+                 "stops-before-T": lambda: _uniform_grid(1.0, 16)[:-1],
+                 "one-ulp-off": _one_ulp_off,
+                 "empty": lambda: np.array([])}[which]()
+        want = sk.sequential_filter(sysm, times).trace_err
+        monkeypatch.setattr(filter_core, "_uniform_information", _refuse)
+        npt.assert_allclose(posterior_trace(sysm, times), want, rtol=1e-12)
+
+
+class TestClosedFormInformation:
+    """J on the uniform grid: the closed form against the sum over samples."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 64, 1000, 2 ** 13])
+    @pytest.mark.parametrize("modes", [10, 60])
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_matches_the_accumulation(self, family, modes, n):
+        # wave modes +/- i pi k alias to x = 2 pi i j at n <= modes / 2
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(modes, horizon=1.0)
+        closed = _uniform_information(sysm, n)
+        assert np.all(np.isfinite(closed))
+        summed = _accumulated_information(sysm, _uniform_grid(1.0, n))
+        assert rel_frobenius(closed, summed) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_keeps_its_digits_near_x_zero(self, family):
+        # at n = 2**18 every |x| is small; e^x - 1 taken as exp(x) - 1 there
+        # drifts by 7e-14 (heat) and 1.8e-12 (wave) from the accumulation
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(10, horizon=1.0)
+        n = 2 ** 18
+        summed = _accumulated_information(sysm, _uniform_grid(1.0, n))
+        assert rel_frobenius(_uniform_information(sysm, n), summed) <= 5e-14
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 64, 1000])
+    def test_keeps_the_conjugate_mate_structure(self, n):
+        sysm = sk.build_wave_model(12, horizon=1.0)
+        closed = _uniform_information(sysm, n)
+        mate = np.ix_(sysm.pairing, sysm.pairing)
+        npt.assert_array_equal(closed[mate], closed.conj())
+        npt.assert_allclose(closed, closed.conj().T, rtol=0,
+                            atol=1e-15 * np.abs(closed).max())
 
 
 _GRIDS = st.lists(st.integers(1, 999), min_size=1, max_size=16, unique=True)
@@ -298,10 +361,14 @@ class TestRouteProperties:
             npt.assert_allclose(run.trace_err, first.trace_err, rtol=1e-10)
 
     @settings(max_examples=40, deadline=None)
-    @given(grid=_GRIDS, pairs=st.integers(1, 6))
-    def test_paired_models_keep_real_traces(self, grid, pairs):
+    @given(grid=_GRIDS, pairs=st.integers(1, 6),
+           uniform=st.one_of(st.just(0), st.integers(1, 40)))
+    def test_paired_models_keep_real_traces(self, grid, pairs, uniform):
+        # uniform > 0 takes the closed-form information matrix on that grid,
+        # aliased wave pairs included; 0 takes the irregular grid
         sysm = sk.build_wave_model(2 * pairs)
-        times = np.array(sorted(grid)) / 1000.0
+        times = (_uniform_grid(sysm.horizon, uniform) if uniform
+                 else np.array(sorted(grid)) / 1000.0)
         records = _Records()
         logger = logging.getLogger("sampledkf.filter_core")
         logger.addHandler(records)

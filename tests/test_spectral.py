@@ -117,9 +117,11 @@ class TestModalSystemValidation:
     def test_prior_energies(self):
         sysm = custom_system([-1.0, -2.0], prior_var=np.array([0.5, 0.25]),
                              prior_mean=np.array([1.0, 0.0], complex))
-        npt.assert_allclose(sysm.prior_energy, 0.5 + 0.25 + 1.0)
-        npt.assert_allclose(sysm.prior_domain_energy,
-                            2.0 * 1.5 + 5.0 * 0.25)
+        npt.assert_allclose(
+            sysm.weighted_prior_energy(sk.unit_weights(sysm)), 0.5 + 0.25 + 1.0)
+        npt.assert_allclose(
+            sysm.weighted_prior_energy(sk.domain_weights(sysm)),
+            2.0 * 1.5 + 5.0 * 0.25)
 
 
 class TestMapping:
