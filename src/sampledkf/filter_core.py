@@ -80,11 +80,17 @@ All four must agree to floating-point accuracy; the tests hold them to it
 ``increment_variance`` evaluates the one-insertion refinement gain
 
     E||ztilde_{j+1} - ztilde_j||^2
-        = tr( e^(AT) P C_h* (C_h P C_h* + (h/2) R)^(-1) C_h P e^(A*T) )
+        = tr( e^(AT) P C_h* G^(-1) C_h P e^(A*T) ),    G = C_h P C_h* + (h/2) R,
 
 where P conditions the initial state on the coarse observation set and C_h
-has modal columns c_k phi_h(lambda_k, t, h); the interpolated observation
-y(t) - (y(t-h) + y(t+h))/2 carries exactly (h/2) R of measurement noise.
+has modal columns c_k phi_h(lambda_k, t, h).  The interpolated observation
+y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
+measurement noise, independent of the coarse set, so the insertion also
+downdates P by the rank-r term P C_h* G^(-1) C_h P.  ``_insert`` holds that
+formula once and returns both the gain and the downdated P.
+``increment_variance`` builds P on the given base set and stays the
+one-insertion oracle; ``refinement.telescope_check`` carries one P through
+every insertion instead.
 """
 
 from __future__ import annotations
@@ -506,9 +512,24 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
 
     post = _initial_posterior(system, base)
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
+    energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
+    return _insert(post, chm, h, system.r_cov, energy)[0]
+
+
+def _insert(post: np.ndarray, chm: np.ndarray, h: float, r_cov: np.ndarray,
+            energy: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gain of one midpoint insertion and the posterior of x after it.
+
+    ``post`` is the error covariance P of the initial state x on the base
+    set, ``chm`` the (r, N) interpolation map C_h of the new point and
+    ``energy`` the |e^(lambda_k T)|^2.  The interpolated observation
+    C_h x + noise, noise ~ N(0, (h/2) R), is independent of the base set,
+    so with G = C_h P C_h* + (h/2) R the posterior of x drops by the rank-r
+    term P C_h* G^-1 C_h P, and the gain is the trace of its image under
+    e^(AT).
+    """
     cpost = chm @ post
-    gmat = cpost @ chm.conj().T + (h / 2.0) * system.r_cov
-    decay = np.exp(system.eigenvalues * system.horizon)
-    amat = cpost * decay.conj()
-    moved = np.sum(amat.conj() * np.linalg.solve(gmat, amat))
-    return float(moved.real)
+    gmat = cpost @ chm.conj().T + (h / 2.0) * r_cov
+    drop = cpost.conj().T @ np.linalg.solve(gmat, cpost)
+    gain = float(energy @ drop.diagonal().real)
+    return gain, _hermitize(post - drop)

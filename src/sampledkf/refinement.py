@@ -12,10 +12,13 @@ shares one reference, the dyadic refinement of the largest n, which each
 coarse grid nests inside.
 
 Refining one level at a time and one point at a time telescopes that same
-difference into a sum of one-insertion increments, each available in closed
-form through ``increment_variance``.  ``telescope_check`` verifies the
-identity numerically; ``level_sum`` isolates the per-level interpolation
-operator whose weighted norm drives every rate bound.
+difference into a sum of one-insertion increments, each in closed form
+(``filter_core.increment_variance``).  ``telescope_check`` verifies the
+identity numerically: it carries one posterior of the initial state from the
+base grid through every insertion, a rank-r downdate each, so an insertion
+costs O(N^2 r) whatever the size of the set before it.  ``level_sum``
+isolates the per-level interpolation operator whose weighted norm drives
+every rate bound.
 
 Grid convention: ``dyadic_grid(n, k)`` is the uniform (n 2**k)-point grid
 including the horizon, so level k adds the midpoints of level k-1, and the
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import _uniform_grid, increment_variance, posterior_trace
+from .filter_core import (_initial_posterior, _insert, _uniform_grid,
+                          posterior_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
 
@@ -161,31 +165,60 @@ class TelescopeReport:
     increments: tuple[np.ndarray, ...]
 
 
+def _new_points(system: ModalSystem, base_n: int, level: int):
+    """Mesh width h and the (points, N) phi_h values of the points new at ``level``."""
+    points = dyadic_grid(base_n, level, system.horizon)[::2]
+    h = system.horizon / (base_n * 2 ** level)
+    return h, phi_h(system.eigenvalues[None, :], points[:, None], h)
+
+
+def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
+    """Insertion gains per level and the posterior of x after the last one.
+
+    One posterior of the initial state, taken on ``dyadic_grid(base_n, 0)``,
+    is carried through every insertion (levels in order, points left to
+    right) by the rank-r downdate of ``filter_core._insert``.  The dyadic
+    construction fixes every stencil: the neighbours t - h (or 0) and t + h
+    of a point new at a level already belong to the base set.
+    """
+    post = _initial_posterior(system, dyadic_grid(base_n, 0, system.horizon))
+    energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
+    coeffs = system.output_coeffs.T
+    per_level: list[np.ndarray] = []
+    for level in range(1, levels + 1):
+        h, phis = _new_points(system, base_n, level)
+        gains = np.empty(len(phis))
+        for j, phi in enumerate(phis):
+            gains[j], post = _insert(post, coeffs * phi[None, :], h,
+                                     system.r_cov, energy)
+        per_level.append(gains)
+    return per_level, post
+
+
 def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeReport:
     """Verify that per-point increments telescope to the trace drop.
 
-    Runs the filter on ``dyadic_grid(base_n, 0)`` and on the fully refined
-    grid, then inserts every midpoint one at a time (levels in order, points
-    left to right) accumulating ``increment_variance``.  The residual is the
+    Takes the posterior traces on ``dyadic_grid(base_n, 0)`` and on the fully
+    refined grid, then inserts every midpoint one at a time (levels in order,
+    points left to right), carrying one posterior of the initial state
+    through a rank-r downdate per insertion; each gain equals
+    ``increment_variance`` on the set inserted so far.  The residual is the
     absolute mismatch relative to the coarse trace.  Undriven systems only.
     """
+    if system.has_input_noise:
+        raise ValueError("telescope_check needs an undriven system; with input "
+                         "noise take trace differences of sequential_filter runs")
     if not _is_whole(levels) or levels < 1:
         raise ValueError(f"telescope_check needs at least one level: levels "
                          f"must be a whole number >= 1, got levels={levels!r}")
     levels = int(levels)
     horizon = system.horizon
+    # both traces take the public trace route, independent of the carried
+    # posterior whose downdates they check
     coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon))
+    base_n = int(base_n)
     fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon))
-    per_level: list[np.ndarray] = []
-    base = list(dyadic_grid(base_n, 0, horizon))
-    for level in range(1, levels + 1):
-        h = horizon / (base_n * 2 ** level)
-        points = dyadic_grid(base_n, level, horizon)[::2]
-        gains = []
-        for t in points:
-            gains.append(increment_variance(system, base, float(t), h))
-            base.append(float(t))
-        per_level.append(np.asarray(gains))
+    per_level, _ = _telescope_gains(system, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
     residual = abs(total - drop) / coarse
@@ -212,11 +245,10 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     if level < 1:
         raise ValueError("level_sum needs level >= 1")
     weights = np.asarray(weights, dtype=float).ravel()
-    if weights.shape != (system.num_modes,) or np.any(weights <= 0):
-        raise ValueError("weights must be positive, one per mode")
-    points = dyadic_grid(base_n, level, system.horizon)[::2]
-    h = system.horizon / (base_n * 2 ** level)
-    phis = phi_h(system.eigenvalues[None, :], points[:, None], h)
+    if (weights.shape != (system.num_modes,)
+            or not np.all(np.isfinite(weights) & (weights > 0))):
+        raise ValueError("weights must be positive and finite, one per mode")
+    h, phis = _new_points(system, base_n, level)
     gram = (phis.conj().T @ phis) * (system.output_coeffs.conj()
                                      @ system.output_coeffs.T)
     scale = 1.0 / np.sqrt(weights)

@@ -6,6 +6,8 @@ import pytest
 
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
+from sampledkf.filter_core import _initial_posterior
+from sampledkf.refinement import _telescope_gains
 
 
 def single_mode(lam=-2.0, c=1.0, p=0.8):
@@ -196,10 +198,60 @@ class TestTelescope:
         assert got.residual == want.residual
         npt.assert_array_equal(got.level_sums, want.level_sums)
 
+    @pytest.mark.parametrize("base_n", [4.0, np.int64(4)])
+    def test_whole_number_base_sizes_are_stored_as_int(self, base_n):
+        want = sk.telescope_check(single_mode(), 4, 1)
+        got = sk.telescope_check(single_mode(), base_n, 1)
+        assert got.base_n == 4 and type(got.base_n) is int
+        npt.assert_array_equal(got.level_sums, want.level_sums)
+
     @pytest.mark.parametrize("levels", [1.5, np.nan, np.inf, 0, -1])
     def test_bad_levels_are_named(self, levels):
         with pytest.raises(ValueError, match=f"got levels={levels!r}"):
             sk.telescope_check(single_mode(), 2, levels)
+
+    def test_rejects_driven_systems_up_front(self, monkeypatch):
+        # refused before any trace is taken, under its own name
+        def no_work(*args, **kwargs):
+            raise AssertionError("telescope_check worked on a driven system")
+
+        monkeypatch.setattr(sk.refinement, "posterior_trace", no_work)
+        monkeypatch.setattr(sk.refinement, "_initial_posterior", no_work)
+        with pytest.raises(ValueError,
+                           match="telescope_check needs an undriven system"):
+            sk.telescope_check(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
+                               2, 1)
+
+
+class TestCarriedPosterior:
+    """The carried route against its one-insertion and whole-grid oracles."""
+
+    @pytest.mark.parametrize("kind", ["heat", "wave", "two_outputs"])
+    def test_every_gain_equals_increment_variance(self, kind, two_output_heat):
+        if kind == "two_outputs":
+            sysm = two_output_heat(5)
+        else:
+            sysm = getattr(sk, f"build_{kind}_model")(10, horizon=1.0)
+        base_n = 4
+        report = sk.telescope_check(sysm, base_n, 3)
+        base = list(sk.dyadic_grid(base_n, 0))
+        worst = 0.0
+        for level, gains in enumerate(report.increments, start=1):
+            h = 1.0 / (base_n * 2 ** level)
+            points = sk.dyadic_grid(base_n, level)[::2]
+            assert gains.shape == points.shape
+            for t, gain in zip(points, gains):
+                want = sk.increment_variance(sysm, base, float(t), h)
+                worst = max(worst, abs(gain - want) / want)
+                base.append(float(t))
+        assert worst <= 1e-13
+
+    def test_carried_posterior_equals_refined_grid_posterior(self):
+        sysm = sk.build_heat_model(10, horizon=1.0)
+        _, carried = _telescope_gains(sysm, 4, 8)
+        want = _initial_posterior(sysm, sk.dyadic_grid(4, 8))
+        gap = np.linalg.norm(carried - want) / np.linalg.norm(want)
+        assert gap <= 1e-12
 
 
 class TestLevelSum:
@@ -248,10 +300,17 @@ class TestLevelSum:
         heat = sk.build_heat_model(3, horizon=1.0)
         with pytest.raises(ValueError, match="level >= 1"):
             sk.level_sum(heat, 4, 0, sk.unit_weights(heat))
-        with pytest.raises(ValueError, match="positive, one per mode"):
+        with pytest.raises(ValueError, match="positive and finite, one per mode"):
             sk.level_sum(heat, 4, 1, np.ones(2))
-        with pytest.raises(ValueError, match="positive, one per mode"):
+        with pytest.raises(ValueError, match="positive and finite, one per mode"):
             sk.level_sum(heat, 4, 1, np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        # NaN used to fail inside eigvalsh, inf to zero its mode's scale
+        heat = sk.build_heat_model(3, horizon=1.0)
+        with pytest.raises(ValueError, match="positive and finite, one per mode"):
+            sk.level_sum(heat, 4, 1, np.array([1.0, bad, 1.0]))
 
     @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1), (4, 1.5)])
     def test_bad_grid_sizes_raise_the_grid_error(self, base_n, level):
