@@ -1,10 +1,11 @@
 """
 Monte Carlo cross-check of the deterministic error traces.
 
-Draws exact joint samples of (state at the horizon, sampled outputs), runs
-the filter mean recursion on each, and compares the empirical average of
-||z(T) - z_hat||^2 with the closed-form posterior trace.  Agreement within a
-few standard errors validates the whole kernel/filter stack end to end.
+Draws exact joint samples of (state at the horizon, sampled outputs), maps
+each trial's normals to its filtering error through the one linear error
+map, and compares the empirical average of ||z(T) - z_hat||^2 with the
+closed-form posterior trace.  Agreement within a few standard errors
+validates the whole kernel/filter stack end to end.
 """
 
 import numpy as np

@@ -31,11 +31,12 @@ recursion carries only the N x N covariance of z: an elementwise prediction
 plus a rank-r update per sample, O(N^2 r) instead of dense (N+r) x (N+r)
 products.  Covariances never depend on the data, so ``_filter_plan`` runs
 them once and keeps the per-sample gains.  The filtered mean is linear in
-the data, mean_T = B_0 m0 + sum_i L_i inc_i, so ``_filtered_means`` folds
-those gains into the maps L_i and B_0 in one backward pass, O(N^2 r) a
-step, and applies them to a whole batch of output paths in one gemm: the
-one mean update for both ``sequential_filter(observations=...)`` and the
-Monte Carlo of ``montecarlo``.
+the data, mean_T = B_0 m0 + sum_i L_i inc_i.  ``_backward_maps`` folds
+those gains into the maps L_i and B_i in one backward pass, O(N^2 r) a
+step.  ``_filtered_means`` applies them to a batch of output paths in one
+gemm, the mean update of ``sequential_filter(observations=...)``; the Monte
+Carlo of ``montecarlo`` builds its map from trial normals to the error
+zhat(T) - z(T) from the same pass.
 
 ``_uniform_posterior`` is the hot path for driven systems on the uniform grid
 (j T) / m, j = 1..m, of ``_uniform_grid`` (which ``refinement.dyadic_grid``
@@ -188,27 +189,40 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
     return run, steps, tail_tr
 
 
+def _backward_maps(system: ModalSystem, steps, tail_tr):
+    """The backward pass over the steps of ``_filter_plan``, last step first.
+
+    With e_i, G_i and K_i the decay, output map and gain of ``steps[i - 1]``,
+    B_m = diag(tail decay), L_i = B_i K_i and B_(i-1) = B_i diag(e_i) - L_i G_i,
+    yields (i, B_i, L_i) for i = m..1 and then (0, B_0, None).  L_i maps the
+    i-th increment into the filtered mean at the horizon, and -B_i is the
+    derivative of the error zhat(T) - z(T) in z just after sample i (z(0) for
+    B_0).  Only the current B is held.
+    """
+    back = np.diag(tail_tr.decay if tail_tr is not None
+                   else np.ones(system.num_modes, dtype=complex))
+    for i in range(len(steps), 0, -1):
+        tr, gain = steps[i - 1]
+        lmap = back @ gain
+        yield i, back, lmap
+        back = back * tr.decay - lmap @ tr.output_map
+    yield 0, back, None
+
+
 def _filtered_means(system: ModalSystem, steps, tail_tr,
                     increments: np.ndarray) -> np.ndarray:
     """Filtered means of z(T), one per path, from the steps of ``_filter_plan``.
 
     ``increments`` is (paths, m, r): the increments y(t_i) - y(t_(i-1)) of
     each path's sampled output.  Returns the (paths, num_modes) means.  The
-    mean is linear in the data, mean_T = B_0 m0 + sum_i L_i inc_i; one
-    backward pass over the steps builds the maps, L_i = B K_i and then
-    B <- B diag(e_i) - L_i G_i from B = diag(tail decay), and one gemm
-    applies them to every path.
+    mean is linear in the data, mean_T = B_0 m0 + sum_i L_i inc_i, with the
+    maps of ``_backward_maps``; one gemm applies them to every path.
     """
-    n = system.num_modes
     paths, m, r = increments.shape
-    back = np.diag(tail_tr.decay if tail_tr is not None
-                   else np.ones(n, dtype=complex))
-    maps = np.empty((m * r, n), dtype=complex)  # row block i is L_i^T
-    for i in reversed(range(m)):
-        tr, gain = steps[i]
-        lmap = back @ gain
-        maps[i * r:(i + 1) * r] = lmap.T
-        back = back * tr.decay - lmap @ tr.output_map
+    maps = np.empty((m * r, system.num_modes), dtype=complex)
+    for i, back, lmap in _backward_maps(system, steps, tail_tr):
+        if i:  # row block i - 1 is L_i^T
+            maps[(i - 1) * r:i * r] = lmap.T
     return increments.reshape(paths, m * r) @ maps + back @ system.prior_mean
 
 

@@ -28,11 +28,17 @@ w is the widest process-noise factor's width (tail included); narrower
 factors are zero-padded to it, so every sample step takes a block of the
 same width and the simulator reads the steps as one (trials, steps, width)
 view.
-Between samples every path moves elementwise (z *= e) with the output
-integral a rank-r map of z, as in the filter recursion.  The simulator
-returns output increments; ``empirical_error`` filters all trials at once
-with ``filter_core._filtered_means``, the mean update ``sequential_filter``
-applies to a single path, and ``sample_path`` sums the increments.
+
+``sample_path`` runs the simulator: between samples every path moves
+elementwise (z *= e) with the output integral a rank-r map of z, as in the
+filter recursion, and the output increments are summed.  ``empirical_error``
+runs no path.  A trial's error zhat(T) - z(T) is an exact linear function of
+its normals, ``_Simulator.error_map``, built in the backward pass that also
+gives ``filter_core._filtered_means`` its maps.  So the map is built once, in
+O(m N^2 (w + r)), and applied to the seed's stream ``_TRIAL_BLOCK`` trials at
+a time, one real gemm and row norms a block; the normals held never exceed
+one block.  ``run_paths`` followed by ``_filtered_means`` is the oracle the
+tests hold the map to.
 """
 
 from __future__ import annotations
@@ -43,12 +49,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .filter_core import _filter_plan, _filtered_means, _validate_times
+from .filter_core import _backward_maps, _filter_plan, _validate_times
+from .refinement import _is_whole
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["SimulationBatch", "sample_path", "empirical_error"]
+
+#: Trials per block of normals read from a seed's stream; bounds the normals
+#: held at ``_TRIAL_BLOCK`` x (normals per trial) whatever the trial count.
+_TRIAL_BLOCK = 1024
 
 
 def _pairing_or_identity(system: ModalSystem) -> np.ndarray:
@@ -130,6 +141,14 @@ def _trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(entropy))
 
 
+def _whole(name: str, value, low: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless whole and >= low."""
+    if not _is_whole(value) or value < low:
+        raise ValueError(f"{name} must be >= {low} and a whole number, "
+                         f"got {name}={value!r}")
+    return int(value)
+
+
 class _Simulator:
     """Shared precomputation for exact joint draws of states and outputs."""
 
@@ -164,12 +183,64 @@ class _Simulator:
         # widths in the documented draw order: the initial state, one sample
         # step's normals, then a trial's whole block
         self.head = self.initial_factor.shape[1]
+        self.width = width
         self.stride = width + r
         tail = width if self.tail_tr is not None else 0
         self.total = self.head + times.size * self.stride + tail
 
-    def draw(self, seed: int, trials: int) -> np.ndarray:
-        return _trial_rng(seed).standard_normal((trials, self.total))
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, (trials, total), with the next trials of ``rng``."""
+        return rng.standard_normal(out=out)
+
+    def blocks(self, seed: int, trials: int):
+        """The normals of trials 0..trials-1 of ``seed``, ``_TRIAL_BLOCK`` at a time.
+
+        Each block is drawn into one reused buffer, so it holds only until
+        the next block is drawn.
+        """
+        rng = _trial_rng(seed)
+        buf = np.empty((min(trials, _TRIAL_BLOCK), self.total))
+        for lo in range(0, trials, _TRIAL_BLOCK):
+            yield self.draw(rng, buf[:trials - lo])
+
+    def error_map(self) -> np.ndarray:
+        """The (total, N) map M with zhat(T) - z(T) = xi M for a trial's normals xi.
+
+        The error is linear in the normals with no affine part: the prior
+        mean reaches z(T) and the filtered mean through the same B_0 of
+        ``filter_core._backward_maps`` and cancels.  With the B_i and L_i of
+        that pass, the error moves by -B_i per unit of z just after sample i
+        and by L_i per unit of its increment, so M's row blocks, in the draw
+        order, are
+
+            initial state            -F_0^T B_0^T
+            process noise of step i  -F_i[:, :N] B_i^T + F_i[:, N:] L_i^T
+            measurement of step i    sqrt(d_i) R_chol^T L_i^T
+            tail process noise       -F_tail[:, :N]
+
+        with F_0 the (N, head) initial factor (z(0) = m0 + F_0 xi) and F_i the
+        padded (w, N+r) process-noise map of step i (noise = xi F_i).
+        O(m N^2 (w + r)) work, whatever the number of trials.
+        """
+        n, w, m = self.n, self.width, self.times.size
+        emap = np.empty((self.total, n), dtype=complex)
+        per_step = emap[self.head:self.head + m * self.stride].reshape(
+            m, self.stride, n)
+        for i, back, lmap in _backward_maps(self.system, self.steps,
+                                            self.tail_tr):
+            if not i:
+                break
+            tr, _ = self.steps[i - 1]
+            block = per_step[i - 1]
+            if w:
+                factor = self.noise_maps[id(tr)].view(complex)
+                block[:w] = factor[:, n:] @ lmap.T - factor[:, :n] @ back.T
+            block[w:] = np.sqrt(tr.step) * (self.meas_chol.T @ lmap.T)
+        emap[:self.head] = -self.initial_factor.T @ back.T  # back is B_0
+        if w and self.tail_tr is not None:
+            tail = self.noise_maps[id(self.tail_tr)].view(complex)
+            emap[self.total - w:] = -tail[:, :n]
+        return emap
 
     def run_paths(self, normals: np.ndarray):
         """Propagate all trials; return (final states, output increments).
@@ -221,13 +292,14 @@ def sample_path(system: ModalSystem, times, seed: int, trial: int = 0):
     coordinates and outputs (len(times), num_outputs) the cumulative sampled
     output values.  The draw is trial ``trial`` of the batch that
     ``empirical_error`` draws from ``seed``: the stream is read up to that
-    trial's block.
+    trial's block, ``_TRIAL_BLOCK`` trials at a time.
     """
-    if trial < 0:
-        raise ValueError(f"trial must be >= 0, got {trial!r}")
+    trial = _whole("trial", trial, 0)
+    seed = _whole("seed", seed, 0)
     times = _validate_times(system, times)
     sim = _Simulator(system, times)
-    state, increments = sim.run_paths(sim.draw(seed, trial + 1)[-1:])
+    *_, normals = sim.blocks(seed, trial + 1)  # the trial's row ends the last
+    state, increments = sim.run_paths(normals[-1:])
     return state[0], np.cumsum(increments[0], axis=0)
 
 
@@ -250,25 +322,27 @@ def empirical_error(system: ModalSystem, times, trials: int,
                     seed: int) -> SimulationBatch:
     """Monte Carlo estimate of E||zhat(horizon) - z(horizon)||^2.
 
-    Runs ``trials`` independent exact simulations, filters each sampled
-    output path, and compares the mean squared estimation error against the
-    deterministic ``trace_err`` of the same grid.  The z-score should be
-    O(1); |z| > 3 flags disagreement.
+    Draws ``trials`` independent exact simulations and compares the mean
+    squared estimation error against the deterministic ``trace_err`` of the
+    same grid.  A trial's error is its normals times the simulator's
+    ``error_map``, so the map is built once and applied to the seed's stream
+    ``_TRIAL_BLOCK`` trials at a time, one real gemm a block.  The z-score
+    should be O(1); |z| > 3 flags disagreement.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    trials = _whole("trials", trials, 2)
+    seed = _whole("seed", seed, 0)
     times = _validate_times(system, times)
     if times.size == 0:
         raise ValueError("need at least one sample time")
     sim = _Simulator(system, times)
-    state, increments = sim.run_paths(sim.draw(seed, trials))
-    mean = _filtered_means(system, sim.steps, sim.tail_tr, increments)
-    errors = (np.abs(mean - state) ** 2).sum(axis=1)
+    emap = sim.error_map().view(float)  # real and imaginary parts side by side
+    errors = np.concatenate([np.square(normals @ emap).sum(axis=1)
+                             for normals in sim.blocks(seed, trials)])
     empirical = float(errors.mean())
     sdev = float(errors.std(ddof=1) / np.sqrt(trials))
     trace = sim.run.trace_err
     z = (empirical - trace) / sdev if sdev > 0 else 0.0
-    return SimulationBatch(label=system.label, grid=times, trials=int(trials),
-                           seed=int(seed), errors=errors,
+    return SimulationBatch(label=system.label, grid=times, trials=trials,
+                           seed=seed, errors=errors,
                            empirical_mean=empirical, std_error=sdev,
                            trace_err=trace, z_score=float(z))

@@ -30,6 +30,7 @@ per level, which keeps membership across levels exact in floating point.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,12 @@ _REFERENCE_TOLERANCE = 0.05
 
 
 def _is_whole(value) -> bool:
-    """True for finite whole numbers of any numeric type (2, 2.0, np.int64(2))."""
-    return float(value).is_integer()
+    """True for finite whole numbers of any numeric type (2, 2.0, np.int64(2)).
+
+    Integers are whole without a float conversion, which would overflow
+    beyond about 1.8e308 (a seed may be larger).
+    """
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Path sampling and empirical validation of the deterministic error trace."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,8 +10,8 @@ import sampledkf as sk
 from sampledkf import montecarlo
 from sampledkf.errors import NumericalError
 from sampledkf.filter_core import _filtered_means
-from sampledkf.montecarlo import (_pairing_or_identity, _real_factor,
-                                  _Simulator)
+from sampledkf.montecarlo import (_TRIAL_BLOCK, _pairing_or_identity,
+                                  _real_factor, _Simulator, _trial_rng)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
@@ -18,6 +20,11 @@ def aug_pairing(sysm):
     """Pairing of the augmented (z, Y) coordinates: outputs are real."""
     return np.concatenate([_pairing_or_identity(sysm),
                            sysm.num_modes + np.arange(sysm.num_outputs)])
+
+
+def draw(sim, seed, trials):
+    """Trials 0..trials-1 of ``seed``'s stream, drawn as one array."""
+    return sim.draw(_trial_rng(seed), np.empty((trials, sim.total)))
 
 
 def draw_offsets(sim):
@@ -177,12 +184,12 @@ class TestRealFactor:
             moved = _real_factor(perturb(tr.noise_cov), pairing)
             assert moved.shape == factor.shape
             assert np.abs(moved - factor).max() <= 1e-11 * np.abs(factor).max()
-        state, increments = sim.run_paths(sim.draw(1, 64))
+        state, increments = sim.run_paths(draw(sim, 1, 64))
         exact = montecarlo._real_factor
         monkeypatch.setattr(montecarlo, "_real_factor",
                             lambda cov, p: exact(perturb(cov), p))
         sim = _Simulator(sysm, times)
-        state2, increments2 = sim.run_paths(sim.draw(1, 64))
+        state2, increments2 = sim.run_paths(draw(sim, 1, 64))
         assert np.abs(state2 - state).max() <= 1e-11 * np.abs(state).max()
         assert (np.abs(increments2 - increments).max()
                 <= 1e-11 * np.abs(increments).max())
@@ -201,7 +208,7 @@ class TestTrialStream:
         total = draw_offsets(sim)[0]
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed])))
-        npt.assert_array_equal(sim.draw(seed, 12),
+        npt.assert_array_equal(draw(sim, seed, 12),
                                gen.standard_normal((12, total)))
 
     @pytest.mark.parametrize("seed", [0, 11, 2**70 + 1],
@@ -209,13 +216,24 @@ class TestTrialStream:
     def test_enlarging_the_batch_keeps_earlier_trials(self, seed):
         sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
                          EIGHT_TIMES[:-1])
-        npt.assert_array_equal(sim.draw(seed, 5), sim.draw(seed, 12)[:5])
+        npt.assert_array_equal(draw(sim, seed, 5), draw(sim, seed, 12)[:5])
+
+    @pytest.mark.parametrize("seed", [0, 11], ids=["0", "11"])
+    def test_blocks_read_the_stream_as_one_draw(self, seed):
+        sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
+                         EIGHT_TIMES[:-1])
+        blocks = [normals.copy() for normals in sim.blocks(seed, _TRIAL_BLOCK + 5)]
+        assert [len(b) for b in blocks] == [_TRIAL_BLOCK, 5]
+        npt.assert_array_equal(np.concatenate(blocks),
+                               draw(sim, seed, _TRIAL_BLOCK + 5))
 
     def test_sample_path_reads_its_trial_row(self):
         sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
         sim = _Simulator(sysm, EIGHT_TIMES)
-        state, increments = sim.run_paths(sim.draw(4, 6))
-        for j in (0, 2, 5):  # same normals; a batched gemm may round differently
+        state, increments = sim.run_paths(draw(sim, 4, _TRIAL_BLOCK + 2))
+        # the last rows lie on both sides of the first block boundary
+        for j in (0, 2, 5, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1):
+            # same normals; a batched gemm may round differently
             s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=4, trial=j)
             npt.assert_allclose(s, state[j], rtol=1e-13, atol=1e-16)
             npt.assert_allclose(y, np.cumsum(increments[j], axis=0),
@@ -228,7 +246,7 @@ class TestTrialStream:
         npt.assert_array_equal(s, s0)
         npt.assert_array_equal(y, y0)
         sim = _Simulator(sysm, EIGHT_TIMES)
-        state, increments = sim.run_paths(sim.draw(4, 1))
+        state, increments = sim.run_paths(draw(sim, 4, 1))
         npt.assert_array_equal(s, state[0])
         npt.assert_array_equal(y, np.cumsum(increments[0], axis=0))
 
@@ -236,7 +254,7 @@ class TestTrialStream:
         sysm = sk.build_heat_model(3, horizon=1.0)
         sim = _Simulator(sysm, EIGHT_TIMES)
         with pytest.raises(ValueError):
-            sim.draw(-1, 4)
+            draw(sim, -1, 4)
         with pytest.raises(ValueError):
             sk.empirical_error(sysm, EIGHT_TIMES, trials=4, seed=-5)
         with pytest.raises(ValueError, match="trial must be >= 0"):
@@ -252,7 +270,7 @@ class TestPathsAgainstAugmentedMap:
         # the last sample leaves a tail step
         times = np.array([0.001, 0.3, 0.302, 0.8])
         sim = _Simulator(sysm, times)
-        normals = sim.draw(3, 16)
+        normals = draw(sim, 3, 16)
         state, increments = sim.run_paths(normals)
 
         n = sysm.num_modes
@@ -289,6 +307,70 @@ class TestPathsAgainstAugmentedMap:
             run = sk.sequential_filter(sysm, times,
                                        observations=np.cumsum(increments[j], axis=0))
             npt.assert_allclose(mean[j], run.final_mean, rtol=1e-12, atol=1e-14)
+
+
+def with_prior_mean(sysm, mean):
+    return dataclasses.replace(sysm, prior_mean=np.asarray(mean, complex),
+                               label=sysm.label + "+mean")
+
+
+def heat(q_scalar=0.0):
+    return sk.build_heat_model(4, horizon=1.0, q_scalar=q_scalar)
+
+
+# two_output_heat -> (model, times): undriven and driven, complex modes, a
+# tail step with narrower factors, two outputs, and nonzero prior means
+ERROR_MAP_CASES = {
+    "heat": lambda _: (heat(), EIGHT_TIMES),
+    "wave": lambda _: (sk.build_wave_model(4, horizon=1.0), EIGHT_TIMES),
+    "heat-driven": lambda _: (heat(0.4), EIGHT_TIMES),
+    "tail-narrow": lambda _: (heat(0.5), np.array([0.001, 0.3, 0.302, 0.8])),
+    "two-outputs": lambda two: (two(4, 0.0), EIGHT_TIMES[:-1]),
+    "two-outputs-driven": lambda two: (two(4, 0.5), EIGHT_TIMES[:-1]),
+    "heat-driven-mean": lambda _: (
+        with_prior_mean(heat(0.5), [0.8, -0.5, 0.3, 0.1]),
+        np.array([0.2, 0.45, 0.5, 0.9])),
+    "wave-mean": lambda _: (
+        with_prior_mean(sk.build_wave_model(4, horizon=1.0),
+                        [0.3 + 0.2j, 0.3 - 0.2j, -0.1 + 0.4j, -0.1 - 0.4j]),
+        EIGHT_TIMES),
+}
+
+
+class TestErrorMap:
+    """The map from a trial's normals to zhat(T) - z(T), against the paths."""
+
+    @pytest.mark.parametrize("case", ERROR_MAP_CASES)
+    def test_matches_filtered_paths(self, case, two_output_heat):
+        sysm, times = ERROR_MAP_CASES[case](two_output_heat)
+        sim = _Simulator(sysm, times)
+        normals = draw(sim, 5, 64)
+        state, increments = sim.run_paths(normals)
+        gap = _filtered_means(sysm, sim.steps, sim.tail_tr, increments) - state
+        mapped = normals @ sim.error_map()
+        assert np.abs(mapped - gap).max() <= 1e-12 * np.abs(gap).max()
+        # empirical_error reads the same stream through the same map
+        oracle = (np.abs(gap) ** 2).sum(axis=1)
+        batch = sk.empirical_error(sysm, times, trials=64, seed=5)
+        npt.assert_allclose(batch.errors, oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", [*ERROR_MAP_CASES, "workload"])
+    def test_frobenius_norm_is_the_trace(self, case, two_output_heat):
+        # E||xi M||^2 = ||M||_F^2 for standard normals xi
+        sysm, times = (workload_model_and_grid() if case == "workload"
+                       else ERROR_MAP_CASES[case](two_output_heat))
+        sim = _Simulator(sysm, times)
+        emap = sim.error_map()
+        assert emap.shape == (sim.total, sysm.num_modes)
+        npt.assert_allclose(np.sum(np.abs(emap) ** 2), sim.run.trace_err,
+                            rtol=1e-10)
+
+    def test_a_later_block_leaves_the_first_alone(self):
+        sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
+        one = sk.empirical_error(sysm, EIGHT_TIMES, trials=_TRIAL_BLOCK, seed=2)
+        more = sk.empirical_error(sysm, EIGHT_TIMES, trials=_TRIAL_BLOCK + 5,
+                                  seed=2)
+        npt.assert_array_equal(more.errors[:_TRIAL_BLOCK], one.errors)
 
 
 class TestAgainstDeterministicTrace:
@@ -342,7 +424,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="conjugate pairing"):
             sk.sample_path(sysm, EIGHT_TIMES, seed=1)
 
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [10.5, float("nan"), float("inf")],
+                             ids=["fractional", "nan", "inf"])
+    def test_batch_counts_must_be_whole(self, name, value):
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        args = {"trials": 10, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be >= .* whole"):
+            sk.empirical_error(sysm, EIGHT_TIMES, **args)
+
+    @pytest.mark.parametrize("name", ["trial", "seed"])
+    @pytest.mark.parametrize("value", [2.7, float("nan"), float("inf")],
+                             ids=["fractional", "nan", "inf"])
+    def test_path_indices_must_be_whole(self, name, value):
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        args = {"seed": 1, "trial": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and a whole"):
+            sk.sample_path(sysm, EIGHT_TIMES, **args)
+
+    def test_whole_valued_floats_and_numpy_ints_are_ints(self):
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        batch = sk.empirical_error(sysm, EIGHT_TIMES, trials=np.int64(10),
+                                   seed=3.0)
+        assert type(batch.trials) is int and type(batch.seed) is int
+        assert (batch.trials, batch.seed) == (10, 3)
+        plain = sk.empirical_error(sysm, EIGHT_TIMES, trials=10, seed=3)
+        npt.assert_array_equal(batch.errors, plain.errors)
+        # an int seed too large for a float is whole without a conversion
+        assert sk.empirical_error(sysm, EIGHT_TIMES, trials=2,
+                                  seed=2**1100).seed == 2**1100
+        s, y = sk.sample_path(sysm, EIGHT_TIMES, seed=np.uint8(3), trial=1.0)
+        s1, y1 = sk.sample_path(sysm, EIGHT_TIMES, seed=3, trial=1)
+        npt.assert_array_equal(s, s1)
+        npt.assert_array_equal(y, y1)
+
     def test_needs_two_trials(self):
         sysm = sk.build_heat_model(3, horizon=1.0)
-        with pytest.raises(ValueError, match="at least two trials"):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
             sk.empirical_error(sysm, EIGHT_TIMES, trials=1, seed=0)
