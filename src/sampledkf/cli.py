@@ -66,7 +66,7 @@ _SCHEMA = {
     "trials": ("int", "Monte Carlo trials"),
     "seed": ("int", "root seed for trial streams"),
     "out": ("str", "CSV output path (stdout when omitted)"),
-    "plot_out": ("str", "plot-data output path"),
+    "plot_out": ("str", "plot-data output path (converge and bounds)"),
 }
 
 _MODEL_KEYS = ("model.kind", "model.num_modes", "model.horizon",
@@ -172,6 +172,9 @@ def build_config(raw: dict[str, str],
     values.setdefault("seed", 0)
     if values["seed"] < 0:
         raise ConfigError("seed: must be non-negative")
+    if "plot_out" in values and experiment not in ("converge", "bounds"):
+        raise ConfigError(f"plot_out: experiment '{experiment}' writes no "
+                          f"plot data")
 
     if experiment in ("converge", "bounds", "fit"):
         values.setdefault("k_ref", 6)

@@ -1,6 +1,6 @@
 """Discrete-time estimation of the sampled system, four routes.
 
-``information_filter`` is the hot path for undriven systems.  Without input
+The information form is the hot path for undriven systems.  Without input
 noise z(T) = e^(AT) x, and each increment observation
 
     y(t_i) - y(t_(i-1)) = H_i x + dw,    H_i = C diag(e^(lambda t_(i-1)) I1(lambda, d_i)),
@@ -61,11 +61,14 @@ of m recursion steps.  Without input noise H = 0 and Gam is the information
 matrix J, so the information form is the special case; the tests hold the
 two to each other.
 
-``posterior_trace`` is the one place that picks a route: the information
-form for undriven systems; for driven ones doubling when the times equal
-``_uniform_grid(T, m)`` exactly, the recursion on every other grid.  Inside
-the information form, ``_initial_posterior`` picks the closed-form J by the
-same exact test (``_is_uniform``).
+``_uniform_trace`` is the trace route of every uniform grid the package
+builds (coarse grids, curve references, bound anchors): it takes the grid
+size m, never the grid, and runs the closed-form J for undriven systems and
+doubling for driven ones, so no m-point array is made.  Grids that callers
+pass in take ``information_filter``, whose ``_initial_posterior`` still
+picks the closed-form J when the times equal ``_uniform_grid(T, m)`` exactly
+(``_is_uniform``), or ``sequential_filter``.  ``_condition`` holds the
+whitened conditioning of the diagonal prior once, for both J and doubling.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
@@ -110,7 +113,7 @@ from .spectral_model import ModalSystem
 logger = logging.getLogger(__name__)
 
 __all__ = ["FilterRun", "information_filter", "sequential_filter",
-           "posterior_trace", "batch_condition", "increment_variance"]
+           "batch_condition", "increment_variance"]
 
 #: Samples per gemm when accumulating the information matrix on a
 #: non-uniform grid; bounds the work array at (256 r) x N whatever its size.
@@ -322,22 +325,37 @@ def _is_uniform(horizon: float, times: np.ndarray) -> bool:
                 and np.array_equal(times, _uniform_grid(horizon, m)))
 
 
+def _condition(system: ModalSystem, info: np.ndarray, phi=None) -> np.ndarray:
+    """Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi* for J = ``info``.
+
+    The diagonal prior P0 conditioned on information J in whitened form, the
+    Cholesky factor taken of a matrix with every eigenvalue >= 1, and mapped
+    by Phi (the identity when ``phi`` is None).  Not symmetrised.
+    """
+    root = np.sqrt(system.prior_var)
+    whitened = np.eye(system.num_modes) + root[:, None] * info * root[None, :]
+    rhs = np.diag(root) if phi is None else (phi * root[None, :]).conj().T
+    half = np.linalg.solve(np.linalg.cholesky(whitened), rhs)
+    return half.conj().T @ half
+
+
 def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
     """Error covariance of the initial state x given the increments on ``times``.
 
     Undriven systems only; ``times`` must already be validated.  J takes the
     closed form on the uniform grid and the accumulation on every other grid.
     """
-    n = system.num_modes
     if _is_uniform(system.horizon, times):
         info = _uniform_information(system, times.size)
     else:
         info = _accumulated_information(system, times)
-    root = np.sqrt(system.prior_var)
-    whitened = np.eye(n) + root[:, None] * info * root[None, :]
-    chol = np.linalg.cholesky(whitened)
-    half = np.linalg.solve(chol, np.diag(root))
-    return _hermitize(half.conj().T @ half)
+    return _hermitize(_condition(system, info))
+
+
+def _at_horizon(system: ModalSystem, post: np.ndarray) -> np.ndarray:
+    """Covariance of z(T) = e^(AT) x from the covariance ``post`` of x."""
+    decay = np.exp(system.eigenvalues * system.horizon)
+    return _hermitize(decay[:, None] * post * decay.conj()[None, :])
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -353,9 +371,7 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    decay = np.exp(system.eigenvalues * system.horizon)
-    post = _initial_posterior(system, times)
-    final_cov = _hermitize(decay[:, None] * post * decay.conj()[None, :])
+    final_cov = _at_horizon(system, _initial_posterior(system, times))
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=_real_trace(final_cov))
 
@@ -399,8 +415,8 @@ def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
     The one-step triple is squared repeatedly and the powers picked out by
     the binary digits of m are joined: about 2 log2(m) N x N joins in place
     of m recursion steps.  The prior P0 = diag(p) enters the m-step triple in
-    the whitened form H + Phi P0^(1/2) (I + P0^(1/2) Gam P0^(1/2))^-1 P0^(1/2) Phi*,
-    the same Cholesky factor ``_initial_posterior`` takes.
+    the whitened form H + Phi P0^(1/2) (I + P0^(1/2) Gam P0^(1/2))^-1 P0^(1/2) Phi*
+    of ``_condition``, the conditioning ``_initial_posterior`` takes.
     """
     step = _step_triple(system, system.horizon / m)
     total = None
@@ -412,26 +428,21 @@ def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
             break
         step = _join(step, step)
     phi, gam, h = total
-    root = np.sqrt(system.prior_var)
-    whitened = np.eye(system.num_modes) + root[:, None] * gam * root[None, :]
-    half = np.linalg.solve(np.linalg.cholesky(whitened),
-                           (phi * root[None, :]).conj().T)
-    return _hermitize(h + half.conj().T @ half)
+    return _hermitize(h + _condition(system, gam, phi))
 
 
-def posterior_trace(system: ModalSystem, times) -> float:
-    """Posterior error trace E||z(T) - zhat||^2 given the samples on ``times``.
+def _uniform_trace(system: ModalSystem, m: int) -> float:
+    """Posterior error trace E||z(T) - zhat||^2 on ``_uniform_grid(T, m)``.
 
-    Undriven systems take the information form.  Driven ones take doubling
-    (``_uniform_posterior``) when ``times`` is exactly the uniform grid
-    ``_uniform_grid(T, m)``, and the recursion on every other grid.
+    Takes the grid size m, never the grid.  Undriven systems take the
+    closed-form J, conditioned and pushed to the horizon as
+    ``information_filter`` does it (N^2 kernel values whatever m is); driven
+    ones take doubling (``_uniform_posterior``, about 2 log2(m) joins).
     """
-    times = _validate_times(system, times)
-    if not system.has_input_noise:
-        return information_filter(system, times).trace_err
-    if _is_uniform(system.horizon, times):
-        return _real_trace(_uniform_posterior(system, times.size))
-    return sequential_filter(system, times).trace_err
+    if system.has_input_noise:
+        return _real_trace(_uniform_posterior(system, m))
+    post = _hermitize(_condition(system, _uniform_information(system, m)))
+    return _real_trace(_at_horizon(system, post))
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):

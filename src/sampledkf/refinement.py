@@ -9,7 +9,10 @@ limit.  For nested observation sets the two estimators form a martingale pair,
 so the discrepancy is computable without sampling as a difference of error
 traces: D(n) = trace_err(coarse) - trace_err(reference).  Every n of a curve
 shares one reference, the dyadic refinement of the largest n, which each
-coarse grid nests inside.
+coarse grid nests inside.  Each trace is taken from its grid size alone
+(``filter_core._uniform_trace``): no grid array is built for it, and a
+reference costs N^2 kernel values (undriven) or about 2 log2(m) doubling
+joins (driven) for m points.
 
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
@@ -25,6 +28,8 @@ including the horizon, so level k adds the midpoints of level k-1, and the
 points new at level k are ``dyadic_grid(n, k)[::2]``.  All times are
 constructed as (integer * horizon) / denominator with denominators that double
 per level, which keeps membership across levels exact in floating point.
+That needs the integers exact as doubles, so a curve's finest grid, the
+reference check at ``reference_level + 1``, may have at most 2**53 points.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
 from .filter_core import (_initial_posterior, _insert, _uniform_grid,
-                          posterior_trace)
+                          _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
 
@@ -92,7 +97,7 @@ class DiscrepancyCurve:
 
 
 def _coarse_trace(system: ModalSystem, n: int) -> float:
-    return posterior_trace(system, dyadic_grid(n, 0, system.horizon))
+    return _uniform_trace(system, n)
 
 
 def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
@@ -101,7 +106,9 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
 
     The reference is ``dyadic_grid(max(n_values), reference_level)``, shared
     by every n, so each n has to divide max(n_values) * 2**reference_level
-    for its grid to nest inside the reference.
+    for its grid to nest inside the reference, and the grid one level finer
+    may have at most 2**53 points.  Every trace is taken from its grid size
+    alone, so no grid of the reference's size is ever built.
 
     ``check_reference`` re-runs the reference one level finer and rejects the
     result if any D(n) moves by more than 5 percent.
@@ -117,6 +124,11 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                          f"got {reference_level!r}")
     reference_level = int(reference_level)
     n_max = int(n_values[-1])
+    # the check grid must keep every j of its times (j T) / m an exact double
+    if n_max * 2 ** (reference_level + 1) > 2 ** 53:
+        raise ValueError(f"reference_level={reference_level} is too large for "
+                         f"n={n_max}: the reference check needs {n_max} * "
+                         f"2**{reference_level + 1} points, more than 2**53")
     resolution = n_max * 2 ** reference_level
     for n in n_values:
         if resolution % int(n):
@@ -124,16 +136,13 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                 f"n={int(n)} does not divide the reference resolution "
                 f"{n_max} * 2**{reference_level}; choose divisors")
 
-    def ref_trace(level: int) -> float:
-        return posterior_trace(system, dyadic_grid(n_max, level, system.horizon))
-
     coarse = np.array([_coarse_trace(system, int(n)) for n in n_values])
 
-    reference = ref_trace(reference_level)
+    reference = _uniform_trace(system, resolution)
     values = coarse - reference
 
     if check_reference:
-        finer = ref_trace(reference_level + 1)
+        finer = _uniform_trace(system, 2 * resolution)
         finer_values = coarse - finer
         floor = 1e-14 * reference
         for n, d_ref, d_fine in zip(n_values, values, finer_values):
@@ -203,12 +212,13 @@ def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
 def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeReport:
     """Verify that per-point increments telescope to the trace drop.
 
-    Takes the posterior traces on ``dyadic_grid(base_n, 0)`` and on the fully
-    refined grid, then inserts every midpoint one at a time (levels in order,
-    points left to right), carrying one posterior of the initial state
-    through a rank-r downdate per insertion; each gain equals
-    ``increment_variance`` on the set inserted so far.  The residual is the
-    absolute mismatch relative to the coarse trace.  Undriven systems only.
+    Inserts every midpoint one at a time (levels in order, points left to
+    right), carrying one posterior of the initial state through a rank-r
+    downdate per insertion; each gain equals ``increment_variance`` on the
+    set inserted so far.  The trace drop they should sum to is taken between
+    the uniform grids of base_n and base_n 2**levels points, from the two
+    sizes alone.  The residual is the absolute mismatch relative to the
+    coarse trace.  Undriven systems only.
     """
     if system.has_input_noise:
         raise ValueError("telescope_check needs an undriven system; with input "
@@ -218,11 +228,12 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
                          f"must be a whole number >= 1, got levels={levels!r}")
     levels = int(levels)
     horizon = system.horizon
-    # both traces take the public trace route, independent of the carried
-    # posterior whose downdates they check
-    coarse = posterior_trace(system, dyadic_grid(base_n, 0, horizon))
+    dyadic_grid(base_n, 0, horizon)  # rejects a bad base_n by name
     base_n = int(base_n)
-    fine = posterior_trace(system, dyadic_grid(base_n, levels, horizon))
+    # both traces take the closed-form trace route, independent of the
+    # carried posterior whose downdates they check
+    coarse = _uniform_trace(system, base_n)
+    fine = _uniform_trace(system, base_n * 2 ** levels)
     per_level, _ = _telescope_gains(system, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scalars import phi1
-from .filter_core import posterior_trace
+from .filter_core import _uniform_trace
 from .kernels import _hermitize
-from .refinement import DiscrepancyCurve, _is_whole, dyadic_grid
+from .refinement import DiscrepancyCurve, _is_whole
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              index_weights, spectral_parameters, unit_weights)
 
@@ -87,7 +87,7 @@ def _anchor_trace(system: ModalSystem, n: int) -> float:
     if not _is_whole(n) or n < 1:
         raise ValueError(f"n must be a positive sample count (a whole number "
                          f">= 1), got n={n!r}")
-    return posterior_trace(system, dyadic_grid(n, 0, system.horizon))
+    return _uniform_trace(system, int(n))
 
 
 def _min_eig_r(system: ModalSystem) -> float:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import sampledkf as sk
+from sampledkf import filter_core, refinement
+
+#: Largest grid a test under ``no_large_grids`` may build.
+SMALL_GRID = 4096
 
 
 def _two_output_heat(num_modes=4, q_scalar=0.0):
@@ -34,3 +38,21 @@ def _two_output_heat(num_modes=4, q_scalar=0.0):
 def two_output_heat():
     """Factory ``(num_modes=4, q_scalar=0.0) -> ModalSystem`` with r = 2."""
     return _two_output_heat
+
+
+@pytest.fixture
+def no_large_grids(monkeypatch):
+    """Make every binding of ``_uniform_grid`` refuse more than SMALL_GRID points.
+
+    Traces on the package's uniform grids take the point count alone, so a
+    curve or an anchor far beyond that size must still complete.
+    """
+    build = filter_core._uniform_grid
+
+    def small_only(horizon, m):
+        if m > SMALL_GRID:
+            raise AssertionError(f"a {m}-point grid was built")
+        return build(horizon, m)
+
+    for module in (filter_core, refinement):
+        monkeypatch.setattr(module, "_uniform_grid", small_only)

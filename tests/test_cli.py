@@ -167,6 +167,12 @@ class TestBuildConfig:
                      "simulate_n: must be at least 1", id="simulate_n-small"),
         pytest.param("simulate", {"simulate_n": "4", "trials": "1"},
                      "trials: must be at least 2", id="trials-small"),
+    ] + [
+        # only converge and bounds write plot data
+        pytest.param(experiment, {"plot_out": "plot.txt"},
+                     f"^plot_out: experiment '{experiment}' writes no plot data",
+                     id=f"plot_out-{experiment}")
+        for experiment in ("fit", "telescope", "levelsum", "simulate")
     ])
     def test_rejection_names_the_key(self, experiment, extra, message):
         raw = {"experiment": experiment, "model.kind": "heat",
@@ -362,6 +368,23 @@ class TestFailureModes:
                                                        "n_values = 3, 4"))
         assert main(["converge", "--config", cfg]) == 2
         assert ("validation error: n=3 does not divide"
+                in capsys.readouterr().err)
+
+    def test_deep_reference_runs_from_the_grid_size(self, tmp_path, capsys):
+        # 64 * 2**41 check points, no grid of them built
+        cfg = write_cfg(tmp_path, (
+            "experiment = converge\nmodel.kind = heat\nmodel.num_modes = 20\n"
+            "n_values = 4, 8, 16, 32, 64\nk_ref = 40\n"))
+        assert main(["converge", "--config", cfg, "--out",
+                     str(tmp_path / "deep.csv")]) == 0
+        _, rows = data_lines(tmp_path / "deep.csv")
+        assert [row[2] for row in rows] == ["40"] * 5
+        assert all(float(row[5]) > 0 for row in rows)
+
+    def test_reference_past_two_to_the_53_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CONVERGE_CFG.replace("k_ref = 3", "k_ref = 60"))
+        assert main(["converge", "--config", cfg]) == 2
+        assert ("validation error: reference_level=60 is too large for n=4"
                 in capsys.readouterr().err)
 
     def test_version_flag(self, capsys):

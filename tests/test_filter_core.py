@@ -25,7 +25,7 @@ from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _output_gram,
                                    _solve_gram, _uniform_grid,
                                    _uniform_information, _uniform_posterior,
-                                   posterior_trace)
+                                   _uniform_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -157,12 +157,19 @@ class TestInformationForm:
             sk.information_filter(heat(3, q_scalar=0.5), FIVE_TIMES)
 
     def test_posterior_trace_picks_the_route(self):
-        driven = heat(3, q_scalar=0.5)
-        assert posterior_trace(driven, FIVE_TIMES) == \
-            sk.sequential_filter(driven, FIVE_TIMES).trace_err
+        # the uniform-grid trace takes the grid size: the information form's
+        # closed-form J for undriven systems, doubling for driven ones
+        times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
-        assert posterior_trace(wave, FIVE_TIMES) == \
-            sk.information_filter(wave, FIVE_TIMES).trace_err
+        assert _uniform_trace(wave, 5) == \
+            sk.information_filter(wave, times).trace_err
+        driven = heat(3, q_scalar=0.5)
+        assert _uniform_trace(driven, 5) == \
+            np.trace(_uniform_posterior(driven, 5)).real
+        for run in (sk.sequential_filter(driven, times),
+                    sk.batch_condition(driven, times)):
+            npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
+                                rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(grid=st.lists(st.integers(1, 999), min_size=1, max_size=12, unique=True),
@@ -172,8 +179,10 @@ class TestInformationForm:
                 "driven": lambda: heat(4, q_scalar=0.5)}[family]()
         base = np.array(sorted(grid)) / 1000.0
         refined = np.array(sorted(set(grid) | {extra})) / 1000.0
-        before = posterior_trace(sysm, base)
-        after = posterior_trace(sysm, refined)
+        trace = (sk.sequential_filter if sysm.has_input_noise
+                 else sk.information_filter)
+        before = trace(sysm, base).trace_err
+        after = trace(sysm, refined).trace_err
         assert after <= before * (1 + 1e-12)
 
 
@@ -191,7 +200,7 @@ _DOUBLING_N = [1, 2, 3, 5, 7, 100, 257]
 
 def _assert_doubling_matches(sysm, n):
     times = sk.dyadic_grid(n, 0, sysm.horizon)
-    doubled = posterior_trace(sysm, times)
+    doubled = _uniform_trace(sysm, n)
     npt.assert_allclose(doubled, sk.sequential_filter(sysm, times).trace_err,
                         rtol=1e-12)
     if n <= 8:
@@ -244,30 +253,20 @@ class TestDoublingRoute:
     def test_uniform_grids_are_doubled(self, monkeypatch, base_n, level,
                                        horizon):
         sysm = heat(4, q_scalar=0.5, horizon=horizon)
-        times = sk.dyadic_grid(base_n, level, horizon)
+        # from the grid size alone: neither the recursion nor a grid runs
         monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
-        assert posterior_trace(sysm, times) > 0
-
-    @pytest.mark.parametrize("which", [
-        "irregular", "stops-before-T", "one-ulp-off", "empty"])
-    def test_other_grids_take_the_recursion(self, monkeypatch, which):
-        sysm = heat(4, q_scalar=0.5)
-        times = {"irregular": lambda: _irregular_times(16, seed=2),
-                 "stops-before-T": lambda: _uniform_grid(1.0, 16)[:-1],
-                 "one-ulp-off": _one_ulp_off,
-                 "empty": lambda: np.array([])}[which]()
-        want = sk.sequential_filter(sysm, times).trace_err
-        monkeypatch.setattr(filter_core, "_uniform_posterior", _refuse)
-        assert posterior_trace(sysm, times) == want
+        monkeypatch.setattr(filter_core, "_uniform_grid", _refuse)
+        assert _uniform_trace(sysm, base_n * 2 ** level) > 0
 
     @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
     def test_bad_times_raise_as_before(self, q_scalar):
         sysm = heat(3, q_scalar=q_scalar)
+        trace = sk.sequential_filter if q_scalar else sk.information_filter
         for times in ([0.0, 0.5], [0.5, 1.5]):
             with pytest.raises(ValueError, match=r"lie in \(0, horizon\]"):
-                posterior_trace(sysm, times)
+                trace(sysm, times)
         with pytest.raises(ValueError, match="strictly increasing"):
-            posterior_trace(sysm, [0.5, 0.5, 1.0])
+            trace(sysm, [0.5, 0.5, 1.0])
 
 
 class TestInformationRoute:
@@ -279,7 +278,7 @@ class TestInformationRoute:
         sysm = heat(4, horizon=horizon)
         times = sk.dyadic_grid(base_n, level, horizon)
         monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
-        assert posterior_trace(sysm, times) > 0
+        assert sk.information_filter(sysm, times).trace_err > 0
 
     @pytest.mark.parametrize("which", [
         "irregular", "stops-before-T", "one-ulp-off", "empty"])
@@ -291,7 +290,8 @@ class TestInformationRoute:
                  "empty": lambda: np.array([])}[which]()
         want = sk.sequential_filter(sysm, times).trace_err
         monkeypatch.setattr(filter_core, "_uniform_information", _refuse)
-        npt.assert_allclose(posterior_trace(sysm, times), want, rtol=1e-12)
+        npt.assert_allclose(sk.information_filter(sysm, times).trace_err, want,
+                            rtol=1e-12)
 
 
 class TestClosedFormInformation:

@@ -148,6 +148,29 @@ class TestDiscrepancyCurve:
         with pytest.raises(ValueError, match="at least 1"):
             sk.discrepancy_curve(sysm, [2], reference_level=0)
 
+    def test_reference_past_two_to_the_53_is_named(self):
+        # the check grid n_max 2**(level + 1) must keep (j T) / m exact
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        with pytest.raises(ValueError, match=r"reference_level=47 is too large "
+                           r"for n=64: .* 64 \* 2\*\*48 points, more than 2\*\*53"):
+            sk.discrepancy_curve(sysm, [4, 64], reference_level=47)
+        curve = sk.discrepancy_curve(sysm, [4, 64], reference_level=46)
+        assert curve.reference_points == 2 ** 52
+
+    @pytest.mark.parametrize("make", [
+        lambda: sk.build_heat_model(20, horizon=1.0),
+        lambda: sk.build_wave_model(8, horizon=1.0),
+        lambda: sk.build_heat_model(20, horizon=1.0, q_scalar=0.5),
+    ], ids=["heat", "wave", "driven-heat"])
+    def test_deep_references_build_no_grid(self, no_large_grids, make):
+        # 2**29 check points: the traces take the point count alone
+        sysm = make()
+        curve = sk.discrepancy_curve(sysm, [4, 8, 16, 32], reference_level=24)
+        assert curve.reference_points == 32 * 2 ** 24
+        assert np.all(curve.values > 0)
+        shallow = sk.discrepancy_curve(sysm, [4, 8, 16, 32], reference_level=12)
+        npt.assert_allclose(curve.values, shallow.values, rtol=1e-3)
+
     @pytest.mark.parametrize("n_values", [[2.5, 4], [2, 2.5], [np.nan, 4],
                                           [np.inf], np.array([2.0, 4.5])])
     def test_fractional_n_values_are_rejected(self, n_values):
@@ -215,7 +238,7 @@ class TestTelescope:
         def no_work(*args, **kwargs):
             raise AssertionError("telescope_check worked on a driven system")
 
-        monkeypatch.setattr(sk.refinement, "posterior_trace", no_work)
+        monkeypatch.setattr(sk.refinement, "_uniform_trace", no_work)
         monkeypatch.setattr(sk.refinement, "_initial_posterior", no_work)
         with pytest.raises(ValueError,
                            match="telescope_check needs an undriven system"):

@@ -192,16 +192,25 @@ class TestBoundIngredients:
         sysm = heat(q_scalar=0.4)
         err_x = sk.theorem3_bound(sysm, 8) if explicit else None
         calls = []
-        traced = sk.theory.posterior_trace
+        traced = sk.theory._uniform_trace
 
         def counting(*args, **kwargs):
             calls.append(args)
             return traced(*args, **kwargs)
 
-        monkeypatch.setattr(sk.theory, "posterior_trace", counting)
+        monkeypatch.setattr(sk.theory, "_uniform_trace", counting)
         b = sk.theorem5_bound(sysm, 8, err_x=err_x)
         assert len(calls) == 1
         assert b.coarse_trace == b.err_x.coarse_trace
+
+
+    def test_anchors_build_no_grid(self, no_large_grids):
+        # an anchor of 2**20 samples takes the point count alone
+        n = 2 ** 20
+        driven = heat(20, q_scalar=0.5)
+        assert sk.theorem2_bound(heat(20), n).coarse_trace > 0
+        bound = sk.theorem5_bound(driven, n)
+        assert bound.coarse_trace == bound.err_x.coarse_trace > 0
 
 
 class TestBoundValidation:
