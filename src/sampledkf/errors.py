@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "NumericalError", "ReferenceUnconvergedError",
+           "GramSingularError"]
+
 
 class ConfigError(ValueError):
     """A configuration file or model description is invalid."""

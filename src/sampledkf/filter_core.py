@@ -13,11 +13,13 @@ matrix J = sum_i H_i* (R d_i)^(-1) H_i, evaluated in the whitened form
     P = P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2),
 
 whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
-for zero prior variances and rapidly decaying ones).  When the times equal
-``_uniform_grid(T, m)`` exactly, the sum over samples is geometric and J has
-a closed form (``_uniform_information``): N^2 kernel values whatever m is.
-Every other grid accumulates J block by block (``_accumulated_information``).
-``increment_variance`` builds on the same posterior of x.
+for zero prior variances and rapidly decaying ones).  On the uniform grid
+(j T) / m, j = 1..m, given by its size m, the sum over samples is geometric
+and J has a closed form (``_uniform_information``): N^2 kernel values
+whatever m is.  Times handed in as an array accumulate J block by block
+(``_accumulated_information``), uniform or not.  ``_initial_posterior``
+conditions on whichever J its caller holds, and ``increment_variance``
+builds on the same posterior of x.
 
 ``sequential_filter`` is the route for driven systems on every grid but the
 uniform one, and the only route for filtered means: a Kalman recursion on
@@ -39,9 +41,8 @@ Carlo of ``montecarlo`` builds its map from trial normals to the error
 zhat(T) - z(T) from the same pass.
 
 ``_uniform_posterior`` is the hot path for driven systems on the uniform grid
-(j T) / m, j = 1..m, of ``_uniform_grid`` (which ``refinement.dyadic_grid``
-builds on), where every step repeats one transition: structure-preserving
-doubling.  A stretch of the filter is a triple (Phi, Gam, H): if z has prior
+(j T) / m, j = 1..m, where every step repeats one transition:
+structure-preserving doubling.  A stretch of the filter is a triple (Phi, Gam, H): if z has prior
 covariance P0 at its start, its posterior at its end is
 H + Phi P0 (I + Gam P0)^-1 Phi*.  One step of width h, with S = Syy + R h and
 K0 = Szy S^-1 from the noise blocks of Sigma_h, is
@@ -62,13 +63,14 @@ matrix J, so the information form is the special case; the tests hold the
 two to each other.
 
 ``_uniform_trace`` is the trace route of every uniform grid the package
-builds (coarse grids, curve references, bound anchors): it takes the grid
-size m, never the grid, and runs the closed-form J for undriven systems and
-doubling for driven ones, so no m-point array is made.  Grids that callers
-pass in take ``information_filter``, whose ``_initial_posterior`` still
-picks the closed-form J when the times equal ``_uniform_grid(T, m)`` exactly
-(``_is_uniform``), or ``sequential_filter``.  ``_condition`` holds the
-whitened conditioning of the diagonal prior once, for both J and doubling.
+uses (coarse grids, curve references, bound anchors, the two ends of a
+telescope): it takes the grid size m, never the grid, and runs the
+closed-form J for undriven systems and doubling for driven ones, so no
+m-point array is made.  Times that callers pass in take
+``information_filter``, which sums J over them, or ``sequential_filter``;
+this module never builds a uniform grid or checks whether times form one
+(``refinement.dyadic_grid`` builds it).  ``_condition`` holds the whitened
+conditioning of the diagonal prior once, for both J and doubling.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
@@ -285,8 +287,8 @@ def _accumulated_information(system: ModalSystem,
 def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     """Closed-form information matrix J of the initial state on the uniform grid.
 
-    On ``_uniform_grid(T, m)`` every width is d = T/m and sample j starts at
-    j d, so with x = (conj(lambda_k) + lambda_l) d the sum over samples is
+    On the m-point grid (j T) / m, j = 1..m, every width is d = T/m and
+    sample j starts at j d, so with x = (conj(lambda_k) + lambda_l) d the sum over samples is
     geometric:
 
         J[k, l] = W[k, l] d conj(phi1(lambda_k d)) phi1(lambda_l d) S[k, l],
@@ -317,14 +319,6 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
 
 
-def _is_uniform(horizon: float, times: np.ndarray) -> bool:
-    """True when ``times`` is exactly ``_uniform_grid(horizon, times.size)``."""
-    m = times.size
-    # its first point (1 T) / m settles most other grids without building one
-    return bool(m and times[0] == horizon / m
-                and np.array_equal(times, _uniform_grid(horizon, m)))
-
-
 def _condition(system: ModalSystem, info: np.ndarray, phi=None) -> np.ndarray:
     """Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi* for J = ``info``.
 
@@ -339,16 +333,13 @@ def _condition(system: ModalSystem, info: np.ndarray, phi=None) -> np.ndarray:
     return half.conj().T @ half
 
 
-def _initial_posterior(system: ModalSystem, times: np.ndarray) -> np.ndarray:
-    """Error covariance of the initial state x given the increments on ``times``.
+def _initial_posterior(system: ModalSystem, info: np.ndarray) -> np.ndarray:
+    """Error covariance of the initial state x given information matrix J = ``info``.
 
-    Undriven systems only; ``times`` must already be validated.  J takes the
-    closed form on the uniform grid and the accumulation on every other grid.
+    Undriven systems only.  A caller holding a uniform grid's size passes
+    ``_uniform_information``; one holding sample times passes
+    ``_accumulated_information``.
     """
-    if _is_uniform(system.horizon, times):
-        info = _uniform_information(system, times.size)
-    else:
-        info = _accumulated_information(system, times)
     return _hermitize(_condition(system, info))
 
 
@@ -362,25 +353,19 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
     """Posterior of z(T) for an undriven system, via the initial state.
 
     Gives the covariance ``sequential_filter`` gives, at the cost of one
-    N x N information matrix and one Cholesky factor.  On the uniform grid
-    ``_uniform_grid(T, m)`` the matrix takes its closed form, N^2 kernel
-    values for any m; on every other grid it is accumulated in blocks of
-    ``_INFO_BLOCK`` samples, one gemm each.
+    N x N information matrix and one Cholesky factor.  The matrix is
+    accumulated over the given times in blocks of ``_INFO_BLOCK`` samples,
+    one gemm each, whatever the grid; a uniform grid known by its size takes
+    ``_uniform_trace`` instead.
     """
     if system.has_input_noise:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    final_cov = _at_horizon(system, _initial_posterior(system, times))
+    post = _initial_posterior(system, _accumulated_information(system, times))
+    final_cov = _at_horizon(system, post)
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=_real_trace(final_cov))
-
-
-def _uniform_grid(horizon: float, m: int) -> np.ndarray:
-    """The m-point uniform grid (j T) / m, j = 1..m, ending exactly at T."""
-    times = (np.arange(1, m + 1) * horizon) / m
-    times[-1] = horizon  # (m * horizon) / m need not round back to horizon
-    return times
 
 
 def _step_triple(system: ModalSystem, h: float):
@@ -410,7 +395,7 @@ def _join(first, second):
 
 
 def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
-    """Covariance of z(T) given the samples on ``_uniform_grid(T, m)``, by doubling.
+    """Covariance of z(T) given the samples at (j T) / m, j = 1..m, by doubling.
 
     The one-step triple is squared repeatedly and the powers picked out by
     the binary digits of m are joined: about 2 log2(m) N x N joins in place
@@ -432,16 +417,16 @@ def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
 
 
 def _uniform_trace(system: ModalSystem, m: int) -> float:
-    """Posterior error trace E||z(T) - zhat||^2 on ``_uniform_grid(T, m)``.
+    """Posterior error trace E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
 
     Takes the grid size m, never the grid.  Undriven systems take the
-    closed-form J, conditioned and pushed to the horizon as
-    ``information_filter`` does it (N^2 kernel values whatever m is); driven
+    closed-form J (N^2 kernel values whatever m is), conditioned and pushed
+    to the horizon as ``information_filter`` does with its summed J; driven
     ones take doubling (``_uniform_posterior``, about 2 log2(m) joins).
     """
     if system.has_input_noise:
         return _real_trace(_uniform_posterior(system, m))
-    post = _hermitize(_condition(system, _uniform_information(system, m)))
+    post = _initial_posterior(system, _uniform_information(system, m))
     return _real_trace(_at_horizon(system, post))
 
 
@@ -535,7 +520,7 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _initial_posterior(system, base)
+    post = _initial_posterior(system, _accumulated_information(system, base))
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     return _insert(post, chm, h, system.r_cov, energy)[0]

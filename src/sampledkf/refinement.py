@@ -24,10 +24,14 @@ isolates the per-level interpolation operator whose weighted norm drives
 every rate bound.
 
 Grid convention: ``dyadic_grid(n, k)`` is the uniform (n 2**k)-point grid
-including the horizon, so level k adds the midpoints of level k-1, and the
-points new at level k are ``dyadic_grid(n, k)[::2]``.  All times are
-constructed as (integer * horizon) / denominator with denominators that double
-per level, which keeps membership across levels exact in floating point.
+(j T) / (n 2**k), j = 1..n 2**k, including the horizon, so level k adds the
+midpoints of level k-1, and the points new at level k are its odd j.
+``_dyadic_size`` checks n and k and forms the size for ``dyadic_grid``,
+``telescope_check`` and ``level_sum``.  Only ``dyadic_grid`` builds a whole
+grid, for callers that want the array: traces take the size, and the
+telescope and the level sums form the odd points directly.  All times are constructed as (integer * horizon) /
+denominator with denominators that double per level, which keeps membership
+across levels exact in floating point.
 That needs the integers exact as doubles, so a curve's finest grid, the
 reference check at ``reference_level + 1``, may have at most 2**53 points.
 """
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_initial_posterior, _insert, _uniform_grid,
+from .filter_core import (_initial_posterior, _insert, _uniform_information,
                           _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
@@ -66,14 +70,25 @@ def _is_whole(value) -> bool:
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
-def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
-    """Read-only times of the uniform ``base_n * 2**level``-point grid on (0, T]."""
+def _dyadic_size(base_n: int, level: int) -> int:
+    """The point count base_n 2**level of a dyadic grid, both whole and in range."""
     if not (_is_whole(base_n) and _is_whole(level)) or base_n < 1 or level < 0:
         raise ValueError(f"dyadic_grid needs base_n >= 1 and level >= 0 as whole "
                          f"numbers, got base_n={base_n!r}, level={level!r}")
+    return int(base_n) * 2 ** int(level)
+
+
+def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
+    """Read-only times of the uniform ``base_n * 2**level``-point grid on (0, T].
+
+    The times are (j T) / m, j = 1..m, for m = base_n 2**level, the last set
+    to T exactly: the package's one definition of the dyadic grid.
+    """
+    m = _dyadic_size(base_n, level)
     if not horizon > 0:
         raise ValueError("dyadic_grid needs a positive horizon")
-    times = _uniform_grid(horizon, int(base_n) * 2 ** int(level))
+    times = (np.arange(1, m + 1) * horizon) / m
+    times[-1] = horizon  # (m * horizon) / m need not round back to horizon
     times.setflags(write=False)
     return times
 
@@ -180,22 +195,27 @@ class TelescopeReport:
 
 
 def _new_points(system: ModalSystem, base_n: int, level: int):
-    """Mesh width h and the (points, N) phi_h values of the points new at ``level``."""
-    points = dyadic_grid(base_n, level, system.horizon)[::2]
-    h = system.horizon / (base_n * 2 ** level)
+    """Mesh width h and the (points, N) phi_h values of the points new at ``level``.
+
+    The new points are the odd j of ``dyadic_grid``'s (j T) / m, formed
+    directly: the level's whole grid is never built.
+    """
+    m = _dyadic_size(base_n, level)
+    points = (np.arange(1, m, 2) * system.horizon) / m
+    h = system.horizon / m
     return h, phi_h(system.eigenvalues[None, :], points[:, None], h)
 
 
 def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
     """Insertion gains per level and the posterior of x after the last one.
 
-    One posterior of the initial state, taken on ``dyadic_grid(base_n, 0)``,
-    is carried through every insertion (levels in order, points left to
+    One posterior of the initial state, taken on the base grid of base_n
+    points from its closed-form J, is carried through every insertion (levels in order, points left to
     right) by the rank-r downdate of ``filter_core._insert``.  The dyadic
     construction fixes every stencil: the neighbours t - h (or 0) and t + h
     of a point new at a level already belong to the base set.
     """
-    post = _initial_posterior(system, dyadic_grid(base_n, 0, system.horizon))
+    post = _initial_posterior(system, _uniform_information(system, base_n))
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []
@@ -228,8 +248,7 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
                          f"must be a whole number >= 1, got levels={levels!r}")
     levels = int(levels)
     horizon = system.horizon
-    dyadic_grid(base_n, 0, horizon)  # rejects a bad base_n by name
-    base_n = int(base_n)
+    base_n = _dyadic_size(base_n, 0)
     # both traces take the closed-form trace route, independent of the
     # carried posterior whose downdates they check
     coarse = _uniform_trace(system, base_n)

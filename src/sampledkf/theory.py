@@ -42,9 +42,9 @@ from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
 logger = logging.getLogger(__name__)
 
 __all__ = ["TheoremBound", "BoundCheck", "RateFit", "analytic_constant",
-           "admissibility_constant", "theorem1_bound", "theorem2_bound",
-           "theorem3_bound", "theorem4_bound", "theorem5_bound",
-           "check_bound", "fit_rate"]
+           "admissibility_constant", "observability_gram", "theorem1_bound",
+           "theorem2_bound", "theorem3_bound", "theorem4_bound",
+           "theorem5_bound", "check_bound", "fit_rate"]
 
 
 @dataclass(frozen=True)

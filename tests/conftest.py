@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sampledkf as sk
-from sampledkf import filter_core, refinement
+from sampledkf import refinement
 
 #: Largest grid a test under ``no_large_grids`` may build.
 SMALL_GRID = 4096
@@ -42,17 +42,18 @@ def two_output_heat():
 
 @pytest.fixture
 def no_large_grids(monkeypatch):
-    """Make every binding of ``_uniform_grid`` refuse more than SMALL_GRID points.
+    """Make ``refinement.dyadic_grid`` refuse more than SMALL_GRID points.
 
-    Traces on the package's uniform grids take the point count alone, so a
-    curve or an anchor far beyond that size must still complete.
+    Traces on the package's uniform grids take the point count alone, and
+    the telescope and the level sums form only a level's new points, so a
+    curve, an anchor or a telescope far beyond that size must still
+    complete.
     """
-    build = filter_core._uniform_grid
+    build = refinement.dyadic_grid
 
-    def small_only(horizon, m):
-        if m > SMALL_GRID:
-            raise AssertionError(f"a {m}-point grid was built")
-        return build(horizon, m)
+    def small_only(base_n, level, horizon=1.0):
+        if base_n * 2 ** level > SMALL_GRID:
+            raise AssertionError(f"a {base_n} * 2**{level}-point grid was built")
+        return build(base_n, level, horizon)
 
-    for module in (filter_core, refinement):
-        monkeypatch.setattr(module, "_uniform_grid", small_only)
+    monkeypatch.setattr(refinement, "dyadic_grid", small_only)

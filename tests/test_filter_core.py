@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import sampledkf as sk
 from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import (_accumulated_information, _output_gram,
-                                   _solve_gram, _uniform_grid,
-                                   _uniform_information, _uniform_posterior,
-                                   _uniform_trace)
+from sampledkf.filter_core import (_accumulated_information, _at_horizon,
+                                   _initial_posterior, _output_gram,
+                                   _solve_gram, _uniform_information,
+                                   _uniform_posterior, _uniform_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -158,11 +158,15 @@ class TestInformationForm:
 
     def test_posterior_trace_picks_the_route(self):
         # the uniform-grid trace takes the grid size: the information form's
-        # closed-form J for undriven systems, doubling for driven ones
+        # closed-form J for undriven systems, doubling for driven ones; the
+        # summed J of information_filter agrees to rounding only
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
+        closed = _initial_posterior(wave, _uniform_information(wave, 5))
         assert _uniform_trace(wave, 5) == \
-            sk.information_filter(wave, times).trace_err
+            np.trace(_at_horizon(wave, closed)).real
+        npt.assert_allclose(sk.information_filter(wave, times).trace_err,
+                            _uniform_trace(wave, 5), rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
         assert _uniform_trace(driven, 5) == \
             np.trace(_uniform_posterior(driven, 5)).real
@@ -232,7 +236,7 @@ class TestDoubling:
         # without input noise H = 0 and Gam is the information matrix J
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
-        info = sk.information_filter(sysm, _uniform_grid(1.0, n))
+        info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
         assert rel_frobenius(_uniform_posterior(sysm, n), info.final_cov) <= 1e-12
 
 
@@ -241,7 +245,7 @@ def _refuse(*args, **kwargs):
 
 
 def _one_ulp_off():
-    times = _uniform_grid(1.0, 16)
+    times = sk.dyadic_grid(16, 0, 1.0).copy()
     times[7] = np.nextafter(times[7], 2.0)
     return times
 
@@ -255,7 +259,7 @@ class TestDoublingRoute:
         sysm = heat(4, q_scalar=0.5, horizon=horizon)
         # from the grid size alone: neither the recursion nor a grid runs
         monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
-        monkeypatch.setattr(filter_core, "_uniform_grid", _refuse)
+        monkeypatch.setattr(sk.refinement, "dyadic_grid", _refuse)
         assert _uniform_trace(sysm, base_n * 2 ** level) > 0
 
     @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
@@ -275,17 +279,20 @@ class TestInformationRoute:
         (1, 0), (3, 0), (5, 2), (7, 4), (4, 6), (32, 7), (1, 13)])
     def test_uniform_grids_take_the_closed_form(self, monkeypatch, base_n,
                                                 level, horizon):
+        # a uniform grid is known by its size, which never sums over samples
         sysm = heat(4, horizon=horizon)
-        times = sk.dyadic_grid(base_n, level, horizon)
         monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
-        assert sk.information_filter(sysm, times).trace_err > 0
+        assert _uniform_trace(sysm, base_n * 2 ** level) > 0
 
     @pytest.mark.parametrize("which", [
-        "irregular", "stops-before-T", "one-ulp-off", "empty"])
+        "irregular", "stops-before-T", "one-ulp-off", "empty", "uniform"])
     def test_other_grids_take_the_accumulation(self, monkeypatch, which):
+        # times handed in are summed, an exactly uniform array included; only
+        # a grid size takes the closed form
         sysm = heat(4)
         times = {"irregular": lambda: _irregular_times(16, seed=2),
-                 "stops-before-T": lambda: _uniform_grid(1.0, 16)[:-1],
+                 "stops-before-T": lambda: sk.dyadic_grid(16, 0, 1.0)[:-1],
+                 "uniform": lambda: sk.dyadic_grid(16, 0, 1.0),
                  "one-ulp-off": _one_ulp_off,
                  "empty": lambda: np.array([])}[which]()
         want = sk.sequential_filter(sysm, times).trace_err
@@ -306,7 +313,7 @@ class TestClosedFormInformation:
         sysm = build(modes, horizon=1.0)
         closed = _uniform_information(sysm, n)
         assert np.all(np.isfinite(closed))
-        summed = _accumulated_information(sysm, _uniform_grid(1.0, n))
+        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
         assert rel_frobenius(closed, summed) <= 1e-12
 
     @pytest.mark.parametrize("family", ["heat", "wave"])
@@ -316,7 +323,7 @@ class TestClosedFormInformation:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         n = 2 ** 18
-        summed = _accumulated_information(sysm, _uniform_grid(1.0, n))
+        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
         assert rel_frobenius(_uniform_information(sysm, n), summed) <= 5e-14
 
     @pytest.mark.parametrize("n", [1, 3, 4, 64, 1000])
@@ -364,10 +371,11 @@ class TestRouteProperties:
     @given(grid=_GRIDS, pairs=st.integers(1, 6),
            uniform=st.one_of(st.just(0), st.integers(1, 40)))
     def test_paired_models_keep_real_traces(self, grid, pairs, uniform):
-        # uniform > 0 takes the closed-form information matrix on that grid,
-        # aliased wave pairs included; 0 takes the irregular grid
+        # uniform > 0 takes that many uniform points, whose size route runs
+        # the closed-form information matrix, aliased wave pairs included; 0
+        # takes the irregular grid
         sysm = sk.build_wave_model(2 * pairs)
-        times = (_uniform_grid(sysm.horizon, uniform) if uniform
+        times = (sk.dyadic_grid(uniform, 0, sysm.horizon) if uniform
                  else np.array(sorted(grid)) / 1000.0)
         records = _Records()
         logger = logging.getLogger("sampledkf.filter_core")
@@ -377,14 +385,18 @@ class TestRouteProperties:
         finally:
             logger.removeHandler(records)
         assert not records.records
+        covs = [run.final_cov for run in runs]
+        if uniform:
+            closed = _uniform_information(sysm, uniform)
+            covs.append(_at_horizon(sysm, _initial_posterior(sysm, closed)))
         mate = np.ix_(sysm.pairing, sysm.pairing)
-        for run in runs:
-            trace = complex(np.trace(run.final_cov))
+        for cov in covs:
+            trace = complex(np.trace(cov))
             assert abs(trace.imag) <= 1e-12 * max(1.0, abs(trace))
             # the posterior is the law of a real field: swapping every mode
             # with its conjugate mate conjugates the covariance
-            npt.assert_allclose(run.final_cov[mate], run.final_cov.conj(),
-                                rtol=0, atol=1e-12 * np.abs(run.final_cov).max())
+            npt.assert_allclose(cov[mate], cov.conj(),
+                                rtol=0, atol=1e-12 * np.abs(cov).max())
 
 
 def _regression_mean(sysm, times, ys):

@@ -6,7 +6,8 @@ import pytest
 
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
-from sampledkf.filter_core import _initial_posterior
+from sampledkf.filter_core import (_accumulated_information,
+                                   _initial_posterior, _uniform_trace)
 from sampledkf.refinement import _telescope_gains
 
 
@@ -94,8 +95,10 @@ class TestDiscrepancyCurve:
         assert curve.reference_points == 8 * 2 ** 6
         npt.assert_array_equal(curve.values,
                                curve.coarse_traces - curve.reference_trace)
-        assert curve.reference_trace == sk.information_filter(
-            sysm, sk.dyadic_grid(8, 6)).trace_err
+        assert curve.reference_trace == _uniform_trace(sysm, 8 * 2 ** 6)
+        npt.assert_allclose(
+            sk.information_filter(sysm, sk.dyadic_grid(8, 6)).trace_err,
+            curve.reference_trace, rtol=1e-14)
 
     def test_discrepancy_equals_trace_difference(self):
         sysm = sk.build_heat_model(4, horizon=1.0)
@@ -209,6 +212,14 @@ class TestTelescope:
         report = sk.telescope_check(single_mode(), 2, 1)
         assert report.residual <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    def test_deep_telescopes_build_no_grid(self, no_large_grids, kind):
+        # level 11 has 4 * 2**11 points; only its 4096 new ones are formed
+        sysm = getattr(sk, f"build_{kind}_model")(10, horizon=1.0)
+        report = sk.telescope_check(sysm, 4, 11)
+        assert len(report.increments[-1]) == 4 * 2 ** 10
+        assert report.residual <= 1e-7
+
     def test_needs_a_level(self):
         with pytest.raises(ValueError, match="at least one level"):
             sk.telescope_check(single_mode(), 2, 0)
@@ -272,7 +283,8 @@ class TestCarriedPosterior:
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
         _, carried = _telescope_gains(sysm, 4, 8)
-        want = _initial_posterior(sysm, sk.dyadic_grid(4, 8))
+        want = _initial_posterior(
+            sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8)))
         gap = np.linalg.norm(carried - want) / np.linalg.norm(want)
         assert gap <= 1e-12
 
@@ -334,6 +346,13 @@ class TestLevelSum:
         heat = sk.build_heat_model(3, horizon=1.0)
         with pytest.raises(ValueError, match="positive and finite, one per mode"):
             sk.level_sum(heat, 4, 1, np.array([1.0, bad, 1.0]))
+
+    def test_deep_levels_build_no_grid(self, no_large_grids):
+        # level 13 has 4 * 2**13 points; only its new ones are formed
+        wave = sk.build_wave_model(8, horizon=1.0)
+        value, h = sk.level_sum(wave, 4, 13, sk.unit_weights(wave))
+        assert h == 1.0 / (4 * 2 ** 13)
+        assert 0 < value < sk.level_sum(wave, 4, 12, sk.unit_weights(wave))[0]
 
     @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1), (4, 1.5)])
     def test_bad_grid_sizes_raise_the_grid_error(self, base_n, level):
