@@ -2,9 +2,10 @@
 
 The covariance routes are the load-bearing cross-check of the package: the
 recursion (increment observations, reset bookkeeping), the information form
-(initial-state information matrix, undriven systems; closed form on uniform
-grids, accumulated on the others), doubling (stretch triples, uniform grids)
-and the batch regression (full output gram matrix) must produce the same
+(initial-state information matrix, undriven systems; closed form for a
+uniform grid given by its size, summed over any times passed in), doubling
+(stretch triples, uniform grids) and the batch regression (full output gram
+matrix) must produce the same
 posterior to floating-point accuracy on every model family.  The mean route
 is checked against a regression on the batch oracle's own stacked-output
 gram and cross-covariance (``_output_gram``).
