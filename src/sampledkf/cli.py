@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 import time
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError
-from .montecarlo import empirical_error
+from .montecarlo import _TRIAL_BLOCK, empirical_error
 from .refinement import (DiscrepancyCurve, discrepancy_curve, dyadic_grid,
                          level_sum, telescope_check)
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
@@ -68,6 +69,9 @@ _SCHEMA = {
     "out": ("str", "CSV output path (stdout when omitted)"),
     "plot_out": ("str", "plot-data output path (converge and bounds)"),
 }
+
+#: Most normals one block of ``_TRIAL_BLOCK`` simulate trials may hold.
+_SIMULATE_NORMALS = 2 ** 31
 
 _MODEL_KEYS = ("model.kind", "model.num_modes", "model.horizon",
                "model.prior_decay", "model.q_scalar", "model.r_scalar",
@@ -225,6 +229,15 @@ def build_config(raw: dict[str, str],
                 raise ConfigError(f"{key}: required for experiment 'simulate'")
         if values["simulate_n"] < 1:
             raise ConfigError("simulate_n: must be at least 1")
+        # a trial takes at most N normals for the initial state and N + r
+        # for each sample step and the tail; the command's models have r = 1
+        modes = max(values.get("model.num_modes", 0), 0)
+        block = _TRIAL_BLOCK * (modes + (values["simulate_n"] + 1) * (modes + 1))
+        if block > _SIMULATE_NORMALS:
+            raise ConfigError(
+                f"simulate_n: {values['simulate_n']} samples of a {modes}-mode "
+                f"model need up to {block} normals in one block of "
+                f"{_TRIAL_BLOCK} trials; at most 2**31 are allowed")
         if values["trials"] < 2:
             raise ConfigError("trials: must be at least 2")
     return ExperimentConfig(experiment=experiment, values=values)
@@ -400,7 +413,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process; each parse is independent."""
     parser = argparse.ArgumentParser(
         prog="sampledkf",
         description="Sampled-data Kalman filtering experiments on modal "

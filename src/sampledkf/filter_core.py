@@ -27,12 +27,14 @@ the augmented pair (z, Y_partial) where Y_partial accumulates int C z dt
 since the previous sample, each observation is the increment
 y(t_i) - y(t_{i-1}) = Y_partial + dw, and Y_partial is reset to zero after
 every update.  The augmented transition F = [[diag(e), 0], [G, I]] comes
-from ``kernels.transition_block`` as its two blocks, the decay
+from ``kernels`` as the two blocks of an ``AugmentedTransition``, the decay
 e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)), so the
 recursion carries only the N x N covariance of z: an elementwise prediction
 plus a rank-r update per sample, O(N^2 r) instead of dense (N+r) x (N+r)
 products.  Covariances never depend on the data, so ``_filter_plan`` runs
-them once and keeps the per-sample gains.  The filtered mean is linear in
+them once and keeps the per-sample gains; it takes the transitions of the
+grid's sorted distinct step widths, tail included, from one batched
+``kernels._transitions`` call.  The filtered mean is linear in
 the data, mean_T = B_0 m0 + sum_i L_i inc_i.  ``_backward_maps`` folds
 those gains into the maps L_i and B_i in one backward pass, O(N^2 r) a
 step.  ``_filtered_means`` applies them to a batch of output paths in one
@@ -109,7 +111,7 @@ import numpy as np
 from ._scalars import phi1
 from .errors import GramSingularError
 from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
-                      phi_h, transition_block)
+                      phi_h, _transitions, transition_block)
 from .spectral_model import ModalSystem
 
 logger = logging.getLogger(__name__)
@@ -159,20 +161,22 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
     Y_partial is zero after every update, so only the N x N covariance P of z
     is carried: the prediction needs only the transition's decay e and output
     map G, and the update is the rank-r downdate P - K Pzy* with K = Pzy S^-1.
-    ``steps`` is a list of (transition, gain) per sample; the (N, r) gain maps
-    the innovation on the increment observation into z.
+    The transitions of the sorted distinct step widths, tail included, come
+    from one ``kernels._transitions`` call, and steps of equal width share
+    one transition.  ``steps`` is a list of (transition, gain) per sample;
+    the (N, r) gain maps the innovation on the increment observation into z.
     """
     n = system.num_modes
     cov = np.diag(system.prior_var.astype(complex))
-    cache: dict[float, object] = {}
+    widths = np.diff(times, prepend=0.0)
+    tail = system.horizon - (times[-1] if times.size else 0.0)
+    has_tail = tail > 1e-12 * system.horizon
+    distinct, which = np.unique(np.append(widths, tail) if has_tail else widths,
+                                return_inverse=True)
+    transitions = _transitions(system, distinct)
     steps = []
-    prev = 0.0
-    for t in times:
-        delta = float(t - prev)
-        tr = cache.get(delta)
-        if tr is None:
-            tr = transition_block(system, delta)
-            cache[delta] = tr
+    for delta, j in zip(widths, which):
+        tr = transitions[j]
         e, g = tr.decay, tr.output_map
         sig = tr.noise_cov
         pg = cov @ g.conj().T
@@ -182,11 +186,9 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
         cov = cov * np.outer(e, e.conj()) + sig[:n, :n] - gain @ pzy.conj().T
         cov = _hermitize(cov)
         steps.append((tr, gain))
-        prev = t
-    tail = system.horizon - prev
     tail_tr = None
-    if tail > 1e-12 * system.horizon:
-        tail_tr = cache.get(tail) or transition_block(system, tail)
+    if has_tail:
+        tail_tr = transitions[which[-1]]
         e = tail_tr.decay
         cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
         cov = _hermitize(cov)

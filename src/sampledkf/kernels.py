@@ -30,6 +30,13 @@ combination approaching zero) are handled by the series branches in
 ``_scalars``; matrices are Hermitian-symmetrised after assembly so conjugate
 paired models keep real traces.
 
+``_transitions`` evaluates these kernels for many step widths at once, on
+stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
+kernel entries; the filter recursion takes every transition of a grid from
+one such call.  ``transition_block`` is its batch of one.  The scalar
+kernels' series branches are applied as matrix products, so a batched
+entry can differ from the batch of one in the last bit.
+
 ``quadrature_oracle_transition`` rebuilds the same matrices from the defining
 iterated integrals by adaptive quadrature (cmath + scipy.integrate.quad, no
 shared code path) and exists purely to cross-check the closed forms.  It is
@@ -56,6 +63,11 @@ __all__ = [
     "augmented_covariance",
     "quadrature_oracle_transition",
 ]
+
+#: Most kernel entries (widths x N x N) one batch of ``_transitions``
+#: evaluates.  The double series hold about 22 powers of each argument per
+#: entry, so a batch's temporaries stay near 30 MB whatever the widths.
+_KERNEL_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,8 @@ class AugmentedTransition:
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    """(M + M*)/2 of a matrix, or of each matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def phi_h(lam, t: float, h: float):
@@ -106,31 +119,57 @@ def phi_h(lam, t: float, h: float):
 
 
 def transition_block(system: ModalSystem, h: float) -> AugmentedTransition:
-    """Exact transition of (z, Y) over a step 0 < h <= T."""
-    if not 0 < h <= system.horizon * (1 + 1e-12):
+    """Exact transition of (z, Y) over a step 0 < h <= T: ``_transitions`` of one width."""
+    return _transitions(system, [h])[0]
+
+
+def _transitions(system: ModalSystem, widths) -> list[AugmentedTransition]:
+    """Exact transitions of (z, Y) over each of the step widths, in order.
+
+    The kernels are evaluated on stacked (W, N, N) arguments, one call per
+    batch of W widths; a batch holds at most ``_KERNEL_ELEMENTS`` kernel
+    entries (at least one width), which bounds the series temporaries
+    whatever the number of widths.  Each transition's arrays are views into
+    its batch's stacks.
+    """
+    widths = np.asarray(widths, dtype=float).ravel()
+    if not np.all((widths > 0) & (widths <= system.horizon * (1 + 1e-12))):
         raise ValueError("transition step must satisfy 0 < h <= horizon")
+    n = system.num_modes
+    batch = max(1, _KERNEL_ELEMENTS // (n * n))
+    out = []
+    for lo in range(0, widths.size, batch):
+        out.extend(_transition_batch(system, widths[lo:lo + batch]))
+    return out
+
+
+def _transition_batch(system: ModalSystem,
+                      h: np.ndarray) -> list[AugmentedTransition]:
     lam = system.eigenvalues
     n, r = system.num_modes, system.num_outputs
     cmat = system.output_coeffs
+    col = h[:, None]
 
-    decay = np.exp(lam * h)
-    gmat = cmat.T * (h * phi1(lam * h))[None, :]
+    decay = np.exp(lam * col)
+    gmat = cmat.T * (col * phi1(lam * col))[:, None, :]
 
-    sig = np.zeros((n + r, n + r), dtype=complex)
+    sig = np.zeros((h.size, n + r, n + r), dtype=complex)
     if system.has_input_noise:
         bq = system.input_coeffs @ system.q_cov @ system.input_coeffs.conj().T
-        a = (lam * h)[:, None]
-        b = (lam.conj() * h)[None, :]
-        szz = bq * (h * phi1(a + b))
-        szy = (bq * (h * h * coupled_g2(a, b))) @ cmat.conj()
-        syy = cmat.T @ (bq * (h ** 3 * coupled_g3(a, b))) @ cmat.conj()
-        sig[:n, :n] = szz
-        sig[:n, n:] = szy
-        sig[n:, :n] = szy.conj().T
-        sig[n:, n:] = syy
+        a = (lam * col)[:, :, None]
+        b = (lam.conj() * col)[:, None, :]
+        step = h[:, None, None]
+        szz = bq * (step * phi1(a + b))
+        szy = (bq * (step * step * coupled_g2(a, b))) @ cmat.conj()
+        syy = cmat.T @ (bq * (step ** 3 * coupled_g3(a, b))) @ cmat.conj()
+        sig[:, :n, :n] = szz
+        sig[:, :n, n:] = szy
+        sig[:, n:, :n] = szy.conj().swapaxes(1, 2)
+        sig[:, n:, n:] = syy
         sig = _hermitize(sig)
-    return AugmentedTransition(step=float(h), decay=decay, output_map=gmat,
-                               noise_cov=sig)
+    return [AugmentedTransition(step=float(step), decay=decay[i],
+                                output_map=gmat[i], noise_cov=sig[i])
+            for i, step in enumerate(h)]
 
 
 def augmented_covariance(system: ModalSystem, t: float) -> np.ndarray:

@@ -7,9 +7,11 @@ a real Gaussian; for a pair (a, b) the coordinates are eta_a = rho_a + i rho_b,
 eta_b = conj(eta_a) with real Gaussians rho.  Stacking the rho's gives a real
 vector whose covariance S = A^{-1} Sigma A^{-H} (A the re-composition matrix)
 is real symmetric whenever Sigma respects the pairing; a factor of S drives
-the draws and A maps them back to modal coordinates.  The map eta -> real
-field is then norm-preserving, so squared errors computed in modal
-coordinates are the physical ones.
+the draws and A maps them back to modal coordinates.  A and A^{-1} act only
+through each pair's sums and differences (``_from_real``, ``_to_real``), so
+no dense A is formed, and on a model without pairs they are the identity.
+The map eta -> real field is then norm-preserving, so squared errors
+computed in modal coordinates are the physical ones.
 
 All trials read one counter-based stream, the Philox stream of
 ``SeedSequence([seed])``, trial j as its j-th flat block of standard
@@ -24,10 +26,11 @@ normals, in a fixed documented order:
 which makes runs bitwise reproducible and leaves trial j the same whatever
 the batch size.  A factor has one column per pivot of its pivoted Cholesky
 (``_real_factor``), so its width is the numerical rank of its covariance.
-w is the widest process-noise factor's width (tail included); narrower
-factors are zero-padded to it, so every sample step takes a block of the
-same width and the simulator reads the steps as one (trials, steps, width)
-view.
+The process-noise covariances of all distinct step widths (tail included)
+are factored as one stack, each matrix with its own pivots and stop.  w is
+the widest factor's width; narrower factors are zero-padded to it, so every
+sample step takes a block of the same width and the simulator reads the
+steps as one (trials, steps, width) view.
 
 ``sample_path`` runs the simulator: between samples every path moves
 elementwise (z *= e) with the output integral a rank-r map of z, as in the
@@ -35,10 +38,14 @@ filter recursion, and the output increments are summed.  ``empirical_error``
 runs no path.  A trial's error zhat(T) - z(T) is an exact linear function of
 its normals, ``_Simulator.error_map``, built in the backward pass that also
 gives ``filter_core._filtered_means`` its maps.  So the map is built once, in
-O(m N^2 (w + r)), and applied to the seed's stream ``_TRIAL_BLOCK`` trials at
-a time, one real gemm and row norms a block; the normals held never exceed
-one block.  ``run_paths`` followed by ``_filtered_means`` is the oracle the
-tests hold the map to.
+O(m N^2 (w + r)), and taken to the real coordinates of the pairs: on a pair
+the two errors are conjugate, so the real M A^{-T} has N columns and a
+squared error is their weighted sum of squares, weight 2 on each member of
+a pair (``_real_error_map``).  It is applied to the seed's stream
+``_TRIAL_BLOCK`` trials at a time, one real gemm of N columns and one
+weighted sum of squares a block; the normals held never exceed one block.
+``run_paths`` followed by ``_filtered_means`` is the oracle the tests hold
+the map to.
 """
 
 from __future__ import annotations
@@ -75,64 +82,92 @@ def _pairing_or_identity(system: ModalSystem) -> np.ndarray:
     return np.arange(system.num_modes)
 
 
-def _recomposition(pairing: np.ndarray) -> np.ndarray:
-    """Matrix A with eta = A rho mapping real draws to paired modal coords."""
-    d = pairing.size
-    amat = np.zeros((d, d), dtype=complex)
-    for k, mate in enumerate(pairing):
-        if mate == k:
-            amat[k, k] = 1.0
-        elif k < mate:
-            amat[k, k] = 1.0
-            amat[k, mate] = 1.0j
-            amat[mate, k] = 1.0
-            amat[mate, mate] = -1.0j
-    return amat
+def _pairs(pairing: np.ndarray):
+    """Indices (k, mate) of the conjugate pairs, k < mate."""
+    first = np.flatnonzero(pairing > np.arange(pairing.size))
+    return first, pairing[first]
+
+
+def _to_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """x A^-T along the last axis: paired modal coordinates to real ones.
+
+    A is the re-composition eta = A rho of the module docstring, so a pair
+    (k, mate) maps to ((x_k + x_mate)/2, (x_k - x_mate)/2i) and a
+    self-conjugate coordinate is copied.
+    """
+    k, mate = _pairs(pairing)
+    out = x.astype(complex)
+    out[..., k] = (x[..., k] + x[..., mate]) / 2.0
+    out[..., mate] = (x[..., k] - x[..., mate]) / 2.0j
+    return out
+
+
+def _from_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """x A^T along the last axis: a pair (k, mate) maps to (x_k + i x_mate, x_k - i x_mate)."""
+    k, mate = _pairs(pairing)
+    out = x.astype(complex)
+    out[..., k] = x[..., k] + 1.0j * x[..., mate]
+    out[..., mate] = x[..., k] - 1.0j * x[..., mate]
+    return out
 
 
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """Complex factor L with L L^H = cov and L xi pairing-compatible, xi real.
+    """Complex factors L with L L^H = cov and L xi pairing-compatible, xi real.
 
-    The real recomposed matrix S is factored by a diagonally pivoted
-    Cholesky: each column takes the largest remaining diagonal entry as its
-    pivot (ties to the lower index), and the factor stops once that entry is
-    at most 1e-16 of the largest diagonal entry of S.  The pivot order is
-    fixed by the diagonal, so the factor has no freedom of basis in the
-    near-null space, and it has one column per pivot taken.
+    ``cov`` is one (d, d) covariance or a stack (..., d, d) of them.  The
+    real recomposed matrices S = A^-1 cov A^-H, formed through each pair's
+    sums and differences, are factored together by a diagonally pivoted
+    Cholesky: each column of a matrix's factor takes the largest remaining
+    diagonal entry of that matrix as its pivot (ties to the lower index),
+    and the matrix stops once that entry is at most 1e-16 of its largest
+    diagonal entry.  The pivot order is fixed by the diagonal, so a factor
+    has no freedom of basis in the near-null space, and it has one column
+    per pivot taken.  The result is (..., d, w), w the most pivots any
+    matrix took; a factor with fewer is zero-padded to w columns.
     """
-    amat = _recomposition(pairing)
-    half = np.linalg.solve(amat, cov)
-    s = np.linalg.solve(amat, half.conj().T).conj().T
-    scale = float(np.abs(s).max()) or 1.0
-    if np.abs(s.imag).max() > 1e-8 * scale:
+    d = cov.shape[-1]
+    lead = cov.shape[:-2]
+    # A^-1 cov on the rows, then x A^-H = conj(conj(x) A^-T) on the columns
+    rows = _to_real(cov.reshape(-1, d, d).swapaxes(1, 2), pairing).swapaxes(1, 2)
+    s = _to_real(rows.conj(), pairing).conj()
+    scale = np.abs(s).max(axis=(1, 2), initial=0.0)
+    if np.any(np.abs(s.imag).max(axis=(1, 2), initial=0.0)
+              > 1e-8 * np.where(scale > 0, scale, 1.0)):
         raise ValueError("covariance does not respect the conjugate pairing")
-    s = (s.real + s.real.T) / 2.0
-    d = s.shape[0]
-    rest = np.diag(s).copy()  # diagonal of the part of S not yet factored
-    top = max(float(rest.max()), np.finfo(float).tiny)
-    free = np.ones(d, dtype=bool)
-    factor = np.zeros((d, d))
+    s = (s.real + s.real.swapaxes(1, 2)) / 2.0
+    count = s.shape[0]
+    rest = np.diagonal(s, axis1=1, axis2=2).copy()  # diagonals not yet factored
+    top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
+    free = np.ones((count, d), dtype=bool)
+    factor = np.zeros((count, d, d))
+    live = np.arange(count)  # matrices still taking pivots, ``rank`` each
     rank = 0
-    while rank < d:
-        j = int(np.argmax(np.where(free, rest, -np.inf)))
-        if rest[j] <= 1e-16 * top:
+    while live.size and rank < d:
+        j = np.argmax(np.where(free[live], rest[live], -np.inf), axis=1)
+        keep = rest[live, j] > 1e-16 * top[live]
+        live, j = live[keep], j[keep]
+        if not live.size:
             break
-        pivot = np.sqrt(rest[j])
-        col = (s[:, j] - factor[:, :rank] @ factor[j, :rank]) / pivot
-        col[~free] = 0.0
-        col[j] = pivot
-        free[j] = False
-        rest -= col ** 2
-        factor[:, rank] = col
+        pivot = np.sqrt(rest[live, j])
+        col = (s[live, :, j] - np.matmul(factor[live, :, :rank],
+                                         factor[live, j, :rank, None])[..., 0])
+        col /= pivot[:, None]
+        col[~free[live]] = 0.0
+        col[np.arange(live.size), j] = pivot
+        free[live, j] = False
+        rest[live] -= col ** 2
+        factor[live, :, rank] = col
         rank += 1
-    left = rest[free]
-    if left.min(initial=0.0) < -1e-12 * top:
-        raise NumericalError(f"sampling covariance has remaining pivot "
-                             f"{left.min():.3e}")
-    if left.any():
-        logger.debug("clipping %.3e of pivot mass below the factor's floor",
-                     float(np.abs(left).sum()))
-    return amat @ factor[:, :rank]
+    for one_rest, one_free, one_top in zip(rest, free, top):
+        left = one_rest[one_free]
+        if left.min(initial=0.0) < -1e-12 * one_top:
+            raise NumericalError(f"sampling covariance has remaining pivot "
+                                 f"{left.min():.3e}")
+        if left.any():
+            logger.debug("clipping %.3e of pivot mass below the factor's floor",
+                         float(np.abs(left).sum()))
+    rows = _from_real(factor[:, :, :rank].swapaxes(1, 2), pairing)
+    return rows.swapaxes(1, 2).reshape(*lead, d, rank)
 
 
 def _trial_rng(seed: int) -> np.random.Generator:
@@ -158,27 +193,26 @@ class _Simulator:
         self.run, self.steps, self.tail_tr = _filter_plan(system, times)
         n, r = system.num_modes, system.num_outputs
         self.n, self.r = n, r
-        pairing = _pairing_or_identity(system)
-        aug_pairing = np.concatenate([pairing, n + np.arange(r)])
+        self.pairing = _pairing_or_identity(system)
         self.initial_factor = _real_factor(
-            np.diag(system.prior_var.astype(complex)), pairing)
-        factors = {}
+            np.diag(system.prior_var.astype(complex)), self.pairing)
+        # per transition, the real (width, 2(N+r)) matrix whose product with
+        # real normals is the complex process noise, viewed as complex; the
+        # factors of all distinct transitions are taken in one stack, each
+        # zero-padded to the widest one's width
+        self.noise_maps = {}
+        width = 0
         if system.has_input_noise:
             transitions = [tr for tr, _ in self.steps]
             if self.tail_tr is not None:
                 transitions.append(self.tail_tr)
-            for tr in transitions:
-                if id(tr) not in factors:
-                    factors[id(tr)] = _real_factor(tr.noise_cov, aug_pairing).T
-        width = max((f.shape[0] for f in factors.values()), default=0)
-        # per transition, the real (width, 2(N+r)) matrix whose product with
-        # real normals is the complex process noise, viewed as complex; each
-        # factor is zero-padded to the widest one's width
-        self.noise_maps = {}
-        for key, factor in factors.items():
-            padded = np.zeros((width, n + r), dtype=complex)
-            padded[:len(factor)] = factor
-            self.noise_maps[key] = padded.view(float)
+            distinct = list({id(tr): tr for tr in transitions}.values())
+            aug_pairing = np.concatenate([self.pairing, n + np.arange(r)])
+            factors = _real_factor(np.stack([tr.noise_cov for tr in distinct]),
+                                   aug_pairing)
+            width = factors.shape[-1]
+            maps = np.ascontiguousarray(factors.swapaxes(1, 2)).view(float)
+            self.noise_maps = {id(tr): m for tr, m in zip(distinct, maps)}
         self.meas_chol = np.linalg.cholesky(system.r_cov)
         # widths in the documented draw order: the initial state, one sample
         # step's normals, then a trial's whole block
@@ -318,6 +352,23 @@ class SimulationBatch:
     z_score: float
 
 
+def _real_error_map(emap: np.ndarray, pairing: np.ndarray):
+    """The real (total, N) map M A^-T and the weights of its N columns.
+
+    A trial's error e = xi M has e_mate = conj(e_k) on a pair, so its real
+    coordinates rho = e A^-T = xi M A^-T are (Re e_k, Im e_k) there and
+    ||e||^2 = sum_k w_k rho_k^2, with weight 1 on a self-conjugate mode and
+    2 on each member of a pair.  A map whose real coordinates keep an
+    imaginary part does not respect the pairing, and is refused.
+    """
+    rho = _to_real(emap, pairing)
+    scale = float(np.abs(rho).max(initial=0.0)) or 1.0
+    if np.abs(rho.imag).max(initial=0.0) > 1e-8 * scale:
+        raise ValueError("error map does not respect the conjugate pairing")
+    weights = np.where(pairing == np.arange(pairing.size), 1.0, 2.0)
+    return np.ascontiguousarray(rho.real), weights
+
+
 def empirical_error(system: ModalSystem, times, trials: int,
                     seed: int) -> SimulationBatch:
     """Monte Carlo estimate of E||zhat(horizon) - z(horizon)||^2.
@@ -325,8 +376,9 @@ def empirical_error(system: ModalSystem, times, trials: int,
     Draws ``trials`` independent exact simulations and compares the mean
     squared estimation error against the deterministic ``trace_err`` of the
     same grid.  A trial's error is its normals times the simulator's
-    ``error_map``, so the map is built once and applied to the seed's stream
-    ``_TRIAL_BLOCK`` trials at a time, one real gemm a block.  The z-score
+    ``error_map``, so the map is built once, taken to N real columns, and
+    applied to the seed's stream ``_TRIAL_BLOCK`` trials at a time, one real
+    gemm a block.  The z-score
     should be O(1); |z| > 3 flags disagreement.
     """
     trials = _whole("trials", trials, 2)
@@ -335,8 +387,8 @@ def empirical_error(system: ModalSystem, times, trials: int,
     if times.size == 0:
         raise ValueError("need at least one sample time")
     sim = _Simulator(system, times)
-    emap = sim.error_map().view(float)  # real and imaginary parts side by side
-    errors = np.concatenate([np.square(normals @ emap).sum(axis=1)
+    emap, weights = _real_error_map(sim.error_map(), sim.pairing)
+    errors = np.concatenate([np.square(normals @ emap) @ weights
                              for normals in sim.blocks(seed, trials)])
     empirical = float(errors.mean())
     sdev = float(errors.std(ddof=1) / np.sqrt(trials))

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import sampledkf as sk
+from sampledkf import cli
 from sampledkf.cli import (_format_value, build_config, emit_plot_data, main,
                            parse_config_text)
 from sampledkf.errors import ConfigError
@@ -167,6 +168,10 @@ class TestBuildConfig:
                      "simulate_n: must be at least 1", id="simulate_n-small"),
         pytest.param("simulate", {"simulate_n": "4", "trials": "1"},
                      "trials: must be at least 2", id="trials-small"),
+        # 1024 x (4 + (n + 1) 5) normals in one trial block, at most 2**31
+        pytest.param("simulate", {"simulate_n": "419429", "trials": "50"},
+                     "^simulate_n: 419429 samples of a 4-mode model need up "
+                     "to 2147485696 normals", id="simulate_n-large"),
     ] + [
         # only converge and bounds write plot data
         pytest.param(experiment, {"plot_out": "plot.txt"},
@@ -179,6 +184,13 @@ class TestBuildConfig:
                "model.num_modes": "4", **extra}
         with pytest.raises(ConfigError, match=message):
             build_config({k: v for k, v in raw.items() if v is not None})
+
+    def test_largest_simulate_grid_is_accepted(self):
+        # 1024 x (4 + 419429 x 5) = 2**31 - 3072 normals in one trial block
+        config = build_config({"experiment": "simulate", "model.kind": "heat",
+                               "model.num_modes": "4", "simulate_n": "419428",
+                               "trials": "50"})
+        assert config.values["simulate_n"] == 419428
 
 
 class TestConvergeCommand:
@@ -241,6 +253,21 @@ class TestSimulateCommand:
         assert "# seed = 99" in text
         _, rows = data_lines(out)
         assert rows[0][3] == "99"
+
+
+    def test_calls_in_one_process_parse_their_own_arguments(self, tmp_path,
+                                                            capsys):
+        # the parser is built once per process; its parses share nothing
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(first),
+                     "--seed", "99"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(second)]) == 0
+        assert "# seed = 99" in first.read_text()
+        assert "# seed = 3" in second.read_text()
+        assert data_lines(first)[1][0][3] == "99"
+        assert data_lines(second)[1][0][3] == "3"
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestBoundsCommand:
@@ -341,6 +368,17 @@ class TestFailureModes:
         assert main(["simulate", "--config", cfg, *argv_seed]) == 2
         assert ("config error: seed: must be non-negative"
                 in capsys.readouterr().err)
+
+    def test_simulate_grid_past_the_normals_bound_exits_two(self, tmp_path,
+                                                           capsys, monkeypatch):
+        # refused with the configuration: no model or grid of 2**43 points
+        monkeypatch.setattr("sampledkf.cli._build_model", None)
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace(
+            "simulate_n = 4", f"simulate_n = {2 ** 43}"))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: simulate_n: {2 ** 43} samples" in err
+        assert "at most 2**31" in err
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = converge\nbogus = 1\n")

@@ -22,7 +22,7 @@ import pytest
 from scipy.integrate import quad
 
 import sampledkf as sk
-from sampledkf import NumericalError
+from sampledkf import NumericalError, filter_core, kernels
 from sampledkf.filter_core import _output_gram
 
 # frozen mpmath references for the interpolation-residual kernel:
@@ -237,6 +237,92 @@ class TestTransitionStructure:
         assert run.final_mean.shape == (sysm.num_modes,)
         batch = sk.empirical_error(sysm, times, trials=50, seed=2)
         assert np.isfinite(batch.z_score)
+
+
+def irregular_grid(points=32, seed=1):
+    """The benchmark's seeded irregular grid on [0, 1], last point at 1."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 1.5, points))
+    times /= times[-1]
+    times[-1] = 1.0
+    return times
+
+
+BATCH_MODELS = {
+    "heat": lambda two: sk.build_heat_model(20, horizon=1.0),
+    "wave": lambda two: sk.build_wave_model(12, horizon=1.0),
+    "heat-driven": lambda two: sk.build_heat_model(20, horizon=1.0,
+                                                   q_scalar=0.5),
+    "two-outputs": lambda two: two(6, 0.5),
+}
+
+
+def max_rel_gap(batched, single):
+    """Largest entry gap of each block, relative to the block's largest entry."""
+    gaps = []
+    for name in ("decay", "output_map", "noise_cov"):
+        a, b = getattr(batched, name), getattr(single, name)
+        gaps.append(np.abs(a - b).max() / (np.abs(b).max() or 1.0))
+    return max(gaps)
+
+
+class TestBatchedTransitions:
+    """``_transitions`` evaluates the kernels once per batch of widths."""
+
+    @pytest.mark.parametrize("case", BATCH_MODELS)
+    def test_agrees_with_per_width_evaluation(self, case, two_output_heat):
+        sysm = BATCH_MODELS[case](two_output_heat)
+        times = irregular_grid(12)[:-1]  # a tail step
+        widths = np.concatenate([np.diff(times, prepend=0.0), [1.0 - times[-1]],
+                                 np.diff(times, prepend=0.0)[:4]])  # repeats
+        batch = kernels._transitions(sysm, widths)
+        assert len(batch) == widths.size
+        for h, tr in zip(widths, batch):
+            single = sk.transition_block(sysm, float(h))
+            assert tr.step == single.step == float(h)
+            assert max_rel_gap(tr, single) <= 1e-15
+
+    def test_filter_plan_evaluates_once_per_batch(self, monkeypatch):
+        sysm = sk.build_heat_model(20, horizon=1.0, q_scalar=0.5)
+        times = irregular_grid()
+        calls = {"batches": 0, "g3": 0}
+        batch, g3 = kernels._transition_batch, kernels.coupled_g3
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(kernels, "_transition_batch", count("batches", batch))
+        monkeypatch.setattr(kernels, "coupled_g3", count("g3", g3))
+        monkeypatch.setattr(filter_core, "transition_block", None)
+        run, steps, tail = filter_core._filter_plan(sysm, times)
+        # 32 distinct widths, no tail, one batch of at most 81 at N = 20
+        assert len({id(tr) for tr, _ in steps}) == 32 and tail is None
+        assert calls == {"batches": 1, "g3": 1}
+        monkeypatch.setattr(kernels, "_KERNEL_ELEMENTS", 10 * 20 * 20)
+        filter_core._filter_plan(sysm, times)
+        assert calls == {"batches": 5, "g3": 5}  # 10 + 10 + 10 + 2 widths
+
+    @pytest.mark.parametrize("case", BATCH_MODELS)
+    def test_many_batches_give_the_same_transitions(self, case, two_output_heat,
+                                                    monkeypatch):
+        sysm = BATCH_MODELS[case](two_output_heat)
+        times = irregular_grid()[:-1]
+        run, steps, tail = filter_core._filter_plan(sysm, times)
+        monkeypatch.setattr(kernels, "_KERNEL_ELEMENTS", 3 * sysm.num_modes ** 2)
+        run3, steps3, tail3 = filter_core._filter_plan(sysm, times)
+        for (tr, _), (tr3, _) in zip(steps + [(tail, None)],
+                                     steps3 + [(tail3, None)]):
+            assert tr.step == tr3.step
+            assert max_rel_gap(tr3, tr) <= 1e-15
+        npt.assert_allclose(run3.trace_err, run.trace_err, rtol=1e-14)
+
+    def test_equal_widths_share_one_transition(self):
+        sysm = sk.build_heat_model(4, horizon=1.0, q_scalar=0.5)
+        _, steps, tail = filter_core._filter_plan(sysm, np.array([0.25, 0.5, 0.75]))
+        assert len({id(tr) for tr, _ in steps}) == 1 and tail is steps[0][0]
 
 
 class TestUnconditionalCovariance:

@@ -11,7 +11,8 @@ from sampledkf import montecarlo
 from sampledkf.errors import NumericalError
 from sampledkf.filter_core import _filtered_means
 from sampledkf.montecarlo import (_TRIAL_BLOCK, _pairing_or_identity,
-                                  _real_factor, _Simulator, _trial_rng)
+                                  _real_error_map, _real_factor, _Simulator,
+                                  _trial_rng)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
@@ -20,6 +21,17 @@ def aug_pairing(sysm):
     """Pairing of the augmented (z, Y) coordinates: outputs are real."""
     return np.concatenate([_pairing_or_identity(sysm),
                            sysm.num_modes + np.arange(sysm.num_outputs)])
+
+
+def recomposition(pairing):
+    """Dense A with eta = A rho: a pair (k, mate) is (rho_k + i rho_mate, rho_k - i rho_mate)."""
+    amat = np.zeros((pairing.size, pairing.size), dtype=complex)
+    for k, mate in enumerate(pairing):
+        if mate == k:
+            amat[k, k] = 1.0
+        elif k < mate:
+            amat[[k, k, mate, mate], [k, mate, k, mate]] = [1.0, 1.0j, 1.0, -1.0j]
+    return amat
 
 
 def draw(sim, seed, trials):
@@ -121,9 +133,9 @@ class TestDeterminism:
         assert not np.array_equal(a.errors, b.errors)
 
 
-def workload_model_and_grid():
+def workload_model_and_grid(seed=1):
     """Driven heat N=20, q=0.5, on a seeded 32-point irregular grid."""
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.5, 1.5, 32))
     times /= times[-1]
     times[-1] = 1.0
@@ -137,20 +149,53 @@ class TestRealFactor:
         sysm, times = workload_model_and_grid()
         pairing = aug_pairing(sysm)
         caplog.set_level("DEBUG", logger="sampledkf.montecarlo")
-        for tr, _ in _Simulator(sysm, times).steps:
-            cov = tr.noise_cov
-            caplog.clear()
-            factor = _real_factor(cov, pairing)
-            assert factor.shape[1] < cov.shape[0]  # rank-revealing
+        covs = np.stack([tr.noise_cov for tr, _ in _Simulator(sysm, times).steps])
+        caplog.clear()
+        factors = _real_factor(covs, pairing)
+        assert factors.shape[:2] == covs.shape[:2]
+        assert factors.shape[2] < covs.shape[2]  # rank-revealing
+        # one record per matrix: the mass each leaves below its floor, tiny
+        assert len(caplog.records) == len(covs)
+        for cov, factor, record in zip(covs, factors, caplog.records):
             scale = np.abs(cov).max()
             assert np.abs(factor @ factor.conj().T - cov).max() <= 1e-15 * scale
-            # the mass left below the floor is logged, and tiny
             trace = np.trace(cov).real
             dropped = trace - np.sum(np.abs(factor) ** 2)
             assert abs(dropped) <= 1e-15 * trace
-            [record] = caplog.records
             assert record.getMessage().startswith("clipping")
             assert record.args[0] <= 1e-15 * trace
+
+    @pytest.mark.parametrize("case", ["workload", "wave-driven"])
+    def test_a_stack_factors_each_matrix(self, case):
+        # each matrix keeps its own pivots and stop; narrower factors are
+        # zero-padded to the widest
+        if case == "workload":
+            sysm, times = workload_model_and_grid()
+            pairing = aug_pairing(sysm)
+            covs = np.stack([tr.noise_cov for tr, _ in _Simulator(sysm, times).steps]
+                            + [np.zeros_like(sysm.r_cov, shape=(21, 21))])
+        else:
+            # conjugate pairs (0, 1) and (2, 3) and a real mode: A rho rho^T A*
+            # with real rho of full, middle and unit rank
+            pairing = np.array([1, 0, 3, 2, 4])
+            amat = recomposition(pairing)
+            rng = np.random.default_rng(4)
+            covs = np.stack([amat @ (x @ x.T) @ amat.conj().T
+                             for x in (rng.standard_normal((5, k))
+                                       for k in (5, 3, 1))])
+        stacked = _real_factor(covs, pairing)
+        singles = [_real_factor(cov, pairing) for cov in covs]
+        # L = A F with F real, so L xi respects the pairing for real xi
+        real = np.linalg.solve(recomposition(pairing), stacked)
+        assert np.abs(real.imag).max() <= 1e-15 * np.abs(real).max()
+        assert stacked.shape[-1] == max(f.shape[1] for f in singles)
+        for cov, one, single in zip(covs, stacked, singles):
+            width = single.shape[1]
+            npt.assert_array_equal(one[:, width:], 0.0)
+            scale = np.abs(cov).max() or 1.0
+            assert (np.abs(one[:, :width] - single).max(initial=0.0)
+                    <= 1e-15 * scale ** 0.5)
+            assert np.abs(one @ one.conj().T - cov).max() <= 1e-14 * scale
 
     def test_pivots_by_diagonal_with_ties_to_the_lower_index(self):
         npt.assert_array_equal(_real_factor(np.eye(3, dtype=complex),
@@ -174,8 +219,9 @@ class TestRealFactor:
         rng = np.random.default_rng(0)
 
         def perturb(cov):
+            # one Hermitian pattern of signs per covariance of a stack
             signs = rng.choice([-1.0, 1.0], size=cov.shape)
-            signs = np.triu(signs) + np.triu(signs, 1).T
+            signs = np.triu(signs) + np.triu(signs, 1).swapaxes(-1, -2)
             return cov * (1.0 + 4e-16 * signs)
 
         sim = _Simulator(sysm, times)
@@ -364,6 +410,40 @@ class TestErrorMap:
         assert emap.shape == (sim.total, sysm.num_modes)
         npt.assert_allclose(np.sum(np.abs(emap) ** 2), sim.run.trace_err,
                             rtol=1e-10)
+
+    @pytest.mark.parametrize("case", ERROR_MAP_CASES)
+    def test_real_map_matches_the_complex_map(self, case, two_output_heat):
+        # N real columns weighted 2 on each member of a pair, against the
+        # real and imaginary parts of all N complex columns side by side
+        sysm, times = ERROR_MAP_CASES[case](two_output_heat)
+        sim = _Simulator(sysm, times)
+        normals = draw(sim, 5, 256)
+        full = np.square(normals @ sim.error_map().view(float)).sum(axis=1)
+        emap, weights = _real_error_map(sim.error_map(), sim.pairing)
+        assert emap.shape == (sim.total, sysm.num_modes)
+        assert emap.dtype == np.float64
+        npt.assert_allclose(np.square(normals @ emap) @ weights, full,
+                            rtol=1e-12)
+        paired = sim.pairing != np.arange(sysm.num_modes)
+        npt.assert_array_equal(weights, np.where(paired, 2.0, 1.0))
+        assert paired.any() == case.startswith("wave")
+
+    def test_map_off_the_pairing_is_refused(self):
+        # a pair's two error columns must be conjugate for the real form
+        sim = _Simulator(sk.build_wave_model(4, horizon=1.0), EIGHT_TIMES)
+        emap = sim.error_map()
+        _real_error_map(emap, sim.pairing)
+        emap[:, 1] += 1e-6 * np.abs(emap).max()
+        with pytest.raises(ValueError, match="error map does not respect"):
+            _real_error_map(emap, sim.pairing)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_workload_draw_layout(self, seed):
+        # the initial factor's 20 normals, then 12 process and 1 measurement
+        # normals at each of 32 samples; the last sample is the horizon
+        sysm, times = workload_model_and_grid(seed)
+        sim = _Simulator(sysm, times)
+        assert (sim.head, sim.width, sim.total) == (20, 12, 436)
 
     def test_a_later_block_leaves_the_first_alone(self):
         sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)
