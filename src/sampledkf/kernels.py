@@ -66,7 +66,7 @@ __all__ = [
 
 #: Most kernel entries (widths x N x N) one batch of ``_transitions``
 #: evaluates.  The double series hold about 22 powers of each argument per
-#: entry, so a batch's temporaries stay near 30 MB whatever the widths.
+#: entry, so a batch's temporaries stay near 25 MB whatever the widths.
 _KERNEL_ELEMENTS = 2 ** 15
 
 

@@ -173,7 +173,7 @@ class TestRealFactor:
             sysm, times = workload_model_and_grid()
             pairing = aug_pairing(sysm)
             covs = np.stack([tr.noise_cov for tr, _ in _Simulator(sysm, times).steps]
-                            + [np.zeros_like(sysm.r_cov, shape=(21, 21))])
+                            + [np.zeros((21, 21), dtype=complex)])  # rank 0
         else:
             # conjugate pairs (0, 1) and (2, 3) and a real mode: A rho rho^T A*
             # with real rho of full, middle and unit rank
