@@ -72,10 +72,10 @@ _SCHEMA = {
 
 #: Most normals one block of ``_TRIAL_BLOCK`` simulate trials may hold.
 _SIMULATE_NORMALS = 2 ** 31
+#: Most points x modes the deepest telescope or level-sum level may hold.
+_DEEPEST_LEVEL_CELLS = 2 ** 24
 
-_MODEL_KEYS = ("model.kind", "model.num_modes", "model.horizon",
-               "model.prior_decay", "model.q_scalar", "model.r_scalar",
-               "model.domain_length")
+_MODEL_KEYS = tuple(key for key in _SCHEMA if key.startswith("model."))
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -206,18 +206,26 @@ def build_config(raw: dict[str, str],
                     raise ConfigError(f"{key}: required when theorems includes 4")
         if 3 in theorems:
             values.setdefault("theorem3_case", "domain")
-    if experiment == "telescope":
-        for key in ("telescope_n", "telescope_levels"):
+    if experiment in ("telescope", "levelsum"):
+        base_key, levels_key = f"{experiment}_n", f"{experiment}_levels"
+        for key in (base_key, levels_key):
             if key not in values:
-                raise ConfigError(f"{key}: required for experiment 'telescope'")
+                raise ConfigError(f"{key}: required for experiment "
+                                  f"'{experiment}'")
             if values[key] < 1:
                 raise ConfigError(f"{key}: must be at least 1")
+        # the deepest level's (points, N) complex phi_h array may take at
+        # most 256 MiB; from 26 levels on any base and N exceed it, so the
+        # power is capped there and never grows without bound
+        base, levels = values[base_key], values[levels_key]
+        modes = max(values.get("model.num_modes", 1), 1)
+        if base * modes * 2 ** (min(levels, 26) - 1) > _DEEPEST_LEVEL_CELLS:
+            raise ConfigError(
+                f"{levels_key}: {levels} levels over {base} base points of a "
+                f"{modes}-mode model put {base} * 2**{levels - 1} points of "
+                f"{modes} modes in the deepest level; at most 2**24 points "
+                f"x modes are allowed")
     if experiment == "levelsum":
-        for key in ("levelsum_n", "levelsum_levels"):
-            if key not in values:
-                raise ConfigError(f"{key}: required for experiment 'levelsum'")
-            if values[key] < 1:
-                raise ConfigError(f"{key}: must be at least 1")
         values.setdefault("levelsum_weights", "domain")
         if values["levelsum_weights"] == "fractional" \
                 and "levelsum_weight_power" not in values:
@@ -350,11 +358,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
         rows = []
         for bound in bounds:
             report = check_bound(curve, bound)
-            for n, measured, value in zip(report.n_values,
-                                          report.discrepancies,
-                                          report.bound_values):
-                rows.append([bound.variant, int(n), value, measured,
-                             bool(measured <= value * (1 + 1e-12))])
+            rows.extend([bound.variant, int(n), value, measured, ok]
+                        for n, value, measured, ok in zip(
+                            report.n_values, report.bound_values,
+                            report.discrepancies, report.passes))
         text = _csv(config, ["theorem", "n", "bound", "measured", "pass"], rows)
         if config.values.get("plot_out"):
             plot_text = emit_plot_data(curve, bounds)

@@ -1,25 +1,61 @@
-"""Discrete-time estimation of the sampled system, four routes.
+"""Discrete-time estimation of the sampled system.
 
-The information form is the hot path for undriven systems.  Without input
-noise z(T) = e^(AT) x, and each increment observation
+Every posterior outside the recursion and the batch oracle is one call of
+``_condition`` on an information matrix J or a stretch triple
+(Phi, Gam, H): the diagonal prior P0 conditioned in the whitened form
+
+    H + Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2) Phi*,
+
+whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
+for zero prior variances and rapidly decaying ones), and symmetrised there
+once.  The callers differ only in what they hand it.
+
+Undriven systems hand it J.  Without input noise z(T) = e^(AT) x, and each
+increment observation
 
     y(t_i) - y(t_(i-1)) = H_i x + dw,    H_i = C diag(e^(lambda t_(i-1)) I1(lambda, d_i)),
 
 with d_i = t_i - t_(i-1), I1(lambda, d) = d phi1(lambda d) and
 dw ~ N(0, R d_i), is linear in the initial state x.  The increments are
 independent given x, so the posterior of x needs only the N x N information
-matrix J = sum_i H_i* (R d_i)^(-1) H_i, evaluated in the whitened form
+matrix J = sum_i H_i* (R d_i)^(-1) H_i: J alone gives the posterior of x
+(``increment_variance``, the telescope of ``refinement``), and the triple
+(diag(e^(AT)), J, None) that of z(T) (``information_filter``).  On the
+uniform grid (j T) / m, j = 1..m, given by its size m, the sum over samples
+is geometric and J has a closed form (``_uniform_information``): N^2 kernel
+values whatever m is.  Times handed in as an array accumulate J block by
+block (``_accumulated_information``), uniform or not.
 
-    P = P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2),
+Driven systems on the uniform grid hand it the m-step stretch triple, built
+by structure-preserving doubling (``_doubled_triple``), since every step
+repeats one transition.  If z has prior covariance P0 at the start of a
+stretch, its posterior at the end is H + Phi P0 (I + Gam P0)^-1 Phi*.  One
+step of width h, with S = Syy + R h and K0 = Szy S^-1 from the noise blocks
+of Sigma_h, is
 
-whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
-for zero prior variances and rapidly decaying ones).  On the uniform grid
-(j T) / m, j = 1..m, given by its size m, the sum over samples is geometric
-and J has a closed form (``_uniform_information``): N^2 kernel values
-whatever m is.  Times handed in as an array accumulate J block by block
-(``_accumulated_information``), uniform or not.  ``_initial_posterior``
-conditions on whichever J its caller holds, and ``increment_variance``
-builds on the same posterior of x.
+    Phi = diag(e) - K0 G,    Gam = G* S^-1 G,    H = Szz - K0 Syz,
+
+and stretch 1 followed by stretch 2 joins into
+
+    Phi = Phi2 (I + H1 Gam2)^-1 Phi1
+    Gam = Gam1 + Phi1* (I + Gam2 H1)^-1 Gam2 Phi1
+    H   = H2 + Phi2 (I + H1 Gam2)^-1 H1 Phi2*.
+
+I + H1 Gam2 has every eigenvalue >= 1, so no join meets a singular matrix.
+Squaring the one-step triple and joining the powers picked out by the binary
+digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
+of m recursion steps.  Without input noise H = 0 and Gam is the information
+matrix J, so the undriven triple is the special case; the tests hold the
+two to each other.
+
+``_uniform_trace`` is the trace of every uniform grid the package uses
+(coarse grids, curve references, bound anchors, the two ends of a
+telescope): it takes the grid size m, never the grid, picks the triple
+(closed-form J undriven, doubling driven) and conditions it once, so no
+m-point array is made.  Times that callers pass in take
+``information_filter``, which sums J over them, or ``sequential_filter``;
+this module never builds a uniform grid or checks whether times form one
+(``refinement.dyadic_grid`` builds it).
 
 ``sequential_filter`` is the route for driven systems on every grid but the
 uniform one, and the only route for filtered means: a Kalman recursion on
@@ -42,38 +78,6 @@ gemm, the mean update of ``sequential_filter(observations=...)``; the Monte
 Carlo of ``montecarlo`` builds its map from trial normals to the error
 zhat(T) - z(T) from the same pass.
 
-``_uniform_posterior`` is the hot path for driven systems on the uniform grid
-(j T) / m, j = 1..m, where every step repeats one transition:
-structure-preserving doubling.  A stretch of the filter is a triple (Phi, Gam, H): if z has prior
-covariance P0 at its start, its posterior at its end is
-H + Phi P0 (I + Gam P0)^-1 Phi*.  One step of width h, with S = Syy + R h and
-K0 = Szy S^-1 from the noise blocks of Sigma_h, is
-
-    Phi = diag(e) - K0 G,    Gam = G* S^-1 G,    H = Szz - K0 Syz,
-
-and stretch 1 followed by stretch 2 joins into
-
-    Phi = Phi2 (I + H1 Gam2)^-1 Phi1
-    Gam = Gam1 + Phi1* (I + Gam2 H1)^-1 Gam2 Phi1
-    H   = H2 + Phi2 (I + H1 Gam2)^-1 H1 Phi2*.
-
-I + H1 Gam2 has every eigenvalue >= 1, so no join meets a singular matrix.
-Squaring the one-step triple and joining the powers picked out by the binary
-digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
-of m recursion steps.  Without input noise H = 0 and Gam is the information
-matrix J, so the information form is the special case; the tests hold the
-two to each other.
-
-``_uniform_trace`` is the trace route of every uniform grid the package
-uses (coarse grids, curve references, bound anchors, the two ends of a
-telescope): it takes the grid size m, never the grid, and runs the
-closed-form J for undriven systems and doubling for driven ones, so no
-m-point array is made.  Times that callers pass in take
-``information_filter``, which sums J over them, or ``sequential_filter``;
-this module never builds a uniform grid or checks whether times form one
-(``refinement.dyadic_grid`` builds it).  ``_condition`` holds the whitened
-conditioning of the diagonal prior once, for both J and doubling.
-
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
 covariances it needs from ``kernels.augmented_covariance``: the gram
@@ -82,8 +86,9 @@ covariances it needs from ``kernels.augmented_covariance``: the gram
 
 and the cross-covariance of the stacked outputs with z(T).
 
-All four must agree to floating-point accuracy; the tests hold them to it
-(increment versus cumulative bookkeeping, state versus initial-state form).
+The conditioning, the recursion and the batch regression must agree to
+floating-point accuracy; the tests hold them to it (increment versus
+cumulative bookkeeping, state versus initial-state form, J versus doubling).
 
 ``increment_variance`` evaluates the one-insertion refinement gain
 
@@ -96,9 +101,9 @@ y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
 measurement noise, independent of the coarse set, so the insertion also
 downdates P by the rank-r term P C_h* G^(-1) C_h P.  ``_insert`` holds that
 formula once and returns both the gain and the downdated P.
-``increment_variance`` builds P on the given base set and stays the
-one-insertion oracle; ``refinement.telescope_check`` carries one P through
-every insertion instead.
+``increment_variance`` conditions P on the summed J of the given base set
+and stays the one-insertion oracle; ``refinement.telescope_check`` carries
+one P through every insertion instead.
 """
 
 from __future__ import annotations
@@ -321,34 +326,24 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
 
 
-def _condition(system: ModalSystem, info: np.ndarray, phi=None) -> np.ndarray:
-    """Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi* for J = ``info``.
+def _condition(system: ModalSystem, info: np.ndarray, phi=None,
+               noise=None) -> np.ndarray:
+    """H + Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi*, symmetrised.
 
-    The diagonal prior P0 conditioned on information J in whitened form, the
-    Cholesky factor taken of a matrix with every eigenvalue >= 1, and mapped
-    by Phi (the identity when ``phi`` is None).  Not symmetrised.
+    The one conditioning of the package: the diagonal prior P0 conditioned on
+    information J = ``info`` in whitened form, the Cholesky factor taken of a
+    matrix with every eigenvalue >= 1, mapped by Phi = ``phi`` (the identity
+    when None) and with H = ``noise`` added (zero when None).  J alone gives
+    the posterior of the initial state x of an undriven system, the triple
+    (diag(e^(AT)), J, None) that of z(T), and a stretch triple
+    (Phi, Gam, H) that of z at the stretch's end.
     """
     root = np.sqrt(system.prior_var)
     whitened = np.eye(system.num_modes) + root[:, None] * info * root[None, :]
     rhs = np.diag(root) if phi is None else (phi * root[None, :]).conj().T
     half = np.linalg.solve(np.linalg.cholesky(whitened), rhs)
-    return half.conj().T @ half
-
-
-def _initial_posterior(system: ModalSystem, info: np.ndarray) -> np.ndarray:
-    """Error covariance of the initial state x given information matrix J = ``info``.
-
-    Undriven systems only.  A caller holding a uniform grid's size passes
-    ``_uniform_information``; one holding sample times passes
-    ``_accumulated_information``.
-    """
-    return _hermitize(_condition(system, info))
-
-
-def _at_horizon(system: ModalSystem, post: np.ndarray) -> np.ndarray:
-    """Covariance of z(T) = e^(AT) x from the covariance ``post`` of x."""
-    decay = np.exp(system.eigenvalues * system.horizon)
-    return _hermitize(decay[:, None] * post * decay.conj()[None, :])
+    post = half.conj().T @ half
+    return _hermitize(post if noise is None else noise + post)
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -364,8 +359,8 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    post = _initial_posterior(system, _accumulated_information(system, times))
-    final_cov = _at_horizon(system, post)
+    final_cov = _condition(system, _accumulated_information(system, times),
+                           np.diag(np.exp(system.eigenvalues * system.horizon)))
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=_real_trace(final_cov))
 
@@ -396,14 +391,12 @@ def _join(first, second):
             _hermitize(h2 + phi2 @ x[:, n:]))
 
 
-def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
-    """Covariance of z(T) given the samples at (j T) / m, j = 1..m, by doubling.
+def _doubled_triple(system: ModalSystem, m: int):
+    """The stretch triple (Phi, Gam, H) of the samples (j T) / m, j = 1..m.
 
     The one-step triple is squared repeatedly and the powers picked out by
     the binary digits of m are joined: about 2 log2(m) N x N joins in place
-    of m recursion steps.  The prior P0 = diag(p) enters the m-step triple in
-    the whitened form H + Phi P0^(1/2) (I + P0^(1/2) Gam P0^(1/2))^-1 P0^(1/2) Phi*
-    of ``_condition``, the conditioning ``_initial_posterior`` takes.
+    of m recursion steps.  No prior enters; ``_condition`` applies it.
     """
     step = _step_triple(system, system.horizon / m)
     total = None
@@ -412,24 +405,24 @@ def _uniform_posterior(system: ModalSystem, m: int) -> np.ndarray:
             total = step if total is None else _join(total, step)
         m >>= 1
         if not m:
-            break
+            return total
         step = _join(step, step)
-    phi, gam, h = total
-    return _hermitize(h + _condition(system, gam, phi))
 
 
 def _uniform_trace(system: ModalSystem, m: int) -> float:
     """Posterior error trace E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
 
-    Takes the grid size m, never the grid.  Undriven systems take the
-    closed-form J (N^2 kernel values whatever m is), conditioned and pushed
-    to the horizon as ``information_filter`` does with its summed J; driven
-    ones take doubling (``_uniform_posterior``, about 2 log2(m) joins).
+    Takes the grid size m, never the grid, and conditions one triple: an
+    undriven system's is (diag(e^(AT)), closed-form J, None), N^2 kernel
+    values whatever m is; a driven one's comes from ``_doubled_triple``,
+    about 2 log2(m) joins.
     """
     if system.has_input_noise:
-        return _real_trace(_uniform_posterior(system, m))
-    post = _initial_posterior(system, _uniform_information(system, m))
-    return _real_trace(_at_horizon(system, post))
+        phi, info, noise = _doubled_triple(system, m)
+    else:
+        phi = np.diag(np.exp(system.eigenvalues * system.horizon))
+        info, noise = _uniform_information(system, m), None
+    return _real_trace(_condition(system, info, phi, noise))
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):
@@ -522,7 +515,7 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _initial_posterior(system, _accumulated_information(system, base))
+    post = _condition(system, _accumulated_information(system, base))
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     return _insert(post, chm, h, system.r_cov, energy)[0]

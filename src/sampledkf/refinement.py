@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_initial_posterior, _insert, _uniform_information,
+from .filter_core import (_condition, _insert, _uniform_information,
                           _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
@@ -215,7 +215,7 @@ def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
     construction fixes every stencil: the neighbours t - h (or 0) and t + h
     of a point new at a level already belong to the base set.
     """
-    post = _initial_posterior(system, _uniform_information(system, base_n))
+    post = _condition(system, _uniform_information(system, base_n))
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []

@@ -323,6 +323,7 @@ class BoundCheck:
     discrepancies: np.ndarray
     bound_values: np.ndarray
     margins: np.ndarray
+    passes: np.ndarray
     passed: bool
 
 
@@ -342,10 +343,11 @@ def check_bound(curve: DiscrepancyCurve, bound: TheoremBound) -> BoundCheck:
     values = np.asarray(bound.value_at(curve.n_values), dtype=float)
     tiny = np.finfo(float).tiny
     margins = values / np.maximum(curve.values, tiny)
-    passed = bool(np.all(curve.values <= values * (1.0 + 1e-12)))
+    passes = curve.values <= values * (1.0 + 1e-12)
     return BoundCheck(system_label=curve.label, variant=bound.variant,
                       n_values=curve.n_values, discrepancies=curve.values,
-                      bound_values=values, margins=margins, passed=passed)
+                      bound_values=values, margins=margins, passes=passes,
+                      passed=bool(passes.all()))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Config parsing, experiment commands, output format, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -35,6 +36,9 @@ simulate_n = 4
 trials = 50
 seed = 3
 """
+
+
+DEMO_CONFIGS = Path(sk.__file__).resolve().parents[2] / "demos" / "configs"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -173,6 +177,13 @@ class TestBuildConfig:
                      "^simulate_n: 419429 samples of a 4-mode model need up "
                      "to 2147485696 normals", id="simulate_n-large"),
     ] + [
+        # 4 * 2**21 points of 4 modes in the deepest level, at most 2**24
+        pytest.param(experiment, {f"{experiment}_n": "4",
+                                  f"{experiment}_levels": "22"},
+                     f"^{experiment}_levels: 22 levels over 4 base points of "
+                     f"a 4-mode model", id=f"{experiment}_levels-large")
+        for experiment in ("telescope", "levelsum")
+    ] + [
         # only converge and bounds write plot data
         pytest.param(experiment, {"plot_out": "plot.txt"},
                      f"^plot_out: experiment '{experiment}' writes no plot data",
@@ -191,6 +202,16 @@ class TestBuildConfig:
                                "model.num_modes": "4", "simulate_n": "419428",
                                "trials": "50"})
         assert config.values["simulate_n"] == 419428
+
+    @pytest.mark.parametrize("experiment", ["telescope", "levelsum"])
+    def test_largest_level_count_is_accepted(self, experiment):
+        # 4 * 2**20 points of 4 modes in the deepest level: exactly 2**24;
+        # the config is only validated, never run
+        config = build_config({"experiment": experiment, "model.kind": "heat",
+                               "model.num_modes": "4",
+                               f"{experiment}_n": "4",
+                               f"{experiment}_levels": "21"})
+        assert config.values[f"{experiment}_levels"] == 21
 
 
 class TestConvergeCommand:
@@ -290,6 +311,38 @@ class TestBoundsCommand:
         assert names == ["# series: discrepancy", "# series: theorem2-bound",
                          "# series: theorem3-bound"]
 
+    @pytest.mark.parametrize("stem", ["heat_input_theorem5", "heat_theorem4",
+                                      "wave_theorem1"])
+    def test_pass_cells_are_check_bound_passes(self, tmp_path, capsys, stem):
+        cfg = DEMO_CONFIGS / f"{stem}.cfg"
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        config = cli.load_config(str(cfg))
+        model = cli._build_model(config)
+        curve = cli._curve_from_config(config, model)
+        want = []
+        for bound in cli._make_bounds(config, model, int(curve.n_values.min())):
+            report = sk.check_bound(curve, bound)
+            assert report.passed == bool(report.passes.all())
+            want.extend(_format_value(ok) for ok in report.passes)
+        assert [row[4] for row in data_lines(out)[1]] == want
+
+    def test_pass_cells_come_from_the_report(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the CSV writes the report's verdicts and recomputes none
+        real = cli.check_bound
+
+        def flipped(curve, bound):
+            report = real(curve, bound)
+            return dataclasses.replace(report, passes=~report.passes)
+
+        monkeypatch.setattr(cli, "check_bound", flipped)
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config",
+                     str(DEMO_CONFIGS / "wave_theorem1.cfg"),
+                     "--out", str(out)]) == 0
+        assert [row[4] for row in data_lines(out)[1]] == ["false"] * 4
+
 
 class TestOtherCommands:
     def test_telescope(self, tmp_path, capsys):
@@ -379,6 +432,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"config error: simulate_n: {2 ** 43} samples" in err
         assert "at most 2**31" in err
+
+    @pytest.mark.parametrize("experiment", ["telescope", "levelsum"])
+    def test_deep_levels_exit_two(self, tmp_path, capsys, monkeypatch,
+                                  experiment):
+        # refused with the configuration: no model and no level of
+        # 4 * 2**44 points
+        monkeypatch.setattr("sampledkf.cli._build_model", None)
+        cfg = write_cfg(tmp_path, (
+            f"experiment = {experiment}\nmodel.kind = heat\n"
+            f"model.num_modes = 4\n{experiment}_n = 4\n"
+            f"{experiment}_levels = 45\n"))
+        assert main([experiment, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {experiment}_levels: 45 levels" in err
+        assert "at most 2**24" in err
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = converge\nbogus = 1\n")

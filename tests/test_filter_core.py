@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 import sampledkf as sk
 from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
-from sampledkf.filter_core import (_accumulated_information, _at_horizon,
-                                   _initial_posterior, _output_gram,
+from sampledkf.filter_core import (_accumulated_information, _condition,
+                                   _doubled_triple, _output_gram,
                                    _solve_gram, _uniform_information,
-                                   _uniform_posterior, _uniform_trace)
+                                   _uniform_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -158,19 +158,21 @@ class TestInformationForm:
             sk.information_filter(heat(3, q_scalar=0.5), FIVE_TIMES)
 
     def test_posterior_trace_picks_the_route(self):
-        # the uniform-grid trace takes the grid size: the information form's
-        # closed-form J for undriven systems, doubling for driven ones; the
-        # summed J of information_filter agrees to rounding only
+        # the uniform-grid trace takes the grid size and conditions a triple:
+        # (e^(AT), closed-form J, None) for undriven systems, the doubled
+        # triple for driven ones; the summed J of information_filter agrees
+        # to rounding only
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
-        closed = _initial_posterior(wave, _uniform_information(wave, 5))
-        assert _uniform_trace(wave, 5) == \
-            np.trace(_at_horizon(wave, closed)).real
+        decay = np.diag(np.exp(wave.eigenvalues * wave.horizon))
+        assert _uniform_trace(wave, 5) == np.trace(
+            _condition(wave, _uniform_information(wave, 5), decay)).real
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_trace(wave, 5), rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
+        phi, gam, noise = _doubled_triple(driven, 5)
         assert _uniform_trace(driven, 5) == \
-            np.trace(_uniform_posterior(driven, 5)).real
+            np.trace(_condition(driven, gam, phi, noise)).real
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
             npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
@@ -238,7 +240,44 @@ class TestDoubling:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
-        assert rel_frobenius(_uniform_posterior(sysm, n), info.final_cov) <= 1e-12
+        phi, gam, noise = _doubled_triple(sysm, n)
+        assert rel_frobenius(_condition(sysm, gam, phi, noise),
+                             info.final_cov) <= 1e-12
+
+
+class TestOneConditioning:
+    """Every posterior taken from J or a triple is one ``_condition`` call."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        real, calls = filter_core._condition, []
+
+        def counting(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(filter_core, "_condition", counting)
+        monkeypatch.setattr(sk.refinement, "_condition", counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat(6), lambda: sk.build_wave_model(6, horizon=1.0),
+        lambda: heat(6, q_scalar=0.5)], ids=["heat", "wave", "driven-heat"])
+    def test_uniform_trace(self, spy, make):
+        trace = _uniform_trace(make(), 12)
+        assert len(spy) == 1 and trace == np.trace(spy[0]).real
+
+    def test_information_filter(self, spy):
+        run = sk.information_filter(heat(6), _irregular_times(9, seed=4))
+        assert len(spy) == 1 and run.final_cov is spy[0]
+
+    def test_increment_variance(self, spy):
+        sk.increment_variance(heat(6), sk.dyadic_grid(4, 0, 1.0), 0.125, 0.125)
+        assert len(spy) == 1
+
+    def test_telescope_gains(self, spy):
+        _, post = sk.refinement._telescope_gains(heat(6), 4, 2)
+        assert len(spy) == 1 and post.shape == (6, 6)
 
 
 def _refuse(*args, **kwargs):
@@ -388,8 +427,9 @@ class TestRouteProperties:
         assert not records.records
         covs = [run.final_cov for run in runs]
         if uniform:
-            closed = _uniform_information(sysm, uniform)
-            covs.append(_at_horizon(sysm, _initial_posterior(sysm, closed)))
+            decay = np.diag(np.exp(sysm.eigenvalues * sysm.horizon))
+            covs.append(_condition(sysm, _uniform_information(sysm, uniform),
+                                   decay))
         mate = np.ix_(sysm.pairing, sysm.pairing)
         for cov in covs:
             trace = complex(np.trace(cov))

@@ -6,8 +6,8 @@ import pytest
 
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
-from sampledkf.filter_core import (_accumulated_information,
-                                   _initial_posterior, _uniform_trace)
+from sampledkf.filter_core import (_accumulated_information, _condition,
+                                   _uniform_trace)
 from sampledkf.refinement import _telescope_gains
 
 
@@ -250,7 +250,7 @@ class TestTelescope:
             raise AssertionError("telescope_check worked on a driven system")
 
         monkeypatch.setattr(sk.refinement, "_uniform_trace", no_work)
-        monkeypatch.setattr(sk.refinement, "_initial_posterior", no_work)
+        monkeypatch.setattr(sk.refinement, "_condition", no_work)
         with pytest.raises(ValueError,
                            match="telescope_check needs an undriven system"):
             sk.telescope_check(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
@@ -283,7 +283,7 @@ class TestCarriedPosterior:
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
         _, carried = _telescope_gains(sysm, 4, 8)
-        want = _initial_posterior(
+        want = _condition(
             sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8)))
         gap = np.linalg.norm(carried - want) / np.linalg.norm(want)
         assert gap <= 1e-12
