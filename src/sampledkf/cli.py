@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError
 from .montecarlo import _TRIAL_BLOCK, empirical_error
-from .refinement import (DiscrepancyCurve, discrepancy_curve, dyadic_grid,
-                         level_sum, telescope_check)
+from .refinement import (DiscrepancyCurve, _too_deep, discrepancy_curve,
+                         dyadic_grid, level_sum, telescope_check)
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              model_from_mapping, unit_weights)
 from .theory import (TheoremBound, check_bound, fit_rate, theorem1_bound,
@@ -72,8 +72,6 @@ _SCHEMA = {
 
 #: Most normals one block of ``_TRIAL_BLOCK`` simulate trials may hold.
 _SIMULATE_NORMALS = 2 ** 31
-#: Most points x modes the deepest telescope or level-sum level may hold.
-_DEEPEST_LEVEL_CELLS = 2 ** 24
 
 _MODEL_KEYS = tuple(key for key in _SCHEMA if key.startswith("model."))
 
@@ -214,12 +212,11 @@ def build_config(raw: dict[str, str],
                                   f"'{experiment}'")
             if values[key] < 1:
                 raise ConfigError(f"{key}: must be at least 1")
-        # the deepest level's (points, N) complex phi_h array may take at
-        # most 256 MiB; from 26 levels on any base and N exceed it, so the
-        # power is capped there and never grows without bound
+        # the rule of telescope_check and level_sum, checked before any
+        # model is built
         base, levels = values[base_key], values[levels_key]
         modes = max(values.get("model.num_modes", 1), 1)
-        if base * modes * 2 ** (min(levels, 26) - 1) > _DEEPEST_LEVEL_CELLS:
+        if _too_deep(base, levels, modes):
             raise ConfigError(
                 f"{levels_key}: {levels} levels over {base} base points of a "
                 f"{modes}-mode model put {base} * 2**{levels - 1} points of "

@@ -1,14 +1,32 @@
 """Discrete-time estimation of the sampled system.
 
-Every posterior outside the recursion and the batch oracle is one call of
-``_condition`` on an information matrix J or a stretch triple
-(Phi, Gam, H): the diagonal prior P0 conditioned in the whitened form
+Every posterior and trace outside the recursion and the batch oracle
+conditions the diagonal prior P0 on an information matrix J, or on the Gam
+of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
+P of the state at the start.  ``_condition`` is the one factorisation.  It
+works in the real coordinates rho of ``spectral_model`` (x = A rho, A made
+of each conjugate pair's sums and differences), where the prior stays
+diagonal, R^2 = P0 / D (p/2, p/2 on a pair), and J_rho = A* J A is real.  It
+takes the Cholesky factor L of the whitened matrix
 
-    H + Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^(-1) P0^(1/2) Phi*,
+    I + R J_rho R = L L^T,
 
-whose Cholesky factor is taken of a matrix with every eigenvalue >= 1 (exact
-for zero prior variances and rapidly decaying ones), and symmetrised there
-once.  The callers differ only in what they hand it.
+every eigenvalue >= 1 (exact for zero prior variances and rapidly decaying
+ones), in float64, and returns its inverse Linv from a numpy-only blocked
+triangular inverse (``_lower_inverse``), with no solve against L.  Then
+P = A R Linv^T Linv R A*, and nothing more is formed than a caller uses:
+
+- a trace (``_trace``) needs no P.  Undriven, the decay e^(AT) has equal
+  modulus on a pair, so tr(e^(AT) P e^(A*T)) = sum_k |e^(lambda_k T)|^2 p_k
+  ||Linv[:, k]||^2 comes from the column norms of Linv; a stretch triple
+  gives tr H + ||Linv R A* Phi*||_F^2;
+- a posterior (``_posterior``) is one real gemm, (Linv R)^T (Linv R), taken
+  back to modal coordinates through the pairs' sums and differences, for
+  ``information_filter``, ``increment_variance`` and the telescope of
+  ``refinement``.
+
+A complex model without a pairing takes A = I and runs the same steps in
+complex128.
 
 Undriven systems hand it J.  Without input noise z(T) = e^(AT) x, and each
 increment observation
@@ -52,7 +70,7 @@ two to each other.
 (coarse grids, curve references, bound anchors, the two ends of a
 telescope): it takes the grid size m, never the grid, picks the triple
 (closed-form J undriven, doubling driven) and conditions it once, so no
-m-point array is made.  Times that callers pass in take
+m-point array and no N x N posterior is made.  Times that callers pass in take
 ``information_filter``, which sums J over them, or ``sequential_filter``;
 this module never builds a uniform grid or checks whether times form one
 (``refinement.dyadic_grid`` builds it).
@@ -108,6 +126,7 @@ one P through every insertion instead.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -117,7 +136,8 @@ from ._scalars import phi1
 from .errors import GramSingularError
 from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
                       phi_h, _transitions, transition_block)
-from .spectral_model import ModalSystem
+from .spectral_model import (ModalSystem, _from_real, _pair_weights,
+                             _real_covariance, _to_real)
 
 logger = logging.getLogger(__name__)
 
@@ -127,6 +147,10 @@ __all__ = ["FilterRun", "information_filter", "sequential_filter",
 #: Samples per gemm when accumulating the information matrix on a
 #: non-uniform grid; bounds the work array at (256 r) x N whatever its size.
 _INFO_BLOCK = 256
+#: Largest diagonal block ``_lower_inverse`` hands to ``np.linalg.inv``.
+_INVERSE_LEAF = 32
+#: Ones on and below the diagonal: clears a leaf inverse's upper triangle.
+_LEAF_LOWER = np.tri(_INVERSE_LEAF)
 
 
 @dataclass(frozen=True)
@@ -326,24 +350,127 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
 
 
-def _condition(system: ModalSystem, info: np.ndarray, phi=None,
-               noise=None) -> np.ndarray:
-    """H + Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi*, symmetrised.
+@functools.lru_cache(maxsize=64)
+def _halvings(n: int):
+    """The blocks of ``_lower_inverse`` on n rows: (leaves, joins, leaf size).
+
+    Every block is halved, upper half first, until none has more than
+    ``_INVERSE_LEAF`` rows.  ``leaves`` are the (lo, hi) row ranges of the
+    last halving, and ``joins`` the (lo, mid, hi) of every halving, deepest
+    first.
+    """
+    levels = [(0, n)]
+    while max(np.diff(levels[-1])) > _INVERSE_LEAF:
+        edges = levels[-1]
+        mids = [lo + (hi - lo) // 2 for lo, hi in zip(edges, edges[1:])]
+        levels.append(tuple(sorted({*edges, *mids})))
+    joins = tuple((lo, lo + (hi - lo) // 2, hi)
+                  for edges in reversed(levels[:-1])
+                  for lo, hi in zip(edges, edges[1:]))
+    leaves = tuple(zip(levels[-1], levels[-1][1:]))
+    return leaves, joins, max(hi - lo for lo, hi in leaves)
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular lower-triangular matrix, lower triangular too.
+
+    A blocked recursion on halves (``_halvings``): low = [[L11, 0], [L21, L22]]
+    has the inverse [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], so a join
+    costs one pair of gemms.  The leaves, each padded with the identity to
+    the largest, take one stacked ``np.linalg.inv``, whose rounding above the
+    diagonal (LU pivots rows) is cleared; the joins then run from the leaves
+    up.  numpy alone, in the dtype of ``low``.
+    """
+    leaves, joins, size = _halvings(low.shape[0])
+    if not joins:
+        return np.linalg.inv(low) * _LEAF_LOWER[:size, :size]
+    stack = np.zeros((len(leaves), size, size), dtype=low.dtype)
+    stack[:] = np.eye(size)
+    for block, (lo, hi) in zip(stack, leaves):
+        block[:hi - lo, :hi - lo] = low[lo:hi, lo:hi]
+    stack = np.linalg.inv(stack) * _LEAF_LOWER[:size, :size]
+    out = np.zeros_like(low)
+    for block, (lo, hi) in zip(stack, leaves):
+        out[lo:hi, lo:hi] = block[:hi - lo, :hi - lo]
+    for lo, mid, hi in joins:
+        out[mid:hi, lo:mid] = -(out[mid:hi, mid:hi]
+                                @ (low[mid:hi, lo:mid] @ out[lo:mid, lo:mid]))
+    return out
+
+
+def _weights(system: ModalSystem) -> np.ndarray:
+    """D of ``spectral_model`` (2 on a pair), ones on a model without a pairing."""
+    if system.pairing is None:
+        return np.ones(system.num_modes)
+    return _pair_weights(system.pairing)
+
+
+def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
+    """The inverse factor Linv of the whitened information, lower triangular.
 
     The one conditioning of the package: the diagonal prior P0 conditioned on
-    information J = ``info`` in whitened form, the Cholesky factor taken of a
-    matrix with every eigenvalue >= 1, mapped by Phi = ``phi`` (the identity
-    when None) and with H = ``noise`` added (zero when None).  J alone gives
-    the posterior of the initial state x of an undriven system, the triple
-    (diag(e^(AT)), J, None) that of z(T), and a stretch triple
-    (Phi, Gam, H) that of z at the stretch's end.
+    information J = ``info``, taken in the real coordinates rho of
+    ``spectral_model`` (x = A rho).  There the prior is diagonal too,
+    P0_rho = P0 / D (p/2, p/2 on a pair), and J_rho = A* J A = D S D with
+    S = A^-1 J A^-* real; a J off the pairing is refused.  The whitened
+    matrix I + R J_rho R = I + (P0 D)^(1/2) S (P0 D)^(1/2), R = P0_rho^(1/2),
+    has every eigenvalue >= 1 (exact for zero prior variances and rapidly
+    decaying ones).  Its Cholesky factor L, in float64, is inverted by
+    ``_lower_inverse``, so the posterior of rho is R Linv^T Linv R and that
+    of x is A R Linv^T Linv R A* (``_posterior``).  A model without a
+    pairing takes A = I and runs the same steps in complex128.
     """
-    root = np.sqrt(system.prior_var)
-    whitened = np.eye(system.num_modes) + root[:, None] * info * root[None, :]
-    rhs = np.diag(root) if phi is None else (phi * root[None, :]).conj().T
-    half = np.linalg.solve(np.linalg.cholesky(whitened), rhs)
+    scale = np.sqrt(system.prior_var * _weights(system))
+    if system.pairing is not None:
+        info = _real_covariance(info[None], system.pairing,
+                                "information matrix")[0]
+    whitened = info * np.outer(scale, scale)
+    whitened.flat[::info.shape[0] + 1] += 1.0
+    return _lower_inverse(np.linalg.cholesky(whitened))
+
+
+def _posterior(system: ModalSystem, linv: np.ndarray, decay=None) -> np.ndarray:
+    """The posterior of x from ``_condition``'s Linv, in modal coordinates.
+
+    P_rho = (Linv R)^T (Linv R) is one gemm, real on a paired model, and
+    A P_rho A* takes it back through each pair's sums and differences.  With
+    ``decay`` = e^(AT) it is the posterior of z(T) = diag(decay) x instead.
+    """
+    half = linv * np.sqrt(system.prior_var / _weights(system))[None, :]
     post = half.conj().T @ half
-    return _hermitize(post if noise is None else noise + post)
+    if system.pairing is not None:
+        # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
+        rows = _from_real(post, system.pairing).T
+        post = _from_real(rows.conj(), system.pairing).conj()
+    if decay is not None:
+        post = post * np.outer(decay, decay.conj())
+    return _hermitize(post)
+
+
+def _trace(system: ModalSystem, linv: np.ndarray, phi=None,
+           noise=None) -> float:
+    """tr(H + Phi P Phi*) for the posterior P of x that ``linv`` gives.
+
+    ``phi`` None stands for the undriven decay diag(e^(AT)).  Its modulus is
+    equal on a pair, so the trace is sum_k |e^(lambda_k T)|^2 p_k
+    ||Linv[:, k]||^2, from column norms alone.  A stretch triple's Phi and
+    H = ``noise`` give tr H + ||Linv R A* Phi*||_F^2, where
+    R A* = (P0 D)^(1/2) A^-1 acts on the rows of Phi* through each pair's
+    sums and differences; a real Linv meets that complex map in one real
+    gemm on its float view.  No N x N posterior is formed.
+    """
+    if phi is None:
+        energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
+        columns = np.einsum("ij,ij->j", linv.conj(), linv).real
+        return float((energy * system.prior_var) @ columns)
+    mapped = (phi.conj() if system.pairing is None
+              else _to_real(phi.conj(), system.pairing)).T
+    mapped = np.ascontiguousarray(
+        np.sqrt(system.prior_var * _weights(system))[:, None] * mapped)
+    if np.isrealobj(linv):
+        mapped = mapped.view(float)
+    half = linv @ mapped
+    return _real_trace(noise) + float(np.vdot(half, half).real)
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -359,8 +486,9 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    final_cov = _condition(system, _accumulated_information(system, times),
-                           np.diag(np.exp(system.eigenvalues * system.horizon)))
+    final_cov = _posterior(
+        system, _condition(system, _accumulated_information(system, times)),
+        np.exp(system.eigenvalues * system.horizon))
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=_real_trace(final_cov))
 
@@ -420,9 +548,8 @@ def _uniform_trace(system: ModalSystem, m: int) -> float:
     if system.has_input_noise:
         phi, info, noise = _doubled_triple(system, m)
     else:
-        phi = np.diag(np.exp(system.eigenvalues * system.horizon))
-        info, noise = _uniform_information(system, m), None
-    return _real_trace(_condition(system, info, phi, noise))
+        phi, info, noise = None, _uniform_information(system, m), None
+    return _trace(system, _condition(system, info), phi, noise)
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):
@@ -515,7 +642,8 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _condition(system, _accumulated_information(system, base))
+    post = _posterior(system,
+                      _condition(system, _accumulated_information(system, base)))
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     return _insert(post, chm, h, system.r_cov, energy)[0]

@@ -2,16 +2,13 @@
 
 The modal coordinates are complex but describe a real-valued random field:
 conjugate mode pairs carry conjugate coefficients.  Sampling therefore runs
-through a real re-composition.  For a self-conjugate mode k the coordinate is
-a real Gaussian; for a pair (a, b) the coordinates are eta_a = rho_a + i rho_b,
-eta_b = conj(eta_a) with real Gaussians rho.  Stacking the rho's gives a real
-vector whose covariance S = A^{-1} Sigma A^{-H} (A the re-composition matrix)
-is real symmetric whenever Sigma respects the pairing; a factor of S drives
-the draws and A maps them back to modal coordinates.  A and A^{-1} act only
-through each pair's sums and differences (``_from_real``, ``_to_real``), so
-no dense A is formed, and on a model without pairs they are the identity.
-The map eta -> real field is then norm-preserving, so squared errors
-computed in modal coordinates are the physical ones.
+through the real recomposition eta = A rho of ``spectral_model``: the
+covariance S = A^-1 Sigma A^-* of the real Gaussians rho is real symmetric
+whenever Sigma respects the pairing (``spectral_model._real_covariance``); a
+factor of S drives the draws and A maps them back to modal coordinates
+(``spectral_model._from_real``).  The map eta -> real field is then
+norm-preserving, so squared errors computed in modal coordinates are the
+physical ones.
 
 All trials read one counter-based stream, the Philox stream of
 ``SeedSequence([seed])``, trial j as its j-th flat block of standard
@@ -58,7 +55,8 @@ import numpy as np
 from .errors import NumericalError
 from .filter_core import _backward_maps, _filter_plan, _validate_times
 from .refinement import _is_whole
-from .spectral_model import ModalSystem
+from .spectral_model import (ModalSystem, _from_real, _pair_weights,
+                             _real_covariance, _to_real)
 
 logger = logging.getLogger(__name__)
 
@@ -82,35 +80,6 @@ def _pairing_or_identity(system: ModalSystem) -> np.ndarray:
     return np.arange(system.num_modes)
 
 
-def _pairs(pairing: np.ndarray):
-    """Indices (k, mate) of the conjugate pairs, k < mate."""
-    first = np.flatnonzero(pairing > np.arange(pairing.size))
-    return first, pairing[first]
-
-
-def _to_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """x A^-T along the last axis: paired modal coordinates to real ones.
-
-    A is the re-composition eta = A rho of the module docstring, so a pair
-    (k, mate) maps to ((x_k + x_mate)/2, (x_k - x_mate)/2i) and a
-    self-conjugate coordinate is copied.
-    """
-    k, mate = _pairs(pairing)
-    out = x.astype(complex)
-    out[..., k] = (x[..., k] + x[..., mate]) / 2.0
-    out[..., mate] = (x[..., k] - x[..., mate]) / 2.0j
-    return out
-
-
-def _from_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """x A^T along the last axis: a pair (k, mate) maps to (x_k + i x_mate, x_k - i x_mate)."""
-    k, mate = _pairs(pairing)
-    out = x.astype(complex)
-    out[..., k] = x[..., k] + 1.0j * x[..., mate]
-    out[..., mate] = x[..., k] - 1.0j * x[..., mate]
-    return out
-
-
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     """Complex factors L with L L^H = cov and L xi pairing-compatible, xi real.
 
@@ -127,14 +96,7 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     """
     d = cov.shape[-1]
     lead = cov.shape[:-2]
-    # A^-1 cov on the rows, then x A^-H = conj(conj(x) A^-T) on the columns
-    rows = _to_real(cov.reshape(-1, d, d).swapaxes(1, 2), pairing).swapaxes(1, 2)
-    s = _to_real(rows.conj(), pairing).conj()
-    scale = np.abs(s).max(axis=(1, 2), initial=0.0)
-    if np.any(np.abs(s.imag).max(axis=(1, 2), initial=0.0)
-              > 1e-8 * np.where(scale > 0, scale, 1.0)):
-        raise ValueError("covariance does not respect the conjugate pairing")
-    s = (s.real + s.real.swapaxes(1, 2)) / 2.0
+    s = _real_covariance(cov.reshape(-1, d, d), pairing)
     count = s.shape[0]
     rest = np.diagonal(s, axis1=1, axis2=2).copy()  # diagonals not yet factored
     top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
@@ -365,8 +327,7 @@ def _real_error_map(emap: np.ndarray, pairing: np.ndarray):
     scale = float(np.abs(rho).max(initial=0.0)) or 1.0
     if np.abs(rho.imag).max(initial=0.0) > 1e-8 * scale:
         raise ValueError("error map does not respect the conjugate pairing")
-    weights = np.where(pairing == np.arange(pairing.size), 1.0, 2.0)
-    return np.ascontiguousarray(rho.real), weights
+    return np.ascontiguousarray(rho.real), _pair_weights(pairing)
 
 
 def empirical_error(system: ModalSystem, times, trials: int,

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _insert, _uniform_information,
-                          _uniform_trace)
+from .filter_core import (_condition, _insert, _posterior,
+                          _uniform_information, _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
 
@@ -59,6 +59,8 @@ __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
 _NEGATIVE_SLACK = 1e-10
 #: Maximal admissible relative shift of the curve when the reference gains a level.
 _REFERENCE_TOLERANCE = 0.05
+#: Most points x modes the deepest telescope or level-sum level may hold.
+_DEEPEST_LEVEL_CELLS = 2 ** 24
 
 
 def _is_whole(value) -> bool:
@@ -76,6 +78,29 @@ def _dyadic_size(base_n: int, level: int) -> int:
         raise ValueError(f"dyadic_grid needs base_n >= 1 and level >= 0 as whole "
                          f"numbers, got base_n={base_n!r}, level={level!r}")
     return int(base_n) * 2 ** int(level)
+
+
+def _too_deep(base_n: int, level: int, num_modes: int) -> bool:
+    """True when the points new at ``level`` times the modes exceed 2**24.
+
+    Level k of a base_n-point grid adds base_n 2**(k - 1) points, and the
+    telescope and the level sums hold a complex phi_h value per point and
+    mode, so the deepest level may take at most 256 MiB.  From 26 levels on
+    any base and N exceed it, so the power is capped there and never grows
+    without bound.
+    """
+    return base_n * num_modes * 2 ** (min(level, 26) - 1) > _DEEPEST_LEVEL_CELLS
+
+
+def _check_depth(system: ModalSystem, base_n: int, level: int,
+                 name: str) -> None:
+    """ValueError naming ``name`` when ``level`` is too deep for the model."""
+    if _too_deep(base_n, level, system.num_modes):
+        raise ValueError(
+            f"{name}={level} is too deep: level {level} of {base_n} base "
+            f"points puts {base_n} * 2**{level - 1} points of "
+            f"{system.num_modes} modes in one level; at most 2**24 points "
+            f"x modes are allowed")
 
 
 def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
@@ -215,7 +240,8 @@ def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
     construction fixes every stencil: the neighbours t - h (or 0) and t + h
     of a point new at a level already belong to the base set.
     """
-    post = _condition(system, _uniform_information(system, base_n))
+    post = _posterior(system,
+                      _condition(system, _uniform_information(system, base_n)))
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []
@@ -249,6 +275,7 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     levels = int(levels)
     horizon = system.horizon
     base_n = _dyadic_size(base_n, 0)
+    _check_depth(system, base_n, levels, "levels")
     # both traces take the closed-form trace route, independent of the
     # carried posterior whose downdates they check
     coarse = _uniform_trace(system, base_n)
@@ -277,8 +304,12 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     This is the sharp constant in  sum_j ||C_h(t_j) x||^2 <= value * ||x||_W^2
     and its decay in the level is what the convergence theorems quantify.
     """
-    if level < 1:
-        raise ValueError("level_sum needs level >= 1")
+    if not _is_whole(level) or level < 1:
+        raise ValueError(f"level_sum needs level >= 1 as a whole number, "
+                         f"got level={level!r}")
+    level = int(level)
+    base_n = _dyadic_size(base_n, 0)
+    _check_depth(system, base_n, level, "level")
     weights = np.asarray(weights, dtype=float).ravel()
     if (weights.shape != (system.num_modes,)
             or not np.all(np.isfinite(weights) & (weights > 0))):

@@ -32,6 +32,20 @@ Two concrete constructions ship with the package:
 Purely real systems (the heat chain) carry the identity pairing; systems
 without any pairing cannot be sampled path-wise but all covariance operations
 remain valid.
+
+The pairing gives real coordinates, and this module is their one home.  A
+paired model describes a real-valued field: for a self-conjugate mode k the
+coordinate is real, and for a pair (a, b) the coordinates are
+eta_a = rho_a + i rho_b, eta_b = conj(eta_a) with real rho.  Stacking the
+rho's gives the recomposition eta = A rho, and a covariance Sigma that
+respects the pairing has the real symmetric recomposed form
+A^-1 Sigma A^-* (``_real_covariance``).  A and A^-1 act only through each
+pair's sums and differences (``_from_real``, ``_to_real``), so no dense A is
+formed, and on a model without pairs they are the identity.  On a pair
+A* A = 2 I, so with D = ``_pair_weights`` (2 on a pair, 1 on a real mode)
+||A rho||^2 = sum_k D_k rho_k^2 and an information matrix J takes the real
+form A* J A = D (A^-1 J A^-*) D.  The Monte Carlo samples in these
+coordinates, and ``filter_core._condition`` conditions in them.
 """
 
 from __future__ import annotations
@@ -410,3 +424,67 @@ def spectral_parameters(system: ModalSystem, gamma: float,
                           gamma_hat=gamma_hat, gamma_check=gamma_check,
                           gamma_tail=gamma_tail, sup_ratio=sup_ratio,
                           mu=mu, tail_start=k0)
+
+
+def _pairs(pairing: np.ndarray):
+    """Indices (k, mate) of the conjugate pairs, k < mate."""
+    first = np.flatnonzero(pairing > np.arange(pairing.size))
+    return first, pairing[first]
+
+
+def _pair_weights(pairing: np.ndarray) -> np.ndarray:
+    """D of the module docstring: 2 on each member of a pair, 1 on a real mode."""
+    return np.where(pairing == np.arange(pairing.size), 1.0, 2.0)
+
+
+def _to_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """x A^-T along the last axis: paired modal coordinates to real ones.
+
+    A is the recomposition eta = A rho of the module docstring, so a pair
+    (k, mate) maps to ((x_k + x_mate)/2, (x_k - x_mate)/2i) and a
+    self-conjugate coordinate is copied.
+    """
+    k, mate = _pairs(pairing)
+    out = x.astype(complex)
+    first, second = x[..., k], x[..., mate]
+    out[..., k] = (first + second) / 2.0
+    out[..., mate] = (first - second) / 2.0j
+    return out
+
+
+def _from_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """x A^T along the last axis: a pair (k, mate) maps to (x_k + i x_mate, x_k - i x_mate)."""
+    k, mate = _pairs(pairing)
+    out = x.astype(complex)
+    first, second = x[..., k], 1.0j * x[..., mate]
+    out[..., k] = first + second
+    out[..., mate] = first - second
+    return out
+
+
+def _real_covariance(cov: np.ndarray, pairing: np.ndarray,
+                     what: str = "covariance") -> np.ndarray:
+    """The real symmetric recomposed forms A^-1 cov A^-* of a stack (k, d, d).
+
+    Formed in place through each pair's sums and differences: A^-1 takes a
+    pair's rows to ((x_k + x_mate)/2, (x_k - x_mate)/2i), and A^-* its
+    columns to ((x_k + x_mate)/2, i (x_k - x_mate)/2), each a product with
+    a power of two, no complex division.  A matrix whose
+    recomposed form keeps an imaginary part above 1e-8 of its largest entry
+    does not respect the pairing, and is refused with a ValueError naming
+    ``what``.
+    """
+    k, mate = _pairs(pairing)
+    s = cov.astype(complex, copy=bool(k.size))
+    if k.size:
+        first, second = s[:, k], s[:, mate]
+        s[:, k] = (first + second) * 0.5
+        s[:, mate] = (first - second) * -0.5j
+        first, second = s[..., k], s[..., mate]
+        s[..., k] = (first + second) * 0.5
+        s[..., mate] = (first - second) * 0.5j
+    scale = np.abs(s).max(axis=(1, 2), initial=0.0)
+    if np.any(np.abs(s.imag).max(axis=(1, 2), initial=0.0)
+              > 1e-8 * np.where(scale > 0, scale, 1.0)):
+        raise ValueError(f"{what} does not respect the conjugate pairing")
+    return (s.real + s.real.swapaxes(1, 2)) / 2.0

@@ -24,8 +24,9 @@ import sampledkf as sk
 from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triple, _output_gram,
-                                   _solve_gram, _uniform_information,
+                                   _doubled_triple, _insert, _lower_inverse,
+                                   _output_gram, _posterior, _solve_gram,
+                                   _trace, _uniform_information,
                                    _uniform_trace)
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
@@ -164,15 +165,14 @@ class TestInformationForm:
         # to rounding only
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
-        decay = np.diag(np.exp(wave.eigenvalues * wave.horizon))
-        assert _uniform_trace(wave, 5) == np.trace(
-            _condition(wave, _uniform_information(wave, 5), decay)).real
+        assert _uniform_trace(wave, 5) == _trace(
+            wave, _condition(wave, _uniform_information(wave, 5)))
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_trace(wave, 5), rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
         phi, gam, noise = _doubled_triple(driven, 5)
         assert _uniform_trace(driven, 5) == \
-            np.trace(_condition(driven, gam, phi, noise)).real
+            _trace(driven, _condition(driven, gam), phi, noise)
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
             npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
@@ -241,12 +241,17 @@ class TestDoubling:
         sysm = build(10, horizon=1.0)
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
         phi, gam, noise = _doubled_triple(sysm, n)
-        assert rel_frobenius(_condition(sysm, gam, phi, noise),
-                             info.final_cov) <= 1e-12
+        post = phi @ _posterior(sysm, _condition(sysm, gam)) @ phi.conj().T
+        assert rel_frobenius(noise + post, info.final_cov) <= 1e-12
 
 
 class TestOneConditioning:
-    """Every posterior taken from J or a triple is one ``_condition`` call."""
+    """Every trace or posterior taken from J or a triple factors it once.
+
+    ``_condition`` is the one factorisation: it returns the lower-triangular
+    inverse factor of the whitened information, and every trace and
+    posterior is formed from that.
+    """
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -264,12 +269,24 @@ class TestOneConditioning:
         lambda: heat(6), lambda: sk.build_wave_model(6, horizon=1.0),
         lambda: heat(6, q_scalar=0.5)], ids=["heat", "wave", "driven-heat"])
     def test_uniform_trace(self, spy, make):
-        trace = _uniform_trace(make(), 12)
-        assert len(spy) == 1 and trace == np.trace(spy[0]).real
+        sysm = make()
+        trace = _uniform_trace(sysm, 12)
+        triple = (_doubled_triple(sysm, 12)[::2] if sysm.has_input_noise
+                  else ())
+        assert len(spy) == 1 and trace == _trace(sysm, spy[0], *triple)
+        npt.assert_array_equal(spy[0], np.tril(spy[0]))
+
+    def test_uniform_trace_forms_no_posterior(self, monkeypatch):
+        monkeypatch.setattr(filter_core, "_posterior", _refuse)
+        for sysm in (heat(6), sk.build_wave_model(6), heat(6, q_scalar=0.5)):
+            assert _uniform_trace(sysm, 12) > 0
 
     def test_information_filter(self, spy):
-        run = sk.information_filter(heat(6), _irregular_times(9, seed=4))
-        assert len(spy) == 1 and run.final_cov is spy[0]
+        sysm = heat(6)
+        run = sk.information_filter(sysm, _irregular_times(9, seed=4))
+        decay = np.exp(sysm.eigenvalues * sysm.horizon)
+        assert len(spy) == 1
+        npt.assert_array_equal(run.final_cov, _posterior(sysm, spy[0], decay))
 
     def test_increment_variance(self, spy):
         sk.increment_variance(heat(6), sk.dyadic_grid(4, 0, 1.0), 0.125, 0.125)
@@ -278,6 +295,156 @@ class TestOneConditioning:
     def test_telescope_gains(self, spy):
         _, post = sk.refinement._telescope_gains(heat(6), 4, 2)
         assert len(spy) == 1 and post.shape == (6, 6)
+
+
+def _complex_condition_oracle(system, info, phi=None, noise=None):
+    """The complex whitened conditioning the real route replaced: the oracle.
+
+    H + Phi P0^(1/2) (I + P0^(1/2) J P0^(1/2))^-1 P0^(1/2) Phi*, symmetrised,
+    in modal coordinates and complex128, with an LU solve against the
+    Cholesky factor of the whitened matrix.
+    """
+    root = np.sqrt(system.prior_var)
+    whitened = np.eye(system.num_modes) + root[:, None] * info * root[None, :]
+    rhs = np.diag(root) if phi is None else (phi * root[None, :]).conj().T
+    half = np.linalg.solve(np.linalg.cholesky(whitened), rhs)
+    post = half.conj().T @ half if noise is None else noise + half.conj().T @ half
+    return (post + post.conj().T) / 2.0
+
+
+def _driven_oscillator(horizon):
+    """The conjugate pair with input noise of ``test_kernels``, at ``horizon``."""
+    return sk.ModalSystem(
+        eigenvalues=np.array([-0.1 + 2.0j, -0.1 - 2.0j]),
+        output_coeffs=np.array([[0.5j], [-0.5j]]),
+        input_coeffs=np.array([[1.0], [1.0]], dtype=complex),
+        prior_mean=np.zeros(2, complex),
+        prior_var=np.array([0.3, 0.3]),
+        q_cov=np.array([[0.8]]),
+        r_cov=np.array([[1.0]]),
+        horizon=horizon,
+        pairing=np.array([1, 0]),
+        label="osc",
+    )
+
+
+def _oracle_model(model, modes, horizon, two_output_heat):
+    if model == "heat":
+        return heat(modes, horizon=horizon)
+    if model == "wave":
+        return sk.build_wave_model(modes, horizon=horizon)
+    if model == "two-output-heat":
+        return dataclasses.replace(two_output_heat(modes), horizon=horizon)
+    if model == "driven-heat":
+        return heat(modes, horizon=horizon, q_scalar=0.5)
+    return _driven_oscillator(horizon)
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+_ORACLE_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
+                  for model in ("heat", "wave", "two-output-heat", "driven-heat")
+                  for modes in (6, 10, 60)]
+_ORACLE_MODELS.append(pytest.param("oscillator", 2, id="oscillator-N2"))
+_ORACLE_SIZES = [1, 2, 3, 5, 7, 64, 1000, 2 ** 13, 2 ** 20]
+
+
+class TestRealConditioning:
+    """The real triangular conditioning against the complex whitened oracle."""
+
+    @pytest.mark.parametrize("horizon", [0.7, 1.0])
+    @pytest.mark.parametrize("model, modes", _ORACLE_MODELS)
+    def test_uniform_trace_matches_the_oracle(self, model, modes, horizon,
+                                              two_output_heat):
+        sysm = _oracle_model(model, modes, horizon, two_output_heat)
+        for m in _ORACLE_SIZES:
+            if sysm.has_input_noise:
+                phi, info, noise = _doubled_triple(sysm, m)
+            else:
+                info, noise = _uniform_information(sysm, m), None
+                phi = np.diag(np.exp(sysm.eigenvalues * horizon))
+            want = np.trace(_complex_condition_oracle(sysm, info, phi, noise)).real
+            assert _rel(_uniform_trace(sysm, m), want) <= 1e-13, m
+
+    @pytest.mark.parametrize("horizon", [0.7, 1.0])
+    @pytest.mark.parametrize("model, modes", [
+        p for p in _ORACLE_MODELS if p.values[0] in ("heat", "wave",
+                                                     "two-output-heat")])
+    def test_posteriors_match_the_oracle(self, model, modes, horizon,
+                                         two_output_heat):
+        sysm = _oracle_model(model, modes, horizon, two_output_heat)
+        times = _irregular_times(12, seed=modes) * horizon
+        decay = np.exp(sysm.eigenvalues * horizon)
+        want = _complex_condition_oracle(
+            sysm, _accumulated_information(sysm, times), np.diag(decay))
+        run = sk.information_filter(sysm, times)
+        assert rel_frobenius(run.final_cov, want) <= 1e-13
+        assert _rel(run.trace_err, np.trace(want).real) <= 1e-13
+        # one insertion on a base of four points, and the carried telescope
+        base = sk.dyadic_grid(4, 0, horizon)
+        h = horizon / 8
+        chm = sysm.output_coeffs.T * sk.phi_h(sysm.eigenvalues, h, h)[None, :]
+        oracle = _complex_condition_oracle(
+            sysm, _accumulated_information(sysm, base))
+        gain = _insert(oracle, chm, h, sysm.r_cov, np.abs(decay) ** 2)[0]
+        assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
+        per_level, _ = sk.refinement._telescope_gains(sysm, 4, 3)
+        oracle = _complex_condition_oracle(sysm, _uniform_information(sysm, 4))
+        for level, gains in enumerate(per_level, start=1):
+            h, phis = sk.refinement._new_points(sysm, 4, level)
+            for got, phi in zip(gains, phis):
+                want, oracle = _insert(oracle, sysm.output_coeffs.T * phi, h,
+                                       sysm.r_cov, np.abs(decay) ** 2)
+                assert _rel(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_the_factor_is_real_and_lower_triangular(self, family):
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(10, horizon=1.0)
+        linv = _condition(sysm, _uniform_information(sysm, 16))
+        assert linv.dtype == np.float64
+        npt.assert_array_equal(linv, np.tril(linv))
+
+    def test_a_j_off_the_pairing_is_refused(self):
+        sysm = sk.build_wave_model(6, horizon=1.0)
+        info = _uniform_information(sysm, 8)
+        # only one entry of the conjugate-mate pair moves
+        info[0, 2] += 1e-4 * np.abs(info).max()
+        info[2, 0] = info[0, 2].conj()
+        with pytest.raises(ValueError, match="information matrix does not "
+                                             "respect the conjugate pairing"):
+            _condition(sysm, info)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lower_inverse_matches_inv(self, n, dtype):
+        rng = np.random.default_rng(n)
+        mix = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            mix += 1j * rng.standard_normal((n, n))
+        low = np.linalg.cholesky(np.eye(n) + mix @ mix.conj().T / n)
+        got = _lower_inverse(low)
+        assert got.dtype == low.dtype
+        npt.assert_array_equal(got, np.tril(got))
+        assert rel_frobenius(got, np.linalg.inv(low)) <= 1e-13
+
+
+class TestUnpairedComplexModels:
+    """A complex model without a pairing runs the conditioning in complex128."""
+
+    @pytest.mark.parametrize("m", [1, 5, 64])
+    def test_traces_match_the_recursion(self, m):
+        sysm = dataclasses.replace(sk.build_wave_model(6, horizon=1.0),
+                                   pairing=None)
+        assert _condition(sysm, _uniform_information(sysm, m)).dtype == complex
+        want = sk.sequential_filter(sysm, sk.dyadic_grid(m, 0, 1.0)).trace_err
+        npt.assert_allclose(_uniform_trace(sysm, m), want, rtol=1e-12)
+        times = _irregular_times(m + 3, seed=m)
+        npt.assert_allclose(sk.information_filter(sysm, times).trace_err,
+                            sk.sequential_filter(sysm, times).trace_err,
+                            rtol=1e-12)
 
 
 def _refuse(*args, **kwargs):
@@ -427,9 +594,10 @@ class TestRouteProperties:
         assert not records.records
         covs = [run.final_cov for run in runs]
         if uniform:
-            decay = np.diag(np.exp(sysm.eigenvalues * sysm.horizon))
-            covs.append(_condition(sysm, _uniform_information(sysm, uniform),
-                                   decay))
+            decay = np.exp(sysm.eigenvalues * sysm.horizon)
+            covs.append(_posterior(
+                sysm, _condition(sysm, _uniform_information(sysm, uniform)),
+                decay))
         mate = np.ix_(sysm.pairing, sysm.pairing)
         for cov in covs:
             trace = complex(np.trace(cov))

@@ -7,7 +7,7 @@ import pytest
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _uniform_trace)
+                                   _posterior, _uniform_trace)
 from sampledkf.refinement import _telescope_gains
 
 
@@ -24,6 +24,10 @@ def single_mode(lam=-2.0, c=1.0, p=0.8):
         pairing=np.array([0]),
         label="single",
     )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
 
 
 class TestDyadicGrid:
@@ -244,6 +248,21 @@ class TestTelescope:
         with pytest.raises(ValueError, match=f"got levels={levels!r}"):
             sk.telescope_check(single_mode(), 2, levels)
 
+    @pytest.mark.parametrize("levels", [22, 45, 10 ** 30])
+    def test_too_deep_levels_are_refused_before_any_trace(self, monkeypatch,
+                                                          levels):
+        # the rule the CLI applies to telescope_levels, in the API itself
+        monkeypatch.setattr(sk.refinement, "_uniform_trace", _no_work)
+        monkeypatch.setattr(sk.refinement, "_condition", _no_work)
+        heat = sk.build_heat_model(4, horizon=1.0)
+        with pytest.raises(ValueError, match=f"levels={levels} is too deep"):
+            sk.telescope_check(heat, 4, levels)
+
+    def test_deepest_allowed_level_is_not_refused(self):
+        # 4 * 2**20 points of 4 modes: exactly 2**24, the CLI's edge too
+        assert not sk.refinement._too_deep(4, 21, 4)
+        assert sk.refinement._too_deep(4, 22, 4)
+
     def test_rejects_driven_systems_up_front(self, monkeypatch):
         # refused before any trace is taken, under its own name
         def no_work(*args, **kwargs):
@@ -283,8 +302,8 @@ class TestCarriedPosterior:
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
         _, carried = _telescope_gains(sysm, 4, 8)
-        want = _condition(
-            sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8)))
+        want = _posterior(sysm, _condition(
+            sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8))))
         gap = np.linalg.norm(carried - want) / np.linalg.norm(want)
         assert gap <= 1e-12
 
@@ -354,9 +373,25 @@ class TestLevelSum:
         assert h == 1.0 / (4 * 2 ** 13)
         assert 0 < value < sk.level_sum(wave, 4, 12, sk.unit_weights(wave))[0]
 
-    @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1), (4, 1.5)])
+    @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1)])
     def test_bad_grid_sizes_raise_the_grid_error(self, base_n, level):
         # not a ZeroDivisionError, nor phi_h's complaint about a negative mesh
         heat = sk.build_heat_model(3, horizon=1.0)
         with pytest.raises(ValueError, match="base_n >= 1 and level >= 0"):
             sk.level_sum(heat, base_n, level, sk.unit_weights(heat))
+
+    @pytest.mark.parametrize("level", [1.5, np.nan, np.inf, 0, -1])
+    def test_bad_levels_are_named(self, level):
+        heat = sk.build_heat_model(3, horizon=1.0)
+        with pytest.raises(ValueError, match=f"got level={level!r}") as err:
+            sk.level_sum(heat, 4, level, sk.unit_weights(heat))
+        assert "dyadic_grid" not in str(err.value)
+
+    @pytest.mark.parametrize("level", [22, 23, 45, 10 ** 30])
+    def test_too_deep_levels_are_refused_before_any_work(self, monkeypatch,
+                                                         level):
+        # 4 * 2**(level - 1) points of 4 modes exceed 2**24 from level 22 on
+        monkeypatch.setattr(sk.refinement, "_new_points", _no_work)
+        heat = sk.build_heat_model(4, horizon=1.0)
+        with pytest.raises(ValueError, match=f"level={level} is too deep"):
+            sk.level_sum(heat, 4, level, sk.unit_weights(heat))
