@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _insert, _posterior,
+from .filter_core import (_condition, _insert, _posterior, _trace,
                           _uniform_information, _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
@@ -231,17 +231,18 @@ def _new_points(system: ModalSystem, base_n: int, level: int):
     return h, phi_h(system.eigenvalues[None, :], points[:, None], h)
 
 
-def _telescope_gains(system: ModalSystem, base_n: int, levels: int):
+def _telescope_gains(system: ModalSystem, linv: np.ndarray, base_n: int,
+                     levels: int):
     """Insertion gains per level and the posterior of x after the last one.
 
-    One posterior of the initial state, taken on the base grid of base_n
-    points from its closed-form J, is carried through every insertion (levels in order, points left to
+    One posterior of the initial state on the base grid of base_n points,
+    formed from ``linv``, ``_condition``'s factor of the grid's closed-form
+    J, is carried through every insertion (levels in order, points left to
     right) by the rank-r downdate of ``filter_core._insert``.  The dyadic
     construction fixes every stencil: the neighbours t - h (or 0) and t + h
     of a point new at a level already belong to the base set.
     """
-    post = _posterior(system,
-                      _condition(system, _uniform_information(system, base_n)))
+    post = _posterior(system, linv)
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []
@@ -276,11 +277,13 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     horizon = system.horizon
     base_n = _dyadic_size(base_n, 0)
     _check_depth(system, base_n, levels, "levels")
-    # both traces take the closed-form trace route, independent of the
-    # carried posterior whose downdates they check
-    coarse = _uniform_trace(system, base_n)
+    # the coarse trace and the carried posterior share the base grid's one
+    # factor; both traces come from column norms, independent of the
+    # posterior and of the downdates they check
+    linv = _condition(system, _uniform_information(system, base_n))
+    coarse = _trace(system, linv)
     fine = _uniform_trace(system, base_n * 2 ** levels)
-    per_level, _ = _telescope_gains(system, base_n, levels)
+    per_level, _ = _telescope_gains(system, linv, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
     residual = abs(total - drop) / coarse

@@ -293,8 +293,10 @@ class TestOneConditioning:
         assert len(spy) == 1
 
     def test_telescope_gains(self, spy):
-        _, post = sk.refinement._telescope_gains(heat(6), 4, 2)
-        assert len(spy) == 1 and post.shape == (6, 6)
+        # the base grid's factor serves the coarse trace and the carried
+        # posterior; the fine grid's serves the fine trace
+        sk.telescope_check(heat(6), 4, 2)
+        assert len(spy) == 2
 
 
 def _complex_condition_oracle(system, info, phi=None, noise=None):
@@ -390,7 +392,8 @@ class TestRealConditioning:
             sysm, _accumulated_information(sysm, base))
         gain = _insert(oracle, chm, h, sysm.r_cov, np.abs(decay) ** 2)[0]
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
-        per_level, _ = sk.refinement._telescope_gains(sysm, 4, 3)
+        per_level, _ = sk.refinement._telescope_gains(
+            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 3)
         oracle = _complex_condition_oracle(sysm, _uniform_information(sysm, 4))
         for level, gains in enumerate(per_level, start=1):
             h, phis = sk.refinement._new_points(sysm, 4, level)

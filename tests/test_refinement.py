@@ -7,7 +7,8 @@ import pytest
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _posterior, _uniform_trace)
+                                   _posterior, _uniform_information,
+                                   _uniform_trace)
 from sampledkf.refinement import _telescope_gains
 
 
@@ -301,7 +302,8 @@ class TestCarriedPosterior:
 
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
-        _, carried = _telescope_gains(sysm, 4, 8)
+        _, carried = _telescope_gains(
+            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 8)
         want = _posterior(sysm, _condition(
             sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8))))
         gap = np.linalg.norm(carried - want) / np.linalg.norm(want)
