@@ -12,8 +12,10 @@ takes the Cholesky factor L of the whitened matrix
     I + R J_rho R = L L^T,
 
 every eigenvalue >= 1 (exact for zero prior variances and rapidly decaying
-ones), in float64, and returns its inverse Linv from a numpy-only blocked
-triangular inverse (``_lower_inverse``), with no solve against L.  Then
+ones), in float64, and returns its inverse Linv, with no solve against L.
+``_lower_inverse`` takes it by a recursion on halves: each half inverts
+itself, one pair of gemms joins them, and a block of at most
+``_INVERSE_LEAF`` rows takes ``np.linalg.inv``.  Then
 P = A R Linv^T Linv R A*, and nothing more is formed than a caller uses:
 
 - a trace (``_trace``) needs no P.  Undriven, the decay e^(AT) has equal
@@ -25,8 +27,8 @@ P = A R Linv^T Linv R A*, and nothing more is formed than a caller uses:
   ``information_filter``, ``increment_variance`` and the telescope of
   ``refinement``.
 
-A complex model without a pairing takes A = I and runs the same steps in
-complex128.
+A model without a pairing has complex modes (``ModalSystem`` pairs every
+real model); it takes A = I and runs the same steps in complex128.
 
 Undriven systems hand it J.  Without input noise z(T) = e^(AT) x, and each
 increment observation
@@ -126,7 +128,6 @@ one P through every insertion instead.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -169,19 +170,12 @@ class FilterRun:
 
 def _validate_times(system: ModalSystem, times) -> np.ndarray:
     times = np.asarray(times, dtype=float).ravel()
-    if times.size and (np.any(times <= 0)
-                       or np.any(times > system.horizon * (1 + 1e-12))):
+    # asked as "all inside" rather than "none outside", so a NaN time fails
+    if not np.all((times > 0) & (times <= system.horizon * (1 + 1e-12))):
         raise ValueError("sample times must lie in (0, horizon]")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     return times
-
-
-def _real_trace(cov: np.ndarray) -> float:
-    tr = complex(np.trace(cov))
-    if abs(tr.imag) > 1e-12 * max(1.0, abs(tr)):
-        logger.warning("covariance trace has imaginary residue %.3e", tr.imag)
-    return tr.real
 
 
 def _filter_plan(system: ModalSystem, times: np.ndarray):
@@ -221,7 +215,8 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
         e = tail_tr.decay
         cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
         cov = _hermitize(cov)
-    run = FilterRun(grid=times, final_cov=cov, trace_err=_real_trace(cov))
+    run = FilterRun(grid=times, final_cov=cov,
+                    trace_err=float(np.trace(cov).real))
     return run, steps, tail_tr
 
 
@@ -350,51 +345,26 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
 
 
-@functools.lru_cache(maxsize=64)
-def _halvings(n: int):
-    """The blocks of ``_lower_inverse`` on n rows: (leaves, joins, leaf size).
-
-    Every block is halved, upper half first, until none has more than
-    ``_INVERSE_LEAF`` rows.  ``leaves`` are the (lo, hi) row ranges of the
-    last halving, and ``joins`` the (lo, mid, hi) of every halving, deepest
-    first.
-    """
-    levels = [(0, n)]
-    while max(np.diff(levels[-1])) > _INVERSE_LEAF:
-        edges = levels[-1]
-        mids = [lo + (hi - lo) // 2 for lo, hi in zip(edges, edges[1:])]
-        levels.append(tuple(sorted({*edges, *mids})))
-    joins = tuple((lo, lo + (hi - lo) // 2, hi)
-                  for edges in reversed(levels[:-1])
-                  for lo, hi in zip(edges, edges[1:]))
-    leaves = tuple(zip(levels[-1], levels[-1][1:]))
-    return leaves, joins, max(hi - lo for lo, hi in leaves)
-
-
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
+def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The inverse of a nonsingular lower-triangular matrix, lower triangular too.
 
-    A blocked recursion on halves (``_halvings``): low = [[L11, 0], [L21, L22]]
-    has the inverse [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], so a join
-    costs one pair of gemms.  The leaves, each padded with the identity to
-    the largest, take one stacked ``np.linalg.inv``, whose rounding above the
-    diagonal (LU pivots rows) is cleared; the joins then run from the leaves
-    up.  numpy alone, in the dtype of ``low``.
+    A recursion on halves: low = [[L11, 0], [L21, L22]], upper half of n // 2
+    rows, has the inverse [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], so
+    each half inverts itself into its diagonal block of ``out`` and the join
+    costs one pair of gemms.  A block of at most ``_INVERSE_LEAF`` rows takes
+    ``np.linalg.inv``, whose rounding above the diagonal (LU pivots rows) is
+    cleared.  numpy alone, in the dtype of ``low``.  ``out`` is allocated
+    once, by the outermost call, and every block writes into a view of it.
     """
-    leaves, joins, size = _halvings(low.shape[0])
-    if not joins:
-        return np.linalg.inv(low) * _LEAF_LOWER[:size, :size]
-    stack = np.zeros((len(leaves), size, size), dtype=low.dtype)
-    stack[:] = np.eye(size)
-    for block, (lo, hi) in zip(stack, leaves):
-        block[:hi - lo, :hi - lo] = low[lo:hi, lo:hi]
-    stack = np.linalg.inv(stack) * _LEAF_LOWER[:size, :size]
-    out = np.zeros_like(low)
-    for block, (lo, hi) in zip(stack, leaves):
-        out[lo:hi, lo:hi] = block[:hi - lo, :hi - lo]
-    for lo, mid, hi in joins:
-        out[mid:hi, lo:mid] = -(out[mid:hi, mid:hi]
-                                @ (low[mid:hi, lo:mid] @ out[lo:mid, lo:mid]))
+    n = low.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.multiply(np.linalg.inv(low), _LEAF_LOWER[:n, :n], out=out)
+    if out is None:
+        out = np.zeros_like(low)
+    mid = n // 2
+    _lower_inverse(low[:mid, :mid], out[:mid, :mid])
+    _lower_inverse(low[mid:, mid:], out[mid:, mid:])
+    out[mid:, :mid] = -(out[mid:, mid:] @ (low[mid:, :mid] @ out[:mid, :mid]))
     return out
 
 
@@ -418,7 +388,8 @@ def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     decaying ones).  Its Cholesky factor L, in float64, is inverted by
     ``_lower_inverse``, so the posterior of rho is R Linv^T Linv R and that
     of x is A R Linv^T Linv R A* (``_posterior``).  A model without a
-    pairing takes A = I and runs the same steps in complex128.
+    pairing, whose modes are complex, takes A = I and runs the same steps in
+    complex128.
     """
     scale = np.sqrt(system.prior_var * _weights(system))
     if system.pairing is not None:
@@ -470,7 +441,7 @@ def _trace(system: ModalSystem, linv: np.ndarray, phi=None,
     if np.isrealobj(linv):
         mapped = mapped.view(float)
     half = linv @ mapped
-    return _real_trace(noise) + float(np.vdot(half, half).real)
+    return float(np.trace(noise).real) + float(np.vdot(half, half).real)
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -490,7 +461,7 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         system, _condition(system, _accumulated_information(system, times)),
         np.exp(system.eigenvalues * system.horizon))
     return FilterRun(grid=times, final_cov=final_cov,
-                     trace_err=_real_trace(final_cov))
+                     trace_err=float(np.trace(final_cov).real))
 
 
 def _step_triple(system: ModalSystem, h: float):
@@ -607,10 +578,12 @@ def batch_condition(system: ModalSystem, times) -> FilterRun:
     n = system.num_modes
     prior = augmented_covariance(system, system.horizon)[:n, :n]
     if times.size == 0:
-        return FilterRun(grid=times, final_cov=prior, trace_err=_real_trace(prior))
+        return FilterRun(grid=times, final_cov=prior,
+                         trace_err=float(np.trace(prior).real))
     gram, cross = _output_gram(system, times)
     post = _hermitize(prior - cross @ _solve_gram(gram, cross.conj().T))
-    return FilterRun(grid=times, final_cov=post, trace_err=_real_trace(post))
+    return FilterRun(grid=times, final_cov=post,
+                     trace_err=float(np.trace(post).real))
 
 
 def increment_variance(system: ModalSystem, base_times, new_time: float,

@@ -67,19 +67,6 @@ __all__ = ["SimulationBatch", "sample_path", "empirical_error"]
 _TRIAL_BLOCK = 1024
 
 
-def _pairing_or_identity(system: ModalSystem) -> np.ndarray:
-    if system.pairing is not None:
-        return system.pairing
-    # Without a declared pairing the identity is only sound for real modes;
-    # complex ones would silently be sampled with the wrong law.
-    for arr in (system.eigenvalues, system.output_coeffs, system.input_coeffs,
-                system.prior_mean):
-        if np.any(arr.imag != 0):
-            raise ValueError("path sampling needs a conjugate pairing when "
-                             "modes are complex")
-    return np.arange(system.num_modes)
-
-
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     """Complex factors L with L L^H = cov and L xi pairing-compatible, xi real.
 
@@ -155,7 +142,10 @@ class _Simulator:
         self.run, self.steps, self.tail_tr = _filter_plan(system, times)
         n, r = system.num_modes, system.num_outputs
         self.n, self.r = n, r
-        self.pairing = _pairing_or_identity(system)
+        if system.pairing is None:
+            raise ValueError("path sampling needs a conjugate pairing when "
+                             "modes are complex")
+        self.pairing = system.pairing
         self.initial_factor = _real_factor(
             np.diag(system.prior_var.astype(complex)), self.pairing)
         # per transition, the real (width, 2(N+r)) matrix whose product with

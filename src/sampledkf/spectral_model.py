@@ -29,9 +29,11 @@ Two concrete constructions ship with the package:
     The pairing map is recorded so downstream covariances stay real-traced and
     trajectories can be sampled in real coordinates.
 
-Purely real systems (the heat chain) carry the identity pairing; systems
-without any pairing cannot be sampled path-wise but all covariance operations
-remain valid.
+Purely real systems (the heat chain) carry the identity pairing: a model
+whose eigenvalues, coefficients and prior mean are all real is given it when
+none is declared.  So a model without a pairing has complex modes whose real
+structure is not declared; it cannot be sampled path-wise, but every
+covariance operation remains valid.
 
 The pairing gives real coordinates, and this module is their one home.  A
 paired model describes a real-valued field: for a self-conjugate mode k the
@@ -83,6 +85,9 @@ _MODEL_KEYS = {
 class ModalSystem:
     """Finite modal truncation of a diagonal linear-Gaussian system.
 
+    Every number must be finite; a non-finite one is refused, naming its
+    field.
+
     Attributes
     ----------
     eigenvalues : (N,) complex, Re <= 0, non-decreasing in magnitude.
@@ -93,7 +98,9 @@ class ModalSystem:
     horizon : experiment end time T > 0.
     pairing : optional involution i -> partner(i) asserting that eigenvalues,
         coefficients, means and variances occur in exact conjugate pairs
-        (identity entries mean "real mode").  Required for path sampling.
+        (identity entries mean "real mode").  Required for path sampling;
+        a model with every eigenvalue, coefficient and mean real gets the
+        identity when none is given.
     label : short human-readable model id used in reports and CSV files.
     """
 
@@ -128,6 +135,13 @@ class ModalSystem:
             raise ValueError("output_coeffs/input_coeffs: first axis must match modes")
         if mean.size != n or pvar.size != n:
             raise ValueError("prior_mean/prior_var: length must match modes")
+        for name, arr in (("eigenvalues", lam), ("output_coeffs", cmat),
+                          ("input_coeffs", bmat), ("prior_mean", mean),
+                          ("prior_var", pvar), ("q_cov", qc), ("r_cov", rc)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name}: must be finite")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon: must be positive and finite")
         if np.any(lam.real > 1e-12):
             raise ValueError("eigenvalues: Re(lambda) must be <= 0")
         mags = np.abs(lam)
@@ -144,10 +158,11 @@ class ModalSystem:
             raise ValueError("q_cov: must be positive semi-definite")
         if np.min(np.linalg.eigvalsh((rc + rc.T) / 2.0)) <= 0.0:
             raise ValueError("r_cov: must be positive definite")
-        if not self.horizon > 0:
-            raise ValueError("horizon: must be positive")
 
         pairing = self.pairing
+        if pairing is None and not any(np.any(arr.imag != 0)
+                                       for arr in (lam, cmat, bmat, mean)):
+            pairing = np.arange(n)
         if pairing is not None:
             pairing = np.asarray(pairing, dtype=int).ravel()
             if pairing.size != n or np.any(np.sort(pairing) != np.arange(n)):

@@ -453,6 +453,18 @@ class TestFailureModes:
         assert main(["converge", "--config", cfg]) == 2
         assert "config error: line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, message", [
+        ("model.horizon = inf", "model.horizon: must be positive and finite"),
+        ("model.horizon = 1.0\nmodel.r_scalar = nan",
+         "model.r_cov: must be finite"),
+    ], ids=["horizon", "r_scalar"])
+    def test_non_finite_model_exits_two(self, tmp_path, capsys, lines,
+                                        message):
+        cfg = write_cfg(tmp_path, CONVERGE_CFG.replace("model.horizon = 1.0",
+                                                       lines))
+        assert main(["converge", "--config", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_retired_per_n_reference_key_exits_two(self, tmp_path, capsys):
         # every curve shares one reference; result headers written while the
         # key existed carry "# per_n_reference = false" and need that line

@@ -402,10 +402,13 @@ class TestRealConditioning:
                                        sysm.r_cov, np.abs(decay) ** 2)
                 assert _rel(got, want) <= 1e-13
 
-    @pytest.mark.parametrize("family", ["heat", "wave"])
+    @pytest.mark.parametrize("family", ["heat", "wave", "undeclared"])
     def test_the_factor_is_real_and_lower_triangular(self, family):
-        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        build = sk.build_wave_model if family == "wave" else sk.build_heat_model
         sysm = build(10, horizon=1.0)
+        if family == "undeclared":
+            # a real model declared without a pairing gets the identity one
+            sysm = dataclasses.replace(sysm, pairing=None)
         linv = _condition(sysm, _uniform_information(sysm, 16))
         assert linv.dtype == np.float64
         npt.assert_array_equal(linv, np.tril(linv))
@@ -420,18 +423,28 @@ class TestRealConditioning:
                                              "respect the conjugate pairing"):
             _condition(sysm, info)
 
-    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97, 400, 1000])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_lower_inverse_matches_inv(self, n, dtype):
-        rng = np.random.default_rng(n)
-        mix = rng.standard_normal((n, n)).astype(dtype)
-        if dtype is complex:
-            mix += 1j * rng.standard_normal((n, n))
-        low = np.linalg.cholesky(np.eye(n) + mix @ mix.conj().T / n)
+        low = _random_lower(n, dtype)
         got = _lower_inverse(low)
         assert got.dtype == low.dtype
         npt.assert_array_equal(got, np.tril(got))
         assert rel_frobenius(got, np.linalg.inv(low)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [33, 65, 129, 400])
+    def test_lower_inverse_inverts_only_leaves(self, monkeypatch, n):
+        # every np.linalg.inv call sees one leaf, never a larger block
+        inv, rows = np.linalg.inv, []
+
+        def spy(block):
+            rows.append(block.shape[0])
+            return inv(block)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        _lower_inverse(_random_lower(n, float))
+        assert sum(rows) == n
+        assert max(rows) <= filter_core._INVERSE_LEAF
 
 
 class TestUnpairedComplexModels:
@@ -448,6 +461,15 @@ class TestUnpairedComplexModels:
         npt.assert_allclose(sk.information_filter(sysm, times).trace_err,
                             sk.sequential_filter(sysm, times).trace_err,
                             rtol=1e-12)
+
+
+def _random_lower(n, dtype):
+    """The Cholesky factor of a random well-conditioned (n, n) matrix."""
+    rng = np.random.default_rng(n)
+    mix = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        mix += 1j * rng.standard_normal((n, n))
+    return np.linalg.cholesky(np.eye(n) + mix @ mix.conj().T / n)
 
 
 def _refuse(*args, **kwargs):
@@ -476,11 +498,22 @@ class TestDoublingRoute:
     def test_bad_times_raise_as_before(self, q_scalar):
         sysm = heat(3, q_scalar=q_scalar)
         trace = sk.sequential_filter if q_scalar else sk.information_filter
-        for times in ([0.0, 0.5], [0.5, 1.5]):
+        for times in ([0.0, 0.5], [0.5, 1.5], [0.5, np.nan], [np.nan]):
             with pytest.raises(ValueError, match=r"lie in \(0, horizon\]"):
                 trace(sysm, times)
         with pytest.raises(ValueError, match="strictly increasing"):
             trace(sysm, [0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("route", [
+        sk.sequential_filter, sk.batch_condition, sk.information_filter,
+        lambda sysm, times: sk.empirical_error(sysm, times, trials=4, seed=1),
+        lambda sysm, times: sk.sample_path(sysm, times, seed=1),
+        lambda sysm, times: sk.increment_variance(sysm, times, 0.25, 0.25),
+    ], ids=["sequential", "batch", "information", "montecarlo", "path",
+            "increment"])
+    def test_nan_times_are_refused_on_every_route(self, route):
+        with pytest.raises(ValueError, match=r"lie in \(0, horizon\]"):
+            route(heat(3), [0.5, 1.0, np.nan])
 
 
 class TestInformationRoute:

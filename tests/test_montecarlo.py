@@ -10,16 +10,15 @@ import sampledkf as sk
 from sampledkf import montecarlo
 from sampledkf.errors import NumericalError
 from sampledkf.filter_core import _filtered_means
-from sampledkf.montecarlo import (_TRIAL_BLOCK, _pairing_or_identity,
-                                  _real_error_map, _real_factor, _Simulator,
-                                  _trial_rng)
+from sampledkf.montecarlo import (_TRIAL_BLOCK, _real_error_map, _real_factor,
+                                  _Simulator, _trial_rng)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
 
 def aug_pairing(sysm):
     """Pairing of the augmented (z, Y) coordinates: outputs are real."""
-    return np.concatenate([_pairing_or_identity(sysm),
+    return np.concatenate([sysm.pairing,
                            sysm.num_modes + np.arange(sysm.num_outputs)])
 
 
@@ -56,7 +55,7 @@ def draw_offsets(sim):
             for tr in transitions) if sysm.has_input_noise else 0
     r = sysm.num_outputs
     pos = _real_factor(np.diag(sysm.prior_var.astype(complex)),
-                       _pairing_or_identity(sysm)).shape[1]
+                       sysm.pairing).shape[1]
     initial = slice(0, pos)
     process, measure = [], []
     for _ in sim.steps:

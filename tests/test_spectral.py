@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -53,6 +55,8 @@ class TestHeatBuilder:
         (dict(prior_decay=5.0), "prior_decay"),
         (dict(q_scalar=-1.0), "q_scalar"),
         (dict(horizon=0.0), "horizon"),
+        (dict(horizon=np.nan), "^horizon: must be positive and finite$"),
+        (dict(horizon=np.inf), "^horizon: must be positive and finite$"),
     ])
     def test_rejects_bad_parameters(self, kwargs, match):
         args = dict(num_modes=3, horizon=1.0)
@@ -108,6 +112,26 @@ class TestModalSystemValidation:
                           pairing=np.array([1, 0]))
         with pytest.raises(ValueError, match="involution"):
             custom_system([1j, 1j, -2j], pairing=np.array([1, 2, 0]))
+
+    @pytest.mark.parametrize("field", [
+        "eigenvalues", "output_coeffs", "input_coeffs", "prior_mean",
+        "prior_var", "q_cov", "r_cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        sysm = sk.build_heat_model(3, 1.0, q_scalar=0.5)
+        values = np.array(getattr(sysm, field))
+        values.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field}: must be finite$"):
+            dataclasses.replace(sysm, **{field: values})
+
+    def test_infinite_string_is_not_blamed_on_the_pairing(self):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^output_coeffs: must be finite$"):
+            sk.build_wave_model(4, domain_length=np.inf)
+
+    def test_real_models_carry_the_identity_pairing(self):
+        npt.assert_array_equal(custom_system([-1.0, -2.0]).pairing, [0, 1])
+        assert custom_system([1j, -1j]).pairing is None
 
     def test_arrays_frozen(self):
         sysm = sk.build_heat_model(3, 1.0)
