@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError
 from .montecarlo import _TRIAL_BLOCK, empirical_error
-from .refinement import (DiscrepancyCurve, _too_deep, discrepancy_curve,
-                         dyadic_grid, level_sum, telescope_check)
+from .refinement import (DiscrepancyCurve, _inexact, _too_deep,
+                         discrepancy_curve, dyadic_grid, level_sum,
+                         telescope_check)
 from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
                              model_from_mapping, unit_weights)
 from .theory import (TheoremBound, check_bound, fit_rate, theorem1_bound,
@@ -212,11 +213,15 @@ def build_config(raw: dict[str, str],
                                   f"'{experiment}'")
             if values[key] < 1:
                 raise ConfigError(f"{key}: must be at least 1")
-        # the rule of telescope_check and level_sum, checked before any
+        # the rules of telescope_check and level_sum, checked before any
         # model is built
         base, levels = values[base_key], values[levels_key]
+        if experiment == "levelsum" and _inexact(base, levels):
+            raise ConfigError(
+                f"{levels_key}: {levels} levels over {base} base points need "
+                f"{base} * 2**{levels} grid points; at most 2**53 are allowed")
         modes = max(values.get("model.num_modes", 1), 1)
-        if _too_deep(base, levels, modes):
+        if experiment == "telescope" and _too_deep(base, levels, modes):
             raise ConfigError(
                 f"{levels_key}: {levels} levels over {base} base points of a "
                 f"{modes}-mode model put {base} * 2**{levels - 1} points of "

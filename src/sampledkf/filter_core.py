@@ -43,8 +43,9 @@ matrix J = sum_i H_i* (R d_i)^(-1) H_i: J alone gives the posterior of x
 (diag(e^(AT)), J, None) that of z(T) (``information_filter``).  On the
 uniform grid (j T) / m, j = 1..m, given by its size m, the sum over samples
 is geometric and J has a closed form (``_uniform_information``): N^2 kernel
-values whatever m is.  Times handed in as an array accumulate J block by
-block (``_accumulated_information``), uniform or not.
+values whatever m is.  The geometric sum itself (``_geometric_sum``) also
+gives ``refinement.level_sum`` in closed form.  Times handed in as an array
+accumulate J block by block (``_accumulated_information``), uniform or not.
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triple``), since every step
@@ -310,39 +311,51 @@ def _accumulated_information(system: ModalSystem,
     return info
 
 
+def _geometric_sum(system: ModalSystem, d: float, count: int) -> np.ndarray:
+    """S[k, l] = sum_(j<count) e^(j x) for x = (conj(lambda_k) + lambda_l) d.
+
+    Every caller spans the horizon, count d = T, so e^(count x) is the outer
+    product of the N values e^(lambda T), and
+
+        S = (e^(count x) - 1) / (e^x - 1),   S = count at x = 0.
+
+    S depends on x only through e^x, so Im x is first reduced into
+    (-pi, pi], where e^x = 1 only at x = 0 (wave pairs alias to
+    x = 2 pi i j); the reduction is odd in x, so S keeps the conjugate-mate
+    structure.  Where the reduced |x| >= 1/2, e^x and e^(count x) are outer
+    products of N exponentials and e^x - 1 is bounded away from 0.  Nearer
+    0 both differences take ``np.expm1``, which keeps full relative accuracy
+    there.  N^2 exponentials and no sum over j, whatever count is.
+    """
+    ld = system.eigenvalues * d
+    x = ld.conj()[:, None] + ld[None, :]
+    x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
+    geo = np.full(x.shape, count, dtype=complex)
+    far = np.abs(x) >= 0.5
+    step, whole = np.exp(ld), np.exp(system.eigenvalues * system.horizon)
+    geo[far] = ((np.outer(whole.conj(), whole)[far] - 1.0)
+                / (np.outer(step.conj(), step)[far] - 1.0))
+    near = ~far & (x != 0)
+    geo[near] = np.expm1(count * x[near]) / np.expm1(x[near])
+    return geo
+
+
 def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     """Closed-form information matrix J of the initial state on the uniform grid.
 
     On the m-point grid (j T) / m, j = 1..m, every width is d = T/m and
-    sample j starts at j d, so with x = (conj(lambda_k) + lambda_l) d the sum over samples is
-    geometric:
+    sample j starts at j d, so the sum over samples is geometric:
 
         J[k, l] = W[k, l] d conj(phi1(lambda_k d)) phi1(lambda_l d) S[k, l],
-        S = sum_(j<m) e^(j x) = (e^(m x) - 1) / (e^x - 1),   S = m at x = 0,
 
-    with W = C* R^-1 C.  S depends on x only through e^x, so Im x is first
-    reduced into (-pi, pi], where e^x = 1 only at x = 0 (wave pairs alias to
-    x = 2 pi i j); the reduction is odd in x, so J keeps the conjugate-mate
-    structure.  Where the reduced |x| >= 1/2, e^x and e^(m x) are outer
-    products of N exponentials and e^x - 1 is bounded away from 0.  Nearer
-    0 both differences take ``np.expm1``, which keeps full relative accuracy
-    there.  N^2 kernel values and no sum over samples, whatever m is.
+    with W = C* R^-1 C and S = ``_geometric_sum(system, d, m)``.  N^2 kernel
+    values and no sum over samples, whatever m is.
     """
-    lam = system.eigenvalues
     d = system.horizon / m
     cwhite = _whitened_outputs(system)
-    ld = lam * d
-    x = ld.conj()[:, None] + ld[None, :]
-    x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
-    geo = np.full(x.shape, m, dtype=complex)
-    far = np.abs(x) >= 0.5
-    step, whole = np.exp(ld), np.exp(lam * system.horizon)
-    geo[far] = ((np.outer(whole.conj(), whole)[far] - 1.0)
-                / (np.outer(step.conj(), step)[far] - 1.0))
-    near = ~far & (x != 0)
-    geo[near] = np.expm1(m * x[near]) / np.expm1(x[near])
-    shape = phi1(ld)
-    return (cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape)) * geo
+    shape = phi1(system.eigenvalues * d)
+    return ((cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape))
+            * _geometric_sum(system, d, m))
 
 
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

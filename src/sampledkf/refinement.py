@@ -21,19 +21,22 @@ identity numerically: it carries one posterior of the initial state from the
 base grid through every insertion, a rank-r downdate each, so an insertion
 costs O(N^2 r) whatever the size of the set before it.  ``level_sum``
 isolates the per-level interpolation operator whose weighted norm drives
-every rate bound.
+every rate bound.  Its sum over a level's new points is geometric, the sum
+``filter_core._geometric_sum`` also takes for the closed-form J, so a level
+sum costs N^2 kernel values at any level.
 
 Grid convention: ``dyadic_grid(n, k)`` is the uniform (n 2**k)-point grid
 (j T) / (n 2**k), j = 1..n 2**k, including the horizon, so level k adds the
 midpoints of level k-1, and the points new at level k are its odd j.
 ``_dyadic_size`` checks n and k and forms the size for ``dyadic_grid``,
 ``telescope_check`` and ``level_sum``.  Only ``dyadic_grid`` builds a whole
-grid, for callers that want the array: traces take the size, and the
-telescope and the level sums form the odd points directly.  All times are constructed as (integer * horizon) /
-denominator with denominators that double per level, which keeps membership
-across levels exact in floating point.
-That needs the integers exact as doubles, so a curve's finest grid, the
-reference check at ``reference_level + 1``, may have at most 2**53 points.
+grid, for callers that want the array: traces and level sums take the size,
+and the telescope forms each level's new points (the odd j) directly.  All
+times are constructed as (integer * horizon) / denominator with
+denominators that double per level, which keeps membership across levels
+exact in floating point.  That needs the integers exact as doubles, so a
+curve's finest grid, the reference check at ``reference_level + 1``, and the
+grid of a level sum may have at most 2**53 points (``_inexact``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _insert, _posterior, _trace,
-                          _uniform_information, _uniform_trace)
+from .filter_core import (_condition, _geometric_sum, _insert, _posterior,
+                          _trace, _uniform_information, _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem
 
@@ -59,7 +62,7 @@ __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
 _NEGATIVE_SLACK = 1e-10
 #: Maximal admissible relative shift of the curve when the reference gains a level.
 _REFERENCE_TOLERANCE = 0.05
-#: Most points x modes the deepest telescope or level-sum level may hold.
+#: Most points x modes the deepest telescope level may hold.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
 
 
@@ -81,26 +84,23 @@ def _dyadic_size(base_n: int, level: int) -> int:
 
 
 def _too_deep(base_n: int, level: int, num_modes: int) -> bool:
-    """True when the points new at ``level`` times the modes exceed 2**24.
+    """True when a telescope level's new points times the modes exceed 2**24.
 
     Level k of a base_n-point grid adds base_n 2**(k - 1) points, and the
-    telescope and the level sums hold a complex phi_h value per point and
-    mode, so the deepest level may take at most 256 MiB.  From 26 levels on
-    any base and N exceed it, so the power is capped there and never grows
-    without bound.
+    telescope holds a complex phi_h value per point and mode, so its deepest
+    level may take at most 256 MiB.  From 26 levels on any base and N exceed
+    it, so the power is capped there and never grows without bound.
     """
     return base_n * num_modes * 2 ** (min(level, 26) - 1) > _DEEPEST_LEVEL_CELLS
 
 
-def _check_depth(system: ModalSystem, base_n: int, level: int,
-                 name: str) -> None:
-    """ValueError naming ``name`` when ``level`` is too deep for the model."""
-    if _too_deep(base_n, level, system.num_modes):
-        raise ValueError(
-            f"{name}={level} is too deep: level {level} of {base_n} base "
-            f"points puts {base_n} * 2**{level - 1} points of "
-            f"{system.num_modes} modes in one level; at most 2**24 points "
-            f"x modes are allowed")
+def _inexact(base_n: int, level: int) -> bool:
+    """True when the grid of base_n 2**level points has more than 2**53.
+
+    Past that the integers j of its times (j T) / m are no longer exact
+    doubles.  The level is compared first, so no huge power is formed.
+    """
+    return level > 53 or base_n * 2 ** level > 2 ** 53
 
 
 def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
@@ -164,8 +164,7 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                          f"got {reference_level!r}")
     reference_level = int(reference_level)
     n_max = int(n_values[-1])
-    # the check grid must keep every j of its times (j T) / m an exact double
-    if n_max * 2 ** (reference_level + 1) > 2 ** 53:
+    if _inexact(n_max, reference_level + 1):
         raise ValueError(f"reference_level={reference_level} is too large for "
                          f"n={n_max}: the reference check needs {n_max} * "
                          f"2**{reference_level + 1} points, more than 2**53")
@@ -276,7 +275,12 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     levels = int(levels)
     horizon = system.horizon
     base_n = _dyadic_size(base_n, 0)
-    _check_depth(system, base_n, levels, "levels")
+    if _too_deep(base_n, levels, system.num_modes):
+        raise ValueError(
+            f"levels={levels} is too deep: level {levels} of {base_n} base "
+            f"points puts {base_n} * 2**{levels - 1} points of "
+            f"{system.num_modes} modes in one level; at most 2**24 points "
+            f"x modes are allowed")
     # the coarse trace and the carried posterior share the base grid's one
     # factor; both traces come from column norms, independent of the
     # posterior and of the downdates they check
@@ -306,20 +310,35 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     and returns (lambda_max(W^{-1/2} G W^{-1/2}), h) for W = diag(weights).
     This is the sharp constant in  sum_j ||C_h(t_j) x||^2 <= value * ||x||_W^2
     and its decay in the level is what the convergence theorems quantify.
+
+    The sum is taken in closed form.  With m = base_n 2**level and h = T/m
+    the new points are t_j = (2j + 1) h, j < M = m/2, and
+    phi_h(lam, t_j, h) = a(lam) e^(2 j h lam) with a = phi_h(lam, h, h) =
+    -(lam/2) I1(lam, h)^2, so
+
+        G = <c_k, c_l> conj(a_k) a_l S[k, l],
+
+    S = ``filter_core._geometric_sum(system, 2h, M)``: N^2 kernel values at
+    any level, and no point is formed.  A grid finer than 2**53 points is
+    refused, as for ``discrepancy_curve``.
     """
     if not _is_whole(level) or level < 1:
         raise ValueError(f"level_sum needs level >= 1 as a whole number, "
                          f"got level={level!r}")
     level = int(level)
     base_n = _dyadic_size(base_n, 0)
-    _check_depth(system, base_n, level, "level")
+    if _inexact(base_n, level):
+        raise ValueError(f"level={level} is too deep: {base_n} * 2**{level} "
+                         f"grid points are more than 2**53")
     weights = np.asarray(weights, dtype=float).ravel()
     if (weights.shape != (system.num_modes,)
             or not np.all(np.isfinite(weights) & (weights > 0))):
         raise ValueError("weights must be positive and finite, one per mode")
-    h, phis = _new_points(system, base_n, level)
-    gram = (phis.conj().T @ phis) * (system.output_coeffs.conj()
-                                     @ system.output_coeffs.T)
+    m = base_n * 2 ** level
+    h = system.horizon / m
+    a = phi_h(system.eigenvalues, h, h)
+    gram = ((system.output_coeffs.conj() @ system.output_coeffs.T)
+            * np.outer(a.conj(), a) * _geometric_sum(system, 2 * h, m // 2))
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
     value = float(np.linalg.eigvalsh(_hermitize(gram))[-1])

@@ -231,6 +231,19 @@ def index_weights(system: ModalSystem, exponent: float) -> np.ndarray:
     return np.arange(1, system.num_modes + 1, dtype=float) ** (2.0 * exponent)
 
 
+def _check_scalars(**scalars) -> None:
+    """ValueError naming the builder argument: every scalar finite, r_scalar > 0.
+
+    Run before any array is built, so a bad value is reported under the key
+    that was written, not under the ``ModalSystem`` field it would reach.
+    """
+    for key, value in scalars.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{key}: must be finite")
+    if scalars["r_scalar"] <= 0:
+        raise ValueError("r_scalar: must be positive")
+
+
 def build_heat_model(num_modes: int, horizon: float, prior_decay: float = 6.0,
                      q_scalar: float = 0.0, r_scalar: float = 1.0) -> ModalSystem:
     """Diffusion chain lambda_k = -pi^2 k^2 with boundary-flux observation c_k = pi k.
@@ -242,6 +255,8 @@ def build_heat_model(num_modes: int, horizon: float, prior_decay: float = 6.0,
     """
     if num_modes < 1:
         raise ValueError("num_modes: need at least one mode")
+    _check_scalars(prior_decay=prior_decay, q_scalar=q_scalar,
+                   r_scalar=r_scalar)
     if prior_decay <= 5.0:
         raise ValueError(
             "prior_decay: must exceed 5; otherwise sum k^4 p_k diverges and the "
@@ -282,6 +297,8 @@ def build_wave_model(num_modes: int, domain_length: float = 1.0, horizon: float 
     """
     if num_modes < 2 or num_modes % 2:
         raise ValueError("num_modes: wave models need an even mode count >= 2")
+    _check_scalars(prior_decay=prior_decay, domain_length=domain_length,
+                   r_scalar=r_scalar)
     if prior_decay <= 3.0:
         raise ValueError(
             "prior_decay: must exceed 3; otherwise sum m^2 p_m diverges and the "
@@ -369,12 +386,14 @@ class SpectralParams:
     """Spectral growth summary used by the rate-bound constants.
 
     delta_fit is the log-log regression slope of distinct eigenvalue
-    magnitudes against their rank (exactly 2 for the heat chain, exactly 1 for
-    the wave pairs).  gamma_hat / gamma_check are the max / tail-min of
-    |lambda_k| / k^delta over the full multiplicity-counted index, gamma_tail
-    the ratio at the last mode (the truncation's best limit estimate), and
-    sup_ratio = max_k ||c_k|| / |lambda_k|^gamma.  mu bounds the semigroup
-    norm on [0, T]; it is 1 for every dissipative model here.
+    magnitudes against their rank, rounded to 12 decimal places so that a
+    power law gives its exponent exactly (2 for the heat chain, 1 for the
+    wave pairs, at every N): which bounds apply and where the tail starts
+    never turn on the last bit of the fit.  gamma_hat / gamma_check are the
+    max / tail-min of |lambda_k| / k^delta over the full multiplicity-counted
+    index, gamma_tail the ratio at the last mode (the truncation's best limit
+    estimate), and sup_ratio = max_k ||c_k|| / |lambda_k|^gamma.  mu bounds
+    the semigroup norm on [0, T]; it is 1 for every dissipative model here.
     """
 
     gamma: float
@@ -408,7 +427,8 @@ def spectral_parameters(system: ModalSystem, gamma: float,
             distinct.append(v)
     if len(distinct) >= 2:
         ranks = np.arange(1, len(distinct) + 1, dtype=float)
-        delta_fit = float(np.polyfit(np.log(ranks), np.log(distinct), 1)[0])
+        slope = np.polyfit(np.log(ranks), np.log(distinct), 1)[0]
+        delta_fit = round(float(slope), 12)
     else:
         delta_fit = float("nan")
 

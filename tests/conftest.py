@@ -44,10 +44,10 @@ def two_output_heat():
 def no_large_grids(monkeypatch):
     """Make ``refinement.dyadic_grid`` refuse more than SMALL_GRID points.
 
-    Traces on the package's uniform grids take the point count alone, and
-    the telescope and the level sums form only a level's new points, so a
-    curve, an anchor or a telescope far beyond that size must still
-    complete.
+    Traces on the package's uniform grids and the level sums take the point
+    count alone, and the telescope forms only a level's new points, so a
+    curve, an anchor, a level sum or a telescope far beyond that size must
+    still complete.
     """
     build = refinement.dyadic_grid
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,13 +177,16 @@ class TestBuildConfig:
         pytest.param("simulate", {"simulate_n": "419429", "trials": "50"},
                      "^simulate_n: 419429 samples of a 4-mode model need up "
                      "to 2147485696 normals", id="simulate_n-large"),
-    ] + [
         # 4 * 2**21 points of 4 modes in the deepest level, at most 2**24
-        pytest.param(experiment, {f"{experiment}_n": "4",
-                                  f"{experiment}_levels": "22"},
-                     f"^{experiment}_levels: 22 levels over 4 base points of "
-                     f"a 4-mode model", id=f"{experiment}_levels-large")
-        for experiment in ("telescope", "levelsum")
+        pytest.param("telescope", {"telescope_n": "4",
+                                   "telescope_levels": "22"},
+                     "^telescope_levels: 22 levels over 4 base points of "
+                     "a 4-mode model", id="telescope_levels-large"),
+        # a grid of 4 * 2**52 points, at most 2**53
+        pytest.param("levelsum", {"levelsum_n": "4", "levelsum_levels": "52"},
+                     r"^levelsum_levels: 52 levels over 4 base points need "
+                     r"4 \* 2\*\*52 grid points; at most 2\*\*53",
+                     id="levelsum_levels-large"),
     ] + [
         # only converge and bounds write plot data
         pytest.param(experiment, {"plot_out": "plot.txt"},
@@ -203,15 +207,19 @@ class TestBuildConfig:
                                "trials": "50"})
         assert config.values["simulate_n"] == 419428
 
-    @pytest.mark.parametrize("experiment", ["telescope", "levelsum"])
-    def test_largest_level_count_is_accepted(self, experiment):
-        # 4 * 2**20 points of 4 modes in the deepest level: exactly 2**24;
+    @pytest.mark.parametrize("experiment, levels", [
+        # 4 * 2**20 points of 4 modes in the deepest level: exactly 2**24
+        pytest.param("telescope", 21, id="telescope"),
+        # a grid of 4 * 2**51 points: exactly 2**53
+        pytest.param("levelsum", 51, id="levelsum"),
+    ])
+    def test_largest_level_count_is_accepted(self, experiment, levels):
         # the config is only validated, never run
         config = build_config({"experiment": experiment, "model.kind": "heat",
                                "model.num_modes": "4",
                                f"{experiment}_n": "4",
-                               f"{experiment}_levels": "21"})
-        assert config.values[f"{experiment}_levels"] == 21
+                               f"{experiment}_levels": str(levels)})
+        assert config.values[f"{experiment}_levels"] == levels
 
 
 class TestConvergeCommand:
@@ -433,20 +441,24 @@ class TestFailureModes:
         assert f"config error: simulate_n: {2 ** 43} samples" in err
         assert "at most 2**31" in err
 
-    @pytest.mark.parametrize("experiment", ["telescope", "levelsum"])
+    @pytest.mark.parametrize("experiment, levels, limit", [
+        # no telescope level of 4 * 2**44 points
+        pytest.param("telescope", 45, "at most 2**24", id="telescope"),
+        # no level sum on a grid of 4 * 2**52 points
+        pytest.param("levelsum", 52, "at most 2**53", id="levelsum"),
+    ])
     def test_deep_levels_exit_two(self, tmp_path, capsys, monkeypatch,
-                                  experiment):
-        # refused with the configuration: no model and no level of
-        # 4 * 2**44 points
+                                  experiment, levels, limit):
+        # refused with the configuration, before any model is built
         monkeypatch.setattr("sampledkf.cli._build_model", None)
         cfg = write_cfg(tmp_path, (
             f"experiment = {experiment}\nmodel.kind = heat\n"
             f"model.num_modes = 4\n{experiment}_n = 4\n"
-            f"{experiment}_levels = 45\n"))
+            f"{experiment}_levels = {levels}\n"))
         assert main([experiment, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {experiment}_levels: 45 levels" in err
-        assert "at most 2**24" in err
+        assert f"config error: {experiment}_levels: {levels} levels" in err
+        assert limit in err
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = converge\nbogus = 1\n")
@@ -455,15 +467,28 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("lines, message", [
         ("model.horizon = inf", "model.horizon: must be positive and finite"),
-        ("model.horizon = 1.0\nmodel.r_scalar = nan",
-         "model.r_cov: must be finite"),
-    ], ids=["horizon", "r_scalar"])
+        ("model.r_scalar = nan", "model.r_scalar: must be finite"),
+        ("model.q_scalar = nan", "model.q_scalar: must be finite"),
+        ("model.prior_decay = nan", "model.prior_decay: must be finite"),
+        ("model.kind = wave\nmodel.domain_length = inf",
+         "model.domain_length: must be finite"),
+        ("model.r_scalar = 0", "model.r_scalar: must be positive"),
+        ("model.r_scalar = -1", "model.r_scalar: must be positive"),
+    ], ids=["horizon", "r_scalar", "q_scalar", "prior_decay", "domain_length",
+            "r_scalar-zero", "r_scalar-negative"])
     def test_non_finite_model_exits_two(self, tmp_path, capsys, lines,
                                         message):
-        cfg = write_cfg(tmp_path, CONVERGE_CFG.replace("model.horizon = 1.0",
-                                                       lines))
-        assert main(["converge", "--config", cfg]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        # each bad number is named by the key that was written, with no
+        # numpy warning on the way
+        text = CONVERGE_CFG.replace("model.horizon = 1.0\n", "")
+        if "model.kind = wave" in lines:
+            text = text.replace("model.kind = heat\n", "")
+        cfg = write_cfg(tmp_path, text + lines + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}\n" in err
 
     def test_retired_per_n_reference_key_exits_two(self, tmp_path, capsys):
         # every curve shares one reference; result headers written while the

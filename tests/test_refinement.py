@@ -9,7 +9,7 @@ from sampledkf import ReferenceUnconvergedError
 from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _posterior, _uniform_information,
                                    _uniform_trace)
-from sampledkf.refinement import _telescope_gains
+from sampledkf.refinement import _new_points, _telescope_gains
 
 
 def single_mode(lam=-2.0, c=1.0, p=0.8):
@@ -124,6 +124,17 @@ class TestDiscrepancyCurve:
     @pytest.mark.parametrize("level", [2.5, np.nan, np.inf])
     def test_non_integral_reference_level_is_rejected(self, level):
         with pytest.raises(ValueError, match="reference_level must be a whole"):
+            sk.discrepancy_curve(sk.build_heat_model(3, horizon=1.0), [2, 4],
+                                 reference_level=level)
+
+    @pytest.mark.parametrize("level", [51, 10 ** 30])
+    def test_inexact_reference_is_refused_before_any_trace(self, monkeypatch,
+                                                           level):
+        # the check grid 4 * 2**(level + 1) passes 2**53 from level 51 on;
+        # 10**30 is refused without forming 2**level
+        monkeypatch.setattr(sk.refinement, "_uniform_trace", _no_work)
+        with pytest.raises(ValueError, match=f"reference_level={level} is too "
+                                             f"large for n=4"):
             sk.discrepancy_curve(sk.build_heat_model(3, horizon=1.0), [2, 4],
                                  reference_level=level)
 
@@ -368,12 +379,40 @@ class TestLevelSum:
         with pytest.raises(ValueError, match="positive and finite, one per mode"):
             sk.level_sum(heat, 4, 1, np.array([1.0, bad, 1.0]))
 
-    def test_deep_levels_build_no_grid(self, no_large_grids):
-        # level 13 has 4 * 2**13 points; only its new ones are formed
+    def test_deep_levels_build_no_grid(self, no_large_grids, monkeypatch):
+        # level 51 of base 4 is a grid of 2**53 points; no point is formed
+        monkeypatch.setattr(sk.refinement, "_new_points", _no_work)
         wave = sk.build_wave_model(8, horizon=1.0)
-        value, h = sk.level_sum(wave, 4, 13, sk.unit_weights(wave))
-        assert h == 1.0 / (4 * 2 ** 13)
-        assert 0 < value < sk.level_sum(wave, 4, 12, sk.unit_weights(wave))[0]
+        weights = sk.unit_weights(wave)
+        previous = sk.level_sum(wave, 4, 12, weights)[0]
+        for level in (13, 20, 40, 51):
+            value, h = sk.level_sum(wave, 4, level, weights)
+            assert h == 1.0 / (4 * 2 ** level)
+            assert 0 < value < previous
+            previous = value
+
+    @pytest.mark.parametrize("base_n", [1, 3, 4])
+    @pytest.mark.parametrize("model", ["heat", "wave", "aliased-wave",
+                                       "two-output-heat"])
+    def test_closed_form_matches_the_direct_sum(self, two_output_heat, model,
+                                                base_n):
+        # the oracle sums phi_h over every new point of the level; the
+        # aliased wave (L = 3, T = 0.7) puts reduced widths across 2 pi
+        sysm = {"heat": lambda: sk.build_heat_model(60, horizon=1.0),
+                "wave": lambda: sk.build_wave_model(60, horizon=1.0),
+                "aliased-wave": lambda: sk.build_wave_model(
+                    10, domain_length=3.0, horizon=0.7),
+                "two-output-heat": lambda: two_output_heat(8)}[model]()
+        outputs = sysm.output_coeffs.conj() @ sysm.output_coeffs.T
+        for weights in (sk.unit_weights(sysm), sk.domain_weights(sysm)):
+            scale = 1.0 / np.sqrt(weights)
+            for level in range(1, 15):
+                h, phis = _new_points(sysm, base_n, level)
+                gram = (phis.conj().T @ phis) * outputs * np.outer(scale, scale)
+                want = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]
+                value, got_h = sk.level_sum(sysm, base_n, level, weights)
+                assert got_h == h
+                assert abs(value - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("base_n, level", [(0, 1), (-2, 1), (2.5, 1)])
     def test_bad_grid_sizes_raise_the_grid_error(self, base_n, level):
@@ -389,11 +428,13 @@ class TestLevelSum:
             sk.level_sum(heat, 4, level, sk.unit_weights(heat))
         assert "dyadic_grid" not in str(err.value)
 
-    @pytest.mark.parametrize("level", [22, 23, 45, 10 ** 30])
+    @pytest.mark.parametrize("level", [52, 53, 100, 10 ** 30])
     def test_too_deep_levels_are_refused_before_any_work(self, monkeypatch,
                                                          level):
-        # 4 * 2**(level - 1) points of 4 modes exceed 2**24 from level 22 on
-        monkeypatch.setattr(sk.refinement, "_new_points", _no_work)
+        # a grid of 4 * 2**level points exceeds 2**53 from level 52 on, and
+        # 10**30 is refused without forming 2**level
+        monkeypatch.setattr(sk.refinement, "_geometric_sum", _no_work)
+        monkeypatch.setattr(sk.refinement, "phi_h", _no_work)
         heat = sk.build_heat_model(4, horizon=1.0)
         with pytest.raises(ValueError, match=f"level={level} is too deep"):
             sk.level_sum(heat, 4, level, sk.unit_weights(heat))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -57,6 +58,13 @@ class TestHeatBuilder:
         (dict(horizon=0.0), "horizon"),
         (dict(horizon=np.nan), "^horizon: must be positive and finite$"),
         (dict(horizon=np.inf), "^horizon: must be positive and finite$"),
+        # named by the argument, not by the ModalSystem field it reaches
+        (dict(prior_decay=np.nan), "^prior_decay: must be finite$"),
+        (dict(q_scalar=np.nan), "^q_scalar: must be finite$"),
+        (dict(r_scalar=np.nan), "^r_scalar: must be finite$"),
+        (dict(r_scalar=np.inf), "^r_scalar: must be finite$"),
+        (dict(r_scalar=0.0), "^r_scalar: must be positive$"),
+        (dict(r_scalar=-1.0), "^r_scalar: must be positive$"),
     ])
     def test_rejects_bad_parameters(self, kwargs, match):
         args = dict(num_modes=3, horizon=1.0)
@@ -92,6 +100,16 @@ class TestWaveBuilder:
         with pytest.raises(ValueError, match="prior_decay"):
             sk.build_wave_model(4, prior_decay=3.0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(prior_decay=np.nan), "^prior_decay: must be finite$"),
+        (dict(domain_length=np.nan), "^domain_length: must be finite$"),
+        (dict(r_scalar=np.inf), "^r_scalar: must be finite$"),
+        (dict(r_scalar=0.0), "^r_scalar: must be positive$"),
+    ])
+    def test_rejects_bad_parameters(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            sk.build_wave_model(4, **kwargs)
+
 
 class TestModalSystemValidation:
     def test_positive_real_part_rejected(self):
@@ -125,9 +143,11 @@ class TestModalSystemValidation:
             dataclasses.replace(sysm, **{field: values})
 
     def test_infinite_string_is_not_blamed_on_the_pairing(self):
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="^output_coeffs: must be finite$"):
-            sk.build_wave_model(4, domain_length=np.inf)
+        # refused by its own name before any array, so numpy never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^domain_length: must be finite$"):
+                sk.build_wave_model(4, domain_length=np.inf)
 
     def test_real_models_carry_the_identity_pairing(self):
         npt.assert_array_equal(custom_system([-1.0, -2.0]).pairing, [0, 1])
@@ -212,6 +232,19 @@ class TestSpectralParameters:
         npt.assert_allclose(params.gamma_tail, np.pi / 4.0, rtol=1e-9)
         npt.assert_allclose(params.gamma_check, np.pi / 4.0, rtol=1e-9)
         assert params.gamma_hat >= params.gamma_check
+
+    @pytest.mark.parametrize("num_modes", [20, 60, 400, 1600])
+    def test_power_laws_fit_their_exact_exponent(self, num_modes):
+        # the raw slopes miss 2 and 1 by a few ulps, on either side by N
+        heat = sk.build_heat_model(num_modes, 1.0)
+        wave = sk.build_wave_model(num_modes)
+        assert sk.spectral_parameters(heat, 0.5).delta_fit == 2.0
+        assert sk.spectral_parameters(wave, 0.0).delta_fit == 1.0
+        # k0 = ceil((2n/T)^(1/delta)) is exact at powers of two, at every N
+        assert [sk.spectral_parameters(heat, 0.5, n=n).tail_start
+                for n in (2, 8, 32, 128)] == [2, 4, 8, 16]
+        assert [sk.spectral_parameters(wave, 0.5, n=n).tail_start
+                for n in (2, 4, 8)] == [4, 8, 16]
 
     def test_tail_start_grows_with_n(self):
         sysm = sk.build_heat_model(60, 1.0)

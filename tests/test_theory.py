@@ -242,6 +242,15 @@ class TestBoundValidation:
         with pytest.raises(ValueError, match="non-negative"):
             sk.theorem1_bound(heat(), 8, gamma=-0.1)
 
+    @pytest.mark.parametrize("num_modes", [20, 60, 400, 1600])
+    def test_wave_at_the_gamma_edge_is_refused_at_every_size(self, monkeypatch,
+                                                             num_modes):
+        # 2 gamma + 1/delta = 2 exactly: the fitted exponent is exactly 1 at
+        # every N, so no size slips into the class on a rounding of the fit
+        monkeypatch.setattr(sk.theory, "_anchor_trace", lambda *args: 1.0)
+        with pytest.raises(ValueError, match="2 gamma \\+ 1/delta < 2"):
+            sk.theorem1_bound(wave(num_modes), 4, gamma=0.5)
+
     def test_slow_spectra_are_rejected(self):
         slow = sk.ModalSystem(
             eigenvalues=-np.arange(1, 7) ** 0.4 + 0.0j,
