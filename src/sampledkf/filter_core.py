@@ -6,8 +6,11 @@ of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
 P of the state at the start.  ``_condition`` is the one factorisation.  It
 works in the real coordinates rho of ``spectral_model`` (x = A rho, A made
 of each conjugate pair's sums and differences), where the prior stays
-diagonal, R^2 = P0 / D (p/2, p/2 on a pair), and J_rho = A* J A is real.  It
-takes the Cholesky factor L of the whitened matrix
+diagonal, R^2 = P0 / D (p/2, p/2 on a pair), and takes J_rho = A* J A, real,
+as it arrives: the closed form of a uniform grid is built there, and a
+modal matrix (a summed J, a stretch's Gam) is taken there, and held to the
+pairing, by ``_real_information``.  It takes the Cholesky factor L of the
+whitened matrix
 
     I + R J_rho R = L L^T,
 
@@ -43,9 +46,12 @@ matrix J = sum_i H_i* (R d_i)^(-1) H_i: J alone gives the posterior of x
 (diag(e^(AT)), J, None) that of z(T) (``information_filter``).  On the
 uniform grid (j T) / m, j = 1..m, given by its size m, the sum over samples
 is geometric and J has a closed form (``_uniform_information``): N^2 kernel
-values whatever m is.  The geometric sum itself (``_geometric_sum``) also
+values whatever m is, built straight in real coordinates from the rows of
+one mode per conjugate pair, in float64 on a real spectrum.  The geometric
+sum itself (``_geometric_sum``, given the eigenvalues of its rows) also
 gives ``refinement.level_sum`` in closed form.  Times handed in as an array
-accumulate J block by block (``_accumulated_information``), uniform or not.
+accumulate J block by block (``_accumulated_information``), uniform or not,
+in modal coordinates.
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triple``), since every step
@@ -138,8 +144,8 @@ from ._scalars import phi1
 from .errors import GramSingularError
 from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
                       phi_h, _transitions, transition_block)
-from .spectral_model import (ModalSystem, _from_real, _pair_weights,
-                             _real_covariance, _to_real)
+from .spectral_model import (ModalSystem, _from_real, _real_covariance,
+                             _to_real)
 
 logger = logging.getLogger(__name__)
 
@@ -285,18 +291,16 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
                      trace_err=run.trace_err, final_mean=mean)
 
 
-def _whitened_outputs(system: ModalSystem) -> np.ndarray:
-    """Rows of L^-1 C with L L^T = R: output coefficients with whitened noise."""
-    return np.linalg.solve(np.linalg.cholesky(system.r_cov),
-                           system.output_coeffs.T)
-
-
 def _accumulated_information(system: ModalSystem,
                              times: np.ndarray) -> np.ndarray:
-    """Information matrix J of the initial state on any grid, summed over samples."""
+    """Information matrix J of the initial state on any grid, summed over samples.
+
+    In modal coordinates; ``_real_information`` takes it to those of
+    ``_condition``.
+    """
     n = system.num_modes
     lam = system.eigenvalues
-    cwhite = _whitened_outputs(system)
+    cwhite = system._white_outputs
     starts = np.concatenate([[0.0], times[:-1]])
     widths = times - starts
     info = np.zeros((n, n), dtype=complex)
@@ -311,51 +315,114 @@ def _accumulated_information(system: ModalSystem,
     return info
 
 
-def _geometric_sum(system: ModalSystem, d: float, count: int) -> np.ndarray:
-    """S[k, l] = sum_(j<count) e^(j x) for x = (conj(lambda_k) + lambda_l) d.
+def _geometric_sum(system: ModalSystem, rows: np.ndarray, d: float,
+                   count: int) -> np.ndarray:
+    """S[k, l] = sum_(j<count) e^(j x) for x = (conj(rows_k) + lambda_l) d.
 
-    Every caller spans the horizon, count d = T, so e^(count x) is the outer
-    product of the N values e^(lambda T), and
+    ``rows`` are the eigenvalues of the rows: the whole spectrum for
+    ``refinement.level_sum``, one member per pair and every self-conjugate
+    mode for ``_uniform_information``.
+    Every caller spans the horizon, count d = T, so e^(count x) is an outer
+    product of values e^(lambda T), and
 
         S = (e^(count x) - 1) / (e^x - 1),   S = count at x = 0.
 
-    S depends on x only through e^x, so Im x is first reduced into
-    (-pi, pi], where e^x = 1 only at x = 0 (wave pairs alias to
-    x = 2 pi i j); the reduction is odd in x, so S keeps the conjugate-mate
-    structure.  Where the reduced |x| >= 1/2, e^x and e^(count x) are outer
-    products of N exponentials and e^x - 1 is bounded away from 0.  Nearer
-    0 both differences take ``np.expm1``, which keeps full relative accuracy
-    there.  N^2 exponentials and no sum over j, whatever count is.
+    That quotient of two outer products is taken over the whole array.
+    Where |x| < 1/2, e^x - 1 nears 0, so those entries are overwritten by
+    the quotient of two ``np.expm1`` values, which keeps full relative
+    accuracy there.  On a complex spectrum S depends on x only through e^x,
+    so Im x is first reduced into (-pi, pi], where e^x = 1 only at x = 0
+    (wave pairs alias to x = 2 pi i j); the reduction is odd in x, so S
+    keeps the conjugate-mate structure.  A real spectrum needs no reduction
+    and runs in float64.  Its exponentials are taken complex and their real
+    parts kept, and its far quotient as a product with the reciprocal, the
+    way complex division takes it, so it gives the same bits as the same
+    spectrum in complex128.  N^2 entries and no sum over j, whatever count
+    is.
     """
-    ld = system.eigenvalues * d
-    x = ld.conj()[:, None] + ld[None, :]
-    x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
-    geo = np.full(x.shape, count, dtype=complex)
-    far = np.abs(x) >= 0.5
-    step, whole = np.exp(ld), np.exp(system.eigenvalues * system.horizon)
-    geo[far] = ((np.outer(whole.conj(), whole)[far] - 1.0)
-                / (np.outer(step.conj(), step)[far] - 1.0))
-    near = ~far & (x != 0)
-    geo[near] = np.expm1(count * x[near]) / np.expm1(x[near])
+    lam = system.eigenvalues
+    values = [rows * d, lam * d, np.exp(rows * d), np.exp(lam * d),
+              np.exp(rows * system.horizon), np.exp(lam * system.horizon)]
+    real = not lam.imag.any()
+    if real:
+        values = [value.real for value in values]
+    ld_rows, ld, step_rows, step, whole_rows, whole = values
+    x = ld_rows.conj()[:, None] + ld[None, :]
+    if not real:
+        x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.outer(whole_rows.conj(), whole) - 1.0
+        bottom = np.outer(step_rows.conj(), step) - 1.0
+        geo = top * (1.0 / bottom) if real else top / bottom
+        near = np.abs(x) < 0.5
+        small = x[near].astype(complex)
+        quot = np.expm1(count * small) / np.expm1(small)
+    geo[near] = np.where(small != 0, quot.real if real else quot, count)
     return geo
 
 
 def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
-    """Closed-form information matrix J of the initial state on the uniform grid.
+    """Closed-form J_rho = A* J A of the initial state on the uniform grid.
 
     On the m-point grid (j T) / m, j = 1..m, every width is d = T/m and
     sample j starts at j d, so the sum over samples is geometric:
 
         J[k, l] = W[k, l] d conj(phi1(lambda_k d)) phi1(lambda_l d) S[k, l],
 
-    with W = C* R^-1 C and S = ``_geometric_sum(system, d, m)``.  N^2 kernel
-    values and no sum over samples, whatever m is.
+    with W = C* R^-1 C and S = ``_geometric_sum``.  N^2 kernel values and no
+    sum over samples, whatever m is.  J_rho is the matrix ``_condition``
+    takes, in the real coordinates x = A rho of ``spectral_model``.  On a
+    paired model J[mate k, mate l] = conj(J[k, l]) by construction, so only
+    the rows of one member per pair and of each self-conjugate mode are
+    evaluated.  Their columns take A through each pair's sums and
+    differences, (r A)_k = r_k + r_mate and (r A)_mate = i (r_k - r_mate),
+    and the row of a pair gives the real rows 2 Re and 2 Im of both
+    members, that of a self-conjugate mode its real part.  On the identity
+    pairing (heat) every number is real, so J_rho = J is formed in float64.
+    A model without a pairing gets its complex J.
     """
     d = system.horizon / m
-    cwhite = _whitened_outputs(system)
-    shape = phi1(system.eigenvalues * d)
-    return ((cwhite.conj().T @ cwhite) * (d * np.outer(shape.conj(), shape))
-            * _geometric_sum(system, d, m))
+    lam = system.eigenvalues
+    shape = phi1(lam * d)
+    white = system._white_outputs
+    pairs = system._pair_index
+    if system.pairing is not None and not pairs.first.size:
+        shape, white = shape.real, white.real
+    # without a pairing ``first`` is empty and ``single`` holds every mode
+    rows = np.concatenate([pairs.first, pairs.single])
+    block = ((white[:, rows].conj().T @ white)
+             * (d * np.outer(shape[rows].conj(), shape))
+             * _geometric_sum(system, lam[rows], d, m))
+    if not pairs.first.size:
+        return block
+    first, mate = block[:, pairs.first], block[:, pairs.mate]
+    block[:, pairs.first] = first + mate
+    block[:, pairs.mate] = (first - mate) * 1j
+    lead = pairs.first.size
+    info = np.empty((system.num_modes, system.num_modes))
+    info[pairs.first] = 2.0 * block[:lead].real
+    info[pairs.mate] = 2.0 * block[:lead].imag
+    info[pairs.single] = block[lead:].real
+    # J is Hermitian only to rounding, so the two triangles can differ in
+    # the last bit; _real_covariance symmetrises the same way
+    return (info + info.T) / 2.0
+
+
+def _real_information(system: ModalSystem, info: np.ndarray) -> np.ndarray:
+    """J_rho = A* J A of a modal information matrix J, for ``_condition``.
+
+    The summed J of ``_accumulated_information`` and the Gam of a stretch
+    triple start in modal coordinates.  A* J A = D S D, with S = A^-1 J A^-*
+    the real symmetric form ``spectral_model._real_covariance`` takes
+    through each pair's sums and differences; a J off the pairing is
+    refused there.  A model without a pairing keeps J.
+    """
+    if system.pairing is None:
+        return info
+    weights = system._pair_index.weights
+    return (_real_covariance(info[None], system._pair_index,
+                             "information matrix")[0]
+            * np.outer(weights, weights))
 
 
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -381,33 +448,22 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def _weights(system: ModalSystem) -> np.ndarray:
-    """D of ``spectral_model`` (2 on a pair), ones on a model without a pairing."""
-    if system.pairing is None:
-        return np.ones(system.num_modes)
-    return _pair_weights(system.pairing)
-
-
 def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     """The inverse factor Linv of the whitened information, lower triangular.
 
     The one conditioning of the package: the diagonal prior P0 conditioned on
-    information J = ``info``, taken in the real coordinates rho of
-    ``spectral_model`` (x = A rho).  There the prior is diagonal too,
-    P0_rho = P0 / D (p/2, p/2 on a pair), and J_rho = A* J A = D S D with
-    S = A^-1 J A^-* real; a J off the pairing is refused.  The whitened
-    matrix I + R J_rho R = I + (P0 D)^(1/2) S (P0 D)^(1/2), R = P0_rho^(1/2),
-    has every eigenvalue >= 1 (exact for zero prior variances and rapidly
-    decaying ones).  Its Cholesky factor L, in float64, is inverted by
-    ``_lower_inverse``, so the posterior of rho is R Linv^T Linv R and that
-    of x is A R Linv^T Linv R A* (``_posterior``).  A model without a
-    pairing, whose modes are complex, takes A = I and runs the same steps in
-    complex128.
+    the information ``info`` = J_rho = A* J A, given in the real coordinates
+    rho of ``spectral_model`` (x = A rho) by ``_uniform_information`` or, from
+    a modal matrix, by ``_real_information``.  There the prior is diagonal
+    too, P0_rho = P0 / D (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the
+    whitened matrix I + R J_rho R has every eigenvalue >= 1 (exact for zero
+    prior variances and rapidly decaying ones).  Its Cholesky factor L, in
+    float64, is inverted by ``_lower_inverse``, so the posterior of rho is
+    R Linv^T Linv R and that of x is A R Linv^T Linv R A* (``_posterior``).
+    A model without a pairing, whose modes are complex, takes A = I and runs
+    the same steps in complex128.
     """
-    scale = np.sqrt(system.prior_var * _weights(system))
-    if system.pairing is not None:
-        info = _real_covariance(info[None], system.pairing,
-                                "information matrix")[0]
+    scale = np.sqrt(system.prior_var / system._pair_index.weights)
     whitened = info * np.outer(scale, scale)
     whitened.flat[::info.shape[0] + 1] += 1.0
     return _lower_inverse(np.linalg.cholesky(whitened))
@@ -420,12 +476,13 @@ def _posterior(system: ModalSystem, linv: np.ndarray, decay=None) -> np.ndarray:
     A P_rho A* takes it back through each pair's sums and differences.  With
     ``decay`` = e^(AT) it is the posterior of z(T) = diag(decay) x instead.
     """
-    half = linv * np.sqrt(system.prior_var / _weights(system))[None, :]
+    pairs = system._pair_index
+    half = linv * np.sqrt(system.prior_var / pairs.weights)[None, :]
     post = half.conj().T @ half
     if system.pairing is not None:
         # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
-        rows = _from_real(post, system.pairing).T
-        post = _from_real(rows.conj(), system.pairing).conj()
+        rows = _from_real(post, pairs).T
+        post = _from_real(rows.conj(), pairs).conj()
     if decay is not None:
         post = post * np.outer(decay, decay.conj())
     return _hermitize(post)
@@ -447,10 +504,11 @@ def _trace(system: ModalSystem, linv: np.ndarray, phi=None,
         energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
         columns = np.einsum("ij,ij->j", linv.conj(), linv).real
         return float((energy * system.prior_var) @ columns)
+    pairs = system._pair_index
     mapped = (phi.conj() if system.pairing is None
-              else _to_real(phi.conj(), system.pairing)).T
+              else _to_real(phi.conj(), pairs)).T
     mapped = np.ascontiguousarray(
-        np.sqrt(system.prior_var * _weights(system))[:, None] * mapped)
+        np.sqrt(system.prior_var * pairs.weights)[:, None] * mapped)
     if np.isrealobj(linv):
         mapped = mapped.view(float)
     half = linv @ mapped
@@ -470,9 +528,9 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    final_cov = _posterior(
-        system, _condition(system, _accumulated_information(system, times)),
-        np.exp(system.eigenvalues * system.horizon))
+    info = _real_information(system, _accumulated_information(system, times))
+    final_cov = _posterior(system, _condition(system, info),
+                           np.exp(system.eigenvalues * system.horizon))
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=float(np.trace(final_cov).real))
 
@@ -530,7 +588,8 @@ def _uniform_trace(system: ModalSystem, m: int) -> float:
     about 2 log2(m) joins.
     """
     if system.has_input_noise:
-        phi, info, noise = _doubled_triple(system, m)
+        phi, gam, noise = _doubled_triple(system, m)
+        info = _real_information(system, gam)
     else:
         phi, info, noise = None, _uniform_information(system, m), None
     return _trace(system, _condition(system, info), phi, noise)
@@ -628,8 +687,8 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _posterior(system,
-                      _condition(system, _accumulated_information(system, base)))
+    info = _real_information(system, _accumulated_information(system, base))
+    post = _posterior(system, _condition(system, info))
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     return _insert(post, chm, h, system.r_cov, energy)[0]

@@ -55,7 +55,7 @@ import numpy as np
 from .errors import NumericalError
 from .filter_core import _backward_maps, _filter_plan, _validate_times
 from .refinement import _is_whole
-from .spectral_model import (ModalSystem, _from_real, _pair_weights,
+from .spectral_model import (ModalSystem, _from_real, _pairs,
                              _real_covariance, _to_real)
 
 logger = logging.getLogger(__name__)
@@ -83,7 +83,8 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     """
     d = cov.shape[-1]
     lead = cov.shape[:-2]
-    s = _real_covariance(cov.reshape(-1, d, d), pairing)
+    pairs = _pairs(pairing)
+    s = _real_covariance(cov.reshape(-1, d, d), pairs)
     count = s.shape[0]
     rest = np.diagonal(s, axis1=1, axis2=2).copy()  # diagonals not yet factored
     top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
@@ -115,7 +116,7 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
         if left.any():
             logger.debug("clipping %.3e of pivot mass below the factor's floor",
                          float(np.abs(left).sum()))
-    rows = _from_real(factor[:, :, :rank].swapaxes(1, 2), pairing)
+    rows = _from_real(factor[:, :, :rank].swapaxes(1, 2), pairs)
     return rows.swapaxes(1, 2).reshape(*lead, d, rank)
 
 
@@ -313,11 +314,12 @@ def _real_error_map(emap: np.ndarray, pairing: np.ndarray):
     2 on each member of a pair.  A map whose real coordinates keep an
     imaginary part does not respect the pairing, and is refused.
     """
-    rho = _to_real(emap, pairing)
+    pairs = _pairs(pairing)
+    rho = _to_real(emap, pairs)
     scale = float(np.abs(rho).max(initial=0.0)) or 1.0
     if np.abs(rho.imag).max(initial=0.0) > 1e-8 * scale:
         raise ValueError("error map does not respect the conjugate pairing")
-    return np.ascontiguousarray(rho.real), _pair_weights(pairing)
+    return np.ascontiguousarray(rho.real), pairs.weights
 
 
 def empirical_error(system: ModalSystem, times, trials: int,

@@ -318,9 +318,9 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
 
         G = <c_k, c_l> conj(a_k) a_l S[k, l],
 
-    S = ``filter_core._geometric_sum(system, 2h, M)``: N^2 kernel values at
-    any level, and no point is formed.  A grid finer than 2**53 points is
-    refused, as for ``discrepancy_curve``.
+    S = ``filter_core._geometric_sum`` over every row, at width 2h and count
+    M: N^2 kernel values at any level, and no point is formed.  A grid finer
+    than 2**53 points is refused, as for ``discrepancy_curve``.
     """
     if not _is_whole(level) or level < 1:
         raise ValueError(f"level_sum needs level >= 1 as a whole number, "
@@ -338,7 +338,8 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     h = system.horizon / m
     a = phi_h(system.eigenvalues, h, h)
     gram = ((system.output_coeffs.conj() @ system.output_coeffs.T)
-            * np.outer(a.conj(), a) * _geometric_sum(system, 2 * h, m // 2))
+            * np.outer(a.conj(), a)
+            * _geometric_sum(system, system.eigenvalues, 2 * h, m // 2))
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
     value = float(np.linalg.eigvalsh(_hermitize(gram))[-1])

@@ -43,18 +43,22 @@ rho's gives the recomposition eta = A rho, and a covariance Sigma that
 respects the pairing has the real symmetric recomposed form
 A^-1 Sigma A^-* (``_real_covariance``).  A and A^-1 act only through each
 pair's sums and differences (``_from_real``, ``_to_real``), so no dense A is
-formed, and on a model without pairs they are the identity.  On a pair
-A* A = 2 I, so with D = ``_pair_weights`` (2 on a pair, 1 on a real mode)
+formed, and on a model without pairs they are the identity.  They read the
+pairing's index arrays (``_pairs``), which a model derives once and holds.
+On a pair A* A = 2 I, so with D (2 on a pair, 1 on a real mode)
 ||A rho||^2 = sum_k D_k rho_k^2 and an information matrix J takes the real
 form A* J A = D (A^-1 J A^-*) D.  The Monte Carlo samples in these
-coordinates, and ``filter_core._condition`` conditions in them.
+coordinates, and ``filter_core._condition`` conditions in them: the
+closed-form J of a uniform grid is built in them, and a modal J is taken
+to them, and refused off the pairing, where it is converted
+(``filter_core._real_information``).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -102,6 +106,11 @@ class ModalSystem:
         a model with every eigenvalue, coefficient and mean real gets the
         identity when none is given.
     label : short human-readable model id used in reports and CSV files.
+
+    Two private fields are derived once per model: ``_pair_index``, the
+    pairing's index arrays (``_pairs``; a model without a pairing holds the
+    identity's, A = I), and ``_white_outputs``, the (r, N) rows of L^-1 C
+    with L L^T = R, the output coefficients with whitened noise.
     """
 
     eigenvalues: np.ndarray
@@ -114,6 +123,8 @@ class ModalSystem:
     horizon: float
     pairing: np.ndarray | None = None
     label: str = "modal"
+    _pair_index: _Pairs = field(init=False, repr=False, compare=False)
+    _white_outputs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=complex).ravel()
@@ -190,6 +201,11 @@ class ModalSystem:
         object.__setattr__(self, "q_cov", qc)
         object.__setattr__(self, "r_cov", rc)
         object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "_pair_index",
+                           _pairs(np.arange(n) if pairing is None else pairing))
+        white = np.linalg.solve(np.linalg.cholesky(rc), cmat.T)
+        white.setflags(write=False)
+        object.__setattr__(self, "_white_outputs", white)
 
     @property
     def num_modes(self) -> int:
@@ -461,25 +477,36 @@ def spectral_parameters(system: ModalSystem, gamma: float,
                           mu=mu, tail_start=k0)
 
 
-def _pairs(pairing: np.ndarray):
-    """Indices (k, mate) of the conjugate pairs, k < mate."""
-    first = np.flatnonzero(pairing > np.arange(pairing.size))
-    return first, pairing[first]
+class _Pairs(NamedTuple):
+    """A pairing's index arrays, derived once (``_pairs``).
+
+    ``first`` and ``mate`` are the members of each conjugate pair, first <
+    mate; ``single`` the self-conjugate (real) modes; ``weights`` is D of
+    the module docstring, 2 on each member of a pair and 1 on a real mode.
+    """
+
+    first: np.ndarray
+    mate: np.ndarray
+    single: np.ndarray
+    weights: np.ndarray
 
 
-def _pair_weights(pairing: np.ndarray) -> np.ndarray:
-    """D of the module docstring: 2 on each member of a pair, 1 on a real mode."""
-    return np.where(pairing == np.arange(pairing.size), 1.0, 2.0)
+def _pairs(pairing: np.ndarray) -> _Pairs:
+    """The index arrays of ``pairing``; a model holds its own as ``_pair_index``."""
+    modes = np.arange(pairing.size)
+    first = np.flatnonzero(pairing > modes)
+    return _Pairs(first, pairing[first], np.flatnonzero(pairing == modes),
+                  np.where(pairing == modes, 1.0, 2.0))
 
 
-def _to_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+def _to_real(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
     """x A^-T along the last axis: paired modal coordinates to real ones.
 
     A is the recomposition eta = A rho of the module docstring, so a pair
     (k, mate) maps to ((x_k + x_mate)/2, (x_k - x_mate)/2i) and a
     self-conjugate coordinate is copied.
     """
-    k, mate = _pairs(pairing)
+    k, mate = pairs.first, pairs.mate
     out = x.astype(complex)
     first, second = x[..., k], x[..., mate]
     out[..., k] = (first + second) / 2.0
@@ -487,9 +514,9 @@ def _to_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     return out
 
 
-def _from_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+def _from_real(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
     """x A^T along the last axis: a pair (k, mate) maps to (x_k + i x_mate, x_k - i x_mate)."""
-    k, mate = _pairs(pairing)
+    k, mate = pairs.first, pairs.mate
     out = x.astype(complex)
     first, second = x[..., k], 1.0j * x[..., mate]
     out[..., k] = first + second
@@ -497,7 +524,7 @@ def _from_real(x: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_covariance(cov: np.ndarray, pairing: np.ndarray,
+def _real_covariance(cov: np.ndarray, pairs: _Pairs,
                      what: str = "covariance") -> np.ndarray:
     """The real symmetric recomposed forms A^-1 cov A^-* of a stack (k, d, d).
 
@@ -509,7 +536,7 @@ def _real_covariance(cov: np.ndarray, pairing: np.ndarray,
     does not respect the pairing, and is refused with a ValueError naming
     ``what``.
     """
-    k, mate = _pairs(pairing)
+    k, mate = pairs.first, pairs.mate
     s = cov.astype(complex, copy=bool(k.size))
     if k.size:
         first, second = s[:, k], s[:, mate]

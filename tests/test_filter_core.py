@@ -25,9 +25,10 @@ from sampledkf import filter_core
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _doubled_triple, _insert, _lower_inverse,
-                                   _output_gram, _posterior, _solve_gram,
-                                   _trace, _uniform_information,
+                                   _output_gram, _posterior, _real_information,
+                                   _solve_gram, _trace, _uniform_information,
                                    _uniform_trace)
+from sampledkf.spectral_model import _real_covariance
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -171,8 +172,9 @@ class TestInformationForm:
                             _uniform_trace(wave, 5), rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
         phi, gam, noise = _doubled_triple(driven, 5)
-        assert _uniform_trace(driven, 5) == \
-            _trace(driven, _condition(driven, gam), phi, noise)
+        assert _uniform_trace(driven, 5) == _trace(
+            driven, _condition(driven, _real_information(driven, gam)), phi,
+            noise)
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
             npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
@@ -241,7 +243,8 @@ class TestDoubling:
         sysm = build(10, horizon=1.0)
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
         phi, gam, noise = _doubled_triple(sysm, n)
-        post = phi @ _posterior(sysm, _condition(sysm, gam)) @ phi.conj().T
+        linv = _condition(sysm, _real_information(sysm, gam))
+        post = phi @ _posterior(sysm, linv) @ phi.conj().T
         assert rel_frobenius(noise + post, info.final_cov) <= 1e-12
 
 
@@ -281,6 +284,13 @@ class TestOneConditioning:
         for sysm in (heat(6), sk.build_wave_model(6), heat(6, q_scalar=0.5)):
             assert _uniform_trace(sysm, 12) > 0
 
+    def test_undriven_uniform_trace_takes_no_recomposition(self, monkeypatch):
+        # the closed form arrives in real coordinates: no modal J is formed
+        # and taken there afterwards
+        monkeypatch.setattr(filter_core, "_real_covariance", _refuse)
+        for sysm in (heat(6), sk.build_wave_model(6), _mixed_model()):
+            assert _uniform_trace(sysm, 12) > 0
+
     def test_information_filter(self, spy):
         sysm = heat(6)
         run = sk.information_filter(sysm, _irregular_times(9, seed=4))
@@ -314,6 +324,52 @@ def _complex_condition_oracle(system, info, phi=None, noise=None):
     return (post + post.conj().T) / 2.0
 
 
+def _recomposition(system):
+    """The dense recomposition A of x = A rho: columns (1, 1), (i, -i) on a pair."""
+    amat = np.eye(system.num_modes, dtype=complex)
+    pairs = system._pair_index
+    amat[pairs.mate, pairs.first] = 1.0
+    amat[pairs.first, pairs.mate] = 1.0j
+    amat[pairs.mate, pairs.mate] = -1.0j
+    return amat
+
+
+def _modal_information(system, info):
+    """J = A^-* J_rho A^-1, with A^-1 = A* / D: J_rho back in modal coordinates."""
+    weights = system._pair_index.weights
+    inverse = _recomposition(system).conj().T / weights[:, None]
+    return inverse.conj().T @ info @ inverse
+
+
+def _real_oracle(system, info):
+    """D S D with S = ``_real_covariance`` of a modal J: J_rho by recomposition."""
+    weights = system._pair_index.weights
+    return (_real_covariance(info[None], system._pair_index)[0]
+            * np.outer(weights, weights))
+
+
+def _mixed_model(horizon=1.0):
+    """One self-conjugate mode and two pairs, pairing [0, 2, 1, 4, 3], two outputs.
+
+    The undamped pair +/- 4 pi i aliases to x = 2 pi i j on the grids of
+    1, 2 and 4 points of the unit horizon.
+    """
+    c1, c2 = np.array([0.3 + 0.4j, -0.2j]), np.array([0.6j, 0.1 + 0.5j])
+    return sk.ModalSystem(
+        eigenvalues=np.array([-0.5, -0.1 + 2.0j, -0.1 - 2.0j,
+                              4j * np.pi, -4j * np.pi]),
+        output_coeffs=np.array([[0.7, -0.4], c1, c1.conj(), c2, c2.conj()]),
+        input_coeffs=np.zeros((5, 1), complex),
+        prior_mean=np.zeros(5, complex),
+        prior_var=np.array([1.0, 0.5, 0.5, 0.2, 0.2]),
+        q_cov=np.array([[0.0]]),
+        r_cov=np.array([[1.0, 0.3], [0.3, 2.0]]),
+        horizon=horizon,
+        pairing=np.array([0, 2, 1, 4, 3]),
+        label="mixed",
+    )
+
+
 def _driven_oscillator(horizon):
     """The conjugate pair with input noise of ``test_kernels``, at ``horizon``."""
     return sk.ModalSystem(
@@ -339,6 +395,8 @@ def _oracle_model(model, modes, horizon, two_output_heat):
         return dataclasses.replace(two_output_heat(modes), horizon=horizon)
     if model == "driven-heat":
         return heat(modes, horizon=horizon, q_scalar=0.5)
+    if model == "mixed":
+        return _mixed_model(horizon)
     return _driven_oscillator(horizon)
 
 
@@ -350,6 +408,7 @@ _ORACLE_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
                   for model in ("heat", "wave", "two-output-heat", "driven-heat")
                   for modes in (6, 10, 60)]
 _ORACLE_MODELS.append(pytest.param("oscillator", 2, id="oscillator-N2"))
+_ORACLE_MODELS.append(pytest.param("mixed", 5, id="mixed-N5"))
 _ORACLE_SIZES = [1, 2, 3, 5, 7, 64, 1000, 2 ** 13, 2 ** 20]
 
 
@@ -365,15 +424,16 @@ class TestRealConditioning:
             if sysm.has_input_noise:
                 phi, info, noise = _doubled_triple(sysm, m)
             else:
-                info, noise = _uniform_information(sysm, m), None
-                phi = np.diag(np.exp(sysm.eigenvalues * horizon))
+                info = _modal_information(sysm, _uniform_information(sysm, m))
+                noise, phi = None, np.diag(np.exp(sysm.eigenvalues * horizon))
             want = np.trace(_complex_condition_oracle(sysm, info, phi, noise)).real
             assert _rel(_uniform_trace(sysm, m), want) <= 1e-13, m
 
     @pytest.mark.parametrize("horizon", [0.7, 1.0])
     @pytest.mark.parametrize("model, modes", [
         p for p in _ORACLE_MODELS if p.values[0] in ("heat", "wave",
-                                                     "two-output-heat")])
+                                                     "two-output-heat",
+                                                     "mixed")])
     def test_posteriors_match_the_oracle(self, model, modes, horizon,
                                          two_output_heat):
         sysm = _oracle_model(model, modes, horizon, two_output_heat)
@@ -394,7 +454,8 @@ class TestRealConditioning:
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
         per_level, _ = sk.refinement._telescope_gains(
             sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 3)
-        oracle = _complex_condition_oracle(sysm, _uniform_information(sysm, 4))
+        oracle = _complex_condition_oracle(
+            sysm, _modal_information(sysm, _uniform_information(sysm, 4)))
         for level, gains in enumerate(per_level, start=1):
             h, phis = sk.refinement._new_points(sysm, 4, level)
             for got, phi in zip(gains, phis):
@@ -414,14 +475,16 @@ class TestRealConditioning:
         npt.assert_array_equal(linv, np.tril(linv))
 
     def test_a_j_off_the_pairing_is_refused(self):
+        # a modal matrix reaches real coordinates through _real_information,
+        # which holds it to the pairing
         sysm = sk.build_wave_model(6, horizon=1.0)
-        info = _uniform_information(sysm, 8)
+        info = _accumulated_information(sysm, sk.dyadic_grid(8, 0, 1.0))
         # only one entry of the conjugate-mate pair moves
         info[0, 2] += 1e-4 * np.abs(info).max()
         info[2, 0] = info[0, 2].conj()
         with pytest.raises(ValueError, match="information matrix does not "
                                              "respect the conjugate pairing"):
-            _condition(sysm, info)
+            _real_information(sysm, info)
 
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97, 400, 1000])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -544,18 +607,51 @@ class TestInformationRoute:
                             rtol=1e-12)
 
 
+def _closed_form_model(family, modes):
+    if family == "heat":
+        return sk.build_heat_model(modes, 1.0)
+    if family == "wave":
+        return sk.build_wave_model(modes, horizon=1.0)
+    return sk.build_wave_model(modes, domain_length=3.0, horizon=0.7)
+
+
 class TestClosedFormInformation:
-    """J on the uniform grid: the closed form against the sum over samples."""
+    """J_rho on the uniform grid: the closed form against the sum over samples.
+
+    The closed form is built in real coordinates, J_rho = A* J A; its oracle
+    is the modal J summed over the samples, taken there by
+    ``spectral_model._real_covariance`` (D S D).
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 64, 1000, 2 ** 13])
     @pytest.mark.parametrize("modes", [10, 60])
-    @pytest.mark.parametrize("family", ["heat", "wave"])
+    @pytest.mark.parametrize("family", ["heat", "wave", "wave-L3-T0.7"])
     def test_matches_the_accumulation(self, family, modes, n):
-        # wave modes +/- i pi k alias to x = 2 pi i j at n <= modes / 2
-        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
-        sysm = build(modes, horizon=1.0)
+        # wave modes +/- i pi k / L alias to x = 2 pi i j at n <= modes / 2
+        # (L = 3, T = 0.7: at n = 7, k = 30)
+        sysm = _closed_form_model(family, modes)
         closed = _uniform_information(sysm, n)
-        assert np.all(np.isfinite(closed))
+        assert closed.dtype == np.float64 and np.all(np.isfinite(closed))
+        summed = _accumulated_information(
+            sysm, sk.dyadic_grid(n, 0, sysm.horizon))
+        assert rel_frobenius(closed, _real_oracle(sysm, summed)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 1000, 2 ** 13])
+    def test_mixed_pairing_matches_the_accumulation(self, n):
+        # a self-conjugate mode between two pairs, the undamped one aliased
+        # at n = 1, 2, 4
+        sysm = _mixed_model()
+        closed = _uniform_information(sysm, n)
+        assert closed.dtype == np.float64
+        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
+        assert rel_frobenius(closed, _real_oracle(sysm, summed)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    def test_stays_complex_without_a_pairing(self, n):
+        sysm = dataclasses.replace(sk.build_wave_model(10, horizon=1.0),
+                                   pairing=None)
+        closed = _uniform_information(sysm, n)
+        assert closed.dtype == np.complex128
         summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
         assert rel_frobenius(closed, summed) <= 1e-12
 
@@ -566,17 +662,18 @@ class TestClosedFormInformation:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         n = 2 ** 18
-        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
+        summed = _real_oracle(
+            sysm, _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0)))
         assert rel_frobenius(_uniform_information(sysm, n), summed) <= 5e-14
 
     @pytest.mark.parametrize("n", [1, 3, 4, 64, 1000])
     def test_keeps_the_conjugate_mate_structure(self, n):
+        # J[mate k, mate l] = conj(J[k, l]) makes J_rho = A* J A real: the
+        # closed form is float64 and symmetric
         sysm = sk.build_wave_model(12, horizon=1.0)
         closed = _uniform_information(sysm, n)
-        mate = np.ix_(sysm.pairing, sysm.pairing)
-        npt.assert_array_equal(closed[mate], closed.conj())
-        npt.assert_allclose(closed, closed.conj().T, rtol=0,
-                            atol=1e-15 * np.abs(closed).max())
+        assert closed.dtype == np.float64
+        npt.assert_array_equal(closed, closed.T)
 
 
 _GRIDS = st.lists(st.integers(1, 999), min_size=1, max_size=16, unique=True)
