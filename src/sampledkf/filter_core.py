@@ -6,11 +6,10 @@ of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
 P of the state at the start.  ``_condition`` is the one factorisation.  It
 works in the real coordinates rho of ``spectral_model`` (x = A rho, A made
 of each conjugate pair's sums and differences), where the prior stays
-diagonal, R^2 = P0 / D (p/2, p/2 on a pair), and takes J_rho = A* J A, real,
-as it arrives: the closed form of a uniform grid is built there, and a
-modal matrix (a summed J, a stretch's Gam) is taken there, and held to the
-pairing, by ``_real_information``.  It takes the Cholesky factor L of the
-whitened matrix
+diagonal, R^2 = P0 / D (p/2, p/2 on a pair).  Every model is paired, so it
+takes only a J_rho = A* J A that was built real: the closed form of a
+uniform grid, the sum over samples and the Gam of a stretch triple are all
+formed in rho.  It takes the Cholesky factor L of the whitened matrix
 
     I + R J_rho R = L L^T,
 
@@ -23,15 +22,12 @@ P = A R Linv^T Linv R A*, and nothing more is formed than a caller uses:
 
 - a trace (``_trace``) needs no P.  Undriven, the decay e^(AT) has equal
   modulus on a pair, so tr(e^(AT) P e^(A*T)) = sum_k |e^(lambda_k T)|^2 p_k
-  ||Linv[:, k]||^2 comes from the column norms of Linv; a stretch triple
-  gives tr H + ||Linv R A* Phi*||_F^2;
+  ||Linv[:, k]||^2 comes from the column norms of Linv; a stretch triple,
+  real in rho, gives tr(D H_rho) + ||Linv R Phi_rho^T D^(1/2)||_F^2;
 - a posterior (``_posterior``) is one real gemm, (Linv R)^T (Linv R), taken
   back to modal coordinates through the pairs' sums and differences, for
   ``information_filter``, ``increment_variance`` and the telescope of
   ``refinement``.
-
-A model without a pairing has complex modes (``ModalSystem`` pairs every
-real model); it takes A = I and runs the same steps in complex128.
 
 Undriven systems hand it J.  Without input noise z(T) = e^(AT) x, and each
 increment observation
@@ -50,8 +46,9 @@ values whatever m is, built straight in real coordinates from the rows of
 one mode per conjugate pair, in float64 on a real spectrum.  The geometric
 sum itself (``_geometric_sum``, given the eigenvalues of its rows) also
 gives ``refinement.level_sum`` in closed form.  Times handed in as an array
-accumulate J block by block (``_accumulated_information``), uniform or not,
-in modal coordinates.
+accumulate J_rho block by block (``_accumulated_information``), uniform or
+not: a sample's whitened rows are conjugate on each pair, so rows A is real
+and each block is one float64 (rows A)^T (rows A).
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triple``), since every step
@@ -71,9 +68,12 @@ and stretch 1 followed by stretch 2 joins into
 I + H1 Gam2 has every eigenvalue >= 1, so no join meets a singular matrix.
 Squaring the one-step triple and joining the powers picked out by the binary
 digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
-of m recursion steps.  Without input noise H = 0 and Gam is the information
-matrix J, so the undriven triple is the special case; the tests hold the
-two to each other.
+of m recursion steps.  The one-step triple is formed in modal coordinates
+and taken to rho (``_step_triple``): Phi_rho = A^-1 Phi A,
+Gam_rho = A* Gam A and H_rho = A^-1 H A^-*, all real, so every join runs in
+float64, the conjugate transposes above plain transposes.  Without input
+noise H = 0 and Gam is the information matrix J, so the undriven triple is
+the special case; the tests hold the two to each other.
 
 ``_uniform_trace`` is the trace of every uniform grid the package uses
 (coarse grids, curve references, bound anchors, the two ends of a
@@ -145,7 +145,7 @@ from .errors import GramSingularError
 from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
                       phi_h, _transitions, transition_block)
 from .spectral_model import (ModalSystem, _from_real, _real_covariance,
-                             _to_real)
+                             _times_a, _to_real)
 
 logger = logging.getLogger(__name__)
 
@@ -293,17 +293,18 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
 
 def _accumulated_information(system: ModalSystem,
                              times: np.ndarray) -> np.ndarray:
-    """Information matrix J of the initial state on any grid, summed over samples.
+    """J_rho = A* J A of the initial state on any grid, summed over samples.
 
-    In modal coordinates; ``_real_information`` takes it to those of
-    ``_condition``.
+    A sample's whitened rows are conjugate on each pair, so rows A is real
+    (``spectral_model._times_a``) and each block of samples adds one float64
+    (rows A)^T (rows A).
     """
     n = system.num_modes
     lam = system.eigenvalues
     cwhite = system._white_outputs
     starts = np.concatenate([[0.0], times[:-1]])
     widths = times - starts
-    info = np.zeros((n, n), dtype=complex)
+    info = np.zeros((n, n))
     for lo in range(0, times.size, _INFO_BLOCK):
         block = slice(lo, lo + _INFO_BLOCK)
         # I1(lambda, d) / sqrt(d) once per distinct width
@@ -311,7 +312,8 @@ def _accumulated_information(system: ModalSystem,
         step = phi1(lam * d[:, None]) * np.sqrt(d)[:, None]
         scale = np.exp(lam * starts[block, None]) * step[which]
         rows = (scale[:, None, :] * cwhite[None, :, :]).reshape(-1, n)
-        info += rows.conj().T @ rows
+        rows = np.ascontiguousarray(_times_a(rows, system._pair_index).real)
+        info += rows.T @ rows
     return info
 
 
@@ -371,33 +373,29 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
 
     with W = C* R^-1 C and S = ``_geometric_sum``.  N^2 kernel values and no
     sum over samples, whatever m is.  J_rho is the matrix ``_condition``
-    takes, in the real coordinates x = A rho of ``spectral_model``.  On a
-    paired model J[mate k, mate l] = conj(J[k, l]) by construction, so only
-    the rows of one member per pair and of each self-conjugate mode are
-    evaluated.  Their columns take A through each pair's sums and
-    differences, (r A)_k = r_k + r_mate and (r A)_mate = i (r_k - r_mate),
-    and the row of a pair gives the real rows 2 Re and 2 Im of both
-    members, that of a self-conjugate mode its real part.  On the identity
-    pairing (heat) every number is real, so J_rho = J is formed in float64.
-    A model without a pairing gets its complex J.
+    takes, in the real coordinates x = A rho of ``spectral_model``.
+    J[mate k, mate l] = conj(J[k, l]) by construction, so only the rows of
+    one member per pair and of each self-conjugate mode are evaluated.
+    Their columns take A through each pair's sums and differences
+    (``spectral_model._times_a``), and the row of a pair gives the real
+    rows 2 Re and 2 Im of both members, that of a self-conjugate mode its
+    real part.  On the identity pairing (heat) every number is real, so
+    J_rho = J is formed in float64.
     """
     d = system.horizon / m
     lam = system.eigenvalues
     shape = phi1(lam * d)
     white = system._white_outputs
     pairs = system._pair_index
-    if system.pairing is not None and not pairs.first.size:
+    if not pairs.first.size:
         shape, white = shape.real, white.real
-    # without a pairing ``first`` is empty and ``single`` holds every mode
     rows = np.concatenate([pairs.first, pairs.single])
     block = ((white[:, rows].conj().T @ white)
              * (d * np.outer(shape[rows].conj(), shape))
              * _geometric_sum(system, lam[rows], d, m))
     if not pairs.first.size:
         return block
-    first, mate = block[:, pairs.first], block[:, pairs.mate]
-    block[:, pairs.first] = first + mate
-    block[:, pairs.mate] = (first - mate) * 1j
+    block = _times_a(block, pairs)
     lead = pairs.first.size
     info = np.empty((system.num_modes, system.num_modes))
     info[pairs.first] = 2.0 * block[:lead].real
@@ -406,23 +404,6 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     # J is Hermitian only to rounding, so the two triangles can differ in
     # the last bit; _real_covariance symmetrises the same way
     return (info + info.T) / 2.0
-
-
-def _real_information(system: ModalSystem, info: np.ndarray) -> np.ndarray:
-    """J_rho = A* J A of a modal information matrix J, for ``_condition``.
-
-    The summed J of ``_accumulated_information`` and the Gam of a stretch
-    triple start in modal coordinates.  A* J A = D S D, with S = A^-1 J A^-*
-    the real symmetric form ``spectral_model._real_covariance`` takes
-    through each pair's sums and differences; a J off the pairing is
-    refused there.  A model without a pairing keeps J.
-    """
-    if system.pairing is None:
-        return info
-    weights = system._pair_index.weights
-    return (_real_covariance(info[None], system._pair_index,
-                             "information matrix")[0]
-            * np.outer(weights, weights))
 
 
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -452,16 +433,15 @@ def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     """The inverse factor Linv of the whitened information, lower triangular.
 
     The one conditioning of the package: the diagonal prior P0 conditioned on
-    the information ``info`` = J_rho = A* J A, given in the real coordinates
-    rho of ``spectral_model`` (x = A rho) by ``_uniform_information`` or, from
-    a modal matrix, by ``_real_information``.  There the prior is diagonal
-    too, P0_rho = P0 / D (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the
-    whitened matrix I + R J_rho R has every eigenvalue >= 1 (exact for zero
-    prior variances and rapidly decaying ones).  Its Cholesky factor L, in
-    float64, is inverted by ``_lower_inverse``, so the posterior of rho is
-    R Linv^T Linv R and that of x is A R Linv^T Linv R A* (``_posterior``).
-    A model without a pairing, whose modes are complex, takes A = I and runs
-    the same steps in complex128.
+    the information ``info`` = J_rho = A* J A, a float64 matrix built in the
+    real coordinates rho of ``spectral_model`` (x = A rho) by
+    ``_uniform_information``, ``_accumulated_information`` or
+    ``_step_triple``.  There the prior is diagonal too, P0_rho = P0 / D
+    (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the whitened matrix
+    I + R J_rho R has every eigenvalue >= 1 (exact for zero prior variances
+    and rapidly decaying ones).  Its Cholesky factor L is inverted by
+    ``_lower_inverse``, so the posterior of rho is R Linv^T Linv R and that
+    of x is A R Linv^T Linv R A* (``_posterior``).
     """
     scale = np.sqrt(system.prior_var / system._pair_index.weights)
     whitened = info * np.outer(scale, scale)
@@ -472,17 +452,16 @@ def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
 def _posterior(system: ModalSystem, linv: np.ndarray, decay=None) -> np.ndarray:
     """The posterior of x from ``_condition``'s Linv, in modal coordinates.
 
-    P_rho = (Linv R)^T (Linv R) is one gemm, real on a paired model, and
-    A P_rho A* takes it back through each pair's sums and differences.  With
-    ``decay`` = e^(AT) it is the posterior of z(T) = diag(decay) x instead.
+    P_rho = (Linv R)^T (Linv R) is one real gemm, and A P_rho A* takes it
+    back through each pair's sums and differences.  With ``decay`` = e^(AT)
+    it is the posterior of z(T) = diag(decay) x instead.
     """
     pairs = system._pair_index
     half = linv * np.sqrt(system.prior_var / pairs.weights)[None, :]
-    post = half.conj().T @ half
-    if system.pairing is not None:
-        # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
-        rows = _from_real(post, pairs).T
-        post = _from_real(rows.conj(), pairs).conj()
+    post = half.T @ half
+    # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
+    rows = _from_real(post, pairs).T
+    post = _from_real(rows.conj(), pairs).conj()
     if decay is not None:
         post = post * np.outer(decay, decay.conj())
     return _hermitize(post)
@@ -494,25 +473,20 @@ def _trace(system: ModalSystem, linv: np.ndarray, phi=None,
 
     ``phi`` None stands for the undriven decay diag(e^(AT)).  Its modulus is
     equal on a pair, so the trace is sum_k |e^(lambda_k T)|^2 p_k
-    ||Linv[:, k]||^2, from column norms alone.  A stretch triple's Phi and
-    H = ``noise`` give tr H + ||Linv R A* Phi*||_F^2, where
-    R A* = (P0 D)^(1/2) A^-1 acts on the rows of Phi* through each pair's
-    sums and differences; a real Linv meets that complex map in one real
-    gemm on its float view.  No N x N posterior is formed.
+    ||Linv[:, k]||^2, from column norms alone.  A stretch triple's Phi_rho
+    and H_rho = ``noise``, real, give the trace of x = A rho through
+    A* A = D: tr(D H_rho) + ||Linv R Phi_rho^T D^(1/2)||_F^2, one real gemm.
+    No N x N posterior is formed.
     """
     if phi is None:
         energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
-        columns = np.einsum("ij,ij->j", linv.conj(), linv).real
+        columns = np.einsum("ij,ij->j", linv, linv)
         return float((energy * system.prior_var) @ columns)
-    pairs = system._pair_index
-    mapped = (phi.conj() if system.pairing is None
-              else _to_real(phi.conj(), pairs)).T
-    mapped = np.ascontiguousarray(
-        np.sqrt(system.prior_var * pairs.weights)[:, None] * mapped)
-    if np.isrealobj(linv):
-        mapped = mapped.view(float)
-    half = linv @ mapped
-    return float(np.trace(noise).real) + float(np.vdot(half, half).real)
+    weights = system._pair_index.weights
+    half = linv @ (np.sqrt(system.prior_var / weights)[:, None] * phi.T
+                   * np.sqrt(weights)[None, :])
+    return (float((weights * noise.diagonal()).sum())
+            + float(np.vdot(half, half)))
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -528,7 +502,7 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    info = _real_information(system, _accumulated_information(system, times))
+    info = _accumulated_information(system, times)
     final_cov = _posterior(system, _condition(system, info),
                            np.exp(system.eigenvalues * system.horizon))
     return FilterRun(grid=times, final_cov=final_cov,
@@ -536,15 +510,26 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
 
 
 def _step_triple(system: ModalSystem, h: float):
-    """The stretch triple (Phi, Gam, H) of one sample step of width h."""
+    """The stretch triple of one sample step of width h, in real coordinates.
+
+    Phi, Gam and H are formed in modal coordinates and returned as
+    Phi_rho = A^-1 Phi A, Gam_rho = A* Gam A = D (A^-1 Gam A^-*) D and
+    H_rho = A^-1 H A^-*, all real; ``_real_covariance`` refuses a Gam or H
+    off the pairing.
+    """
     n = system.num_modes
+    pairs = system._pair_index
     tr = transition_block(system, h)
     g, sig = tr.output_map, tr.noise_cov
     s = sig[n:, n:] + system.r_cov * h
     k0 = np.linalg.solve(s, sig[n:, :n]).conj().T  # Szy S^-1, S Hermitian
     phi = np.diag(tr.decay) - k0 @ g
     gam = g.conj().T @ np.linalg.solve(s, g)
-    return phi, _hermitize(gam), _hermitize(sig[:n, :n] - k0 @ sig[n:, :n])
+    noise = sig[:n, :n] - k0 @ sig[n:, :n]
+    gam, noise = _real_covariance(np.stack([gam, noise]), pairs,
+                                  "stretch triple")
+    return (_times_a(_to_real(phi.T, pairs).T, pairs).real,
+            gam * np.outer(pairs.weights, pairs.weights), noise)
 
 
 def _join(first, second):
@@ -555,18 +540,19 @@ def _join(first, second):
     # I + H1 Gam2 has every eigenvalue >= 1; one solve serves Phi and H, and
     # (I + Gam2 H1)^-1 Gam2 = Gam2 (I + H1 Gam2)^-1 reuses it for Gam
     x = np.linalg.solve(np.eye(n) + h1 @ gam2,
-                        np.hstack([phi1, h1 @ phi2.conj().T]))
+                        np.hstack([phi1, h1 @ phi2.T]))
     return (phi2 @ x[:, :n],
-            _hermitize(gam1 + phi1.conj().T @ gam2 @ x[:, :n]),
+            _hermitize(gam1 + phi1.T @ gam2 @ x[:, :n]),
             _hermitize(h2 + phi2 @ x[:, n:]))
 
 
 def _doubled_triple(system: ModalSystem, m: int):
     """The stretch triple (Phi, Gam, H) of the samples (j T) / m, j = 1..m.
 
-    The one-step triple is squared repeatedly and the powers picked out by
-    the binary digits of m are joined: about 2 log2(m) N x N joins in place
-    of m recursion steps.  No prior enters; ``_condition`` applies it.
+    Real, in the coordinates rho of ``_step_triple``.  The one-step triple
+    is squared repeatedly and the powers picked out by the binary digits of
+    m are joined: about 2 log2(m) N x N joins in place of m recursion steps.
+    No prior enters; ``_condition`` applies it.
     """
     step = _step_triple(system, system.horizon / m)
     total = None
@@ -588,8 +574,7 @@ def _uniform_trace(system: ModalSystem, m: int) -> float:
     about 2 log2(m) joins.
     """
     if system.has_input_noise:
-        phi, gam, noise = _doubled_triple(system, m)
-        info = _real_information(system, gam)
+        phi, info, noise = _doubled_triple(system, m)
     else:
         phi, info, noise = None, _uniform_information(system, m), None
     return _trace(system, _condition(system, info), phi, noise)
@@ -687,8 +672,8 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    info = _real_information(system, _accumulated_information(system, base))
-    post = _posterior(system, _condition(system, info))
+    post = _posterior(system, _condition(
+        system, _accumulated_information(system, base)))
     chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
     energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
     return _insert(post, chm, h, system.r_cov, energy)[0]

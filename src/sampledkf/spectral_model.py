@@ -29,11 +29,10 @@ Two concrete constructions ship with the package:
     The pairing map is recorded so downstream covariances stay real-traced and
     trajectories can be sampled in real coordinates.
 
-Purely real systems (the heat chain) carry the identity pairing: a model
-whose eigenvalues, coefficients and prior mean are all real is given it when
-none is declared.  So a model without a pairing has complex modes whose real
-structure is not declared; it cannot be sampled path-wise, but every
-covariance operation remains valid.
+Every model is paired.  Purely real systems (the heat chain) carry the
+identity pairing: a model whose eigenvalues, coefficients and prior mean are
+all real is given it when none is declared, and a model with complex modes
+and no declared pairing is refused.
 
 The pairing gives real coordinates, and this module is their one home.  A
 paired model describes a real-valued field: for a self-conjugate mode k the
@@ -42,16 +41,16 @@ eta_a = rho_a + i rho_b, eta_b = conj(eta_a) with real rho.  Stacking the
 rho's gives the recomposition eta = A rho, and a covariance Sigma that
 respects the pairing has the real symmetric recomposed form
 A^-1 Sigma A^-* (``_real_covariance``).  A and A^-1 act only through each
-pair's sums and differences (``_from_real``, ``_to_real``), so no dense A is
-formed, and on a model without pairs they are the identity.  They read the
-pairing's index arrays (``_pairs``), which a model derives once and holds.
-On a pair A* A = 2 I, so with D (2 on a pair, 1 on a real mode)
-||A rho||^2 = sum_k D_k rho_k^2 and an information matrix J takes the real
-form A* J A = D (A^-1 J A^-*) D.  The Monte Carlo samples in these
-coordinates, and ``filter_core._condition`` conditions in them: the
-closed-form J of a uniform grid is built in them, and a modal J is taken
-to them, and refused off the pairing, where it is converted
-(``filter_core._real_information``).
+pair's sums and differences (``_from_real``, ``_to_real``, ``_times_a``), so
+no dense A is formed, and on a model without pairs they are the identity.
+They read the pairing's index arrays (``_pairs``), which a model derives
+once and holds.  On a pair A* A = 2 I, so with D (2 on a pair, 1 on a real
+mode) ||A rho||^2 = sum_k D_k rho_k^2 and an information matrix J takes the
+real form A* J A = D (A^-1 J A^-*) D.  The Monte Carlo samples in these
+coordinates, and ``filter_core._condition`` conditions in them and only in
+them: every information matrix it takes is built there (the closed form of
+a uniform grid, the sum over samples as (rows A)^T (rows A), the Gam of a
+stretch triple), and the doubling of driven stretches runs there.
 """
 
 from __future__ import annotations
@@ -100,17 +99,18 @@ class ModalSystem:
     prior_mean, prior_var : modal mean m and diagonal prior variances p >= 0.
     q_cov, r_cov : input covariance Q (PSD) and output covariance R (PD).
     horizon : experiment end time T > 0.
-    pairing : optional involution i -> partner(i) asserting that eigenvalues,
-        coefficients, means and variances occur in exact conjugate pairs
-        (identity entries mean "real mode").  Required for path sampling;
-        a model with every eigenvalue, coefficient and mean real gets the
-        identity when none is given.
+    pairing : involution i -> partner(i), of whole numbers, asserting that
+        eigenvalues, coefficients, means and variances occur in exact
+        conjugate pairs (identity entries mean "real mode").  Every model
+        holds one: a model with every eigenvalue, coefficient and mean real
+        gets the identity when none is given, and one with complex modes
+        must declare it.
     label : short human-readable model id used in reports and CSV files.
 
     Two private fields are derived once per model: ``_pair_index``, the
-    pairing's index arrays (``_pairs``; a model without a pairing holds the
-    identity's, A = I), and ``_white_outputs``, the (r, N) rows of L^-1 C
-    with L L^T = R, the output coefficients with whitened noise.
+    pairing's index arrays (``_pairs``), and ``_white_outputs``, the (r, N)
+    rows of L^-1 C with L L^T = R, the output coefficients with whitened
+    noise.
     """
 
     eigenvalues: np.ndarray
@@ -171,25 +171,30 @@ class ModalSystem:
             raise ValueError("r_cov: must be positive definite")
 
         pairing = self.pairing
-        if pairing is None and not any(np.any(arr.imag != 0)
-                                       for arr in (lam, cmat, bmat, mean)):
+        if pairing is None:
+            if any(np.any(arr.imag != 0) for arr in (lam, cmat, bmat, mean)):
+                raise ValueError("pairing: complex modes need a conjugate pairing")
             pairing = np.arange(n)
-        if pairing is not None:
-            pairing = np.asarray(pairing, dtype=int).ravel()
-            if pairing.size != n or np.any(np.sort(pairing) != np.arange(n)):
-                raise ValueError("pairing: must be a permutation of 0..N-1")
-            if np.any(pairing[pairing] != np.arange(n)):
-                raise ValueError("pairing: must be an involution")
-            for name, arr in (("eigenvalues", lam), ("prior_mean", mean)):
-                if not np.array_equal(arr[pairing], arr.conj()):
-                    raise ValueError(f"pairing: {name} must occur in exact conjugate pairs")
-            if not np.array_equal(cmat[pairing], cmat.conj()):
-                raise ValueError("pairing: output_coeffs must occur in exact conjugate pairs")
-            if not np.array_equal(bmat[pairing], bmat.conj()):
-                raise ValueError("pairing: input_coeffs must occur in exact conjugate pairs")
-            if not np.array_equal(pvar[pairing], pvar):
-                raise ValueError("pairing: prior_var must be pair-symmetric")
-            pairing.setflags(write=False)
+        # checked before the cast to int, which would take 1.7 to 1 and warn
+        # on NaN
+        entries = np.asarray(pairing, dtype=float).ravel()
+        if not np.all(np.isfinite(entries) & (entries == np.round(entries))):
+            raise ValueError("pairing: entries must be whole numbers")
+        pairing = entries.astype(int)
+        if pairing.size != n or np.any(np.sort(pairing) != np.arange(n)):
+            raise ValueError("pairing: must be a permutation of 0..N-1")
+        if np.any(pairing[pairing] != np.arange(n)):
+            raise ValueError("pairing: must be an involution")
+        for name, arr in (("eigenvalues", lam), ("prior_mean", mean)):
+            if not np.array_equal(arr[pairing], arr.conj()):
+                raise ValueError(f"pairing: {name} must occur in exact conjugate pairs")
+        if not np.array_equal(cmat[pairing], cmat.conj()):
+            raise ValueError("pairing: output_coeffs must occur in exact conjugate pairs")
+        if not np.array_equal(bmat[pairing], bmat.conj()):
+            raise ValueError("pairing: input_coeffs must occur in exact conjugate pairs")
+        if not np.array_equal(pvar[pairing], pvar):
+            raise ValueError("pairing: prior_var must be pair-symmetric")
+        pairing.setflags(write=False)
 
         for arr in (lam, cmat, bmat, mean, pvar, qc, rc):
             arr.setflags(write=False)
@@ -201,8 +206,7 @@ class ModalSystem:
         object.__setattr__(self, "q_cov", qc)
         object.__setattr__(self, "r_cov", rc)
         object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "_pair_index",
-                           _pairs(np.arange(n) if pairing is None else pairing))
+        object.__setattr__(self, "_pair_index", _pairs(pairing))
         white = np.linalg.solve(np.linalg.cholesky(rc), cmat.T)
         white.setflags(write=False)
         object.__setattr__(self, "_white_outputs", white)
@@ -521,6 +525,21 @@ def _from_real(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
     first, second = x[..., k], 1.0j * x[..., mate]
     out[..., k] = first + second
     out[..., mate] = first - second
+    return out
+
+
+def _times_a(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """x A along the last axis, A the recomposition eta = A rho.
+
+    A pair (k, mate) maps to (x_k + x_mate, i (x_k - x_mate)) and a
+    self-conjugate coordinate is copied.  On rows that are conjugate on each
+    pair, x_mate = conj(x_k), the result is real: 2 Re x_k and -2 Im x_k.
+    """
+    k, mate = pairs.first, pairs.mate
+    out = x.astype(complex)
+    first, second = x[..., k], x[..., mate]
+    out[..., k] = first + second
+    out[..., mate] = (first - second) * 1j
     return out
 
 

@@ -84,6 +84,7 @@ class TheoremBound:
 
 
 def _anchor_trace(system: ModalSystem, n: int) -> float:
+    """The anchor's ``_uniform_trace``; ``perfbench/spans.py`` hooks it by name."""
     if not _is_whole(n) or n < 1:
         raise ValueError(f"n must be a positive sample count (a whole number "
                          f">= 1), got n={n!r}")

@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 
 import sampledkf as sk
 from sampledkf import filter_core
+from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _doubled_triple, _insert, _lower_inverse,
-                                   _output_gram, _posterior, _real_information,
-                                   _solve_gram, _trace, _uniform_information,
+                                   _output_gram, _posterior, _solve_gram,
+                                   _trace, _uniform_information,
                                    _uniform_trace)
-from sampledkf.spectral_model import _real_covariance
+from sampledkf.spectral_model import _times_a
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -173,8 +174,7 @@ class TestInformationForm:
         driven = heat(3, q_scalar=0.5)
         phi, gam, noise = _doubled_triple(driven, 5)
         assert _uniform_trace(driven, 5) == _trace(
-            driven, _condition(driven, _real_information(driven, gam)), phi,
-            noise)
+            driven, _condition(driven, gam), phi, noise)
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
             npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
@@ -242,10 +242,14 @@ class TestDoubling:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
+        # the triple is real, in rho: P_rho = R Linv^T Linv R, and the
+        # posterior of z(T) = A rho is A (H + Phi P_rho Phi^T) A*
         phi, gam, noise = _doubled_triple(sysm, n)
-        linv = _condition(sysm, _real_information(sysm, gam))
-        post = phi @ _posterior(sysm, linv) @ phi.conj().T
-        assert rel_frobenius(noise + post, info.final_cov) <= 1e-12
+        half = _condition(sysm, gam) * np.sqrt(
+            sysm.prior_var / sysm._pair_index.weights)
+        amat = _recomposition(sysm)
+        post = amat @ (noise + phi @ half.T @ half @ phi.T) @ amat.conj().T
+        assert rel_frobenius(post, info.final_cov) <= 1e-12
 
 
 class TestOneConditioning:
@@ -308,6 +312,35 @@ class TestOneConditioning:
         sk.telescope_check(heat(6), 4, 2)
         assert len(spy) == 2
 
+    @pytest.mark.parametrize("model", [
+        "heat", "wave", "two-output-heat", "mixed", "driven-heat",
+        "driven-wave", "driven-two-output-heat", "driven-oscillator"])
+    def test_takes_only_float64(self, monkeypatch, model, two_output_heat):
+        # every route hands _condition a J_rho built real
+        real, received = filter_core._condition, []
+
+        def recording(system, info):
+            received.append(info.dtype)
+            return real(system, info)
+
+        monkeypatch.setattr(filter_core, "_condition", recording)
+        monkeypatch.setattr(sk.refinement, "_condition", recording)
+        sysm = {"heat": lambda: heat(6),
+                "wave": lambda: sk.build_wave_model(6, horizon=1.0),
+                "two-output-heat": lambda: two_output_heat(6),
+                "mixed": _mixed_model,
+                "driven-heat": lambda: heat(6, q_scalar=0.5),
+                "driven-wave": lambda: _driven_wave(6),
+                "driven-two-output-heat": lambda: two_output_heat(6, 0.5),
+                "driven-oscillator": lambda: _driven_oscillator(1.0)}[model]()
+        _uniform_trace(sysm, 12)
+        if not sysm.has_input_noise:
+            sk.information_filter(sysm, _irregular_times(9, seed=4))
+            sk.increment_variance(sysm, sk.dyadic_grid(4, 0, 1.0), 0.125,
+                                  0.125)
+            sk.telescope_check(sysm, 4, 2)
+        assert received and all(dtype == np.float64 for dtype in received)
+
 
 def _complex_condition_oracle(system, info, phi=None, noise=None):
     """The complex whitened conditioning the real route replaced: the oracle.
@@ -334,18 +367,39 @@ def _recomposition(system):
     return amat
 
 
-def _modal_information(system, info):
-    """J = A^-* J_rho A^-1, with A^-1 = A* / D: J_rho back in modal coordinates."""
-    weights = system._pair_index.weights
-    inverse = _recomposition(system).conj().T / weights[:, None]
-    return inverse.conj().T @ info @ inverse
+def _modal_triple(system, phi, gam, noise):
+    """A triple in rho back in modal coordinates, with A^-1 = A* / D.
+
+    Phi = A Phi_rho A^-1, J = Gam = A^-* Gam_rho A^-1 and H = A H_rho A*;
+    ``phi`` and ``noise`` may be None.
+    """
+    amat = _recomposition(system)
+    inverse = amat.conj().T / system._pair_index.weights[:, None]
+    return (None if phi is None else amat @ phi @ inverse,
+            inverse.conj().T @ gam @ inverse,
+            None if noise is None else amat @ noise @ amat.conj().T)
+
+
+def _summed_information(system, times):
+    """The modal J = sum_i H_i* (R d_i)^-1 H_i from its per-sample definition.
+
+    H_i = C diag(e^(lambda t_(i-1)) d_i phi1(lambda d_i)) on the widths
+    d_i = t_i - t_(i-1), with no whitening of the outputs.
+    """
+    lam = system.eigenvalues
+    starts = np.concatenate([[0.0], times[:-1]])
+    widths = times - starts
+    modal = (np.exp(np.outer(starts, lam)) * widths[:, None]
+             * phi1(np.outer(widths, lam)))
+    rows = system.output_coeffs.T[None, :, :] * modal[:, None, :]
+    return np.einsum("i,irk,rs,isl->kl", 1.0 / widths, rows.conj(),
+                     np.linalg.inv(system.r_cov), rows, optimize=True)
 
 
 def _real_oracle(system, info):
-    """D S D with S = ``_real_covariance`` of a modal J: J_rho by recomposition."""
-    weights = system._pair_index.weights
-    return (_real_covariance(info[None], system._pair_index)[0]
-            * np.outer(weights, weights))
+    """J_rho = A* J A of a modal J, with the dense A."""
+    amat = _recomposition(system)
+    return amat.conj().T @ info @ amat
 
 
 def _mixed_model(horizon=1.0):
@@ -421,11 +475,11 @@ class TestRealConditioning:
                                               two_output_heat):
         sysm = _oracle_model(model, modes, horizon, two_output_heat)
         for m in _ORACLE_SIZES:
-            if sysm.has_input_noise:
-                phi, info, noise = _doubled_triple(sysm, m)
-            else:
-                info = _modal_information(sysm, _uniform_information(sysm, m))
-                noise, phi = None, np.diag(np.exp(sysm.eigenvalues * horizon))
+            phi, info, noise = _modal_triple(
+                sysm, *(_doubled_triple(sysm, m) if sysm.has_input_noise
+                        else (None, _uniform_information(sysm, m), None)))
+            if phi is None:
+                phi = np.diag(np.exp(sysm.eigenvalues * horizon))
             want = np.trace(_complex_condition_oracle(sysm, info, phi, noise)).real
             assert _rel(_uniform_trace(sysm, m), want) <= 1e-13, m
 
@@ -440,7 +494,7 @@ class TestRealConditioning:
         times = _irregular_times(12, seed=modes) * horizon
         decay = np.exp(sysm.eigenvalues * horizon)
         want = _complex_condition_oracle(
-            sysm, _accumulated_information(sysm, times), np.diag(decay))
+            sysm, _summed_information(sysm, times), np.diag(decay))
         run = sk.information_filter(sysm, times)
         assert rel_frobenius(run.final_cov, want) <= 1e-13
         assert _rel(run.trace_err, np.trace(want).real) <= 1e-13
@@ -449,13 +503,13 @@ class TestRealConditioning:
         h = horizon / 8
         chm = sysm.output_coeffs.T * sk.phi_h(sysm.eigenvalues, h, h)[None, :]
         oracle = _complex_condition_oracle(
-            sysm, _accumulated_information(sysm, base))
+            sysm, _summed_information(sysm, base))
         gain = _insert(oracle, chm, h, sysm.r_cov, np.abs(decay) ** 2)[0]
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
         per_level, _ = sk.refinement._telescope_gains(
             sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 3)
         oracle = _complex_condition_oracle(
-            sysm, _modal_information(sysm, _uniform_information(sysm, 4)))
+            sysm, _summed_information(sysm, base))
         for level, gains in enumerate(per_level, start=1):
             h, phis = sk.refinement._new_points(sysm, 4, level)
             for got, phi in zip(gains, phis):
@@ -474,17 +528,34 @@ class TestRealConditioning:
         assert linv.dtype == np.float64
         npt.assert_array_equal(linv, np.tril(linv))
 
-    def test_a_j_off_the_pairing_is_refused(self):
-        # a modal matrix reaches real coordinates through _real_information,
-        # which holds it to the pairing
-        sysm = sk.build_wave_model(6, horizon=1.0)
-        info = _accumulated_information(sysm, sk.dyadic_grid(8, 0, 1.0))
-        # only one entry of the conjugate-mate pair moves
-        info[0, 2] += 1e-4 * np.abs(info).max()
-        info[2, 0] = info[0, 2].conj()
-        with pytest.raises(ValueError, match="information matrix does not "
+    def test_a_triple_off_the_pairing_is_refused(self, monkeypatch):
+        # the one-step triple reaches real coordinates through
+        # _real_covariance, which holds it to the pairing
+        sysm = _driven_wave(6)
+        build = filter_core.transition_block
+
+        def broken(system, h):
+            tr = build(system, h)
+            noise = tr.noise_cov.copy()
+            # only one entry of the conjugate-mate pair moves
+            noise[0, 2] += 1e-4 * np.abs(noise).max()
+            noise[2, 0] = noise[0, 2].conj()
+            return dataclasses.replace(tr, noise_cov=noise)
+
+        assert _uniform_trace(sysm, 4) > 0
+        monkeypatch.setattr(filter_core, "transition_block", broken)
+        with pytest.raises(ValueError, match="stretch triple does not "
                                              "respect the conjugate pairing"):
-            _real_information(sysm, info)
+            _uniform_trace(sysm, 4)
+
+    def test_times_a_is_the_dense_recomposition(self):
+        # x A along the last axis, on a pairing that mixes a real mode and
+        # two pairs
+        sysm = _mixed_model()
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        npt.assert_allclose(_times_a(x, sysm._pair_index),
+                            x @ _recomposition(sysm), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97, 400, 1000])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -508,22 +579,6 @@ class TestRealConditioning:
         _lower_inverse(_random_lower(n, float))
         assert sum(rows) == n
         assert max(rows) <= filter_core._INVERSE_LEAF
-
-
-class TestUnpairedComplexModels:
-    """A complex model without a pairing runs the conditioning in complex128."""
-
-    @pytest.mark.parametrize("m", [1, 5, 64])
-    def test_traces_match_the_recursion(self, m):
-        sysm = dataclasses.replace(sk.build_wave_model(6, horizon=1.0),
-                                   pairing=None)
-        assert _condition(sysm, _uniform_information(sysm, m)).dtype == complex
-        want = sk.sequential_filter(sysm, sk.dyadic_grid(m, 0, 1.0)).trace_err
-        npt.assert_allclose(_uniform_trace(sysm, m), want, rtol=1e-12)
-        times = _irregular_times(m + 3, seed=m)
-        npt.assert_allclose(sk.information_filter(sysm, times).trace_err,
-                            sk.sequential_filter(sysm, times).trace_err,
-                            rtol=1e-12)
 
 
 def _random_lower(n, dtype):
@@ -616,11 +671,11 @@ def _closed_form_model(family, modes):
 
 
 class TestClosedFormInformation:
-    """J_rho on the uniform grid: the closed form against the sum over samples.
+    """J_rho on the uniform grid: the closed form and the sum over samples.
 
-    The closed form is built in real coordinates, J_rho = A* J A; its oracle
-    is the modal J summed over the samples, taken there by
-    ``spectral_model._real_covariance`` (D S D).
+    Both are built in real coordinates, J_rho = A* J A.  Each is held on its
+    own to the oracle: the modal J of the per-sample definition, taken there
+    with the dense A.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 64, 1000, 2 ** 13])
@@ -632,9 +687,12 @@ class TestClosedFormInformation:
         sysm = _closed_form_model(family, modes)
         closed = _uniform_information(sysm, n)
         assert closed.dtype == np.float64 and np.all(np.isfinite(closed))
-        summed = _accumulated_information(
-            sysm, sk.dyadic_grid(n, 0, sysm.horizon))
-        assert rel_frobenius(closed, _real_oracle(sysm, summed)) <= 1e-12
+        times = sk.dyadic_grid(n, 0, sysm.horizon)
+        summed = _accumulated_information(sysm, times)
+        assert summed.dtype == np.float64
+        want = _real_oracle(sysm, _summed_information(sysm, times))
+        assert rel_frobenius(closed, want) <= 1e-12
+        assert rel_frobenius(summed, want) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 1000, 2 ** 13])
     def test_mixed_pairing_matches_the_accumulation(self, n):
@@ -643,17 +701,12 @@ class TestClosedFormInformation:
         sysm = _mixed_model()
         closed = _uniform_information(sysm, n)
         assert closed.dtype == np.float64
-        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
-        assert rel_frobenius(closed, _real_oracle(sysm, summed)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
-    def test_stays_complex_without_a_pairing(self, n):
-        sysm = dataclasses.replace(sk.build_wave_model(10, horizon=1.0),
-                                   pairing=None)
-        closed = _uniform_information(sysm, n)
-        assert closed.dtype == np.complex128
-        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
-        assert rel_frobenius(closed, summed) <= 1e-12
+        times = sk.dyadic_grid(n, 0, 1.0)
+        summed = _accumulated_information(sysm, times)
+        assert summed.dtype == np.float64
+        want = _real_oracle(sysm, _summed_information(sysm, times))
+        assert rel_frobenius(closed, want) <= 1e-12
+        assert rel_frobenius(summed, want) <= 1e-12
 
     @pytest.mark.parametrize("family", ["heat", "wave"])
     def test_keeps_its_digits_near_x_zero(self, family):
@@ -662,8 +715,7 @@ class TestClosedFormInformation:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         n = 2 ** 18
-        summed = _real_oracle(
-            sysm, _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0)))
+        summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
         assert rel_frobenius(_uniform_information(sysm, n), summed) <= 5e-14
 
     @pytest.mark.parametrize("n", [1, 3, 4, 64, 1000])

@@ -488,21 +488,6 @@ class TestAgainstDeterministicTrace:
 
 
 class TestValidation:
-    def test_complex_modes_need_a_declared_pairing(self):
-        sysm = sk.ModalSystem(
-            eigenvalues=np.array([2.0j, -2.0j]),
-            output_coeffs=np.array([[0.5j], [-0.5j]]),
-            input_coeffs=np.zeros((2, 1), complex),
-            prior_mean=np.zeros(2, complex),
-            prior_var=np.array([0.3, 0.3]),
-            q_cov=np.zeros((1, 1)),
-            r_cov=np.array([[1.0]]),
-            horizon=1.0,
-            pairing=None,
-        )
-        with pytest.raises(ValueError, match="conjugate pairing"):
-            sk.sample_path(sysm, EIGHT_TIMES, seed=1)
-
     @pytest.mark.parametrize("name", ["trials", "seed"])
     @pytest.mark.parametrize("value", [10.5, float("nan"), float("inf")],
                              ids=["fractional", "nan", "inf"])

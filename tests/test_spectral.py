@@ -151,7 +151,30 @@ class TestModalSystemValidation:
 
     def test_real_models_carry_the_identity_pairing(self):
         npt.assert_array_equal(custom_system([-1.0, -2.0]).pairing, [0, 1])
-        assert custom_system([1j, -1j]).pairing is None
+
+    def test_complex_modes_need_a_declared_pairing(self):
+        # conditioning runs in the real coordinates of the pairing only
+        with pytest.raises(ValueError, match="^pairing: complex modes need a "
+                                             "conjugate pairing$"):
+            custom_system([1j, -1j])
+        with pytest.raises(ValueError, match="complex modes need"):
+            dataclasses.replace(sk.build_wave_model(4), pairing=None)
+
+    @pytest.mark.parametrize("pairing", [[1.7, 0.2, 3.9, 2.0],
+                                         [1.0, 0.0, np.nan, 2.0]],
+                             ids=["fractional", "nan"])
+    def test_pairing_entries_must_be_whole(self, pairing):
+        # refused before the cast to int: 1.7 is not taken as 1, and NaN
+        # raises no numpy cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pairing: entries must be "
+                                                 "whole numbers$"):
+                dataclasses.replace(sk.build_wave_model(4),
+                                    pairing=np.array(pairing))
+        whole = dataclasses.replace(sk.build_wave_model(4),
+                                    pairing=np.array([1.0, 0.0, 3.0, 2.0]))
+        npt.assert_array_equal(whole.pairing, [1, 0, 3, 2])
 
     def test_arrays_frozen(self):
         sysm = sk.build_heat_model(3, 1.0)
