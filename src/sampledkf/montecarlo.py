@@ -10,9 +10,9 @@ factor of S drives the draws and A maps them back to modal coordinates
 norm-preserving, so squared errors computed in modal coordinates are the
 physical ones.
 
-All trials read one counter-based stream, the Philox stream of
-``SeedSequence([seed])``, trial j as its j-th flat block of standard
-normals, in a fixed documented order:
+All trials read one stream, the SFC64 stream of ``SeedSequence([seed])``,
+trial j as its j-th flat block of standard normals, in a fixed documented
+order:
 
     [ initial state (the initial factor's width, at most num_modes) ]
     for each sample step: [ process noise (width w), driven only ]
@@ -21,7 +21,10 @@ normals, in a fixed documented order:
       precedes the horizon ]
 
 which makes runs bitwise reproducible and leaves trial j the same whatever
-the batch size.  A factor has one column per pivot of its pivoted Cholesky
+the batch size.  The stream is read in order from its start, since a
+ziggurat normal takes a variable number of words and a counter could not
+find trial j's block; so the stream need not be counter-based, and SFC64 is
+numpy's fastest.  A factor has one column per pivot of its pivoted Cholesky
 (``_real_factor``), so its width is the numerical rank of its covariance.
 The process-noise covariances of all distinct step widths (tail included)
 are factored as one stack, each matrix with its own pivots and stop.  w is
@@ -41,6 +44,10 @@ squared error is their weighted sum of squares, weight 2 on each member of
 a pair (``_real_error_map``).  It is applied to the seed's stream
 ``_TRIAL_BLOCK`` trials at a time, one real gemm of N columns and one
 weighted sum of squares a block; the normals held never exceed one block.
+A short last block is zero-padded to the full ``_TRIAL_BLOCK`` rows before
+the products, so every product has one shape, and a trial's error is the
+same bit for bit whatever the trial count (BLAS picks its kernel by shape,
+and a kernel for few rows rounds differently).
 ``run_paths`` followed by ``_filtered_means`` is the oracle the tests hold
 the map to.
 """
@@ -121,9 +128,15 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
 
 
 def _trial_rng(seed: int) -> np.random.Generator:
-    """The one stream of ``seed``; trial j reads its j-th block of normals."""
+    """The one stream of ``seed``, SFC64 seeded by ``SeedSequence([seed])``.
+
+    Trial j reads its j-th block of normals.  The stream is only ever read
+    in order: a ziggurat normal takes a variable number of words, so no
+    trial's block starts at a known counter, and SFC64, numpy's fastest bit
+    generator, serves as well as a counter-based one would.
+    """
     entropy = np.random.SeedSequence([int(seed)])
-    return np.random.Generator(np.random.Philox(entropy))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _whole(name: str, value, low: int) -> int:
@@ -182,13 +195,20 @@ class _Simulator:
     def blocks(self, seed: int, trials: int):
         """The normals of trials 0..trials-1 of ``seed``, ``_TRIAL_BLOCK`` at a time.
 
-        Each block is drawn into one reused buffer, so it holds only until
-        the next block is drawn.
+        Each block is one reused (``_TRIAL_BLOCK``, total) buffer, so it
+        holds only until the next block is drawn; the rows of the last block
+        past trial ``trials - 1`` are zero.  Every block has the same shape,
+        so a product over the whole block runs the same BLAS kernel, and
+        rounds a trial's row the same way, whatever the trial count; a
+        product of fewer rows may not.
         """
         rng = _trial_rng(seed)
-        buf = np.empty((min(trials, _TRIAL_BLOCK), self.total))
+        buf = np.empty((_TRIAL_BLOCK, self.total))
         for lo in range(0, trials, _TRIAL_BLOCK):
-            yield self.draw(rng, buf[:trials - lo])
+            count = min(trials - lo, _TRIAL_BLOCK)
+            self.draw(rng, buf[:count])
+            buf[count:] = 0.0
+            yield buf
 
     def error_map(self) -> np.ndarray:
         """The (total, N) map M with zhat(T) - z(T) = xi M for a trial's normals xi.
@@ -285,8 +305,9 @@ def sample_path(system: ModalSystem, times, seed: int, trial: int = 0):
     seed = _whole("seed", seed, 0)
     times = _validate_times(system, times)
     sim = _Simulator(system, times)
-    *_, normals = sim.blocks(seed, trial + 1)  # the trial's row ends the last
-    state, increments = sim.run_paths(normals[-1:])
+    *_, normals = sim.blocks(seed, trial + 1)  # the last block holds the trial
+    row = trial % _TRIAL_BLOCK
+    state, increments = sim.run_paths(normals[row:row + 1])
     return state[0], np.cumsum(increments[0], axis=0)
 
 
@@ -342,7 +363,7 @@ def empirical_error(system: ModalSystem, times, trials: int,
     sim = _Simulator(system, times)
     emap, weights = _real_error_map(sim.error_map(), sim.pairing)
     errors = np.concatenate([np.square(normals @ emap) @ weights
-                             for normals in sim.blocks(seed, trials)])
+                             for normals in sim.blocks(seed, trials)])[:trials]
     empirical = float(errors.mean())
     sdev = float(errors.std(ddof=1) / np.sqrt(trials))
     trace = sim.run.trace_err

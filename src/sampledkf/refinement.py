@@ -42,6 +42,7 @@ grid of a level sum may have at most 2**53 points (``_inexact``).
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -107,11 +108,16 @@ def dyadic_grid(base_n: int, level: int, horizon: float = 1.0) -> np.ndarray:
     """Read-only times of the uniform ``base_n * 2**level``-point grid on (0, T].
 
     The times are (j T) / m, j = 1..m, for m = base_n 2**level, the last set
-    to T exactly: the package's one definition of the dyadic grid.
+    to T exactly: the package's one definition of the dyadic grid.  The
+    largest product m T must be finite, so a horizon within a factor m of
+    the largest double is refused.
     """
     m = _dyadic_size(base_n, level)
     if not 0 < horizon < np.inf:
         raise ValueError("dyadic_grid needs a finite, positive horizon")
+    if not math.isfinite(m * float(horizon)):
+        raise ValueError(f"dyadic_grid needs horizon * {m} finite, got "
+                         f"horizon={horizon!r}")
     times = (np.arange(1, m + 1) * horizon) / m
     times[-1] = horizon  # (m * horizon) / m need not round back to horizon
     times.setflags(write=False)

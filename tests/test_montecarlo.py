@@ -125,6 +125,17 @@ class TestDeterminism:
         large = sk.empirical_error(sysm, EIGHT_TIMES, trials=32, seed=11)
         npt.assert_array_equal(large.errors[:8], small.errors)
 
+    def test_errors_do_not_depend_on_the_trial_count(self):
+        # every block's products take the full block's shape, so a trial's
+        # error is the same bit for bit whatever the batch it is drawn in;
+        # BLAS rounds a product of few rows differently from one of many
+        sysm, times = workload_model_and_grid(1)
+        full = sk.empirical_error(sysm, times, trials=10 * _TRIAL_BLOCK,
+                                  seed=1).errors
+        for trials in (2, 3, 7, 100, _TRIAL_BLOCK - 1, _TRIAL_BLOCK + 1, 2000):
+            batch = sk.empirical_error(sysm, times, trials=trials, seed=1)
+            npt.assert_array_equal(batch.errors, full[:trials])
+
     def test_different_seeds_differ(self):
         sysm = sk.build_heat_model(4, horizon=1.0)
         a = sk.empirical_error(sysm, EIGHT_TIMES, trials=16, seed=1)
@@ -252,7 +263,7 @@ class TestTrialStream:
         sim = _Simulator(sysm, EIGHT_TIMES)
         total = draw_offsets(sim)[0]
         gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed])))
+            np.random.SFC64(np.random.SeedSequence([seed])))
         npt.assert_array_equal(draw(sim, seed, 12),
                                gen.standard_normal((12, total)))
 
@@ -268,9 +279,12 @@ class TestTrialStream:
         sim = _Simulator(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
                          EIGHT_TIMES[:-1])
         blocks = [normals.copy() for normals in sim.blocks(seed, _TRIAL_BLOCK + 5)]
-        assert [len(b) for b in blocks] == [_TRIAL_BLOCK, 5]
-        npt.assert_array_equal(np.concatenate(blocks),
+        assert [b.shape for b in blocks] == [(_TRIAL_BLOCK, sim.total)] * 2
+        drawn = np.concatenate(blocks)
+        npt.assert_array_equal(drawn[:_TRIAL_BLOCK + 5],
                                draw(sim, seed, _TRIAL_BLOCK + 5))
+        # the rows past the last trial are zero
+        assert not drawn[_TRIAL_BLOCK + 5:].any()
 
     def test_sample_path_reads_its_trial_row(self):
         sysm = sk.build_heat_model(3, horizon=1.0, q_scalar=0.5)

@@ -74,6 +74,16 @@ class TestDyadicGrid:
             sk.dyadic_grid(2, 1, 0.0)
         with pytest.raises(ValueError, match="positive horizon"):
             sk.dyadic_grid(4, 0, float("inf"))
+        # 4 * 1e308 overflows: refused before the times are formed
+        with pytest.raises(ValueError, match=r"horizon \* 4 finite"):
+            sk.dyadic_grid(4, 0, 1e308)
+        with pytest.raises(ValueError, match=r"horizon \* 8 finite"):
+            sk.dyadic_grid(4, 1, np.float64(4.4e307))
+
+    def test_a_large_finite_horizon_keeps_the_grid_formula(self):
+        times = sk.dyadic_grid(4, 0, 4.4e307)
+        npt.assert_array_equal(times, (np.arange(1, 5) * 4.4e307) / 4)
+        assert times[-1] == 4.4e307
 
     @pytest.mark.parametrize("base_n, level", [(2.5, 0), (2, 1.5), (np.nan, 1),
                                                (2, np.inf), (np.inf, 0)])
