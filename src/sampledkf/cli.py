@@ -9,8 +9,8 @@ re-run byte-for-byte from its own header.  Wall-clock timing goes to stderr
 only, never into artifacts, keeping outputs bitwise reproducible.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (unconverged reference grid, singular observation gram), 1 I/O
-failure.
+failure (unconverged reference grid, negative discrepancy, indefinite
+sampling covariance), 1 I/O failure.
 """
 
 from __future__ import annotations

@@ -14,20 +14,24 @@ formed in rho.  It takes the Cholesky factor L of the whitened matrix
     I + R J_rho R = L L^T,
 
 every eigenvalue >= 1 (exact for zero prior variances and rapidly decaying
-ones), in float64, and returns its inverse Linv, with no solve against L.
-``_lower_inverse`` takes it by a recursion on halves: each half inverts
-itself, one pair of gemms joins them, and a block of at most
-``_INVERSE_LEAF`` rows takes ``np.linalg.inv``.  Then
-P = A R Linv^T Linv R A*, and nothing more is formed than a caller uses:
+ones), in float64, inverts it with no solve against L, and returns
+F = Linv R, still lower triangular: the posterior of rho is P_rho = F^T F,
+and the prior scale R lives in ``_condition`` alone.  ``_lower_inverse``
+takes Linv by a recursion on halves: each half inverts itself, one pair of
+gemms joins them, and a block of at most ``_INVERSE_LEAF`` rows takes
+``np.linalg.inv``.  The posterior of x is A F^T F A*, and nothing more is
+formed than a caller uses:
 
 - a trace (``_trace``) needs no P.  Undriven, the decay e^(AT) has equal
-  modulus on a pair, so tr(e^(AT) P e^(A*T)) = sum_k |e^(lambda_k T)|^2 p_k
-  ||Linv[:, k]||^2 comes from the column norms of Linv; a stretch triple,
-  real in rho, gives tr(D H_rho) + ||Linv R Phi_rho^T D^(1/2)||_F^2;
-- a posterior (``_posterior``) is one real gemm, (Linv R)^T (Linv R), taken
-  back to modal coordinates through the pairs' sums and differences, for
-  ``information_filter``, ``increment_variance`` and the telescope of
-  ``refinement``.
+  modulus on a pair, so tr(e^(AT) P e^(A*T)) = sum_k |e^(lambda_k T)|^2 D_k
+  ||F[:, k]||^2 comes from the column norms of F (``_energy`` holds the
+  weights); a stretch triple, real in rho, gives
+  tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2;
+- ``increment_variance`` and the telescope of ``refinement`` carry
+  P_rho = F^T F and insert real rows in float64 (``_insert``);
+- only ``information_filter``, which returns the covariance of z(T),
+  takes F^T F back to modal coordinates through the pairs' sums and
+  differences.
 
 Undriven systems hand it J.  Without input noise z(T) = e^(AT) x, and each
 increment observation
@@ -126,11 +130,13 @@ where P conditions the initial state on the coarse observation set and C_h
 has modal columns c_k phi_h(lambda_k, t, h).  The interpolated observation
 y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
 measurement noise, independent of the coarse set, so the insertion also
-downdates P by the rank-r term P C_h* G^(-1) C_h P.  ``_insert`` holds that
-formula once and returns both the gain and the downdated P.
-``increment_variance`` conditions P on the summed J of the given base set
-and stays the one-insertion oracle; ``refinement.telescope_check`` carries
-one P through every insertion instead.
+downdates P by the rank-r term P C_h* G^(-1) C_h P.  C_h is conjugate on
+each pair, so its rows C_h A in rho are real (``spectral_model._times_a``),
+and ``_insert`` holds the formula once, in float64 on P_rho: it returns
+the gain, weighted by ``_energy``, and the downdated P_rho.
+``increment_variance`` conditions P_rho on the summed J of the given base
+set and stays the one-insertion oracle; ``refinement.telescope_check``
+carries one P_rho through every insertion instead.
 """
 
 from __future__ import annotations
@@ -430,7 +436,7 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
-    """The inverse factor Linv of the whitened information, lower triangular.
+    """The factor F of the posterior of rho, P_rho = F^T F, lower triangular.
 
     The one conditioning of the package: the diagonal prior P0 conditioned on
     the information ``info`` = J_rho = A* J A, a float64 matrix built in the
@@ -440,53 +446,41 @@ def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the whitened matrix
     I + R J_rho R has every eigenvalue >= 1 (exact for zero prior variances
     and rapidly decaying ones).  Its Cholesky factor L is inverted by
-    ``_lower_inverse``, so the posterior of rho is R Linv^T Linv R and that
-    of x is A R Linv^T Linv R A* (``_posterior``).
+    ``_lower_inverse``, and F = Linv R scales its columns, so the prior
+    scale lives here alone and the posterior of x is A F^T F A*.
     """
     scale = np.sqrt(system.prior_var / system._pair_index.weights)
     whitened = info * np.outer(scale, scale)
     whitened.flat[::info.shape[0] + 1] += 1.0
-    return _lower_inverse(np.linalg.cholesky(whitened))
+    return _lower_inverse(np.linalg.cholesky(whitened)) * scale[None, :]
 
 
-def _posterior(system: ModalSystem, linv: np.ndarray, decay=None) -> np.ndarray:
-    """The posterior of x from ``_condition``'s Linv, in modal coordinates.
+def _energy(system: ModalSystem) -> np.ndarray:
+    """|e^(lambda_k T)|^2 D_k: tr(e^(AT) A X A* e^(A*T)) = energy @ diag(X).
 
-    P_rho = (Linv R)^T (Linv R) is one real gemm, and A P_rho A* takes it
-    back through each pair's sums and differences.  With ``decay`` = e^(AT)
-    it is the posterior of z(T) = diag(decay) x instead.
+    The modulus of e^(lambda T) is equal on a pair, so for a real symmetric
+    X in rho the trace of the undriven decay's image of x = A rho takes the
+    diagonal of X alone.
     """
-    pairs = system._pair_index
-    half = linv * np.sqrt(system.prior_var / pairs.weights)[None, :]
-    post = half.T @ half
-    # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
-    rows = _from_real(post, pairs).T
-    post = _from_real(rows.conj(), pairs).conj()
-    if decay is not None:
-        post = post * np.outer(decay, decay.conj())
-    return _hermitize(post)
+    decay = np.abs(np.exp(system.eigenvalues * system.horizon))
+    return decay ** 2 * system._pair_index.weights
 
 
-def _trace(system: ModalSystem, linv: np.ndarray, phi=None,
+def _trace(system: ModalSystem, factor: np.ndarray, phi=None,
            noise=None) -> float:
-    """tr(H + Phi P Phi*) for the posterior P of x that ``linv`` gives.
+    """tr(H + Phi P Phi*) for the posterior P of x that ``factor`` gives.
 
-    ``phi`` None stands for the undriven decay diag(e^(AT)).  Its modulus is
-    equal on a pair, so the trace is sum_k |e^(lambda_k T)|^2 p_k
-    ||Linv[:, k]||^2, from column norms alone.  A stretch triple's Phi_rho
-    and H_rho = ``noise``, real, give the trace of x = A rho through
-    A* A = D: tr(D H_rho) + ||Linv R Phi_rho^T D^(1/2)||_F^2, one real gemm.
-    No N x N posterior is formed.
+    ``phi`` None stands for the undriven decay diag(e^(AT)): the trace is
+    ``_energy`` weighting the column norms ||F[:, k]||^2.  A stretch triple's
+    Phi_rho and H_rho = ``noise``, real, give the trace of x = A rho through
+    A* A = D: tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2, one real gemm.  No
+    N x N posterior is formed.
     """
     if phi is None:
-        energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
-        columns = np.einsum("ij,ij->j", linv, linv)
-        return float((energy * system.prior_var) @ columns)
+        return float(_energy(system) @ np.einsum("ij,ij->j", factor, factor))
     weights = system._pair_index.weights
-    half = linv @ (np.sqrt(system.prior_var / weights)[:, None] * phi.T
-                   * np.sqrt(weights)[None, :])
-    return (float((weights * noise.diagonal()).sum())
-            + float(np.vdot(half, half)))
+    half = factor @ (phi.T * np.sqrt(weights)[None, :])
+    return float((weights * noise.diagonal()).sum() + np.vdot(half, half))
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -502,9 +496,13 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
         raise ValueError("information_filter needs an undriven system; "
                          "use sequential_filter")
     times = _validate_times(system, times)
-    info = _accumulated_information(system, times)
-    final_cov = _posterior(system, _condition(system, info),
-                           np.exp(system.eigenvalues * system.horizon))
+    factor = _condition(system, _accumulated_information(system, times))
+    pairs = system._pair_index
+    # A P_rho = (P_rho A^T)^T on the rows, then x A* = conj(conj(x) A^T)
+    rows = _from_real(factor.T @ factor, pairs).T
+    decay = np.exp(system.eigenvalues * system.horizon)
+    final_cov = _hermitize(_from_real(rows.conj(), pairs).conj()
+                           * np.outer(decay, decay.conj()))
     return FilterRun(grid=times, final_cov=final_cov,
                      trace_err=float(np.trace(final_cov).real))
 
@@ -672,27 +670,27 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     if np.any(inside):
         raise ValueError("base set intrudes into the insertion stencil")
 
-    post = _posterior(system, _condition(
-        system, _accumulated_information(system, base)))
-    chm = system.output_coeffs.T * phi_h(system.eigenvalues, t, h)[None, :]
-    energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
-    return _insert(post, chm, h, system.r_cov, energy)[0]
+    factor = _condition(system, _accumulated_information(system, base))
+    rows = _times_a(system.output_coeffs.T * phi_h(system.eigenvalues, t, h),
+                    system._pair_index).real
+    return _insert(factor.T @ factor, rows, h, system.r_cov,
+                   _energy(system))[0]
 
 
-def _insert(post: np.ndarray, chm: np.ndarray, h: float, r_cov: np.ndarray,
+def _insert(post: np.ndarray, rows: np.ndarray, h: float, r_cov: np.ndarray,
             energy: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain of one midpoint insertion and the posterior of x after it.
+    """Gain of one midpoint insertion and the posterior of rho after it.
 
-    ``post`` is the error covariance P of the initial state x on the base
-    set, ``chm`` the (r, N) interpolation map C_h of the new point and
-    ``energy`` the |e^(lambda_k T)|^2.  The interpolated observation
-    C_h x + noise, noise ~ N(0, (h/2) R), is independent of the base set,
-    so with G = C_h P C_h* + (h/2) R the posterior of x drops by the rank-r
-    term P C_h* G^-1 C_h P, and the gain is the trace of its image under
-    e^(AT).
+    ``post`` is the error covariance P_rho of the initial state in real
+    coordinates on the base set, ``rows`` the real (r, N) map C_h A of the
+    new point and ``energy`` the ``_energy`` of the model; all float64.  The
+    interpolated observation C_h A rho + noise, noise ~ N(0, (h/2) R), is
+    independent of the base set, so with G = C_h A P_rho (C_h A)^T + (h/2) R
+    the posterior drops by the rank-r term P_rho (C_h A)^T G^-1 C_h A P_rho,
+    and the gain is the trace of its image under e^(AT) A.
     """
-    cpost = chm @ post
-    gmat = cpost @ chm.conj().T + (h / 2.0) * r_cov
-    drop = cpost.conj().T @ np.linalg.solve(gmat, cpost)
-    gain = float(energy @ drop.diagonal().real)
+    cpost = rows @ post
+    gmat = cpost @ rows.T + (h / 2.0) * r_cov
+    drop = cpost.T @ np.linalg.solve(gmat, cpost)
+    gain = float(energy @ drop.diagonal())
     return gain, _hermitize(post - drop)

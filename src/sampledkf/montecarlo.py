@@ -61,8 +61,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .filter_core import _backward_maps, _filter_plan, _validate_times
-from .refinement import _is_whole
-from .spectral_model import (ModalSystem, _from_real, _pairs,
+from .spectral_model import (ModalSystem, _from_real, _is_whole, _pairs,
                              _real_covariance, _to_real)
 
 logger = logging.getLogger(__name__)

@@ -17,9 +17,10 @@ joins (driven) for m points.
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
 (``filter_core.increment_variance``).  ``telescope_check`` verifies the
-identity numerically: it carries one posterior of the initial state from the
-base grid through every insertion, a rank-r downdate each, so an insertion
-costs O(N^2 r) whatever the size of the set before it.  ``level_sum``
+identity numerically: it carries one posterior P_rho of the initial state,
+in the real coordinates of ``spectral_model``, from the base grid through
+every insertion, a float64 rank-r downdate each, so an insertion costs
+O(N^2 r) whatever the size of the set before it.  ``level_sum``
 isolates the per-level interpolation operator whose weighted norm drives
 every rate bound.  Its sum over a level's new points is geometric, the sum
 ``filter_core._geometric_sum`` also takes for the closed-form J, so a level
@@ -41,20 +42,16 @@ grid of a level sum may have at most 2**53 points (``_inexact``).
 
 from __future__ import annotations
 
-import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _geometric_sum, _insert, _posterior,
+from .filter_core import (_condition, _energy, _geometric_sum, _insert,
                           _trace, _uniform_information, _uniform_trace)
 from .kernels import _hermitize, phi_h
-from .spectral_model import ModalSystem
-
-logger = logging.getLogger(__name__)
+from .spectral_model import ModalSystem, _is_whole, _times_a
 
 __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
            "TelescopeReport", "telescope_check", "level_sum"]
@@ -65,15 +62,9 @@ _NEGATIVE_SLACK = 1e-10
 _REFERENCE_TOLERANCE = 0.05
 #: Most points x modes the deepest telescope level may hold.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
-
-
-def _is_whole(value) -> bool:
-    """True for finite whole numbers of any numeric type (2, 2.0, np.int64(2)).
-
-    Integers are whole without a float conversion, which would overflow
-    beyond about 1.8e308 (a seed may be larger).
-    """
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
+#: Points whose real rows C_h A the telescope forms at once; bounds that
+#: work array at (256, r, N) whatever the level holds.
+_ROW_BLOCK = 256
 
 
 def _dyadic_size(base_n: int, level: int) -> int:
@@ -237,27 +228,30 @@ def _new_points(system: ModalSystem, base_n: int, level: int):
     return h, phi_h(system.eigenvalues[None, :], points[:, None], h)
 
 
-def _telescope_gains(system: ModalSystem, linv: np.ndarray, base_n: int,
+def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
                      levels: int):
-    """Insertion gains per level and the posterior of x after the last one.
+    """Insertion gains per level and the posterior of rho after the last one.
 
-    One posterior of the initial state on the base grid of base_n points,
-    formed from ``linv``, ``_condition``'s factor of the grid's closed-form
-    J, is carried through every insertion (levels in order, points left to
-    right) by the rank-r downdate of ``filter_core._insert``.  The dyadic
-    construction fixes every stencil: the neighbours t - h (or 0) and t + h
-    of a point new at a level already belong to the base set.
+    One posterior P_rho = F^T F of the initial state on the base grid of
+    base_n points, F = ``factor``, ``_condition``'s factor of the grid's
+    closed-form J, is carried through every insertion (levels in order,
+    points left to right) by the rank-r float64 downdate of
+    ``filter_core._insert``, on the real rows C_h A of each point.  The
+    dyadic construction fixes every stencil: the neighbours t - h (or 0) and
+    t + h of a point new at a level already belong to the base set.
     """
-    post = _posterior(system, linv)
-    energy = np.abs(np.exp(system.eigenvalues * system.horizon)) ** 2
+    post = factor.T @ factor
+    energy = _energy(system)
     coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []
     for level in range(1, levels + 1):
         h, phis = _new_points(system, base_n, level)
         gains = np.empty(len(phis))
-        for j, phi in enumerate(phis):
-            gains[j], post = _insert(post, coeffs * phi[None, :], h,
-                                     system.r_cov, energy)
+        for lo in range(0, len(phis), _ROW_BLOCK):
+            block = _times_a(phis[lo:lo + _ROW_BLOCK, None, :] * coeffs,
+                             system._pair_index)
+            for j, rows in enumerate(np.ascontiguousarray(block.real), lo):
+                gains[j], post = _insert(post, rows, h, system.r_cov, energy)
         per_level.append(gains)
     return per_level, post
 
@@ -291,10 +285,10 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     # the coarse trace and the carried posterior share the base grid's one
     # factor; both traces come from column norms, independent of the
     # posterior and of the downdates they check
-    linv = _condition(system, _uniform_information(system, base_n))
-    coarse = _trace(system, linv)
+    factor = _condition(system, _uniform_information(system, base_n))
+    coarse = _trace(system, factor)
     fine = _uniform_trace(system, base_n * 2 ** levels)
-    per_level, _ = _telescope_gains(system, linv, base_n, levels)
+    per_level, _ = _telescope_gains(system, factor, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
     residual = abs(total - drop) / coarse

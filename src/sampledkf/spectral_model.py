@@ -56,6 +56,7 @@ stretch triple), and the doubling of driven stretches runs there.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -251,6 +252,15 @@ def index_weights(system: ModalSystem, exponent: float) -> np.ndarray:
     return np.arange(1, system.num_modes + 1, dtype=float) ** (2.0 * exponent)
 
 
+def _is_whole(value) -> bool:
+    """True for finite whole numbers of any numeric type (2, 2.0, np.int64(2)).
+
+    Integers are whole without a float conversion, which would overflow
+    beyond about 1.8e308 (a seed may be larger).
+    """
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 def _check_scalars(**scalars) -> None:
     """ValueError naming the builder argument: every scalar finite, r_scalar > 0.
 
@@ -273,8 +283,9 @@ def build_heat_model(num_modes: int, horizon: float, prior_decay: float = 6.0,
     a D(A)-valued random variable as modes are added).  A positive ``q_scalar``
     switches on a scalar distributed input with smooth profile b_k = k^(-4).
     """
-    if num_modes < 1:
-        raise ValueError("num_modes: need at least one mode")
+    if not _is_whole(num_modes) or num_modes < 1:
+        raise ValueError(f"num_modes: need a whole number >= 1, got {num_modes!r}")
+    num_modes = int(num_modes)
     _check_scalars(prior_decay=prior_decay, q_scalar=q_scalar,
                    r_scalar=r_scalar)
     if prior_decay <= 5.0:
@@ -315,8 +326,9 @@ def build_wave_model(num_modes: int, domain_length: float = 1.0, horizon: float 
     position keeps every mode visible.  Prior variances are shared inside each
     pair and need prior_decay > 3 for D(A)-membership under refinement.
     """
-    if num_modes < 2 or num_modes % 2:
+    if not _is_whole(num_modes) or num_modes < 2 or num_modes % 2:
         raise ValueError("num_modes: wave models need an even mode count >= 2")
+    num_modes = int(num_modes)
     _check_scalars(prior_decay=prior_decay, domain_length=domain_length,
                    r_scalar=r_scalar)
     if prior_decay <= 3.0:
@@ -360,7 +372,8 @@ def model_from_mapping(mapping: Mapping[str, str]) -> ModalSystem:
     """Build a model from flat ``key = value`` text entries (strict keys).
 
     Recognised keys: kind (heat|wave), num_modes, horizon, prior_decay,
-    q_scalar, r_scalar, domain_length.  Unknown keys are rejected.
+    q_scalar (heat only), r_scalar, domain_length (wave only).  Unknown
+    keys are rejected, and so is a key the kind takes no value for.
     """
     unknown = set(mapping) - _MODEL_KEYS
     if unknown:
@@ -382,6 +395,9 @@ def model_from_mapping(mapping: Mapping[str, str]) -> ModalSystem:
 
     try:
         if kind == "heat":
+            if "domain_length" in mapping:
+                raise ConfigError("model.domain_length: heat models take no "
+                                  "domain length")
             return build_heat_model(num_modes, horizon,
                                     prior_decay=fget("prior_decay", 6.0),
                                     q_scalar=fget("q_scalar", 0.0),

@@ -362,7 +362,11 @@ class RateFit:
 
 
 def fit_rate(n_values, values) -> RateFit:
-    """Fit value ~ 10^intercept * n^slope, ignoring nonpositive entries."""
+    """Fit value ~ 10^intercept * n^slope, ignoring nonpositive entries.
+
+    The points kept need at least two distinct n: a line through one n has
+    no slope.
+    """
     n_values = np.asarray(n_values, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
     if n_values.shape != values.shape:
@@ -371,8 +375,8 @@ def fit_rate(n_values, values) -> RateFit:
     if np.count_nonzero(~keep):
         logger.warning("fit_rate: dropping %d nonpositive/invalid points",
                        int(np.count_nonzero(~keep)))
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("fit_rate needs at least two positive points")
+    if np.unique(n_values[keep]).size < 2:
+        raise ValueError("fit_rate needs at least two distinct positive n")
     x = np.log10(n_values[keep])
     y = np.log10(values[keep])
     slope, intercept = np.polyfit(x, y, 1)

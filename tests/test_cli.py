@@ -490,6 +490,15 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"config error: {message}\n" in err
 
+    @pytest.mark.parametrize("command", ["converge", "validate-config"])
+    def test_heat_domain_length_exits_two(self, tmp_path, capsys, command):
+        # the key has no effect on a heat model: it is refused, not recorded
+        # in the header of a result it did not shape
+        cfg = write_cfg(tmp_path, CONVERGE_CFG + "model.domain_length = 3\n")
+        assert main([command, "--config", cfg]) == 2
+        assert ("config error: model.domain_length: heat models take no "
+                "domain length\n") in capsys.readouterr().err
+
     def test_retired_per_n_reference_key_exits_two(self, tmp_path, capsys):
         # every curve shares one reference; result headers written while the
         # key existed carry "# per_n_reference = false" and need that line

@@ -25,8 +25,8 @@ from sampledkf import filter_core
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triple, _insert, _lower_inverse,
-                                   _output_gram, _posterior, _solve_gram,
+                                   _doubled_triple, _lower_inverse,
+                                   _output_gram, _solve_gram,
                                    _trace, _uniform_information,
                                    _uniform_trace)
 from sampledkf.spectral_model import _times_a
@@ -242,11 +242,10 @@ class TestDoubling:
         build = sk.build_heat_model if family == "heat" else sk.build_wave_model
         sysm = build(10, horizon=1.0)
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
-        # the triple is real, in rho: P_rho = R Linv^T Linv R, and the
-        # posterior of z(T) = A rho is A (H + Phi P_rho Phi^T) A*
+        # the triple is real, in rho: P_rho = F^T F, and the posterior of
+        # z(T) = A rho is A (H + Phi P_rho Phi^T) A*
         phi, gam, noise = _doubled_triple(sysm, n)
-        half = _condition(sysm, gam) * np.sqrt(
-            sysm.prior_var / sysm._pair_index.weights)
+        half = _condition(sysm, gam)
         amat = _recomposition(sysm)
         post = amat @ (noise + phi @ half.T @ half @ phi.T) @ amat.conj().T
         assert rel_frobenius(post, info.final_cov) <= 1e-12
@@ -284,7 +283,8 @@ class TestOneConditioning:
         npt.assert_array_equal(spy[0], np.tril(spy[0]))
 
     def test_uniform_trace_forms_no_posterior(self, monkeypatch):
-        monkeypatch.setattr(filter_core, "_posterior", _refuse)
+        # only information_filter takes a posterior back to modal coordinates
+        monkeypatch.setattr(filter_core, "_from_real", _refuse)
         for sysm in (heat(6), sk.build_wave_model(6), heat(6, q_scalar=0.5)):
             assert _uniform_trace(sysm, 12) > 0
 
@@ -300,7 +300,8 @@ class TestOneConditioning:
         run = sk.information_filter(sysm, _irregular_times(9, seed=4))
         decay = np.exp(sysm.eigenvalues * sysm.horizon)
         assert len(spy) == 1
-        npt.assert_array_equal(run.final_cov, _posterior(sysm, spy[0], decay))
+        assert rel_frobenius(run.final_cov,
+                             _modal_posterior(sysm, spy[0], decay)) <= 1e-14
 
     def test_increment_variance(self, spy):
         sk.increment_variance(heat(6), sk.dyadic_grid(4, 0, 1.0), 0.125, 0.125)
@@ -365,6 +366,34 @@ def _recomposition(system):
     amat[pairs.first, pairs.mate] = 1.0j
     amat[pairs.mate, pairs.mate] = -1.0j
     return amat
+
+
+def _modal_posterior(system, factor, decay=None):
+    """A F^T F A* of a factor of ``_condition``, with the dense A.
+
+    With ``decay`` = e^(AT) it is the posterior of z(T) = diag(decay) x.
+    """
+    amat = _recomposition(system)
+    post = amat @ factor.T @ factor @ amat.conj().T
+    if decay is not None:
+        post = post * np.outer(decay, decay.conj())
+    return (post + post.conj().T) / 2.0
+
+
+def _modal_insert(post, chm, h, r_cov, decay):
+    """One midpoint insertion on a modal posterior of x, in complex128.
+
+    ``chm`` is the (r, N) modal map C_h of the new point.  With
+    G = C_h P C_h* + (h/2) R the posterior drops by P C_h* G^-1 C_h P, and
+    the gain is the trace of its image under e^(AT).  Returns the gain and
+    the downdated posterior.
+    """
+    cpost = chm @ post
+    drop = cpost.conj().T @ np.linalg.solve(
+        cpost @ chm.conj().T + (h / 2.0) * r_cov, cpost)
+    after = post - drop
+    return (float(np.abs(decay) ** 2 @ drop.diagonal().real),
+            (after + after.conj().T) / 2.0)
 
 
 def _modal_triple(system, phi, gam, noise):
@@ -504,7 +533,7 @@ class TestRealConditioning:
         chm = sysm.output_coeffs.T * sk.phi_h(sysm.eigenvalues, h, h)[None, :]
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, base))
-        gain = _insert(oracle, chm, h, sysm.r_cov, np.abs(decay) ** 2)[0]
+        gain = _modal_insert(oracle, chm, h, sysm.r_cov, decay)[0]
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
         per_level, _ = sk.refinement._telescope_gains(
             sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 3)
@@ -513,8 +542,8 @@ class TestRealConditioning:
         for level, gains in enumerate(per_level, start=1):
             h, phis = sk.refinement._new_points(sysm, 4, level)
             for got, phi in zip(gains, phis):
-                want, oracle = _insert(oracle, sysm.output_coeffs.T * phi, h,
-                                       sysm.r_cov, np.abs(decay) ** 2)
+                want, oracle = _modal_insert(oracle, sysm.output_coeffs.T * phi,
+                                             h, sysm.r_cov, decay)
                 assert _rel(got, want) <= 1e-13
 
     @pytest.mark.parametrize("family", ["heat", "wave", "undeclared"])
@@ -780,7 +809,7 @@ class TestRouteProperties:
         covs = [run.final_cov for run in runs]
         if uniform:
             decay = np.exp(sysm.eigenvalues * sysm.horizon)
-            covs.append(_posterior(
+            covs.append(_modal_posterior(
                 sysm, _condition(sysm, _uniform_information(sysm, uniform)),
                 decay))
         mate = np.ix_(sysm.pairing, sysm.pairing)

@@ -65,12 +65,27 @@ class TestHeatBuilder:
         (dict(r_scalar=np.inf), "^r_scalar: must be finite$"),
         (dict(r_scalar=0.0), "^r_scalar: must be positive$"),
         (dict(r_scalar=-1.0), "^r_scalar: must be positive$"),
+        (dict(num_modes=4.5), "^num_modes: .* got 4.5$"),
+        (dict(num_modes=np.nan), "^num_modes: .* got nan$"),
     ])
     def test_rejects_bad_parameters(self, kwargs, match):
         args = dict(num_modes=3, horizon=1.0)
         args.update(kwargs)
         with pytest.raises(ValueError, match=match):
             sk.build_heat_model(**args)
+
+
+@pytest.mark.parametrize("num_modes", [4, 4.0, np.int64(4), np.float32(4)],
+                         ids=["int", "float", "int64", "float32"])
+@pytest.mark.parametrize("build", [
+    lambda n: sk.build_heat_model(n, 1.0), lambda n: sk.build_wave_model(n)],
+    ids=["heat", "wave"])
+def test_builders_take_whole_mode_counts_of_any_type(build, num_modes):
+    # the rule of refinement._is_whole, as discrepancy_curve applies it
+    built, want = build(num_modes), build(4)
+    assert built.label == want.label
+    npt.assert_array_equal(built.eigenvalues, want.eigenvalues)
+    npt.assert_array_equal(built.prior_var, want.prior_var)
 
 
 class TestWaveBuilder:
@@ -91,9 +106,9 @@ class TestWaveBuilder:
         npt.assert_allclose(sysm.prior_var[0::2],
                             np.arange(1, 5, dtype=float) ** -4)
 
-    @pytest.mark.parametrize("num_modes", [1, 3, 7])
+    @pytest.mark.parametrize("num_modes", [1, 3, 7, 4.5])
     def test_odd_mode_counts_rejected(self, num_modes):
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError, match="^num_modes: .*even"):
             sk.build_wave_model(num_modes)
 
     def test_shallow_prior_rejected(self):
@@ -215,6 +230,14 @@ class TestMapping:
         with pytest.raises(ConfigError, match="q_scalar"):
             sk.model_from_mapping({"kind": "wave", "num_modes": "4",
                                    "horizon": "1", "q_scalar": "0.1"})
+
+    def test_heat_rejects_domain_length(self):
+        # the key has no effect on a heat model, so it is refused rather
+        # than recorded in a result header
+        with pytest.raises(ConfigError, match="^model.domain_length: heat "
+                                              "models take no domain length$"):
+            sk.model_from_mapping({"kind": "heat", "num_modes": "4",
+                                   "horizon": "1", "domain_length": "2"})
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):

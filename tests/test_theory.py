@@ -1,6 +1,7 @@
 """Output-energy constants, the five discrepancy bounds, and rate fits."""
 
 import logging
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -346,3 +347,15 @@ class TestFitRate:
             sk.fit_rate([2, 4], [1.0, 0.0])
         with pytest.raises(ValueError, match="matching length"):
             sk.fit_rate([2, 4], [1.0])
+
+    @pytest.mark.parametrize("n_values, values", [
+        ([4, 4, 4], [1.0, 2.0, 3.0]), ([4, 4.0], [1.0, 2.0]),
+        ([4, 8, 4], [1.0, 0.0, 3.0])], ids=["repeated", "repeated-float",
+                                            "repeated-after-drop"])
+    def test_needs_two_distinct_n(self, n_values, values):
+        # a line through one n has no slope; refused before numpy's fit
+        # warns and returns one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least two"):
+                sk.fit_rate(n_values, values)
