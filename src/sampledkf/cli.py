@@ -36,8 +36,6 @@ from .theory import (TheoremBound, check_bound, fit_rate, theorem1_bound,
                      theorem2_bound, theorem3_bound, theorem4_bound,
                      theorem5_bound)
 
-logger = logging.getLogger(__name__)
-
 EXPERIMENTS = ("converge", "bounds", "telescope", "levelsum", "simulate", "fit")
 
 #: key -> (parser, help); None values mean "not set".

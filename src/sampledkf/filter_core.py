@@ -28,7 +28,8 @@ formed than a caller uses:
   weights); a stretch triple, real in rho, gives
   tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2;
 - ``increment_variance`` and the telescope of ``refinement`` carry
-  P_rho = F^T F and insert real rows in float64 (``_insert``);
+  P_rho = F^T F and insert real rows in float64 (``_downdate``, a block of
+  points per Cholesky factor);
 - only ``information_filter``, which returns the covariance of z(T),
   takes F^T F back to modal coordinates through the pairs' sums and
   differences.
@@ -132,11 +133,14 @@ y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
 measurement noise, independent of the coarse set, so the insertion also
 downdates P by the rank-r term P C_h* G^(-1) C_h P.  C_h is conjugate on
 each pair, so its rows C_h A in rho are real (``spectral_model._times_a``),
-and ``_insert`` holds the formula once, in float64 on P_rho: it returns
-the gain, weighted by ``_energy``, and the downdated P_rho.
+and ``_downdate`` holds the formula once, in float64 on P_rho, for a block
+of points inserted in order: one Cholesky factor of the block's gram, whose
+elimination order is the order of insertion, gives each point's gain,
+weighted by ``_energy``, and the P_rho downdated by the whole block.
 ``increment_variance`` conditions P_rho on the summed J of the given base
-set and stays the one-insertion oracle; ``refinement.telescope_check``
-carries one P_rho through every insertion instead.
+set and inserts a block of one point, the one-insertion oracle;
+``refinement.telescope_check`` carries one P_rho through every block
+instead.
 """
 
 from __future__ import annotations
@@ -673,24 +677,37 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     factor = _condition(system, _accumulated_information(system, base))
     rows = _times_a(system.output_coeffs.T * phi_h(system.eigenvalues, t, h),
                     system._pair_index).real
-    return _insert(factor.T @ factor, rows, h, system.r_cov,
-                   _energy(system))[0]
+    gains, _ = _downdate(factor.T @ factor, rows[None], h, system.r_cov,
+                         _energy(system))
+    return float(gains[0])
 
 
-def _insert(post: np.ndarray, rows: np.ndarray, h: float, r_cov: np.ndarray,
-            energy: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain of one midpoint insertion and the posterior of rho after it.
+def _downdate(post: np.ndarray, rows: np.ndarray, h: float, r_cov: np.ndarray,
+              energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of a block of midpoint insertions and the posterior of rho after them.
 
     ``post`` is the error covariance P_rho of the initial state in real
-    coordinates on the base set, ``rows`` the real (r, N) map C_h A of the
-    new point and ``energy`` the ``_energy`` of the model; all float64.  The
-    interpolated observation C_h A rho + noise, noise ~ N(0, (h/2) R), is
-    independent of the base set, so with G = C_h A P_rho (C_h A)^T + (h/2) R
-    the posterior drops by the rank-r term P_rho (C_h A)^T G^-1 C_h A P_rho,
-    and the gain is the trace of its image under e^(AT) A.
+    coordinates on the base set, ``rows`` the real (B, r, N) maps C_h A of
+    B new points in the order they are inserted, and ``energy`` the
+    ``_energy`` of the model; all float64.  Each interpolated observation
+    C_h A rho + noise, noise ~ N(0, (h/2) R), is independent of the base set
+    and of the others, so with C the (B r, N) stack of the rows the block's
+    gram is G = C P_rho C^T plus (h/2) R on each point's r x r diagonal block.
+    With G = L L^T and U = L^-1 C P_rho the posterior drops by U^T U, and
+    the rows of point j in U give exactly the rank-r drop of inserting it
+    after the points before it: Cholesky's elimination order is the order
+    of insertion, its pivots the Schur complements of one insertion at a
+    time.  Point j's gain is the trace of its drop's image under e^(AT) A,
+    ``energy`` @ the column sums of its rows of U squared.  Returns the (B,)
+    gains and the downdated P_rho; O(B r N^2 + (B r)^2 N + (B r)^3).
     """
-    cpost = rows @ post
-    gmat = cpost @ rows.T + (h / 2.0) * r_cov
-    drop = cpost.T @ np.linalg.solve(gmat, cpost)
-    gain = float(energy @ drop.diagonal())
-    return gain, _hermitize(post - drop)
+    points, r, n = rows.shape
+    stacked = rows.reshape(points * r, n)
+    cpost = stacked @ post
+    gmat = cpost @ stacked.T
+    # (h/2) R on every point's diagonal block, through a view of gmat
+    diag = np.arange(points)
+    gmat.reshape(points, r, points, r)[diag, :, diag, :] += (h / 2.0) * r_cov
+    half = _lower_inverse(np.linalg.cholesky(gmat)) @ cpost
+    gains = (half * half).reshape(points, r, n).sum(axis=1) @ energy
+    return gains, _hermitize(post - half.T @ half)

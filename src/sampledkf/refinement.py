@@ -19,8 +19,10 @@ difference into a sum of one-insertion increments, each in closed form
 (``filter_core.increment_variance``).  ``telescope_check`` verifies the
 identity numerically: it carries one posterior P_rho of the initial state,
 in the real coordinates of ``spectral_model``, from the base grid through
-every insertion, a float64 rank-r downdate each, so an insertion costs
-O(N^2 r) whatever the size of the set before it.  ``level_sum``
+every insertion, one float64 Cholesky downdate (``filter_core._downdate``)
+per block of at most ``_ROW_BLOCK`` of a level's points, so a block of B
+points costs O(B r N^2 + (B r)^2 N + (B r)^3) whatever the size of the set
+before it.  ``level_sum``
 isolates the per-level interpolation operator whose weighted norm drives
 every rate bound.  Its sum over a level's new points is geometric, the sum
 ``filter_core._geometric_sum`` also takes for the closed-form J, so a level
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _energy, _geometric_sum, _insert,
+from .filter_core import (_condition, _downdate, _energy, _geometric_sum,
                           _trace, _uniform_information, _uniform_trace)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem, _is_whole, _times_a
@@ -62,9 +64,11 @@ _NEGATIVE_SLACK = 1e-10
 _REFERENCE_TOLERANCE = 0.05
 #: Most points x modes the deepest telescope level may hold.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
-#: Points whose real rows C_h A the telescope forms at once; bounds that
-#: work array at (256, r, N) whatever the level holds.
-_ROW_BLOCK = 256
+#: Points the telescope inserts with one blocked downdate; bounds its work
+#: arrays at (32 r, N) and its gram at (32 r)^2 whatever the level holds.
+#: 32-48 points ran fastest at 10-12 levels of heat and wave, N = 10 and
+#: 60, r = 1 and 2 (``BENCH_blocked_telescope.json``).
+_ROW_BLOCK = 32
 
 
 def _dyadic_size(base_n: int, level: int) -> int:
@@ -235,10 +239,14 @@ def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
     One posterior P_rho = F^T F of the initial state on the base grid of
     base_n points, F = ``factor``, ``_condition``'s factor of the grid's
     closed-form J, is carried through every insertion (levels in order,
-    points left to right) by the rank-r float64 downdate of
-    ``filter_core._insert``, on the real rows C_h A of each point.  The
-    dyadic construction fixes every stencil: the neighbours t - h (or 0) and
-    t + h of a point new at a level already belong to the base set.
+    points left to right).  Each block of at most ``_ROW_BLOCK`` of a
+    level's points, on their real rows C_h A, takes one float64 Cholesky
+    downdate (``filter_core._downdate``), O(B r N^2 + (B r)^2 N + (B r)^3)
+    for B points: its elimination order is the order of insertion, so it
+    gives each point's gain on the set inserted before it, as one rank-r
+    downdate per point would.  The dyadic construction fixes every stencil:
+    the neighbours t - h (or 0) and t + h of a point new at a level already
+    belong to the base set.
     """
     post = factor.T @ factor
     energy = _energy(system)
@@ -248,10 +256,10 @@ def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
         h, phis = _new_points(system, base_n, level)
         gains = np.empty(len(phis))
         for lo in range(0, len(phis), _ROW_BLOCK):
-            block = _times_a(phis[lo:lo + _ROW_BLOCK, None, :] * coeffs,
-                             system._pair_index)
-            for j, rows in enumerate(np.ascontiguousarray(block.real), lo):
-                gains[j], post = _insert(post, rows, h, system.r_cov, energy)
+            rows = _times_a(phis[lo:lo + _ROW_BLOCK, None, :] * coeffs,
+                            system._pair_index).real
+            gains[lo:lo + _ROW_BLOCK], post = _downdate(
+                post, rows, h, system.r_cov, energy)
         per_level.append(gains)
     return per_level, post
 
@@ -259,13 +267,13 @@ def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
 def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeReport:
     """Verify that per-point increments telescope to the trace drop.
 
-    Inserts every midpoint one at a time (levels in order, points left to
-    right), carrying one posterior of the initial state through a rank-r
-    downdate per insertion; each gain equals ``increment_variance`` on the
-    set inserted so far.  The trace drop they should sum to is taken between
-    the uniform grids of base_n and base_n 2**levels points, from the two
-    sizes alone.  The residual is the absolute mismatch relative to the
-    coarse trace.  Undriven systems only.
+    Inserts every midpoint in order (levels in order, points left to
+    right), carrying one posterior of the initial state through one blocked
+    Cholesky downdate per block of a level's points; each gain equals
+    ``increment_variance`` on the set inserted so far.  The trace drop they
+    should sum to is taken between the uniform grids of base_n and
+    base_n 2**levels points, from the two sizes alone.  The residual is the
+    absolute mismatch relative to the coarse trace.  Undriven systems only.
     """
     if system.has_input_noise:
         raise ValueError("telescope_check needs an undriven system; with input "

@@ -378,14 +378,20 @@ def model_from_mapping(mapping: Mapping[str, str]) -> ModalSystem:
     unknown = set(mapping) - _MODEL_KEYS
     if unknown:
         raise ConfigError(f"model: unknown keys {sorted(unknown)}")
-    try:
-        kind = mapping["kind"]
-        num_modes = int(mapping["num_modes"])
-        horizon = float(mapping["horizon"])
-    except KeyError as exc:
-        raise ConfigError(f"model.{exc.args[0]}: required") from None
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+
+    def required(key, parse):
+        # the CLI's rule and wording for the key: int() or float(), and the
+        # parser's message after the key's name
+        try:
+            return parse(mapping[key])
+        except KeyError:
+            raise ConfigError(f"model.{key}: required") from None
+        except ValueError as exc:
+            raise ConfigError(f"model.{key}: {exc}") from None
+
+    kind = required("kind", str)
+    num_modes = required("num_modes", int)
+    horizon = required("horizon", float)
 
     def fget(key, default):
         try:

@@ -35,9 +35,10 @@ import numpy as np
 from ._scalars import phi1
 from .filter_core import _uniform_trace
 from .kernels import _hermitize
-from .refinement import DiscrepancyCurve, _is_whole
-from .spectral_model import (ModalSystem, domain_weights, fractional_weights,
-                             index_weights, spectral_parameters, unit_weights)
+from .refinement import DiscrepancyCurve
+from .spectral_model import (ModalSystem, _is_whole, domain_weights,
+                             fractional_weights, index_weights,
+                             spectral_parameters, unit_weights)
 
 logger = logging.getLogger(__name__)
 

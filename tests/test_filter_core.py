@@ -610,6 +610,73 @@ class TestRealConditioning:
         assert max(rows) <= filter_core._INVERSE_LEAF
 
 
+_BLOCKED_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
+                   for model, modes in (("heat", 10), ("wave", 10),
+                                        ("two-output-heat", 6))]
+
+
+class TestBlockedDowndate:
+    """One Cholesky downdate per block of points against one point at a time."""
+
+    @staticmethod
+    def _carried(sysm, levels, block, monkeypatch):
+        monkeypatch.setattr(sk.refinement, "_ROW_BLOCK", block)
+        factor = _condition(sysm, _uniform_information(sysm, 4))
+        per_level, post = sk.refinement._telescope_gains(sysm, factor, 4, levels)
+        return np.concatenate(per_level), post
+
+    @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
+    def test_the_block_size_moves_only_the_rounding(self, model, modes,
+                                                    monkeypatch, two_output_heat):
+        # level 5 holds 64 points: two default blocks, or 21 of 3 and one of 1
+        sysm = _oracle_model(model, modes, 1.0, two_output_heat)
+        want, want_post = self._carried(sysm, 5, 1, monkeypatch)
+        for block in (3, sk.refinement._ROW_BLOCK):
+            gains, post = self._carried(sysm, 5, block, monkeypatch)
+            assert np.max(np.abs(gains - want) / want) <= 1e-13, block
+            assert rel_frobenius(post, want_post) <= 1e-13, block
+
+    @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
+    def test_a_level_of_several_blocks_matches_the_oracle(self, model, modes,
+                                                          two_output_heat):
+        # the complex modal insertion, one point at a time, is the oracle;
+        # a two-output model checks that R lands on each point's r x r block
+        sysm = _oracle_model(model, modes, 1.0, two_output_heat)
+        levels = 5
+        assert 4 * 2 ** (levels - 1) > sk.refinement._ROW_BLOCK
+        decay = np.exp(sysm.eigenvalues * sysm.horizon)
+        per_level, _ = sk.refinement._telescope_gains(
+            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, levels)
+        oracle = _complex_condition_oracle(
+            sysm, _summed_information(sysm, sk.dyadic_grid(4, 0)))
+        for level, gains in enumerate(per_level, start=1):
+            h, phis = sk.refinement._new_points(sysm, 4, level)
+            for got, phi in zip(gains, phis):
+                want, oracle = _modal_insert(oracle, sysm.output_coeffs.T * phi,
+                                             h, sysm.r_cov, decay)
+                assert _rel(got, want) <= 1e-13, level
+
+    @pytest.mark.parametrize("build", [sk.build_heat_model, sk.build_wave_model])
+    def test_high_snr_keeps_the_telescope_identity(self, build):
+        sysm = build(10, horizon=1.0, r_scalar=1e-8)
+        assert sk.telescope_check(sysm, 4, 6).residual <= 1e-12
+
+    @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
+    def test_increment_variance_matches_the_oracle(self, model, modes,
+                                                   two_output_heat):
+        # a block of one point on a base of eight, at every new point of
+        # the next level
+        sysm = _oracle_model(model, modes, 1.0, two_output_heat)
+        decay = np.exp(sysm.eigenvalues * sysm.horizon)
+        base = sk.dyadic_grid(4, 1)
+        oracle = _complex_condition_oracle(sysm, _summed_information(sysm, base))
+        h, phis = sk.refinement._new_points(sysm, 4, 2)
+        for t, phi in zip(sk.dyadic_grid(4, 2)[::2], phis):
+            want = _modal_insert(oracle, sysm.output_coeffs.T * phi, h,
+                                 sysm.r_cov, decay)[0]
+            assert _rel(sk.increment_variance(sysm, base, t, h), want) <= 1e-13
+
+
 def _random_lower(n, dtype):
     """The Cholesky factor of a random well-conditioned (n, n) matrix."""
     rng = np.random.default_rng(n)

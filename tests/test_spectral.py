@@ -7,6 +7,7 @@ import pytest
 
 import sampledkf as sk
 from sampledkf import ConfigError
+from sampledkf.cli import _coerce
 
 
 def custom_system(lam, c=None, **kw):
@@ -81,7 +82,7 @@ class TestHeatBuilder:
     lambda n: sk.build_heat_model(n, 1.0), lambda n: sk.build_wave_model(n)],
     ids=["heat", "wave"])
 def test_builders_take_whole_mode_counts_of_any_type(build, num_modes):
-    # the rule of refinement._is_whole, as discrepancy_curve applies it
+    # the rule of spectral_model._is_whole, as discrepancy_curve applies it
     built, want = build(num_modes), build(4)
     assert built.label == want.label
     npt.assert_array_equal(built.eigenvalues, want.eigenvalues)
@@ -225,6 +226,18 @@ class TestMapping:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="num_modes"):
             sk.model_from_mapping({"kind": "heat", "horizon": "1"})
+
+    @pytest.mark.parametrize("key, raw", [("num_modes", "4.0"),
+                                          ("horizon", "x")])
+    def test_a_bad_number_is_reported_as_the_cli_reports_it(self, key, raw):
+        # the mapping takes the CLI's rule and wording for the key, so both
+        # routes refuse the same text with the same message
+        mapping = {"kind": "heat", "num_modes": "4", "horizon": "1", key: raw}
+        with pytest.raises(ConfigError, match=f"^model.{key}: ") as api:
+            sk.model_from_mapping(mapping)
+        with pytest.raises(ConfigError) as cli:
+            _coerce(f"model.{key}", raw)
+        assert str(api.value) == str(cli.value)
 
     def test_wave_rejects_input_noise(self):
         with pytest.raises(ConfigError, match="q_scalar"):
