@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError
-from .montecarlo import _TRIAL_BLOCK, empirical_error
+from .montecarlo import (_BLOCK_NORMALS, _TRIAL_BLOCK, _most_normals,
+                         empirical_error)
 from .refinement import (DiscrepancyCurve, _inexact, _too_deep,
                          discrepancy_curve, dyadic_grid, level_sum,
                          telescope_check)
@@ -68,9 +69,6 @@ _SCHEMA = {
     "out": ("str", "CSV output path (stdout when omitted)"),
     "plot_out": ("str", "plot-data output path (converge and bounds)"),
 }
-
-#: Most normals one block of ``_TRIAL_BLOCK`` simulate trials may hold.
-_SIMULATE_NORMALS = 2 ** 31
 
 _MODEL_KEYS = tuple(key for key in _SCHEMA if key.startswith("model."))
 
@@ -237,11 +235,10 @@ def build_config(raw: dict[str, str],
                 raise ConfigError(f"{key}: required for experiment 'simulate'")
         if values["simulate_n"] < 1:
             raise ConfigError("simulate_n: must be at least 1")
-        # a trial takes at most N normals for the initial state and N + r
-        # for each sample step and the tail; the command's models have r = 1
+        # the command's models have one output
         modes = max(values.get("model.num_modes", 0), 0)
-        block = _TRIAL_BLOCK * (modes + (values["simulate_n"] + 1) * (modes + 1))
-        if block > _SIMULATE_NORMALS:
+        block = _TRIAL_BLOCK * _most_normals(modes, 1, values["simulate_n"])
+        if block > _BLOCK_NORMALS:
             raise ConfigError(
                 f"simulate_n: {values['simulate_n']} samples of a {modes}-mode "
                 f"model need up to {block} normals in one block of "

@@ -100,9 +100,10 @@ e = e^(lambda h) and the output map G = C^T diag(I1(lambda, h)), so the
 recursion carries only the N x N covariance of z: an elementwise prediction
 plus a rank-r update per sample, O(N^2 r) instead of dense (N+r) x (N+r)
 products.  Covariances never depend on the data, so ``_filter_plan`` runs
-them once and keeps the per-sample gains; it takes the transitions of the
-grid's sorted distinct step widths, tail included, from one batched
-``kernels._transitions`` call.  The filtered mean is linear in
+them once and keeps the per-sample gains as one (m, N, r) array; it takes
+the transitions of the grid's sorted distinct step widths, tail included,
+as one stack from one batched ``kernels._transitions`` call, and keeps each
+sample step's index into that stack.  The filtered mean is linear in
 the data, mean_T = B_0 m0 + sum_i L_i inc_i.  ``_backward_maps`` folds
 those gains into the maps L_i and B_i in one backward pass, O(N^2 r) a
 step.  ``_filtered_means`` applies them to a batch of output paths in one
@@ -146,7 +147,7 @@ instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,70 +197,70 @@ def _validate_times(system: ModalSystem, times) -> np.ndarray:
 
 
 def _filter_plan(system: ModalSystem, times: np.ndarray):
-    """Run the covariance recursion; return (run, steps, tail_transition).
+    """Run the covariance recursion; return (run, stack, index, gains, tail).
 
     Y_partial is zero after every update, so only the N x N covariance P of z
     is carried: the prediction needs only the transition's decay e and output
     map G, and the update is the rank-r downdate P - K Pzy* with K = Pzy S^-1.
-    The transitions of the sorted distinct step widths, tail included, come
-    from one ``kernels._transitions`` call, and steps of equal width share
-    one transition.  ``steps`` is a list of (transition, gain) per sample;
-    the (N, r) gain maps the innovation on the increment observation into z.
+    ``stack`` holds the transitions of the sorted distinct step widths, tail
+    included, from one ``kernels._transitions`` call.  Sample step i moves
+    by entry ``index[i]`` of it (the inverse of ``np.unique``), and the tail,
+    if the last sample precedes the horizon, by entry ``tail`` (else None).
+    ``gains`` is (m, N, r): gain i maps the innovation on the i-th increment
+    observation into z.
     """
-    n = system.num_modes
+    n, r = system.num_modes, system.num_outputs
     cov = np.diag(system.prior_var.astype(complex))
     widths = np.diff(times, prepend=0.0)
-    tail = system.horizon - (times[-1] if times.size else 0.0)
-    has_tail = tail > 1e-12 * system.horizon
-    distinct, which = np.unique(np.append(widths, tail) if has_tail else widths,
+    span = system.horizon - (times[-1] if times.size else 0.0)
+    has_tail = span > 1e-12 * system.horizon
+    distinct, which = np.unique(np.append(widths, span) if has_tail else widths,
                                 return_inverse=True)
-    transitions = _transitions(system, distinct)
-    steps = []
-    for delta, j in zip(widths, which):
-        tr = transitions[j]
-        e, g = tr.decay, tr.output_map
-        sig = tr.noise_cov
+    tail = int(which[-1]) if has_tail else None
+    stack = _transitions(system, distinct)
+    gains = np.empty((widths.size, n, r), dtype=complex)
+    for i, (delta, j) in enumerate(zip(widths, which)):
+        e, g, sig = stack.decay[j], stack.output_map[j], stack.noise_cov[j]
         pg = cov @ g.conj().T
         pzy = e[:, None] * pg + sig[:n, n:]
         s = g @ pg + sig[n:, n:] + system.r_cov * delta
-        gain = np.linalg.solve(s, pzy.conj().T).conj().T
-        cov = cov * np.outer(e, e.conj()) + sig[:n, :n] - gain @ pzy.conj().T
-        cov = _hermitize(cov)
-        steps.append((tr, gain))
-    tail_tr = None
-    if has_tail:
-        tail_tr = transitions[which[-1]]
-        e = tail_tr.decay
-        cov = cov * np.outer(e, e.conj()) + tail_tr.noise_cov[:n, :n]
-        cov = _hermitize(cov)
+        gains[i] = np.linalg.solve(s, pzy.conj().T).conj().T
+        cov = _hermitize(cov * np.outer(e, e.conj()) + sig[:n, :n]
+                         - gains[i] @ pzy.conj().T)
+    if tail is not None:
+        e = stack.decay[tail]
+        cov = _hermitize(cov * np.outer(e, e.conj())
+                         + stack.noise_cov[tail, :n, :n])
     run = FilterRun(grid=times, final_cov=cov,
                     trace_err=float(np.trace(cov).real))
-    return run, steps, tail_tr
+    return run, stack, which[:widths.size], gains, tail
 
 
-def _backward_maps(system: ModalSystem, steps, tail_tr):
-    """The backward pass over the steps of ``_filter_plan``, last step first.
+def _backward_maps(system: ModalSystem, plan):
+    """The backward pass over the steps of a ``_filter_plan``, last step first.
 
-    With e_i, G_i and K_i the decay, output map and gain of ``steps[i - 1]``,
-    B_m = diag(tail decay), L_i = B_i K_i and B_(i-1) = B_i diag(e_i) - L_i G_i,
-    yields (i, B_i, L_i) for i = m..1 and then (0, B_0, None).  L_i maps the
-    i-th increment into the filtered mean at the horizon, and -B_i is the
-    derivative of the error zhat(T) - z(T) in z just after sample i (z(0) for
-    B_0).  Only the current B is held.
+    With e_i and G_i the decay and output map of the stack's entry
+    ``index[i - 1]`` and K_i = ``gains[i - 1]``, B_m = diag(tail decay),
+    L_i = B_i K_i and B_(i-1) = B_i diag(e_i) - L_i G_i, yields (i, B_i, L_i)
+    for i = m..1 and then (0, B_0, None).  L_i maps the i-th increment into
+    the filtered mean at the horizon, and -B_i is the derivative of the error
+    zhat(T) - z(T) in z just after sample i (z(0) for B_0).  Only the
+    current B is held.
     """
-    back = np.diag(tail_tr.decay if tail_tr is not None
+    _, stack, index, gains, tail = plan
+    back = np.diag(stack.decay[tail] if tail is not None
                    else np.ones(system.num_modes, dtype=complex))
-    for i in range(len(steps), 0, -1):
-        tr, gain = steps[i - 1]
-        lmap = back @ gain
+    for i in range(index.size, 0, -1):
+        j = index[i - 1]
+        lmap = back @ gains[i - 1]
         yield i, back, lmap
-        back = back * tr.decay - lmap @ tr.output_map
+        back = back * stack.decay[j] - lmap @ stack.output_map[j]
     yield 0, back, None
 
 
-def _filtered_means(system: ModalSystem, steps, tail_tr,
+def _filtered_means(system: ModalSystem, plan,
                     increments: np.ndarray) -> np.ndarray:
-    """Filtered means of z(T), one per path, from the steps of ``_filter_plan``.
+    """Filtered means of z(T), one per path, from a ``_filter_plan``.
 
     ``increments`` is (paths, m, r): the increments y(t_i) - y(t_(i-1)) of
     each path's sampled output.  Returns the (paths, num_modes) means.  The
@@ -268,7 +269,7 @@ def _filtered_means(system: ModalSystem, steps, tail_tr,
     """
     paths, m, r = increments.shape
     maps = np.empty((m * r, system.num_modes), dtype=complex)
-    for i, back, lmap in _backward_maps(system, steps, tail_tr):
+    for i, back, lmap in _backward_maps(system, plan):
         if i:  # row block i - 1 is L_i^T
             maps[(i - 1) * r:i * r] = lmap.T
     return increments.reshape(paths, m * r) @ maps + back @ system.prior_mean
@@ -285,9 +286,9 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
         increments are formed internally.  Enables the returned final_mean.
     """
     times = _validate_times(system, times)
-    run, steps, tail_tr = _filter_plan(system, times)
+    plan = _filter_plan(system, times)
     if observations is None:
-        return run
+        return plan[0]
 
     obs = np.asarray(observations)
     r = system.num_outputs
@@ -296,9 +297,8 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
     if obs.shape != (times.size, r):
         raise ValueError("observations must have shape (len(times), num_outputs)")
     increments = np.diff(obs, axis=0, prepend=np.zeros((1, r)))
-    mean = _filtered_means(system, steps, tail_tr, increments[None])[0]
-    return FilterRun(grid=run.grid, final_cov=run.final_cov,
-                     trace_err=run.trace_err, final_mean=mean)
+    mean = _filtered_means(system, plan, increments[None])[0]
+    return replace(plan[0], final_mean=mean)
 
 
 def _accumulated_information(system: ModalSystem,
@@ -327,14 +327,14 @@ def _accumulated_information(system: ModalSystem,
     return info
 
 
-def _geometric_sum(system: ModalSystem, rows: np.ndarray, d: float,
+def _geometric_sum(system: ModalSystem, rows: np.ndarray,
                    count: int) -> np.ndarray:
     """S[k, l] = sum_(j<count) e^(j x) for x = (conj(rows_k) + lambda_l) d.
 
     ``rows`` are the eigenvalues of the rows: the whole spectrum for
     ``refinement.level_sum``, one member per pair and every self-conjugate
     mode for ``_uniform_information``.
-    Every caller spans the horizon, count d = T, so e^(count x) is an outer
+    The sum spans the horizon: d = T / count, so e^(count x) is an outer
     product of values e^(lambda T), and
 
         S = (e^(count x) - 1) / (e^x - 1),   S = count at x = 0.
@@ -353,6 +353,7 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray, d: float,
     is.
     """
     lam = system.eigenvalues
+    d = system.horizon / count
     values = [rows * d, lam * d, np.exp(rows * d), np.exp(lam * d),
               np.exp(rows * system.horizon), np.exp(lam * system.horizon)]
     real = not lam.imag.any()
@@ -402,7 +403,7 @@ def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
     rows = np.concatenate([pairs.first, pairs.single])
     block = ((white[:, rows].conj().T @ white)
              * (d * np.outer(shape[rows].conj(), shape))
-             * _geometric_sum(system, lam[rows], d, m))
+             * _geometric_sum(system, lam[rows], m))
     if not pairs.first.size:
         return block
     block = _times_a(block, pairs)

@@ -32,8 +32,10 @@ paired models keep real traces.
 
 ``_transitions`` evaluates these kernels for many step widths at once, on
 stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
-kernel entries; the filter recursion takes every transition of a grid from
-one such call.  ``transition_block`` is its batch of one.  The scalar
+kernel entries, and returns one ``AugmentedTransition`` whose fields carry
+a leading width axis; the filter recursion and the Monte Carlo take every
+transition of a grid from one such stack and index it by step.
+``transition_block`` is entry 0 of a stack of one width.  The scalar
 kernels' series branches are applied as matrix products, so a batched
 entry can differ from the batch of one in the last bit.
 
@@ -78,6 +80,8 @@ class AugmentedTransition:
     its two non-trivial blocks: ``decay`` (N,) holds e^(lambda_k h) and
     ``output_map`` (r, N) holds c_k I1(lambda_k, h).  ``noise_cov`` is the
     (N+r, N+r) complex Hermitian PSD covariance Sigma_h of the step's noise.
+    A stack from ``_transitions`` holds many steps in the same fields, each
+    with a leading width axis (``step`` an array of widths).
     """
 
     step: float
@@ -119,46 +123,56 @@ def phi_h(lam, t: float, h: float):
 
 
 def transition_block(system: ModalSystem, h: float) -> AugmentedTransition:
-    """Exact transition of (z, Y) over a step 0 < h <= T: ``_transitions`` of one width."""
-    return _transitions(system, [h])[0]
+    """Exact transition of (z, Y) over a step 0 < h <= T: the stack of one width."""
+    stack = _transitions(system, [h])
+    return AugmentedTransition(step=float(stack.step[0]), decay=stack.decay[0],
+                               output_map=stack.output_map[0],
+                               noise_cov=stack.noise_cov[0])
 
 
-def _transitions(system: ModalSystem, widths) -> list[AugmentedTransition]:
-    """Exact transitions of (z, Y) over each of the step widths, in order.
+def _transitions(system: ModalSystem, widths) -> AugmentedTransition:
+    """Exact transitions of (z, Y) over each of the step widths, as one stack.
 
-    The kernels are evaluated on stacked (W, N, N) arguments, one call per
-    batch of W widths; a batch holds at most ``_KERNEL_ELEMENTS`` kernel
-    entries (at least one width), which bounds the series temporaries
-    whatever the number of widths.  Each transition's arrays are views into
-    its batch's stacks.
+    Every field of the result has a leading width axis, in the order of
+    ``widths``: ``step`` (W,), ``decay`` (W, N), ``output_map`` (W, r, N)
+    and ``noise_cov`` (W, N+r, N+r).  The kernels are evaluated on stacked
+    (W, N, N) arguments, one ``_transition_batch`` call per batch of widths;
+    a batch holds at most ``_KERNEL_ELEMENTS`` kernel entries (at least one
+    width), which bounds the series temporaries whatever the number of
+    widths.
     """
-    widths = np.asarray(widths, dtype=float).ravel()
+    widths = np.array(widths, dtype=float).ravel()  # a copy: the stack's steps
     if not np.all((widths > 0) & (widths <= system.horizon * (1 + 1e-12))):
         raise ValueError("transition step must satisfy 0 < h <= horizon")
-    n = system.num_modes
+    n, r, count = system.num_modes, system.num_outputs, widths.size
+    stack = AugmentedTransition(
+        step=widths, decay=np.empty((count, n), dtype=complex),
+        output_map=np.empty((count, r, n), dtype=complex),
+        noise_cov=np.zeros((count, n + r, n + r), dtype=complex))
     batch = max(1, _KERNEL_ELEMENTS // (n * n))
-    out = []
-    for lo in range(0, widths.size, batch):
-        out.extend(_transition_batch(system, widths[lo:lo + batch]))
-    return out
+    for lo in range(0, count, batch):
+        _transition_batch(system, stack, slice(lo, lo + batch))
+    return stack
 
 
-def _transition_batch(system: ModalSystem,
-                      h: np.ndarray) -> list[AugmentedTransition]:
+def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
+                      rows: slice) -> None:
+    """Fill the stack's ``rows`` from their widths ``stack.step[rows]``."""
     lam = system.eigenvalues
-    n, r = system.num_modes, system.num_outputs
+    n = system.num_modes
     cmat = system.output_coeffs
+    h = stack.step[rows]
     col = h[:, None]
 
-    decay = np.exp(lam * col)
-    gmat = cmat.T * (col * phi1(lam * col))[:, None, :]
+    stack.decay[rows] = np.exp(lam * col)
+    stack.output_map[rows] = cmat.T * (col * phi1(lam * col))[:, None, :]
 
-    sig = np.zeros((h.size, n + r, n + r), dtype=complex)
     if system.has_input_noise:
         bq = system.input_coeffs @ system.q_cov @ system.input_coeffs.conj().T
         a = (lam * col)[:, :, None]
         b = (lam.conj() * col)[:, None, :]
         step = h[:, None, None]
+        sig = stack.noise_cov[rows]  # a view: written in place
         szz = bq * (step * phi1(a + b))
         szy = (bq * (step * step * coupled_g2(a, b))) @ cmat.conj()
         syy = cmat.T @ (bq * (step ** 3 * coupled_g3(a, b))) @ cmat.conj()
@@ -166,10 +180,7 @@ def _transition_batch(system: ModalSystem,
         sig[:, :n, n:] = szy
         sig[:, n:, :n] = szy.conj().swapaxes(1, 2)
         sig[:, n:, n:] = syy
-        sig = _hermitize(sig)
-    return [AugmentedTransition(step=float(step), decay=decay[i],
-                                output_map=gmat[i], noise_cov=sig[i])
-            for i, step in enumerate(h)]
+        sig[:] = _hermitize(sig)
 
 
 def augmented_covariance(system: ModalSystem, t: float) -> np.ndarray:

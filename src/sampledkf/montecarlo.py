@@ -26,11 +26,16 @@ ziggurat normal takes a variable number of words and a counter could not
 find trial j's block; so the stream need not be counter-based, and SFC64 is
 numpy's fastest.  A factor has one column per pivot of its pivoted Cholesky
 (``_real_factor``), so its width is the numerical rank of its covariance.
-The process-noise covariances of all distinct step widths (tail included)
-are factored as one stack, each matrix with its own pivots and stop.  w is
-the widest factor's width; narrower factors are zero-padded to it, so every
-sample step takes a block of the same width and the simulator reads the
-steps as one (trials, steps, width) view.
+``filter_core._filter_plan`` gives the grid's transitions as one stack, an
+entry per distinct step width (tail included), and each step's index into
+it.  The stack's process-noise covariances are factored in one call, each
+matrix with its own pivots and stop, and a step or the tail reads its
+entry's factor by that index.  w is the widest factor's width; narrower
+factors are zero-padded to it, so every sample step takes a block of the
+same width and the simulator reads the steps as one (trials, steps, width)
+view.  A trial takes at most N + m (N + 2r) + N + r normals on m samples
+(``_most_normals``), and a block of ``_TRIAL_BLOCK`` trials that would hold
+more than ``_BLOCK_NORMALS`` is refused before it is drawn.
 
 ``sample_path`` runs the simulator: between samples every path moves
 elementwise (z *= e) with the output integral a rank-r map of z, as in the
@@ -71,6 +76,19 @@ __all__ = ["SimulationBatch", "sample_path", "empirical_error"]
 #: Trials per block of normals read from a seed's stream; bounds the normals
 #: held at ``_TRIAL_BLOCK`` x (normals per trial) whatever the trial count.
 _TRIAL_BLOCK = 1024
+#: Most normals one block of ``_TRIAL_BLOCK`` trials may hold (16 GB).
+_BLOCK_NORMALS = 2 ** 31
+
+
+def _most_normals(num_modes: int, num_outputs: int, samples: int) -> int:
+    """Most normals one trial on a grid of ``samples`` sample times can take.
+
+    The initial state takes at most N; a sample step at most N + r process
+    normals, since its factor is of the (N+r) x (N+r) covariance of (z, Y),
+    and r measurement normals; the tail at most N + r process normals.
+    """
+    n, r = num_modes, num_outputs
+    return n + samples * (n + 2 * r) + n + r
 
 
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
@@ -152,37 +170,37 @@ class _Simulator:
     def __init__(self, system: ModalSystem, times: np.ndarray):
         self.system = system
         self.times = times
-        self.run, self.steps, self.tail_tr = _filter_plan(system, times)
+        self.plan = _filter_plan(system, times)
+        self.run, self.stack, self.index, _, self.tail = self.plan
         n, r = system.num_modes, system.num_outputs
         self.n, self.r = n, r
         self.pairing = system.pairing
         self.initial_factor = _real_factor(
             np.diag(system.prior_var.astype(complex)), self.pairing)
-        # per transition, the real (width, 2(N+r)) matrix whose product with
-        # real normals is the complex process noise, viewed as complex; the
-        # factors of all distinct transitions are taken in one stack, each
-        # zero-padded to the widest one's width
-        self.noise_maps = {}
+        # per entry of the stack, the real (width, 2(N+r)) matrix whose
+        # product with real normals is the complex process noise, viewed as
+        # complex; all are factored in one call, each zero-padded to the
+        # widest one's width
+        self.noise_maps = None
         width = 0
         if system.has_input_noise:
-            transitions = [tr for tr, _ in self.steps]
-            if self.tail_tr is not None:
-                transitions.append(self.tail_tr)
-            distinct = list({id(tr): tr for tr in transitions}.values())
             aug_pairing = np.concatenate([self.pairing, n + np.arange(r)])
-            factors = _real_factor(np.stack([tr.noise_cov for tr in distinct]),
-                                   aug_pairing)
+            factors = _real_factor(self.stack.noise_cov, aug_pairing)
             width = factors.shape[-1]
-            maps = np.ascontiguousarray(factors.swapaxes(1, 2)).view(float)
-            self.noise_maps = {id(tr): m for tr, m in zip(distinct, maps)}
+            self.noise_maps = np.ascontiguousarray(
+                factors.swapaxes(1, 2)).view(float)
         self.meas_chol = np.linalg.cholesky(system.r_cov)
         # widths in the documented draw order: the initial state, one sample
         # step's normals, then a trial's whole block
         self.head = self.initial_factor.shape[1]
         self.width = width
         self.stride = width + r
-        tail = width if self.tail_tr is not None else 0
+        tail = width if self.tail is not None else 0
         self.total = self.head + times.size * self.stride + tail
+        if _TRIAL_BLOCK * self.total > _BLOCK_NORMALS:
+            raise ValueError(f"one block of {_TRIAL_BLOCK} trials would hold "
+                             f"{_TRIAL_BLOCK * self.total} normals; at most "
+                             f"{_BLOCK_NORMALS} are allowed")
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, (trials, total), with the next trials of ``rng``.
@@ -232,19 +250,19 @@ class _Simulator:
         emap = np.empty((self.total, n), dtype=complex)
         per_step = emap[self.head:self.head + m * self.stride].reshape(
             m, self.stride, n)
-        for i, back, lmap in _backward_maps(self.system, self.steps,
-                                            self.tail_tr):
+        for i, back, lmap in _backward_maps(self.system, self.plan):
             if not i:
                 break
-            tr, _ = self.steps[i - 1]
+            j = self.index[i - 1]
             block = per_step[i - 1]
             if w:
-                factor = self.noise_maps[id(tr)].view(complex)
+                factor = self.noise_maps[j].view(complex)
                 block[:w] = factor[:, n:] @ lmap.T - factor[:, :n] @ back.T
-            block[w:] = np.sqrt(tr.step) * (self.meas_chol.T @ lmap.T)
+            block[w:] = (np.sqrt(self.stack.step[j])
+                         * (self.meas_chol.T @ lmap.T))
         emap[:self.head] = -self.initial_factor.T @ back.T  # back is B_0
-        if w and self.tail_tr is not None:
-            tail = self.noise_maps[id(self.tail_tr)].view(complex)
+        if w and self.tail is not None:
+            tail = self.noise_maps[self.tail].view(complex)
             emap[self.total - w:] = -tail[:, :n]
         return emap
 
@@ -271,22 +289,22 @@ class _Simulator:
         increments = np.empty((trials, m, r))
         noise_buf = np.empty((trials, 2 * (n + r))) if driven else None
         noise = noise_buf.view(complex) if driven else None
-        for i, (tr, _) in enumerate(self.steps):
-            out_int = state @ tr.output_map.T
-            state *= tr.decay
+        for i, j in enumerate(self.index):
+            out_int = state @ self.stack.output_map[j].T
+            state *= self.stack.decay[j]
             if driven:
-                np.matmul(process[:, i], self.noise_maps[id(tr)], out=noise_buf)
+                np.matmul(process[:, i], self.noise_maps[j], out=noise_buf)
                 state += noise[:, :n]
                 out_int += noise[:, n:]
             y_inc = increments[:, i, :]
             np.matmul(measure[:, i], self.meas_chol.T, out=y_inc)
-            y_inc *= np.sqrt(tr.step)
+            y_inc *= np.sqrt(self.stack.step[j])
             y_inc += out_int.real
-        if self.tail_tr is not None:
-            state *= self.tail_tr.decay
+        if self.tail is not None:
+            state *= self.stack.decay[self.tail]
             if driven:
                 np.matmul(normals[:, head + m * self.stride:],
-                          self.noise_maps[id(self.tail_tr)], out=noise_buf)
+                          self.noise_maps[self.tail], out=noise_buf)
                 state += noise[:, :n]
         return state, increments
 

@@ -348,7 +348,7 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     a = phi_h(system.eigenvalues, h, h)
     gram = ((system.output_coeffs.conj() @ system.output_coeffs.T)
             * np.outer(a.conj(), a)
-            * _geometric_sum(system, system.eigenvalues, 2 * h, m // 2))
+            * _geometric_sum(system, system.eigenvalues, m // 2))
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
     value = float(np.linalg.eigvalsh(_hermitize(gram))[-1])

@@ -173,10 +173,12 @@ class TestBuildConfig:
                      "simulate_n: must be at least 1", id="simulate_n-small"),
         pytest.param("simulate", {"simulate_n": "4", "trials": "1"},
                      "trials: must be at least 2", id="trials-small"),
-        # 1024 x (4 + (n + 1) 5) normals in one trial block, at most 2**31
-        pytest.param("simulate", {"simulate_n": "419429", "trials": "50"},
-                     "^simulate_n: 419429 samples of a 4-mode model need up "
-                     "to 2147485696 normals", id="simulate_n-large"),
+        # 1024 x (4 + 6 n + 5) normals in one trial block, at most 2**31:
+        # the initial state, n steps of N + 1 process and 1 measurement
+        # normals, and a tail of N + 1
+        pytest.param("simulate", {"simulate_n": "349524", "trials": "50"},
+                     "^simulate_n: 349524 samples of a 4-mode model need up "
+                     "to 2147484672 normals", id="simulate_n-large"),
         # 4 * 2**21 points of 4 modes in the deepest level, at most 2**24
         pytest.param("telescope", {"telescope_n": "4",
                                    "telescope_levels": "22"},
@@ -201,11 +203,11 @@ class TestBuildConfig:
             build_config({k: v for k, v in raw.items() if v is not None})
 
     def test_largest_simulate_grid_is_accepted(self):
-        # 1024 x (4 + 419429 x 5) = 2**31 - 3072 normals in one trial block
+        # 1024 x (4 + 349523 x 6 + 5) = 2**31 - 5120 normals in one trial block
         config = build_config({"experiment": "simulate", "model.kind": "heat",
-                               "model.num_modes": "4", "simulate_n": "419428",
+                               "model.num_modes": "4", "simulate_n": "349523",
                                "trials": "50"})
-        assert config.values["simulate_n"] == 419428
+        assert config.values["simulate_n"] == 349523
 
     @pytest.mark.parametrize("experiment, levels", [
         # 4 * 2**20 points of 4 modes in the deepest level: exactly 2**24
@@ -440,6 +442,20 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"config error: simulate_n: {2 ** 43} samples" in err
         assert "at most 2**31" in err
+
+    def test_driven_steps_count_their_wide_noise_factors(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # a driven step's process noise factors the (N+1) x (N+1) covariance
+        # of (z, Y): 1024 x (1 + 1048574 x 3 + 2) normals, about 1.5 x 2**31,
+        # would be drawn in one block of a 1-mode model
+        monkeypatch.setattr("sampledkf.cli._build_model", None)
+        cfg = write_cfg(tmp_path, (
+            "experiment = simulate\nmodel.kind = heat\nmodel.num_modes = 1\n"
+            "model.q_scalar = 0.5\nsimulate_n = 1048574\ntrials = 50\n"))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: simulate_n: 1048574 samples of a 1-mode model "
+                "need up to 3221222400 normals") in err
 
     @pytest.mark.parametrize("experiment, levels, limit", [
         # no telescope level of 4 * 2**44 points

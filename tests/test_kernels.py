@@ -257,13 +257,20 @@ BATCH_MODELS = {
 }
 
 
-def max_rel_gap(batched, single):
-    """Largest entry gap of each block, relative to the block's largest entry."""
+def max_rel_gap(stack, j, single):
+    """Largest gap of stack entry j's blocks, each relative to its largest entry."""
     gaps = []
     for name in ("decay", "output_map", "noise_cov"):
-        a, b = getattr(batched, name), getattr(single, name)
+        a, b = getattr(stack, name)[j], getattr(single, name)
         gaps.append(np.abs(a - b).max() / (np.abs(b).max() or 1.0))
     return max(gaps)
+
+
+def entry(stack, j):
+    """Stack entry j as a transition of its own."""
+    return kernels.AugmentedTransition(
+        step=float(stack.step[j]), decay=stack.decay[j],
+        output_map=stack.output_map[j], noise_cov=stack.noise_cov[j])
 
 
 class TestBatchedTransitions:
@@ -275,12 +282,16 @@ class TestBatchedTransitions:
         times = irregular_grid(12)[:-1]  # a tail step
         widths = np.concatenate([np.diff(times, prepend=0.0), [1.0 - times[-1]],
                                  np.diff(times, prepend=0.0)[:4]])  # repeats
-        batch = kernels._transitions(sysm, widths)
-        assert len(batch) == widths.size
-        for h, tr in zip(widths, batch):
+        stack = kernels._transitions(sysm, widths)
+        n, r = sysm.num_modes, sysm.num_outputs
+        assert (stack.step.shape, stack.decay.shape, stack.output_map.shape,
+                stack.noise_cov.shape) == ((widths.size,), (widths.size, n),
+                                           (widths.size, r, n),
+                                           (widths.size, n + r, n + r))
+        for j, h in enumerate(widths):
             single = sk.transition_block(sysm, float(h))
-            assert tr.step == single.step == float(h)
-            assert max_rel_gap(tr, single) <= 1e-15
+            assert stack.step[j] == single.step == float(h)
+            assert max_rel_gap(stack, j, single) <= 1e-15
 
     def test_filter_plan_evaluates_once_per_batch(self, monkeypatch):
         sysm = sk.build_heat_model(20, horizon=1.0, q_scalar=0.5)
@@ -297,9 +308,10 @@ class TestBatchedTransitions:
         monkeypatch.setattr(kernels, "_transition_batch", count("batches", batch))
         monkeypatch.setattr(kernels, "coupled_g3", count("g3", g3))
         monkeypatch.setattr(filter_core, "transition_block", None)
-        run, steps, tail = filter_core._filter_plan(sysm, times)
+        run, stack, index, gains, tail = filter_core._filter_plan(sysm, times)
         # 32 distinct widths, no tail, one batch of at most 81 at N = 20
-        assert len({id(tr) for tr, _ in steps}) == 32 and tail is None
+        assert stack.step.size == np.unique(index).size == 32 and tail is None
+        assert gains.shape == (32, 20, 1)
         assert calls == {"batches": 1, "g3": 1}
         monkeypatch.setattr(kernels, "_KERNEL_ELEMENTS", 10 * 20 * 20)
         filter_core._filter_plan(sysm, times)
@@ -310,19 +322,24 @@ class TestBatchedTransitions:
                                                     monkeypatch):
         sysm = BATCH_MODELS[case](two_output_heat)
         times = irregular_grid()[:-1]
-        run, steps, tail = filter_core._filter_plan(sysm, times)
+        run, stack, index, _, tail = filter_core._filter_plan(sysm, times)
         monkeypatch.setattr(kernels, "_KERNEL_ELEMENTS", 3 * sysm.num_modes ** 2)
-        run3, steps3, tail3 = filter_core._filter_plan(sysm, times)
-        for (tr, _), (tr3, _) in zip(steps + [(tail, None)],
-                                     steps3 + [(tail3, None)]):
-            assert tr.step == tr3.step
-            assert max_rel_gap(tr3, tr) <= 1e-15
+        run3, stack3, index3, _, tail3 = filter_core._filter_plan(sysm, times)
+        # every entry is read by a sample step or the tail
+        assert tail == tail3 is not None
+        npt.assert_array_equal(index3, index)
+        assert set(index) | {tail} == set(range(stack.step.size))
+        for j in range(stack.step.size):
+            assert stack.step[j] == stack3.step[j]
+            assert max_rel_gap(stack3, j, entry(stack, j)) <= 1e-15
         npt.assert_allclose(run3.trace_err, run.trace_err, rtol=1e-14)
 
     def test_equal_widths_share_one_transition(self):
         sysm = sk.build_heat_model(4, horizon=1.0, q_scalar=0.5)
-        _, steps, tail = filter_core._filter_plan(sysm, np.array([0.25, 0.5, 0.75]))
-        assert len({id(tr) for tr, _ in steps}) == 1 and tail is steps[0][0]
+        _, stack, index, _, tail = filter_core._filter_plan(
+            sysm, np.array([0.25, 0.5, 0.75]))
+        assert stack.step.size == 1 and tail == 0
+        npt.assert_array_equal(index, [0, 0, 0])
 
 
 class TestUnconditionalCovariance:

@@ -48,22 +48,32 @@ def draw_offsets(sim):
     takes the width of the widest process-noise factor.
     """
     sysm = sim.system
-    transitions = [tr for tr, _ in sim.steps]
-    if sim.tail_tr is not None:
-        transitions.append(sim.tail_tr)
-    d = max(_real_factor(tr.noise_cov, aug_pairing(sysm)).shape[1]
-            for tr in transitions) if sysm.has_input_noise else 0
+    # the stack holds the transitions of every step and of the tail
+    d = max(_real_factor(cov, aug_pairing(sysm)).shape[1]
+            for cov in sim.stack.noise_cov) if sysm.has_input_noise else 0
     r = sysm.num_outputs
     pos = _real_factor(np.diag(sysm.prior_var.astype(complex)),
                        sysm.pairing).shape[1]
     initial = slice(0, pos)
     process, measure = [], []
-    for _ in sim.steps:
+    for _ in sim.times:
         process.append(slice(pos, pos + d))
         measure.append(slice(pos + d, pos + d + r))
         pos += d + r
-    tail = slice(pos, pos + d if sim.tail_tr is not None else pos)
+    tail = slice(pos, pos + d if sim.tail is not None else pos)
     return tail.stop, initial, process, measure, tail
+
+
+def step_covariances(sim):
+    """The process-noise covariance of each sample step, in step order."""
+    return sim.stack.noise_cov[sim.index]
+
+
+def transition(sim, j):
+    """Entry j of the simulator's stack of transitions, as one transition."""
+    return sk.AugmentedTransition(
+        step=float(sim.stack.step[j]), decay=sim.stack.decay[j],
+        output_map=sim.stack.output_map[j], noise_cov=sim.stack.noise_cov[j])
 
 
 def blind_mode(lam=-1.0, p=0.8, driven=False):
@@ -159,7 +169,7 @@ class TestRealFactor:
         sysm, times = workload_model_and_grid()
         pairing = aug_pairing(sysm)
         caplog.set_level("DEBUG", logger="sampledkf.montecarlo")
-        covs = np.stack([tr.noise_cov for tr, _ in _Simulator(sysm, times).steps])
+        covs = step_covariances(_Simulator(sysm, times))
         caplog.clear()
         factors = _real_factor(covs, pairing)
         assert factors.shape[:2] == covs.shape[:2]
@@ -182,8 +192,8 @@ class TestRealFactor:
         if case == "workload":
             sysm, times = workload_model_and_grid()
             pairing = aug_pairing(sysm)
-            covs = np.stack([tr.noise_cov for tr, _ in _Simulator(sysm, times).steps]
-                            + [np.zeros((21, 21), dtype=complex)])  # rank 0
+            covs = np.concatenate([step_covariances(_Simulator(sysm, times)),
+                                   np.zeros((1, 21, 21), dtype=complex)])  # rank 0
         else:
             # conjugate pairs (0, 1) and (2, 3) and a real mode: A rho rho^T A*
             # with real rho of full, middle and unit rank
@@ -235,9 +245,9 @@ class TestRealFactor:
             return cov * (1.0 + 4e-16 * signs)
 
         sim = _Simulator(sysm, times)
-        for tr, _ in sim.steps:
-            factor = _real_factor(tr.noise_cov, pairing)
-            moved = _real_factor(perturb(tr.noise_cov), pairing)
+        for cov in step_covariances(sim):
+            factor = _real_factor(cov, pairing)
+            moved = _real_factor(perturb(cov), pairing)
             assert moved.shape == factor.shape
             assert np.abs(moved - factor).max() <= 1e-11 * np.abs(factor).max()
         state, increments = sim.run_paths(draw(sim, 1, 64))
@@ -249,6 +259,98 @@ class TestRealFactor:
         assert np.abs(state2 - state).max() <= 1e-11 * np.abs(state).max()
         assert (np.abs(increments2 - increments).max()
                 <= 1e-11 * np.abs(increments).max())
+
+
+class TestTransitionStack:
+    """The simulator reads one stack of transitions, one entry per width."""
+
+    def test_one_factor_call_and_each_step_reads_its_entry(self, monkeypatch):
+        # repeated widths (1/8) and a tail of a width of its own (1/16)
+        sysm = heat(0.5)
+        times = np.array([0.125, 0.25, 0.5, 0.625, 0.75, 0.9375])
+        calls = []
+        exact = montecarlo._real_factor
+
+        def spy(cov, pairing):
+            calls.append(cov)
+            return exact(cov, pairing)
+
+        monkeypatch.setattr(montecarlo, "_real_factor", spy)
+        sim = _Simulator(sysm, times)
+        # the prior's (N, N) factor, then one call on the grid's whole stack
+        assert [cov.shape for cov in calls] == [(4, 4), (4, 5, 5)]
+        assert calls[1] is sim.stack.noise_cov
+        npt.assert_array_equal(sim.stack.step, [0.0625, 0.125, 0.1875, 0.25])
+        npt.assert_array_equal(sim.stack.step[sim.index],
+                               np.diff(times, prepend=0.0))
+        assert sim.stack.step[sim.tail] == 1.0 - times[-1]
+        for j, h in enumerate(sim.stack.step):
+            single = sk.transition_block(sysm, h)
+            scale = np.abs(single.noise_cov).max()
+            assert (np.abs(sim.stack.noise_cov[j] - single.noise_cov).max()
+                    <= 1e-15 * scale)
+            factor = sim.noise_maps[j].view(complex).T
+            assert (np.abs(factor @ factor.conj().T - single.noise_cov).max()
+                    <= 1e-14 * scale)
+
+        class Reads:
+            """The noise maps, noting which entries are read."""
+
+            def __init__(self, maps):
+                self.maps, self.keys = maps, []
+
+            def __getitem__(self, j):
+                self.keys.append(int(j))
+                return self.maps[j]
+
+        sim.noise_maps = reads = Reads(sim.noise_maps)
+        sim.run_paths(draw(sim, 0, 4))
+        # step i reads entry index[i], in step order, then the tail its own
+        assert reads.keys == [1, 1, 3, 1, 1, 2, 0]
+        reads.keys.clear()
+        sim.error_map()  # the backward pass: last step first, then the tail
+        assert reads.keys == [2, 1, 1, 3, 1, 1, 0]
+
+
+class TestNormalsCap:
+    """A block of trials holds at most ``_BLOCK_NORMALS`` normals."""
+
+    @pytest.mark.parametrize("samples", [1, 8, 64])
+    @pytest.mark.parametrize("case", ["heat", "heat-driven", "wave",
+                                      "two-outputs-driven"])
+    def test_a_trial_takes_at_most_the_bound(self, case, samples,
+                                             two_output_heat):
+        sysm = {"heat": lambda: heat(),
+                "heat-driven": lambda: heat(0.5),
+                "wave": lambda: sk.build_wave_model(4, horizon=1.0),
+                "two-outputs-driven": lambda: two_output_heat(4, 0.5)}[case]()
+        bound = montecarlo._most_normals(sysm.num_modes, sysm.num_outputs,
+                                         samples)
+        for times in (sk.dyadic_grid(samples, 0), sk.dyadic_grid(samples, 0)[:-1]):
+            if times.size:
+                assert _Simulator(sysm, times).total <= bound
+
+    def test_driven_steps_count_their_whole_factor(self):
+        # heat N=4, q=0.5: 4 + 64 x (5 + 1) normals, more than
+        # 4 + 65 x (4 + 1), the count of N + r a step
+        sim = _Simulator(heat(0.5), sk.dyadic_grid(64, 0))
+        assert sim.total == 388
+        assert montecarlo._most_normals(4, 1, 64) == 4 + 64 * 6 + 5
+
+    def test_an_over_cap_block_is_refused_before_it_is_drawn(self,
+                                                            monkeypatch):
+        sysm = heat(0.5)
+        total = _Simulator(sysm, EIGHT_TIMES).total
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", _TRIAL_BLOCK * total)
+        sk.empirical_error(sysm, EIGHT_TIMES, trials=4, seed=1)
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS",
+                            _TRIAL_BLOCK * total - 1)
+        monkeypatch.setattr(_Simulator, "blocks", None)  # nothing allocated
+        with pytest.raises(ValueError, match=f"would hold {_TRIAL_BLOCK * total} "
+                                             f"normals"):
+            sk.empirical_error(sysm, EIGHT_TIMES, trials=4, seed=1)
+        with pytest.raises(ValueError, match="normals"):
+            sk.sample_path(sysm, EIGHT_TIMES, seed=1)
 
 
 class TestTrialStream:
@@ -344,7 +446,8 @@ class TestPathsAgainstAugmentedMap:
         aug = np.zeros((16, n + sysm.num_outputs), dtype=complex)
         aug[:, :n] = sysm.prior_mean + normals[:, initial] @ sim.initial_factor.T
         dense, widths = [], []
-        for i, (tr, _) in enumerate(sim.steps):
+        for i, j in enumerate(sim.index):
+            tr = transition(sim, j)
             factor = _real_factor(tr.noise_cov, pairing)
             widths.append(factor.shape[1])
             aug = aug @ tr.state_map.T + noise(factor, process[i])
@@ -352,8 +455,9 @@ class TestPathsAgainstAugmentedMap:
             dw = np.sqrt(width) * (normals[:, measure[i]] @ sim.meas_chol.T)
             dense.append(aug[:, n:].real + dw)
             aug[:, n:] = 0.0
-        factor = _real_factor(sim.tail_tr.noise_cov, pairing)
-        aug = aug @ sim.tail_tr.state_map.T + noise(factor, tail)
+        tr = transition(sim, sim.tail)
+        factor = _real_factor(tr.noise_cov, pairing)
+        aug = aug @ tr.state_map.T + noise(factor, tail)
         assert min(widths) < max(widths) == tail.stop - tail.start
         npt.assert_allclose(increments, np.stack(dense, axis=1),
                             rtol=1e-12, atol=1e-14)
@@ -361,7 +465,7 @@ class TestPathsAgainstAugmentedMap:
         # the batched means of the Monte Carlo are those of sequential_filter
         # on each path's cumulative outputs (the mean update itself is checked
         # against a regression oracle in test_filter_core)
-        mean = _filtered_means(sysm, sim.steps, sim.tail_tr, increments)
+        mean = _filtered_means(sysm, sim.plan, increments)
         for j in range(4):
             run = sk.sequential_filter(sysm, times,
                                        observations=np.cumsum(increments[j], axis=0))
@@ -405,7 +509,7 @@ class TestErrorMap:
         sim = _Simulator(sysm, times)
         normals = draw(sim, 5, 64)
         state, increments = sim.run_paths(normals)
-        gap = _filtered_means(sysm, sim.steps, sim.tail_tr, increments) - state
+        gap = _filtered_means(sysm, sim.plan, increments) - state
         mapped = normals @ sim.error_map()
         assert np.abs(mapped - gap).max() <= 1e-12 * np.abs(gap).max()
         # empirical_error reads the same stream through the same map
