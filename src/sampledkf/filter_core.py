@@ -3,7 +3,8 @@
 Every posterior and trace outside the recursion and the batch oracle
 conditions the diagonal prior P0 on an information matrix J, or on the Gam
 of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
-P of the state at the start.  ``_condition`` is the one factorisation.  It
+P of the state at the start.  ``_condition`` is the one N x N factorisation
+(a coarse uniform trace takes the sample space instead, below).  It
 works in the real coordinates rho of ``spectral_model`` (x = A rho, A made
 of each conjugate pair's sums and differences), where the prior stays
 diagonal, R^2 = P0 / D (p/2, p/2 on a pair).  Every model is paired, so it
@@ -16,7 +17,7 @@ formed in rho.  It takes the Cholesky factor L of the whitened matrix
 every eigenvalue >= 1 (exact for zero prior variances and rapidly decaying
 ones), in float64, inverts it with no solve against L, and returns
 F = Linv R, still lower triangular: the posterior of rho is P_rho = F^T F,
-and the prior scale R lives in ``_condition`` alone.  ``_lower_inverse``
+and the prior scale R (``_prior_scale``) is applied there.  ``_lower_inverse``
 takes Linv by a recursion on halves: each half inverts itself, one pair of
 gemms joins them, and a block of at most ``_INVERSE_LEAF`` rows takes
 ``np.linalg.inv``.  The posterior of x is A F^T F A*, and nothing more is
@@ -53,7 +54,8 @@ sum itself (``_geometric_sum``, given the eigenvalues of its rows) also
 gives ``refinement.level_sum`` in closed form.  Times handed in as an array
 accumulate J_rho block by block (``_accumulated_information``), uniform or
 not: a sample's whitened rows are conjugate on each pair, so rows A is real
-and each block is one float64 (rows A)^T (rows A).
+(``_information_rows``, the one place the row formula lives) and each block
+is one float64 (rows A)^T (rows A).
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triple``), since every step
@@ -81,13 +83,31 @@ noise H = 0 and Gam is the information matrix J, so the undriven triple is
 the special case; the tests hold the two to each other.
 
 ``_uniform_trace`` is the trace of every uniform grid the package uses
-(coarse grids, curve references, bound anchors, the two ends of a
-telescope): it takes the grid size m, never the grid, picks the triple
-(closed-form J undriven, doubling driven) and conditions it once, so no
-m-point array and no N x N posterior is made.  Times that callers pass in take
-``information_filter``, which sums J over them, or ``sequential_filter``;
-this module never builds a uniform grid or checks whether times form one
-(``refinement.dyadic_grid`` builds it).
+(coarse grids, curve references, bound anchors, the fine end of a
+telescope): it takes the grid size m, never the grid, and makes no N x N
+posterior.  It has two routes for undriven systems.
+J_rho = B0^T B0 has rank at most m r, B0 the (m r, N) ``_information_rows``
+of the m samples, so when m r is at most ``_SAMPLE_SPACE_SHARE`` N = 3N/4
+it takes the observation-space form of the same update, Woodbury's
+identity (the representer method, PSAS): with B = B0 R,
+
+    P_rho = R (I + B^T B)^-1 R = R^2 - U^T U,
+    U = L^-1 B R,    I + B B^T = L L^T,
+
+an (m r) x (m r) factor in place of an N x N one, and the trace is
+``_energy`` @ R^2 - ``_energy`` @ the column norms of U squared
+(``_sample_space_trace``): m N exponentials and O((m r)^2 N) work against
+N^2 kernel values and O(N^3) for the closed form (``BENCH_sample_space.json``
+has per-call times by m and N).  The difference of the two terms loses
+about eps tr_prior / trace of its relative accuracy, tr_prior = ``_energy``
+@ R^2, so a trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at a
+high signal-to-noise ratio) falls back to the closed form.  Every larger m,
+and every trace the guard sends back, conditions the closed-form J once; a
+driven system conditions the triple of ``_doubled_triple``.  Only the
+sample space forms the m sample starts, at most 3N/4 of them.  Times that
+callers pass in take ``information_filter``, which sums J over them, or
+``sequential_filter``; this module never checks whether times form a
+uniform grid (``refinement.dyadic_grid`` builds one).
 
 ``sequential_filter`` is the route for driven systems on every grid but the
 uniform one, and the only route for filtered means: a Kalman recursion on
@@ -170,6 +190,14 @@ _INFO_BLOCK = 256
 _INVERSE_LEAF = 32
 #: Ones on and below the diagonal: clears a leaf inverse's upper triangle.
 _LEAF_LOWER = np.tri(_INVERSE_LEAF)
+#: Undriven uniform traces with at most this share of N sample rows (m r)
+#: take the sample space; the routes cross at m r of about 3N/4 on heat and
+#: wave at N = 20, 60 and 200 (``BENCH_sample_space.json``).
+_SAMPLE_SPACE_SHARE = 0.75
+#: Smallest trace / tr_prior the sample space keeps: its trace is tr_prior
+#: minus a nearly equal term, and below this share it loses more digits
+#: than the closed form (high signal-to-noise heat, ``BENCH_sample_space.json``).
+_SAMPLE_SPACE_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -301,28 +329,39 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
     return replace(plan[0], final_mean=mean)
 
 
+def _information_rows(system: ModalSystem, starts: np.ndarray,
+                      widths: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The real (len(starts) r, N) rows of a set of samples: J_rho = rows^T rows.
+
+    Sample i starts at ``starts[i]`` and has width d = ``widths[which[i]]``.
+    Its whitened rows L^-1 C diag(e^(lambda starts[i]) I1(lambda, d)) / sqrt(d)
+    are conjugate on each pair, so rows A is real
+    (``spectral_model._times_a``).  phi1 is taken once per entry of
+    ``widths``.
+    """
+    lam = system.eigenvalues
+    step = phi1(lam * widths[:, None]) * np.sqrt(widths)[:, None]
+    scale = np.exp(lam * starts[:, None]) * step[which]
+    rows = (scale[:, None, :] * system._white_outputs[None, :, :]).reshape(
+        -1, system.num_modes)
+    return np.ascontiguousarray(_times_a(rows, system._pair_index).real)
+
+
 def _accumulated_information(system: ModalSystem,
                              times: np.ndarray) -> np.ndarray:
     """J_rho = A* J A of the initial state on any grid, summed over samples.
 
-    A sample's whitened rows are conjugate on each pair, so rows A is real
-    (``spectral_model._times_a``) and each block of samples adds one float64
-    (rows A)^T (rows A).
+    Each block of ``_INFO_BLOCK`` samples adds one float64 (rows A)^T (rows A)
+    of its ``_information_rows``, phi1 taken once per distinct width.
     """
     n = system.num_modes
-    lam = system.eigenvalues
-    cwhite = system._white_outputs
     starts = np.concatenate([[0.0], times[:-1]])
     widths = times - starts
     info = np.zeros((n, n))
     for lo in range(0, times.size, _INFO_BLOCK):
         block = slice(lo, lo + _INFO_BLOCK)
-        # I1(lambda, d) / sqrt(d) once per distinct width
-        d, which = np.unique(widths[block], return_inverse=True)
-        step = phi1(lam * d[:, None]) * np.sqrt(d)[:, None]
-        scale = np.exp(lam * starts[block, None]) * step[which]
-        rows = (scale[:, None, :] * cwhite[None, :, :]).reshape(-1, n)
-        rows = np.ascontiguousarray(_times_a(rows, system._pair_index).real)
+        rows = _information_rows(system, starts[block],
+                                 *np.unique(widths[block], return_inverse=True))
         info += rows.T @ rows
     return info
 
@@ -440,21 +479,26 @@ def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
+def _prior_scale(system: ModalSystem) -> np.ndarray:
+    """R = P0_rho^(1/2), the prior scale of rho: P0 / D is (p/2, p/2) on a pair."""
+    return np.sqrt(system.prior_var / system._pair_index.weights)
+
+
 def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     """The factor F of the posterior of rho, P_rho = F^T F, lower triangular.
 
-    The one conditioning of the package: the diagonal prior P0 conditioned on
-    the information ``info`` = J_rho = A* J A, a float64 matrix built in the
-    real coordinates rho of ``spectral_model`` (x = A rho) by
+    The one N x N conditioning of the package: the diagonal prior P0
+    conditioned on the information ``info`` = J_rho = A* J A, a float64
+    matrix built in the real coordinates rho of ``spectral_model`` (x = A rho) by
     ``_uniform_information``, ``_accumulated_information`` or
     ``_step_triple``.  There the prior is diagonal too, P0_rho = P0 / D
     (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the whitened matrix
     I + R J_rho R has every eigenvalue >= 1 (exact for zero prior variances
     and rapidly decaying ones).  Its Cholesky factor L is inverted by
-    ``_lower_inverse``, and F = Linv R scales its columns, so the prior
-    scale lives here alone and the posterior of x is A F^T F A*.
+    ``_lower_inverse``, and F = Linv R (``_prior_scale``) scales its
+    columns, so the posterior of x is A F^T F A*.
     """
-    scale = np.sqrt(system.prior_var / system._pair_index.weights)
+    scale = _prior_scale(system)
     whitened = info * np.outer(scale, scale)
     whitened.flat[::info.shape[0] + 1] += 1.0
     return _lower_inverse(np.linalg.cholesky(whitened)) * scale[None, :]
@@ -568,19 +612,51 @@ def _doubled_triple(system: ModalSystem, m: int):
         step = _join(step, step)
 
 
+def _sample_space_trace(system: ModalSystem, m: int) -> tuple[float, float]:
+    """The undriven trace on the m-point uniform grid in sample space, and tr_prior.
+
+    Sample j starts at ((j - 1) T) / m and has width T / m.  With
+    B = (``_information_rows`` of the m samples) R, R = ``_prior_scale``,
+    Woodbury's identity turns the posterior R (I + B^T B)^-1 R of rho into
+    R^2 - U^T U, U = L^-1 B R for G = I + B B^T = L L^T: an (m r) x (m r)
+    factorisation in place of an N x N one.  The trace is ``_energy`` @ R^2
+    minus ``_energy`` @ the column norms of U squared, O((m r)^2 N).  The
+    first term, tr_prior, is returned too: the difference loses about
+    eps tr_prior / trace of its relative accuracy.
+    """
+    scale = _prior_scale(system)
+    rows = _information_rows(system, (np.arange(m) * system.horizon) / m,
+                             np.array([system.horizon / m]),
+                             np.zeros(m, dtype=int)) * scale
+    gram = rows @ rows.T
+    gram.flat[::gram.shape[0] + 1] += 1.0
+    half = (_lower_inverse(np.linalg.cholesky(gram)) @ rows) * scale
+    energy = _energy(system)
+    prior = float(energy @ scale ** 2)
+    return prior - float(energy @ np.einsum("ij,ij->j", half, half)), prior
+
+
 def _uniform_trace(system: ModalSystem, m: int) -> float:
     """Posterior error trace E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
 
-    Takes the grid size m, never the grid, and conditions one triple: an
-    undriven system's is (diag(e^(AT)), closed-form J, None), N^2 kernel
-    values whatever m is; a driven one's comes from ``_doubled_triple``,
-    about 2 log2(m) joins.
+    Takes the grid size m, never the grid.  A driven system
+    conditions the triple of ``_doubled_triple``, about 2 log2(m) joins.  An
+    undriven one with m r at most ``_SAMPLE_SPACE_SHARE`` N takes the sample
+    space (``_sample_space_trace``): one (m r) x (m r) factor, O((m r)^2 N).
+    It keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR`` tr_prior,
+    where the subtraction has cancelled too many digits; then, as for every
+    larger m, it conditions the closed-form J (``_uniform_information``):
+    N^2 kernel values and one N x N factor, O(N^3), whatever m is.  A trace
+    the guard sends back pays for both routes.
     """
     if system.has_input_noise:
         phi, info, noise = _doubled_triple(system, m)
-    else:
-        phi, info, noise = None, _uniform_information(system, m), None
-    return _trace(system, _condition(system, info), phi, noise)
+        return _trace(system, _condition(system, info), phi, noise)
+    if m * system.num_outputs <= _SAMPLE_SPACE_SHARE * system.num_modes:
+        trace, prior = _sample_space_trace(system, m)
+        if trace >= _SAMPLE_SPACE_FLOOR * prior:
+            return trace
+    return _trace(system, _condition(system, _uniform_information(system, m)))
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):

@@ -10,9 +10,11 @@ so the discrepancy is computable without sampling as a difference of error
 traces: D(n) = trace_err(coarse) - trace_err(reference).  Every n of a curve
 shares one reference, the dyadic refinement of the largest n, which each
 coarse grid nests inside.  Each trace is taken from its grid size alone
-(``filter_core._uniform_trace``): no grid array is built for it, and a
-reference costs N^2 kernel values (undriven) or about 2 log2(m) doubling
-joins (driven) for m points.
+(``filter_core._uniform_trace``): no grid array is built for it.  Undriven,
+a reference costs N^2 kernel values and one N x N factor for any number of
+points, and a coarse grid of n points with n r <= 3N/4 rows costs
+O(n^2 r^2 N) in sample space; driven, m points cost about 2 log2(m)
+doubling joins.
 
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
@@ -273,7 +275,8 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     ``increment_variance`` on the set inserted so far.  The trace drop they
     should sum to is taken between the uniform grids of base_n and
     base_n 2**levels points, from the two sizes alone.  The residual is the
-    absolute mismatch relative to the coarse trace.  Undriven systems only.
+    absolute mismatch relative to the coarse trace, or the absolute mismatch
+    itself when the coarse trace is 0.  Undriven systems only.
     """
     if system.has_input_noise:
         raise ValueError("telescope_check needs an undriven system; with input "
@@ -299,7 +302,9 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     per_level, _ = _telescope_gains(system, factor, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
-    residual = abs(total - drop) / coarse
+    # a coarse trace of 0 (e^(lambda T) underflowed, or no prior variance)
+    # leaves nothing to be relative to: the mismatch stays absolute
+    residual = abs(total - drop) / coarse if coarse else abs(total - drop)
     return TelescopeReport(base_n=base_n, levels=levels, horizon=horizon,
                            trace_drop=drop, increment_sum=total,
                            residual=residual,

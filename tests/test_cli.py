@@ -366,6 +366,16 @@ class TestOtherCommands:
                         "residual"]
         assert float(rows[0][5]) < 1e-7
 
+    def test_telescope_of_zero_traces(self, tmp_path, capsys):
+        # heat at T = 40: every e^(lambda T) underflows and every trace is
+        # 0, so the residual is the absolute mismatch, 0
+        cfg = write_cfg(tmp_path, (
+            "experiment = telescope\nmodel.kind = heat\nmodel.num_modes = 4\n"
+            "model.horizon = 40\ntelescope_n = 4\ntelescope_levels = 2\n"))
+        out = tmp_path / "t.csv"
+        assert main(["telescope", "--config", cfg, "--out", str(out)]) == 0
+        assert data_lines(out)[1] == [["heat", "4", "2", "0", "0", "0"]]
+
     def test_levelsum(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
             "experiment = levelsum\nmodel.kind = heat\nmodel.num_modes = 4\n"

@@ -14,6 +14,7 @@ gram and cross-covariance (``_output_gram``).
 import dataclasses
 import logging
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,9 +26,11 @@ from sampledkf import filter_core
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triple, _lower_inverse,
-                                   _output_gram, _solve_gram,
-                                   _trace, _uniform_information,
+                                   _doubled_triple, _energy,
+                                   _information_rows, _lower_inverse,
+                                   _output_gram, _prior_scale,
+                                   _sample_space_trace,
+                                   _solve_gram, _trace, _uniform_information,
                                    _uniform_trace)
 from sampledkf.spectral_model import _times_a
 
@@ -161,14 +164,18 @@ class TestInformationForm:
             sk.information_filter(heat(3, q_scalar=0.5), FIVE_TIMES)
 
     def test_posterior_trace_picks_the_route(self):
-        # the uniform-grid trace takes the grid size and conditions a triple:
-        # (e^(AT), closed-form J, None) for undriven systems, the doubled
-        # triple for driven ones; the summed J of information_filter agrees
-        # to rounding only
+        # the uniform-grid trace takes the grid size: an undriven system
+        # with m r <= 3N/4 takes the sample space, one with more rows
+        # conditions (e^(AT), closed-form J, None), a driven one the doubled
+        # triple; the summed J of information_filter agrees to rounding only
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
         assert _uniform_trace(wave, 5) == _trace(
             wave, _condition(wave, _uniform_information(wave, 5)))
+        npt.assert_allclose(sk.information_filter(wave, times).trace_err,
+                            _uniform_trace(wave, 5), rtol=1e-14)
+        wave = sk.build_wave_model(8, horizon=1.0)
+        assert _uniform_trace(wave, 5) == _sample_space_trace(wave, 5)[0]
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_trace(wave, 5), rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
@@ -251,25 +258,29 @@ class TestDoubling:
         assert rel_frobenius(post, info.final_cov) <= 1e-12
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """The factors ``_condition`` returns, one per call, in call order."""
+    real, calls = filter_core._condition, []
+
+    def counting(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(filter_core, "_condition", counting)
+    monkeypatch.setattr(sk.refinement, "_condition", counting)
+    return calls
+
+
 class TestOneConditioning:
     """Every trace or posterior taken from J or a triple factors it once.
 
-    ``_condition`` is the one factorisation: it returns the lower-triangular
-    inverse factor of the whitened information, and every trace and
-    posterior is formed from that.
+    ``_condition`` is the one N x N factorisation: it returns the
+    lower-triangular inverse factor of the whitened information, and every
+    trace and posterior is formed from that.  An undriven uniform trace with
+    m r <= 3N/4 rows factors an (m r) x (m r) matrix in sample space
+    instead, and calls it not at all.
     """
-
-    @pytest.fixture
-    def spy(self, monkeypatch):
-        real, calls = filter_core._condition, []
-
-        def counting(*args, **kwargs):
-            calls.append(real(*args, **kwargs))
-            return calls[-1]
-
-        monkeypatch.setattr(filter_core, "_condition", counting)
-        monkeypatch.setattr(sk.refinement, "_condition", counting)
-        return calls
 
     @pytest.mark.parametrize("make", [
         lambda: heat(6), lambda: sk.build_wave_model(6, horizon=1.0),
@@ -281,6 +292,18 @@ class TestOneConditioning:
                   else ())
         assert len(spy) == 1 and trace == _trace(sysm, spy[0], *triple)
         npt.assert_array_equal(spy[0], np.tril(spy[0]))
+
+    @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
+    def test_the_sample_space_takes_no_conditioning(self, spy, model,
+                                                    two_output_heat):
+        # m r up to 3N/4 = 9 rows: no N x N factor; more rows, one factor
+        sysm = _oracle_model(model, 12, 1.0, two_output_heat)
+        r = sysm.num_outputs
+        for m in range(1, 9 // r + 1):
+            assert _uniform_trace(sysm, m) == _sample_space_trace(sysm, m)[0]
+        assert not spy
+        _uniform_trace(sysm, 9 // r + 1)
+        assert len(spy) == 1
 
     def test_uniform_trace_forms_no_posterior(self, monkeypatch):
         # only information_filter takes a posterior back to modal coordinates
@@ -610,6 +633,98 @@ class TestRealConditioning:
         assert max(rows) <= filter_core._INVERSE_LEAF
 
 
+def _closed_form_trace(system, m):
+    """The undriven uniform trace through ``_condition`` of the closed-form J."""
+    return _trace(system, _condition(system, _uniform_information(system, m)))
+
+
+def _sample_space_oracle(system, m):
+    """The uniform trace from the float64 rows of the sample space, in 40 digits.
+
+    The rows, prior scale R and weights are the float64 ones of
+    ``_sample_space_trace``; the posterior R (I + B^T B)^-1 R, B = rows R,
+    is the N x N inverse of mpmath, so the oracle holds only the rounding of
+    its float64 inputs and neither route's.
+    """
+    rows = _information_rows(system, (np.arange(m) * system.horizon) / m,
+                             np.array([system.horizon / m]),
+                             np.zeros(m, dtype=int))
+    scale, energy = _prior_scale(system), _energy(system)
+    n = system.num_modes
+    with mpmath.workdps(40):
+        white = mpmath.matrix(rows.tolist())
+        for k in range(n):
+            for i in range(rows.shape[0]):
+                white[i, k] *= mpmath.mpf(scale[k])
+        post = mpmath.inverse(mpmath.eye(n) + white.T * white)
+        return float(mpmath.fsum(mpmath.mpf(energy[k]) * mpmath.mpf(scale[k]) ** 2
+                                 * post[k, k] for k in range(n)))
+
+
+_SAMPLE_SPACE_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
+                        for model in ("heat", "wave", "wave-L3-T0.7",
+                                      "two-output-heat")
+                        for modes in (10, 20, 60)]
+_SAMPLE_SPACE_MODELS.append(pytest.param("mixed", 5, id="mixed-N5"))
+
+
+class TestSampleSpace:
+    """Coarse undriven uniform traces through Woodbury's identity."""
+
+    @pytest.mark.parametrize("model, modes", _SAMPLE_SPACE_MODELS)
+    def test_matches_the_closed_form(self, model, modes, two_output_heat):
+        # every size whose m r rows take the sample space
+        sysm = (sk.build_wave_model(modes, domain_length=3.0, horizon=0.7)
+                if model == "wave-L3-T0.7"
+                else _oracle_model(model, modes, 1.0, two_output_heat))
+        r = sysm.num_outputs
+        sizes = [m for m in range(1, modes + 1)
+                 if m * r <= filter_core._SAMPLE_SPACE_SHARE * modes]
+        assert sizes
+        for m in sizes:
+            assert _rel(_sample_space_trace(sysm, m)[0],
+                        _closed_form_trace(sysm, m)) <= 1e-13, m
+
+    @pytest.mark.parametrize("r_scalar", [1.0, 1e-4, 1e-8])
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_the_guard_keeps_the_closed_form_accuracy(self, family, r_scalar):
+        # high signal-to-noise heat cancels digits in sample space and
+        # falls back; 16 points of 20 modes take the closed form anyway
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(20, horizon=1.0, r_scalar=r_scalar)
+        for m in (4, 8, 16):
+            want = _sample_space_oracle(sysm, m)
+            closed = _rel(_closed_form_trace(sysm, m), want)
+            assert _rel(_uniform_trace(sysm, m), want) <= max(1e-13,
+                                                              10 * closed), m
+
+    @pytest.mark.parametrize("family, r_scalar, conditions", [
+        ("heat", 1.0, 0), ("heat", 1e-4, 1), ("heat", 1e-8, 1),
+        ("wave", 1e-8, 0)])
+    def test_the_guard_sends_high_snr_heat_to_condition(self, spy, family,
+                                                        r_scalar, conditions):
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        sysm = build(20, horizon=1.0, r_scalar=r_scalar)
+        for m in (4, 8):
+            spy.clear()
+            trace, prior = _sample_space_trace(sysm, m)
+            got = _uniform_trace(sysm, m)
+            assert len(spy) == conditions, m
+            assert (trace < filter_core._SAMPLE_SPACE_FLOOR * prior) == bool(
+                conditions)
+            assert got == (_trace(sysm, spy[0]) if conditions else trace)
+
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_a_zero_trace_divides_by_nothing(self, m):
+        # heat at T = 40, where every e^(lambda T) underflows to 0, and a
+        # prior of zero variance: tr_prior = 0 on either route, and a
+        # RuntimeWarning would fail the test
+        for sysm in (heat(4, horizon=40.0),
+                     dataclasses.replace(sk.build_wave_model(6),
+                                         prior_var=np.zeros(6))):
+            assert _uniform_trace(sysm, m) == 0.0
+
+
 _BLOCKED_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
                    for model, modes in (("heat", 10), ("wave", 10),
                                         ("two-output-heat", 6))]
@@ -736,10 +851,15 @@ class TestInformationRoute:
         (1, 0), (3, 0), (5, 2), (7, 4), (4, 6), (32, 7), (1, 13)])
     def test_uniform_grids_take_the_closed_form(self, monkeypatch, base_n,
                                                 level, horizon):
-        # a uniform grid is known by its size, which never sums over samples
+        # a uniform grid is known by its size, which never sums over
+        # samples: sizes 1 and 3 of four modes (m r <= 3N/4) take the sample
+        # space, the others the closed form
         sysm = heat(4, horizon=horizon)
+        m = base_n * 2 ** level
         monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
-        assert _uniform_trace(sysm, base_n * 2 ** level) > 0
+        monkeypatch.setattr(filter_core, "_uniform_information" if m <= 3
+                            else "_sample_space_trace", _refuse)
+        assert _uniform_trace(sysm, m) > 0
 
     @pytest.mark.parametrize("which", [
         "irregular", "stops-before-T", "one-ulp-off", "empty", "uniform"])

@@ -1,5 +1,7 @@
 """Dyadic grids, deterministic discrepancy curves, telescoping identities."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -297,6 +299,34 @@ class TestTelescope:
                            match="telescope_check needs an undriven system"):
             sk.telescope_check(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
                                2, 1)
+
+
+_ZERO_TRACE_MODELS = {
+    # every e^(lambda T) underflows to 0: so does every trace's weight
+    "heat-T40": lambda: sk.build_heat_model(4, horizon=40.0),
+    "no-prior-variance": lambda: dataclasses.replace(
+        sk.build_wave_model(6, horizon=1.0), prior_var=np.zeros(6)),
+}
+
+
+class TestZeroTraces:
+    """Models whose every trace is 0 take no division by a trace.
+
+    A RuntimeWarning fails the test, so a 0/0 on the way would show too.
+    """
+
+    @pytest.mark.parametrize("model", _ZERO_TRACE_MODELS)
+    def test_discrepancy_curve(self, model):
+        # sizes 1 and 2 take the sample space, 4 and the reference J
+        curve = sk.discrepancy_curve(_ZERO_TRACE_MODELS[model](), [1, 2, 4],
+                                     reference_level=3)
+        npt.assert_array_equal(curve.values, 0.0)
+        assert curve.reference_trace == 0.0
+
+    @pytest.mark.parametrize("model", _ZERO_TRACE_MODELS)
+    def test_telescope_reports_the_absolute_mismatch(self, model):
+        report = sk.telescope_check(_ZERO_TRACE_MODELS[model](), 4, 2)
+        assert report.trace_drop == 0.0 and report.residual == 0.0
 
 
 class TestCarriedPosterior:
