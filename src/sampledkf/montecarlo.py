@@ -10,9 +10,9 @@ factor of S drives the draws and A maps them back to modal coordinates
 norm-preserving, so squared errors computed in modal coordinates are the
 physical ones.
 
-All trials read one stream, the SFC64 stream of ``SeedSequence([seed])``,
-trial j as its j-th flat block of standard normals, in a fixed documented
-order:
+Each seed has one stream, the SFC64 stream of ``SeedSequence([seed])``,
+and a batch reads trial j as its j-th flat block of standard normals.  A
+path of ``sample_path`` takes its block in a fixed documented order:
 
     [ initial state (the initial factor's width, at most num_modes) ]
     for each sample step: [ process noise (width w), driven only ]
@@ -20,9 +20,9 @@ order:
     [ tail process noise (width w), driven only, if the last sample
       precedes the horizon ]
 
-which makes runs bitwise reproducible and leaves trial j the same whatever
-the batch size.  The stream is read in order from its start, since a
-ziggurat normal takes a variable number of words and a counter could not
+which makes paths bitwise reproducible and leaves trial j the same
+whatever the batch size.  The stream is read in order from its start, since
+a ziggurat normal takes a variable number of words and a counter could not
 find trial j's block; so the stream need not be counter-based, and SFC64 is
 numpy's fastest.  A factor has one column per pivot of its pivoted Cholesky
 (``_real_factor``), so its width is the numerical rank of its covariance.
@@ -33,9 +33,10 @@ matrix with its own pivots and stop, and a step or the tail reads its
 entry's factor by that index.  w is the widest factor's width; narrower
 factors are zero-padded to it, so every sample step takes a block of the
 same width and the simulator reads the steps as one (trials, steps, width)
-view.  A trial takes at most N + m (N + 2r) + N + r normals on m samples
-(``_most_normals``), and a block of ``_TRIAL_BLOCK`` trials that would hold
-more than ``_BLOCK_NORMALS`` is refused before it is drawn.
+view.  A path takes at most N + m (N + 2r) + N + r normals on m samples
+(``_most_normals``), and a simulator whose block of ``_TRIAL_BLOCK`` paths
+would hold more than ``_BLOCK_NORMALS`` is refused before anything is drawn;
+the same count is the row count of the error map below.
 
 ``sample_path`` runs the simulator: between samples every path moves
 elementwise (z *= e) with the output integral a rank-r map of z, as in the
@@ -46,13 +47,22 @@ gives ``filter_core._filtered_means`` its maps.  So the map is built once, in
 O(m N^2 (w + r)), and taken to the real coordinates of the pairs: on a pair
 the two errors are conjugate, so the real M A^{-T} has N columns and a
 squared error is their weighted sum of squares, weight 2 on each member of
-a pair (``_real_error_map``).  It is applied to the seed's stream
-``_TRIAL_BLOCK`` trials at a time, one real gemm of N columns and one
-weighted sum of squares a block; the normals held never exceed one block.
-A short last block is zero-padded to the full ``_TRIAL_BLOCK`` rows before
-the products, so every product has one shape, and a trial's error is the
-same bit for bit whatever the trial count (BLAS picks its kernel by shape,
-and a kernel for few rows rounds differently).
+a pair (``_real_error_map``).  With the weights' square roots folded into its
+columns, M_w, a squared error is ||xi M_w||^2, and M_w = Q R, Q with
+orthonormal columns and R the k x N triangle of its QR, k = min(total, N),
+gives xi M_w = (xi Q) R with xi Q itself k standard normals.  So the squared
+error has exactly the law of ||g R||^2 for k standard normals g, and
+``empirical_error`` factors the map once (``_Simulator.error_factor``) and
+reads k normals a trial, not a path's total: the seed's stream is read
+``_TRIAL_BLOCK`` trials of k normals at a time, one real gemm of N columns
+and one sum of squares a block.  R comes from the simulator's own map, not
+from the filter's posterior covariance, so the check stays independent of
+the recursion it validates; ||R||_F^2 = ||M||_F^2 is the trace in exact
+algebra, and the batch reports it as ``map_trace``.  A short last block is
+zero-padded to the full ``_TRIAL_BLOCK`` rows before the products, so every
+product has one shape, and a trial's error is the same bit for bit whatever
+the trial count (BLAS picks its kernel by shape, and a kernel for few rows
+rounds differently).
 ``run_paths`` followed by ``_filtered_means`` is the oracle the tests hold
 the map to.
 """
@@ -203,24 +213,25 @@ class _Simulator:
                              f"{_BLOCK_NORMALS} are allowed")
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, (trials, total), with the next trials of ``rng``.
+        """Fill ``out``, (trials, width), with the next trials of ``rng``.
 
         Kept a method of its own: ``perfbench/spans.py`` hooks it by name.
         """
         return rng.standard_normal(out=out)
 
-    def blocks(self, seed: int, trials: int):
+    def blocks(self, seed: int, trials: int, width: int | None = None):
         """The normals of trials 0..trials-1 of ``seed``, ``_TRIAL_BLOCK`` at a time.
 
-        Each block is one reused (``_TRIAL_BLOCK``, total) buffer, so it
-        holds only until the next block is drawn; the rows of the last block
-        past trial ``trials - 1`` are zero.  Every block has the same shape,
-        so a product over the whole block runs the same BLAS kernel, and
-        rounds a trial's row the same way, whatever the trial count; a
-        product of fewer rows may not.
+        A trial reads ``width`` normals of the stream, by default a path's
+        ``total``.  Each block is one reused (``_TRIAL_BLOCK``, width)
+        buffer, so it holds only until the next block is drawn; the rows of
+        the last block past trial ``trials - 1`` are zero.  Every block has
+        the same shape, so a product over the whole block runs the same BLAS
+        kernel, and rounds a trial's row the same way, whatever the trial
+        count; a product of fewer rows may not.
         """
         rng = _trial_rng(seed)
-        buf = np.empty((_TRIAL_BLOCK, self.total))
+        buf = np.empty((_TRIAL_BLOCK, self.total if width is None else width))
         for lo in range(0, trials, _TRIAL_BLOCK):
             count = min(trials - lo, _TRIAL_BLOCK)
             self.draw(rng, buf[:count])
@@ -265,6 +276,18 @@ class _Simulator:
             tail = self.noise_maps[self.tail].view(complex)
             emap[self.total - w:] = -tail[:, :n]
         return emap
+
+    def error_factor(self) -> np.ndarray:
+        """The (k, N) triangle R of the weighted error map's QR.
+
+        k = min(total, N).  M_w is the real map of ``_real_error_map`` times
+        the square roots of its weights, so a trial's squared error is
+        ||xi M_w||^2; with M_w = Q R it is distributed as ||g R||^2 for k
+        standard normals g.  QR, not a Cholesky of M_w^T M_w, which would
+        square M_w's condition number.
+        """
+        emap, weights = _real_error_map(self.error_map(), self.pairing)
+        return np.linalg.qr(emap * np.sqrt(weights), mode="r")
 
     def run_paths(self, normals: np.ndarray):
         """Propagate all trials; return (final states, output increments).
@@ -314,9 +337,10 @@ def sample_path(system: ModalSystem, times, seed: int, trial: int = 0):
 
     Returns (state, outputs) with state (num_modes,) complex in modal
     coordinates and outputs (len(times), num_outputs) the cumulative sampled
-    output values.  The draw is trial ``trial`` of the batch that
-    ``empirical_error`` draws from ``seed``: the stream is read up to that
-    trial's block, ``_TRIAL_BLOCK`` trials at a time.
+    output values.  The draw is trial ``trial`` of ``seed``'s stream read a
+    path's ``total`` normals a trial, in the order of the module docstring:
+    the stream is read up to that trial's block, ``_TRIAL_BLOCK`` trials at
+    a time.
     """
     trial = _whole("trial", trial, 0)
     seed = _whole("seed", seed, 0)
@@ -330,7 +354,12 @@ def sample_path(system: ModalSystem, times, seed: int, trial: int = 0):
 
 @dataclass(frozen=True)
 class SimulationBatch:
-    """Monte Carlo squared-error sample versus the deterministic trace."""
+    """Monte Carlo squared-error sample versus the deterministic trace.
+
+    ``map_trace`` is ||R||_F^2 of the simulator's error factor, equal to
+    ``trace_err`` in exact algebra: their gap is the deterministic half of
+    the check, so ``z_score`` tests the draw alone.
+    """
 
     label: str
     grid: np.ndarray
@@ -341,6 +370,7 @@ class SimulationBatch:
     std_error: float
     trace_err: float
     z_score: float
+    map_trace: float
 
 
 def _real_error_map(emap: np.ndarray, pairing: np.ndarray):
@@ -364,13 +394,13 @@ def empirical_error(system: ModalSystem, times, trials: int,
                     seed: int) -> SimulationBatch:
     """Monte Carlo estimate of E||zhat(horizon) - z(horizon)||^2.
 
-    Draws ``trials`` independent exact simulations and compares the mean
-    squared estimation error against the deterministic ``trace_err`` of the
-    same grid.  A trial's error is its normals times the simulator's
-    ``error_map``, so the map is built once, taken to N real columns, and
-    applied to the seed's stream ``_TRIAL_BLOCK`` trials at a time, one real
-    gemm a block.  The z-score
-    should be O(1); |z| > 3 flags disagreement.
+    Draws ``trials`` independent exact samples of the error and compares
+    their mean squared norm against the deterministic ``trace_err`` of the
+    same grid.  A trial's squared error is ||g R||^2 for the simulator's
+    (k, N) ``error_factor`` R, k = min(normals of a path, N), and g the
+    trial's k normals of the seed's stream, which is read ``_TRIAL_BLOCK``
+    trials at a time, one real gemm a block.  The z-score should be O(1);
+    |z| > 3 flags disagreement.
     """
     trials = _whole("trials", trials, 2)
     seed = _whole("seed", seed, 0)
@@ -378,9 +408,10 @@ def empirical_error(system: ModalSystem, times, trials: int,
     if times.size == 0:
         raise ValueError("need at least one sample time")
     sim = _Simulator(system, times)
-    emap, weights = _real_error_map(sim.error_map(), sim.pairing)
-    errors = np.concatenate([np.square(normals @ emap) @ weights
-                             for normals in sim.blocks(seed, trials)])[:trials]
+    factor = sim.error_factor()
+    errors = np.concatenate([
+        np.square(normals @ factor).sum(axis=1)
+        for normals in sim.blocks(seed, trials, factor.shape[0])])[:trials]
     empirical = float(errors.mean())
     sdev = float(errors.std(ddof=1) / np.sqrt(trials))
     trace = sim.run.trace_err
@@ -388,4 +419,5 @@ def empirical_error(system: ModalSystem, times, trials: int,
     return SimulationBatch(label=system.label, grid=times, trials=trials,
                            seed=seed, errors=errors,
                            empirical_mean=empirical, std_error=sdev,
-                           trace_err=trace, z_score=float(z))
+                           trace_err=trace, z_score=float(z),
+                           map_trace=float(np.square(factor).sum()))

@@ -512,10 +512,13 @@ class TestErrorMap:
         gap = _filtered_means(sysm, sim.plan, increments) - state
         mapped = normals @ sim.error_map()
         assert np.abs(mapped - gap).max() <= 1e-12 * np.abs(gap).max()
-        # empirical_error reads the same stream through the same map
-        oracle = (np.abs(gap) ** 2).sum(axis=1)
+        # empirical_error reads the same stream k normals a trial through
+        # the triangle R of the map's QR
+        factor = sim.error_factor()
+        narrow = sim.draw(_trial_rng(5), np.empty((64, factor.shape[0])))
         batch = sk.empirical_error(sysm, times, trials=64, seed=5)
-        npt.assert_allclose(batch.errors, oracle, rtol=1e-12)
+        npt.assert_allclose(batch.errors, np.square(narrow @ factor).sum(axis=1),
+                            rtol=1e-12)
 
     @pytest.mark.parametrize("case", [*ERROR_MAP_CASES, "workload"])
     def test_frobenius_norm_is_the_trace(self, case, two_output_heat):
@@ -568,6 +571,75 @@ class TestErrorMap:
         more = sk.empirical_error(sysm, EIGHT_TIMES, trials=_TRIAL_BLOCK + 5,
                                   seed=2)
         npt.assert_array_equal(more.errors[:_TRIAL_BLOCK], one.errors)
+
+
+class TestErrorFactor:
+    """The (k, N) triangle R that ``empirical_error`` draws through."""
+
+    @pytest.mark.parametrize("case", [*ERROR_MAP_CASES, "workload"])
+    def test_gram_and_norm_match_the_map(self, case, two_output_heat):
+        # R^T R = M_w^T M_w, so ||g R||^2 has the law of ||xi M_w||^2, and
+        # the batch reports ||R||_F^2 beside the trace
+        sysm, times = (workload_model_and_grid() if case == "workload"
+                       else ERROR_MAP_CASES[case](two_output_heat))
+        sim = _Simulator(sysm, times)
+        emap, weights = _real_error_map(sim.error_map(), sim.pairing)
+        weighted = emap * np.sqrt(weights)
+        gram = weighted.T @ weighted
+        factor = sim.error_factor()
+        assert factor.shape == (sysm.num_modes, sysm.num_modes)
+        assert (np.abs(factor.T @ factor - gram).max()
+                <= 1e-12 * np.abs(gram).max())
+        npt.assert_allclose(np.square(factor).sum(), sim.run.trace_err,
+                            rtol=1e-10)
+        batch = sk.empirical_error(sysm, times, trials=2, seed=1)
+        npt.assert_allclose(batch.map_trace, batch.trace_err, rtol=1e-10)
+
+    def test_a_map_with_fewer_rows_than_modes_gives_a_wide_factor(self):
+        # one known mode and one sample: 1 + 1 normals a path, 4 modes
+        sysm = dataclasses.replace(heat(), prior_var=np.array([1.0, 0, 0, 0]))
+        sim = _Simulator(sysm, np.array([1.0]))
+        assert sim.total == 2
+        factor = sim.error_factor()
+        assert factor.shape == (2, 4)
+        emap, _ = _real_error_map(sim.error_map(), sim.pairing)
+        npt.assert_allclose(factor.T @ factor, emap.T @ emap, atol=1e-15)
+        batch = sk.empirical_error(sysm, np.array([1.0]), trials=64, seed=5)
+        narrow = sim.draw(_trial_rng(5), np.empty((64, 2)))
+        npt.assert_allclose(batch.errors, np.square(narrow @ factor).sum(axis=1),
+                            rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat(),
+        lambda: sk.build_wave_model(4, horizon=1.0),
+        lambda: heat(0.4),
+    ], ids=["heat", "wave", "heat-driven"])
+    def test_error_variance_is_twice_the_squared_covariance(self, make):
+        # ||e||^2 of a Gaussian error of covariance Sigma has variance
+        # 2 tr(Sigma^2); Sigma is the filter's, not the simulator's
+        sysm = make()
+        sigma = sk.sequential_filter(sysm, EIGHT_TIMES).final_cov
+        expected = 2.0 * np.trace(sigma @ sigma).real
+        batch = sk.empirical_error(sysm, EIGHT_TIMES, trials=100_000, seed=5)
+        assert abs(batch.errors.var(ddof=1) / expected - 1.0) < 0.05
+
+    def test_batch_draws_k_normals_a_trial_and_paths_their_total(
+            self, monkeypatch):
+        # on the workload grid a path takes 436 normals, a batch trial 20
+        sysm, times = workload_model_and_grid()
+        shapes = []
+        draw_normals = _Simulator.draw
+
+        def spy(self, rng, out):
+            shapes.append(out.shape)
+            return draw_normals(self, rng, out)
+
+        monkeypatch.setattr(_Simulator, "draw", spy)
+        sk.empirical_error(sysm, times, trials=2 * _TRIAL_BLOCK, seed=1)
+        assert shapes == [(_TRIAL_BLOCK, 20)] * 2
+        shapes.clear()
+        sk.sample_path(sysm, times, seed=1, trial=3)
+        assert shapes == [(4, 436)]
 
 
 class TestAgainstDeterministicTrace:
