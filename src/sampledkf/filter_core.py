@@ -3,11 +3,12 @@
 Every posterior and trace outside the recursion and the batch oracle
 conditions the diagonal prior P0 on an information matrix J, or on the Gam
 of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
-P of the state at the start.  ``_condition`` is the one N x N factorisation
-(a coarse uniform trace takes the sample space instead, below).  It
-works in the real coordinates rho of ``spectral_model`` (x = A rho, A made
-of each conjugate pair's sums and differences), where the prior stays
-diagonal, R^2 = P0 / D (p/2, p/2 on a pair).  Every model is paired, so it
+P of the state at the start.  ``_condition`` is the one N x N
+factorisation, and ``_observe`` (below) the one update in observation
+space.  ``_condition`` works in the real coordinates rho of
+``spectral_model`` (x = A rho, A made of each conjugate pair's sums and
+differences), where the prior stays diagonal, R^2 = P0 / D (p/2, p/2 on a
+pair).  Every model is paired, so it
 takes only a J_rho = A* J A that was built real: the closed form of a
 uniform grid, the sum over samples and the Gam of a stretch triple are all
 formed in rho.  It takes the Cholesky factor L of the whitened matrix
@@ -29,8 +30,8 @@ formed than a caller uses:
   weights); a stretch triple, real in rho, gives
   tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2;
 - ``increment_variance`` and the telescope of ``refinement`` carry
-  P_rho = F^T F and insert real rows in float64 (``_downdate``, a block of
-  points per Cholesky factor);
+  P_rho = F^T F and observe whitened real rows in float64 (``_observe``, a
+  block of points per Cholesky factor);
 - only ``information_filter``, which returns the covariance of z(T),
   takes F^T F back to modal coordinates through the pairs' sums and
   differences.
@@ -54,8 +55,9 @@ sum itself (``_geometric_sum``, given the eigenvalues of its rows) also
 gives ``refinement.level_sum`` in closed form.  Times handed in as an array
 accumulate J_rho block by block (``_accumulated_information``), uniform or
 not: a sample's whitened rows are conjugate on each pair, so rows A is real
-(``_information_rows``, the one place the row formula lives) and each block
-is one float64 (rows A)^T (rows A).
+(``_white_rows``, the one row builder of every observation of the initial
+state, given a sample's weights by ``_information_rows``) and each block is
+one float64 (rows A)^T (rows A).
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triple``), since every step
@@ -89,19 +91,21 @@ posterior.  It has two routes for undriven systems.
 J_rho = B0^T B0 has rank at most m r, B0 the (m r, N) ``_information_rows``
 of the m samples, so when m r is at most ``_SAMPLE_SPACE_SHARE`` N = 3N/4
 it takes the observation-space form of the same update, Woodbury's
-identity (the representer method, PSAS): with B = B0 R,
+identity (the representer method, PSAS).  In the whitened coordinates
+R^-1 rho the prior is I and the rows are B = B0 R, so
 
-    P_rho = R (I + B^T B)^-1 R = R^2 - U^T U,
-    U = L^-1 B R,    I + B B^T = L L^T,
+    P_rho = R (I + B^T B)^-1 R = R (I - U^T U) R,
+    U = L^-1 B,    I + B B^T = L L^T,
 
-an (m r) x (m r) factor in place of an N x N one, and the trace is
-``_energy`` @ R^2 - ``_energy`` @ the column norms of U squared
+an (m r) x (m r) factor in place of an N x N one.  That is ``_observe`` with
+the identity for P, and the trace is tr_prior = ``_energy`` @ R^2 minus the
+sum of its per-sample gains under the weights ``_energy`` R^2
 (``_sample_space_trace``): m N exponentials and O((m r)^2 N) work against
-N^2 kernel values and O(N^3) for the closed form (``BENCH_sample_space.json``
-has per-call times by m and N).  The difference of the two terms loses
-about eps tr_prior / trace of its relative accuracy, tr_prior = ``_energy``
-@ R^2, so a trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at a
-high signal-to-noise ratio) falls back to the closed form.  Every larger m,
+N^2 kernel values and O(N^3) for the closed form, and no N x N matrix
+(``BENCH_sample_space.json`` has per-call times by m and N).  The
+difference loses about eps tr_prior / trace of its relative accuracy, so a
+trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at a high
+signal-to-noise ratio) falls back to the closed form.  Every larger m,
 and every trace the guard sends back, conditions the closed-form J once; a
 driven system conditions the triple of ``_doubled_triple``.  Only the
 sample space forms the m sample starts, at most 3N/4 of them.  Times that
@@ -152,14 +156,17 @@ where P conditions the initial state on the coarse observation set and C_h
 has modal columns c_k phi_h(lambda_k, t, h).  The interpolated observation
 y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
 measurement noise, independent of the coarse set, so the insertion also
-downdates P by the rank-r term P C_h* G^(-1) C_h P.  C_h is conjugate on
-each pair, so its rows C_h A in rho are real (``spectral_model._times_a``),
-and ``_downdate`` holds the formula once, in float64 on P_rho, for a block
-of points inserted in order: one Cholesky factor of the block's gram, whose
-elimination order is the order of insertion, gives each point's gain,
-weighted by ``_energy``, and the P_rho downdated by the whole block.
-``increment_variance`` conditions P_rho on the summed J of the given base
-set and inserts a block of one point, the one-insertion oracle;
+downdates P by the rank-r term P C_h* G^(-1) C_h P.  Read through
+C diag(phi_h / sqrt(h/2)), the observation carries unit noise once whitened
+by R's Cholesky factor, and its rows in rho are real (``_insertion_rows``,
+through ``_white_rows``).  So an insertion is one more observation for
+``_observe``, which takes a block of B points in float64 on P_rho: with C
+the stack of their rows, G = C P_rho C^T + I = L L^T and U = L^-1 C P_rho,
+one Cholesky factor, whose elimination order is the order of insertion,
+gives each point's gain, weighted by ``_energy``, and P_rho - U^T U is the
+posterior after the whole block.  ``increment_variance`` conditions P_rho
+on the summed J of the given base set and observes a block of one point,
+the one-insertion oracle;
 ``refinement.telescope_check`` carries one P_rho through every block
 instead.
 """
@@ -329,22 +336,43 @@ def sequential_filter(system: ModalSystem, times, observations=None) -> FilterRu
     return replace(plan[0], final_mean=mean)
 
 
+def _white_rows(system: ModalSystem, weights: np.ndarray) -> np.ndarray:
+    """The real (P, r, N) rows L^-1 C diag(w_p) A of P observations of rho.
+
+    Observation p reads the initial state through C diag(w_p), ``weights``
+    (P, N), with noise of covariance R = L L^T, so its rows carry unit
+    noise.  They are conjugate on each pair, so rows A is real
+    (``spectral_model._times_a``).  The one row builder: ``_information_rows``
+    gives the weights of samples, ``_insertion_rows`` those of midpoints.
+    """
+    rows = weights[:, None, :] * system._white_outputs[None, :, :]
+    return np.ascontiguousarray(_times_a(rows, system._pair_index).real)
+
+
 def _information_rows(system: ModalSystem, starts: np.ndarray,
                       widths: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """The real (len(starts) r, N) rows of a set of samples: J_rho = rows^T rows.
+    """The ``_white_rows`` of a set of samples: J_rho = sum of rows^T rows.
 
-    Sample i starts at ``starts[i]`` and has width d = ``widths[which[i]]``.
-    Its whitened rows L^-1 C diag(e^(lambda starts[i]) I1(lambda, d)) / sqrt(d)
-    are conjugate on each pair, so rows A is real
-    (``spectral_model._times_a``).  phi1 is taken once per entry of
-    ``widths``.
+    Sample i starts at ``starts[i]`` and has width d = ``widths[which[i]]``;
+    its increment, noise R d, reads x through C diag(e^(lambda starts[i])
+    I1(lambda, d)), so its weights are e^(lambda starts[i]) phi1(lambda d)
+    sqrt(d).  phi1 is taken once per entry of ``widths``.
     """
     lam = system.eigenvalues
     step = phi1(lam * widths[:, None]) * np.sqrt(widths)[:, None]
-    scale = np.exp(lam * starts[:, None]) * step[which]
-    rows = (scale[:, None, :] * system._white_outputs[None, :, :]).reshape(
-        -1, system.num_modes)
-    return np.ascontiguousarray(_times_a(rows, system._pair_index).real)
+    return _white_rows(system, np.exp(lam * starts[:, None]) * step[which])
+
+
+def _insertion_rows(system: ModalSystem, phis: np.ndarray,
+                    h: float) -> np.ndarray:
+    """The ``_white_rows`` of midpoints inserted at mesh width h.
+
+    ``phis`` is (P, N): phi_h(lambda, t, h) of each new point t.  Its
+    interpolated observation y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise
+    reads x through C diag(phi_h) with (h/2) R of noise, so its weights are
+    phi_h / sqrt(h/2).
+    """
+    return _white_rows(system, phis / np.sqrt(h / 2.0))
 
 
 def _accumulated_information(system: ModalSystem,
@@ -360,8 +388,8 @@ def _accumulated_information(system: ModalSystem,
     info = np.zeros((n, n))
     for lo in range(0, times.size, _INFO_BLOCK):
         block = slice(lo, lo + _INFO_BLOCK)
-        rows = _information_rows(system, starts[block],
-                                 *np.unique(widths[block], return_inverse=True))
+        rows = _information_rows(system, starts[block], *np.unique(
+            widths[block], return_inverse=True)).reshape(-1, n)
         info += rows.T @ rows
     return info
 
@@ -615,25 +643,22 @@ def _doubled_triple(system: ModalSystem, m: int):
 def _sample_space_trace(system: ModalSystem, m: int) -> tuple[float, float]:
     """The undriven trace on the m-point uniform grid in sample space, and tr_prior.
 
-    Sample j starts at ((j - 1) T) / m and has width T / m.  With
-    B = (``_information_rows`` of the m samples) R, R = ``_prior_scale``,
-    Woodbury's identity turns the posterior R (I + B^T B)^-1 R of rho into
-    R^2 - U^T U, U = L^-1 B R for G = I + B B^T = L L^T: an (m r) x (m r)
-    factorisation in place of an N x N one.  The trace is ``_energy`` @ R^2
-    minus ``_energy`` @ the column norms of U squared, O((m r)^2 N).  The
-    first term, tr_prior, is returned too: the difference loses about
-    eps tr_prior / trace of its relative accuracy.
+    Sample j starts at ((j - 1) T) / m and has width T / m.  In the whitened
+    coordinates R^-1 rho, R = ``_prior_scale``, the prior is I and the
+    samples' rows are B = (``_information_rows``) R, so ``_observe`` with
+    the identity for P and weights ``_energy`` R^2 gives the drop from
+    tr_prior = ``_energy`` @ R^2: an (m r) x (m r) factorisation in place of
+    an N x N one, O((m r)^2 N).  tr_prior is returned too: the difference
+    loses about eps tr_prior / trace of its relative accuracy.
     """
     scale = _prior_scale(system)
     rows = _information_rows(system, (np.arange(m) * system.horizon) / m,
                              np.array([system.horizon / m]),
                              np.zeros(m, dtype=int)) * scale
-    gram = rows @ rows.T
-    gram.flat[::gram.shape[0] + 1] += 1.0
-    half = (_lower_inverse(np.linalg.cholesky(gram)) @ rows) * scale
-    energy = _energy(system)
-    prior = float(energy @ scale ** 2)
-    return prior - float(energy @ np.einsum("ij,ij->j", half, half)), prior
+    energy = _energy(system) * scale ** 2
+    gains, _ = _observe(None, rows, energy)
+    prior = float(energy.sum())
+    return prior - float(gains.sum()), prior
 
 
 def _uniform_trace(system: ModalSystem, m: int) -> float:
@@ -737,8 +762,10 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
     base = _validate_times(system, np.sort(np.asarray(base_times, dtype=float)))
     tol = 1e-9 * system.horizon
     t = float(new_time)
-    if not (h > 0 and t - h >= -tol and t + h <= system.horizon * (1 + 1e-12)):
-        raise ValueError("insertion stencil must satisfy 0 <= t-h, t+h <= horizon")
+    if not (h > 0 and t - h >= 0 and t + h <= system.horizon * (1 + 1e-12)):
+        raise ValueError(f"insertion stencil must satisfy 0 <= new_time - h "
+                         f"and new_time + h <= horizon, got "
+                         f"new_time={new_time!r}, h={h!r}")
     if np.any(np.abs(base - t) <= tol):
         raise ValueError("new_time already belongs to the base set")
 
@@ -752,39 +779,33 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
         raise ValueError("base set intrudes into the insertion stencil")
 
     factor = _condition(system, _accumulated_information(system, base))
-    rows = _times_a(system.output_coeffs.T * phi_h(system.eigenvalues, t, h),
-                    system._pair_index).real
-    gains, _ = _downdate(factor.T @ factor, rows[None], h, system.r_cov,
-                         _energy(system))
+    rows = _insertion_rows(system, phi_h(system.eigenvalues, t, h)[None], h)
+    gains, _ = _observe(factor.T @ factor, rows, _energy(system))
     return float(gains[0])
 
 
-def _downdate(post: np.ndarray, rows: np.ndarray, h: float, r_cov: np.ndarray,
-              energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gains of a block of midpoint insertions and the posterior of rho after them.
+def _observe(post: np.ndarray | None, rows: np.ndarray,
+             energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of observing a block of points in order, and U of the drop U^T U.
 
-    ``post`` is the error covariance P_rho of the initial state in real
-    coordinates on the base set, ``rows`` the real (B, r, N) maps C_h A of
-    B new points in the order they are inserted, and ``energy`` the
-    ``_energy`` of the model; all float64.  Each interpolated observation
-    C_h A rho + noise, noise ~ N(0, (h/2) R), is independent of the base set
-    and of the others, so with C the (B r, N) stack of the rows the block's
-    gram is G = C P_rho C^T plus (h/2) R on each point's r x r diagonal block.
-    With G = L L^T and U = L^-1 C P_rho the posterior drops by U^T U, and
-    the rows of point j in U give exactly the rank-r drop of inserting it
-    after the points before it: Cholesky's elimination order is the order
-    of insertion, its pivots the Schur complements of one insertion at a
-    time.  Point j's gain is the trace of its drop's image under e^(AT) A,
-    ``energy`` @ the column sums of its rows of U squared.  Returns the (B,)
-    gains and the downdated P_rho; O(B r N^2 + (B r)^2 N + (B r)^3).
+    ``post`` is the error covariance P of the initial state in real
+    coordinates, or None for the identity, ``rows`` the (B, r, N)
+    ``_white_rows`` of B observations in the order they are taken, each of
+    unit noise, independent of the set before and of each other, and
+    ``energy`` the weights of the trace; all float64.  With C the (B r, N)
+    stack of the rows, Woodbury's identity in observation space gives the
+    posterior P - U^T U, U = L^-1 C P for G = C P C^T + I = L L^T.  The rows
+    of point j in U give exactly the rank-r drop of observing it after the
+    points before it: Cholesky's elimination order is the order of the
+    rows, its pivots the Schur complements of one point at a time.  Point
+    j's gain is ``energy`` @ the column sums of its rows of U squared.
+    Returns the (B,) gains and U; O(B r N^2 + (B r)^2 N + (B r)^3), the
+    first term absent for the identity.
     """
     points, r, n = rows.shape
     stacked = rows.reshape(points * r, n)
-    cpost = stacked @ post
-    gmat = cpost @ stacked.T
-    # (h/2) R on every point's diagonal block, through a view of gmat
-    diag = np.arange(points)
-    gmat.reshape(points, r, points, r)[diag, :, diag, :] += (h / 2.0) * r_cov
-    half = _lower_inverse(np.linalg.cholesky(gmat)) @ cpost
-    gains = (half * half).reshape(points, r, n).sum(axis=1) @ energy
-    return gains, _hermitize(post - half.T @ half)
+    cpost = stacked if post is None else stacked @ post
+    gram = cpost @ stacked.T
+    gram.flat[::gram.shape[0] + 1] += 1.0
+    half = _lower_inverse(np.linalg.cholesky(gram)) @ cpost
+    return (half * half).reshape(points, r, n).sum(axis=1) @ energy, half

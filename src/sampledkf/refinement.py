@@ -21,14 +21,14 @@ difference into a sum of one-insertion increments, each in closed form
 (``filter_core.increment_variance``).  ``telescope_check`` verifies the
 identity numerically: it carries one posterior P_rho of the initial state,
 in the real coordinates of ``spectral_model``, from the base grid through
-every insertion, one float64 Cholesky downdate (``filter_core._downdate``)
-per block of at most ``_ROW_BLOCK`` of a level's points, so a block of B
-points costs O(B r N^2 + (B r)^2 N + (B r)^3) whatever the size of the set
-before it.  ``level_sum``
-isolates the per-level interpolation operator whose weighted norm drives
-every rate bound.  Its sum over a level's new points is geometric, the sum
-``filter_core._geometric_sum`` also takes for the closed-form J, so a level
-sum costs N^2 kernel values at any level.
+every insertion: each block of at most ``_ROW_BLOCK`` of a level's points
+is one observation-space update (``filter_core._observe``, one float64
+Cholesky factor), so a block of B points costs
+O(B r N^2 + (B r)^2 N + (B r)^3) whatever the size of the set before it.
+``level_sum`` isolates the per-level interpolation operator whose weighted
+norm drives every rate bound.  Its sum over a level's new points is
+geometric, the sum ``filter_core._geometric_sum`` also takes for the
+closed-form J, so a level sum costs N^2 kernel values at any level.
 
 Grid convention: ``dyadic_grid(n, k)`` is the uniform (n 2**k)-point grid
 (j T) / (n 2**k), j = 1..n 2**k, including the horizon, so level k adds the
@@ -52,10 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _downdate, _energy, _geometric_sum,
-                          _trace, _uniform_information, _uniform_trace)
+from .filter_core import (_condition, _energy, _geometric_sum, _insertion_rows,
+                          _observe, _trace, _uniform_information,
+                          _uniform_trace)
 from .kernels import _hermitize, phi_h
-from .spectral_model import ModalSystem, _is_whole, _times_a
+from .spectral_model import ModalSystem, _is_whole
 
 __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
            "TelescopeReport", "telescope_check", "level_sum"]
@@ -66,7 +67,7 @@ _NEGATIVE_SLACK = 1e-10
 _REFERENCE_TOLERANCE = 0.05
 #: Most points x modes the deepest telescope level may hold.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
-#: Points the telescope inserts with one blocked downdate; bounds its work
+#: Points the telescope inserts with one ``_observe``; bounds its work
 #: arrays at (32 r, N) and its gram at (32 r)^2 whatever the level holds.
 #: 32-48 points ran fastest at 10-12 levels of heat and wave, N = 10 and
 #: 60, r = 1 and 2 (``BENCH_blocked_telescope.json``).
@@ -242,26 +243,25 @@ def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
     base_n points, F = ``factor``, ``_condition``'s factor of the grid's
     closed-form J, is carried through every insertion (levels in order,
     points left to right).  Each block of at most ``_ROW_BLOCK`` of a
-    level's points, on their real rows C_h A, takes one float64 Cholesky
-    downdate (``filter_core._downdate``), O(B r N^2 + (B r)^2 N + (B r)^3)
-    for B points: its elimination order is the order of insertion, so it
-    gives each point's gain on the set inserted before it, as one rank-r
-    downdate per point would.  The dyadic construction fixes every stencil:
-    the neighbours t - h (or 0) and t + h of a point new at a level already
-    belong to the base set.
+    level's points, on their whitened real rows
+    (``filter_core._insertion_rows``), is one ``filter_core._observe``,
+    O(B r N^2 + (B r)^2 N + (B r)^3) for B points, and P_rho - U^T U of its
+    factor U the posterior after it: its elimination order is the order of
+    insertion, so it gives each point's gain on the set inserted before it,
+    as one rank-r downdate per point would.  The dyadic construction fixes
+    every stencil: the neighbours t - h (or 0) and t + h of a point new at a
+    level already belong to the base set.
     """
     post = factor.T @ factor
     energy = _energy(system)
-    coeffs = system.output_coeffs.T
     per_level: list[np.ndarray] = []
     for level in range(1, levels + 1):
         h, phis = _new_points(system, base_n, level)
         gains = np.empty(len(phis))
         for lo in range(0, len(phis), _ROW_BLOCK):
-            rows = _times_a(phis[lo:lo + _ROW_BLOCK, None, :] * coeffs,
-                            system._pair_index).real
-            gains[lo:lo + _ROW_BLOCK], post = _downdate(
-                post, rows, h, system.r_cov, energy)
+            rows = _insertion_rows(system, phis[lo:lo + _ROW_BLOCK], h)
+            gains[lo:lo + _ROW_BLOCK], half = _observe(post, rows, energy)
+            post = _hermitize(post - half.T @ half)
         per_level.append(gains)
     return per_level, post
 
@@ -270,8 +270,8 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     """Verify that per-point increments telescope to the trace drop.
 
     Inserts every midpoint in order (levels in order, points left to
-    right), carrying one posterior of the initial state through one blocked
-    Cholesky downdate per block of a level's points; each gain equals
+    right), carrying one posterior of the initial state through one
+    observation-space update per block of a level's points; each gain equals
     ``increment_variance`` on the set inserted so far.  The trace drop they
     should sum to is taken between the uniform grids of base_n and
     base_n 2**levels points, from the two sizes alone.  The residual is the

@@ -41,14 +41,15 @@ eta_a = rho_a + i rho_b, eta_b = conj(eta_a) with real rho.  Stacking the
 rho's gives the recomposition eta = A rho, and a covariance Sigma that
 respects the pairing has the real symmetric recomposed form
 A^-1 Sigma A^-* (``_real_covariance``).  A and A^-1 act only through each
-pair's sums and differences (``_from_real``, ``_to_real``, ``_times_a``), so
-no dense A is formed, and on a model without pairs they are the identity.
-They read the pairing's index arrays (``_pairs``), which a model derives
-once and holds.  On a pair A* A = 2 I, so with D (2 on a pair, 1 on a real
-mode) ||A rho||^2 = sum_k D_k rho_k^2 and an information matrix J takes the
-real form A* J A = D (A^-1 J A^-*) D.  The Monte Carlo samples in these
-coordinates, and ``filter_core._condition`` conditions in them and only in
-them: every information matrix it takes is built there (the closed form of
+pair's sums and differences, spelled once for A (``_times_a``) and once for
+A^T (``_from_real``); A^-1 = D^-1 A* takes A's (``_to_real``,
+``_real_covariance``).  No dense A is formed, and on a model without pairs
+they are the identity.  They read the pairing's index arrays (``_pairs``),
+which a model derives once and holds.  On a pair A* A = 2 I, so with D (2
+on a pair, 1 on a real mode) ||A rho||^2 = sum_k D_k rho_k^2 and an
+information matrix J takes the real form A* J A = D (A^-1 J A^-*) D.  The
+Monte Carlo samples in these coordinates, and ``filter_core._condition``
+conditions in them and only in them: every information matrix it takes is built there (the closed form of
 a uniform grid, the sum over samples as (rows A)^T (rows A), the Gam of a
 stretch triple), and the doubling of driven stretches runs there.
 """
@@ -528,16 +529,12 @@ def _pairs(pairing: np.ndarray) -> _Pairs:
 def _to_real(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
     """x A^-T along the last axis: paired modal coordinates to real ones.
 
-    A is the recomposition eta = A rho of the module docstring, so a pair
+    A is the recomposition eta = A rho of the module docstring, with
+    A^-T = conj(A) D^-1, so x A^-T = conj(conj(x) A) / D: a pair
     (k, mate) maps to ((x_k + x_mate)/2, (x_k - x_mate)/2i) and a
     self-conjugate coordinate is copied.
     """
-    k, mate = pairs.first, pairs.mate
-    out = x.astype(complex)
-    first, second = x[..., k], x[..., mate]
-    out[..., k] = (first + second) / 2.0
-    out[..., mate] = (first - second) / 2.0j
-    return out
+    return _times_a(x.conj(), pairs).conj() / pairs.weights
 
 
 def _from_real(x: np.ndarray, pairs: _Pairs) -> np.ndarray:
@@ -569,23 +566,15 @@ def _real_covariance(cov: np.ndarray, pairs: _Pairs,
                      what: str = "covariance") -> np.ndarray:
     """The real symmetric recomposed forms A^-1 cov A^-* of a stack (k, d, d).
 
-    Formed in place through each pair's sums and differences: A^-1 takes a
-    pair's rows to ((x_k + x_mate)/2, (x_k - x_mate)/2i), and A^-* its
-    columns to ((x_k + x_mate)/2, i (x_k - x_mate)/2), each a product with
-    a power of two, no complex division.  A matrix whose
-    recomposed form keeps an imaginary part above 1e-8 of its largest entry
-    does not respect the pairing, and is refused with a ValueError naming
-    ``what``.
+    With A^-1 = D^-1 A*, the form is D^-1 (A* cov A) D^-1, formed through
+    ``_times_a``: the rows first, A* cov = (cov* A)*, then the columns, each
+    divided by D, an exact power of two.  A matrix whose recomposed form
+    keeps an imaginary part above 1e-8 of its largest entry does not respect
+    the pairing, and is refused with a ValueError naming ``what``.
     """
-    k, mate = pairs.first, pairs.mate
-    s = cov.astype(complex, copy=bool(k.size))
-    if k.size:
-        first, second = s[:, k], s[:, mate]
-        s[:, k] = (first + second) * 0.5
-        s[:, mate] = (first - second) * -0.5j
-        first, second = s[..., k], s[..., mate]
-        s[..., k] = (first + second) * 0.5
-        s[..., mate] = (first - second) * 0.5j
+    weights = pairs.weights
+    rows = _times_a(cov.conj().swapaxes(1, 2), pairs).conj().swapaxes(1, 2)
+    s = _times_a(rows / weights[:, None], pairs) / weights
     scale = np.abs(s).max(axis=(1, 2), initial=0.0)
     if np.any(np.abs(s.imag).max(axis=(1, 2), initial=0.0)
               > 1e-8 * np.where(scale > 0, scale, 1.0)):

@@ -27,7 +27,8 @@ from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _doubled_triple, _energy,
-                                   _information_rows, _lower_inverse,
+                                   _information_rows, _insertion_rows,
+                                   _lower_inverse, _observe,
                                    _output_gram, _prior_scale,
                                    _sample_space_trace,
                                    _solve_gram, _trace, _uniform_information,
@@ -646,11 +647,11 @@ def _sample_space_oracle(system, m):
     is the N x N inverse of mpmath, so the oracle holds only the rounding of
     its float64 inputs and neither route's.
     """
+    n = system.num_modes
     rows = _information_rows(system, (np.arange(m) * system.horizon) / m,
                              np.array([system.horizon / m]),
-                             np.zeros(m, dtype=int))
+                             np.zeros(m, dtype=int)).reshape(-1, n)
     scale, energy = _prior_scale(system), _energy(system)
-    n = system.num_modes
     with mpmath.workdps(40):
         white = mpmath.matrix(rows.tolist())
         for k in range(n):
@@ -790,6 +791,67 @@ class TestBlockedDowndate:
             want = _modal_insert(oracle, sysm.output_coeffs.T * phi, h,
                                  sysm.r_cov, decay)[0]
             assert _rel(sk.increment_variance(sysm, base, t, h), want) <= 1e-13
+
+
+_OBSERVATION_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
+                       for model in ("heat", "wave", "two-output-heat")
+                       for modes in (10, 20)]
+_OBSERVATION_MODELS.append(pytest.param("mixed", 5, id="mixed-N5"))
+
+
+class TestObservationForm:
+    """``_observe``, the one observation-space update, against the N x N route."""
+
+    @staticmethod
+    def _sample_rows(system, times):
+        starts = np.concatenate([[0.0], times[:-1]])
+        return _information_rows(system, starts,
+                                 *np.unique(times - starts, return_inverse=True))
+
+    @pytest.mark.parametrize("model, modes", _OBSERVATION_MODELS)
+    def test_irregular_samples_match_the_conditioning(self, model, modes,
+                                                      two_output_heat):
+        # the sample space's form on any grid, not only on a uniform one
+        sysm = _oracle_model(model, modes, 1.0, two_output_heat)
+        scale = _prior_scale(sysm)
+        energy = _energy(sysm) * scale ** 2
+        for points in (1, 3, 7, 16):
+            times = _irregular_times(points, seed=points)
+            gains, _ = _observe(None, self._sample_rows(sysm, times) * scale,
+                                energy)
+            want = _trace(sysm, _condition(
+                sysm, _accumulated_information(sysm, times)))
+            assert _rel(energy.sum() - gains.sum(), want) <= 1e-13, points
+
+    @pytest.mark.parametrize("model, modes", _OBSERVATION_MODELS)
+    def test_a_dense_prior_matches_the_identity(self, model, modes,
+                                                two_output_heat):
+        # diag(R^2) on unscaled rows is the identity on rows R, weights R^2
+        sysm = _oracle_model(model, modes, 1.0, two_output_heat)
+        scale, energy = _prior_scale(sysm), _energy(sysm)
+        rows = self._sample_rows(sysm, _irregular_times(5, seed=3))
+        dense, _ = _observe(np.diag(scale ** 2), rows, energy)
+        identity, _ = _observe(None, rows * scale, energy * scale ** 2)
+        assert np.max(np.abs(dense - identity) / identity) <= 1e-14
+
+    @pytest.mark.parametrize("points", [3, 4, 8])
+    def test_a_block_carries_one_point_at_a_time(self, points,
+                                                 two_output_heat):
+        # r = 2: each point's gain is taken after the points before it
+        sysm = two_output_heat(10)
+        energy = _energy(sysm)
+        factor = _condition(sysm, _uniform_information(sysm, 4))
+        base = factor.T @ factor
+        h, phis = sk.refinement._new_points(sysm, 4, 4)
+        rows = _insertion_rows(sysm, phis[:points], h)
+        assert rows.shape == (points, 2, 10)
+        block, half = _observe(base, rows, energy)
+        post = base
+        for j in range(points):
+            gain, one = _observe(post, rows[j:j + 1], energy)
+            post = post - one.T @ one
+            assert _rel(block[j], gain[0]) <= 1e-13, j
+        assert rel_frobenius(base - half.T @ half, post) <= 1e-13
 
 
 def _random_lower(n, dtype):
@@ -1106,6 +1168,15 @@ class TestIncrementVariance:
             sk.increment_variance(sysm, [1.0], 0.75, 0.25)
         with pytest.raises(ValueError, match="intrudes"):
             sk.increment_variance(sysm, [0.4, 0.5, 0.9], 0.65, 0.25)
+
+    @pytest.mark.parametrize("new_time, h", [
+        (0.125, 0.125 * (1 + 1e-14)), (0.125 * (1 - 1e-14), 0.125)])
+    def test_a_stencil_past_the_origin_is_refused(self, new_time, h):
+        # new_time - h < 0 by rounding: refused here, never inside phi_h
+        sysm = sk.build_heat_model(6, 1.0)
+        with pytest.raises(ValueError, match=r"insertion stencil.*new_time="
+                           rf"{new_time!r}, h={h!r}"):
+            sk.increment_variance(sysm, sk.dyadic_grid(4, 0), new_time, h)
 
 
 class TestGramSolve:
