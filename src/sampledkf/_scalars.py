@@ -8,12 +8,15 @@ scale by powers of the step ``h``):
     G2(a, b)  = int_0^1 e^(a s) * (e^(b s) - 1)/b ds
     G3(a, b)  = int_0^1 (e^(a s) - 1)/a * (e^(b s) - 1)/b ds
 
-Each has removable singularities (a -> 0, b -> 0) where the textbook closed
-forms cancel catastrophically.  Branch layout, elementwise:
+phi1 is expm1(a)/a everywhere: numpy's complex expm1 forms its real part as
+expm1(Re a) cos(Im a) - 2 sin^2(Im a / 2), which keeps relative accuracy
+near a = 0 and near the zeros 2 pi i k of e^a - 1 alike.  G2 and G3 have
+removable singularities (a -> 0, b -> 0) where the textbook closed forms
+cancel catastrophically.  Branch layout, elementwise:
 
 * both arguments inside the unit disc: truncated double power series (exact to
-  ~1e-18 relative, no cancellation), one coefficient table per kernel built
-  at import and applied to power matrices of a and b;
+  ~1e-18 relative, no cancellation) over one coefficient table per kernel
+  built at import, evaluated by Horner in b along each row, then in a;
 * one argument at most half the other in modulus: a rearranged closed form
   without the division by the small argument (the difference quotient
   (phi1(a+b) - phi1(a))/b loses a factor |a|/|b| to cancellation);
@@ -22,8 +25,10 @@ forms cancel catastrophically.  Branch layout, elementwise:
   e^(a+b) is formed as e^a e^b, since the exponential of the rounded sum
   loses eps |a+b| on the imaginary axis.
 
-The single series of phi1 (|x| < 0.5) and of phi2(x) = G2(0, x) (|x| <= 1)
-are coefficient tables too.  All functions accept scalars or arrays and
+phi2(x) = G2(0, x) takes its single series by Horner for |x| <= 1.  Every
+step is an elementwise numpy operation, so each value is a function of its
+own arguments alone: an entry of a batch equals, bit for bit, the same
+argument evaluated on its own.  All functions accept scalars or arrays and
 broadcast; results are complex.
 """
 
@@ -44,18 +49,7 @@ __all__ = ["phi1", "coupled_g2", "coupled_g3"]
 def phi1(x):
     """(e^x - 1)/x with the removable limit 1 at x = 0, elementwise."""
     x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.5
-    if np.any(small):
-        out[small] = _powers(x[small], _SERIES_TERMS) @ _PHI1_TABLE
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        out[big] = np.expm1(xb.real) * np.exp(1j * xb.imag) / xb \
-            + (np.exp(1j * xb.imag) - 1.0) / xb
-    return out[0] if scalar else out
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)[()]
 
 
 def _phi2(x):
@@ -63,7 +57,7 @@ def _phi2(x):
     out = np.empty_like(x)
     small = np.abs(x) <= _SERIES_RADIUS
     if np.any(small):
-        out[small] = _powers(x[small], _SERIES_TERMS) @ _PHI2_TABLE
+        out[small] = _horner(_PHI2_TABLE, x[small])
     big = ~small
     if np.any(big):
         out[big] = (phi1(x[big]) - 1.0) / x[big]
@@ -80,30 +74,33 @@ def _series_table(s_a: int, s_b: int, s: int, terms_b: int) -> np.ndarray:
 _G2_TABLE = _series_table(0, 1, 2, _DOUBLE_TERMS - 1)
 # G3 = sum_{i, j >= 0} a^i b^j / ((i+1)! (j+1)! (i+j+3))
 _G3_TABLE = _series_table(1, 1, 3, _DOUBLE_TERMS)
-# phi1 = sum_{m >= 0} x^m / (m+1)!,  phi2 = sum_{m >= 0} x^m / (m+2)!
-_PHI1_TABLE = np.array([1.0 / factorial(m + 1) for m in range(_SERIES_TERMS)])
+# phi2 = sum_{m >= 0} x^m / (m+2)!
 _PHI2_TABLE = np.array([1.0 / factorial(m + 2) for m in range(_SERIES_TERMS)])
 
 
-def _powers(x, count: int) -> np.ndarray:
-    """(x.size, count) matrix of x^0, x^1, ..., x^(count-1)."""
-    out = np.empty((x.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    return np.cumprod(out, axis=1, out=out)
+def _horner(coeffs: np.ndarray, x):
+    """sum_k coeffs[k] x^k by Horner over the leading axis of ``coeffs``."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        # the product out of place: numpy's in-place complex product rounds
+        # an element differently depending on where it sits in the array.
+        # A sum rounds alike anywhere; in place it holds one temporary less.
+        out = out * x
+        out += c
+    return out
 
 
 def _double_series(table: np.ndarray, a, b):
-    return ((_powers(a, table.shape[0]) @ table)
-            * _powers(b, table.shape[1])).sum(axis=1)
+    """sum_{i, j} table[i, j] a^i b^j: each row's polynomial in b, then in a."""
+    return _horner(_horner(table.T[:, :, None], b), a)
 
 
 def _phi1_of_sum(a, b):
     """phi1(a + b) with e^(a+b) formed as e^a e^b where |a + b| >= 0.5.
 
     e^(a+b) of the rounded sum is off by eps |a+b| relative; the product of
-    the two exponentials is not.  Below 0.5 the series of phi1 needs the sum
-    itself (wave conjugate pairs give a + b = 0 exactly).
+    the two exponentials is not.  Below 0.5, e^a e^b - 1 would cancel, so
+    expm1 takes the sum itself (wave conjugate pairs give a + b = 0 exactly).
     """
     total = a + b
     out = np.empty_like(total)
@@ -114,13 +111,16 @@ def _phi1_of_sum(a, b):
     return out
 
 
-def coupled_g2(a, b):
-    """G2(a, b) = int_0^1 e^(a s) (e^(b s) - 1)/b ds, elementwise."""
+def _flat_pair(a, b):
+    """a and b as complex, broadcast together and raveled, and their shape."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
                                np.asarray(b, dtype=complex))
-    shape = a.shape
-    a = np.atleast_1d(a).ravel()
-    b = np.atleast_1d(b).ravel()
+    return a.ravel(), b.ravel(), a.shape
+
+
+def coupled_g2(a, b):
+    """G2(a, b) = int_0^1 e^(a s) (e^(b s) - 1)/b ds, elementwise."""
+    a, b, shape = _flat_pair(a, b)
     out = np.empty(a.shape, dtype=complex)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
@@ -137,18 +137,12 @@ def coupled_g2(a, b):
     if np.any(direct):
         asub, bsub = a[direct], b[direct]
         out[direct] = (_phi1_of_sum(asub, bsub) - phi1(asub)) / bsub
-    if shape == ():
-        return out[0]
-    return out.reshape(shape)
+    return out.reshape(shape)[()]
 
 
 def coupled_g3(a, b):
     """G3(a, b) = int_0^1 phi1(a s) s phi1(b s) s ds, symmetric, elementwise."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                               np.asarray(b, dtype=complex))
-    shape = a.shape
-    a = np.atleast_1d(a).ravel()
-    b = np.atleast_1d(b).ravel()
+    a, b, shape = _flat_pair(a, b)
     out = np.empty(a.shape, dtype=complex)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
@@ -167,6 +161,4 @@ def coupled_g3(a, b):
         asub, bsub = a[direct], b[direct]
         out[direct] = (_phi1_of_sum(asub, bsub) - phi1(asub) - phi1(bsub)
                        + 1.0) / (asub * bsub)
-    if shape == ():
-        return out[0]
-    return out.reshape(shape)
+    return out.reshape(shape)[()]

@@ -26,18 +26,18 @@ its noise covariance Sigma_h, assembled from (with M = B Q B*)
     Sigma_YY[i,j] = sum_kl c_ki conj(c_lj) M_kl int_0^h I1(lambda_k, s) I1(conj(lambda_l), s) ds
 
 where I1(a, s) = (e^(a s) - 1)/a.  The removable singularities (any exponent
-combination approaching zero) are handled by the series branches in
-``_scalars``; matrices are Hermitian-symmetrised after assembly so conjugate
-paired models keep real traces.
+combination approaching zero) are handled in ``_scalars`` (expm1 for
+phi1, series branches for G2 and G3); matrices are Hermitian-symmetrised
+after assembly so conjugate paired models keep real traces.
 
 ``_transitions`` evaluates these kernels for many step widths at once, on
 stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
 kernel entries, and returns one ``AugmentedTransition`` whose fields carry
 a leading width axis; the filter recursion and the Monte Carlo take every
 transition of a grid from one such stack and index it by step.
-``transition_block`` is entry 0 of a stack of one width.  The scalar
-kernels' series branches are applied as matrix products, so a batched
-entry can differ from the batch of one in the last bit.
+``transition_block`` is entry 0 of a stack of one width.  Every scalar
+kernel value is a function of its argument alone, so an entry of a stack
+equals, bit for bit, the same width's ``transition_block``.
 
 ``quadrature_oracle_transition`` rebuilds the same matrices from the defining
 iterated integrals by adaptive quadrature (cmath + scipy.integrate.quad, no
@@ -67,8 +67,9 @@ __all__ = [
 ]
 
 #: Most kernel entries (widths x N x N) one batch of ``_transitions``
-#: evaluates.  The double series hold about 22 powers of each argument per
-#: entry, so a batch's temporaries stay near 25 MB whatever the widths.
+#: evaluates.  The double series' Horner steps hold two arrays of 22 row
+#: polynomials per entry, so a batch's temporaries stay near 25 MB whatever
+#: the widths.
 _KERNEL_ELEMENTS = 2 ** 15
 
 

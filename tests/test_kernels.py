@@ -257,13 +257,10 @@ BATCH_MODELS = {
 }
 
 
-def max_rel_gap(stack, j, single):
-    """Largest gap of stack entry j's blocks, each relative to its largest entry."""
-    gaps = []
+def assert_same_entry(stack, j, single):
+    """Stack entry j's blocks equal, bit for bit, those of ``single``."""
     for name in ("decay", "output_map", "noise_cov"):
-        a, b = getattr(stack, name)[j], getattr(single, name)
-        gaps.append(np.abs(a - b).max() / (np.abs(b).max() or 1.0))
-    return max(gaps)
+        npt.assert_array_equal(getattr(stack, name)[j], getattr(single, name))
 
 
 def entry(stack, j):
@@ -291,7 +288,7 @@ class TestBatchedTransitions:
         for j, h in enumerate(widths):
             single = sk.transition_block(sysm, float(h))
             assert stack.step[j] == single.step == float(h)
-            assert max_rel_gap(stack, j, single) <= 1e-15
+            assert_same_entry(stack, j, single)
 
     def test_filter_plan_evaluates_once_per_batch(self, monkeypatch):
         sysm = sk.build_heat_model(20, horizon=1.0, q_scalar=0.5)
@@ -331,7 +328,7 @@ class TestBatchedTransitions:
         assert set(index) | {tail} == set(range(stack.step.size))
         for j in range(stack.step.size):
             assert stack.step[j] == stack3.step[j]
-            assert max_rel_gap(stack3, j, entry(stack, j)) <= 1e-15
+            assert_same_entry(stack3, j, entry(stack, j))
         npt.assert_allclose(run3.trace_err, run.trace_err, rtol=1e-14)
 
     def test_equal_widths_share_one_transition(self):

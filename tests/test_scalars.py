@@ -176,6 +176,15 @@ class TestAgainstMpmath:
         npt.assert_allclose(_phi2(x), [_mp_exact(_mp_phi2, v) for v in x],
                             rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("delta", [1e-9, 3e-7, 1e-6, -1e-6])
+    def test_phi1_next_to_its_zeros_within_1e15(self, delta):
+        # e^x - 1 vanishes at x = 2 pi i k: wave widths near a whole number
+        # of periods land there, and e^(iy) - 1 formed directly cancels
+        x = 1j * (2 * np.pi * np.arange(1, 101) + delta)
+        with mpmath.workdps(40):
+            want = [complex(_mp_phi1(mpmath.mpc(v))) for v in x]
+        npt.assert_allclose(phi1(x), want, rtol=1e-15, atol=0)
+
 
 def _imaginary_axis_sweep(count=300, seed=20):
     rng = np.random.default_rng(seed)
@@ -202,3 +211,54 @@ class TestImaginaryAxis:
         want = [_mp_g3(*p) for p in points]
         npt.assert_allclose(coupled_g3(a, b), want, rtol=1e-14, atol=0)
         npt.assert_allclose(coupled_g3(b, a), want, rtol=1e-14, atol=0)
+
+
+def _branch_pool(rng, count=60):
+    """Seeded (a, b) pairs in every branch of the kernels.
+
+    Both inside the unit disc, one small against the other (either way
+    round), both outside and within a factor two (the direct form), far out
+    on the imaginary axis, and zeros.
+    """
+    def disc(lo, hi, size):
+        return rng.uniform(lo, hi, size) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
+
+    big = disc(1.0, 50.0, count)
+    small = big * rng.uniform(1e-9, 0.5, count) * np.exp(1j * rng.uniform(0, 6.3, count))
+    a = np.concatenate([disc(0.0, 1.0, count), big, small, big,
+                        1j * rng.uniform(-500.0, 500.0, count), [0.0, 0.0, 0.5]])
+    b = np.concatenate([disc(0.0, 1.0, count), small, big,
+                        big * rng.uniform(0.5, 2.0, count),
+                        1j * rng.uniform(-500.0, 500.0, count), [0.0, 0.7, 0.0]])
+    return a, b
+
+
+# each kernel as a function of (a, b); phi1 and phi2 read a alone
+KERNELS = {
+    "phi1": lambda a, b: phi1(a),
+    "phi2": lambda a, b: _phi2(a),
+    "G2": coupled_g2,
+    "G3": coupled_g3,
+}
+
+
+class TestBatchIndependence:
+    """Each kernel value is a function of its own arguments alone.
+
+    Batches of every size from 1 to 1000 are drawn from a seeded pool of
+    arguments, each at random positions, and every entry must equal, bit for
+    bit, its value computed on that argument alone.  A table applied as a
+    BLAS product, or an in-place complex product, rounds an entry
+    differently depending on where it sits in the batch.
+    """
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_batch_entries_equal_lone_values(self, name):
+        kernel = KERNELS[name]
+        rng = np.random.default_rng(41)
+        a, b = _branch_pool(rng)
+        alone = np.array([kernel(a[i:i + 1], b[i:i + 1])[0] for i in range(a.size)])
+        for size in range(1, 1001):
+            pick = rng.integers(0, a.size, size)
+            npt.assert_array_equal(kernel(a[pick], b[pick]), alone[pick],
+                                   err_msg=f"batch of {size}")
