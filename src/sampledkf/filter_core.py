@@ -400,45 +400,28 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray,
 
     ``rows`` are the eigenvalues of the rows: the whole spectrum for
     ``refinement.level_sum``, one member per pair and every self-conjugate
-    mode for ``_uniform_information``.
-    The sum spans the horizon: d = T / count, so e^(count x) is an outer
-    product of values e^(lambda T), and
+    mode for ``_uniform_information``.  With d = T / count the sum is one
+    quotient over the whole array,
 
-        S = (e^(count x) - 1) / (e^x - 1),   S = count at x = 0.
+        S = expm1(count x) / expm1(x),   S = count at x = 0,
 
-    That quotient of two outer products is taken over the whole array.
-    Where |x| < 1/2, e^x - 1 nears 0, so those entries are overwritten by
-    the quotient of two ``np.expm1`` values, which keeps full relative
-    accuracy there.  On a complex spectrum S depends on x only through e^x,
-    so Im x is first reduced into (-pi, pi], where e^x = 1 only at x = 0
-    (wave pairs alias to x = 2 pi i j); the reduction is odd in x, so S
-    keeps the conjugate-mate structure.  A real spectrum needs no reduction
-    and runs in float64.  Its exponentials are taken complex and their real
-    parts kept, and its far quotient as a product with the reciprocal, the
-    way complex division takes it, so it gives the same bits as the same
-    spectrum in complex128.  N^2 entries and no sum over j, whatever count
-    is.
+    N^2 entries and no sum over j, whatever count is.  A real spectrum
+    takes the real parts of rows d and lambda d, so x is float64.  On a
+    complex spectrum S depends on x only through e^x, so Im x is first
+    reduced into (-pi, pi], where e^x = 1 only at x = 0 (wave pairs alias to
+    x = 2 pi i j); the reduction is odd in x, so S keeps the conjugate-mate
+    structure.  ``np.expm1`` keeps full relative accuracy as x nears 0, so
+    the error is set by the rounding of x and of count x, near x = 0 as far
+    from it.
     """
-    lam = system.eigenvalues
-    d = system.horizon / count
-    values = [rows * d, lam * d, np.exp(rows * d), np.exp(lam * d),
-              np.exp(rows * system.horizon), np.exp(lam * system.horizon)]
-    real = not lam.imag.any()
-    if real:
-        values = [value.real for value in values]
-    ld_rows, ld, step_rows, step, whole_rows, whole = values
-    x = ld_rows.conj()[:, None] + ld[None, :]
-    if not real:
+    lam, d = system.eigenvalues, system.horizon / count
+    if lam.imag.any():
+        x = (rows * d).conj()[:, None] + lam * d
         x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top = np.outer(whole_rows.conj(), whole) - 1.0
-        bottom = np.outer(step_rows.conj(), step) - 1.0
-        geo = top * (1.0 / bottom) if real else top / bottom
-        near = np.abs(x) < 0.5
-        small = x[near].astype(complex)
-        quot = np.expm1(count * small) / np.expm1(small)
-    geo[near] = np.where(small != 0, quot.real if real else quot, count)
-    return geo
+    else:
+        x = (rows * d).real[:, None] + (lam * d).real
+    return np.divide(np.expm1(count * x), np.expm1(x),
+                     out=np.full_like(x, count), where=x != 0)
 
 
 def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:

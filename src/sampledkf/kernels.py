@@ -43,7 +43,8 @@ equals, bit for bit, the same width's ``transition_block``.
 iterated integrals by adaptive quadrature (cmath + scipy.integrate.quad, no
 shared code path) and exists purely to cross-check the closed forms.  It is
 the package's only use of scipy, which it imports on its first call: importing
-``sampledkf`` and every runtime route need numpy alone.
+``sampledkf`` and every runtime route need numpy alone, and scipy comes with
+the ``test`` extra, not with the package's dependencies.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def quadrature_oracle_transition(system: ModalSystem, h: float,
     Every entry is evaluated by adaptive quadrature on the Ito-isometry form
     of the definitions; inner integrals are quadratures as well, so nothing is
     shared with the closed-form path.  ``tol`` is the absolute tolerance per
-    entry (inner integrals are pushed one decade tighter).
+    entry (inner integrals are pushed one decade tighter).  Needs scipy,
+    which comes with the ``test`` extra (``pip install -e '.[test]'``).
     """
     if not 0 < h <= system.horizon * (1 + 1e-12):
         raise ValueError("transition step must satisfy 0 < h <= horizon")

@@ -655,3 +655,12 @@ def test_runtime_routes_load_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_scipy_is_a_test_dependency_only():
+    # the routes above need numpy alone, so scipy comes with the test extra
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(sk.__file__).resolve().parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy"]
+    assert "scipy" in project["optional-dependencies"]["test"]

@@ -26,14 +26,14 @@ from sampledkf import filter_core
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triple, _energy,
+                                   _doubled_triple, _energy, _geometric_sum,
                                    _information_rows, _insertion_rows,
                                    _lower_inverse, _observe,
                                    _output_gram, _prior_scale,
                                    _sample_space_trace,
                                    _solve_gram, _trace, _uniform_information,
                                    _uniform_trace)
-from sampledkf.spectral_model import _times_a
+from sampledkf.spectral_model import _real_covariance, _times_a
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
 # ends before the horizon, so the filter finishes with a tail prediction
@@ -1004,6 +1004,79 @@ class TestClosedFormInformation:
         closed = _uniform_information(sysm, n)
         assert closed.dtype == np.float64
         npt.assert_array_equal(closed, closed.T)
+
+
+def _geometric_model(family, modes):
+    if family == "mixed":
+        return _mixed_model()
+    return _closed_form_model(family, modes)
+
+
+def _geometric_oracle(system, count):
+    """S[k, l] = (e^(count x) - 1) / (e^x - 1) over every row, at 40 digits.
+
+    x = (conj(lambda_k) + lambda_l) T / count is formed from the float
+    eigenvalues in mpmath and never reduced, so aliased entries are summed
+    as they stand.
+    """
+    lam = [mpmath.mpc(value) for value in system.eigenvalues]
+    out = np.empty((len(lam), len(lam)), complex)
+    with mpmath.workdps(40):
+        d = mpmath.mpf(system.horizon) / count
+        for k, row in enumerate(lam):
+            for l, col in enumerate(lam):
+                x = (mpmath.conj(row) + col) * d
+                out[k, l] = complex(count if x == 0 else
+                                    mpmath.expm1(count * x) / mpmath.expm1(x))
+    return out
+
+
+_GEOMETRIC_FAMILIES = ["heat", "wave", "wave-L3-T0.7", "mixed"]
+
+
+class TestGeometricSum:
+    """S = sum_(j<count) e^(j x), the geometric sum of every closed form."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 64, 4096, 2 ** 20,
+                                       2 ** 40])
+    @pytest.mark.parametrize("family", _GEOMETRIC_FAMILIES)
+    def test_matches_mpmath(self, family, count):
+        # wave modes alias to x = 2 pi i j at the small counts, and the
+        # mixed model's undamped pair at 1, 2 and 4
+        sysm = _geometric_model(family, 20)
+        want = _geometric_oracle(sysm, count)
+        got = _geometric_sum(sysm, sysm.eigenvalues, count)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 64, 4096, 2 ** 40])
+    @pytest.mark.parametrize("family", _GEOMETRIC_FAMILIES)
+    def test_rows_are_independent_of_the_row_set(self, family, count):
+        # level_sum passes every row, _uniform_information one per pair
+        sysm = _geometric_model(family, 60)
+        lam, pairs = sysm.eigenvalues, sysm._pair_index
+        whole = _geometric_sum(sysm, lam, count)
+        rng = np.random.default_rng(count)
+        for rows in (np.concatenate([pairs.first, pairs.single]),
+                     rng.permutation(lam.size)[:lam.size // 3 + 1]):
+            npt.assert_array_equal(_geometric_sum(sysm, lam[rows], count),
+                                   whole[rows])
+
+    @pytest.mark.parametrize("family", ["heat", "wave", "wave-L3-T0.7",
+                                        "heat-R0.3"])
+    def test_reaches_the_continuous_data_limit(self, family):
+        # as m grows, J_m tends to A* (G / R) A with G the observability
+        # gramian; at m = 2**40 the gap is O((lambda T / m)^2)
+        if family == "heat-R0.3":
+            sysm = sk.build_heat_model(60, 1.0, r_scalar=0.3)
+        else:
+            sysm = _closed_form_model(family, 60)
+        pairs = sysm._pair_index
+        gram = sk.observability_gram(sysm) / sysm.r_cov[0, 0]
+        want = (_real_covariance(gram[None], pairs)[0]
+                * np.outer(pairs.weights, pairs.weights))
+        got = _uniform_information(sysm, 2 ** 40)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 _GRIDS = st.lists(st.integers(1, 999), min_size=1, max_size=16, unique=True)
