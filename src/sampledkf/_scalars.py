@@ -29,7 +29,11 @@ phi2(x) = G2(0, x) takes its single series by Horner for |x| <= 1.  Every
 step is an elementwise numpy operation, so each value is a function of its
 own arguments alone: an entry of a batch equals, bit for bit, the same
 argument evaluated on its own.  All functions accept scalars or arrays and
-broadcast; results are complex.
+broadcast.  Results take the kind of the arguments: real ones are evaluated
+in float64, and complex if any argument is complex.  The real line needs no
+complex arithmetic: every branch is a polynomial, a quotient or exp/expm1 of
+its arguments, with no branch cut, and on real arguments it keeps the
+accuracy it has off the axis.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ __all__ = ["phi1", "coupled_g2", "coupled_g3"]
 
 def phi1(x):
     """(e^x - 1)/x with the removable limit 1 at x = 0, elementwise."""
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
+    x = x.astype(np.promote_types(x.dtype, float), copy=False)
     return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)[()]
 
 
@@ -112,16 +117,18 @@ def _phi1_of_sum(a, b):
 
 
 def _flat_pair(a, b):
-    """a and b as complex, broadcast together and raveled, and their shape."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                               np.asarray(b, dtype=complex))
+    """a and b in float64, or complex if either is, broadcast together and
+    raveled, and their shape."""
+    dtype = np.result_type(np.asarray(a), np.asarray(b), float)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=dtype),
+                               np.asarray(b, dtype=dtype))
     return a.ravel(), b.ravel(), a.shape
 
 
 def coupled_g2(a, b):
     """G2(a, b) = int_0^1 e^(a s) (e^(b s) - 1)/b ds, elementwise."""
     a, b, shape = _flat_pair(a, b)
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty_like(a)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
     small_b = ~inside & (np.abs(b) <= _RATIO * np.abs(a))
@@ -143,7 +150,7 @@ def coupled_g2(a, b):
 def coupled_g3(a, b):
     """G3(a, b) = int_0^1 phi1(a s) s phi1(b s) s ds, symmetric, elementwise."""
     a, b, shape = _flat_pair(a, b)
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty_like(a)
 
     inside = (np.abs(a) <= _SERIES_RADIUS) & (np.abs(b) <= _SERIES_RADIUS)
     small_b = ~inside & (np.abs(b) <= _RATIO * np.abs(a))

@@ -37,7 +37,12 @@ a leading width axis; the filter recursion and the Monte Carlo take every
 transition of a grid from one such stack and index it by step.
 ``transition_block`` is entry 0 of a stack of one width.  Every scalar
 kernel value is a function of its argument alone, so an entry of a stack
-equals, bit for bit, the same width's ``transition_block``.
+equals, bit for bit, the same width's ``transition_block``.  With
+a = lambda_k h and b = conj(lambda_l) h, phi1(a + b) and G3(a, b) are
+Hermitian in (k, l) and are evaluated on the upper triangle of mode pairs
+alone, then mirrored; G2 is not Hermitian and takes all N^2 pairs.  On a
+real spectrum (heat) the noise kernels take float64 arguments, which
+``_scalars`` evaluates in float64; the stack is complex either way.
 
 ``quadrature_oracle_transition`` rebuilds the same matrices from the defining
 iterated integrals by adaptive quadrature (cmath + scipy.integrate.quad, no
@@ -69,8 +74,11 @@ __all__ = [
 
 #: Most kernel entries (widths x N x N) one batch of ``_transitions``
 #: evaluates.  The double series' Horner steps hold two arrays of 22 row
-#: polynomials per entry, so a batch's temporaries stay near 25 MB whatever
-#: the widths.
+#: polynomials per entry: a full batch in the series peaks near 26 MB on
+#: complex arguments and 14 MB on float64 ones (tracemalloc, one width at
+#: N = 180, h = 2^-22).  A batch holds at least one width, so past 2^15
+#: entries (N > 181) the peak grows like N^2: one width at N = 400 and
+#: h = 2^-22 peaks at 128 MB complex and 69 MB float64.
 _KERNEL_ELEMENTS = 2 ** 15
 
 
@@ -138,7 +146,7 @@ def _transitions(system: ModalSystem, widths) -> AugmentedTransition:
     Every field of the result has a leading width axis, in the order of
     ``widths``: ``step`` (W,), ``decay`` (W, N), ``output_map`` (W, r, N)
     and ``noise_cov`` (W, N+r, N+r).  The kernels are evaluated on stacked
-    (W, N, N) arguments, one ``_transition_batch`` call per batch of widths;
+    arguments, one ``_transition_batch`` call per batch of widths;
     a batch holds at most ``_KERNEL_ELEMENTS`` kernel entries (at least one
     width), which bounds the series temporaries whatever the number of
     widths.
@@ -159,7 +167,13 @@ def _transitions(system: ModalSystem, widths) -> AugmentedTransition:
 
 def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
                       rows: slice) -> None:
-    """Fill the stack's ``rows`` from their widths ``stack.step[rows]``."""
+    """Fill the stack's ``rows`` from their widths ``stack.step[rows]``.
+
+    On a real spectrum (heat) the noise kernels take float64 arguments; the
+    stack stays complex.  With a = lambda_k h and b = conj(lambda_l) h,
+    phi1(a + b) and G3(a, b) are Hermitian in (k, l), so they are evaluated
+    on the upper triangle alone and mirrored; G2 is not, and takes all N^2.
+    """
     lam = system.eigenvalues
     n = system.num_modes
     cmat = system.output_coeffs
@@ -171,18 +185,31 @@ def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
 
     if system.has_input_noise:
         bq = system.input_coeffs @ system.q_cov @ system.input_coeffs.conj().T
-        a = (lam * col)[:, :, None]
-        b = (lam.conj() * col)[:, None, :]
+        if not lam.imag.any():
+            lam = lam.real
+        a, b = lam * col, lam.conj() * col
+        ik, il = np.triu_indices(n)
         step = h[:, None, None]
         sig = stack.noise_cov[rows]  # a view: written in place
-        szz = bq * (step * phi1(a + b))
-        szy = (bq * (step * step * coupled_g2(a, b))) @ cmat.conj()
-        syy = cmat.T @ (bq * (step ** 3 * coupled_g3(a, b))) @ cmat.conj()
+        szz = bq * (step * _mirrored(phi1(a[:, ik] + b[:, il]), ik, il))
+        g2 = coupled_g2(a[:, :, None], b[:, None, :])
+        szy = (bq * (step * step * g2)) @ cmat.conj()
+        g3 = _mirrored(coupled_g3(a[:, ik], b[:, il]), ik, il)
+        syy = cmat.T @ (bq * (step ** 3 * g3)) @ cmat.conj()
         sig[:, :n, :n] = szz
         sig[:, :n, n:] = szy
         sig[:, n:, :n] = szy.conj().swapaxes(1, 2)
         sig[:, n:, n:] = syy
         sig[:] = _hermitize(sig)
+
+
+def _mirrored(upper: np.ndarray, ik: np.ndarray, il: np.ndarray) -> np.ndarray:
+    """The (W, N, N) Hermitian stack whose entries (ik, il) are ``upper``."""
+    n = ik[-1] + 1
+    full = np.empty(upper.shape[:1] + (n, n), dtype=complex)
+    full[:, il, ik] = upper.conj()
+    full[:, ik, il] = upper  # last, so the diagonal keeps its own value
+    return full
 
 
 def augmented_covariance(system: ModalSystem, t: float) -> np.ndarray:

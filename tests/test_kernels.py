@@ -22,7 +22,7 @@ import pytest
 from scipy.integrate import quad
 
 import sampledkf as sk
-from sampledkf import NumericalError, filter_core, kernels
+from sampledkf import NumericalError, _scalars, filter_core, kernels
 from sampledkf.filter_core import _output_gram
 
 # frozen mpmath references for the interpolation-residual kernel:
@@ -337,6 +337,67 @@ class TestBatchedTransitions:
             sysm, np.array([0.25, 0.5, 0.75]))
         assert stack.step.size == 1 and tail == 0
         npt.assert_array_equal(index, [0, 0, 0])
+
+
+def spy_kernels(monkeypatch):
+    """Record (name, dtype, entries) of each scalar kernel call of the stack."""
+    seen = []
+    for name in ("phi1", "coupled_g2", "coupled_g3"):
+        def spy(*args, name=name, fn=getattr(kernels, name)):
+            seen.append((name, np.result_type(*args), np.broadcast(*args).size))
+            return fn(*args)
+        monkeypatch.setattr(kernels, name, spy)
+    return seen
+
+
+class TestKernelArguments:
+    """What ``_transition_batch`` hands the scalar kernels, and what it makes.
+
+    phi1(a + b) and G3(a, b) are Hermitian in the mode pair and evaluated on
+    one triangle; G2 on all N^2.  A real spectrum passes float64 arguments;
+    a complex one keeps them complex (``TestTransitionAgainstOracle`` holds
+    the oscillator's stack to the quadrature oracle).
+    """
+
+    @pytest.mark.parametrize("make, dtype", [
+        (lambda: driven_heat(20), np.float64),
+        (driven_oscillator, np.complex128),
+    ], ids=["heat", "oscillator"])
+    def test_one_triangle_in_the_spectrum_dtype(self, make, dtype, monkeypatch):
+        sysm = make()
+        seen = spy_kernels(monkeypatch)
+        widths = np.diff(irregular_grid(), prepend=0.0) * sysm.horizon
+        kernels._transitions(sysm, widths)
+        w, n = widths.size, sysm.num_modes
+        assert seen == [("phi1", np.complex128, w * n),  # the output map
+                        ("phi1", dtype, w * n * (n + 1) // 2),
+                        ("coupled_g2", dtype, w * n * n),
+                        ("coupled_g3", dtype, w * n * (n + 1) // 2)]
+
+    def test_real_spectrum_matches_the_complex_formula(self):
+        sysm = driven_heat(20)
+        widths = np.concatenate([np.diff(irregular_grid(), prepend=0.0),
+                                 2.0 ** -np.arange(2, 17)])
+        stack = kernels._transitions(sysm, widths)
+        # the kernels on complex arguments, over all N^2 entries
+        lam, cmat = sysm.eigenvalues, sysm.output_coeffs
+        assert lam.dtype == np.complex128
+        h = widths[:, None, None]
+        a, b = lam[:, None] * h, lam.conj() * h
+        bq = sysm.input_coeffs @ sysm.q_cov @ sysm.input_coeffs.conj().T
+        szy = (bq * h ** 2 * _scalars.coupled_g2(a, b)) @ cmat.conj()
+        syy = cmat.T @ (bq * h ** 3 * _scalars.coupled_g3(a, b)) @ cmat.conj()
+        sig = np.block([[bq * h * _scalars.phi1(a + b), szy],
+                        [szy.conj().swapaxes(1, 2), syy]])
+        sig = (sig + sig.conj().swapaxes(1, 2)) / 2
+        col = widths[:, None]
+        out = cmat.T * (col * _scalars.phi1(lam * col))[:, None, :]
+        for j in range(widths.size):
+            for got, want in ((stack.noise_cov[j], sig[j]),
+                              (stack.output_map[j], out[j])):
+                npt.assert_allclose(got, want, rtol=0,
+                                    atol=1e-15 * np.abs(want).max())
+            npt.assert_array_equal(stack.decay[j], np.exp(lam * widths[j]))
 
 
 class TestUnconditionalCovariance:

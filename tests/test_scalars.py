@@ -5,7 +5,8 @@ directly from the defining integrals and frozen below; the points are chosen
 to land in each evaluation branch (double series, rearranged form for one
 argument small against the other, direct closed form) and on the radius
 boundaries between them.  ``TestAgainstMpmath`` evaluates mpmath at test time
-on both sides of every seam.
+on both sides of every seam, and ``TestRealArguments`` does the same for
+float64 arguments, which the kernels evaluate in float64.
 """
 
 import mpmath
@@ -186,6 +187,104 @@ class TestAgainstMpmath:
         npt.assert_allclose(phi1(x), want, rtol=1e-15, atol=0)
 
 
+def _nudged(x, steps=(-3, -1, 1, 3)):
+    """x moved by each number of ulps in ``steps`` (negative: towards -inf)."""
+    out = []
+    for step in steps:
+        v = float(x)
+        for _ in range(abs(step)):
+            v = np.nextafter(v, np.copysign(np.inf, step))
+        out.append(float(v))
+    return out
+
+
+def _real_seam_points():
+    """Real (a, b) pairs of both signs a few ulp either side of every seam.
+
+    |a| = 1 and |b| = 1 (the series radius), |b| = 0.5 |a| (the ratio; G3's
+    |a| = 0.5 |b| follows by swapping) and |a + b| = 0.5 (the split inside
+    ``_phi1_of_sum``, reached where the direct form applies).
+    """
+    points = []
+    for sa in (1.0, -1.0):
+        for sb in (1.0, -1.0):
+            points += [(sa * v, sb * 0.3) for v in _nudged(1.0)]
+            points += [(sa * 0.8, sb * v) for v in _nudged(1.0)]
+            points += [(sa * 3.0, sb * v) for v in _nudged(1.5)]
+            points += [(sa * 7.0, sb * v) for v in _nudged(3.5)]
+        # a + b = +/-0.5 with |a|, |b| > 1 and within a factor two
+        points += [(sa * 2.5, -sa * v) for v in _nudged(2.0)]
+        points += [(sa * 1.3, -sa * v) for v in _nudged(1.8)]
+    return points
+
+
+def _heat_pairs():
+    """(lambda_k h, lambda_l h) of the heat spectrum lambda = -(pi k)^2, h
+    from T/4 to 2^-16 (T = 1), as two flat arrays."""
+    lam = -(np.pi * np.array([1, 2, 3, 5, 8, 13, 20, 60])) ** 2
+    h = 2.0 ** -np.arange(2, 17)
+    a, b = np.broadcast_arrays(lam[:, None] * h[:, None, None],
+                               lam * h[:, None, None])
+    return a.ravel(), b.ravel()
+
+
+def _mp_real(f, *args):
+    with mpmath.workdps(50):
+        return float(f(*[mpmath.mpf(float(v)) for v in args]))
+
+
+def _mp_g2_real(a, b):
+    return (_mp_phi1(a + b) - _mp_phi1(a)) / b
+
+
+def _mp_g3_real(a, b):
+    return (_mp_phi1(a + b) - _mp_phi1(a) - _mp_phi1(b) + 1) / (a * b)
+
+
+REAL_SEAM_POINTS = _real_seam_points()
+
+
+class TestRealArguments:
+    """float64 arguments are evaluated in float64, to the complex accuracy."""
+
+    @pytest.mark.parametrize("name", ["phi1", "phi2", "G2", "G3"])
+    def test_float64_in_float64_out(self, name):
+        a, b = np.array([-3.0, 0.2, 0.0, 40.0]), np.array([0.4, -0.9, 0.0, -39.0])
+        assert KERNELS[name](a, b).dtype == np.float64
+        assert KERNELS[name](a.astype(complex), b).dtype == np.complex128
+        if name in ("G2", "G3"):
+            assert KERNELS[name](a, b.astype(complex)).dtype == np.complex128
+
+    @pytest.mark.parametrize("ab", REAL_SEAM_POINTS, ids=str)
+    def test_g2_g3_at_the_seams_within_1e14(self, ab):
+        a, b = np.array([ab[0]]), np.array([ab[1]])
+        npt.assert_allclose(coupled_g2(a, b), _mp_real(_mp_g2_real, *ab),
+                            rtol=1e-14, atol=0)
+        want = _mp_real(_mp_g3_real, *ab)
+        npt.assert_allclose(coupled_g3(a, b), want, rtol=1e-14, atol=0)
+        npt.assert_allclose(coupled_g3(b, a), want, rtol=1e-14, atol=0)
+
+    def test_phi1_and_phi2_at_the_seams_within_1e15(self):
+        x = np.array(sorted({v for ab in REAL_SEAM_POINTS
+                             for v in (ab[0], ab[1], ab[0] + ab[1])}))
+        npt.assert_allclose(phi1(x), [_mp_real(_mp_phi1, v) for v in x],
+                            rtol=1e-15, atol=0)
+        npt.assert_allclose(_phi2(x), [_mp_real(_mp_phi2, v) for v in x],
+                            rtol=1e-15, atol=0)
+
+    def test_heat_arguments(self):
+        a, b = _heat_pairs()
+        for x in (a, a + b):
+            npt.assert_allclose(phi1(x), [_mp_real(_mp_phi1, v) for v in x],
+                                rtol=1e-15, atol=0)
+        npt.assert_allclose(coupled_g2(a, b),
+                            [_mp_real(_mp_g2_real, *p) for p in zip(a, b)],
+                            rtol=1e-14, atol=0)
+        want = [_mp_real(_mp_g3_real, *p) for p in zip(a, b)]
+        npt.assert_allclose(coupled_g3(a, b), want, rtol=1e-14, atol=0)
+        npt.assert_allclose(coupled_g3(b, a), want, rtol=1e-14, atol=0)
+
+
 def _imaginary_axis_sweep(count=300, seed=20):
     rng = np.random.default_rng(seed)
     return [(1j * x, 1j * y) for x, y in rng.uniform(-500.0, 500.0, (count, 2))]
@@ -233,6 +332,23 @@ def _branch_pool(rng, count=60):
     return a, b
 
 
+def _real_branch_pool(rng, count=60):
+    """Seeded real (a, b) pairs of both signs in every branch of the kernels,
+    heat arguments and zeros among them."""
+    def signed(lo, hi, size):
+        return rng.uniform(lo, hi, size) * rng.choice([-1.0, 1.0], size)
+
+    big = signed(1.0, 50.0, count)
+    small = big * signed(1e-9, 0.5, count)
+    ha, hb = _heat_pairs()
+    heat = rng.integers(0, ha.size, count)
+    a = np.concatenate([signed(0.0, 1.0, count), big, small, big, ha[heat],
+                        [0.0, 0.0, 0.5]])
+    b = np.concatenate([signed(0.0, 1.0, count), small, big,
+                        big * signed(0.5, 2.0, count), hb[heat], [0.0, 0.7, 0.0]])
+    return a, b
+
+
 # each kernel as a function of (a, b); phi1 and phi2 read a alone
 KERNELS = {
     "phi1": lambda a, b: phi1(a),
@@ -258,6 +374,18 @@ class TestBatchIndependence:
         rng = np.random.default_rng(41)
         a, b = _branch_pool(rng)
         alone = np.array([kernel(a[i:i + 1], b[i:i + 1])[0] for i in range(a.size)])
+        for size in range(1, 1001):
+            pick = rng.integers(0, a.size, size)
+            npt.assert_array_equal(kernel(a[pick], b[pick]), alone[pick],
+                                   err_msg=f"batch of {size}")
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_float64_batch_entries_equal_lone_values(self, name):
+        kernel = KERNELS[name]
+        rng = np.random.default_rng(42)
+        a, b = _real_branch_pool(rng)
+        alone = np.array([kernel(a[i:i + 1], b[i:i + 1])[0] for i in range(a.size)])
+        assert alone.dtype == np.float64
         for size in range(1, 1001):
             pick = rng.integers(0, a.size, size)
             npt.assert_array_equal(kernel(a[pick], b[pick]), alone[pick],
