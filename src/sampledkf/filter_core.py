@@ -60,7 +60,7 @@ state, given a sample's weights by ``_information_rows``) and each block is
 one float64 (rows A)^T (rows A).
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
-by structure-preserving doubling (``_doubled_triple``), since every step
+by structure-preserving doubling (``_doubled_triples``), since every step
 repeats one transition.  If z has prior covariance P0 at the start of a
 stretch, its posterior at the end is H + Phi P0 (I + Gam P0)^-1 Phi*.  One
 step of width h, with S = Syy + R h and K0 = Szy S^-1 from the noise blocks
@@ -77,17 +77,28 @@ and stretch 1 followed by stretch 2 joins into
 I + H1 Gam2 has every eigenvalue >= 1, so no join meets a singular matrix.
 Squaring the one-step triple and joining the powers picked out by the binary
 digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
-of m recursion steps.  The one-step triple is formed in modal coordinates
-and taken to rho (``_step_triple``): Phi_rho = A^-1 Phi A,
+of m recursion steps.  Every size a caller asks for shares one doubling:
+the one-step triples of all the widths T/m come from one
+``kernels._transitions`` call and are formed in modal coordinates and taken
+to rho on the stack's leading axis, kernel batch by kernel batch
+(``_step_triples``): Phi_rho = A^-1 Phi A,
 Gam_rho = A* Gam A and H_rho = A^-1 H A^-*, all real, so every join runs in
-float64, the conjugate transposes above plain transposes.  Without input
-noise H = 0 and Gam is the information matrix J, so the undriven triple is
-the special case; the tests hold the two to each other.
+float64, the conjugate transposes above plain transposes.  ``_join`` joins
+stacks of triples on their leading axis.  With the sizes taken largest
+first, those still squaring are a leading slice of the stack, squared as a
+view, and each stage joins its power into the totals of the sizes whose
+binary digit is set, on that sub-stack: bit_length(max m) - 1 squaring
+stages for all the sizes, and each size's triple has the bits it has
+computed alone.  Without input noise H = 0 and Gam is the information
+matrix J, so the undriven triple is the special case; the tests hold the
+two to each other.
 
-``_uniform_trace`` is the trace of every uniform grid the package uses
-(coarse grids, curve references, bound anchors, the fine end of a
-telescope): it takes the grid size m, never the grid, and makes no N x N
-posterior.  It has two routes for undriven systems.
+``_uniform_traces`` gives the traces of every uniform grid the package uses
+(coarse grids, curve references and their checks, bound anchors, the fine
+end of a telescope): it takes the grid sizes m, never the grids, and makes
+no N x N posterior.  A driven system takes all its sizes from one
+``_doubled_triples`` call and conditions each size's Gam once.  Each
+undriven size takes one of two routes.
 J_rho = B0^T B0 has rank at most m r, B0 the (m r, N) ``_information_rows``
 of the m samples, so when m r is at most ``_SAMPLE_SPACE_SHARE`` N = 3N/4
 it takes the observation-space form of the same update, Woodbury's
@@ -106,12 +117,11 @@ N^2 kernel values and O(N^3) for the closed form, and no N x N matrix
 difference loses about eps tr_prior / trace of its relative accuracy, so a
 trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at a high
 signal-to-noise ratio) falls back to the closed form.  Every larger m,
-and every trace the guard sends back, conditions the closed-form J once; a
-driven system conditions the triple of ``_doubled_triple``.  Only the
-sample space forms the m sample starts, at most 3N/4 of them.  Times that
-callers pass in take ``information_filter``, which sums J over them, or
-``sequential_filter``; this module never checks whether times form a
-uniform grid (``refinement.dyadic_grid`` builds one).
+and every trace the guard sends back, conditions the closed-form J once.
+Only the sample space forms the m sample starts, at most 3N/4 of them.
+Times that callers pass in take ``information_filter``, which sums J over
+them, or ``sequential_filter``; this module never checks whether times
+form a uniform grid (``refinement.dyadic_grid`` builds one).
 
 ``sequential_filter`` is the route for driven systems on every grid but the
 uniform one, and the only route for filtered means: a Kalman recursion on
@@ -180,8 +190,8 @@ import numpy as np
 
 from ._scalars import phi1
 from .errors import GramSingularError
-from .kernels import (augmented_covariance, _hermitize, _integrated_output_map,
-                      phi_h, _transitions, transition_block)
+from .kernels import (augmented_covariance, _batches, _hermitize,
+                      _integrated_output_map, phi_h, _transitions)
 from .spectral_model import (ModalSystem, _from_real, _real_covariance,
                              _times_a, _to_real)
 
@@ -502,7 +512,7 @@ def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     conditioned on the information ``info`` = J_rho = A* J A, a float64
     matrix built in the real coordinates rho of ``spectral_model`` (x = A rho) by
     ``_uniform_information``, ``_accumulated_information`` or
-    ``_step_triple``.  There the prior is diagonal too, P0_rho = P0 / D
+    ``_step_triples``.  There the prior is diagonal too, P0_rho = P0 / D
     (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the whitened matrix
     I + R J_rho R has every eigenvalue >= 1 (exact for zero prior variances
     and rapidly decaying ones).  Its Cholesky factor L is inverted by
@@ -550,7 +560,7 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
     N x N information matrix and one Cholesky factor.  The matrix is
     accumulated over the given times in blocks of ``_INFO_BLOCK`` samples,
     one gemm each, whatever the grid; a uniform grid known by its size takes
-    ``_uniform_trace`` instead.
+    ``_uniform_traces`` instead.
     """
     if system.has_input_noise:
         raise ValueError("information_filter needs an undriven system; "
@@ -567,60 +577,102 @@ def information_filter(system: ModalSystem, times) -> FilterRun:
                      trace_err=float(np.trace(final_cov).real))
 
 
-def _step_triple(system: ModalSystem, h: float):
-    """The stretch triple of one sample step of width h, in real coordinates.
+def _step_triples(system: ModalSystem, widths: np.ndarray):
+    """The stretch triples of one sample step of each width, in real coordinates.
 
-    Phi, Gam and H are formed in modal coordinates and returned as
-    Phi_rho = A^-1 Phi A, Gam_rho = A* Gam A = D (A^-1 Gam A^-*) D and
-    H_rho = A^-1 H A^-*, all real; ``_real_covariance`` refuses a Gam or H
-    off the pairing.
+    Three (W, N, N) stacks in the order of ``widths``, from one
+    ``kernels._transitions`` call.  Phi, Gam and H are formed in modal
+    coordinates and returned as Phi_rho = A^-1 Phi A,
+    Gam_rho = A* Gam A = D (A^-1 Gam A^-*) D and H_rho = A^-1 H A^-*, all
+    real; ``_real_covariance`` refuses a Gam or H off the pairing.  The
+    solves and the maps to rho run on the leading axis, one of the stack's
+    kernel batches (``kernels._batches``) at a time, so their complex
+    temporaries keep the kernels' bound: the whole stack at N = 20, one
+    width at N = 200, where maps of the whole stack lost 9 of 10 driven
+    wave curves to the parent (``BENCH_stacked_doubling.json``).
     """
     n = system.num_modes
     pairs = system._pair_index
-    tr = transition_block(system, h)
-    g, sig = tr.output_map, tr.noise_cov
-    s = sig[n:, n:] + system.r_cov * h
-    k0 = np.linalg.solve(s, sig[n:, :n]).conj().T  # Szy S^-1, S Hermitian
-    phi = np.diag(tr.decay) - k0 @ g
-    gam = g.conj().T @ np.linalg.solve(s, g)
-    noise = sig[:n, :n] - k0 @ sig[n:, :n]
-    gam, noise = _real_covariance(np.stack([gam, noise]), pairs,
-                                  "stretch triple")
-    return (_times_a(_to_real(phi.T, pairs).T, pairs).real,
-            gam * np.outer(pairs.weights, pairs.weights), noise)
+    tr = _transitions(system, widths)
+    phi, gam, noise = (np.empty((tr.step.size, n, n)) for _ in range(3))
+    for rows in _batches(system, tr.step.size):
+        g, sig = tr.output_map[rows], tr.noise_cov[rows]
+        count = g.shape[0]
+        s = sig[:, n:, n:] + system.r_cov * tr.step[rows, None, None]
+        # Szy S^-1, S Hermitian
+        k0 = np.linalg.solve(s, sig[:, n:, :n]).conj().swapaxes(-1, -2)
+        modal = np.zeros((count, n, n), dtype=complex)
+        modal[:, np.arange(n), np.arange(n)] = tr.decay[rows]
+        modal -= k0 @ g
+        forms = _real_covariance(np.concatenate([
+            g.conj().swapaxes(-1, -2) @ np.linalg.solve(s, g),
+            sig[:, :n, :n] - k0 @ sig[:, n:, :n]]), pairs, "stretch triple")
+        modal = _to_real(modal.swapaxes(-1, -2), pairs).swapaxes(-1, -2)
+        phi[rows] = _times_a(modal, pairs).real
+        gam[rows] = forms[:count] * np.outer(pairs.weights, pairs.weights)
+        noise[rows] = forms[count:]
+    return phi, gam, noise
 
 
 def _join(first, second):
-    """The triple of stretch ``first`` followed by stretch ``second``."""
+    """The triples of stretches ``first`` followed by stretches ``second``.
+
+    Each is a triple of (W, N, N) stacks; stretch i of ``first`` is joined
+    to stretch i of ``second``.
+    """
     phi1, gam1, h1 = first
     phi2, gam2, h2 = second
-    n = phi1.shape[0]
+    n = phi1.shape[-1]
     # I + H1 Gam2 has every eigenvalue >= 1; one solve serves Phi and H, and
     # (I + Gam2 H1)^-1 Gam2 = Gam2 (I + H1 Gam2)^-1 reuses it for Gam
-    x = np.linalg.solve(np.eye(n) + h1 @ gam2,
-                        np.hstack([phi1, h1 @ phi2.T]))
-    return (phi2 @ x[:, :n],
-            _hermitize(gam1 + phi1.T @ gam2 @ x[:, :n]),
-            _hermitize(h2 + phi2 @ x[:, n:]))
+    x = np.linalg.solve(np.eye(n) + h1 @ gam2, np.concatenate(
+        [phi1, h1 @ phi2.swapaxes(-1, -2)], axis=-1))
+    return (phi2 @ x[..., :n],
+            _hermitize(gam1 + phi1.swapaxes(-1, -2) @ gam2 @ x[..., :n]),
+            _hermitize(h2 + phi2 @ x[..., n:]))
 
 
-def _doubled_triple(system: ModalSystem, m: int):
-    """The stretch triple (Phi, Gam, H) of the samples (j T) / m, j = 1..m.
+def _doubled_triples(system: ModalSystem, sizes):
+    """The stretch triples (Phi, Gam, H) of the samples (j T) / m, j = 1..m.
 
-    Real, in the coordinates rho of ``_step_triple``.  The one-step triple
-    is squared repeatedly and the powers picked out by the binary digits of
-    m are joined: about 2 log2(m) N x N joins in place of m recursion steps.
-    No prior enters; ``_condition`` applies it.
+    One triple per size m of ``sizes``: three (W, N, N) stacks in the order
+    of ``sizes``, real, in the coordinates rho of ``_step_triples``.  Each
+    one-step triple is squared repeatedly and the powers picked out by the
+    binary digits of its m are joined, about 2 log2(m) N x N joins in place
+    of m recursion steps, all sizes in one doubling.  Taken largest first,
+    the sizes of at least 2^k are a leading slice of the stack: stage k
+    squares that slice, as a view, into the powers 2^k, and joins each into
+    the totals of the sizes whose bit k is set, on the sub-stack of those
+    sizes (a size's lowest set bit starts its total).  The largest m takes
+    bit_length(m) - 1 squaring stages, and so do all the sizes together.
+    A size's triple has the bits it has when computed alone.  No prior
+    enters; ``_condition`` applies it.
     """
-    step = _step_triple(system, system.horizon / m)
-    total = None
-    while True:
-        if m & 1:
-            total = step if total is None else _join(total, step)
-        m >>= 1
-        if not m:
-            return total
-        step = _join(step, step)
+    sizes = [int(m) for m in sizes]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    ranked = [sizes[i] for i in order]
+    step = _step_triples(system, system.horizon / np.array(ranked))
+    total = tuple(np.empty_like(part) for part in step)
+    for bit in range(max(ranked, default=0).bit_length()):
+        if bit:  # the sizes of at least 2^bit are a leading slice
+            live = tuple(part[:sum(m >> bit > 0 for m in ranked)]
+                         for part in step)
+            step = _join(live, live)
+        # a size's lowest set bit starts its total, a higher one joins it
+        low = (1 << bit) - 1
+        digit = [i for i, m in enumerate(ranked) if m >> bit & 1]
+        join = [i for i in digit if ranked[i] & low]
+        for i in digit:
+            if not ranked[i] & low:
+                for part, power in zip(total, step):
+                    part[order[i]] = power[i]
+        if join:
+            where = [order[i] for i in join]
+            joined = _join(tuple(part[where] for part in total),
+                           tuple(part[join] for part in step))
+            for part, value in zip(total, joined):
+                part[where] = value
+    return total
 
 
 def _sample_space_trace(system: ModalSystem, m: int) -> tuple[float, float]:
@@ -644,27 +696,36 @@ def _sample_space_trace(system: ModalSystem, m: int) -> tuple[float, float]:
     return prior - float(gains.sum()), prior
 
 
-def _uniform_trace(system: ModalSystem, m: int) -> float:
-    """Posterior error trace E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
+def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
+    """Posterior error traces E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
 
-    Takes the grid size m, never the grid.  A driven system
-    conditions the triple of ``_doubled_triple``, about 2 log2(m) joins.  An
-    undriven one with m r at most ``_SAMPLE_SPACE_SHARE`` N takes the sample
-    space (``_sample_space_trace``): one (m r) x (m r) factor, O((m r)^2 N).
-    It keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR`` tr_prior,
+    One trace per size m of ``sizes``, in their order; takes the grid sizes,
+    never the grids.  A driven system takes the triples of every size from
+    one ``_doubled_triples`` call, one kernel call and one squaring chain,
+    and conditions each size's Gam once.  An undriven size with m r at most
+    ``_SAMPLE_SPACE_SHARE`` N takes the sample space
+    (``_sample_space_trace``): one (m r) x (m r) factor, O((m r)^2 N).  It
+    keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR`` tr_prior,
     where the subtraction has cancelled too many digits; then, as for every
     larger m, it conditions the closed-form J (``_uniform_information``):
     N^2 kernel values and one N x N factor, O(N^3), whatever m is.  A trace
     the guard sends back pays for both routes.
     """
+    sizes = [int(m) for m in sizes]
     if system.has_input_noise:
-        phi, info, noise = _doubled_triple(system, m)
-        return _trace(system, _condition(system, info), phi, noise)
-    if m * system.num_outputs <= _SAMPLE_SPACE_SHARE * system.num_modes:
-        trace, prior = _sample_space_trace(system, m)
-        if trace >= _SAMPLE_SPACE_FLOOR * prior:
-            return trace
-    return _trace(system, _condition(system, _uniform_information(system, m)))
+        return np.array([_trace(system, _condition(system, info), phi, noise)
+                         for phi, info, noise in zip(
+                             *_doubled_triples(system, sizes))])
+    traces = np.empty(len(sizes))
+    for i, m in enumerate(sizes):
+        if m * system.num_outputs <= _SAMPLE_SPACE_SHARE * system.num_modes:
+            trace, prior = _sample_space_trace(system, m)
+            if trace >= _SAMPLE_SPACE_FLOOR * prior:
+                traces[i] = trace
+                continue
+        traces[i] = _trace(system, _condition(
+            system, _uniform_information(system, m)))
+    return traces
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):

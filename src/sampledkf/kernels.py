@@ -32,7 +32,8 @@ after assembly so conjugate paired models keep real traces.
 
 ``_transitions`` evaluates these kernels for many step widths at once, on
 stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
-kernel entries, and returns one ``AugmentedTransition`` whose fields carry
+kernel entries (``_batches``, which ``filter_core._step_triples`` also
+walks), and returns one ``AugmentedTransition`` whose fields carry
 a leading width axis; the filter recursion and the Monte Carlo take every
 transition of a grid from one such stack and index it by step.
 ``transition_block`` is entry 0 of a stack of one width.  Every scalar
@@ -159,10 +160,19 @@ def _transitions(system: ModalSystem, widths) -> AugmentedTransition:
         step=widths, decay=np.empty((count, n), dtype=complex),
         output_map=np.empty((count, r, n), dtype=complex),
         noise_cov=np.zeros((count, n + r, n + r), dtype=complex))
-    batch = max(1, _KERNEL_ELEMENTS // (n * n))
-    for lo in range(0, count, batch):
-        _transition_batch(system, stack, slice(lo, lo + batch))
+    for rows in _batches(system, count):
+        _transition_batch(system, stack, rows)
     return stack
+
+
+def _batches(system: ModalSystem, count: int) -> list[slice]:
+    """The batches of ``_transitions`` over a stack of ``count`` widths.
+
+    Each slice holds at most ``_KERNEL_ELEMENTS`` N x N entries, and at
+    least one width.
+    """
+    size = max(1, _KERNEL_ELEMENTS // system.num_modes ** 2)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 def _transition_batch(system: ModalSystem, stack: AugmentedTransition,

@@ -10,11 +10,13 @@ so the discrepancy is computable without sampling as a difference of error
 traces: D(n) = trace_err(coarse) - trace_err(reference).  Every n of a curve
 shares one reference, the dyadic refinement of the largest n, which each
 coarse grid nests inside.  Each trace is taken from its grid size alone
-(``filter_core._uniform_trace``): no grid array is built for it.  Undriven,
+(``filter_core._uniform_traces``): no grid array is built for it.  Undriven,
 a reference costs N^2 kernel values and one N x N factor for any number of
 points, and a coarse grid of n points with n r <= 3N/4 rows costs
-O(n^2 r^2 N) in sample space; driven, m points cost about 2 log2(m)
-doubling joins.
+O(n^2 r^2 N) in sample space.  Driven, the coarse grids, the reference
+and its check come from one stacked doubling: one kernel call and
+bit_length(m) - 1 squaring stages for the largest m, plus each size's
+digit joins.
 
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
@@ -54,7 +56,7 @@ import numpy as np
 from .errors import NumericalError, ReferenceUnconvergedError
 from .filter_core import (_condition, _energy, _geometric_sum, _insertion_rows,
                           _observe, _trace, _uniform_information,
-                          _uniform_trace)
+                          _uniform_traces)
 from .kernels import _hermitize, phi_h
 from .spectral_model import ModalSystem, _is_whole
 
@@ -140,9 +142,13 @@ class DiscrepancyCurve:
             arr.setflags(write=False)
 
 
-def _coarse_trace(system: ModalSystem, n: int) -> float:
-    """``_uniform_trace`` under its own name: ``perfbench/spans.py`` hooks it."""
-    return _uniform_trace(system, n)
+def _coarse_trace(system: ModalSystem, sizes) -> np.ndarray:
+    """``_uniform_traces`` under its own name: ``perfbench/spans.py`` hooks it.
+
+    A curve hands it every size at once, its coarse grids, reference and
+    reference check, so a driven curve takes them from one doubling.
+    """
+    return _uniform_traces(system, sizes)
 
 
 def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
@@ -180,13 +186,15 @@ def discrepancy_curve(system: ModalSystem, n_values, reference_level: int = 6,
                 f"n={int(n)} does not divide the reference resolution "
                 f"{n_max} * 2**{reference_level}; choose divisors")
 
-    coarse = np.array([_coarse_trace(system, int(n)) for n in n_values])
-
-    reference = _uniform_trace(system, resolution)
+    sizes = [*n_values.tolist(), resolution]
+    if check_reference:
+        sizes.append(2 * resolution)
+    traces = _coarse_trace(system, sizes)
+    coarse, reference = traces[:n_values.size], traces[n_values.size]
     values = coarse - reference
 
     if check_reference:
-        finer = _uniform_trace(system, 2 * resolution)
+        finer = traces[-1]
         finer_values = coarse - finer
         floor = 1e-14 * reference
         for n, d_ref, d_fine in zip(n_values, values, finer_values):
@@ -298,7 +306,7 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     # posterior and of the downdates they check
     factor = _condition(system, _uniform_information(system, base_n))
     coarse = _trace(system, factor)
-    fine = _uniform_trace(system, base_n * 2 ** levels)
+    fine = float(_uniform_traces(system, [base_n * 2 ** levels])[0])
     per_level, _ = _telescope_gains(system, factor, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine

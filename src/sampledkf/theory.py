@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scalars import phi1
-from .filter_core import _uniform_trace
+from .filter_core import _uniform_traces
 from .kernels import _hermitize
 from .refinement import DiscrepancyCurve
 from .spectral_model import (ModalSystem, _is_whole, domain_weights,
@@ -85,11 +85,11 @@ class TheoremBound:
 
 
 def _anchor_trace(system: ModalSystem, n: int) -> float:
-    """The anchor's ``_uniform_trace``; ``perfbench/spans.py`` hooks it by name."""
+    """The anchor's ``_uniform_traces``; ``perfbench/spans.py`` hooks it by name."""
     if not _is_whole(n) or n < 1:
         raise ValueError(f"n must be a positive sample count (a whole number "
                          f">= 1), got n={n!r}")
-    return _uniform_trace(system, int(n))
+    return float(_uniform_traces(system, [int(n)])[0])
 
 
 def _min_eig_r(system: ModalSystem) -> float:

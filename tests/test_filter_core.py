@@ -26,13 +26,13 @@ from sampledkf import filter_core
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triple, _energy, _geometric_sum,
+                                   _doubled_triples, _energy, _geometric_sum,
                                    _information_rows, _insertion_rows,
                                    _lower_inverse, _observe,
                                    _output_gram, _prior_scale,
                                    _sample_space_trace,
                                    _solve_gram, _trace, _uniform_information,
-                                   _uniform_trace)
+                                   _uniform_traces)
 from sampledkf.spectral_model import _real_covariance, _times_a
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
@@ -171,21 +171,21 @@ class TestInformationForm:
         # triple; the summed J of information_filter agrees to rounding only
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
-        assert _uniform_trace(wave, 5) == _trace(
+        assert _uniform_traces(wave, [5])[0] == _trace(
             wave, _condition(wave, _uniform_information(wave, 5)))
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
-                            _uniform_trace(wave, 5), rtol=1e-14)
+                            _uniform_traces(wave, [5])[0], rtol=1e-14)
         wave = sk.build_wave_model(8, horizon=1.0)
-        assert _uniform_trace(wave, 5) == _sample_space_trace(wave, 5)[0]
+        assert _uniform_traces(wave, [5])[0] == _sample_space_trace(wave, 5)[0]
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
-                            _uniform_trace(wave, 5), rtol=1e-14)
+                            _uniform_traces(wave, [5])[0], rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
-        phi, gam, noise = _doubled_triple(driven, 5)
-        assert _uniform_trace(driven, 5) == _trace(
+        phi, gam, noise = (part[0] for part in _doubled_triples(driven, [5]))
+        assert _uniform_traces(driven, [5])[0] == _trace(
             driven, _condition(driven, gam), phi, noise)
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
-            npt.assert_allclose(_uniform_trace(driven, 5), run.trace_err,
+            npt.assert_allclose(_uniform_traces(driven, [5])[0], run.trace_err,
                                 rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +217,7 @@ _DOUBLING_N = [1, 2, 3, 5, 7, 100, 257]
 
 def _assert_doubling_matches(sysm, n):
     times = sk.dyadic_grid(n, 0, sysm.horizon)
-    doubled = _uniform_trace(sysm, n)
+    doubled = _uniform_traces(sysm, [n])[0]
     npt.assert_allclose(doubled, sk.sequential_filter(sysm, times).trace_err,
                         rtol=1e-12)
     if n <= 8:
@@ -252,11 +252,64 @@ class TestDoubling:
         info = sk.information_filter(sysm, sk.dyadic_grid(n, 0, 1.0))
         # the triple is real, in rho: P_rho = F^T F, and the posterior of
         # z(T) = A rho is A (H + Phi P_rho Phi^T) A*
-        phi, gam, noise = _doubled_triple(sysm, n)
+        phi, gam, noise = (part[0] for part in _doubled_triples(sysm, [n]))
         half = _condition(sysm, gam)
         amat = _recomposition(sysm)
         post = amat @ (noise + phi @ half.T @ half @ phi.T) @ amat.conj().T
         assert rel_frobenius(post, info.final_cov) <= 1e-12
+
+    @pytest.mark.parametrize("widths_per_batch", [None, 3],
+                             ids=["one-batch", "batches-of-3"])
+    @pytest.mark.parametrize("model", [
+        "heat-T0.7", "heat-T1", "heat-T3", "two-output-heat", "wave"])
+    def test_a_size_in_a_stack_is_the_size_alone(self, monkeypatch, model,
+                                                 widths_per_batch,
+                                                 two_output_heat):
+        # the stacked doubling shares one kernel call and one squaring
+        # chain; no size's bits may depend on the sizes beside it, nor on
+        # the kernel batches its step triple is formed in
+        sysm = {"heat-T0.7": lambda: heat(20, q_scalar=0.5, horizon=0.7),
+                "heat-T1": lambda: heat(20, q_scalar=0.5),
+                "heat-T3": lambda: heat(20, q_scalar=0.5, horizon=3.0),
+                "two-output-heat": lambda: two_output_heat(6, 0.5),
+                "wave": _driven_wave}[model]()
+        if widths_per_batch:
+            monkeypatch.setattr(sk.kernels, "_KERNEL_ELEMENTS",
+                                widths_per_batch * sysm.num_modes ** 2)
+        sizes = np.random.default_rng(7).permutation(
+            [1, 3, 5, 7, 64, 100, 257, 2 ** 12]).tolist()
+        stacked = _doubled_triples(sysm, sizes)
+        traces = _uniform_traces(sysm, sizes)
+        for i, m in enumerate(sizes):
+            for part, alone in zip(stacked, _doubled_triples(sysm, [m])):
+                npt.assert_array_equal(part[i], alone[0])
+            assert traces[i] == _uniform_traces(sysm, [m])[0], m
+
+    def test_a_driven_curve_takes_one_doubling(self, monkeypatch):
+        # coarse grids, reference and check: one kernel call, one factor
+        # per trace, and bit_length(largest size) - 1 squaring stages
+        counts = {"_transitions": 0, "_condition": 0, "_join": 0,
+                  "squarings": 0}
+
+        def counting(name):
+            real = getattr(filter_core, name)
+
+            def spy(*args):
+                counts[name] += 1
+                if name == "_join" and args[0] is args[1]:
+                    counts["squarings"] += 1
+                return real(*args)
+            return spy
+
+        for name in ("_transitions", "_condition", "_join"):
+            monkeypatch.setattr(filter_core, name, counting(name))
+        n_values = [4, 8, 16, 32]
+        curve = sk.discrepancy_curve(heat(20, q_scalar=0.5), n_values,
+                                     reference_level=6, check_reference=True)
+        assert counts["_transitions"] == 1
+        assert counts["_condition"] == len(n_values) + 2
+        check = 2 * curve.reference_points
+        assert counts["squarings"] == check.bit_length() - 1
 
 
 @pytest.fixture
@@ -288,9 +341,9 @@ class TestOneConditioning:
         lambda: heat(6, q_scalar=0.5)], ids=["heat", "wave", "driven-heat"])
     def test_uniform_trace(self, spy, make):
         sysm = make()
-        trace = _uniform_trace(sysm, 12)
-        triple = (_doubled_triple(sysm, 12)[::2] if sysm.has_input_noise
-                  else ())
+        trace = _uniform_traces(sysm, [12])[0]
+        triple = (tuple(part[0] for part in _doubled_triples(sysm, [12]))[::2]
+                  if sysm.has_input_noise else ())
         assert len(spy) == 1 and trace == _trace(sysm, spy[0], *triple)
         npt.assert_array_equal(spy[0], np.tril(spy[0]))
 
@@ -301,23 +354,23 @@ class TestOneConditioning:
         sysm = _oracle_model(model, 12, 1.0, two_output_heat)
         r = sysm.num_outputs
         for m in range(1, 9 // r + 1):
-            assert _uniform_trace(sysm, m) == _sample_space_trace(sysm, m)[0]
+            assert _uniform_traces(sysm, [m])[0] == _sample_space_trace(sysm, m)[0]
         assert not spy
-        _uniform_trace(sysm, 9 // r + 1)
+        _uniform_traces(sysm, [9 // r + 1])[0]
         assert len(spy) == 1
 
     def test_uniform_trace_forms_no_posterior(self, monkeypatch):
         # only information_filter takes a posterior back to modal coordinates
         monkeypatch.setattr(filter_core, "_from_real", _refuse)
         for sysm in (heat(6), sk.build_wave_model(6), heat(6, q_scalar=0.5)):
-            assert _uniform_trace(sysm, 12) > 0
+            assert _uniform_traces(sysm, [12])[0] > 0
 
     def test_undriven_uniform_trace_takes_no_recomposition(self, monkeypatch):
         # the closed form arrives in real coordinates: no modal J is formed
         # and taken there afterwards
         monkeypatch.setattr(filter_core, "_real_covariance", _refuse)
         for sysm in (heat(6), sk.build_wave_model(6), _mixed_model()):
-            assert _uniform_trace(sysm, 12) > 0
+            assert _uniform_traces(sysm, [12])[0] > 0
 
     def test_information_filter(self, spy):
         sysm = heat(6)
@@ -358,7 +411,7 @@ class TestOneConditioning:
                 "driven-wave": lambda: _driven_wave(6),
                 "driven-two-output-heat": lambda: two_output_heat(6, 0.5),
                 "driven-oscillator": lambda: _driven_oscillator(1.0)}[model]()
-        _uniform_trace(sysm, 12)
+        _uniform_traces(sysm, [12])[0]
         if not sysm.has_input_noise:
             sk.information_filter(sysm, _irregular_times(9, seed=4))
             sk.increment_variance(sysm, sk.dyadic_grid(4, 0, 1.0), 0.125,
@@ -529,12 +582,13 @@ class TestRealConditioning:
         sysm = _oracle_model(model, modes, horizon, two_output_heat)
         for m in _ORACLE_SIZES:
             phi, info, noise = _modal_triple(
-                sysm, *(_doubled_triple(sysm, m) if sysm.has_input_noise
+                sysm, *((part[0] for part in _doubled_triples(sysm, [m]))
+                        if sysm.has_input_noise
                         else (None, _uniform_information(sysm, m), None)))
             if phi is None:
                 phi = np.diag(np.exp(sysm.eigenvalues * horizon))
             want = np.trace(_complex_condition_oracle(sysm, info, phi, noise)).real
-            assert _rel(_uniform_trace(sysm, m), want) <= 1e-13, m
+            assert _rel(_uniform_traces(sysm, [m])[0], want) <= 1e-13, m
 
     @pytest.mark.parametrize("horizon", [0.7, 1.0])
     @pytest.mark.parametrize("model, modes", [
@@ -585,21 +639,22 @@ class TestRealConditioning:
         # the one-step triple reaches real coordinates through
         # _real_covariance, which holds it to the pairing
         sysm = _driven_wave(6)
-        build = filter_core.transition_block
+        build = filter_core._transitions
 
-        def broken(system, h):
-            tr = build(system, h)
-            noise = tr.noise_cov.copy()
-            # only one entry of the conjugate-mate pair moves
-            noise[0, 2] += 1e-4 * np.abs(noise).max()
-            noise[2, 0] = noise[0, 2].conj()
-            return dataclasses.replace(tr, noise_cov=noise)
+        def broken(system, widths):
+            stack = build(system, widths)
+            noise = stack.noise_cov.copy()
+            # only one entry of the conjugate-mate pair moves, in the last
+            # width of the stack alone
+            noise[-1, 0, 2] += 1e-4 * np.abs(noise[-1]).max()
+            noise[-1, 2, 0] = noise[-1, 0, 2].conj()
+            return dataclasses.replace(stack, noise_cov=noise)
 
-        assert _uniform_trace(sysm, 4) > 0
-        monkeypatch.setattr(filter_core, "transition_block", broken)
+        assert np.all(_uniform_traces(sysm, [4, 5]) > 0)
+        monkeypatch.setattr(filter_core, "_transitions", broken)
         with pytest.raises(ValueError, match="stretch triple does not "
                                              "respect the conjugate pairing"):
-            _uniform_trace(sysm, 4)
+            _uniform_traces(sysm, [4, 5])
 
     def test_times_a_is_the_dense_recomposition(self):
         # x A along the last axis, on a pairing that mixes a real mode and
@@ -696,7 +751,7 @@ class TestSampleSpace:
         for m in (4, 8, 16):
             want = _sample_space_oracle(sysm, m)
             closed = _rel(_closed_form_trace(sysm, m), want)
-            assert _rel(_uniform_trace(sysm, m), want) <= max(1e-13,
+            assert _rel(_uniform_traces(sysm, [m])[0], want) <= max(1e-13,
                                                               10 * closed), m
 
     @pytest.mark.parametrize("family, r_scalar, conditions", [
@@ -709,7 +764,7 @@ class TestSampleSpace:
         for m in (4, 8):
             spy.clear()
             trace, prior = _sample_space_trace(sysm, m)
-            got = _uniform_trace(sysm, m)
+            got = _uniform_traces(sysm, [m])[0]
             assert len(spy) == conditions, m
             assert (trace < filter_core._SAMPLE_SPACE_FLOOR * prior) == bool(
                 conditions)
@@ -723,7 +778,7 @@ class TestSampleSpace:
         for sysm in (heat(4, horizon=40.0),
                      dataclasses.replace(sk.build_wave_model(6),
                                          prior_var=np.zeros(6))):
-            assert _uniform_trace(sysm, m) == 0.0
+            assert _uniform_traces(sysm, [m])[0] == 0.0
 
 
 _BLOCKED_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
@@ -883,7 +938,7 @@ class TestDoublingRoute:
         # from the grid size alone: neither the recursion nor a grid runs
         monkeypatch.setattr(filter_core, "sequential_filter", _refuse)
         monkeypatch.setattr(sk.refinement, "dyadic_grid", _refuse)
-        assert _uniform_trace(sysm, base_n * 2 ** level) > 0
+        assert _uniform_traces(sysm, [base_n * 2 ** level])[0] > 0
 
     @pytest.mark.parametrize("q_scalar", [0.0, 0.5], ids=["undriven", "driven"])
     def test_bad_times_raise_as_before(self, q_scalar):
@@ -921,7 +976,7 @@ class TestInformationRoute:
         monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
         monkeypatch.setattr(filter_core, "_uniform_information" if m <= 3
                             else "_sample_space_trace", _refuse)
-        assert _uniform_trace(sysm, m) > 0
+        assert _uniform_traces(sysm, [m])[0] > 0
 
     @pytest.mark.parametrize("which", [
         "irregular", "stops-before-T", "one-ulp-off", "empty", "uniform"])

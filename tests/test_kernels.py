@@ -304,7 +304,7 @@ class TestBatchedTransitions:
 
         monkeypatch.setattr(kernels, "_transition_batch", count("batches", batch))
         monkeypatch.setattr(kernels, "coupled_g3", count("g3", g3))
-        monkeypatch.setattr(filter_core, "transition_block", None)
+        monkeypatch.setattr(kernels, "transition_block", None)
         run, stack, index, gains, tail = filter_core._filter_plan(sysm, times)
         # 32 distinct widths, no tail, one batch of at most 81 at N = 20
         assert stack.step.size == np.unique(index).size == 32 and tail is None

@@ -9,7 +9,7 @@ import pytest
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _uniform_information, _uniform_trace)
+                                   _uniform_information, _uniform_traces)
 from sampledkf.refinement import _new_points, _telescope_gains
 
 
@@ -113,7 +113,7 @@ class TestDiscrepancyCurve:
         assert curve.reference_points == 8 * 2 ** 6
         npt.assert_array_equal(curve.values,
                                curve.coarse_traces - curve.reference_trace)
-        assert curve.reference_trace == _uniform_trace(sysm, 8 * 2 ** 6)
+        assert curve.reference_trace == _uniform_traces(sysm, [8 * 2 ** 6])[0]
         npt.assert_allclose(
             sk.information_filter(sysm, sk.dyadic_grid(8, 6)).trace_err,
             curve.reference_trace, rtol=1e-14)
@@ -145,7 +145,7 @@ class TestDiscrepancyCurve:
                                                            level):
         # the check grid 4 * 2**(level + 1) passes 2**53 from level 51 on;
         # 10**30 is refused without forming 2**level
-        monkeypatch.setattr(sk.refinement, "_uniform_trace", _no_work)
+        monkeypatch.setattr(sk.refinement, "_coarse_trace", _no_work)
         with pytest.raises(ValueError, match=f"reference_level={level} is too "
                                              f"large for n=4"):
             sk.discrepancy_curve(sk.build_heat_model(3, horizon=1.0), [2, 4],
@@ -277,7 +277,7 @@ class TestTelescope:
     def test_too_deep_levels_are_refused_before_any_trace(self, monkeypatch,
                                                           levels):
         # the rule the CLI applies to telescope_levels, in the API itself
-        monkeypatch.setattr(sk.refinement, "_uniform_trace", _no_work)
+        monkeypatch.setattr(sk.refinement, "_uniform_traces", _no_work)
         monkeypatch.setattr(sk.refinement, "_condition", _no_work)
         heat = sk.build_heat_model(4, horizon=1.0)
         with pytest.raises(ValueError, match=f"levels={levels} is too deep"):
@@ -293,7 +293,7 @@ class TestTelescope:
         def no_work(*args, **kwargs):
             raise AssertionError("telescope_check worked on a driven system")
 
-        monkeypatch.setattr(sk.refinement, "_uniform_trace", no_work)
+        monkeypatch.setattr(sk.refinement, "_uniform_traces", no_work)
         monkeypatch.setattr(sk.refinement, "_condition", no_work)
         with pytest.raises(ValueError,
                            match="telescope_check needs an undriven system"):

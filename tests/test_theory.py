@@ -193,15 +193,15 @@ class TestBoundIngredients:
         sysm = heat(q_scalar=0.4)
         err_x = sk.theorem3_bound(sysm, 8) if explicit else None
         calls = []
-        traced = sk.theory._uniform_trace
+        traced = sk.theory._uniform_traces
 
         def counting(*args, **kwargs):
             calls.append(args)
             return traced(*args, **kwargs)
 
-        monkeypatch.setattr(sk.theory, "_uniform_trace", counting)
+        monkeypatch.setattr(sk.theory, "_uniform_traces", counting)
         b = sk.theorem5_bound(sysm, 8, err_x=err_x)
-        assert len(calls) == 1
+        assert len(calls) == 1 and list(calls[0][1]) == [8]
         assert b.coarse_trace == b.err_x.coarse_trace
 
 
