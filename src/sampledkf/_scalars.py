@@ -16,7 +16,9 @@ cancel catastrophically.  Branch layout, elementwise:
 
 * both arguments inside the unit disc: truncated double power series (exact to
   ~1e-18 relative, no cancellation) over one coefficient table per kernel
-  built at import, evaluated by Horner in b along each row, then in a;
+  built at import, evaluated by Horner in b along each row, then in a; the
+  row polynomials are evaluated once per distinct b of the batch and
+  gathered, which changes no value, as each is still a function of its own b;
 * one argument at most half the other in modulus: a rearranged closed form
   without the division by the small argument (the difference quotient
   (phi1(a+b) - phi1(a))/b loses a factor |a|/|b| to cancellation);
@@ -96,8 +98,14 @@ def _horner(coeffs: np.ndarray, x):
 
 
 def _double_series(table: np.ndarray, a, b):
-    """sum_{i, j} table[i, j] a^i b^j: each row's polynomial in b, then in a."""
-    return _horner(_horner(table.T[:, :, None], b), a)
+    """sum_{i, j} table[i, j] a^i b^j: each row's polynomial in b, then in a.
+
+    The row polynomials are evaluated once per distinct b and gathered back,
+    since a kernel batch holds each b for many a.
+    """
+    distinct, where = np.unique(b, return_inverse=True)
+    rows = _horner(table.T[:, :, None], distinct)
+    return _horner(rows[:, where], a)
 
 
 def _phi1_of_sum(a, b):

@@ -311,23 +311,34 @@ def _curve_from_config(config: ExperimentConfig,
 
 
 def _make_bounds(config: ExperimentConfig, model: ModalSystem,
-                 n_anchor: int) -> list[TheoremBound]:
+                 curve: DiscrepancyCurve) -> list[TheoremBound]:
+    """The configured bounds, anchored at the curve's smallest n.
+
+    Each takes that n's posterior trace from the curve, which already holds
+    it, so no anchor filter is run.
+    """
+    first = int(np.argmin(curve.n_values))
+    n_anchor = int(curve.n_values[first])
+    trace = float(curve.coarse_traces[first])
     bounds = []
     for variant in config.values["theorems"]:
         if variant == 1:
             bounds.append(theorem1_bound(model, n_anchor,
-                                         config.values["gamma"]))
+                                         config.values["gamma"],
+                                         coarse_trace=trace))
         elif variant == 2:
-            bounds.append(theorem2_bound(model, n_anchor))
+            bounds.append(theorem2_bound(model, n_anchor, coarse_trace=trace))
         elif variant == 3:
             bounds.append(theorem3_bound(model, n_anchor,
-                                         config.values["theorem3_case"]))
+                                         config.values["theorem3_case"],
+                                         coarse_trace=trace))
         elif variant == 4:
             bounds.append(theorem4_bound(model, n_anchor,
                                          config.values["nu"],
-                                         config.values["eta"]))
+                                         config.values["eta"],
+                                         coarse_trace=trace))
         else:
-            bounds.append(theorem5_bound(model, n_anchor))
+            bounds.append(theorem5_bound(model, n_anchor, coarse_trace=trace))
     return bounds
 
 
@@ -351,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:
 
     if config.experiment == "bounds":
         curve = _curve_from_config(config, model)
-        bounds = _make_bounds(config, model, int(curve.n_values.min()))
+        bounds = _make_bounds(config, model, curve)
         rows = []
         for bound in bounds:
             report = check_bound(curve, bound)

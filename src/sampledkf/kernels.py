@@ -27,8 +27,11 @@ its noise covariance Sigma_h, assembled from (with M = B Q B*)
 
 where I1(a, s) = (e^(a s) - 1)/a.  The removable singularities (any exponent
 combination approaching zero) are handled in ``_scalars`` (expm1 for
-phi1, series branches for G2 and G3); matrices are Hermitian-symmetrised
-after assembly so conjugate paired models keep real traces.
+phi1, series branches for G2 and G3).  Sigma_h is Hermitian to the last bit,
+so conjugate paired models keep real traces: M is symmetrised once, the zz
+block is M times a mirrored Hermitian kernel, the Yz block is the exact
+conjugate transpose of zY, and only the r x r YY block, a product of three
+matrices, is symmetrised after assembly.
 
 ``_transitions`` evaluates these kernels for many step widths at once, on
 stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
@@ -56,6 +59,7 @@ the ``test`` extra, not with the package's dependencies.
 from __future__ import annotations
 
 import cmath
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -183,6 +187,7 @@ def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
     stack stays complex.  With a = lambda_k h and b = conj(lambda_l) h,
     phi1(a + b) and G3(a, b) are Hermitian in (k, l), so they are evaluated
     on the upper triangle alone and mirrored; G2 is not, and takes all N^2.
+    Only the YY block is symmetrised; the others are Hermitian as built.
     """
     lam = system.eigenvalues
     n = system.num_modes
@@ -194,11 +199,13 @@ def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
     stack.output_map[rows] = cmat.T * (col * phi1(lam * col))[:, None, :]
 
     if system.has_input_noise:
-        bq = system.input_coeffs @ system.q_cov @ system.input_coeffs.conj().T
+        # Hermitian to the last bit, so the mirrored blocks below are too
+        bq = _hermitize(system.input_coeffs @ system.q_cov
+                        @ system.input_coeffs.conj().T)
         if not lam.imag.any():
             lam = lam.real
         a, b = lam * col, lam.conj() * col
-        ik, il = np.triu_indices(n)
+        ik, il = _upper(n)
         step = h[:, None, None]
         sig = stack.noise_cov[rows]  # a view: written in place
         szz = bq * (step * _mirrored(phi1(a[:, ik] + b[:, il]), ik, il))
@@ -209,8 +216,16 @@ def _transition_batch(system: ModalSystem, stack: AugmentedTransition,
         sig[:, :n, :n] = szz
         sig[:, :n, n:] = szy
         sig[:, n:, :n] = szy.conj().swapaxes(1, 2)
-        sig[:, n:, n:] = syy
-        sig[:] = _hermitize(sig)
+        sig[:, n:, n:] = _hermitize(syy)
+
+
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, built once per N and read-only."""
+    ik, il = np.triu_indices(n)
+    ik.setflags(write=False)
+    il.setflags(write=False)
+    return ik, il
 
 
 def _mirrored(upper: np.ndarray, ik: np.ndarray, il: np.ndarray) -> np.ndarray:

@@ -24,16 +24,19 @@ which makes paths bitwise reproducible and leaves trial j the same
 whatever the batch size.  The stream is read in order from its start, since
 a ziggurat normal takes a variable number of words and a counter could not
 find trial j's block; so the stream need not be counter-based, and SFC64 is
-numpy's fastest.  A factor has one column per pivot of its pivoted Cholesky
-(``_real_factor``), so its width is the numerical rank of its covariance.
+numpy's fastest.  A factor has one column per pivot of its pivoted Cholesky,
+so its width is the numerical rank of its covariance.  The prior's real
+form is the diagonal P0 / D, whose pivoted Cholesky is its own entries,
+largest first, so ``_prior_factor`` writes that factor down in closed form;
+``_real_factor`` runs the pivot loop for the step covariances alone.
 ``filter_core._filter_plan`` gives the grid's transitions as one stack, an
 entry per distinct step width (tail included), and each step's index into
-it.  The stack's process-noise covariances are factored in one call, each
-matrix with its own pivots and stop, and a step or the tail reads its
-entry's factor by that index.  w is the widest factor's width; narrower
-factors are zero-padded to it, so every sample step takes a block of the
-same width and the simulator reads the steps as one (trials, steps, width)
-view.  A path takes at most N + m (N + 2r) + N + r normals on m samples
+it.  The stack's process-noise covariances are factored in one
+``_real_factor`` call, each matrix with its own pivots and stop, and a step
+or the tail reads its entry's factor by that index.  w is the widest
+factor's width; narrower factors are zero-padded to it, so every sample step
+takes a block of the same width and the simulator reads the steps as one
+(trials, steps, width) view.  A path takes at most N + m (N + 2r) + N + r normals on m samples
 (``_most_normals``), and a simulator whose block of ``_TRIAL_BLOCK`` paths
 would hold more than ``_BLOCK_NORMALS`` is refused before anything is drawn;
 the same count is the row count of the error map below.
@@ -124,34 +127,72 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
     free = np.ones((count, d), dtype=bool)
     factor = np.zeros((count, d, d))
-    live = np.arange(count)  # matrices still taking pivots, ``rank`` each
+    # ``live`` are the matrices still taking pivots, ``rank`` each; the
+    # working arrays (w*) hold their rows alone, at positions ``at``, and are
+    # re-indexed only when a matrix stops, whose rows are then written back
+    live = at = np.arange(count)
+    ws, wrest, wfree, wtop, wfactor = s, rest, free, top, factor
     rank = 0
     while live.size and rank < d:
-        j = np.argmax(np.where(free[live], rest[live], -np.inf), axis=1)
-        keep = rest[live, j] > 1e-16 * top[live]
-        live, j = live[keep], j[keep]
-        if not live.size:
-            break
-        pivot = np.sqrt(rest[live, j])
-        col = (s[live, :, j] - np.matmul(factor[live, :, :rank],
-                                         factor[live, j, :rank, None])[..., 0])
+        j = np.argmax(np.where(wfree, wrest, -np.inf), axis=1)
+        keep = wrest[at, j] > 1e-16 * wtop
+        if not keep.all():
+            stop = live[~keep]
+            rest[stop], free[stop] = wrest[~keep], wfree[~keep]
+            factor[stop] = wfactor[~keep]
+            ws, wrest, wfree, wtop, wfactor = (
+                x[keep] for x in (ws, wrest, wfree, wtop, wfactor))
+            live, j = live[keep], j[keep]
+            at = at[:live.size]
+            if not live.size:
+                break
+        pivot = np.sqrt(wrest[at, j])
+        col = (ws[at, :, j] - np.matmul(wfactor[:, :, :rank],
+                                        wfactor[at, j, :rank, None])[..., 0])
         col /= pivot[:, None]
-        col[~free[live]] = 0.0
-        col[np.arange(live.size), j] = pivot
-        free[live, j] = False
-        rest[live] -= col ** 2
-        factor[live, :, rank] = col
+        col[~wfree] = 0.0
+        col[at, j] = pivot
+        wfree[at, j] = False
+        wrest -= col ** 2
+        wfactor[:, :, rank] = col
         rank += 1
-    for one_rest, one_free, one_top in zip(rest, free, top):
-        left = one_rest[one_free]
-        if left.min(initial=0.0) < -1e-12 * one_top:
-            raise NumericalError(f"sampling covariance has remaining pivot "
-                                 f"{left.min():.3e}")
-        if left.any():
+    if wfactor is not factor:
+        rest[live], free[live], factor[live] = wrest, wfree, wfactor
+    left = np.where(free, rest, 0.0)  # the mass below each matrix's floor
+    low = left.min(axis=1, initial=0.0)
+    bad = np.flatnonzero(low < -1e-12 * top)
+    if bad.size:
+        raise NumericalError(f"sampling covariance has remaining pivot "
+                             f"{low[bad[0]]:.3e}")
+    if logger.isEnabledFor(logging.DEBUG):
+        for m in np.flatnonzero(left.any(axis=1)):
             logger.debug("clipping %.3e of pivot mass below the factor's floor",
-                         float(np.abs(left).sum()))
+                         float(np.abs(rest[m, free[m]]).sum()))
     rows = _from_real(factor[:, :, :rank].swapaxes(1, 2), pairs)
     return rows.swapaxes(1, 2).reshape(*lead, d, rank)
+
+
+def _prior_factor(system: ModalSystem) -> np.ndarray:
+    """The initial state's (N, w) factor: ``_real_factor`` of diag(P0) in closed form.
+
+    The real recomposed prior is the diagonal P0 / D, so its pivoted
+    Cholesky takes the diagonal entries themselves, largest first with ties
+    to the lower index, while an entry exceeds 1e-16 of the largest: column
+    i is sqrt(P0 / D)_j e_j for the i-th pivot j, mapped back to modal
+    coordinates.  The entries cut are logged as ``_real_factor`` logs them.
+    """
+    pairs = system._pair_index
+    var = system.prior_var / pairs.weights
+    top = max(var.max(initial=-np.inf), np.finfo(float).tiny)
+    order = np.argsort(-var, kind="stable")
+    taken = order[:np.count_nonzero(var > 1e-16 * top)]
+    cut = np.delete(var, taken)  # in index order, as the pivot loop leaves it
+    if cut.any():
+        logger.debug("clipping %.3e of pivot mass below the factor's floor",
+                     float(np.abs(cut).sum()))
+    real = np.zeros((taken.size, var.size))
+    real[np.arange(taken.size), taken] = np.sqrt(var[taken])
+    return _from_real(real, pairs).T
 
 
 def _trial_rng(seed: int) -> np.random.Generator:
@@ -185,8 +226,7 @@ class _Simulator:
         n, r = system.num_modes, system.num_outputs
         self.n, self.r = n, r
         self.pairing = system.pairing
-        self.initial_factor = _real_factor(
-            np.diag(system.prior_var.astype(complex)), self.pairing)
+        self.initial_factor = _prior_factor(system)
         # per entry of the stack, the real (width, 2(N+r)) matrix whose
         # product with real normals is the complex process noise, viewed as
         # complex; all are factored in one call, each zero-padded to the

@@ -15,8 +15,12 @@ particular assumption regime and packages it as ``bound(n) = M T^a / n^b``:
 
 All constants contain the coarse filter error E||zhat_{T,n} - z(T)||^2, a
 decreasing function of n, so a bound anchored at the smallest tested n stays
-valid for every larger n.  ``check_bound`` verifies a discrepancy curve
-pointwise against a bound; ``fit_rate`` extracts the empirical log-log slope.
+valid for every larger n.  That error is the posterior trace on the n-point
+uniform grid; each bound takes it as ``coarse_trace`` when the caller already
+has it (a discrepancy curve holds it in ``coarse_traces``) and otherwise runs
+the anchor filter itself, with the same result to the bit.  ``check_bound``
+verifies a discrepancy curve pointwise against a bound; ``fit_rate`` extracts
+the empirical log-log slope.
 
 Norm conventions, fixed by the assumption regime of each variant: variants 1,
 3 (domain case) and 5 use the graph weight 1 + |lam_k|^2; variant 2 uses the
@@ -84,12 +88,24 @@ class TheoremBound:
         return out if out.shape else float(out)
 
 
-def _anchor_trace(system: ModalSystem, n: int) -> float:
-    """The anchor's ``_uniform_traces``; ``perfbench/spans.py`` hooks it by name."""
+def _anchor_trace(system: ModalSystem, n: int,
+                  trace: float | None = None) -> float:
+    """The posterior trace on the n-point uniform grid: ``trace`` if given,
+    else the anchor's ``_uniform_traces``.
+
+    ``perfbench/spans.py`` hooks it by name.  A given trace must be finite
+    and non-negative, as every posterior trace is.
+    """
     if not _is_whole(n) or n < 1:
         raise ValueError(f"n must be a positive sample count (a whole number "
                          f">= 1), got n={n!r}")
-    return float(_uniform_traces(system, [int(n)])[0])
+    if trace is None:
+        return float(_uniform_traces(system, [int(n)])[0])
+    trace = float(trace)
+    if not (np.isfinite(trace) and trace >= 0):
+        raise ValueError(f"coarse_trace must be a finite posterior trace >= 0, "
+                         f"got coarse_trace={trace!r}")
+    return trace
 
 
 def _min_eig_r(system: ModalSystem) -> float:
@@ -151,13 +167,17 @@ def _require_real_spectrum(system: ModalSystem, what: str) -> None:
         raise ValueError(f"{what} needs a real (self-adjoint, dissipative) spectrum")
 
 
-def theorem1_bound(system: ModalSystem, n: int, gamma: float) -> TheoremBound:
+def theorem1_bound(system: ModalSystem, n: int, gamma: float, *,
+                   coarse_trace: float | None = None) -> TheoremBound:
     """Rate bound for polynomially growing spectra with modal output control.
 
     Requires delta > 1/2 from the spectral fit, gamma in [0, 1) with
     2 gamma + 1/delta < 2, and a spectrum tail obeying |lam_k| >= Gamma_check k^delta.
+    ``coarse_trace``, as in every bound, is the posterior trace on the
+    n-point uniform grid if the caller has it; without it the anchor filter
+    is run.
     """
-    trace_n = _anchor_trace(system, n)
+    trace_n = _anchor_trace(system, n, coarse_trace)
     params = spectral_parameters(system, gamma, n=n)
     delta = params.delta_fit
     if not np.isfinite(delta) or delta <= 0.5:
@@ -186,14 +206,16 @@ def theorem1_bound(system: ModalSystem, n: int, gamma: float) -> TheoremBound:
                      "prior_domain_energy": energy, "min_eig_r": min_r})
 
 
-def theorem2_bound(system: ModalSystem, n: int) -> TheoremBound:
+def theorem2_bound(system: ModalSystem, n: int, *,
+                   coarse_trace: float | None = None) -> TheoremBound:
     """Rate bound under output admissibility plus the k^delta spectral scale.
 
     For the heat family the ``admissibility`` ingredient is the truncation's
     H_T(N), which grows like N^(1/2) (the boundary-derivative output is not
     admissible), so the bound holds for the truncated model only.
+    ``coarse_trace``: the n-point posterior trace, as in ``theorem1_bound``.
     """
-    trace_n = _anchor_trace(system, n)
+    trace_n = _anchor_trace(system, n, coarse_trace)
     params = spectral_parameters(system, 0.0, n=n)
     delta = params.delta_fit
     if not np.isfinite(delta) or delta <= 0.5:
@@ -216,17 +238,19 @@ def theorem2_bound(system: ModalSystem, n: int) -> TheoremBound:
                      "prior_energy": energy, "min_eig_r": min_r})
 
 
-def theorem3_bound(system: ModalSystem, n: int, case: str = "domain") -> TheoremBound:
+def theorem3_bound(system: ModalSystem, n: int, case: str = "domain", *,
+                   coarse_trace: float | None = None) -> TheoremBound:
     """First-order bound for smoothing (real-spectrum) dynamics.
 
     ``case`` selects where the output operator is bounded: "bounded" uses the
     plain state norm, "domain" the graph norm of the generator.
+    ``coarse_trace``: the n-point posterior trace, as in ``theorem1_bound``.
     """
     _require_real_spectrum(system, "the smoothing-dynamics bound")
     if case not in ("bounded", "domain"):
         raise ValueError("case must be 'bounded' or 'domain'")
     weights = unit_weights(system) if case == "bounded" else domain_weights(system)
-    trace_n = _anchor_trace(system, n)
+    trace_n = _anchor_trace(system, n, coarse_trace)
     c_norm = _output_norm(system, weights)
     energy = system.weighted_prior_energy(weights)
     min_r = _min_eig_r(system)
@@ -243,11 +267,13 @@ def theorem3_bound(system: ModalSystem, n: int, case: str = "domain") -> Theorem
                      "min_eig_r": min_r})
 
 
-def theorem4_bound(system: ModalSystem, n: int, nu: float, eta: float) -> TheoremBound:
+def theorem4_bound(system: ModalSystem, n: int, nu: float, eta: float, *,
+                   coarse_trace: float | None = None) -> TheoremBound:
     """Fractional-smoothing bound: output on the nu-domain, state in the eta-domain.
 
     Needs a strictly negative real spectrum and |eta - nu| < 1/2; the rate
-    exponent is 1 + 2 (eta - nu).
+    exponent is 1 + 2 (eta - nu).  ``coarse_trace``: the n-point posterior
+    trace, as in ``theorem1_bound``.
     """
     _require_real_spectrum(system, "the fractional-smoothing bound")
     if np.any(system.eigenvalues.real >= 0):
@@ -256,7 +282,7 @@ def theorem4_bound(system: ModalSystem, n: int, nu: float, eta: float) -> Theore
     if not abs(eta - nu) < 0.5:
         raise ValueError("need |eta - nu| < 1/2")
     b = 1.0 + 2.0 * (eta - nu)
-    trace_n = _anchor_trace(system, n)
+    trace_n = _anchor_trace(system, n, coarse_trace)
     c_norm = _output_norm(system, fractional_weights(system, nu))
     energy = system.weighted_prior_energy(fractional_weights(system, eta))
     min_r = _min_eig_r(system)
@@ -280,11 +306,15 @@ def theorem4_bound(system: ModalSystem, n: int, nu: float, eta: float) -> Theore
 
 
 def theorem5_bound(system: ModalSystem, n: int,
-                   err_x: TheoremBound | None = None) -> TheoremBound:
+                   err_x: TheoremBound | None = None, *,
+                   coarse_trace: float | None = None) -> TheoremBound:
     """Bound for driven systems: input noise adds M1/n + M2/n^2.
 
     ``err_x`` supplies the initial-state contribution; by default the
-    admissible-output bound is used for it.  For the heat family the
+    admissible-output bound is used for it, anchored at n with the same
+    ``coarse_trace`` (the n-point posterior trace, as in ``theorem1_bound``).
+    A given ``err_x`` must be for the same model and anchored at or below n,
+    by the rules of ``check_bound``.  For the heat family the
     ``admissibility`` ingredient is the truncation's H_T(N), which grows like
     N^(1/2); it enters M2 and, with the default ``err_x``, the initial-state
     term, so the bound holds for the truncated model only.
@@ -293,14 +323,21 @@ def theorem5_bound(system: ModalSystem, n: int,
         raise ValueError("the input-noise bound needs a driven system "
                          "(nonzero input covariance)")
     if err_x is None:
-        err_x = theorem2_bound(system, n)
+        err_x = theorem2_bound(system, n, coarse_trace=coarse_trace)
         trace_n = err_x.coarse_trace  # the same anchor filter, run once
+        h_t = err_x.ingredients["admissibility"]
     else:
-        trace_n = _anchor_trace(system, n)
+        if err_x.system_label != system.label:
+            raise ValueError(f"err_x is for {err_x.system_label!r} but the "
+                             f"system is {system.label!r}")
+        trace_n = _anchor_trace(system, n, coarse_trace)
+        if err_x.n_anchor > n:
+            raise ValueError(f"err_x anchored at n={err_x.n_anchor} cannot "
+                             f"cover n={int(n)}")
+        h_t = admissibility_constant(system)
     graph = domain_weights(system)
     c_norm = _output_norm(system, graph)
     b_norm = _input_norm(system, graph)
-    h_t = admissibility_constant(system)
     tr_q = float(np.trace(system.q_cov).real)
     min_r = _min_eig_r(system)
     t = system.horizon

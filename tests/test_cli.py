@@ -331,11 +331,29 @@ class TestBoundsCommand:
         model = cli._build_model(config)
         curve = cli._curve_from_config(config, model)
         want = []
-        for bound in cli._make_bounds(config, model, int(curve.n_values.min())):
+        for bound in cli._make_bounds(config, model, curve):
             report = sk.check_bound(curve, bound)
             assert report.passed == bool(report.passes.all())
             want.extend(_format_value(ok) for ok in report.passes)
         assert [row[4] for row in data_lines(out)[1]] == want
+
+    @pytest.mark.parametrize("stem", ["heat_input_theorem5", "heat_theorem4",
+                                      "wave_theorem1"])
+    def test_bounds_take_their_anchor_from_the_curve(self, tmp_path, capsys,
+                                                    monkeypatch, stem):
+        # the curve already holds the anchor's trace: no bound runs a filter
+        calls = []
+        traced = sk.theory._uniform_traces
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return traced(*args, **kwargs)
+
+        monkeypatch.setattr(sk.theory, "_uniform_traces", spy)
+        cfg = DEMO_CONFIGS / f"{stem}.cfg"
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == []
 
     def test_pass_cells_come_from_the_report(self, tmp_path, capsys,
                                              monkeypatch):

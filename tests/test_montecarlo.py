@@ -10,8 +10,9 @@ import sampledkf as sk
 from sampledkf import montecarlo
 from sampledkf.errors import NumericalError
 from sampledkf.filter_core import _filtered_means
-from sampledkf.montecarlo import (_TRIAL_BLOCK, _real_error_map, _real_factor,
-                                  _Simulator, _trial_rng)
+from sampledkf.montecarlo import (_TRIAL_BLOCK, _prior_factor,
+                                  _real_error_map, _real_factor, _Simulator,
+                                  _trial_rng)
 
 EIGHT_TIMES = np.arange(1, 9) / 8.0
 
@@ -261,6 +262,43 @@ class TestRealFactor:
                 <= 1e-11 * np.abs(increments).max())
 
 
+class TestPriorFactor:
+    """The initial state's factor in closed form, against the pivot loop."""
+
+    @pytest.mark.parametrize("case", ["heat", "wave", "two-outputs",
+                                      "zeros-and-ties"])
+    def test_equals_the_pivoted_cholesky_bit_for_bit(self, case, caplog,
+                                                     two_output_heat):
+        sysm = {
+            "heat": lambda: sk.build_heat_model(20, horizon=1.0, q_scalar=0.5),
+            "wave": lambda: sk.build_wave_model(20, horizon=1.0),
+            "two-outputs": lambda: two_output_heat(6, 0.5),
+            # ties go to the lower index; 0 and 1e-20 fall below the floor,
+            # and the cut 1e-20 is logged once
+            "zeros-and-ties": lambda: dataclasses.replace(
+                sk.build_heat_model(6, horizon=1.0),
+                prior_var=np.array([1.0, 4.0, 0.0, 4.0, 1e-20, 1.0])),
+        }[case]()
+        caplog.set_level("DEBUG", logger="sampledkf.montecarlo")
+        want = _real_factor(np.diag(sysm.prior_var.astype(complex)),
+                            sysm.pairing)
+        loop_records = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        got = _prior_factor(sysm)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert [r.getMessage() for r in caplog.records] == loop_records
+        if case == "zeros-and-ties":
+            assert got.shape[1] == 4
+            assert len(loop_records) == 1
+            assert loop_records[0].startswith("clipping 1.000e-20")
+
+    def test_the_simulator_takes_it(self):
+        sim = _Simulator(sk.build_wave_model(6, horizon=1.0), EIGHT_TIMES)
+        assert (sim.initial_factor.tobytes()
+                == _prior_factor(sim.system).tobytes())
+
+
 class TestTransitionStack:
     """The simulator reads one stack of transitions, one entry per width."""
 
@@ -277,9 +315,9 @@ class TestTransitionStack:
 
         monkeypatch.setattr(montecarlo, "_real_factor", spy)
         sim = _Simulator(sysm, times)
-        # the prior's (N, N) factor, then one call on the grid's whole stack
-        assert [cov.shape for cov in calls] == [(4, 4), (4, 5, 5)]
-        assert calls[1] is sim.stack.noise_cov
+        # one call on the grid's whole stack; the prior's factor is closed form
+        assert [cov.shape for cov in calls] == [(4, 5, 5)]
+        assert calls[0] is sim.stack.noise_cov
         npt.assert_array_equal(sim.stack.step, [0.0625, 0.125, 0.1875, 0.25])
         npt.assert_array_equal(sim.stack.step[sim.index],
                                np.diff(times, prepend=0.0))

@@ -390,3 +390,25 @@ class TestBatchIndependence:
             pick = rng.integers(0, a.size, size)
             npt.assert_array_equal(kernel(a[pick], b[pick]), alone[pick],
                                    err_msg=f"batch of {size}")
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("name", ["G2", "G3"])
+    def test_every_argument_repeated(self, name, dtype):
+        # a kernel batch's shape: N values, each b against every a, so the
+        # series evaluates N row polynomials for N^2 pairs, signed zeros
+        # among the values
+        kernel = KERNELS[name]
+        rng = np.random.default_rng(43)
+        n = 24
+        values = rng.uniform(-1.0, 1.0, n).astype(dtype)
+        if dtype is complex:
+            values = values + 1j * rng.uniform(-1.0, 1.0, n)
+            values[:4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                          complex(-0.0, -0.0)]
+        else:
+            values[:2] = [0.0, -0.0]
+        a, b = values[:, None], values[None, :]
+        batch = kernel(a, b)
+        alone = np.array([[kernel(x, y) for y in values] for x in values])
+        assert batch.dtype == alone.dtype == dtype
+        assert batch.tobytes() == alone.tobytes()

@@ -214,6 +214,76 @@ class TestBoundIngredients:
         assert bound.coarse_trace == bound.err_x.coarse_trace > 0
 
 
+# variant -> (system, call(system, n, **kw)): each bound at its own model
+BOUND_CALLS = {
+    1: (lambda: wave(8), lambda m, n, **kw: sk.theorem1_bound(m, n, 0.0, **kw)),
+    2: (heat, lambda m, n, **kw: sk.theorem2_bound(m, n, **kw)),
+    3: (heat, lambda m, n, **kw: sk.theorem3_bound(m, n, "bounded", **kw)),
+    4: (heat, lambda m, n, **kw: sk.theorem4_bound(m, n, 0.8, 1.0, **kw)),
+    5: (lambda: heat(q_scalar=0.5),
+        lambda m, n, **kw: sk.theorem5_bound(m, n, **kw)),
+}
+
+
+class TestCoarseTrace:
+    """A bound given the anchor's trace is the bound that computes it."""
+
+    @pytest.mark.parametrize("variant", BOUND_CALLS)
+    def test_given_trace_gives_the_same_bound(self, monkeypatch, variant):
+        make, call = BOUND_CALLS[variant]
+        sysm = make()
+        computed = call(sysm, 4)
+        calls = []
+        monkeypatch.setattr(sk.theory, "_uniform_traces",
+                            lambda *args: calls.append(args))
+        given = call(sysm, 4, coarse_trace=computed.coarse_trace)
+        assert not calls  # no anchor filter ran
+        # field for field, ingredients and err_x included
+        assert given == computed
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-30, np.inf],
+                             ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("variant", BOUND_CALLS)
+    def test_a_trace_that_is_no_posterior_trace_is_refused(self, variant, bad):
+        make, call = BOUND_CALLS[variant]
+        with pytest.raises(ValueError, match="coarse_trace"):
+            call(make(), 4, coarse_trace=bad)
+
+    def test_the_anchor_is_still_checked(self):
+        with pytest.raises(ValueError, match="got n=2.5"):
+            sk.theorem2_bound(heat(), 2.5, coarse_trace=1.0)
+
+    def test_a_curve_holds_the_anchor_trace(self):
+        sysm = heat(q_scalar=0.5)
+        curve = sk.discrepancy_curve(sysm, [4, 8], reference_level=3)
+        assert curve.coarse_traces[0] == sk.theorem5_bound(sysm, 4).coarse_trace
+
+
+class TestStateBoundOfTheInputBound:
+    """``theorem5_bound`` refuses an ``err_x`` that ``check_bound`` would."""
+
+    def test_err_x_for_another_model_is_refused(self):
+        other = sk.theorem1_bound(wave(8, horizon=2.0), 16, gamma=0.0)
+        with pytest.raises(ValueError, match="err_x is for 'wave"):
+            sk.theorem5_bound(heat(q_scalar=0.5), 4, err_x=other)
+
+    def test_err_x_anchored_above_n_is_refused(self):
+        sysm = heat(q_scalar=0.5)
+        late = sk.theorem3_bound(sysm, 16)
+        with pytest.raises(ValueError, match="anchored at n=16"):
+            sk.theorem5_bound(sysm, 4, err_x=late)
+        # at or below n it is taken
+        assert sk.theorem5_bound(sysm, 16, err_x=late).err_x is late
+        assert sk.theorem5_bound(sysm, 32, err_x=late).err_x is late
+
+    def test_default_err_x_shares_the_admissibility(self):
+        sysm = heat(q_scalar=0.5)
+        bound = sk.theorem5_bound(sysm, 4)
+        assert (bound.ingredients["admissibility"]
+                == bound.err_x.ingredients["admissibility"]
+                == sk.admissibility_constant(sysm))
+
+
 class TestBoundValidation:
     def test_fractional_anchor_is_rejected(self):
         # anchoring on a 2.5-point "grid" while recording n_anchor = 2 would
