@@ -245,6 +245,8 @@ def build_config(raw: dict[str, str],
                 f"{_TRIAL_BLOCK} trials; at most 2**31 are allowed")
         if values["trials"] < 2:
             raise ConfigError("trials: must be at least 2")
+        if values["trials"] > _BLOCK_NORMALS:  # one float64 error a trial
+            raise ConfigError("trials: must be at most 2**31")
     return ExperimentConfig(experiment=experiment, values=values)
 
 

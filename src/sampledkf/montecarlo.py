@@ -15,10 +15,9 @@ and a batch reads trial j as its j-th flat block of standard normals.  A
 path of ``sample_path`` takes its block in a fixed documented order:
 
     [ initial state (the initial factor's width, at most num_modes) ]
-    for each sample step: [ process noise (width w), driven only ]
+    for each sample step: [ process noise (width w) ]
                           [ measurement noise (num_outputs) ]
-    [ tail process noise (width w), driven only, if the last sample
-      precedes the horizon ]
+    [ tail process noise (width w), if the last sample precedes the horizon ]
 
 which makes paths bitwise reproducible and leaves trial j the same
 whatever the batch size.  The stream is read in order from its start, since
@@ -34,7 +33,8 @@ entry per distinct step width (tail included), and each step's index into
 it.  The stack's process-noise covariances are factored in one
 ``_real_factor`` call, each matrix with its own pivots and stop, and a step
 or the tail reads its entry's factor by that index.  w is the widest
-factor's width; narrower factors are zero-padded to it, so every sample step
+factor's width, 0 on a model without input noise, whose covariances are all
+zero; narrower factors are zero-padded to it, so every sample step
 takes a block of the same width and the simulator reads the steps as one
 (trials, steps, width) view.  A path takes at most N + m (N + 2r) + N + r normals on m samples
 (``_most_normals``), and a simulator whose block of ``_TRIAL_BLOCK`` paths
@@ -79,8 +79,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .filter_core import _backward_maps, _filter_plan, _validate_times
-from .spectral_model import (ModalSystem, _from_real, _is_whole, _pairs,
-                             _real_covariance, _to_real)
+from .spectral_model import (ModalSystem, _from_real, _is_whole, _Pairs,
+                             _pairs, _real_covariance, _to_real)
 
 logger = logging.getLogger(__name__)
 
@@ -127,37 +127,28 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
     free = np.ones((count, d), dtype=bool)
     factor = np.zeros((count, d, d))
-    # ``live`` are the matrices still taking pivots, ``rank`` each; the
-    # working arrays (w*) hold their rows alone, at positions ``at``, and are
-    # re-indexed only when a matrix stops, whose rows are then written back
-    live = at = np.arange(count)
-    ws, wrest, wfree, wtop, wfactor = s, rest, free, top, factor
+    at = np.arange(count)
+    # the matrices still taking pivots, ``rank`` each; a stopped one stays
+    # in place with a zero column, so its rest, free and factor stay as it
+    # left them
+    live = np.ones(count, dtype=bool)
     rank = 0
-    while live.size and rank < d:
-        j = np.argmax(np.where(wfree, wrest, -np.inf), axis=1)
-        keep = wrest[at, j] > 1e-16 * wtop
-        if not keep.all():
-            stop = live[~keep]
-            rest[stop], free[stop] = wrest[~keep], wfree[~keep]
-            factor[stop] = wfactor[~keep]
-            ws, wrest, wfree, wtop, wfactor = (
-                x[keep] for x in (ws, wrest, wfree, wtop, wfactor))
-            live, j = live[keep], j[keep]
-            at = at[:live.size]
-            if not live.size:
-                break
-        pivot = np.sqrt(wrest[at, j])
-        col = (ws[at, :, j] - np.matmul(wfactor[:, :, :rank],
-                                        wfactor[at, j, :rank, None])[..., 0])
+    while rank < d:
+        j = np.argmax(np.where(free, rest, -np.inf), axis=1)
+        live &= rest[at, j] > 1e-16 * top
+        if not live.any():
+            break
+        pivot = np.sqrt(np.where(live, rest[at, j], 1.0))
+        col = (s[at, :, j] - np.matmul(factor[:, :, :rank],
+                                       factor[at, j, :rank, None])[..., 0])
         col /= pivot[:, None]
-        col[~wfree] = 0.0
+        col[~free] = 0.0
         col[at, j] = pivot
-        wfree[at, j] = False
-        wrest -= col ** 2
-        wfactor[:, :, rank] = col
+        col[~live] = 0.0
+        free[at[live], j[live]] = False
+        rest -= col ** 2
+        factor[:, :, rank] = col
         rank += 1
-    if wfactor is not factor:
-        rest[live], free[live], factor[live] = wrest, wfree, wfactor
     left = np.where(free, rest, 0.0)  # the mass below each matrix's floor
     low = left.min(axis=1, initial=0.0)
     bad = np.flatnonzero(low < -1e-12 * top)
@@ -225,25 +216,19 @@ class _Simulator:
         self.run, self.stack, self.index, _, self.tail = self.plan
         n, r = system.num_modes, system.num_outputs
         self.n, self.r = n, r
-        self.pairing = system.pairing
         self.initial_factor = _prior_factor(system)
-        # per entry of the stack, the real (width, 2(N+r)) matrix whose
-        # product with real normals is the complex process noise, viewed as
-        # complex; all are factored in one call, each zero-padded to the
-        # widest one's width
-        self.noise_maps = None
-        width = 0
-        if system.has_input_noise:
-            aug_pairing = np.concatenate([self.pairing, n + np.arange(r)])
-            factors = _real_factor(self.stack.noise_cov, aug_pairing)
-            width = factors.shape[-1]
-            self.noise_maps = np.ascontiguousarray(
-                factors.swapaxes(1, 2)).view(float)
+        # per entry of the stack, the (width, N+r) map whose product with
+        # real normals is the process noise; all are factored in one call,
+        # each zero-padded to the widest one's width, which is 0 when the
+        # model has no input noise
+        aug_pairing = np.concatenate([system.pairing, n + np.arange(r)])
+        self.noise_maps = _real_factor(self.stack.noise_cov,
+                                       aug_pairing).swapaxes(1, 2)
         self.meas_chol = np.linalg.cholesky(system.r_cov)
         # widths in the documented draw order: the initial state, one sample
         # step's normals, then a trial's whole block
         self.head = self.initial_factor.shape[1]
-        self.width = width
+        self.width = width = self.noise_maps.shape[1]
         self.stride = width + r
         tail = width if self.tail is not None else 0
         self.total = self.head + times.size * self.stride + tail
@@ -306,15 +291,13 @@ class _Simulator:
                 break
             j = self.index[i - 1]
             block = per_step[i - 1]
-            if w:
-                factor = self.noise_maps[j].view(complex)
-                block[:w] = factor[:, n:] @ lmap.T - factor[:, :n] @ back.T
+            factor = self.noise_maps[j]
+            block[:w] = factor[:, n:] @ lmap.T - factor[:, :n] @ back.T
             block[w:] = (np.sqrt(self.stack.step[j])
                          * (self.meas_chol.T @ lmap.T))
         emap[:self.head] = -self.initial_factor.T @ back.T  # back is B_0
-        if w and self.tail is not None:
-            tail = self.noise_maps[self.tail].view(complex)
-            emap[self.total - w:] = -tail[:, :n]
+        if self.tail is not None:
+            emap[self.total - w:] = -self.noise_maps[self.tail][:, :n]
         return emap
 
     def error_factor(self) -> np.ndarray:
@@ -326,7 +309,8 @@ class _Simulator:
         standard normals g.  QR, not a Cholesky of M_w^T M_w, which would
         square M_w's condition number.
         """
-        emap, weights = _real_error_map(self.error_map(), self.pairing)
+        emap, weights = _real_error_map(self.error_map(),
+                                        self.system._pair_index)
         return np.linalg.qr(emap * np.sqrt(weights), mode="r")
 
     def run_paths(self, normals: np.ndarray):
@@ -341,7 +325,6 @@ class _Simulator:
         sysm = self.system
         n, r = self.n, self.r
         trials, m = normals.shape[0], self.times.size
-        driven = sysm.has_input_noise
         head = self.head
         state = normals[:, :head] @ self.initial_factor.T
         state += sysm.prior_mean
@@ -350,25 +333,22 @@ class _Simulator:
             trials, m, self.stride)
         process, measure = per_step[:, :, :-r], per_step[:, :, -r:]
         increments = np.empty((trials, m, r))
-        noise_buf = np.empty((trials, 2 * (n + r))) if driven else None
-        noise = noise_buf.view(complex) if driven else None
+        noise = np.empty((trials, n + r), dtype=complex)
         for i, j in enumerate(self.index):
             out_int = state @ self.stack.output_map[j].T
             state *= self.stack.decay[j]
-            if driven:
-                np.matmul(process[:, i], self.noise_maps[j], out=noise_buf)
-                state += noise[:, :n]
-                out_int += noise[:, n:]
+            np.matmul(process[:, i], self.noise_maps[j], out=noise)
+            state += noise[:, :n]
+            out_int += noise[:, n:]
             y_inc = increments[:, i, :]
             np.matmul(measure[:, i], self.meas_chol.T, out=y_inc)
             y_inc *= np.sqrt(self.stack.step[j])
             y_inc += out_int.real
         if self.tail is not None:
             state *= self.stack.decay[self.tail]
-            if driven:
-                np.matmul(normals[:, head + m * self.stride:],
-                          self.noise_maps[self.tail], out=noise_buf)
-                state += noise[:, :n]
+            np.matmul(normals[:, head + m * self.stride:],
+                      self.noise_maps[self.tail], out=noise)
+            state += noise[:, :n]
         return state, increments
 
 
@@ -413,16 +393,16 @@ class SimulationBatch:
     map_trace: float
 
 
-def _real_error_map(emap: np.ndarray, pairing: np.ndarray):
+def _real_error_map(emap: np.ndarray, pairs: _Pairs):
     """The real (total, N) map M A^-T and the weights of its N columns.
 
     A trial's error e = xi M has e_mate = conj(e_k) on a pair, so its real
     coordinates rho = e A^-T = xi M A^-T are (Re e_k, Im e_k) there and
     ||e||^2 = sum_k w_k rho_k^2, with weight 1 on a self-conjugate mode and
-    2 on each member of a pair.  A map whose real coordinates keep an
-    imaginary part does not respect the pairing, and is refused.
+    2 on each member of a pair.  ``pairs`` is the model's ``_pair_index``.
+    A map whose real coordinates keep an imaginary part does not respect
+    the pairing, and is refused.
     """
-    pairs = _pairs(pairing)
     rho = _to_real(emap, pairs)
     scale = float(np.abs(rho).max(initial=0.0)) or 1.0
     if np.abs(rho.imag).max(initial=0.0) > 1e-8 * scale:
@@ -443,6 +423,10 @@ def empirical_error(system: ModalSystem, times, trials: int,
     |z| > 3 flags disagreement.
     """
     trials = _whole("trials", trials, 2)
+    if trials > _BLOCK_NORMALS:
+        # ``errors`` holds one float64 a trial
+        raise ValueError(f"trials must be at most {_BLOCK_NORMALS}, "
+                         f"got trials={trials}")
     seed = _whole("seed", seed, 0)
     times = _validate_times(system, times)
     if times.size == 0:

@@ -173,6 +173,10 @@ class TestBuildConfig:
                      "simulate_n: must be at least 1", id="simulate_n-small"),
         pytest.param("simulate", {"simulate_n": "4", "trials": "1"},
                      "trials: must be at least 2", id="trials-small"),
+        # one float64 error a trial, at most 2**31 of them
+        pytest.param("simulate", {"simulate_n": "4",
+                                  "trials": str(2 ** 31 + 1)},
+                     r"^trials: must be at most 2\*\*31", id="trials-large"),
         # 1024 x (4 + 6 n + 5) normals in one trial block, at most 2**31:
         # the initial state, n steps of N + 1 process and 1 measurement
         # normals, and a tail of N + 1
@@ -208,6 +212,13 @@ class TestBuildConfig:
                                "model.num_modes": "4", "simulate_n": "349523",
                                "trials": "50"})
         assert config.values["simulate_n"] == 349523
+
+    def test_most_trials_are_accepted(self):
+        # the config is only validated, never run
+        config = build_config({"experiment": "simulate", "model.kind": "heat",
+                               "model.num_modes": "4", "simulate_n": "4",
+                               "trials": str(2 ** 31)})
+        assert config.values["trials"] == 2 ** 31
 
     @pytest.mark.parametrize("experiment, levels", [
         # 4 * 2**20 points of 4 modes in the deepest level: exactly 2**24
@@ -470,6 +481,17 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"config error: simulate_n: {2 ** 43} samples" in err
         assert "at most 2**31" in err
+
+    def test_trials_past_the_cap_exit_two(self, tmp_path, capsys,
+                                          monkeypatch):
+        # refused with the configuration, before any model is built or any
+        # of the 2**31 + 1 errors is drawn
+        monkeypatch.setattr("sampledkf.cli._build_model", None)
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace(
+            "trials = 50", f"trials = {2 ** 31 + 1}"))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert ("config error: trials: must be at most 2**31"
+                in capsys.readouterr().err)
 
     def test_driven_steps_count_their_wide_noise_factors(self, tmp_path,
                                                         capsys, monkeypatch):

@@ -187,8 +187,10 @@ class TestRealFactor:
             assert record.args[0] <= 1e-15 * trace
 
     @pytest.mark.parametrize("case", ["workload", "wave-driven"])
-    def test_a_stack_factors_each_matrix(self, case):
-        # each matrix keeps its own pivots and stop; narrower factors are
+    def test_a_stack_factors_each_matrix(self, case, caplog):
+        # each matrix keeps its own pivots and stop, bit for bit as when
+        # factored alone, so a stopped matrix takes no further pivot and
+        # leaves the same mass below its floor; narrower factors are
         # zero-padded to the widest
         if case == "workload":
             sysm, times = workload_model_and_grid()
@@ -204,18 +206,21 @@ class TestRealFactor:
             covs = np.stack([amat @ (x @ x.T) @ amat.conj().T
                              for x in (rng.standard_normal((5, k))
                                        for k in (5, 3, 1))])
+        caplog.set_level("DEBUG", logger="sampledkf.montecarlo")
         stacked = _real_factor(covs, pairing)
+        stacked_records = [r.getMessage() for r in caplog.records]
+        caplog.clear()
         singles = [_real_factor(cov, pairing) for cov in covs]
+        assert [r.getMessage() for r in caplog.records] == stacked_records
         # L = A F with F real, so L xi respects the pairing for real xi
         real = np.linalg.solve(recomposition(pairing), stacked)
         assert np.abs(real.imag).max() <= 1e-15 * np.abs(real).max()
         assert stacked.shape[-1] == max(f.shape[1] for f in singles)
         for cov, one, single in zip(covs, stacked, singles):
             width = single.shape[1]
-            npt.assert_array_equal(one[:, width:], 0.0)
+            assert not one[:, width:].any()
+            assert one[:, :width].tobytes() == single.tobytes()
             scale = np.abs(cov).max() or 1.0
-            assert (np.abs(one[:, :width] - single).max(initial=0.0)
-                    <= 1e-15 * scale ** 0.5)
             assert np.abs(one @ one.conj().T - cov).max() <= 1e-14 * scale
 
     def test_pivots_by_diagonal_with_ties_to_the_lower_index(self):
@@ -327,7 +332,7 @@ class TestTransitionStack:
             scale = np.abs(single.noise_cov).max()
             assert (np.abs(sim.stack.noise_cov[j] - single.noise_cov).max()
                     <= 1e-15 * scale)
-            factor = sim.noise_maps[j].view(complex).T
+            factor = sim.noise_maps[j].T
             assert (np.abs(factor @ factor.conj().T - single.noise_cov).max()
                     <= 1e-14 * scale)
 
@@ -348,6 +353,33 @@ class TestTransitionStack:
         reads.keys.clear()
         sim.error_map()  # the backward pass: last step first, then the tail
         assert reads.keys == [2, 1, 1, 3, 1, 1, 0]
+
+    @pytest.mark.parametrize("case", ["heat", "wave-tail"])
+    def test_an_undriven_stack_takes_the_same_call(self, case, monkeypatch):
+        # no input noise: the stack's covariances are all zero and the one
+        # call gives them factors of width 0, so a step reads r normals
+        sysm, times = {
+            "heat": (heat(), EIGHT_TIMES),
+            "wave-tail": (sk.build_wave_model(4, horizon=1.0),
+                          np.array([0.125, 0.25, 0.5, 0.875])),
+        }[case]
+        calls = []
+        exact = montecarlo._real_factor
+
+        def spy(cov, pairing):
+            calls.append(cov)
+            return exact(cov, pairing)
+
+        monkeypatch.setattr(montecarlo, "_real_factor", spy)
+        sim = _Simulator(sysm, times)
+        assert len(calls) == 1 and calls[0] is sim.stack.noise_cov
+        assert not calls[0].any()
+        assert sim.width == 0
+        assert sim.noise_maps.shape == (len(sim.stack.step), 0,
+                                        sysm.num_modes + sysm.num_outputs)
+        assert (sim.tail is not None) == (case == "wave-tail")
+        assert sim.stride == sysm.num_outputs
+        assert sim.total == sim.head + times.size * sysm.num_outputs
 
 
 class TestNormalsCap:
@@ -577,12 +609,12 @@ class TestErrorMap:
         sim = _Simulator(sysm, times)
         normals = draw(sim, 5, 256)
         full = np.square(normals @ sim.error_map().view(float)).sum(axis=1)
-        emap, weights = _real_error_map(sim.error_map(), sim.pairing)
+        emap, weights = _real_error_map(sim.error_map(), sysm._pair_index)
         assert emap.shape == (sim.total, sysm.num_modes)
         assert emap.dtype == np.float64
         npt.assert_allclose(np.square(normals @ emap) @ weights, full,
                             rtol=1e-12)
-        paired = sim.pairing != np.arange(sysm.num_modes)
+        paired = sysm.pairing != np.arange(sysm.num_modes)
         npt.assert_array_equal(weights, np.where(paired, 2.0, 1.0))
         assert paired.any() == case.startswith("wave")
 
@@ -590,10 +622,10 @@ class TestErrorMap:
         # a pair's two error columns must be conjugate for the real form
         sim = _Simulator(sk.build_wave_model(4, horizon=1.0), EIGHT_TIMES)
         emap = sim.error_map()
-        _real_error_map(emap, sim.pairing)
+        _real_error_map(emap, sim.system._pair_index)
         emap[:, 1] += 1e-6 * np.abs(emap).max()
         with pytest.raises(ValueError, match="error map does not respect"):
-            _real_error_map(emap, sim.pairing)
+            _real_error_map(emap, sim.system._pair_index)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_workload_draw_layout(self, seed):
@@ -621,7 +653,7 @@ class TestErrorFactor:
         sysm, times = (workload_model_and_grid() if case == "workload"
                        else ERROR_MAP_CASES[case](two_output_heat))
         sim = _Simulator(sysm, times)
-        emap, weights = _real_error_map(sim.error_map(), sim.pairing)
+        emap, weights = _real_error_map(sim.error_map(), sysm._pair_index)
         weighted = emap * np.sqrt(weights)
         gram = weighted.T @ weighted
         factor = sim.error_factor()
@@ -640,7 +672,7 @@ class TestErrorFactor:
         assert sim.total == 2
         factor = sim.error_factor()
         assert factor.shape == (2, 4)
-        emap, _ = _real_error_map(sim.error_map(), sim.pairing)
+        emap, _ = _real_error_map(sim.error_map(), sysm._pair_index)
         npt.assert_allclose(factor.T @ factor, emap.T @ emap, atol=1e-15)
         batch = sk.empirical_error(sysm, np.array([1.0]), trials=64, seed=5)
         narrow = sim.draw(_trial_rng(5), np.empty((64, 2)))
@@ -754,3 +786,11 @@ class TestValidation:
         sysm = sk.build_heat_model(3, horizon=1.0)
         with pytest.raises(ValueError, match="trials must be >= 2"):
             sk.empirical_error(sysm, EIGHT_TIMES, trials=1, seed=0)
+
+    def test_trials_past_the_cap_are_refused(self, monkeypatch):
+        # ``errors`` holds one float64 a trial; refused before the simulator
+        # is built, so nothing is drawn
+        monkeypatch.setattr(montecarlo, "_Simulator", None)
+        sysm = sk.build_heat_model(3, horizon=1.0)
+        with pytest.raises(ValueError, match=r"trials must be at most 2147483648"):
+            sk.empirical_error(sysm, EIGHT_TIMES, trials=2 ** 31 + 1, seed=0)
