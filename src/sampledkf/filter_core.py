@@ -110,15 +110,21 @@ R^-1 rho the prior is I and the rows are B = B0 R, so
 
 an (m r) x (m r) factor in place of an N x N one.  That is ``_observe`` with
 the identity for P, and the trace is tr_prior = ``_energy`` @ R^2 minus the
-sum of its per-sample gains under the weights ``_energy`` R^2
-(``_sample_space_trace``): m N exponentials and O((m r)^2 N) work against
-N^2 kernel values and O(N^3) for the closed form, and no N x N matrix
-(``BENCH_sample_space.json`` has per-call times by m and N).  The
-difference loses about eps tr_prior / trace of its relative accuracy, so a
-trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at a high
-signal-to-noise ratio) falls back to the closed form.  Every larger m,
-and every trace the guard sends back, conditions the closed-form J once.
-Only the sample space forms the m sample starts, at most 3N/4 of them.
+sum of its per-point gains under the weights ``_energy`` R^2: m N
+exponentials and O((m r)^2 N) work against N^2 kernel values and O(N^3)
+for the closed form, and no N x N matrix (``BENCH_sample_space.json`` has
+per-call times by m and N).  Grids whose sizes share an odd part nest:
+the 2n-point grid is the n-point grid plus its n midpoints, and observing
+those midpoints is the telescope's insertion below.  So the sizes n 2**l
+of one odd part are the prefixes of one dyadic chain (``_dyadic_rows``:
+the n samples, then each level's midpoints), observed in one ``_observe``
+(``_sample_space_chain``), and a size's trace is tr_prior minus the gains
+of its prefix; trace(n) - trace(2n) is then a sum of positive gains.  The
+difference with tr_prior loses about eps tr_prior / trace of its relative
+accuracy, so a trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at
+a high signal-to-noise ratio) falls back to the closed form.  Every larger
+m, and every trace the guard sends back, conditions the closed-form J
+once.  Only the sample space forms sample starts, at most 3N/4 of them.
 Times that callers pass in take ``information_filter``, which sums J over
 them, or ``sequential_filter``; this module never checks whether times
 form a uniform grid (``refinement.dyadic_grid`` builds one).
@@ -176,9 +182,9 @@ one Cholesky factor, whose elimination order is the order of insertion,
 gives each point's gain, weighted by ``_energy``, and P_rho - U^T U is the
 posterior after the whole block.  ``increment_variance`` conditions P_rho
 on the summed J of the given base set and observes a block of one point,
-the one-insertion oracle;
-``refinement.telescope_check`` carries one P_rho through every block
-instead.
+the one-insertion oracle; ``refinement.telescope_check`` carries one P_rho
+through the blocks of a dyadic chain's midpoints instead, the rows of
+``_dyadic_rows`` past its base, in blocks that run across levels.
 """
 
 from __future__ import annotations
@@ -353,7 +359,8 @@ def _white_rows(system: ModalSystem, weights: np.ndarray) -> np.ndarray:
     (P, N), with noise of covariance R = L L^T, so its rows carry unit
     noise.  They are conjugate on each pair, so rows A is real
     (``spectral_model._times_a``).  The one row builder: ``_information_rows``
-    gives the weights of samples, ``_insertion_rows`` those of midpoints.
+    gives the weights of samples, ``_insertion_rows`` those of midpoints,
+    and ``_dyadic_rows`` both along a dyadic chain.
     """
     rows = weights[:, None, :] * system._white_outputs[None, :, :]
     return np.ascontiguousarray(_times_a(rows, system._pair_index).real)
@@ -380,9 +387,57 @@ def _insertion_rows(system: ModalSystem, phis: np.ndarray,
     ``phis`` is (P, N): phi_h(lambda, t, h) of each new point t.  Its
     interpolated observation y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise
     reads x through C diag(phi_h) with (h/2) R of noise, so its weights are
-    phi_h / sqrt(h/2).
+    phi_h / sqrt(h/2).  ``_dyadic_rows`` gives a chain's midpoints the same
+    weights, with a_l / sqrt(h/2) taken once per level.
     """
     return _white_rows(system, phis / np.sqrt(h / 2.0))
+
+
+def _dyadic_rows(system: ModalSystem, base_n: int, lo: int, hi: int,
+                 block: int):
+    """The ``_white_rows`` of positions lo..hi-1 of a dyadic chain, ``block`` at a time.
+
+    The chain on base_n points observes the nested uniform grids of
+    base_n 2**l points in insertion order: positions 0..base_n-1 are the
+    base grid's samples of width T / base_n (``_information_rows``), and
+    level l >= 1 holds positions base_n 2**(l-1) .. base_n 2**l - 1, the
+    midpoints t_j = (2j + 1) h_l, h_l = T / (base_n 2**l), left to right,
+    with the weights phi_h / sqrt(h_l/2) of ``_insertion_rows``.  With
+    a_l = phi_h(lambda, h_l, h_l), taken once per level,
+    phi_h(lambda, t_j, h_l) = a_l e^(2 j h_l lambda), the factorisation of
+    ``refinement.level_sum``.  Each block's rows are formed when it is
+    reached, so no whole level is held; the first base_n 2**l positions
+    observe exactly the uniform grid of that size.
+    """
+    horizon, lam = system.horizon, system.eigenvalues
+    levels = ((hi - 1) // base_n).bit_length()
+    if levels:  # row l - 1: a_l / sqrt(h_l / 2) of level l
+        h = horizon / (base_n * 2 ** np.arange(1, levels + 1))
+        first = phi_h(lam, h[:, None], h[:, None]) / np.sqrt(h / 2.0)[:, None]
+    for at in range(lo, hi, block):
+        stop = min(at + block, hi)
+        parts = []
+        if at < base_n:
+            count = min(stop, base_n) - at
+            parts.append(_information_rows(
+                system, (np.arange(at, at + count) * horizon) / base_n,
+                np.array([horizon / base_n]), np.zeros(count, dtype=int)))
+            at += count
+        weights = []
+        while at < stop:  # one piece per level the block reaches
+            # level l's grid has m = base_n 2**l points, and its position p
+            # sits at 2 j h_l = (2 p - m) T / m
+            level = (at // base_n).bit_length()
+            m = base_n << level
+            end = min(stop, m)
+            weights.append(first[level - 1] * np.exp(
+                lam * ((np.arange(2 * at - m, 2 * end - m, 2) * horizon)
+                       / m)[:, None]))
+            at = end
+        if weights:
+            parts.append(_white_rows(system, weights[0] if len(weights) == 1
+                                     else np.concatenate(weights)))
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _accumulated_information(system: ModalSystem,
@@ -675,25 +730,25 @@ def _doubled_triples(system: ModalSystem, sizes):
     return total
 
 
-def _sample_space_trace(system: ModalSystem, m: int) -> tuple[float, float]:
-    """The undriven trace on the m-point uniform grid in sample space, and tr_prior.
+def _sample_space_chain(system: ModalSystem, base_n: int,
+                        top: int) -> tuple[np.ndarray, float]:
+    """Gains of the first ``top`` points of a dyadic chain on the prior, and tr_prior.
 
-    Sample j starts at ((j - 1) T) / m and has width T / m.  In the whitened
-    coordinates R^-1 rho, R = ``_prior_scale``, the prior is I and the
-    samples' rows are B = (``_information_rows``) R, so ``_observe`` with
-    the identity for P and weights ``_energy`` R^2 gives the drop from
-    tr_prior = ``_energy`` @ R^2: an (m r) x (m r) factorisation in place of
-    an N x N one, O((m r)^2 N).  tr_prior is returned too: the difference
-    loses about eps tr_prior / trace of its relative accuracy.
+    In the whitened coordinates R^-1 rho, R = ``_prior_scale``, the prior
+    is I and the chain's rows (``_dyadic_rows``, the base_n samples, then
+    each level's midpoints) are B = rows R, so ``_observe`` with the
+    identity for P and weights ``_energy`` R^2 gives each point's gain on
+    the points before it: one (top r) x (top r) factorisation in place of an
+    N x N one, O((top r)^2 N).  The first base_n 2**l points observe the
+    uniform grid of that size, so its trace is tr_prior minus their gains;
+    the difference loses about eps tr_prior / trace of its relative
+    accuracy.
     """
     scale = _prior_scale(system)
-    rows = _information_rows(system, (np.arange(m) * system.horizon) / m,
-                             np.array([system.horizon / m]),
-                             np.zeros(m, dtype=int)) * scale
     energy = _energy(system) * scale ** 2
-    gains, _ = _observe(None, rows, energy)
-    prior = float(energy.sum())
-    return prior - float(gains.sum()), prior
+    rows, = _dyadic_rows(system, base_n, 0, top, top)
+    gains, _ = _observe(None, rows * scale, energy)
+    return gains, float(energy.sum())
 
 
 def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
@@ -702,30 +757,37 @@ def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
     One trace per size m of ``sizes``, in their order; takes the grid sizes,
     never the grids.  A driven system takes the triples of every size from
     one ``_doubled_triples`` call, one kernel call and one squaring chain,
-    and conditions each size's Gam once.  An undriven size with m r at most
-    ``_SAMPLE_SPACE_SHARE`` N takes the sample space
-    (``_sample_space_trace``): one (m r) x (m r) factor, O((m r)^2 N).  It
-    keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR`` tr_prior,
-    where the subtraction has cancelled too many digits; then, as for every
-    larger m, it conditions the closed-form J (``_uniform_information``):
-    N^2 kernel values and one N x N factor, O(N^3), whatever m is.  A trace
-    the guard sends back pays for both routes.
+    and conditions each size's Gam once.  The undriven sizes with m r at
+    most ``_SAMPLE_SPACE_SHARE`` N take the sample space: those of one odd
+    part are the prefixes of one dyadic chain on the smallest of them, so
+    each such group is one ``_sample_space_chain``, one (m r) x (m r)
+    factor for its largest m, O((m r)^2 N), and a size's trace is tr_prior
+    minus the gains of its prefix (a lone size is a chain of one).  A
+    size keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR``
+    tr_prior, where the subtraction has cancelled too many digits; then, as
+    for every larger m, it conditions the closed-form J
+    (``_uniform_information``): N^2 kernel values and one N x N factor,
+    O(N^3), whatever m is.  A trace the guard sends back pays for both
+    routes.
     """
     sizes = [int(m) for m in sizes]
     if system.has_input_noise:
         return np.array([_trace(system, _condition(system, info), phi, noise)
                          for phi, info, noise in zip(
                              *_doubled_triples(system, sizes))])
-    traces = np.empty(len(sizes))
-    for i, m in enumerate(sizes):
+    kept = {}  # the sample-space traces the floor guard keeps, by size
+    chains: dict[int, list[int]] = {}  # the sample-space sizes by odd part
+    for m in set(sizes):
         if m * system.num_outputs <= _SAMPLE_SPACE_SHARE * system.num_modes:
-            trace, prior = _sample_space_trace(system, m)
+            chains.setdefault(m // (m & -m), []).append(m)
+    for chain in chains.values():
+        gains, prior = _sample_space_chain(system, min(chain), max(chain))
+        for m in chain:
+            trace = prior - float(gains[:m].sum())
             if trace >= _SAMPLE_SPACE_FLOOR * prior:
-                traces[i] = trace
-                continue
-        traces[i] = _trace(system, _condition(
-            system, _uniform_information(system, m)))
-    return traces
+                kept[m] = trace
+    return np.array([kept[m] if m in kept else _trace(system, _condition(
+        system, _uniform_information(system, m))) for m in sizes])
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):

@@ -126,11 +126,11 @@ def phi_h(lam, t: float, h: float):
     phi_h(lambda, t, h) = (2 e^(lambda t) - e^(lambda (t-h)) - e^(lambda (t+h))) / (2 lambda)
     evaluated in the cancellation-free product form
     -(lambda/2) e^(lambda (t-h)) I1(lambda, h)^2, with phi_h(0, t, h) = 0.
-    Requires 0 < h <= t so the backward exponential never grows; ``lam`` and
-    ``t`` may be arrays with broadcastable shapes.
+    Requires 0 < h <= t so the backward exponential never grows; ``lam``,
+    ``t`` and ``h`` may be arrays with broadcastable shapes.
     """
     t = np.asarray(t, dtype=float)
-    if not (h > 0 and np.all(h <= t)):
+    if not np.all((h > 0) & (h <= t)):
         raise ValueError("phi_h: need 0 < h <= t")
     lam = np.asarray(lam, dtype=complex)
     i1 = h * phi1(lam * h)

@@ -116,10 +116,15 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     diagonal entry.  The pivot order is fixed by the diagonal, so a factor
     has no freedom of basis in the near-null space, and it has one column
     per pivot taken.  The result is (..., d, w), w the most pivots any
-    matrix took; a factor with fewer is zero-padded to w columns.
+    matrix took; a factor with fewer is zero-padded to w columns.  A stack
+    whose every diagonal entry is zero (an undriven model's process noise)
+    takes no pivot, so its factors of width 0 are returned before any real
+    form is made.
     """
     d = cov.shape[-1]
     lead = cov.shape[:-2]
+    if not np.diagonal(cov, axis1=-2, axis2=-1).any():
+        return np.zeros((*lead, d, 0), dtype=complex)
     pairs = _pairs(pairing)
     s = _real_covariance(cov.reshape(-1, d, d), pairs)
     count = s.shape[0]

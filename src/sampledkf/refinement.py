@@ -12,21 +12,25 @@ shares one reference, the dyadic refinement of the largest n, which each
 coarse grid nests inside.  Each trace is taken from its grid size alone
 (``filter_core._uniform_traces``): no grid array is built for it.  Undriven,
 a reference costs N^2 kernel values and one N x N factor for any number of
-points, and a coarse grid of n points with n r <= 3N/4 rows costs
-O(n^2 r^2 N) in sample space.  Driven, the coarse grids, the reference
-and its check come from one stacked doubling: one kernel call and
-bit_length(m) - 1 squaring stages for the largest m, plus each size's
-digit joins.
+points, and the coarse grids of n points with n r <= 3N/4 rows are
+observed in sample space, those of one odd part as one dyadic chain: one
+O(n^2 r^2 N) update for the largest such n gives every smaller one as a
+prefix.  Driven, the coarse grids, the reference and its check come from
+one stacked doubling: one kernel call and bit_length(m) - 1 squaring
+stages for the largest m, plus each size's digit joins.
 
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
 (``filter_core.increment_variance``).  ``telescope_check`` verifies the
 identity numerically: it carries one posterior P_rho of the initial state,
 in the real coordinates of ``spectral_model``, from the base grid through
-every insertion: each block of at most ``_ROW_BLOCK`` of a level's points
-is one observation-space update (``filter_core._observe``, one float64
-Cholesky factor), so a block of B points costs
-O(B r N^2 + (B r)^2 N + (B r)^3) whatever the size of the set before it.
+every insertion, the midpoints of the dyadic chain on the base grid
+(``filter_core._dyadic_rows``, the row builder the coarse traces share):
+each block of at most ``_ROW_BLOCK`` points, across level ends, is one
+observation-space update (``filter_core._observe``, one float64 Cholesky
+factor), so a block of B points costs O(B r N^2 + (B r)^2 N + (B r)^3)
+whatever the size of the set before it, and the gains are split by level
+afterwards.
 ``level_sum`` isolates the per-level interpolation operator whose weighted
 norm drives every rate bound.  Its sum over a level's new points is
 geometric, the sum ``filter_core._geometric_sum`` also takes for the
@@ -38,7 +42,8 @@ midpoints of level k-1, and the points new at level k are its odd j.
 ``_dyadic_size`` checks n and k and forms the size for ``dyadic_grid``,
 ``telescope_check`` and ``level_sum``.  Only ``dyadic_grid`` builds a whole
 grid, for callers that want the array: traces and level sums take the size,
-and the telescope forms each level's new points (the odd j) directly.  All
+and the telescope forms the rows of its new points (the odd j) one block at
+a time, never a whole level.  All
 times are constructed as (integer * horizon) / denominator with
 denominators that double per level, which keeps membership across levels
 exact in floating point.  That needs the integers exact as doubles, so a
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _energy, _geometric_sum, _insertion_rows,
+from .filter_core import (_condition, _dyadic_rows, _energy, _geometric_sum,
                           _observe, _trace, _uniform_information,
                           _uniform_traces)
 from .kernels import _hermitize, phi_h
@@ -67,7 +72,7 @@ __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
 _NEGATIVE_SLACK = 1e-10
 #: Maximal admissible relative shift of the curve when the reference gains a level.
 _REFERENCE_TOLERANCE = 0.05
-#: Most points x modes the deepest telescope level may hold.
+#: Most points x modes of the deepest telescope level: a bound on its run time.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
 #: Points the telescope inserts with one ``_observe``; bounds its work
 #: arrays at (32 r, N) and its gram at (32 r)^2 whatever the level holds.
@@ -87,10 +92,12 @@ def _dyadic_size(base_n: int, level: int) -> int:
 def _too_deep(base_n: int, level: int, num_modes: int) -> bool:
     """True when a telescope level's new points times the modes exceed 2**24.
 
-    Level k of a base_n-point grid adds base_n 2**(k - 1) points, and the
-    telescope holds a complex phi_h value per point and mode, so its deepest
-    level may take at most 256 MiB.  From 26 levels on any base and N exceed
-    it, so the power is capped there and never grows without bound.
+    Level k of a base_n-point grid adds base_n 2**(k - 1) points.  The
+    telescope forms their rows one block at a time, so the bound sizes no
+    work array: it bounds the run time, about (points x modes) r N for the
+    deepest level, and with it the one gain per point the report holds.
+    From 26 levels on any base and N exceed it, so the power is capped
+    there and never grows without bound.
     """
     return base_n * num_modes * 2 ** (min(level, 26) - 1) > _DEEPEST_LEVEL_CELLS
 
@@ -231,18 +238,6 @@ class TelescopeReport:
     increments: tuple[np.ndarray, ...]
 
 
-def _new_points(system: ModalSystem, base_n: int, level: int):
-    """Mesh width h and the (points, N) phi_h values of the points new at ``level``.
-
-    The new points are the odd j of ``dyadic_grid``'s (j T) / m, formed
-    directly: the level's whole grid is never built.
-    """
-    m = _dyadic_size(base_n, level)
-    points = (np.arange(1, m, 2) * system.horizon) / m
-    h = system.horizon / m
-    return h, phi_h(system.eigenvalues[None, :], points[:, None], h)
-
-
 def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
                      levels: int):
     """Insertion gains per level and the posterior of rho after the last one.
@@ -250,27 +245,28 @@ def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
     One posterior P_rho = F^T F of the initial state on the base grid of
     base_n points, F = ``factor``, ``_condition``'s factor of the grid's
     closed-form J, is carried through every insertion (levels in order,
-    points left to right).  Each block of at most ``_ROW_BLOCK`` of a
-    level's points, on their whitened real rows
-    (``filter_core._insertion_rows``), is one ``filter_core._observe``,
-    O(B r N^2 + (B r)^2 N + (B r)^3) for B points, and P_rho - U^T U of its
-    factor U the posterior after it: its elimination order is the order of
-    insertion, so it gives each point's gain on the set inserted before it,
-    as one rank-r downdate per point would.  The dyadic construction fixes
-    every stencil: the neighbours t - h (or 0) and t + h of a point new at a
-    level already belong to the base set.
+    points left to right): positions base_n .. base_n 2**levels - 1 of the
+    dyadic chain (``filter_core._dyadic_rows``).  Each block of at most
+    ``_ROW_BLOCK`` of them, across level boundaries, is one
+    ``filter_core._observe``, O(B r N^2 + (B r)^2 N + (B r)^3) for B points,
+    and P_rho - U^T U of its factor U the posterior after it: its
+    elimination order is the order of insertion, so it gives each point's
+    gain on the set inserted before it, as one rank-r downdate per point
+    would.  The gains are split by level afterwards.  The dyadic
+    construction fixes every stencil: the neighbours t - h (or 0) and t + h
+    of a point new at a level already belong to the base set.
     """
     post = factor.T @ factor
     energy = _energy(system)
-    per_level: list[np.ndarray] = []
-    for level in range(1, levels + 1):
-        h, phis = _new_points(system, base_n, level)
-        gains = np.empty(len(phis))
-        for lo in range(0, len(phis), _ROW_BLOCK):
-            rows = _insertion_rows(system, phis[lo:lo + _ROW_BLOCK], h)
-            gains[lo:lo + _ROW_BLOCK], half = _observe(post, rows, energy)
-            post = _hermitize(post - half.T @ half)
-        per_level.append(gains)
+    top = base_n * 2 ** levels
+    gains = np.empty(top - base_n)
+    blocks = _dyadic_rows(system, base_n, base_n, top, _ROW_BLOCK)
+    for lo, rows in zip(range(0, top - base_n, _ROW_BLOCK), blocks):
+        gains[lo:lo + _ROW_BLOCK], half = _observe(post, rows, energy)
+        post = _hermitize(post - half.T @ half)
+    # level l holds positions base_n 2**(l-1) .. base_n 2**l - 1
+    per_level = np.split(gains, [base_n * (2 ** level - 1)
+                                 for level in range(1, levels)])
     return per_level, post
 
 
@@ -279,8 +275,9 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
 
     Inserts every midpoint in order (levels in order, points left to
     right), carrying one posterior of the initial state through one
-    observation-space update per block of a level's points; each gain equals
-    ``increment_variance`` on the set inserted so far.  The trace drop they
+    observation-space update per block of points, blocks running across
+    level ends; each gain equals ``increment_variance`` on the set inserted
+    so far.  The trace drop they
     should sum to is taken between the uniform grids of base_n and
     base_n 2**levels points, from the two sizes alone.  The residual is the
     absolute mismatch relative to the coarse trace, or the absolute mismatch

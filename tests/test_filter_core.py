@@ -30,7 +30,7 @@ from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _information_rows, _insertion_rows,
                                    _lower_inverse, _observe,
                                    _output_gram, _prior_scale,
-                                   _sample_space_trace,
+                                   _sample_space_chain,
                                    _solve_gram, _trace, _uniform_information,
                                    _uniform_traces)
 from sampledkf.spectral_model import _real_covariance, _times_a
@@ -47,6 +47,24 @@ def rel_frobenius(a, b):
 def heat(n=3, **kw):
     kw.setdefault("horizon", 1.0)
     return sk.build_heat_model(n, **kw)
+
+
+def _sample_space_trace(system, m):
+    """The sample-space trace of the m-point uniform grid alone, and tr_prior."""
+    gains, prior = _sample_space_chain(system, m, m)
+    return prior - float(gains.sum()), prior
+
+
+def _new_points(system, base_n, level):
+    """Mesh width h and the (points, N) phi_h values of the points new at ``level``.
+
+    Each point's phi_h(lambda, t, h) is taken directly at its time t, the odd
+    j of ``dyadic_grid``'s (j T) / m.
+    """
+    m = base_n * 2 ** level
+    points = (np.arange(1, m, 2) * system.horizon) / m
+    h = system.horizon / m
+    return h, sk.phi_h(system.eigenvalues[None, :], points[:, None], h)
 
 
 def _irregular_times(points, seed):
@@ -618,7 +636,7 @@ class TestRealConditioning:
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, base))
         for level, gains in enumerate(per_level, start=1):
-            h, phis = sk.refinement._new_points(sysm, 4, level)
+            h, phis = _new_points(sysm, 4, level)
             for got, phi in zip(gains, phis):
                 want, oracle = _modal_insert(oracle, sysm.output_coeffs.T * phi,
                                              h, sysm.r_cov, decay)
@@ -781,6 +799,72 @@ class TestSampleSpace:
             assert _uniform_traces(sysm, [m])[0] == 0.0
 
 
+def _counting_observe(monkeypatch, module):
+    """Count the ``_observe`` calls ``module`` makes; returns the list of row counts."""
+    real, calls = filter_core._observe, []
+
+    def counting(post, rows, energy):
+        calls.append(rows.shape[0])
+        return real(post, rows, energy)
+
+    monkeypatch.setattr(module, "_observe", counting)
+    return calls
+
+
+class TestDyadicChain:
+    """Sample-space sizes of one odd part observed as one dyadic chain."""
+
+    @pytest.mark.parametrize("modes, sizes, chains", [
+        (60, [4, 8, 16, 32], [32]), (20, [3, 4, 6, 12], [12, 4])])
+    def test_one_observation_per_odd_part(self, monkeypatch, modes, sizes,
+                                          chains):
+        # sizes of one odd part are prefixes of the chain on the smallest:
+        # 3, 6 and 12 share one factor and 4 stands alone
+        calls = _counting_observe(monkeypatch, filter_core)
+        _uniform_traces(heat(modes), sizes)
+        assert sorted(calls) == sorted(chains)
+
+    @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
+    def test_each_member_is_the_size_alone(self, model, two_output_heat):
+        # a lone size is a chain of one, with the rows of its own samples
+        sysm = _oracle_model(model, 60, 1.0, two_output_heat)
+        sizes = [3, 4, 6, 8, 12, 16] if sysm.num_outputs == 2 else [
+            3, 4, 6, 8, 12, 16, 24, 32]
+        chained = _uniform_traces(sysm, sizes)
+        for m, got in zip(sizes, chained):
+            alone = _uniform_traces(sysm, [m])[0]
+            assert alone == _sample_space_trace(sysm, m)[0]
+            assert _rel(got, alone) <= 1e-14, m
+
+    def test_a_member_below_the_floor_takes_the_closed_form(self, spy):
+        # high signal-to-noise heat: on the chain 2, 4, 8 the trace of 2
+        # stays above the floor and is kept, those of 4 and 8 cancel below
+        # it and condition the closed form, as each size alone does
+        sysm = sk.build_heat_model(20, horizon=1.0, r_scalar=1.5e-3)
+        gains, prior = _sample_space_chain(sysm, 2, 8)
+        floor = filter_core._SAMPLE_SPACE_FLOOR * prior
+        assert prior - gains[:2].sum() >= floor
+        assert prior - gains[:4].sum() < floor and prior - gains.sum() < floor
+        got = _uniform_traces(sysm, [2, 4, 8])
+        assert len(spy) == 2
+        assert got[0] == prior - float(gains[:2].sum())
+        assert got[1] == _closed_form_trace(sysm, 4)
+        assert got[2] == _closed_form_trace(sysm, 8)
+
+    @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
+    def test_level_gains_are_the_telescope_level_sums(self, model,
+                                                      two_output_heat):
+        # two starting routes, one row builder: the chain from the prior in
+        # sample space, and the telescope from the base grid's posterior
+        sysm = _oracle_model(model, 10, 1.0, two_output_heat)
+        levels = 4
+        gains, _ = _sample_space_chain(sysm, 4, 4 * 2 ** levels)
+        report = sk.telescope_check(sysm, 4, levels)
+        for level, want in enumerate(report.level_sums, start=1):
+            got = gains[4 * 2 ** (level - 1):4 * 2 ** level].sum()
+            assert _rel(got, want) <= 1e-12, level
+
+
 _BLOCKED_MODELS = [pytest.param(model, modes, id=f"{model}-N{modes}")
                    for model, modes in (("heat", 10), ("wave", 10),
                                         ("two-output-heat", 6))]
@@ -799,13 +883,15 @@ class TestBlockedDowndate:
     @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
     def test_the_block_size_moves_only_the_rounding(self, model, modes,
                                                     monkeypatch, two_output_heat):
-        # level 5 holds 64 points: two default blocks, or 21 of 3 and one of 1
+        # 5 levels insert 124 points: four blocks of 32 (the last of 28), or
+        # 41 of 3 and one of 1; blocks of 5 over 4 levels span level ends
         sysm = _oracle_model(model, modes, 1.0, two_output_heat)
-        want, want_post = self._carried(sysm, 5, 1, monkeypatch)
-        for block in (3, sk.refinement._ROW_BLOCK):
-            gains, post = self._carried(sysm, 5, block, monkeypatch)
-            assert np.max(np.abs(gains - want) / want) <= 1e-13, block
-            assert rel_frobenius(post, want_post) <= 1e-13, block
+        for levels, blocks in ((5, (3, sk.refinement._ROW_BLOCK)), (4, (5,))):
+            want, want_post = self._carried(sysm, levels, 1, monkeypatch)
+            for block in blocks:
+                gains, post = self._carried(sysm, levels, block, monkeypatch)
+                assert np.max(np.abs(gains - want) / want) <= 1e-13, block
+                assert rel_frobenius(post, want_post) <= 1e-13, block
 
     @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
     def test_a_level_of_several_blocks_matches_the_oracle(self, model, modes,
@@ -821,11 +907,19 @@ class TestBlockedDowndate:
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, sk.dyadic_grid(4, 0)))
         for level, gains in enumerate(per_level, start=1):
-            h, phis = sk.refinement._new_points(sysm, 4, level)
+            h, phis = _new_points(sysm, 4, level)
             for got, phi in zip(gains, phis):
                 want, oracle = _modal_insert(oracle, sysm.output_coeffs.T * phi,
                                              h, sysm.r_cov, decay)
                 assert _rel(got, want) <= 1e-13, level
+
+    def test_blocks_run_across_levels(self, monkeypatch):
+        # 60 new points over 4 levels of base 4: two blocks, not four
+        calls = _counting_observe(monkeypatch, sk.refinement)
+        report = sk.telescope_check(heat(10), 4, 4)
+        assert calls == [sk.refinement._ROW_BLOCK, 60 - sk.refinement._ROW_BLOCK]
+        assert [arr.size for arr in report.increments] == [
+            4 * 2 ** (level - 1) for level in range(1, 5)]
 
     @pytest.mark.parametrize("build", [sk.build_heat_model, sk.build_wave_model])
     def test_high_snr_keeps_the_telescope_identity(self, build):
@@ -841,7 +935,7 @@ class TestBlockedDowndate:
         decay = np.exp(sysm.eigenvalues * sysm.horizon)
         base = sk.dyadic_grid(4, 1)
         oracle = _complex_condition_oracle(sysm, _summed_information(sysm, base))
-        h, phis = sk.refinement._new_points(sysm, 4, 2)
+        h, phis = _new_points(sysm, 4, 2)
         for t, phi in zip(sk.dyadic_grid(4, 2)[::2], phis):
             want = _modal_insert(oracle, sysm.output_coeffs.T * phi, h,
                                  sysm.r_cov, decay)[0]
@@ -897,7 +991,7 @@ class TestObservationForm:
         energy = _energy(sysm)
         factor = _condition(sysm, _uniform_information(sysm, 4))
         base = factor.T @ factor
-        h, phis = sk.refinement._new_points(sysm, 4, 4)
+        h, phis = _new_points(sysm, 4, 4)
         rows = _insertion_rows(sysm, phis[:points], h)
         assert rows.shape == (points, 2, 10)
         block, half = _observe(base, rows, energy)
@@ -975,7 +1069,7 @@ class TestInformationRoute:
         m = base_n * 2 ** level
         monkeypatch.setattr(filter_core, "_accumulated_information", _refuse)
         monkeypatch.setattr(filter_core, "_uniform_information" if m <= 3
-                            else "_sample_space_trace", _refuse)
+                            else "_sample_space_chain", _refuse)
         assert _uniform_traces(sysm, [m])[0] > 0
 
     @pytest.mark.parametrize("which", [

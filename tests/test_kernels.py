@@ -142,9 +142,22 @@ class TestPhiH:
         assert out.shape == (2, 3)
         npt.assert_allclose(out[1, 0], sk.phi_h(-1.0, 1.0, 0.25), rtol=1e-15)
 
+    def test_array_mesh_widths(self):
+        # one width per row, as a dyadic chain takes a_l = phi_h(lam, h_l, h_l)
+        lam = np.array([-1.0, -4.0, 2.0j])
+        h = np.array([[0.25], [0.125]])
+        out = sk.phi_h(lam, h, h)
+        assert out.shape == (2, 3)
+        for row, width in zip(out, h[:, 0]):
+            npt.assert_array_equal(row, sk.phi_h(lam, width, width))
+
     def test_needs_room_to_the_left(self):
         with pytest.raises(ValueError, match="0 < h <= t"):
             sk.phi_h(-1.0, 0.1, 0.25)
+        for h in (np.array([0.1, 0.3]), np.array([0.1, -0.1]),
+                  np.array([0.1, np.nan])):
+            with pytest.raises(ValueError, match="0 < h <= t"):
+                sk.phi_h(-1.0, 0.2, h)
 
 
 class TestTransitionAgainstOracle:

@@ -382,6 +382,43 @@ class TestTransitionStack:
         assert sim.total == sim.head + times.size * sysm.num_outputs
 
 
+class TestZeroStack:
+    """An undriven model's all-zero process noise takes no pivot loop."""
+
+    @pytest.mark.parametrize("case", ["heat", "wave-tail", "driven-heat"])
+    def test_an_undriven_simulator_forms_no_real_covariance(self, case,
+                                                            monkeypatch):
+        # the prior's factor is closed form and the zero stack comes back
+        # before its real forms are made; a driven stack still forms them
+        sysm, times = {
+            "heat": (heat(), EIGHT_TIMES),
+            "wave-tail": (sk.build_wave_model(4, horizon=1.0),
+                          np.array([0.125, 0.25, 0.5, 0.875])),
+            "driven-heat": (heat(0.5), EIGHT_TIMES),
+        }[case]
+        calls = []
+        exact = montecarlo._real_covariance
+
+        def spy(cov, *args):
+            calls.append(cov.shape)
+            return exact(cov, *args)
+
+        monkeypatch.setattr(montecarlo, "_real_covariance", spy)
+        sim = _Simulator(sysm, times)
+        if sysm.has_input_noise:
+            assert calls == [sim.stack.noise_cov.shape]
+        else:
+            assert not calls and sim.width == 0
+
+    def test_a_zero_stack_has_the_pivot_loops_shape(self):
+        # width 0 and complex, whatever the leading shape, as the loop left
+        # it: a draw reads no normal from it either way
+        pairing = np.array([1, 0, 2])
+        for shape in ((3, 3), (4, 3, 3), (2, 4, 3, 3)):
+            got = _real_factor(np.zeros(shape, dtype=complex), pairing)
+            assert got.shape == (*shape[:-1], 0) and got.dtype == complex
+
+
 class TestNormalsCap:
     """A block of trials holds at most ``_BLOCK_NORMALS`` normals."""
 

@@ -10,7 +10,7 @@ import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
 from sampledkf.filter_core import (_accumulated_information, _condition,
                                    _uniform_information, _uniform_traces)
-from sampledkf.refinement import _new_points, _telescope_gains
+from sampledkf.refinement import _telescope_gains
 
 
 def single_mode(lam=-2.0, c=1.0, p=0.8):
@@ -26,6 +26,18 @@ def single_mode(lam=-2.0, c=1.0, p=0.8):
         pairing=np.array([0]),
         label="single",
     )
+
+
+def _new_points(system, base_n, level):
+    """Mesh width h and the (points, N) phi_h values of the points new at ``level``.
+
+    Each point's phi_h(lambda, t, h) is taken directly at its time t, the odd
+    j of ``dyadic_grid``'s (j T) / m.
+    """
+    m = base_n * 2 ** level
+    points = (np.arange(1, m, 2) * system.horizon) / m
+    h = system.horizon / m
+    return h, sk.phi_h(system.eigenvalues[None, :], points[:, None], h)
 
 
 def _no_work(*args, **kwargs):
@@ -424,7 +436,7 @@ class TestLevelSum:
 
     def test_deep_levels_build_no_grid(self, no_large_grids, monkeypatch):
         # level 51 of base 4 is a grid of 2**53 points; no point is formed
-        monkeypatch.setattr(sk.refinement, "_new_points", _no_work)
+        monkeypatch.setattr(sk.refinement, "_dyadic_rows", _no_work)
         wave = sk.build_wave_model(8, horizon=1.0)
         weights = sk.unit_weights(wave)
         previous = sk.level_sum(wave, 4, 12, weights)[0]
