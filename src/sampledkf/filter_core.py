@@ -3,9 +3,9 @@
 Every posterior and trace outside the recursion and the batch oracle
 conditions the diagonal prior P0 on an information matrix J, or on the Gam
 of a stretch triple (Phi, Gam, H), and takes H + Phi P Phi* of the posterior
-P of the state at the start.  ``_condition`` is the one N x N
-factorisation, and ``_observe`` (below) the one update in observation
-space.  ``_condition`` works in the real coordinates rho of
+P of the state at the start.  ``_condition`` is the one factorisation of
+an N x N matrix or of a stack of them, and ``_observe`` (below) the one
+update in observation space.  ``_condition`` works in the real coordinates rho of
 ``spectral_model`` (x = A rho, A made of each conjugate pair's sums and
 differences), where the prior stays diagonal, R^2 = P0 / D (p/2, p/2 on a
 pair).  Every model is paired, so it
@@ -21,7 +21,9 @@ F = Linv R, still lower triangular: the posterior of rho is P_rho = F^T F,
 and the prior scale R (``_prior_scale``) is applied there.  ``_lower_inverse``
 takes Linv by a recursion on halves: each half inverts itself, one pair of
 gemms joins them, and a block of at most ``_INVERSE_LEAF`` rows takes
-``np.linalg.inv``.  The posterior of x is A F^T F A*, and nothing more is
+``np.linalg.inv``.  A (S, N, N) stack is factored, inverted and traced
+in batches, each factor and trace with the bits of its matrix alone.
+The posterior of x is A F^T F A*, and nothing more is
 formed than a caller uses:
 
 - a trace (``_trace``) needs no P.  Undriven, the decay e^(AT) has equal
@@ -50,9 +52,10 @@ matrix J = sum_i H_i* (R d_i)^(-1) H_i: J alone gives the posterior of x
 uniform grid (j T) / m, j = 1..m, given by its size m, the sum over samples
 is geometric and J has a closed form (``_uniform_information``): N^2 kernel
 values whatever m is, built straight in real coordinates from the rows of
-one mode per conjugate pair, in float64 on a real spectrum.  The geometric
-sum itself (``_geometric_sum``, given the eigenvalues of its rows) also
-gives ``refinement.level_sum`` in closed form.  Times handed in as an array
+one mode per conjugate pair, in float64 on a real spectrum, for all the
+sizes of a call as one (S, N, N) stack.  The geometric sum itself (``_geometric_sum``, given
+the eigenvalues of its rows) also gives ``refinement.level_sum`` in
+closed form.  Times handed in as an array
 accumulate J_rho block by block (``_accumulated_information``), uniform or
 not: a sample's whitened rows are conjugate on each pair, so rows A is real
 (``_white_rows``, the one row builder of every observation of the initial
@@ -97,8 +100,8 @@ two to each other.
 (coarse grids, curve references and their checks, bound anchors, the fine
 end of a telescope): it takes the grid sizes m, never the grids, and makes
 no N x N posterior.  A driven system takes all its sizes from one
-``_doubled_triples`` call and conditions each size's Gam once.  Each
-undriven size takes one of two routes.
+``_doubled_triples`` call and conditions their Gam stack.  Each undriven
+size takes one of two routes.
 J_rho = B0^T B0 has rank at most m r, B0 the (m r, N) ``_information_rows``
 of the m samples, so when m r is at most ``_SAMPLE_SPACE_SHARE`` N = 3N/4
 it takes the observation-space form of the same update, Woodbury's
@@ -122,9 +125,11 @@ the n samples, then each level's midpoints), observed in one ``_observe``
 of its prefix; trace(n) - trace(2n) is then a sum of positive gains.  The
 difference with tr_prior loses about eps tr_prior / trace of its relative
 accuracy, so a trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at
-a high signal-to-noise ratio) falls back to the closed form.  Every larger
-m, and every trace the guard sends back, conditions the closed-form J
-once.  Only the sample space forms sample starts, at most 3N/4 of them.
+a high signal-to-noise ratio) falls back to the closed form
+(``_sample_space_traces`` keeps the others).  Every larger m, and every
+trace the guard sends back, conditions the closed-form J, all such sizes
+of a call as one stack, in the slices of ``kernels._batches``.  Only the
+sample space forms sample starts, at most 3N/4 of them.
 Times that callers pass in take ``information_filter``, which sums J over
 them, or ``sequential_filter``; this module never checks whether times
 form a uniform grid (``refinement.dyadic_grid`` builds one).
@@ -197,7 +202,8 @@ import numpy as np
 from ._scalars import phi1
 from .errors import GramSingularError
 from .kernels import (augmented_covariance, _batches, _hermitize,
-                      _integrated_output_map, phi_h, _transitions)
+                      _integrated_output_map, _mesh_phi_h, phi_h,
+                      _transitions)
 from .spectral_model import (ModalSystem, _from_real, _real_covariance,
                              _times_a, _to_real)
 
@@ -403,7 +409,8 @@ def _dyadic_rows(system: ModalSystem, base_n: int, lo: int, hi: int,
     level l >= 1 holds positions base_n 2**(l-1) .. base_n 2**l - 1, the
     midpoints t_j = (2j + 1) h_l, h_l = T / (base_n 2**l), left to right,
     with the weights phi_h / sqrt(h_l/2) of ``_insertion_rows``.  With
-    a_l = phi_h(lambda, h_l, h_l), taken once per level,
+    a_l = phi_h(lambda, h_l, h_l), taken once per level for every level by
+    ``kernels._mesh_phi_h``,
     phi_h(lambda, t_j, h_l) = a_l e^(2 j h_l lambda), the factorisation of
     ``refinement.level_sum``.  Each block's rows are formed when it is
     reached, so no whole level is held; the first base_n 2**l positions
@@ -413,7 +420,7 @@ def _dyadic_rows(system: ModalSystem, base_n: int, lo: int, hi: int,
     levels = ((hi - 1) // base_n).bit_length()
     if levels:  # row l - 1: a_l / sqrt(h_l / 2) of level l
         h = horizon / (base_n * 2 ** np.arange(1, levels + 1))
-        first = phi_h(lam, h[:, None], h[:, None]) / np.sqrt(h / 2.0)[:, None]
+        first = _mesh_phi_h(lam, h[:, None]) / np.sqrt(h / 2.0)[:, None]
     for at in range(lo, hi, block):
         stop = min(at + block, hi)
         parts = []
@@ -460,13 +467,15 @@ def _accumulated_information(system: ModalSystem,
 
 
 def _geometric_sum(system: ModalSystem, rows: np.ndarray,
-                   count: int) -> np.ndarray:
+                   counts) -> np.ndarray:
     """S[k, l] = sum_(j<count) e^(j x) for x = (conj(rows_k) + lambda_l) d.
 
     ``rows`` are the eigenvalues of the rows: the whole spectrum for
     ``refinement.level_sum``, one member per pair and every self-conjugate
-    mode for ``_uniform_information``.  With d = T / count the sum is one
-    quotient over the whole array,
+    mode for ``_uniform_information``.  ``counts`` is one count, for a
+    (rows, N) array, or a list of them, for the (S, rows, N) stack of one
+    such array per count.  With d = T / count the sum is one quotient over
+    the whole array,
 
         S = expm1(count x) / expm1(x),   S = count at x = 0,
 
@@ -478,80 +487,123 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray,
     structure.  ``np.expm1`` keeps full relative accuracy as x nears 0, so
     the error is set by the rounding of x and of count x, near x = 0 as far
     from it.
+
+    Counts of one odd part halve d exactly, so most of their numerators
+    share the argument count x (``_shared_expm1``); the denominators take
+    one ``np.expm1`` per count.  Every entry has the bits of its count alone.
     """
-    lam, d = system.eigenvalues, system.horizon / count
+    lam, stack = system.eigenvalues, np.atleast_1d(counts)
+    # counts are whole numbers below 2**53, exact as doubles
+    scale = stack.astype(float)[:, None, None]
+    d = system.horizon / scale[:, 0]
     if lam.imag.any():
-        x = (rows * d).conj()[:, None] + lam * d
+        x = (rows * d).conj()[:, :, None] + (lam * d)[:, None, :]
         x -= 2j * np.pi * np.round(x.imag / (2 * np.pi))
     else:
-        x = (rows * d).real[:, None] + (lam * d).real
-    return np.divide(np.expm1(count * x), np.expm1(x),
-                     out=np.full_like(x, count), where=x != 0)
+        x = (rows * d).real[:, :, None] + (lam * d).real[:, None, :]
+    num = _shared_expm1(scale * x, stack)
+    out = np.empty_like(x)
+    out[...] = scale
+    np.divide(num, np.expm1(x), out=out, where=x != 0)
+    return out if np.ndim(counts) else out[0]
 
 
-def _uniform_information(system: ModalSystem, m: int) -> np.ndarray:
-    """Closed-form J_rho = A* J A of the initial state on the uniform grid.
+def _shared_expm1(arg: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.expm1 of a (S, ...) stack of arguments, one per count of ``counts``.
 
-    On the m-point grid (j T) / m, j = 1..m, every width is d = T/m and
-    sample j starts at j d, so the sum over samples is geometric:
+    A count's arguments are compared with those of the first count of its
+    odd part, and only the entries that differ, those the reduction of Im x
+    aliased differently, take ``np.expm1`` again.  One numerator for the
+    whole horizon would not do: wave at N = 60 and m = 5 reduces aliased
+    entries to +-1.8e-15i rather than 0, where S is 5, not 0.
+    """
+    num = np.empty_like(arg)
+    first = {}  # the first index of each odd part
+    for i, m in enumerate(counts.tolist()):
+        ref = first.setdefault(m // (m & -m), i)
+        if ref == i:
+            np.expm1(arg[i], out=num[i])
+        else:
+            num[i] = num[ref]
+            np.expm1(arg[i], out=num[i], where=arg[i] != arg[ref])
+    return num
+
+
+def _uniform_information(system: ModalSystem, sizes) -> np.ndarray:
+    """Closed-form J_rho = A* J A of the initial state on uniform grids.
+
+    One (N, N) matrix per size m of ``sizes``, stacked (S, N, N) in their
+    order.  On the m-point grid (j T) / m, j = 1..m, every width is d = T/m
+    and sample j starts at j d, so the sum over samples is geometric:
 
         J[k, l] = W[k, l] d conj(phi1(lambda_k d)) phi1(lambda_l d) S[k, l],
 
     with W = C* R^-1 C and S = ``_geometric_sum``.  N^2 kernel values and no
-    sum over samples, whatever m is.  J_rho is the matrix ``_condition``
-    takes, in the real coordinates x = A rho of ``spectral_model``.
-    J[mate k, mate l] = conj(J[k, l]) by construction, so only the rows of
-    one member per pair and of each self-conjugate mode are evaluated.
-    Their columns take A through each pair's sums and differences
-    (``spectral_model._times_a``), and the row of a pair gives the real
-    rows 2 Re and 2 Im of both members, that of a self-conjugate mode its
-    real part.  On the identity pairing (heat) every number is real, so
-    J_rho = J is formed in float64.
+    sum over samples, whatever m is.  W is formed once, phi1 taken in one
+    call and S as one stack.  J_rho is the matrix
+    ``_condition`` takes, in the real coordinates x = A rho of
+    ``spectral_model``.  J[mate k, mate l] = conj(J[k, l]) by construction,
+    so only the rows of one member per pair and of each self-conjugate mode
+    are evaluated.  Their columns take A through each pair's sums and
+    differences (``spectral_model._times_a``), and the row of a pair gives
+    the real rows 2 Re and 2 Im of both members, that of a self-conjugate
+    mode its real part.  On the identity pairing (heat) every number is
+    real, so J_rho = J is formed in float64.  Each size's matrix has the
+    bits of the size alone.
     """
-    d = system.horizon / m
+    sizes = np.array(sizes, dtype=int).reshape(-1)
+    d = system.horizon / sizes
     lam = system.eigenvalues
-    shape = phi1(lam * d)
+    shape = phi1(lam * d[:, None])
     white = system._white_outputs
     pairs = system._pair_index
     if not pairs.first.size:
         shape, white = shape.real, white.real
     rows = np.concatenate([pairs.first, pairs.single])
-    block = ((white[:, rows].conj().T @ white)
-             * (d * np.outer(shape[rows].conj(), shape))
-             * _geometric_sum(system, lam[rows], m))
+    # asked for in C order: with W broadcast over the sizes, a product that
+    # keeps its operands' layout puts the size axis inside the rows
+    block = (np.multiply(white[:, rows].conj().T @ white, d[:, None, None]
+                         * (shape[:, rows].conj()[:, :, None]
+                            * shape[:, None, :]), order="C")
+             * _geometric_sum(system, lam[rows], sizes))
     if not pairs.first.size:
         return block
     block = _times_a(block, pairs)
     lead = pairs.first.size
-    info = np.empty((system.num_modes, system.num_modes))
-    info[pairs.first] = 2.0 * block[:lead].real
-    info[pairs.mate] = 2.0 * block[:lead].imag
-    info[pairs.single] = block[lead:].real
+    info = np.empty((sizes.size, system.num_modes, system.num_modes))
+    info[:, pairs.first] = 2.0 * block[:, :lead].real
+    info[:, pairs.mate] = 2.0 * block[:, :lead].imag
+    info[:, pairs.single] = block[:, lead:].real
     # J is Hermitian only to rounding, so the two triangles can differ in
     # the last bit; _real_covariance symmetrises the same way
-    return (info + info.T) / 2.0
+    return (info + info.swapaxes(-1, -2)) / 2.0
 
 
 def _lower_inverse(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of a nonsingular lower-triangular matrix, lower triangular too.
+    """The inverse of nonsingular lower-triangular matrices, lower triangular too.
 
-    A recursion on halves: low = [[L11, 0], [L21, L22]], upper half of n // 2
-    rows, has the inverse [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], so
-    each half inverts itself into its diagonal block of ``out`` and the join
-    costs one pair of gemms.  A block of at most ``_INVERSE_LEAF`` rows takes
-    ``np.linalg.inv``, whose rounding above the diagonal (LU pivots rows) is
-    cleared.  numpy alone, in the dtype of ``low``.  ``out`` is allocated
-    once, by the outermost call, and every block writes into a view of it.
+    ``low`` is one (N, N) matrix or a (..., N, N) stack of them, each
+    inverted on its own.  A recursion on halves: low = [[L11, 0], [L21, L22]],
+    upper half of n // 2 rows, has the inverse
+    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], so each half inverts itself
+    into its diagonal block of ``out`` and the join costs one pair of
+    gemms, batched over the stack.  A block of at most ``_INVERSE_LEAF``
+    rows takes one batched ``np.linalg.inv``, whose rounding above the
+    diagonal (LU pivots rows) is cleared.  numpy alone, in the dtype of
+    ``low``.  ``out`` is allocated once, by the outermost call, and every
+    block writes into a view of it.  Each matrix of a stack has the bits of
+    the matrix inverted alone.
     """
-    n = low.shape[0]
+    n = low.shape[-1]
     if n <= _INVERSE_LEAF:
         return np.multiply(np.linalg.inv(low), _LEAF_LOWER[:n, :n], out=out)
     if out is None:
         out = np.zeros_like(low)
     mid = n // 2
-    _lower_inverse(low[:mid, :mid], out[:mid, :mid])
-    _lower_inverse(low[mid:, mid:], out[mid:, mid:])
-    out[mid:, :mid] = -(out[mid:, mid:] @ (low[mid:, :mid] @ out[:mid, :mid]))
+    _lower_inverse(low[..., :mid, :mid], out[..., :mid, :mid])
+    _lower_inverse(low[..., mid:, mid:], out[..., mid:, mid:])
+    out[..., mid:, :mid] = -(out[..., mid:, mid:]
+                             @ (low[..., mid:, :mid] @ out[..., :mid, :mid]))
     return out
 
 
@@ -563,21 +615,24 @@ def _prior_scale(system: ModalSystem) -> np.ndarray:
 def _condition(system: ModalSystem, info: np.ndarray) -> np.ndarray:
     """The factor F of the posterior of rho, P_rho = F^T F, lower triangular.
 
-    The one N x N conditioning of the package: the diagonal prior P0
-    conditioned on the information ``info`` = J_rho = A* J A, a float64
-    matrix built in the real coordinates rho of ``spectral_model`` (x = A rho) by
-    ``_uniform_information``, ``_accumulated_information`` or
-    ``_step_triples``.  There the prior is diagonal too, P0_rho = P0 / D
-    (p/2, p/2 on a pair), and with R = P0_rho^(1/2) the whitened matrix
-    I + R J_rho R has every eigenvalue >= 1 (exact for zero prior variances
-    and rapidly decaying ones).  Its Cholesky factor L is inverted by
-    ``_lower_inverse``, and F = Linv R (``_prior_scale``) scales its
-    columns, so the posterior of x is A F^T F A*.
+    The one conditioning of the package: the diagonal prior P0 conditioned
+    on the information ``info`` = J_rho = A* J A, one float64 (N, N) matrix
+    or a (..., N, N) stack of them, built in the real coordinates rho of
+    ``spectral_model`` (x = A rho) by ``_uniform_information``,
+    ``_accumulated_information`` or ``_step_triples``.  There the prior is
+    diagonal too, P0_rho = P0 / D (p/2, p/2 on a pair), and with
+    R = P0_rho^(1/2) the whitened matrix I + R J_rho R has every eigenvalue
+    >= 1 (exact for zero prior variances and rapidly decaying ones).  One
+    batched Cholesky factors the whole stack, ``_lower_inverse`` inverts
+    every L, and F = Linv R (``_prior_scale``) scales its columns, so the
+    posterior of x is A F^T F A*.  Each factor of a stack has the bits of
+    its matrix conditioned alone.
     """
     scale = _prior_scale(system)
+    diagonal = np.arange(info.shape[-1])
     whitened = info * np.outer(scale, scale)
-    whitened.flat[::info.shape[0] + 1] += 1.0
-    return _lower_inverse(np.linalg.cholesky(whitened)) * scale[None, :]
+    whitened[..., diagonal, diagonal] += 1.0
+    return _lower_inverse(np.linalg.cholesky(whitened)) * scale
 
 
 def _energy(system: ModalSystem) -> np.ndarray:
@@ -591,21 +646,28 @@ def _energy(system: ModalSystem) -> np.ndarray:
     return decay ** 2 * system._pair_index.weights
 
 
-def _trace(system: ModalSystem, factor: np.ndarray, phi=None,
-           noise=None) -> float:
+def _trace(system: ModalSystem, factor: np.ndarray, phi=None, noise=None):
     """tr(H + Phi P Phi*) for the posterior P of x that ``factor`` gives.
 
     ``phi`` None stands for the undriven decay diag(e^(AT)): the trace is
     ``_energy`` weighting the column norms ||F[:, k]||^2.  A stretch triple's
     Phi_rho and H_rho = ``noise``, real, give the trace of x = A rho through
     A* A = D: tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2, one real gemm.  No
-    N x N posterior is formed.
+    N x N posterior is formed.  A stack of factors (and of triples) gives
+    the array of their traces, each last reduction that of its factor alone.
     """
     if phi is None:
-        return float(_energy(system) @ np.einsum("ij,ij->j", factor, factor))
+        energy = _energy(system)
+        norms = np.einsum("...ij,...ij->...j", factor, factor)
+        if factor.ndim == 2:
+            return float(energy @ norms)
+        return np.array([energy @ row for row in norms])
     weights = system._pair_index.weights
-    half = factor @ (phi.T * np.sqrt(weights)[None, :])
-    return float((weights * noise.diagonal()).sum() + np.vdot(half, half))
+    half = factor @ (phi.swapaxes(-1, -2) * np.sqrt(weights))
+    if factor.ndim == 2:
+        return float((weights * noise.diagonal()).sum() + np.vdot(half, half))
+    return np.array([(weights * h.diagonal()).sum() + np.vdot(f, f)
+                     for h, f in zip(noise, half)])
 
 
 def information_filter(system: ModalSystem, times) -> FilterRun:
@@ -751,31 +813,20 @@ def _sample_space_chain(system: ModalSystem, base_n: int,
     return gains, float(energy.sum())
 
 
-def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
-    """Posterior error traces E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
+def _sample_space_traces(system: ModalSystem, sizes) -> dict[int, float]:
+    """The undriven uniform traces the sample space keeps, by size.
 
-    One trace per size m of ``sizes``, in their order; takes the grid sizes,
-    never the grids.  A driven system takes the triples of every size from
-    one ``_doubled_triples`` call, one kernel call and one squaring chain,
-    and conditions each size's Gam once.  The undriven sizes with m r at
-    most ``_SAMPLE_SPACE_SHARE`` N take the sample space: those of one odd
-    part are the prefixes of one dyadic chain on the smallest of them, so
-    each such group is one ``_sample_space_chain``, one (m r) x (m r)
-    factor for its largest m, O((m r)^2 N), and a size's trace is tr_prior
-    minus the gains of its prefix (a lone size is a chain of one).  A
-    size keeps that trace unless it is below ``_SAMPLE_SPACE_FLOOR``
-    tr_prior, where the subtraction has cancelled too many digits; then, as
-    for every larger m, it conditions the closed-form J
-    (``_uniform_information``): N^2 kernel values and one N x N factor,
-    O(N^3), whatever m is.  A trace the guard sends back pays for both
-    routes.
+    The sizes m of ``sizes`` with m r at most ``_SAMPLE_SPACE_SHARE`` N
+    take the sample space: those of one odd part are the prefixes of one
+    dyadic chain on the smallest of them, so each such group is one
+    ``_sample_space_chain``, one (m r) x (m r) factor for its largest m,
+    O((m r)^2 N), and a size's trace is tr_prior minus the gains of its
+    prefix (a lone size is a chain of one).  A size keeps that trace unless
+    it is below ``_SAMPLE_SPACE_FLOOR`` tr_prior, where the subtraction has
+    cancelled too many digits; such a size is left out, as is every larger
+    m, for the closed form.
     """
-    sizes = [int(m) for m in sizes]
-    if system.has_input_noise:
-        return np.array([_trace(system, _condition(system, info), phi, noise)
-                         for phi, info, noise in zip(
-                             *_doubled_triples(system, sizes))])
-    kept = {}  # the sample-space traces the floor guard keeps, by size
+    kept = {}
     chains: dict[int, list[int]] = {}  # the sample-space sizes by odd part
     for m in set(sizes):
         if m * system.num_outputs <= _SAMPLE_SPACE_SHARE * system.num_modes:
@@ -786,8 +837,41 @@ def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
             trace = prior - float(gains[:m].sum())
             if trace >= _SAMPLE_SPACE_FLOOR * prior:
                 kept[m] = trace
-    return np.array([kept[m] if m in kept else _trace(system, _condition(
-        system, _uniform_information(system, m))) for m in sizes])
+    return kept
+
+
+def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
+    """Posterior error traces E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
+
+    One trace per size m of ``sizes``, in their order; takes the grid sizes,
+    never the grids.  A driven system takes the triples of every size from
+    one ``_doubled_triples`` call, one kernel call and one squaring chain.
+    An undriven size takes the sample space when ``_sample_space_traces``
+    keeps its trace.  Every other size, larger m or one the floor guard
+    sends back, conditions the closed-form J (``_uniform_information``):
+    N^2 kernel values and one N x N factor, O(N^3), whatever m is.  A trace
+    the guard sends back pays for both routes.  Both routes condition their
+    stack (Gam, or the J of the distinct closed-form sizes) in the slices of
+    ``kernels._batches``, the rule of ``_step_triples``: at most
+    ``_KERNEL_ELEMENTS`` N x N entries a slice and at least one size, so a
+    curve's sizes are one stack at N = 60, and from N = 182 each size is
+    conditioned alone and holds the memory it holds alone.  Each trace has
+    the bits of its size taken alone.
+    """
+    sizes = [int(m) for m in sizes]
+    if system.has_input_noise:
+        phi, gam, noise = _doubled_triples(system, sizes)
+        traces = np.empty(len(sizes))
+        for part in _batches(system, len(sizes)):
+            traces[part] = _trace(system, _condition(system, gam[part]),
+                                  phi[part], noise[part])
+        return traces
+    traces = _sample_space_traces(system, sizes)
+    closed = sorted(set(sizes) - traces.keys())
+    for part in _batches(system, len(closed)):
+        traces.update(zip(closed[part], _trace(system, _condition(
+            system, _uniform_information(system, closed[part])))))
+    return np.array([traces[m] for m in sizes])
 
 
 def _output_gram(system: ModalSystem, times: np.ndarray):

@@ -35,10 +35,11 @@ matrices, is symmetrised after assembly.
 
 ``_transitions`` evaluates these kernels for many step widths at once, on
 stacked (W, N, N) arguments, in batches of at most ``_KERNEL_ELEMENTS``
-kernel entries (``_batches``, which ``filter_core._step_triples`` also
-walks), and returns one ``AugmentedTransition`` whose fields carry
-a leading width axis; the filter recursion and the Monte Carlo take every
-transition of a grid from one such stack and index it by step.
+kernel entries (``_batches``, which ``filter_core`` also walks to form
+step triples and to condition stacks), and returns one
+``AugmentedTransition`` whose fields carry a leading width axis; the
+filter recursion and the Monte Carlo take every transition of a grid from
+one such stack and index it by step.
 ``transition_block`` is entry 0 of a stack of one width.  Every scalar
 kernel value is a function of its argument alone, so an entry of a stack
 equals, bit for bit, the same width's ``transition_block``.  With
@@ -137,6 +138,20 @@ def phi_h(lam, t: float, h: float):
     return -(lam / 2.0) * np.exp(lam * (t - h)) * i1 * i1
 
 
+def _mesh_phi_h(lam: np.ndarray, h) -> np.ndarray:
+    """phi_h(lambda, h, h), the kernel at the first mesh point, unchecked.
+
+    ``lam`` is a complex array and ``h`` a positive width or an array of
+    them that broadcasts against it.  At t = h the exponential of
+    ``phi_h`` is e^0 = 1 exactly, so -(lambda/2) I1(lambda, h)^2, in the
+    order of ``phi_h``'s products, has its bits.  A dyadic level's points
+    are t_j = (2j + 1) h, and phi_h(lambda, t_j, h) = e^(2 j h lambda) times
+    this (``filter_core._dyadic_rows``, ``refinement.level_sum``).
+    """
+    i1 = h * phi1(lam * h)
+    return -(lam / 2.0) * i1 * i1
+
+
 def transition_block(system: ModalSystem, h: float) -> AugmentedTransition:
     """Exact transition of (z, Y) over a step 0 < h <= T: the stack of one width."""
     stack = _transitions(system, [h])
@@ -173,7 +188,8 @@ def _batches(system: ModalSystem, count: int) -> list[slice]:
     """The batches of ``_transitions`` over a stack of ``count`` widths.
 
     Each slice holds at most ``_KERNEL_ELEMENTS`` N x N entries, and at
-    least one width.
+    least one width.  ``filter_core`` walks its stacks of step triples and
+    of matrices to condition in the same slices.
     """
     size = max(1, _KERNEL_ELEMENTS // system.num_modes ** 2)
     return [slice(lo, lo + size) for lo in range(0, count, size)]

@@ -15,7 +15,9 @@ a reference costs N^2 kernel values and one N x N factor for any number of
 points, and the coarse grids of n points with n r <= 3N/4 rows are
 observed in sample space, those of one odd part as one dyadic chain: one
 O(n^2 r^2 N) update for the largest such n gives every smaller one as a
-prefix.  Driven, the coarse grids, the reference and its check come from
+prefix.  The reference, its check and every coarse size the sample space
+does not keep are conditioned as one stack (one call at N = 60, one per
+size from N = 182).  Driven, the coarse grids, the reference and its check come from
 one stacked doubling: one kernel call and bit_length(m) - 1 squaring
 stages for the largest m, plus each size's digit joins.
 
@@ -60,9 +62,9 @@ import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
 from .filter_core import (_condition, _dyadic_rows, _energy, _geometric_sum,
-                          _observe, _trace, _uniform_information,
-                          _uniform_traces)
-from .kernels import _hermitize, phi_h
+                          _observe, _sample_space_traces, _trace,
+                          _uniform_information, _uniform_traces)
+from .kernels import _batches, _hermitize, _mesh_phi_h
 from .spectral_model import ModalSystem, _is_whole
 
 __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
@@ -279,7 +281,9 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
     level ends; each gain equals ``increment_variance`` on the set inserted
     so far.  The trace drop they
     should sum to is taken between the uniform grids of base_n and
-    base_n 2**levels points, from the two sizes alone.  The residual is the
+    base_n 2**levels points, from the two sizes alone: the fine size takes
+    the route ``filter_core._uniform_traces`` gives it, and when that is
+    the closed form its factor and the base grid's come from one stack.  The residual is the
     absolute mismatch relative to the coarse trace, or the absolute mismatch
     itself when the coarse trace is 0.  Undriven systems only.
     """
@@ -300,10 +304,17 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
             f"x modes are allowed")
     # the coarse trace and the carried posterior share the base grid's one
     # factor; both traces come from column norms, independent of the
-    # posterior and of the downdates they check
-    factor = _condition(system, _uniform_information(system, base_n))
+    # posterior and of the downdates they check.  The fine size takes the
+    # route _uniform_traces gives it, and a closed form shares the base
+    # grid's stack
+    top = base_n * 2 ** levels
+    kept = _sample_space_traces(system, [top])
+    sizes = [base_n] if top in kept else [base_n, top]
+    stacks = [_condition(system, _uniform_information(system, sizes[part]))
+              for part in _batches(system, len(sizes))]
+    factor = stacks[0][0]
     coarse = _trace(system, factor)
-    fine = float(_uniform_traces(system, [base_n * 2 ** levels])[0])
+    fine = kept[top] if top in kept else _trace(system, stacks[-1][-1])
     per_level, _ = _telescope_gains(system, factor, base_n, levels)
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
@@ -355,7 +366,7 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
         raise ValueError("weights must be positive and finite, one per mode")
     m = base_n * 2 ** level
     h = system.horizon / m
-    a = phi_h(system.eigenvalues, h, h)
+    a = _mesh_phi_h(system.eigenvalues, h)
     gram = ((system.output_coeffs.conj() @ system.output_coeffs.T)
             * np.outer(a.conj(), a)
             * _geometric_sum(system, system.eigenvalues, m // 2))

@@ -109,10 +109,10 @@ class ModalSystem:
         must declare it.
     label : short human-readable model id used in reports and CSV files.
 
-    Two private fields are derived once per model: ``_pair_index``, the
-    pairing's index arrays (``_pairs``), and ``_white_outputs``, the (r, N)
+    Three private fields are derived once per model: ``_pair_index``, the
+    pairing's index arrays (``_pairs``), ``_white_outputs``, the (r, N)
     rows of L^-1 C with L L^T = R, the output coefficients with whitened
-    noise.
+    noise, and ``_input_noise``, which ``has_input_noise`` reads.
     """
 
     eigenvalues: np.ndarray
@@ -127,6 +127,7 @@ class ModalSystem:
     label: str = "modal"
     _pair_index: _Pairs = field(init=False, repr=False, compare=False)
     _white_outputs: np.ndarray = field(init=False, repr=False, compare=False)
+    _input_noise: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=complex).ravel()
@@ -212,6 +213,8 @@ class ModalSystem:
         white = np.linalg.solve(np.linalg.cholesky(rc), cmat.T)
         white.setflags(write=False)
         object.__setattr__(self, "_white_outputs", white)
+        object.__setattr__(self, "_input_noise",
+                           bool(np.any(bmat != 0) and np.any(qc != 0)))
 
     @property
     def num_modes(self) -> int:
@@ -223,7 +226,8 @@ class ModalSystem:
 
     @property
     def has_input_noise(self) -> bool:
-        return bool(np.any(self.input_coeffs != 0) and np.any(self.q_cov != 0))
+        """True when some input coefficient and the input covariance are nonzero."""
+        return self._input_noise
 
     def weighted_prior_energy(self, weights) -> float:
         """E||x||^2 in the modal norm with the given positive weights."""

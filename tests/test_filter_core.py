@@ -190,7 +190,7 @@ class TestInformationForm:
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
         assert _uniform_traces(wave, [5])[0] == _trace(
-            wave, _condition(wave, _uniform_information(wave, 5)))
+            wave, _condition(wave, _uniform_information(wave, [5])[0]))
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_traces(wave, [5])[0], rtol=1e-14)
         wave = sk.build_wave_model(8, horizon=1.0)
@@ -304,8 +304,8 @@ class TestDoubling:
             assert traces[i] == _uniform_traces(sysm, [m])[0], m
 
     def test_a_driven_curve_takes_one_doubling(self, monkeypatch):
-        # coarse grids, reference and check: one kernel call, one factor
-        # per trace, and bit_length(largest size) - 1 squaring stages
+        # coarse grids, reference and check: one kernel call, one stack of
+        # factors, and bit_length(largest size) - 1 squaring stages
         counts = {"_transitions": 0, "_condition": 0, "_join": 0,
                   "squarings": 0}
 
@@ -325,7 +325,7 @@ class TestDoubling:
         curve = sk.discrepancy_curve(heat(20, q_scalar=0.5), n_values,
                                      reference_level=6, check_reference=True)
         assert counts["_transitions"] == 1
-        assert counts["_condition"] == len(n_values) + 2
+        assert counts["_condition"] == 1
         check = 2 * curve.reference_points
         assert counts["squarings"] == check.bit_length() - 1
 
@@ -362,7 +362,7 @@ class TestOneConditioning:
         trace = _uniform_traces(sysm, [12])[0]
         triple = (tuple(part[0] for part in _doubled_triples(sysm, [12]))[::2]
                   if sysm.has_input_noise else ())
-        assert len(spy) == 1 and trace == _trace(sysm, spy[0], *triple)
+        assert len(spy) == 1 and trace == _trace(sysm, spy[0][0], *triple)
         npt.assert_array_equal(spy[0], np.tril(spy[0]))
 
     @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
@@ -404,9 +404,10 @@ class TestOneConditioning:
 
     def test_telescope_gains(self, spy):
         # the base grid's factor serves the coarse trace and the carried
-        # posterior; the fine grid's serves the fine trace
+        # posterior; the fine grid's serves the fine trace, both from one
+        # stack
         sk.telescope_check(heat(6), 4, 2)
-        assert len(spy) == 2
+        assert len(spy) == 1 and spy[0].shape == (2, 6, 6)
 
     @pytest.mark.parametrize("model", [
         "heat", "wave", "two-output-heat", "mixed", "driven-heat",
@@ -436,6 +437,126 @@ class TestOneConditioning:
                                   0.125)
             sk.telescope_check(sysm, 4, 2)
         assert received and all(dtype == np.float64 for dtype in received)
+
+
+def _stack_model(model, two_output_heat):
+    return {"heat": lambda: heat(20),
+            "wave": lambda: sk.build_wave_model(20, horizon=1.0),
+            "wave-N60": lambda: sk.build_wave_model(60, horizon=1.0),
+            "wave-L3-T0.7": lambda: sk.build_wave_model(
+                20, domain_length=3.0, horizon=0.7),
+            "high-snr-heat": lambda: heat(20, r_scalar=1e-6),
+            "two-output-heat": lambda: two_output_heat(10),
+            "mixed": _mixed_model,
+            "heat-N100": lambda: heat(100),
+            "driven-heat": lambda: heat(20, q_scalar=0.5),
+            "driven-wave": lambda: _driven_wave(10)}[model]()
+
+
+# shuffled and duplicated lists; wave at N = 60 aliases at 3, 5 and 7; the
+# high signal-to-noise heat sends sample-space sizes back to the closed
+# form; at N = 100 a slice of kernels._batches holds 3 sizes, so the 5
+# closed-form sizes take two
+_STACKS = [
+    pytest.param("heat", [8192, 3, 100, 3, 7, 4096, 12, 100], id="heat"),
+    pytest.param("wave", [64, 5, 4096, 5, 3, 8192, 7, 1000], id="wave"),
+    pytest.param("wave-N60", [3, 5, 7, 4096], id="wave-N60"),
+    pytest.param("wave-L3-T0.7", [7, 4096, 14, 3, 2 ** 20], id="wave-L3-T0.7"),
+    pytest.param("high-snr-heat", [2, 4, 8, 12, 4096, 8], id="high-snr-heat"),
+    pytest.param("two-output-heat", [16, 2, 4096, 9, 1024, 16],
+                 id="two-output-heat"),
+    pytest.param("mixed", [1, 2, 4, 3, 64], id="mixed"),
+    pytest.param("heat-N100", [4096, 80, 1000, 96, 128], id="heat-N100"),
+    pytest.param("driven-heat", [257, 1, 64, 5, 64, 2 ** 12], id="driven-heat"),
+    pytest.param("driven-wave", [7, 100, 3, 2 ** 12, 7], id="driven-wave"),
+]
+
+
+class TestStackedConditioning:
+    """Every size of a call in one stack, each with the bits of the size alone."""
+
+    @pytest.mark.parametrize("model, sizes", _STACKS)
+    def test_a_size_in_a_stack_is_the_size_alone(self, model, sizes,
+                                                 two_output_heat):
+        # a size the sample space keeps is a prefix of its odd part's
+        # chain, which moves its rounding alone; every size a stack
+        # conditions keeps its bits
+        sysm = _stack_model(model, two_output_heat)
+        traces = _uniform_traces(sysm, sizes)
+        kept = ({} if sysm.has_input_noise
+                else filter_core._sample_space_traces(sysm, sizes))
+        for m, got in zip(sizes, traces):
+            alone = _uniform_traces(sysm, [m])[0]
+            assert got == alone if m not in kept else _rel(got, alone) <= 1e-14
+        if sysm.has_input_noise:
+            return
+        stack = _uniform_information(sysm, sizes)
+        assert stack.shape == (len(sizes), sysm.num_modes, sysm.num_modes)
+        factors = _condition(sysm, stack)
+        for i, m in enumerate(sizes):
+            alone = _uniform_information(sysm, [m])
+            npt.assert_array_equal(stack[i], alone[0])
+            npt.assert_array_equal(factors[i], _condition(sysm, alone[0]))
+            assert _trace(sysm, factors)[i] == _trace(sysm, factors[i])
+
+    def test_the_high_snr_case_falls_back(self):
+        # the floor guard hands every sample-space size of the high-snr
+        # list back to the stack
+        sysm = heat(20, r_scalar=1e-6)
+        assert not filter_core._sample_space_traces(sysm, [2, 4, 8, 12])
+
+    @pytest.mark.parametrize("model", ["heat", "wave", "driven-heat",
+                                       "driven-wave"])
+    def test_the_empty_list(self, model, two_output_heat):
+        sysm = _stack_model(model, two_output_heat)
+        assert _uniform_traces(sysm, []).shape == (0,)
+        n = sysm.num_modes
+        assert _uniform_information(sysm, []).shape == (0, n, n)
+        assert _condition(sysm, np.zeros((0, n, n))).shape == (0, n, n)
+
+    @pytest.mark.parametrize("n", [5, 32, 33, 65, 100])
+    def test_lower_inverse_of_a_stack(self, n):
+        stack = np.stack([_random_lower(n + k, float)[:n, :n]
+                          for k in range(3)])
+        got = _lower_inverse(stack)
+        for low, inverse in zip(stack, got):
+            npt.assert_array_equal(inverse, _lower_inverse(low))
+
+    @pytest.mark.parametrize("family", ["heat", "wave"])
+    def test_a_curve_conditions_its_closed_form_sizes_once(self, spy, family):
+        # at N = 60 the sizes 4..32 take the sample space; 64, the
+        # reference and its check are one stack of one _condition call
+        build = sk.build_heat_model if family == "heat" else sk.build_wave_model
+        curve = sk.discrepancy_curve(build(60, horizon=1.0),
+                                     [4, 8, 16, 32, 64], reference_level=6)
+        assert len(spy) == 1 and spy[0].shape == (3, 60, 60)
+        assert curve.reference_points == 4096
+
+    def test_a_large_model_conditions_each_size_alone(self, spy):
+        # from N = 182 a kernel batch holds one N x N matrix: the reference
+        # and its check take one _condition call each, as each size alone
+        sysm = heat(200)
+        assert filter_core._batches(sysm, 2) == [slice(0, 1), slice(1, 2)]
+        _uniform_traces(sysm, [4, 4096, 8192])
+        assert [factor.shape for factor in spy] == [(1, 200, 200)] * 2
+
+    def test_a_list_over_two_slices_makes_two_calls(self, spy):
+        sysm = heat(100)
+        _uniform_traces(sysm, [4096, 80, 1000, 96, 128])
+        assert [factor.shape[0] for factor in spy] == [3, 2]
+
+    @pytest.mark.parametrize("modes, levels, stacked", [
+        (6, 2, (2, 6, 6)), (60, 2, (1, 60, 60))])
+    def test_a_telescope_stacks_its_closed_form_sizes(self, spy, modes,
+                                                      levels, stacked):
+        # the fine size keeps _uniform_traces' route: 16 points of 6 modes
+        # take the closed form beside the base grid, 16 of 60 the sample
+        # space, and the base grid is conditioned alone
+        sysm = heat(modes)
+        report = sk.telescope_check(sysm, 4, levels)
+        assert len(spy) == 1 and spy[0].shape == stacked
+        fine = _uniform_traces(sysm, [4 * 2 ** levels])[0]
+        assert report.trace_drop == _closed_form_trace(sysm, 4) - fine
 
 
 def _complex_condition_oracle(system, info, phi=None, noise=None):
@@ -602,7 +723,7 @@ class TestRealConditioning:
             phi, info, noise = _modal_triple(
                 sysm, *((part[0] for part in _doubled_triples(sysm, [m]))
                         if sysm.has_input_noise
-                        else (None, _uniform_information(sysm, m), None)))
+                        else (None, _uniform_information(sysm, [m])[0], None)))
             if phi is None:
                 phi = np.diag(np.exp(sysm.eigenvalues * horizon))
             want = np.trace(_complex_condition_oracle(sysm, info, phi, noise)).real
@@ -632,7 +753,7 @@ class TestRealConditioning:
         gain = _modal_insert(oracle, chm, h, sysm.r_cov, decay)[0]
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
         per_level, _ = sk.refinement._telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 3)
+            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, 3)
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, base))
         for level, gains in enumerate(per_level, start=1):
@@ -649,7 +770,7 @@ class TestRealConditioning:
         if family == "undeclared":
             # a real model declared without a pairing gets the identity one
             sysm = dataclasses.replace(sysm, pairing=None)
-        linv = _condition(sysm, _uniform_information(sysm, 16))
+        linv = _condition(sysm, _uniform_information(sysm, [16])[0])
         assert linv.dtype == np.float64
         npt.assert_array_equal(linv, np.tril(linv))
 
@@ -709,7 +830,7 @@ class TestRealConditioning:
 
 def _closed_form_trace(system, m):
     """The undriven uniform trace through ``_condition`` of the closed-form J."""
-    return _trace(system, _condition(system, _uniform_information(system, m)))
+    return _trace(system, _condition(system, _uniform_information(system, [m])[0]))
 
 
 def _sample_space_oracle(system, m):
@@ -786,7 +907,7 @@ class TestSampleSpace:
             assert len(spy) == conditions, m
             assert (trace < filter_core._SAMPLE_SPACE_FLOOR * prior) == bool(
                 conditions)
-            assert got == (_trace(sysm, spy[0]) if conditions else trace)
+            assert got == (_trace(sysm, spy[0][0]) if conditions else trace)
 
     @pytest.mark.parametrize("m", [2, 40])
     def test_a_zero_trace_divides_by_nothing(self, m):
@@ -846,7 +967,7 @@ class TestDyadicChain:
         assert prior - gains[:2].sum() >= floor
         assert prior - gains[:4].sum() < floor and prior - gains.sum() < floor
         got = _uniform_traces(sysm, [2, 4, 8])
-        assert len(spy) == 2
+        assert len(spy) == 1 and spy[0].shape[0] == 2
         assert got[0] == prior - float(gains[:2].sum())
         assert got[1] == _closed_form_trace(sysm, 4)
         assert got[2] == _closed_form_trace(sysm, 8)
@@ -876,7 +997,7 @@ class TestBlockedDowndate:
     @staticmethod
     def _carried(sysm, levels, block, monkeypatch):
         monkeypatch.setattr(sk.refinement, "_ROW_BLOCK", block)
-        factor = _condition(sysm, _uniform_information(sysm, 4))
+        factor = _condition(sysm, _uniform_information(sysm, [4])[0])
         per_level, post = sk.refinement._telescope_gains(sysm, factor, 4, levels)
         return np.concatenate(per_level), post
 
@@ -903,7 +1024,7 @@ class TestBlockedDowndate:
         assert 4 * 2 ** (levels - 1) > sk.refinement._ROW_BLOCK
         decay = np.exp(sysm.eigenvalues * sysm.horizon)
         per_level, _ = sk.refinement._telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, levels)
+            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, levels)
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, sk.dyadic_grid(4, 0)))
         for level, gains in enumerate(per_level, start=1):
@@ -989,7 +1110,7 @@ class TestObservationForm:
         # r = 2: each point's gain is taken after the points before it
         sysm = two_output_heat(10)
         energy = _energy(sysm)
-        factor = _condition(sysm, _uniform_information(sysm, 4))
+        factor = _condition(sysm, _uniform_information(sysm, [4])[0])
         base = factor.T @ factor
         h, phis = _new_points(sysm, 4, 4)
         rows = _insertion_rows(sysm, phis[:points], h)
@@ -1112,7 +1233,7 @@ class TestClosedFormInformation:
         # wave modes +/- i pi k / L alias to x = 2 pi i j at n <= modes / 2
         # (L = 3, T = 0.7: at n = 7, k = 30)
         sysm = _closed_form_model(family, modes)
-        closed = _uniform_information(sysm, n)
+        closed = _uniform_information(sysm, [n])[0]
         assert closed.dtype == np.float64 and np.all(np.isfinite(closed))
         times = sk.dyadic_grid(n, 0, sysm.horizon)
         summed = _accumulated_information(sysm, times)
@@ -1126,7 +1247,7 @@ class TestClosedFormInformation:
         # a self-conjugate mode between two pairs, the undamped one aliased
         # at n = 1, 2, 4
         sysm = _mixed_model()
-        closed = _uniform_information(sysm, n)
+        closed = _uniform_information(sysm, [n])[0]
         assert closed.dtype == np.float64
         times = sk.dyadic_grid(n, 0, 1.0)
         summed = _accumulated_information(sysm, times)
@@ -1143,14 +1264,14 @@ class TestClosedFormInformation:
         sysm = build(10, horizon=1.0)
         n = 2 ** 18
         summed = _accumulated_information(sysm, sk.dyadic_grid(n, 0, 1.0))
-        assert rel_frobenius(_uniform_information(sysm, n), summed) <= 5e-14
+        assert rel_frobenius(_uniform_information(sysm, [n])[0], summed) <= 5e-14
 
     @pytest.mark.parametrize("n", [1, 3, 4, 64, 1000])
     def test_keeps_the_conjugate_mate_structure(self, n):
         # J[mate k, mate l] = conj(J[k, l]) makes J_rho = A* J A real: the
         # closed form is float64 and symmetric
         sysm = sk.build_wave_model(12, horizon=1.0)
-        closed = _uniform_information(sysm, n)
+        closed = _uniform_information(sysm, [n])[0]
         assert closed.dtype == np.float64
         npt.assert_array_equal(closed, closed.T)
 
@@ -1198,6 +1319,30 @@ class TestGeometricSum:
         assert np.all(np.isfinite(got))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("family", ["wave", "wave-L3-T0.7", "heat"])
+    def test_a_stack_matches_mpmath(self, family):
+        # wave at N = 60 aliases at 3, 5 and 7; a numerator shared across
+        # counts would give S = 0 for the entries 5 reduces to +-1.8e-15i
+        sysm = _geometric_model(family, 60)
+        counts = [3, 5, 7, 4096]
+        got = _geometric_sum(sysm, sysm.eigenvalues, counts)
+        assert got.shape == (4, 60, 60)
+        for count, stacked in zip(counts, got):
+            want = _geometric_oracle(sysm, count)
+            assert np.abs(stacked - want).max() <= 1e-14 * np.abs(want).max()
+            npt.assert_array_equal(
+                stacked, _geometric_sum(sysm, sysm.eigenvalues, count))
+
+    @pytest.mark.parametrize("counts", [[64, 4096, 8192, 2 ** 40],
+                                        [3, 6, 12, 3 * 2 ** 30],
+                                        [4, 8, 16, 32, 64]])
+    @pytest.mark.parametrize("family", _GEOMETRIC_FAMILIES)
+    def test_counts_of_one_odd_part_share_their_bits(self, family, counts):
+        sysm = _geometric_model(family, 60)
+        rows = sysm.eigenvalues[::3]
+        for count, stacked in zip(counts, _geometric_sum(sysm, rows, counts)):
+            npt.assert_array_equal(stacked, _geometric_sum(sysm, rows, count))
+
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 64, 4096, 2 ** 40])
     @pytest.mark.parametrize("family", _GEOMETRIC_FAMILIES)
     def test_rows_are_independent_of_the_row_set(self, family, count):
@@ -1224,7 +1369,7 @@ class TestGeometricSum:
         gram = sk.observability_gram(sysm) / sysm.r_cov[0, 0]
         want = (_real_covariance(gram[None], pairs)[0]
                 * np.outer(pairs.weights, pairs.weights))
-        got = _uniform_information(sysm, 2 ** 40)
+        got = _uniform_information(sysm, [2 ** 40])[0]
         assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
@@ -1281,7 +1426,7 @@ class TestRouteProperties:
         if uniform:
             decay = np.exp(sysm.eigenvalues * sysm.horizon)
             covs.append(_modal_posterior(
-                sysm, _condition(sysm, _uniform_information(sysm, uniform)),
+                sysm, _condition(sysm, _uniform_information(sysm, [uniform])[0]),
                 decay))
         mate = np.ix_(sysm.pairing, sysm.pairing)
         for cov in covs:

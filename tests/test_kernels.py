@@ -151,6 +151,20 @@ class TestPhiH:
         for row, width in zip(out, h[:, 0]):
             npt.assert_array_equal(row, sk.phi_h(lam, width, width))
 
+    @pytest.mark.parametrize("widths", [[0.25], [0.25, 0.125, 2.0 ** -20],
+                                        [1.0, 1.0 / 3.0, 1e-9]])
+    def test_the_mesh_point_form_is_phi_h_at_t_h(self, widths):
+        # the unchecked form the dyadic rows and level sums take at t = h:
+        # e^0 = 1 exactly, so the bits are those of phi_h(lam, h, h)
+        lam = np.concatenate([sk.build_heat_model(8, 1.0).eigenvalues,
+                              sk.build_wave_model(8).eigenvalues, [0.0]])
+        h = np.array(widths)[:, None]
+        npt.assert_array_equal(kernels._mesh_phi_h(lam, h),
+                               sk.phi_h(lam, h, h))
+        for width in widths:
+            npt.assert_array_equal(kernels._mesh_phi_h(lam, width),
+                                   sk.phi_h(lam, width, width))
+
     def test_needs_room_to_the_left(self):
         with pytest.raises(ValueError, match="0 < h <= t"):
             sk.phi_h(-1.0, 0.1, 0.25)

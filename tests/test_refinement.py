@@ -367,7 +367,7 @@ class TestCarriedPosterior:
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
         _, carried = _telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, 4)), 4, 8)
+            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, 8)
         # the carried P_rho against F^T F of the fine grid's summed J
         factor = _condition(
             sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8)))
@@ -489,7 +489,7 @@ class TestLevelSum:
         # a grid of 4 * 2**level points exceeds 2**53 from level 52 on, and
         # 10**30 is refused without forming 2**level
         monkeypatch.setattr(sk.refinement, "_geometric_sum", _no_work)
-        monkeypatch.setattr(sk.refinement, "phi_h", _no_work)
+        monkeypatch.setattr(sk.refinement, "_mesh_phi_h", _no_work)
         heat = sk.build_heat_model(4, horizon=1.0)
         with pytest.raises(ValueError, match=f"level={level} is too deep"):
             sk.level_sum(heat, 4, level, sk.unit_weights(heat))

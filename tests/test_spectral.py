@@ -128,6 +128,19 @@ class TestWaveBuilder:
 
 
 class TestModalSystemValidation:
+    @pytest.mark.parametrize("b, q", [(0.0, 0.5), (1.0, 0.0), (1.0, 0.5),
+                                      (0.0, 0.0)],
+                             ids=["b-zero", "q-zero", "both", "neither"])
+    def test_input_noise_is_derived_once(self, b, q):
+        # the flag is a field set in __post_init__, and replace re-derives it
+        sysm = custom_system([-1.0, -4.0], input_coeffs=np.full((2, 1), b + 0j),
+                             q_cov=np.array([[q]]))
+        want = bool(np.any(sysm.input_coeffs != 0) and np.any(sysm.q_cov != 0))
+        assert sysm.has_input_noise is want and sysm._input_noise is want
+        flipped = dataclasses.replace(sysm, q_cov=np.array([[0.5 - q]]),
+                                      input_coeffs=np.full((2, 1), 1.0 - b + 0j))
+        assert flipped.has_input_noise is bool((1.0 - b) and (0.5 - q))
+
     def test_positive_real_part_rejected(self):
         with pytest.raises(ValueError, match="Re"):
             custom_system([0.5])
