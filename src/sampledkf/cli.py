@@ -72,6 +72,11 @@ _SCHEMA = {
 
 _MODEL_KEYS = tuple(key for key in _SCHEMA if key.startswith("model."))
 
+#: Bound variant -> (its bound, the config keys it takes, in call order).
+_VARIANTS = {1: (theorem1_bound, ("gamma",)), 2: (theorem2_bound, ()),
+             3: (theorem3_bound, ("theorem3_case",)),
+             4: (theorem4_bound, ("nu", "eta")), 5: (theorem5_bound, ())}
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; strict about syntax and duplicates."""
@@ -190,17 +195,16 @@ def build_config(raw: dict[str, str],
         theorems = values.get("theorems")
         if not theorems:
             raise ConfigError("theorems: required for experiment 'bounds'")
-        bad = [t for t in theorems if t not in (1, 2, 3, 4, 5)]
+        bad = [t for t in theorems if t not in _VARIANTS]
         if bad:
             raise ConfigError(f"theorems: invalid variant(s) {bad}")
-        if 1 in theorems and "gamma" not in values:
-            raise ConfigError("gamma: required when theorems includes 1")
-        if 4 in theorems:
-            for key in ("nu", "eta"):
-                if key not in values:
-                    raise ConfigError(f"{key}: required when theorems includes 4")
         if 3 in theorems:
             values.setdefault("theorem3_case", "domain")
+        for variant in sorted(set(theorems)):
+            for key in _VARIANTS[variant][1]:
+                if key not in values:
+                    raise ConfigError(f"{key}: required when theorems "
+                                      f"includes {variant}")
     if experiment in ("telescope", "levelsum"):
         base_key, levels_key = f"{experiment}_n", f"{experiment}_levels"
         for key in (base_key, levels_key):
@@ -322,26 +326,10 @@ def _make_bounds(config: ExperimentConfig, model: ModalSystem,
     first = int(np.argmin(curve.n_values))
     n_anchor = int(curve.n_values[first])
     trace = float(curve.coarse_traces[first])
-    bounds = []
-    for variant in config.values["theorems"]:
-        if variant == 1:
-            bounds.append(theorem1_bound(model, n_anchor,
-                                         config.values["gamma"],
-                                         coarse_trace=trace))
-        elif variant == 2:
-            bounds.append(theorem2_bound(model, n_anchor, coarse_trace=trace))
-        elif variant == 3:
-            bounds.append(theorem3_bound(model, n_anchor,
-                                         config.values["theorem3_case"],
-                                         coarse_trace=trace))
-        elif variant == 4:
-            bounds.append(theorem4_bound(model, n_anchor,
-                                         config.values["nu"],
-                                         config.values["eta"],
-                                         coarse_trace=trace))
-        else:
-            bounds.append(theorem5_bound(model, n_anchor, coarse_trace=trace))
-    return bounds
+    return [bound(model, n_anchor, *(config.values[key] for key in keys),
+                  coarse_trace=trace)
+            for bound, keys in (_VARIANTS[variant]
+                                for variant in config.values["theorems"])]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[str, str | None]:

@@ -31,7 +31,7 @@ formed than a caller uses:
   ||F[:, k]||^2 comes from the column norms of F (``_energy`` holds the
   weights); a stretch triple, real in rho, gives
   tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2;
-- ``increment_variance`` and the telescope of ``refinement`` carry
+- ``increment_variance`` and the telescope (``_telescope``) carry
   P_rho = F^T F and observe whitened real rows in float64 (``_observe``, a
   block of points per Cholesky factor);
 - only ``information_filter``, which returns the covariance of z(T),
@@ -47,7 +47,7 @@ with d_i = t_i - t_(i-1), I1(lambda, d) = d phi1(lambda d) and
 dw ~ N(0, R d_i), is linear in the initial state x.  The increments are
 independent given x, so the posterior of x needs only the N x N information
 matrix J = sum_i H_i* (R d_i)^(-1) H_i: J alone gives the posterior of x
-(``increment_variance``, the telescope of ``refinement``), and the triple
+(``increment_variance``, ``_telescope``), and the triple
 (diag(e^(AT)), J, None) that of z(T) (``information_filter``).  On the
 uniform grid (j T) / m, j = 1..m, given by its size m, the sum over samples
 is geometric and J has a closed form (``_uniform_information``): N^2 kernel
@@ -60,7 +60,9 @@ accumulate J_rho block by block (``_accumulated_information``), uniform or
 not: a sample's whitened rows are conjugate on each pair, so rows A is real
 (``_white_rows``, the one row builder of every observation of the initial
 state, given a sample's weights by ``_information_rows``) and each block is
-one float64 (rows A)^T (rows A).
+one float64 (rows A)^T (rows A).  Along a dyadic chain (``_dyadic_rows``)
+the base grid's samples and each level's midpoints take one formula, so a
+block of positions is one ``_white_rows`` call whatever levels it spans.
 
 Driven systems on the uniform grid hand it the m-step stretch triple, built
 by structure-preserving doubling (``_doubled_triples``), since every step
@@ -128,8 +130,10 @@ accuracy, so a trace below ``_SAMPLE_SPACE_FLOOR`` = 1e-2 tr_prior (heat at
 a high signal-to-noise ratio) falls back to the closed form
 (``_sample_space_traces`` keeps the others).  Every larger m, and every
 trace the guard sends back, conditions the closed-form J, all such sizes
-of a call as one stack, in the slices of ``kernels._batches``.  Only the
-sample space forms sample starts, at most 3N/4 of them.
+of a call as one stack, in the slices of ``kernels._batches``
+(``_closed_factors``, the one closed-form loop, which the telescope's
+traces share).  Only the sample space forms sample starts, at most 3N/4 of
+them.
 Times that callers pass in take ``information_filter``, which sums J over
 them, or ``sequential_filter``; this module never checks whether times
 form a uniform grid (``refinement.dyadic_grid`` builds one).
@@ -179,17 +183,22 @@ y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise carries exactly (h/2) R of
 measurement noise, independent of the coarse set, so the insertion also
 downdates P by the rank-r term P C_h* G^(-1) C_h P.  Read through
 C diag(phi_h / sqrt(h/2)), the observation carries unit noise once whitened
-by R's Cholesky factor, and its rows in rho are real (``_insertion_rows``,
-through ``_white_rows``).  So an insertion is one more observation for
+by R's Cholesky factor, and its rows in rho are real (``_white_rows`` of
+the weights phi_h / sqrt(h/2)).  So an insertion is one more observation for
 ``_observe``, which takes a block of B points in float64 on P_rho: with C
 the stack of their rows, G = C P_rho C^T + I = L L^T and U = L^-1 C P_rho,
 one Cholesky factor, whose elimination order is the order of insertion,
 gives each point's gain, weighted by ``_energy``, and P_rho - U^T U is the
 posterior after the whole block.  ``increment_variance`` conditions P_rho
 on the summed J of the given base set and observes a block of one point,
-the one-insertion oracle; ``refinement.telescope_check`` carries one P_rho
-through the blocks of a dyadic chain's midpoints instead, the rows of
-``_dyadic_rows`` past its base, in blocks that run across levels.
+the one-insertion oracle.  ``_telescope``, behind
+``refinement.telescope_check``, carries one P_rho from the base grid's
+closed-form factor through the chain's midpoints in blocks of
+``_ROW_BLOCK`` that run across levels; its fine trace takes the route rule
+of ``_uniform_traces`` from ``_sample_space_traces`` and
+``_closed_factors``.  ``_sample_space_chain`` observes the same chain from
+the whitened identity prior in one block: an N x N prior there would cost
+the O(N^2) work the sample space avoids.
 """
 
 from __future__ import annotations
@@ -227,6 +236,11 @@ _SAMPLE_SPACE_SHARE = 0.75
 #: minus a nearly equal term, and below this share it loses more digits
 #: than the closed form (high signal-to-noise heat, ``BENCH_sample_space.json``).
 _SAMPLE_SPACE_FLOOR = 1e-2
+#: Points the telescope inserts with one ``_observe``; bounds its work
+#: arrays at (32 r, N) and its gram at (32 r)^2 whatever the level holds.
+#: 32-48 points ran fastest at 10-12 levels of heat and wave, N = 10 and
+#: 60, r = 1 and 2 (``BENCH_blocked_telescope.json``).
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -365,8 +379,8 @@ def _white_rows(system: ModalSystem, weights: np.ndarray) -> np.ndarray:
     (P, N), with noise of covariance R = L L^T, so its rows carry unit
     noise.  They are conjugate on each pair, so rows A is real
     (``spectral_model._times_a``).  The one row builder: ``_information_rows``
-    gives the weights of samples, ``_insertion_rows`` those of midpoints,
-    and ``_dyadic_rows`` both along a dyadic chain.
+    gives the weights of samples, ``increment_variance`` those of a
+    midpoint, and ``_dyadic_rows`` both along a dyadic chain.
     """
     rows = weights[:, None, :] * system._white_outputs[None, :, :]
     return np.ascontiguousarray(_times_a(rows, system._pair_index).real)
@@ -386,65 +400,57 @@ def _information_rows(system: ModalSystem, starts: np.ndarray,
     return _white_rows(system, np.exp(lam * starts[:, None]) * step[which])
 
 
-def _insertion_rows(system: ModalSystem, phis: np.ndarray,
-                    h: float) -> np.ndarray:
-    """The ``_white_rows`` of midpoints inserted at mesh width h.
-
-    ``phis`` is (P, N): phi_h(lambda, t, h) of each new point t.  Its
-    interpolated observation y(t) - (y(t-h) + y(t+h))/2 = C_h x + noise
-    reads x through C diag(phi_h) with (h/2) R of noise, so its weights are
-    phi_h / sqrt(h/2).  ``_dyadic_rows`` gives a chain's midpoints the same
-    weights, with a_l / sqrt(h/2) taken once per level.
-    """
-    return _white_rows(system, phis / np.sqrt(h / 2.0))
-
-
 def _dyadic_rows(system: ModalSystem, base_n: int, lo: int, hi: int,
                  block: int):
     """The ``_white_rows`` of positions lo..hi-1 of a dyadic chain, ``block`` at a time.
 
     The chain on base_n points observes the nested uniform grids of
-    base_n 2**l points in insertion order: positions 0..base_n-1 are the
-    base grid's samples of width T / base_n (``_information_rows``), and
-    level l >= 1 holds positions base_n 2**(l-1) .. base_n 2**l - 1, the
-    midpoints t_j = (2j + 1) h_l, h_l = T / (base_n 2**l), left to right,
-    with the weights phi_h / sqrt(h_l/2) of ``_insertion_rows``.  With
-    a_l = phi_h(lambda, h_l, h_l), taken once per level for every level by
-    ``kernels._mesh_phi_h``,
-    phi_h(lambda, t_j, h_l) = a_l e^(2 j h_l lambda), the factorisation of
-    ``refinement.level_sum``.  Each block's rows are formed when it is
-    reached, so no whole level is held; the first base_n 2**l positions
-    observe exactly the uniform grid of that size.
+    base_n 2**l points in insertion order.  Level l holds c_l positions
+    from f_l on: level 0 the base grid's samples, f_0 = 0 and
+    c_0 = base_n, and level l >= 1 the midpoints of level l - 1, left to
+    right, f_l = c_l = base_n 2**(l-1).  Each level has one weight row
+    w_l, and its position p the weights w_l e^(lambda s_p),
+    s_p = ((p - f_l) T) / c_l:
+
+    - level 0's samples of width d = T / base_n start at s_p, so
+      w_0 = phi1(lambda d) sqrt(d), the weights of ``_information_rows``;
+    - level l's midpoints t = s_p + h_l, h_l = T / (base_n 2**l), carry
+      the insertion weights phi_h / sqrt(h_l/2) of ``increment_variance``,
+      and phi_h(lambda, t, h_l) = a_l e^(lambda s_p) with
+      a_l = phi_h(lambda, h_l, h_l) (``kernels._mesh_phi_h``, the
+      factorisation of ``refinement.level_sum``), so
+      w_l = a_l / sqrt(h_l/2).
+
+    Each w_l is taken once, w_0 only when ``lo`` is inside the base grid,
+    and each block is one ``_white_rows`` call when it is reached; the
+    first base_n 2**l positions observe exactly the uniform grid of that
+    size.
     """
     horizon, lam = system.horizon, system.eigenvalues
     levels = ((hi - 1) // base_n).bit_length()
-    if levels:  # row l - 1: a_l / sqrt(h_l / 2) of level l
-        h = horizon / (base_n * 2 ** np.arange(1, levels + 1))
-        first = _mesh_phi_h(lam, h[:, None]) / np.sqrt(h / 2.0)[:, None]
-    for at in range(lo, hi, block):
-        stop = min(at + block, hi)
-        parts = []
-        if at < base_n:
-            count = min(stop, base_n) - at
-            parts.append(_information_rows(
-                system, (np.arange(at, at + count) * horizon) / base_n,
-                np.array([horizon / base_n]), np.zeros(count, dtype=int)))
-            at += count
-        weights = []
+    h = horizon / (base_n * 2 ** np.arange(1, levels + 1))
+    w = np.empty((levels + 1, lam.size), dtype=complex)
+    w[1:] = _mesh_phi_h(lam, h[:, None]) / np.sqrt(h / 2.0)[:, None]
+    if lo < base_n:
+        d = horizon / base_n
+        w[0] = phi1(lam * d) * np.sqrt(d)
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        weights = np.empty((stop - start, lam.size), dtype=complex)
+        at = start
         while at < stop:  # one piece per level the block reaches
-            # level l's grid has m = base_n 2**l points, and its position p
-            # sits at 2 j h_l = (2 p - m) T / m
             level = (at // base_n).bit_length()
-            m = base_n << level
-            end = min(stop, m)
-            weights.append(first[level - 1] * np.exp(
-                lam * ((np.arange(2 * at - m, 2 * end - m, 2) * horizon)
-                       / m)[:, None]))
+            count = base_n << max(level - 1, 0)
+            first = count if level else 0
+            end = min(stop, first + count)
+            decay = np.exp(lam * ((np.arange(at - first, end - first)
+                                   * horizon) / count)[:, None])
+            # a complex product can change in its last bit when its
+            # operands swap: the base grid keeps _information_rows' order
+            pair = (w[level], decay) if level else (decay, w[0])
+            np.multiply(*pair, out=weights[at - start:end - start])
             at = end
-        if weights:
-            parts.append(_white_rows(system, weights[0] if len(weights) == 1
-                                     else np.concatenate(weights)))
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield _white_rows(system, weights)
 
 
 def _accumulated_information(system: ModalSystem,
@@ -472,10 +478,9 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray,
 
     ``rows`` are the eigenvalues of the rows: the whole spectrum for
     ``refinement.level_sum``, one member per pair and every self-conjugate
-    mode for ``_uniform_information``.  ``counts`` is one count, for a
-    (rows, N) array, or a list of them, for the (S, rows, N) stack of one
-    such array per count.  With d = T / count the sum is one quotient over
-    the whole array,
+    mode for ``_uniform_information``.  ``counts`` is a list of counts,
+    and S the (S, rows, N) stack of one such array per count.  With
+    d = T / count the sum is one quotient over the whole array,
 
         S = expm1(count x) / expm1(x),   S = count at x = 0,
 
@@ -492,7 +497,7 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray,
     share the argument count x (``_shared_expm1``); the denominators take
     one ``np.expm1`` per count.  Every entry has the bits of its count alone.
     """
-    lam, stack = system.eigenvalues, np.atleast_1d(counts)
+    lam, stack = system.eigenvalues, np.asarray(counts)
     # counts are whole numbers below 2**53, exact as doubles
     scale = stack.astype(float)[:, None, None]
     d = system.horizon / scale[:, 0]
@@ -505,7 +510,7 @@ def _geometric_sum(system: ModalSystem, rows: np.ndarray,
     out = np.empty_like(x)
     out[...] = scale
     np.divide(num, np.expm1(x), out=out, where=x != 0)
-    return out if np.ndim(counts) else out[0]
+    return out
 
 
 def _shared_expm1(arg: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -647,25 +652,22 @@ def _energy(system: ModalSystem) -> np.ndarray:
 
 
 def _trace(system: ModalSystem, factor: np.ndarray, phi=None, noise=None):
-    """tr(H + Phi P Phi*) for the posterior P of x that ``factor`` gives.
+    """tr(H + Phi P Phi*) for each posterior P of x a stack of factors gives.
 
-    ``phi`` None stands for the undriven decay diag(e^(AT)): the trace is
-    ``_energy`` weighting the column norms ||F[:, k]||^2.  A stretch triple's
-    Phi_rho and H_rho = ``noise``, real, give the trace of x = A rho through
-    A* A = D: tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2, one real gemm.  No
-    N x N posterior is formed.  A stack of factors (and of triples) gives
-    the array of their traces, each last reduction that of its factor alone.
+    ``factor`` is a (S, N, N) stack, and each trace is the last reduction
+    of its factor alone.  ``phi`` None stands for the undriven decay
+    diag(e^(AT)): the trace is ``_energy`` weighting the column norms
+    ||F[:, k]||^2.  A stack of stretch triples' Phi_rho and H_rho =
+    ``noise``, real, gives the trace of x = A rho through A* A = D:
+    tr(D H_rho) + ||F Phi_rho^T D^(1/2)||_F^2, one real gemm.  No N x N
+    posterior is formed.
     """
     if phi is None:
         energy = _energy(system)
         norms = np.einsum("...ij,...ij->...j", factor, factor)
-        if factor.ndim == 2:
-            return float(energy @ norms)
         return np.array([energy @ row for row in norms])
     weights = system._pair_index.weights
     half = factor @ (phi.swapaxes(-1, -2) * np.sqrt(weights))
-    if factor.ndim == 2:
-        return float((weights * noise.diagonal()).sum() + np.vdot(half, half))
     return np.array([(weights * h.diagonal()).sum() + np.vdot(f, f)
                      for h, f in zip(noise, half)])
 
@@ -840,6 +842,17 @@ def _sample_space_traces(system: ModalSystem, sizes) -> dict[int, float]:
     return kept
 
 
+def _closed_factors(system: ModalSystem, sizes: list[int]):
+    """``_condition``'s factors of the closed-form J of ``sizes``, a slice at a time.
+
+    Yields (part, factors) per slice of ``kernels._batches``: the sizes of
+    the slice, in their order, and the (S, N, N) stack of their factors.
+    """
+    for part in _batches(system, len(sizes)):
+        yield sizes[part], _condition(
+            system, _uniform_information(system, sizes[part]))
+
+
 def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
     """Posterior error traces E||z(T) - zhat||^2 on the samples (j T) / m, j = 1..m.
 
@@ -851,8 +864,9 @@ def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
     sends back, conditions the closed-form J (``_uniform_information``):
     N^2 kernel values and one N x N factor, O(N^3), whatever m is.  A trace
     the guard sends back pays for both routes.  Both routes condition their
-    stack (Gam, or the J of the distinct closed-form sizes) in the slices of
-    ``kernels._batches``, the rule of ``_step_triples``: at most
+    stack (Gam, or the J of the distinct closed-form sizes through
+    ``_closed_factors``) in the slices of ``kernels._batches``, the rule of
+    ``_step_triples``: at most
     ``_KERNEL_ELEMENTS`` N x N entries a slice and at least one size, so a
     curve's sizes are one stack at N = 60, and from N = 182 each size is
     conditioned alone and holds the memory it holds alone.  Each trace has
@@ -867,10 +881,9 @@ def _uniform_traces(system: ModalSystem, sizes) -> np.ndarray:
                                   phi[part], noise[part])
         return traces
     traces = _sample_space_traces(system, sizes)
-    closed = sorted(set(sizes) - traces.keys())
-    for part in _batches(system, len(closed)):
-        traces.update(zip(closed[part], _trace(system, _condition(
-            system, _uniform_information(system, closed[part])))))
+    for part, factors in _closed_factors(
+            system, sorted(set(sizes) - traces.keys())):
+        traces.update(zip(part, _trace(system, factors)))
     return np.array([traces[m] for m in sizes])
 
 
@@ -969,7 +982,8 @@ def increment_variance(system: ModalSystem, base_times, new_time: float,
         raise ValueError("base set intrudes into the insertion stencil")
 
     factor = _condition(system, _accumulated_information(system, base))
-    rows = _insertion_rows(system, phi_h(system.eigenvalues, t, h)[None], h)
+    rows = _white_rows(system, phi_h(system.eigenvalues, t, h)[None]
+                       / np.sqrt(h / 2.0))
     gains, _ = _observe(factor.T @ factor, rows, _energy(system))
     return float(gains[0])
 
@@ -999,3 +1013,34 @@ def _observe(post: np.ndarray | None, rows: np.ndarray,
     gram.flat[::gram.shape[0] + 1] += 1.0
     half = _lower_inverse(np.linalg.cholesky(gram)) @ cpost
     return (half * half).reshape(points, r, n).sum(axis=1) @ energy, half
+
+
+def _telescope(system: ModalSystem, base_n: int, top: int):
+    """The dyadic chain on base_n points observed up to position ``top``.
+
+    Returns (coarse, fine, gains, post): the traces of the uniform grids of
+    base_n and top = base_n 2**levels points, the (top - base_n,) gains of
+    the midpoints in chain order, and the posterior P_rho of the initial
+    state after the last of them.  The base grid's closed-form factor F
+    starts P_rho = F^T F; the fine size takes the route ``_uniform_traces``
+    gives it, and a closed form shares the base grid's ``_closed_factors``
+    stack.  Each block of at most ``_ROW_BLOCK`` midpoints of
+    ``_dyadic_rows``, across level ends, is one ``_observe``,
+    O(B r N^2 + (B r)^2 N + (B r)^3) for B points whatever the set before
+    it; its elimination order is the order of insertion, so it gives each
+    point's gain on the points before it.
+    """
+    traces = _sample_space_traces(system, [top])
+    stacks = list(_closed_factors(
+        system, [base_n] if top in traces else [base_n, top]))
+    for part, factors in stacks:
+        traces.update(zip(part, _trace(system, factors)))
+    factor = stacks[0][1][0]  # base_n leads the first slice
+    post = factor.T @ factor
+    energy = _energy(system)
+    gains = np.empty(top - base_n)
+    blocks = _dyadic_rows(system, base_n, base_n, top, _ROW_BLOCK)
+    for lo, rows in zip(range(0, top - base_n, _ROW_BLOCK), blocks):
+        gains[lo:lo + _ROW_BLOCK], half = _observe(post, rows, energy)
+        post = _hermitize(post - half.T @ half)
+    return float(traces[base_n]), float(traces[top]), gains, post

@@ -24,15 +24,11 @@ stages for the largest m, plus each size's digit joins.
 Refining one level at a time and one point at a time telescopes that same
 difference into a sum of one-insertion increments, each in closed form
 (``filter_core.increment_variance``).  ``telescope_check`` verifies the
-identity numerically: it carries one posterior P_rho of the initial state,
-in the real coordinates of ``spectral_model``, from the base grid through
-every insertion, the midpoints of the dyadic chain on the base grid
-(``filter_core._dyadic_rows``, the row builder the coarse traces share):
-each block of at most ``_ROW_BLOCK`` points, across level ends, is one
-observation-space update (``filter_core._observe``, one float64 Cholesky
-factor), so a block of B points costs O(B r N^2 + (B r)^2 N + (B r)^3)
-whatever the size of the set before it, and the gains are split by level
-afterwards.
+identity numerically.  It checks its arguments, bounds the depth
+(``_too_deep``), splits by level the gains that ``filter_core._telescope``
+returns in chain order, and reports the residual against the trace drop;
+how the chain is observed and conditioned is ``filter_core``'s alone (see
+its docstring).
 ``level_sum`` isolates the per-level interpolation operator whose weighted
 norm drives every rate bound.  Its sum over a level's new points is
 geometric, the sum ``filter_core._geometric_sum`` also takes for the
@@ -61,10 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ReferenceUnconvergedError
-from .filter_core import (_condition, _dyadic_rows, _energy, _geometric_sum,
-                          _observe, _sample_space_traces, _trace,
-                          _uniform_information, _uniform_traces)
-from .kernels import _batches, _hermitize, _mesh_phi_h
+from .filter_core import _geometric_sum, _telescope, _uniform_traces
+from .kernels import _hermitize, _mesh_phi_h
 from .spectral_model import ModalSystem, _is_whole
 
 __all__ = ["dyadic_grid", "DiscrepancyCurve", "discrepancy_curve",
@@ -76,11 +70,6 @@ _NEGATIVE_SLACK = 1e-10
 _REFERENCE_TOLERANCE = 0.05
 #: Most points x modes of the deepest telescope level: a bound on its run time.
 _DEEPEST_LEVEL_CELLS = 2 ** 24
-#: Points the telescope inserts with one ``_observe``; bounds its work
-#: arrays at (32 r, N) and its gram at (32 r)^2 whatever the level holds.
-#: 32-48 points ran fastest at 10-12 levels of heat and wave, N = 10 and
-#: 60, r = 1 and 2 (``BENCH_blocked_telescope.json``).
-_ROW_BLOCK = 32
 
 
 def _dyadic_size(base_n: int, level: int) -> int:
@@ -240,52 +229,17 @@ class TelescopeReport:
     increments: tuple[np.ndarray, ...]
 
 
-def _telescope_gains(system: ModalSystem, factor: np.ndarray, base_n: int,
-                     levels: int):
-    """Insertion gains per level and the posterior of rho after the last one.
-
-    One posterior P_rho = F^T F of the initial state on the base grid of
-    base_n points, F = ``factor``, ``_condition``'s factor of the grid's
-    closed-form J, is carried through every insertion (levels in order,
-    points left to right): positions base_n .. base_n 2**levels - 1 of the
-    dyadic chain (``filter_core._dyadic_rows``).  Each block of at most
-    ``_ROW_BLOCK`` of them, across level boundaries, is one
-    ``filter_core._observe``, O(B r N^2 + (B r)^2 N + (B r)^3) for B points,
-    and P_rho - U^T U of its factor U the posterior after it: its
-    elimination order is the order of insertion, so it gives each point's
-    gain on the set inserted before it, as one rank-r downdate per point
-    would.  The gains are split by level afterwards.  The dyadic
-    construction fixes every stencil: the neighbours t - h (or 0) and t + h
-    of a point new at a level already belong to the base set.
-    """
-    post = factor.T @ factor
-    energy = _energy(system)
-    top = base_n * 2 ** levels
-    gains = np.empty(top - base_n)
-    blocks = _dyadic_rows(system, base_n, base_n, top, _ROW_BLOCK)
-    for lo, rows in zip(range(0, top - base_n, _ROW_BLOCK), blocks):
-        gains[lo:lo + _ROW_BLOCK], half = _observe(post, rows, energy)
-        post = _hermitize(post - half.T @ half)
-    # level l holds positions base_n 2**(l-1) .. base_n 2**l - 1
-    per_level = np.split(gains, [base_n * (2 ** level - 1)
-                                 for level in range(1, levels)])
-    return per_level, post
-
-
 def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeReport:
     """Verify that per-point increments telescope to the trace drop.
 
     Inserts every midpoint in order (levels in order, points left to
-    right), carrying one posterior of the initial state through one
-    observation-space update per block of points, blocks running across
-    level ends; each gain equals ``increment_variance`` on the set inserted
-    so far.  The trace drop they
-    should sum to is taken between the uniform grids of base_n and
-    base_n 2**levels points, from the two sizes alone: the fine size takes
-    the route ``filter_core._uniform_traces`` gives it, and when that is
-    the closed form its factor and the base grid's come from one stack.  The residual is the
-    absolute mismatch relative to the coarse trace, or the absolute mismatch
-    itself when the coarse trace is 0.  Undriven systems only.
+    right) on the dyadic chain of ``filter_core._telescope``; each gain
+    equals ``increment_variance`` on the set inserted so far.  The gains
+    are split by level, and the trace drop they should sum to is taken
+    between the uniform grids of base_n and base_n 2**levels points, from
+    the two sizes alone.  The residual is the absolute mismatch relative to
+    the coarse trace, or the absolute mismatch itself when the coarse trace
+    is 0.  Undriven systems only.
     """
     if system.has_input_noise:
         raise ValueError("telescope_check needs an undriven system; with input "
@@ -302,20 +256,11 @@ def telescope_check(system: ModalSystem, base_n: int, levels: int) -> TelescopeR
             f"points puts {base_n} * 2**{levels - 1} points of "
             f"{system.num_modes} modes in one level; at most 2**24 points "
             f"x modes are allowed")
-    # the coarse trace and the carried posterior share the base grid's one
-    # factor; both traces come from column norms, independent of the
-    # posterior and of the downdates they check.  The fine size takes the
-    # route _uniform_traces gives it, and a closed form shares the base
-    # grid's stack
     top = base_n * 2 ** levels
-    kept = _sample_space_traces(system, [top])
-    sizes = [base_n] if top in kept else [base_n, top]
-    stacks = [_condition(system, _uniform_information(system, sizes[part]))
-              for part in _batches(system, len(sizes))]
-    factor = stacks[0][0]
-    coarse = _trace(system, factor)
-    fine = kept[top] if top in kept else _trace(system, stacks[-1][-1])
-    per_level, _ = _telescope_gains(system, factor, base_n, levels)
+    coarse, fine, gains, _ = _telescope(system, base_n, top)
+    # level l holds positions base_n 2**(l-1) .. base_n 2**l - 1
+    per_level = np.split(gains, [base_n * (2 ** level - 1)
+                                 for level in range(1, levels)])
     total = float(sum(arr.sum() for arr in per_level))
     drop = coarse - fine
     # a coarse trace of 0 (e^(lambda T) underflowed, or no prior variance)
@@ -369,7 +314,7 @@ def level_sum(system: ModalSystem, base_n: int, level: int,
     a = _mesh_phi_h(system.eigenvalues, h)
     gram = ((system.output_coeffs.conj() @ system.output_coeffs.T)
             * np.outer(a.conj(), a)
-            * _geometric_sum(system, system.eigenvalues, m // 2))
+            * _geometric_sum(system, system.eigenvalues, [m // 2])[0])
     scale = 1.0 / np.sqrt(weights)
     gram = gram * scale[:, None] * scale[None, :]
     value = float(np.linalg.eigvalsh(_hermitize(gram))[-1])

@@ -137,6 +137,11 @@ class TestBuildConfig:
                      "nu: required when theorems includes 4", id="nu"),
         pytest.param("bounds", {"n_values": "2", "theorems": "4", "nu": "0.8"},
                      "eta: required when theorems includes 4", id="eta"),
+        # variants are checked in ascending order, whatever order they are
+        # listed in
+        pytest.param("bounds", {"n_values": "2", "theorems": "4, 1"},
+                     "gamma: required when theorems includes 1",
+                     id="gamma-before-nu"),
         pytest.param("telescope", {"telescope_levels": "2"},
                      "telescope_n: required for experiment 'telescope'",
                      id="telescope_n-missing"),

@@ -26,13 +26,13 @@ from sampledkf import filter_core
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _doubled_triples, _energy, _geometric_sum,
-                                   _information_rows, _insertion_rows,
+                                   _doubled_triples, _dyadic_rows, _energy,
+                                   _geometric_sum, _information_rows,
                                    _lower_inverse, _observe,
                                    _output_gram, _prior_scale,
-                                   _sample_space_chain,
-                                   _solve_gram, _trace, _uniform_information,
-                                   _uniform_traces)
+                                   _sample_space_chain, _solve_gram,
+                                   _telescope, _trace, _uniform_information,
+                                   _uniform_traces, _white_rows)
 from sampledkf.spectral_model import _real_covariance, _times_a
 
 FIVE_TIMES = np.linspace(0.2, 1.0, 5)
@@ -53,6 +53,12 @@ def _sample_space_trace(system, m):
     """The sample-space trace of the m-point uniform grid alone, and tr_prior."""
     gains, prior = _sample_space_chain(system, m, m)
     return prior - float(gains.sum()), prior
+
+
+def _level_gains(gains, base_n, levels):
+    """A chain's midpoint gains split by level, as ``telescope_check`` splits them."""
+    return np.split(gains, [base_n * (2 ** level - 1)
+                            for level in range(1, levels)])
 
 
 def _new_points(system, base_n, level):
@@ -190,7 +196,7 @@ class TestInformationForm:
         times = sk.dyadic_grid(5, 0, 1.0)
         wave = sk.build_wave_model(4, horizon=1.0)
         assert _uniform_traces(wave, [5])[0] == _trace(
-            wave, _condition(wave, _uniform_information(wave, [5])[0]))
+            wave, _condition(wave, _uniform_information(wave, [5])))[0]
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_traces(wave, [5])[0], rtol=1e-14)
         wave = sk.build_wave_model(8, horizon=1.0)
@@ -198,9 +204,9 @@ class TestInformationForm:
         npt.assert_allclose(sk.information_filter(wave, times).trace_err,
                             _uniform_traces(wave, [5])[0], rtol=1e-14)
         driven = heat(3, q_scalar=0.5)
-        phi, gam, noise = (part[0] for part in _doubled_triples(driven, [5]))
+        phi, gam, noise = _doubled_triples(driven, [5])
         assert _uniform_traces(driven, [5])[0] == _trace(
-            driven, _condition(driven, gam), phi, noise)
+            driven, _condition(driven, gam), phi, noise)[0]
         for run in (sk.sequential_filter(driven, times),
                     sk.batch_condition(driven, times)):
             npt.assert_allclose(_uniform_traces(driven, [5])[0], run.trace_err,
@@ -340,7 +346,6 @@ def spy(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(filter_core, "_condition", counting)
-    monkeypatch.setattr(sk.refinement, "_condition", counting)
     return calls
 
 
@@ -360,9 +365,9 @@ class TestOneConditioning:
     def test_uniform_trace(self, spy, make):
         sysm = make()
         trace = _uniform_traces(sysm, [12])[0]
-        triple = (tuple(part[0] for part in _doubled_triples(sysm, [12]))[::2]
+        triple = (_doubled_triples(sysm, [12])[::2]
                   if sysm.has_input_noise else ())
-        assert len(spy) == 1 and trace == _trace(sysm, spy[0][0], *triple)
+        assert len(spy) == 1 and trace == _trace(sysm, spy[0], *triple)[0]
         npt.assert_array_equal(spy[0], np.tril(spy[0]))
 
     @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
@@ -421,7 +426,6 @@ class TestOneConditioning:
             return real(system, info)
 
         monkeypatch.setattr(filter_core, "_condition", recording)
-        monkeypatch.setattr(sk.refinement, "_condition", recording)
         sysm = {"heat": lambda: heat(6),
                 "wave": lambda: sk.build_wave_model(6, horizon=1.0),
                 "two-output-heat": lambda: two_output_heat(6),
@@ -497,7 +501,7 @@ class TestStackedConditioning:
             alone = _uniform_information(sysm, [m])
             npt.assert_array_equal(stack[i], alone[0])
             npt.assert_array_equal(factors[i], _condition(sysm, alone[0]))
-            assert _trace(sysm, factors)[i] == _trace(sysm, factors[i])
+            assert _trace(sysm, factors)[i] == _trace(sysm, factors[i:i + 1])[0]
 
     def test_the_high_snr_case_falls_back(self):
         # the floor guard hands every sample-space size of the high-snr
@@ -752,8 +756,7 @@ class TestRealConditioning:
             sysm, _summed_information(sysm, base))
         gain = _modal_insert(oracle, chm, h, sysm.r_cov, decay)[0]
         assert _rel(sk.increment_variance(sysm, base, h, h), gain) <= 1e-13
-        per_level, _ = sk.refinement._telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, 3)
+        per_level = _level_gains(_telescope(sysm, 4, 32)[2], 4, 3)
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, base))
         for level, gains in enumerate(per_level, start=1):
@@ -830,7 +833,7 @@ class TestRealConditioning:
 
 def _closed_form_trace(system, m):
     """The undriven uniform trace through ``_condition`` of the closed-form J."""
-    return _trace(system, _condition(system, _uniform_information(system, [m])[0]))
+    return _trace(system, _condition(system, _uniform_information(system, [m])))[0]
 
 
 def _sample_space_oracle(system, m):
@@ -907,7 +910,7 @@ class TestSampleSpace:
             assert len(spy) == conditions, m
             assert (trace < filter_core._SAMPLE_SPACE_FLOOR * prior) == bool(
                 conditions)
-            assert got == (_trace(sysm, spy[0][0]) if conditions else trace)
+            assert got == (_trace(sysm, spy[0])[0] if conditions else trace)
 
     @pytest.mark.parametrize("m", [2, 40])
     def test_a_zero_trace_divides_by_nothing(self, m):
@@ -972,6 +975,33 @@ class TestDyadicChain:
         assert got[1] == _closed_form_trace(sysm, 4)
         assert got[2] == _closed_form_trace(sysm, 8)
 
+    @pytest.mark.parametrize("base_n", [1, 3, 4, 5])
+    @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat",
+                                       "mixed"])
+    def test_the_base_grid_rows_are_its_information_rows(self, model, base_n,
+                                                         two_output_heat):
+        # positions 0..base_n-1 of the chain observe the base grid's
+        # samples bit for bit, whether a block ends on the grid's last
+        # sample or runs on into the midpoints; every block size gives the
+        # same rows
+        sysm = _oracle_model(model, 10, 1.0, two_output_heat)
+        horizon, top = sysm.horizon, base_n * 8
+        want = _information_rows(sysm, (np.arange(base_n) * horizon) / base_n,
+                                 np.array([horizon / base_n]),
+                                 np.zeros(base_n, dtype=int))
+        whole, = _dyadic_rows(sysm, base_n, 0, top, top)
+        assert whole[:base_n].tobytes() == want.tobytes()
+        for block in (1, 2, 3, base_n, base_n + 1):
+            rows = np.concatenate(list(_dyadic_rows(sysm, base_n, 0, top,
+                                                    block)))
+            assert rows.tobytes() == whole.tobytes(), block
+
+    def test_a_chain_past_the_base_grid_takes_no_phi1(self, monkeypatch):
+        # only the base grid's row needs phi1; the midpoints take a_l
+        monkeypatch.setattr(filter_core, "phi1", _refuse)
+        rows = list(_dyadic_rows(heat(6), 4, 4, 32, 5))
+        assert sum(block.shape[0] for block in rows) == 28
+
     @pytest.mark.parametrize("model", ["heat", "wave", "two-output-heat"])
     def test_level_gains_are_the_telescope_level_sums(self, model,
                                                       two_output_heat):
@@ -996,10 +1026,9 @@ class TestBlockedDowndate:
 
     @staticmethod
     def _carried(sysm, levels, block, monkeypatch):
-        monkeypatch.setattr(sk.refinement, "_ROW_BLOCK", block)
-        factor = _condition(sysm, _uniform_information(sysm, [4])[0])
-        per_level, post = sk.refinement._telescope_gains(sysm, factor, 4, levels)
-        return np.concatenate(per_level), post
+        monkeypatch.setattr(filter_core, "_ROW_BLOCK", block)
+        _, _, gains, post = _telescope(sysm, 4, 4 * 2 ** levels)
+        return gains, post
 
     @pytest.mark.parametrize("model, modes", _BLOCKED_MODELS)
     def test_the_block_size_moves_only_the_rounding(self, model, modes,
@@ -1007,7 +1036,7 @@ class TestBlockedDowndate:
         # 5 levels insert 124 points: four blocks of 32 (the last of 28), or
         # 41 of 3 and one of 1; blocks of 5 over 4 levels span level ends
         sysm = _oracle_model(model, modes, 1.0, two_output_heat)
-        for levels, blocks in ((5, (3, sk.refinement._ROW_BLOCK)), (4, (5,))):
+        for levels, blocks in ((5, (3, filter_core._ROW_BLOCK)), (4, (5,))):
             want, want_post = self._carried(sysm, levels, 1, monkeypatch)
             for block in blocks:
                 gains, post = self._carried(sysm, levels, block, monkeypatch)
@@ -1021,10 +1050,10 @@ class TestBlockedDowndate:
         # a two-output model checks that R lands on each point's r x r block
         sysm = _oracle_model(model, modes, 1.0, two_output_heat)
         levels = 5
-        assert 4 * 2 ** (levels - 1) > sk.refinement._ROW_BLOCK
+        assert 4 * 2 ** (levels - 1) > filter_core._ROW_BLOCK
         decay = np.exp(sysm.eigenvalues * sysm.horizon)
-        per_level, _ = sk.refinement._telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, levels)
+        per_level = _level_gains(_telescope(sysm, 4, 4 * 2 ** levels)[2], 4,
+                                 levels)
         oracle = _complex_condition_oracle(
             sysm, _summed_information(sysm, sk.dyadic_grid(4, 0)))
         for level, gains in enumerate(per_level, start=1):
@@ -1036,9 +1065,9 @@ class TestBlockedDowndate:
 
     def test_blocks_run_across_levels(self, monkeypatch):
         # 60 new points over 4 levels of base 4: two blocks, not four
-        calls = _counting_observe(monkeypatch, sk.refinement)
+        calls = _counting_observe(monkeypatch, filter_core)
         report = sk.telescope_check(heat(10), 4, 4)
-        assert calls == [sk.refinement._ROW_BLOCK, 60 - sk.refinement._ROW_BLOCK]
+        assert calls == [filter_core._ROW_BLOCK, 60 - filter_core._ROW_BLOCK]
         assert [arr.size for arr in report.increments] == [
             4 * 2 ** (level - 1) for level in range(1, 5)]
 
@@ -1090,7 +1119,7 @@ class TestObservationForm:
             gains, _ = _observe(None, self._sample_rows(sysm, times) * scale,
                                 energy)
             want = _trace(sysm, _condition(
-                sysm, _accumulated_information(sysm, times)))
+                sysm, _accumulated_information(sysm, times))[None])[0]
             assert _rel(energy.sum() - gains.sum(), want) <= 1e-13, points
 
     @pytest.mark.parametrize("model, modes", _OBSERVATION_MODELS)
@@ -1113,7 +1142,7 @@ class TestObservationForm:
         factor = _condition(sysm, _uniform_information(sysm, [4])[0])
         base = factor.T @ factor
         h, phis = _new_points(sysm, 4, 4)
-        rows = _insertion_rows(sysm, phis[:points], h)
+        rows = _white_rows(sysm, phis[:points] / np.sqrt(h / 2.0))
         assert rows.shape == (points, 2, 10)
         block, half = _observe(base, rows, energy)
         post = base
@@ -1315,7 +1344,7 @@ class TestGeometricSum:
         # mixed model's undamped pair at 1, 2 and 4
         sysm = _geometric_model(family, 20)
         want = _geometric_oracle(sysm, count)
-        got = _geometric_sum(sysm, sysm.eigenvalues, count)
+        got = _geometric_sum(sysm, sysm.eigenvalues, [count])[0]
         assert np.all(np.isfinite(got))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -1331,7 +1360,7 @@ class TestGeometricSum:
             want = _geometric_oracle(sysm, count)
             assert np.abs(stacked - want).max() <= 1e-14 * np.abs(want).max()
             npt.assert_array_equal(
-                stacked, _geometric_sum(sysm, sysm.eigenvalues, count))
+                stacked, _geometric_sum(sysm, sysm.eigenvalues, [count])[0])
 
     @pytest.mark.parametrize("counts", [[64, 4096, 8192, 2 ** 40],
                                         [3, 6, 12, 3 * 2 ** 30],
@@ -1341,7 +1370,8 @@ class TestGeometricSum:
         sysm = _geometric_model(family, 60)
         rows = sysm.eigenvalues[::3]
         for count, stacked in zip(counts, _geometric_sum(sysm, rows, counts)):
-            npt.assert_array_equal(stacked, _geometric_sum(sysm, rows, count))
+            npt.assert_array_equal(stacked,
+                                   _geometric_sum(sysm, rows, [count])[0])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 64, 4096, 2 ** 40])
     @pytest.mark.parametrize("family", _GEOMETRIC_FAMILIES)
@@ -1349,11 +1379,11 @@ class TestGeometricSum:
         # level_sum passes every row, _uniform_information one per pair
         sysm = _geometric_model(family, 60)
         lam, pairs = sysm.eigenvalues, sysm._pair_index
-        whole = _geometric_sum(sysm, lam, count)
+        whole = _geometric_sum(sysm, lam, [count])[0]
         rng = np.random.default_rng(count)
         for rows in (np.concatenate([pairs.first, pairs.single]),
                      rng.permutation(lam.size)[:lam.size // 3 + 1]):
-            npt.assert_array_equal(_geometric_sum(sysm, lam[rows], count),
+            npt.assert_array_equal(_geometric_sum(sysm, lam[rows], [count])[0],
                                    whole[rows])
 
     @pytest.mark.parametrize("family", ["heat", "wave", "wave-L3-T0.7",

@@ -8,9 +8,9 @@ import pytest
 
 import sampledkf as sk
 from sampledkf import ReferenceUnconvergedError
+from sampledkf import filter_core
 from sampledkf.filter_core import (_accumulated_information, _condition,
-                                   _uniform_information, _uniform_traces)
-from sampledkf.refinement import _telescope_gains
+                                   _telescope, _uniform_traces)
 
 
 def single_mode(lam=-2.0, c=1.0, p=0.8):
@@ -290,7 +290,7 @@ class TestTelescope:
                                                           levels):
         # the rule the CLI applies to telescope_levels, in the API itself
         monkeypatch.setattr(sk.refinement, "_uniform_traces", _no_work)
-        monkeypatch.setattr(sk.refinement, "_condition", _no_work)
+        monkeypatch.setattr(sk.refinement, "_telescope", _no_work)
         heat = sk.build_heat_model(4, horizon=1.0)
         with pytest.raises(ValueError, match=f"levels={levels} is too deep"):
             sk.telescope_check(heat, 4, levels)
@@ -306,7 +306,7 @@ class TestTelescope:
             raise AssertionError("telescope_check worked on a driven system")
 
         monkeypatch.setattr(sk.refinement, "_uniform_traces", no_work)
-        monkeypatch.setattr(sk.refinement, "_condition", no_work)
+        monkeypatch.setattr(sk.refinement, "_telescope", no_work)
         with pytest.raises(ValueError,
                            match="telescope_check needs an undriven system"):
             sk.telescope_check(sk.build_heat_model(3, horizon=1.0, q_scalar=0.5),
@@ -364,10 +364,16 @@ class TestCarriedPosterior:
                 base.append(float(t))
         assert worst <= 1e-13
 
+    def test_the_conditioning_is_left_to_filter_core(self):
+        # refinement binds no name of the conditioning layer, so one spy in
+        # filter_core sees every conditioning call a telescope makes
+        for name in ("_condition", "_observe", "_dyadic_rows", "_batches",
+                     "_trace", "_uniform_information", "_sample_space_traces"):
+            assert not hasattr(sk.refinement, name), name
+
     def test_carried_posterior_equals_refined_grid_posterior(self):
         sysm = sk.build_heat_model(10, horizon=1.0)
-        _, carried = _telescope_gains(
-            sysm, _condition(sysm, _uniform_information(sysm, [4])[0]), 4, 8)
+        _, _, _, carried = _telescope(sysm, 4, 4 * 2 ** 8)
         # the carried P_rho against F^T F of the fine grid's summed J
         factor = _condition(
             sysm, _accumulated_information(sysm, sk.dyadic_grid(4, 8)))
@@ -436,7 +442,7 @@ class TestLevelSum:
 
     def test_deep_levels_build_no_grid(self, no_large_grids, monkeypatch):
         # level 51 of base 4 is a grid of 2**53 points; no point is formed
-        monkeypatch.setattr(sk.refinement, "_dyadic_rows", _no_work)
+        monkeypatch.setattr(filter_core, "_dyadic_rows", _no_work)
         wave = sk.build_wave_model(8, horizon=1.0)
         weights = sk.unit_weights(wave)
         previous = sk.level_sum(wave, 4, 12, weights)[0]
