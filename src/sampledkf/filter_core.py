@@ -84,11 +84,12 @@ Squaring the one-step triple and joining the powers picked out by the binary
 digits of m gives the m-step triple in about 2 log2(m) N x N joins instead
 of m recursion steps.  Every size a caller asks for shares one doubling:
 the one-step triples of all the widths T/m come from one
-``kernels._transitions`` call and are formed in modal coordinates and taken
+``_model_stack`` call and are formed in modal coordinates and taken
 to rho on the stack's leading axis, kernel batch by kernel batch
 (``_step_triples``): Phi_rho = A^-1 Phi A,
 Gam_rho = A* Gam A and H_rho = A^-1 H A^-*, all real, so every join runs in
-float64, the conjugate transposes above plain transposes.  ``_join`` joins
+float64, the conjugate transposes above plain transposes (on a model
+without pairs rho = z, and the triple needs no map).  ``_join`` joins
 stacks of triples on their leading axis.  With the sizes taken largest
 first, those still squaring are a leading slice of the stack, squared as a
 view, and each stage joins its power into the totals of the sizes whose
@@ -152,13 +153,18 @@ products.  Covariances never depend on the data, so ``_filter_plan`` runs
 them once and keeps the per-sample gains as one (m, N, r) array; it takes
 the transitions of the grid's sorted distinct step widths, tail included,
 as one stack from one batched ``kernels._transitions`` call, and keeps each
-sample step's index into that stack.  The filtered mean is linear in
-the data, mean_T = B_0 m0 + sum_i L_i inc_i.  ``_backward_maps`` folds
-those gains into the maps L_i and B_i in one backward pass, O(N^2 r) a
-step.  ``_filtered_means`` applies them to a batch of output paths in one
-gemm, the mean update of ``sequential_filter(observations=...)``; the Monte
-Carlo of ``montecarlo`` builds its map from trial normals to the error
-zhat(T) - z(T) from the same pass.
+sample step's index into that stack, and G*, e e* and Syy + R h once per
+entry of it.  The stack comes through ``_model_stack``, which takes its
+real parts once on a model without conjugate pairs (every heat model), so
+the recursion, the backward pass, the step triples and the Monte Carlo's
+set-up run in float64 there: one code path, whose dtype is the stack's.
+``FilterRun.final_cov`` is complex either way.  The filtered mean is
+linear in the data, mean_T = B_0 m0 + sum_i L_i inc_i.  ``_backward_maps``
+folds those gains into the maps L_i and B_i in one backward pass,
+O(N^2 r) a step.  ``_filtered_means`` applies them to a batch of output
+paths in one gemm, the mean update of ``sequential_filter(observations=...)``;
+the Monte Carlo of ``montecarlo`` builds its map from trial normals to the
+error zhat(T) - z(T) from the same pass.
 
 ``batch_condition`` is the oracle route: one Gaussian conditioning of z(T) on
 the whole vector (y(t_1), ..., y(t_m)).  ``_output_gram`` builds both
@@ -210,9 +216,9 @@ import numpy as np
 
 from ._scalars import phi1
 from .errors import GramSingularError
-from .kernels import (augmented_covariance, _batches, _hermitize,
-                      _integrated_output_map, _mesh_phi_h, phi_h,
-                      _transitions)
+from .kernels import (AugmentedTransition, augmented_covariance, _batches,
+                      _hermitize, _integrated_output_map, _mesh_phi_h,
+                      phi_h, _transitions)
 from .spectral_model import (ModalSystem, _from_real, _real_covariance,
                              _times_a, _to_real)
 
@@ -267,6 +273,24 @@ def _validate_times(system: ModalSystem, times) -> np.ndarray:
     return times
 
 
+def _model_stack(system: ModalSystem, widths) -> AugmentedTransition:
+    """``kernels._transitions`` of ``widths``, in the dtype of the model.
+
+    The one place the driven routes take their dtype from.  On the identity
+    pairing (``_Pairs.identity``: no conjugate pair, every eigenvalue and
+    coefficient real) the stack's imaginary parts are zero, so its real
+    parts are taken once, contiguous, and the recursion, the backward pass,
+    the step triples and the Monte Carlo set-up run in float64.  A paired
+    model keeps the complex stack.
+    """
+    stack = _transitions(system, widths)
+    if not system._pair_index.identity:
+        return stack
+    return replace(stack, **{name: np.ascontiguousarray(
+        getattr(stack, name).real) for name in ("decay", "output_map",
+                                                "noise_cov")})
+
+
 def _filter_plan(system: ModalSystem, times: np.ndarray):
     """Run the covariance recursion; return (run, stack, index, gains, tail).
 
@@ -274,35 +298,38 @@ def _filter_plan(system: ModalSystem, times: np.ndarray):
     is carried: the prediction needs only the transition's decay e and output
     map G, and the update is the rank-r downdate P - K Pzy* with K = Pzy S^-1.
     ``stack`` holds the transitions of the sorted distinct step widths, tail
-    included, from one ``kernels._transitions`` call.  Sample step i moves
-    by entry ``index[i]`` of it (the inverse of ``np.unique``), and the tail,
-    if the last sample precedes the horizon, by entry ``tail`` (else None).
-    ``gains`` is (m, N, r): gain i maps the innovation on the i-th increment
-    observation into z.
+    included, from one ``_model_stack`` call, so the recursion runs in the
+    model's dtype.  G*, e e* and the constant part Syy + R h of S are taken
+    once per entry of it.  Sample step i moves by entry ``index[i]`` (the
+    inverse of ``np.unique``), and the tail, if the last sample precedes
+    the horizon, by entry ``tail`` (else None).  ``gains`` is (m, N, r):
+    gain i maps the innovation on the i-th increment observation into z.
+    The run's ``final_cov`` is complex whatever the model.
     """
     n, r = system.num_modes, system.num_outputs
-    cov = np.diag(system.prior_var.astype(complex))
     widths = np.diff(times, prepend=0.0)
     span = system.horizon - (times[-1] if times.size else 0.0)
     has_tail = span > 1e-12 * system.horizon
     distinct, which = np.unique(np.append(widths, span) if has_tail else widths,
                                 return_inverse=True)
     tail = int(which[-1]) if has_tail else None
-    stack = _transitions(system, distinct)
-    gains = np.empty((widths.size, n, r), dtype=complex)
-    for i, (delta, j) in enumerate(zip(widths, which)):
-        e, g, sig = stack.decay[j], stack.output_map[j], stack.noise_cov[j]
-        pg = cov @ g.conj().T
-        pzy = e[:, None] * pg + sig[:n, n:]
-        s = g @ pg + sig[n:, n:] + system.r_cov * delta
-        gains[i] = np.linalg.solve(s, pzy.conj().T).conj().T
-        cov = _hermitize(cov * np.outer(e, e.conj()) + sig[:n, :n]
+    stack = _model_stack(system, distinct)
+    decay, gmap, sig = stack.decay, stack.output_map, stack.noise_cov
+    gstar = gmap.conj().swapaxes(1, 2)
+    spread = decay[:, :, None] * decay.conj()[:, None, :]
+    const = sig[:, n:, n:] + system.r_cov * stack.step[:, None, None]
+    cov = np.diag(system.prior_var.astype(decay.dtype))
+    gains = np.empty((widths.size, n, r), dtype=decay.dtype)
+    for i, j in enumerate(which[:widths.size]):
+        pg = cov @ gstar[j]
+        pzy = decay[j, :, None] * pg + sig[j, :n, n:]
+        gains[i] = np.linalg.solve(gmap[j] @ pg + const[j],
+                                   pzy.conj().T).conj().T
+        cov = _hermitize(cov * spread[j] + sig[j, :n, :n]
                          - gains[i] @ pzy.conj().T)
     if tail is not None:
-        e = stack.decay[tail]
-        cov = _hermitize(cov * np.outer(e, e.conj())
-                         + stack.noise_cov[tail, :n, :n])
-    run = FilterRun(grid=times, final_cov=cov,
+        cov = _hermitize(cov * spread[tail] + sig[tail, :n, :n])
+    run = FilterRun(grid=times, final_cov=cov.astype(complex, copy=False),
                     trace_err=float(np.trace(cov).real))
     return run, stack, which[:widths.size], gains, tail
 
@@ -320,7 +347,7 @@ def _backward_maps(system: ModalSystem, plan):
     """
     _, stack, index, gains, tail = plan
     back = np.diag(stack.decay[tail] if tail is not None
-                   else np.ones(system.num_modes, dtype=complex))
+                   else np.ones(system.num_modes, dtype=stack.decay.dtype))
     for i in range(index.size, 0, -1):
         j = index[i - 1]
         lmap = back @ gains[i - 1]
@@ -339,7 +366,7 @@ def _filtered_means(system: ModalSystem, plan,
     maps of ``_backward_maps``; one gemm applies them to every path.
     """
     paths, m, r = increments.shape
-    maps = np.empty((m * r, system.num_modes), dtype=complex)
+    maps = np.empty((m * r, system.num_modes), dtype=plan[1].decay.dtype)
     for i, back, lmap in _backward_maps(system, plan):
         if i:  # row block i - 1 is L_i^T
             maps[(i - 1) * r:i * r] = lmap.T
@@ -562,7 +589,7 @@ def _uniform_information(system: ModalSystem, sizes) -> np.ndarray:
     shape = phi1(lam * d[:, None])
     white = system._white_outputs
     pairs = system._pair_index
-    if not pairs.first.size:
+    if pairs.identity:
         shape, white = shape.real, white.real
     rows = np.concatenate([pairs.first, pairs.single])
     # asked for in C order: with W broadcast over the sizes, a product that
@@ -571,7 +598,7 @@ def _uniform_information(system: ModalSystem, sizes) -> np.ndarray:
                          * (shape[:, rows].conj()[:, :, None]
                             * shape[:, None, :]), order="C")
              * _geometric_sum(system, lam[rows], sizes))
-    if not pairs.first.size:
+    if pairs.identity:
         return block
     block = _times_a(block, pairs)
     lead = pairs.first.size
@@ -700,19 +727,22 @@ def _step_triples(system: ModalSystem, widths: np.ndarray):
     """The stretch triples of one sample step of each width, in real coordinates.
 
     Three (W, N, N) stacks in the order of ``widths``, from one
-    ``kernels._transitions`` call.  Phi, Gam and H are formed in modal
+    ``_model_stack`` call.  Phi, Gam and H are formed in modal
     coordinates and returned as Phi_rho = A^-1 Phi A,
     Gam_rho = A* Gam A = D (A^-1 Gam A^-*) D and H_rho = A^-1 H A^-*, all
-    real; ``_real_covariance`` refuses a Gam or H off the pairing.  The
-    solves and the maps to rho run on the leading axis, one of the stack's
-    kernel batches (``kernels._batches``) at a time, so their complex
-    temporaries keep the kernels' bound: the whole stack at N = 20, one
-    width at N = 200, where maps of the whole stack lost 9 of 10 driven
-    wave curves to the parent (``BENCH_stacked_doubling.json``).
+    real; ``_real_covariance`` refuses a Gam or H off the pairing.  On the
+    identity pairing rho = z and the stack is real, so the triple is formed
+    in float64 and needs no map, only the symmetrisation of Gam and H
+    that ``_real_covariance`` would give.  The solves and the maps to rho
+    run on the leading axis, one of the stack's kernel batches
+    (``kernels._batches``) at a time, so their complex temporaries keep the
+    kernels' bound: the whole stack at N = 20, one width at N = 200, where
+    maps of the whole stack lost 9 of 10 driven wave curves to the parent
+    (``BENCH_stacked_doubling.json``).
     """
     n = system.num_modes
     pairs = system._pair_index
-    tr = _transitions(system, widths)
+    tr = _model_stack(system, widths)
     phi, gam, noise = (np.empty((tr.step.size, n, n)) for _ in range(3))
     for rows in _batches(system, tr.step.size):
         g, sig = tr.output_map[rows], tr.noise_cov[rows]
@@ -720,14 +750,19 @@ def _step_triples(system: ModalSystem, widths: np.ndarray):
         s = sig[:, n:, n:] + system.r_cov * tr.step[rows, None, None]
         # Szy S^-1, S Hermitian
         k0 = np.linalg.solve(s, sig[:, n:, :n]).conj().swapaxes(-1, -2)
-        modal = np.zeros((count, n, n), dtype=complex)
+        modal = np.zeros((count, n, n), dtype=tr.decay.dtype)
         modal[:, np.arange(n), np.arange(n)] = tr.decay[rows]
         modal -= k0 @ g
-        forms = _real_covariance(np.concatenate([
+        forms = np.concatenate([
             g.conj().swapaxes(-1, -2) @ np.linalg.solve(s, g),
-            sig[:, :n, :n] - k0 @ sig[:, n:, :n]]), pairs, "stretch triple")
-        modal = _to_real(modal.swapaxes(-1, -2), pairs).swapaxes(-1, -2)
-        phi[rows] = _times_a(modal, pairs).real
+            sig[:, :n, :n] - k0 @ sig[:, n:, :n]])
+        if pairs.identity:
+            forms = _hermitize(forms)
+            phi[rows] = modal
+        else:
+            forms = _real_covariance(forms, pairs, "stretch triple")
+            modal = _to_real(modal.swapaxes(-1, -2), pairs).swapaxes(-1, -2)
+            phi[rows] = _times_a(modal, pairs).real
         gam[rows] = forms[:count] * np.outer(pairs.weights, pairs.weights)
         noise[rows] = forms[count:]
     return phi, gam, noise

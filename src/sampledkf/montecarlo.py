@@ -8,7 +8,12 @@ whenever Sigma respects the pairing (``spectral_model._real_covariance``); a
 factor of S drives the draws and A maps them back to modal coordinates
 (``spectral_model._from_real``).  The map eta -> real field is then
 norm-preserving, so squared errors computed in modal coordinates are the
-physical ones.
+physical ones.  A model without conjugate pairs (every heat model) has
+A = I and real coefficients, and ``filter_core._model_stack`` hands its
+set-up the grid's transitions in float64: the step covariances are their
+own real forms and are pivoted directly, and the prior's factor, the noise
+factors, the error map and its real form are float64, with no
+recomposition.  Only a paired model recomposes.
 
 Each seed has one stream, the SFC64 stream of ``SeedSequence([seed])``,
 and a batch reads trial j as its j-th flat block of standard normals.  A
@@ -105,7 +110,7 @@ def _most_normals(num_modes: int, num_outputs: int, samples: int) -> int:
 
 
 def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """Complex factors L with L L^H = cov and L xi pairing-compatible, xi real.
+    """Factors L with L L^H = cov and L xi pairing-compatible, xi real.
 
     ``cov`` is one (d, d) covariance or a stack (..., d, d) of them.  The
     real recomposed matrices S = A^-1 cov A^-H, formed through each pair's
@@ -119,14 +124,20 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     matrix took; a factor with fewer is zero-padded to w columns.  A stack
     whose every diagonal entry is zero (an undriven model's process noise)
     takes no pivot, so its factors of width 0 are returned before any real
-    form is made.
+    form is made.  On the identity pairing A = I: a real stack, which
+    ``filter_core._model_stack`` gives such a model, is its own real form and
+    is pivoted directly, and the factor is real.  Otherwise L = A F is
+    complex.
     """
     d = cov.shape[-1]
     lead = cov.shape[:-2]
-    if not np.diagonal(cov, axis1=-2, axis2=-1).any():
-        return np.zeros((*lead, d, 0), dtype=complex)
     pairs = _pairs(pairing)
-    s = _real_covariance(cov.reshape(-1, d, d), pairs)
+    if not np.diagonal(cov, axis1=-2, axis2=-1).any():
+        return np.zeros((*lead, d, 0), dtype=float if pairs.identity
+                        else complex)
+    s = cov.reshape(-1, d, d)
+    if np.iscomplexobj(s) or not pairs.identity:
+        s = _real_covariance(s, pairs)
     count = s.shape[0]
     rest = np.diagonal(s, axis1=1, axis2=2).copy()  # diagonals not yet factored
     top = np.maximum(rest.max(axis=1, initial=-np.inf), np.finfo(float).tiny)
@@ -164,8 +175,10 @@ def _real_factor(cov: np.ndarray, pairing: np.ndarray) -> np.ndarray:
         for m in np.flatnonzero(left.any(axis=1)):
             logger.debug("clipping %.3e of pivot mass below the factor's floor",
                          float(np.abs(rest[m, free[m]]).sum()))
-    rows = _from_real(factor[:, :, :rank].swapaxes(1, 2), pairs)
-    return rows.swapaxes(1, 2).reshape(*lead, d, rank)
+    factor = factor[:, :, :rank]
+    if not pairs.identity:
+        factor = _from_real(factor.swapaxes(1, 2), pairs).swapaxes(1, 2)
+    return factor.reshape(*lead, d, rank)
 
 
 def _prior_factor(system: ModalSystem) -> np.ndarray:
@@ -175,7 +188,8 @@ def _prior_factor(system: ModalSystem) -> np.ndarray:
     Cholesky takes the diagonal entries themselves, largest first with ties
     to the lower index, while an entry exceeds 1e-16 of the largest: column
     i is sqrt(P0 / D)_j e_j for the i-th pivot j, mapped back to modal
-    coordinates.  The entries cut are logged as ``_real_factor`` logs them.
+    coordinates, real on the identity pairing as ``_real_factor``'s.  The
+    entries cut are logged as ``_real_factor`` logs them.
     """
     pairs = system._pair_index
     var = system.prior_var / pairs.weights
@@ -188,7 +202,7 @@ def _prior_factor(system: ModalSystem) -> np.ndarray:
                      float(np.abs(cut).sum()))
     real = np.zeros((taken.size, var.size))
     real[np.arange(taken.size), taken] = np.sqrt(var[taken])
-    return _from_real(real, pairs).T
+    return (real if pairs.identity else _from_real(real, pairs)).T
 
 
 def _trial_rng(seed: int) -> np.random.Generator:
@@ -288,7 +302,7 @@ class _Simulator:
         O(m N^2 (w + r)) work, whatever the number of trials.
         """
         n, w, m = self.n, self.width, self.times.size
-        emap = np.empty((self.total, n), dtype=complex)
+        emap = np.empty((self.total, n), dtype=self.stack.decay.dtype)
         per_step = emap[self.head:self.head + m * self.stride].reshape(
             m, self.stride, n)
         for i, back, lmap in _backward_maps(self.system, self.plan):
@@ -331,14 +345,14 @@ class _Simulator:
         n, r = self.n, self.r
         trials, m = normals.shape[0], self.times.size
         head = self.head
-        state = normals[:, :head] @ self.initial_factor.T
-        state += sysm.prior_mean
+        # not in place: the factor may be real, and prior_mean is complex
+        state = normals[:, :head] @ self.initial_factor.T + sysm.prior_mean
         # each sample step's [ process | measurement ] normals, as a view
         per_step = normals[:, head:head + m * self.stride].reshape(
             trials, m, self.stride)
         process, measure = per_step[:, :, :-r], per_step[:, :, -r:]
         increments = np.empty((trials, m, r))
-        noise = np.empty((trials, n + r), dtype=complex)
+        noise = np.empty((trials, n + r), dtype=self.stack.decay.dtype)
         for i, j in enumerate(self.index):
             out_int = state @ self.stack.output_map[j].T
             state *= self.stack.decay[j]
@@ -406,8 +420,11 @@ def _real_error_map(emap: np.ndarray, pairs: _Pairs):
     ||e||^2 = sum_k w_k rho_k^2, with weight 1 on a self-conjugate mode and
     2 on each member of a pair.  ``pairs`` is the model's ``_pair_index``.
     A map whose real coordinates keep an imaginary part does not respect
-    the pairing, and is refused.
+    the pairing, and is refused.  A real map, which ``error_map`` gives on
+    the identity pairing, is its own real form.
     """
+    if not np.iscomplexobj(emap):
+        return emap, pairs.weights
     rho = _to_real(emap, pairs)
     scale = float(np.abs(rho).max(initial=0.0)) or 1.0
     if np.abs(rho.imag).max(initial=0.0) > 1e-8 * scale:

@@ -521,6 +521,15 @@ class _Pairs(NamedTuple):
     single: np.ndarray
     weights: np.ndarray
 
+    @property
+    def identity(self) -> bool:
+        """No conjugate pair: rho = z and A = I.
+
+        ``ModalSystem``'s pairing check then holds every eigenvalue,
+        coefficient and mean to its own conjugate, so all of them are real.
+        """
+        return not self.first.size
+
 
 def _pairs(pairing: np.ndarray) -> _Pairs:
     """The index arrays of ``pairing``; a model holds its own as ``_pair_index``."""

@@ -402,14 +402,16 @@ class RateFit:
 def fit_rate(n_values, values) -> RateFit:
     """Fit value ~ 10^intercept * n^slope, ignoring nonpositive entries.
 
-    The points kept need at least two distinct n: a line through one n has
-    no slope.
+    A point is kept only if its value and its n are both positive and
+    finite.  The points kept need at least two distinct n: a line through
+    one n has no slope.
     """
     n_values = np.asarray(n_values, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
     if n_values.shape != values.shape:
         raise ValueError("n_values and values must have matching length")
-    keep = (values > 0) & np.isfinite(values) & (n_values > 0)
+    keep = ((values > 0) & np.isfinite(values)
+            & (n_values > 0) & np.isfinite(n_values))
     if np.count_nonzero(~keep):
         logger.warning("fit_rate: dropping %d nonpositive/invalid points",
                        int(np.count_nonzero(~keep)))

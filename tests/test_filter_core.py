@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampledkf as sk
-from sampledkf import filter_core
+from sampledkf import filter_core, montecarlo
 from sampledkf._scalars import phi1
 from sampledkf.errors import GramSingularError
 from sampledkf.filter_core import (_accumulated_information, _condition,
@@ -1466,6 +1466,120 @@ class TestRouteProperties:
             # with its conjugate mate conjugates the covariance
             npt.assert_allclose(cov[mate], cov.conj(),
                                 rtol=0, atol=1e-12 * np.abs(cov).max())
+
+
+def _complex_filter_plan(system, times):
+    """The complex recursion the model-dtype route replaced: the oracle.
+
+    Every model's transitions in complex128, as ``kernels._transitions``
+    gives them, and G*, e e* and S formed again at every step.
+    """
+    n, r = system.num_modes, system.num_outputs
+    cov = np.diag(system.prior_var.astype(complex))
+    widths = np.diff(times, prepend=0.0)
+    span = system.horizon - (times[-1] if times.size else 0.0)
+    has_tail = span > 1e-12 * system.horizon
+    distinct, which = np.unique(np.append(widths, span) if has_tail else widths,
+                                return_inverse=True)
+    tail = int(which[-1]) if has_tail else None
+    stack = filter_core._transitions(system, distinct)
+    gains = np.empty((widths.size, n, r), dtype=complex)
+    for i, (delta, j) in enumerate(zip(widths, which)):
+        e, g, sig = stack.decay[j], stack.output_map[j], stack.noise_cov[j]
+        pg = cov @ g.conj().T
+        pzy = e[:, None] * pg + sig[:n, n:]
+        s = g @ pg + sig[n:, n:] + system.r_cov * delta
+        gains[i] = np.linalg.solve(s, pzy.conj().T).conj().T
+        cov = filter_core._hermitize(cov * np.outer(e, e.conj()) + sig[:n, :n]
+                                     - gains[i] @ pzy.conj().T)
+    if tail is not None:
+        e = stack.decay[tail]
+        cov = filter_core._hermitize(cov * np.outer(e, e.conj())
+                                     + stack.noise_cov[tail, :n, :n])
+    run = sk.FilterRun(grid=times, final_cov=cov,
+                       trace_err=float(np.trace(cov).real))
+    return run, stack, which[:widths.size], gains, tail
+
+
+def _complex_backward_maps(system, plan):
+    """The complex backward pass the model-dtype route replaced: the oracle."""
+    _, stack, index, gains, tail = plan
+    back = np.diag(stack.decay[tail] if tail is not None
+                   else np.ones(system.num_modes, dtype=complex))
+    for i in range(index.size, 0, -1):
+        j = index[i - 1]
+        lmap = back @ gains[i - 1]
+        yield i, back, lmap
+        back = back * stack.decay[j] - lmap @ stack.output_map[j]
+    yield 0, back, None
+
+
+def _max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+_DTYPE_MODELS = {
+    "driven-heat-N20": (lambda _: heat(20, q_scalar=0.5), 32),
+    "driven-heat-N60": (lambda _: heat(60, q_scalar=0.5), 128),
+    "two-output-heat": (lambda make: make(10, 0.5), 24),
+    "two-output-heat-undriven": (lambda make: make(10), 24),
+    "driven-wave": (lambda _: _driven_wave(), 24),
+}
+
+
+def _dtype_case(case, end, two_output_heat):
+    """A model of ``_DTYPE_MODELS`` and its seeded irregular grid ending at ``end``."""
+    make, points = _DTYPE_MODELS[case]
+    return make(two_output_heat), _irregular_times(points, 3) * end
+
+
+class TestModelDtype:
+    """The driven routes run in float64 on a model without pairs.
+
+    Held to the complex recursion and backward pass they replaced, on grids
+    that end at the horizon and before it.
+    """
+
+    @pytest.mark.parametrize("end", [1.0, 0.85], ids=["at-T", "tail"])
+    @pytest.mark.parametrize("case", _DTYPE_MODELS)
+    def test_recursion_matches_the_complex_oracle(self, case, end,
+                                                  two_output_heat):
+        sysm, times = _dtype_case(case, end, two_output_heat)
+        run, stack, index, gains, tail = filter_core._filter_plan(sysm, times)
+        want = _complex_filter_plan(sysm, times)
+        paired = case == "driven-wave"
+        assert sysm._pair_index.identity != paired
+        assert stack.decay.dtype == gains.dtype == (complex if paired
+                                                    else np.float64)
+        assert run.final_cov.dtype == complex
+        npt.assert_array_equal(index, want[2])
+        assert tail == want[4] and (tail is None) == (end == 1.0)
+        assert _max_rel(gains, want[3]) <= 1e-14
+        assert _max_rel(run.final_cov, want[0].final_cov) <= 1e-14
+        assert _rel(run.trace_err, want[0].trace_err) <= 1e-14
+
+    @pytest.mark.parametrize("end", [1.0, 0.85], ids=["at-T", "tail"])
+    @pytest.mark.parametrize("case", _DTYPE_MODELS)
+    def test_error_map_matches_the_complex_oracle(self, case, end, monkeypatch,
+                                                  two_output_heat):
+        sysm, times = _dtype_case(case, end, two_output_heat)
+        emap = montecarlo._Simulator(sysm, times).error_map()
+        monkeypatch.setattr(montecarlo, "_filter_plan", _complex_filter_plan)
+        monkeypatch.setattr(montecarlo, "_backward_maps",
+                            _complex_backward_maps)
+        want = montecarlo._Simulator(sysm, times).error_map()
+        assert want.dtype == complex
+        assert emap.dtype == (complex if case == "driven-wave" else np.float64)
+        assert emap.shape == want.shape
+        assert _max_rel(emap, want) <= 1e-14
+
+    def test_public_results_stay_complex(self):
+        sysm = heat(6, q_scalar=0.5)
+        state, outputs = sk.sample_path(sysm, TAIL_TIMES, seed=2)
+        assert state.dtype == complex and outputs.dtype == np.float64
+        run = sk.sequential_filter(sysm, TAIL_TIMES, observations=outputs)
+        assert run.final_cov.dtype == run.final_mean.dtype == complex
+        assert sk.transition_block(sysm, 0.25).noise_cov.dtype == complex
 
 
 def _regression_mean(sysm, times, ys):

@@ -385,16 +385,19 @@ class TestTransitionStack:
 class TestZeroStack:
     """An undriven model's all-zero process noise takes no pivot loop."""
 
-    @pytest.mark.parametrize("case", ["heat", "wave-tail", "driven-heat"])
+    @pytest.mark.parametrize("case", ["heat", "wave-tail", "driven-heat",
+                                      "driven-wave"])
     def test_an_undriven_simulator_forms_no_real_covariance(self, case,
                                                             monkeypatch):
         # the prior's factor is closed form and the zero stack comes back
-        # before its real forms are made; a driven stack still forms them
+        # before its real forms are made; a driven stack forms them only
+        # when the model has pairs, as heat's real stack is its own
         sysm, times = {
             "heat": (heat(), EIGHT_TIMES),
             "wave-tail": (sk.build_wave_model(4, horizon=1.0),
                           np.array([0.125, 0.25, 0.5, 0.875])),
             "driven-heat": (heat(0.5), EIGHT_TIMES),
+            "driven-wave": (driven_wave(), EIGHT_TIMES),
         }[case]
         calls = []
         exact = montecarlo._real_covariance
@@ -405,10 +408,11 @@ class TestZeroStack:
 
         monkeypatch.setattr(montecarlo, "_real_covariance", spy)
         sim = _Simulator(sysm, times)
-        if sysm.has_input_noise:
+        if case == "driven-wave":
             assert calls == [sim.stack.noise_cov.shape]
         else:
-            assert not calls and sim.width == 0
+            assert not calls
+        assert (sim.width > 0) == sysm.has_input_noise
 
     def test_a_zero_stack_has_the_pivot_loops_shape(self):
         # width 0 and complex, whatever the leading shape, as the loop left
@@ -586,6 +590,14 @@ def with_prior_mean(sysm, mean):
 
 def heat(q_scalar=0.0):
     return sk.build_heat_model(4, horizon=1.0, q_scalar=q_scalar)
+
+
+def driven_wave():
+    """Wave N=4 with a scalar input on every mode: a driven model with pairs."""
+    b = np.array([1j, -1j, 0.25j, -0.25j])[:, None]
+    return dataclasses.replace(sk.build_wave_model(4, horizon=1.0),
+                               input_coeffs=b, q_cov=np.array([[0.5]]),
+                               label="driven-wave")
 
 
 # two_output_heat -> (model, times): undriven and driven, complex modes, a

@@ -412,6 +412,18 @@ class TestFitRate:
         assert fit.n_used == 2
         assert "nonpositive" in caplog.text
 
+    @pytest.mark.parametrize("bad_n", [np.inf, np.nan])
+    def test_drops_non_finite_n(self, bad_n, caplog, capfd):
+        # a non-finite n would reach the log-log fit, where the SVD of
+        # polyfit fails and LAPACK complains on stderr
+        n = np.array([1.0, 2.0, 4.0, bad_n])
+        with caplog.at_level(logging.WARNING):
+            fit = sk.fit_rate(n, [1.0, 0.5, 0.25, 0.125])
+        assert fit.n_used == 3
+        npt.assert_allclose(fit.slope, -1.0, rtol=1e-12)
+        assert "dropping 1 " in caplog.text
+        assert capfd.readouterr().err == ""
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least two"):
             sk.fit_rate([2, 4], [1.0, 0.0])
